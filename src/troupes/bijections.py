@@ -40,6 +40,7 @@ from .trees import (
     alpha,
     alpha_inverse,
     branch_from_directions,
+    branch_profile,
     encode,
     factor_blocks,
     is_branch,
@@ -50,27 +51,6 @@ from .trees import (
     postorder,
     swing_labeled,
 )
-
-
-def branch_profile(b: ColoredTree) -> tuple[list[str], list[int], int]:
-    """Root-down direction word, root-down colors, and box color of a branch."""
-    if not is_branch(b):
-        raise ValueError("expected a branch")
-    dirs: list[str] = []
-    colors: list[int] = []
-    v = b.root
-    while v is not None:
-        nd = b.nodes[v]
-        colors.append(nd.color)
-        if nd.left is not None:
-            dirs.append("L")
-            v = nd.left
-        elif nd.right is not None:
-            dirs.append("R")
-            v = nd.right
-        else:
-            v = None
-    return dirs, colors, b.box_color
 
 
 @dataclass(frozen=True)

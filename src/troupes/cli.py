@@ -26,13 +26,24 @@ from .peaks import factors_from_plot, peaks
 from .rings import format_ring_elem, parse_ring_elem
 from .series import Series, boolean_free_series_check, troupe_transform, inverse_troupe_transform
 from .troupe import branch_series, builtin, from_table, random_branch_table
-from .trees import encode, encode_labeled, enumerate_trees, stack_sort
+from .trees import (
+    TREE_KINDS,
+    encode,
+    encode_labeled,
+    enumerate_trees,
+    size_word,
+    stack_sort,
+)
 
 DEFAULT_ORDER = 12
 
 
-class CliError(Exception):
-    """Usage or input error; reported on stderr with exit status 2."""
+class CliError(argparse.ArgumentTypeError):
+    """Usage or input error; reported on stderr with exit status 2.
+
+    Raised from an argparse ``type=`` function it becomes argparse's own
+    usage error, which exits 2 as well.
+    """
 
 
 def _parse_word(text: str) -> tuple[int, ...]:
@@ -52,7 +63,6 @@ def _parse_permutation(text: str) -> tuple[int, ...]:
     return word
 
 
-TREE_KINDS = ("bpt", "branch", "dbpt")
 PARTITION_KIND_NAMES = {
     "partition": "all",
     "interval": "interval",
@@ -62,24 +72,31 @@ PARTITION_KIND_NAMES = {
 }
 
 
+def _check_min(flag: str, value: int | None, least: int) -> None:
+    """Reject a size or order below the smallest one that means anything."""
+    if value is not None and value < least:
+        raise CliError(f"{flag} must be at least {least}, got {value}")
+
+
 def _family_items(kind: str, n: int | None, colors: tuple[int, ...] | None):
     kind = kind.lower()
     if kind in TREE_KINDS:
         if (n is None) == (colors is None):
             raise CliError("give exactly one of --n and --colors")
+        if n is not None:
+            _check_min("--n", n, 0)
+            colors = size_word(n)
+        items = enumerate_trees(kind, colors)
         if kind == "dbpt":
-            items = enumerate_trees(kind, n=n, word=colors)
             return (encode_labeled(lt) for lt in items)
-        items = enumerate_trees(kind, n=n, word=colors)
         return (encode(t) for t in items)
-    if kind in PARTITION_KIND_NAMES:
+    if kind in PARTITION_KIND_NAMES or kind == "d-permutations":
         if n is None:
             raise CliError(f"--n is required for kind {kind!r}")
+        _check_min("--n", n, 1)
+        if kind == "d-permutations":
+            return (",".join(map(str, sigma)) for sigma in iter_D(n))
         return (str(p) for p in iter_partitions(n, PARTITION_KIND_NAMES[kind]))
-    if kind == "d-permutations":
-        if n is None:
-            raise CliError("--n is required for kind 'd-permutations'")
-        return (",".join(map(str, sigma)) for sigma in iter_D(n))
     raise CliError(
         f"unknown kind {kind!r}; expected one of "
         f"{TREE_KINDS + tuple(PARTITION_KIND_NAMES) + ('d-permutations',)}"
@@ -99,6 +116,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    _check_min("--order", args.order, 2)
     coeffs = [Fraction(0)]
     for chunk in args.coeffs.split(","):
         try:
@@ -121,8 +139,8 @@ def cmd_cumulants(args) -> int:
             phi = moment_functional_from_text(fh.read())
     except OSError as exc:
         raise CliError(f"cannot read {args.moments}: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(f"{args.moments}: {exc}") from exc
+    except (KeyError, ValueError) as exc:
+        raise CliError(f"{args.moments}: {exc.args[0]}") from exc
     for kind in ("classical", "free", "boolean"):
         table = moments_to_cumulants(phi, kind)
         print(f"# {kind}")
@@ -131,6 +149,10 @@ def cmd_cumulants(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_min("--n", args.n, 1)
+    _check_min("--num-colors", args.num_colors, 1)
+    # the series identity first compares a coefficient at order 3
+    _check_min("--order", args.order, 3)
     if args.troupe == "random":
         table = random_branch_table(args.seed, max_size=max(args.n - 1, 1),
                                     num_colors=args.num_colors)
@@ -186,6 +208,7 @@ def cmd_examples(args) -> int:
         seq = named_sequence(args.name)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    _check_min("--order", args.order, 1)
     order = args.order if args.order is not None else DEFAULT_ORDER
     moments = seq.moments(order)
     print("# moments")

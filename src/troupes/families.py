@@ -18,7 +18,7 @@ from .cumulants import classical_via_egf
 from .partitions import descents
 from .rings import QPoly, RingElem, q, to_poly
 from .series import Series
-from .trees import iter_bpt, right_edges
+from .trees import iter_bpt_word, right_edges, size_word
 
 
 @lru_cache(maxsize=None)
@@ -40,7 +40,7 @@ def narayana_polynomial(n: int) -> QPoly:
     if n < 1:
         raise ValueError("n must be positive")
     counts = [0] * n
-    for t in iter_bpt(n):
+    for t in iter_bpt_word(size_word(n)):
         counts[right_edges(t)] += 1
     return QPoly(counts)
 

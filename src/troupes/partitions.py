@@ -95,15 +95,6 @@ def classify(p: SetPartition) -> PartitionFlags:
     return PartitionFlags(is_interval(p), nc, nc and p.block_of(1) == p.block_of(p.n))
 
 
-PARTITION_CLASSES = (
-    "all",
-    "interval",
-    "noncrossing",
-    "nc_irreducible",
-    "nc_irreducible_min2",
-)
-
-
 def _accepts(klass: str, p: SetPartition) -> bool:
     if klass == "all":
         return True
@@ -159,10 +150,6 @@ def partitions_as_index_blocks(n: int, klass: str) -> tuple[tuple[tuple[int, ...
 # Permutations and descending runs
 
 
-def iter_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    return itertools.permutations(range(1, n + 1))
-
-
 def descents(sigma: Sequence[int]) -> list[int]:
     return [i for i in range(1, len(sigma)) if sigma[i - 1] > sigma[i]]
 
@@ -179,17 +166,6 @@ def druns(sigma: Sequence[int]) -> SetPartition:
         else:
             blocks.append([sigma[i]])
     return SetPartition.of(n, blocks)
-
-
-def druns_in_order(sigma: Sequence[int]) -> list[tuple[int, ...]]:
-    """Run value-sets in the order the runs occur in sigma."""
-    blocks: list[list[int]] = [[sigma[0]]]
-    for i in range(1, len(sigma)):
-        if sigma[i - 1] > sigma[i]:
-            blocks[-1].append(sigma[i])
-        else:
-            blocks.append([sigma[i]])
-    return [tuple(sorted(b)) for b in blocks]
 
 
 def iter_sigma_first_n(n: int) -> Iterator[tuple[int, ...]]:

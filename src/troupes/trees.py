@@ -521,6 +521,7 @@ def shapes(n: int) -> list:
 def tree_from_shape(shape, postorder_colors: Sequence[int] | None = None,
                     box_color: int = 0) -> ColoredTree:
     """Materialize a shape, coloring vertices by their postorder position."""
+    colors = itertools.repeat(0) if postorder_colors is None else iter(postorder_colors)
     nodes: list[Node] = []
 
     def build(sh) -> int | None:
@@ -528,36 +529,14 @@ def tree_from_shape(shape, postorder_colors: Sequence[int] | None = None,
             return None
         left = build(sh[0])
         right = build(sh[1])
-        nodes.append(Node(0, left, right))
+        # nodes are appended in postorder, so the k-th node takes the k-th color
+        nodes.append(Node(next(colors, None), left, right))
         return len(nodes) - 1
 
     root = build(shape)
-    if postorder_colors is not None:
-        # nodes were appended in postorder, so position k has color k
-        if len(postorder_colors) != len(nodes):
-            raise ValueError("color word length must match the shape size")
-        nodes = [
-            Node(postorder_colors[i], nd.left, nd.right) for i, nd in enumerate(nodes)
-        ]
+    if postorder_colors is not None and len(postorder_colors) != len(nodes):
+        raise ValueError("color word length must match the shape size")
     return ColoredTree(tuple(nodes), root, box_color)
-
-
-def iter_bpt(n: int) -> Iterator[ColoredTree]:
-    """All plain (single-color) trees of size n; there are Catalan(n) of them."""
-    for sh in shapes(n):
-        yield tree_from_shape(sh)
-
-
-def iter_branches(n: int) -> Iterator[ColoredTree]:
-    """All branches of size n (2^(n-1) of them), directions in L<R order.
-
-    Direction words read from the root down; each vertex hangs its single
-    child on the recorded side.
-    """
-    if n < 1:
-        raise ValueError("branches are nonempty")
-    for directions in itertools.product("LR", repeat=n - 1):
-        yield branch_from_directions(directions)
 
 
 def branch_from_directions(directions: Sequence[str],
@@ -585,33 +564,36 @@ def branch_from_directions(directions: Sequence[str],
     return ColoredTree(tuple(nodes), below, box_color)
 
 
-def branch_directions(t: ColoredTree) -> list[str]:
-    """Root-down direction word of a branch."""
-    if not is_branch(t):
-        raise ValueError("not a branch")
-    out: list[str] = []
-    v = t.root
+def branch_profile(b: ColoredTree) -> tuple[list[str], list[int], int]:
+    """Root-down direction word, root-down colors, and box color of a branch;
+    the inverse of :func:`branch_from_directions`."""
+    if not is_branch(b):
+        raise ValueError("expected a branch")
+    dirs: list[str] = []
+    colors: list[int] = []
+    v = b.root
     while v is not None:
-        nd = t.nodes[v]
+        nd = b.nodes[v]
+        colors.append(nd.color)
         if nd.left is not None:
-            out.append("L")
+            dirs.append("L")
             v = nd.left
         elif nd.right is not None:
-            out.append("R")
+            dirs.append("R")
             v = nd.right
         else:
             v = None
-    return out
+    return dirs, colors, b.box_color
 
 
-def iter_dbpt(n: int) -> Iterator[LabeledTree]:
-    """All decreasing labeled trees of size n (n! of them).
+def size_word(n: int) -> tuple[int, ...]:
+    """The color word of the single-color family of size n: n+1 zeros.
 
-    Enumerated through the inorder bijection, with inorder words in
-    lexicographic order.
+    Every family of size n is the family of this constant word.
     """
-    for word in itertools.permutations(range(1, n + 1)):
-        yield alpha_inverse(word)
+    if n < 0:
+        raise ValueError(f"size must be nonnegative, got {n}")
+    return (0,) * (n + 1)
 
 
 def iter_bpt_word(word: Sequence[int]) -> Iterator[ColoredTree]:
@@ -658,17 +640,17 @@ def iter_dbpt_word(word: Sequence[int]) -> Iterator[LabeledTree]:
         yield alpha_inverse(perm, colors=word, box_color=word[-1])
 
 
-def enumerate_trees(kind: str, n: int | None = None,
-                    word: Sequence[int] | None = None):
-    """Dispatch enumeration by family name; exactly one of n/word is given."""
-    if (n is None) == (word is None):
-        raise ValueError("give a size or a color word, not both")
+TREE_KINDS = ("bpt", "branch", "dbpt")
+
+
+def enumerate_trees(kind: str, word: Sequence[int]):
+    """The family ``kind`` of a color word, dispatched to ``iter_<kind>_word``.
+
+    ``bpt`` and ``branch`` yield :class:`ColoredTree`, ``dbpt`` yields
+    :class:`LabeledTree`.  The enumerator is looked up in the module namespace
+    on each call, so a wrapper bound to that name later is the one called.
+    """
     kind = kind.lower()
-    if word is not None:
-        table = {"bpt": iter_bpt_word, "branch": iter_branch_word,
-                 "dbpt": iter_dbpt_word}
-    else:
-        table = {"bpt": iter_bpt, "branch": iter_branches, "dbpt": iter_dbpt}
-    if kind not in table:
+    if kind not in TREE_KINDS:
         raise ValueError(f"unknown tree family {kind!r}")
-    return table[kind](word if word is not None else n)
+    return globals()[f"iter_{kind}_word"](word)

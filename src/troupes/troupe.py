@@ -19,15 +19,12 @@ from .series import Series
 from .trees import (
     ColoredTree,
     encode,
+    enumerate_trees,
     insertion_factors,
     is_branch,
-    iter_bpt,
     iter_branch_word,
-    iter_branches,
-    iter_bpt_word,
-    iter_dbpt,
-    iter_dbpt_word,
     right_edges,
+    size_word,
 )
 
 
@@ -116,7 +113,7 @@ def right_two_monomial(t1: RingElem, t2: RingElem) -> WeightedTroupe:
     t2 = as_ring_elem(t2)
 
     def weight(b: ColoredTree) -> RingElem:
-        return _power(t1, right_edges(b) + 1) * t2
+        return t1 ** (right_edges(b) + 1) * t2
 
     return WeightedTroupe("rightmono", weight)
 
@@ -131,16 +128,9 @@ def color_count(counted: Iterable[int], t: RingElem = q) -> WeightedTroupe:
         k = sum(1 for nd in b.nodes if nd.color in colors)
         if b.box_color in colors:
             k += 1
-        return _power(t, k)
+        return t ** k
 
     return WeightedTroupe(f"colorcount:{sorted(colors)}", weight)
-
-
-def _power(x: RingElem, k: int) -> RingElem:
-    out: RingElem = Fraction(1)
-    for _ in range(k):
-        out = out * x
-    return out
 
 
 def from_table(table: Mapping[str, RingElem], default: RingElem = Fraction(0),
@@ -213,32 +203,9 @@ def _parse_param(text: str) -> RingElem:
 
 def weighted_sum(tau: WeightedTroupe, kind: str, word: Sequence[int]) -> RingElem:
     """Exact sum of the troupe over the colored family of the given word."""
-    kind = kind.lower()
-    if kind == "branch":
-        family = iter_branch_word(word)
-    elif kind == "bpt":
-        family = iter_bpt_word(word)
-    elif kind == "dbpt":
-        family = (lt.tree for lt in iter_dbpt_word(word))
-    else:
-        raise ValueError(f"unknown family {kind!r}")
-    total: RingElem = Fraction(0)
-    for t in family:
-        total = total + tau.evaluate(t)
-    return total
-
-
-def weighted_sum_size(tau: WeightedTroupe, kind: str, n: int) -> RingElem:
-    """Exact sum over the single-color family of size n."""
-    kind = kind.lower()
-    if kind == "branch":
-        family = iter_branches(n)
-    elif kind == "bpt":
-        family = iter_bpt(n)
-    elif kind == "dbpt":
-        family = (lt.tree for lt in iter_dbpt(n))
-    else:
-        raise ValueError(f"unknown family {kind!r}")
+    family = enumerate_trees(kind, word)
+    if kind.lower() == "dbpt":
+        family = (lt.tree for lt in family)
     total: RingElem = Fraction(0)
     for t in family:
         total = total + tau.evaluate(t)
@@ -249,7 +216,7 @@ def branch_series(tau: WeightedTroupe, order: int) -> Series:
     """Generating function of branch sums: coefficient n is the size-n sum."""
     coeffs: list[RingElem] = [Fraction(0)]
     for n in range(1, order):
-        coeffs.append(weighted_sum_size(tau, "branch", n))
+        coeffs.append(weighted_sum(tau, "branch", size_word(n)))
     return Series(coeffs)
 
 
@@ -257,5 +224,5 @@ def tree_series(tau: WeightedTroupe, order: int) -> Series:
     """Generating function of tree sums, by direct enumeration."""
     coeffs: list[RingElem] = [Fraction(0)]
     for n in range(1, order):
-        coeffs.append(weighted_sum_size(tau, "bpt", n))
+        coeffs.append(weighted_sum(tau, "bpt", size_word(n)))
     return Series(coeffs)

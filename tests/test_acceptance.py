@@ -53,20 +53,19 @@ from troupes.troupe import (
     random_branch_table,
     right_two_monomial,
     tree_series,
-    weighted_sum_size,
+    weighted_sum,
 )
 from troupes.trees import (
     encode,
     encode_labeled,
     insertion_factors,
-    iter_bpt,
-    iter_branches,
+    iter_branch_word,
     iter_bpt_word,
-    iter_dbpt,
     iter_dbpt_word,
     labeled_multiset_key,
     multiset_key,
     postorder,
+    size_word,
 )
 
 
@@ -110,12 +109,12 @@ def test_criterion_1_cumulant_equivalence():
 def test_criterion_2_count_triples():
     for n in range(1, 9):
         dbpt = set()
-        for lt in iter_dbpt(n):
+        for lt in iter_dbpt_word(size_word(n)):
             dbpt.add(encode_labeled(lt))
         assert len(dbpt) == math.factorial(n)
-        bpt = {encode(t) for t in iter_bpt(n)}
+        bpt = {encode(t) for t in iter_bpt_word(size_word(n))}
         assert len(bpt) == catalan(n)
-        branches = {encode(b) for b in iter_branches(n)}
+        branches = {encode(b) for b in iter_branch_word(size_word(n))}
         assert len(branches) == 2 ** (n - 1)
     report(2, "factorial / Catalan / power-of-two counts")
 
@@ -123,18 +122,18 @@ def test_criterion_2_count_triples():
 def test_criterion_3_right_edge_polynomial_triple():
     tau = right_two_monomial(q, 1)
     for n in range(1, 8):
-        assert weighted_sum_size(tau, "dbpt", n) == q * eulerian_polynomial(n)
-        assert weighted_sum_size(tau, "bpt", n) == q * narayana_polynomial(n)
-        assert weighted_sum_size(tau, "branch", n) == q * (1 + q) ** (n - 1)
+        assert weighted_sum(tau, "dbpt", size_word(n)) == q * eulerian_polynomial(n)
+        assert weighted_sum(tau, "bpt", size_word(n)) == q * narayana_polynomial(n)
+        assert weighted_sum(tau, "branch", size_word(n)) == q * (1 + q) ** (n - 1)
     report(3, "Eulerian / Narayana / binomial weighted sums")
 
 
 def test_criterion_4_full_triple_and_secant():
     tau = full_trees()
     for n in range(1, 8):
-        dbpt = weighted_sum_size(tau, "dbpt", n)
-        bpt = weighted_sum_size(tau, "bpt", n)
-        branch = weighted_sum_size(tau, "branch", n)
+        dbpt = weighted_sum(tau, "dbpt", size_word(n))
+        bpt = weighted_sum(tau, "bpt", size_word(n))
+        branch = weighted_sum(tau, "branch", size_word(n))
         if n % 2 == 1:
             assert dbpt == alternating_count(n)
             assert bpt == catalan((n - 1) // 2)

@@ -6,7 +6,6 @@ import pytest
 from troupes.bijections import (
     PhiInput,
     PsiInput,
-    branch_profile,
     iter_phi_inputs,
     iter_psi_inputs,
     phi,
@@ -19,6 +18,7 @@ from troupes.bijections import (
 from troupes.partitions import SetPartition, classify, druns
 from troupes.trees import (
     branch_from_directions,
+    branch_profile,
     encode,
     encode_labeled,
     factor_blocks,
@@ -28,6 +28,7 @@ from troupes.trees import (
     labeled_insertion_factors,
     multiset_key,
     postorder,
+    size_word,
 )
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
@@ -295,10 +296,8 @@ def test_nine_vertex_factor_block_structure():
 
 def test_tree_rebuilt_from_factors_by_iterated_insertion():
     """Reconstructing through the block recursion returns the same tree."""
-    from troupes.trees import iter_bpt
-
     for n in range(1, 8):
-        for t in iter_bpt(n):
+        for t in iter_bpt_word(size_word(n)):
             rebuilt, _ = psi_via_insertions(psi_inverse(t))
             assert encode(rebuilt) == encode(t)
 

@@ -1,6 +1,8 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from troupes import cli
 from troupes.trees import parse_tree
 
@@ -45,6 +47,16 @@ def test_enumerate_round_trips_tree_format():
 def test_enumerate_partitions():
     code, out, _ = run("enumerate", "--kind", "nc-irreducible", "--n", "3")
     assert sorted(out.strip().splitlines()) == ["{{1,2,3}}", "{{1,3},{2}}"]
+
+
+def test_tree_kinds_at_size_zero():
+    # size 0 is the word of length 1: the empty tree, and no branch
+    assert run("count", "--kind", "bpt", "--n", "0") == (0, "1\n", "")
+    assert run("count", "--kind", "dbpt", "--n", "0") == (0, "1\n", "")
+    assert run("count", "--kind", "branch", "--n", "0") == (0, "0\n", "")
+    assert run("enumerate", "--kind", "bpt", "--n", "0") == (0, "0:.\n", "")
+    assert run("enumerate", "--kind", "dbpt", "--n", "0") == (0, "0:.\n", "")
+    assert run("enumerate", "--kind", "branch", "--n", "0") == (0, "", "")
 
 
 def test_enumerate_requires_exactly_one_size():
@@ -176,6 +188,35 @@ def test_output_is_deterministic():
         ("examples", "secant", "--order", "6"),
     ):
         assert run(*argv) == run(*argv)
+
+
+PARTITION_KINDS = ("partition", "interval", "noncrossing", "nc-irreducible",
+                   "nc-irreducible-min2", "d-permutations")
+
+
+@pytest.mark.parametrize("argv", [
+    *(["count", "--kind", kind, "--n", "-1"] for kind in ("bpt", "branch", "dbpt")),
+    ["enumerate", "--kind", "branch", "--n", "-3"],
+    *(["count", "--kind", kind, "--n", "0"] for kind in PARTITION_KINDS),
+    ["enumerate", "--kind", "d-permutations", "--n", "-2"],
+    ["enumerate", "--kind", "bpt", "--colors", ""],
+    ["transform", "--coeffs", "1,2", "--order", "0"],
+    ["transform", "--coeffs", "1,2", "--order", "-3"],
+    ["examples", "secant", "--order", "-2"],
+    ["examples", "secant", "--order", "0"],
+    ["verify", "--troupe", "all", "--n", "0"],
+    ["verify", "--troupe", "all", "--num-colors", "0"],
+    ["verify", "--troupe", "all", "--order", "0"],
+    ["cumulants", "--moments", "{missing_word_table}"],
+], ids=" ".join)
+def test_bad_input_exits_2_without_traceback(argv, tmp_path):
+    table = tmp_path / "moments.txt"
+    table.write_text("word 0 = 1\nword 0,0,0 = 2\n")  # no moment for 0,0
+    argv = [a.format(missing_word_table=table) for a in argv]
+    code, out, err = run(*argv)
+    assert code == 2 and out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_code():

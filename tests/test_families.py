@@ -12,7 +12,8 @@ from troupes.families import (
 )
 from troupes.rings import QPoly, q
 from troupes.series import Series
-from troupes.troupe import full_trees, right_two_monomial, weighted_sum_size
+from troupes.trees import size_word
+from troupes.troupe import full_trees, right_two_monomial, weighted_sum
 
 
 def narayana_closed_form(n):
@@ -55,18 +56,18 @@ def test_right_edge_triple():
     labeled trees the Eulerian polynomial."""
     tau = right_two_monomial(q, 1)
     for n in range(1, 7):
-        assert weighted_sum_size(tau, "branch", n) == q * (1 + q) ** (n - 1)
-        assert weighted_sum_size(tau, "bpt", n) == q * narayana_polynomial(n)
-        assert weighted_sum_size(tau, "dbpt", n) == q * eulerian_polynomial(n)
+        assert weighted_sum(tau, "branch", size_word(n)) == q * (1 + q) ** (n - 1)
+        assert weighted_sum(tau, "bpt", size_word(n)) == q * narayana_polynomial(n)
+        assert weighted_sum(tau, "dbpt", size_word(n)) == q * eulerian_polynomial(n)
 
 
 def test_full_triple():
     tau = full_trees()
     catalan = [1, 1, 2, 5, 14]
     for n in range(1, 7):
-        dbpt = weighted_sum_size(tau, "dbpt", n)
-        bpt = weighted_sum_size(tau, "bpt", n)
-        branch = weighted_sum_size(tau, "branch", n)
+        dbpt = weighted_sum(tau, "dbpt", size_word(n))
+        bpt = weighted_sum(tau, "bpt", size_word(n))
+        branch = weighted_sum(tau, "branch", size_word(n))
         if n % 2 == 1:
             assert dbpt == alternating_count(n)
             assert bpt == catalan[(n - 1) // 2]

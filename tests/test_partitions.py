@@ -6,7 +6,6 @@ from troupes.partitions import (
     SetPartition,
     classify,
     druns,
-    druns_in_order,
     is_interval,
     is_irreducible,
     is_noncrossing,
@@ -116,11 +115,8 @@ def test_druns_block_count():
 def test_druns_reconstruction():
     for n in range(1, 7):
         for sigma in itertools.permutations(range(1, n + 1)):
-            rebuilt = tuple(
-                x
-                for block in druns_in_order(sigma)
-                for x in sorted(block, reverse=True)
-            )
+            runs = sorted(druns(sigma).blocks, key=lambda b: sigma.index(max(b)))
+            rebuilt = tuple(x for block in runs for x in sorted(block, reverse=True))
             assert rebuilt == sigma
 
 
@@ -141,7 +137,7 @@ def test_iter_D_membership():
 def test_D_first_block_contains_n():
     for n in range(2, 8):
         for sigma in iter_D(n):
-            first = druns_in_order(sigma)[0]
+            first = druns(sigma).block_of(sigma[0])
             assert n in first and len(first) >= 2
 
 

@@ -9,8 +9,8 @@ from troupes.trees import (
     alpha,
     alpha_inverse,
     beta,
-    branch_directions,
     branch_from_directions,
+    branch_profile,
     encode,
     encode_labeled,
     enumerate_trees,
@@ -19,17 +19,15 @@ from troupes.trees import (
     is_branch,
     is_full,
     is_motzkin,
-    iter_bpt,
     iter_bpt_word,
     iter_branch_word,
-    iter_branches,
-    iter_dbpt,
     iter_dbpt_word,
     labeled_insertion_factors,
     multiset_key,
     parse_tree,
     postorder,
     right_edges,
+    size_word,
     stack_sort,
     swing,
     swing_labeled,
@@ -81,14 +79,15 @@ def test_traversal_empty_tree_rejected():
 
 def test_postorder_labeling_always_decreasing():
     for n in range(1, 7):
-        for t in iter_bpt(n):
+        for t in iter_bpt_word(size_word(n)):
             traversal_labeling(t, "postorder").validate()
 
 
 def test_postorder_injection_on_shapes():
     for n in range(1, 8):
         seen = {
-            encode_labeled(traversal_labeling(t, "postorder")) for t in iter_bpt(n)
+            encode_labeled(traversal_labeling(t, "postorder"))
+            for t in iter_bpt_word(size_word(n))
         }
         assert len(seen) == CATALAN[n]
 
@@ -169,8 +168,8 @@ def test_insert_smallest():
 
 def test_insert_size_identity():
     for n1, n2 in [(2, 3), (3, 2), (5, 3)]:
-        t1 = next(iter_bpt(n1))
-        t2 = next(iter_bpt(n2))
+        t1 = next(iter_bpt_word(size_word(n1)))
+        t2 = next(iter_bpt_word(size_word(n2)))
         assert insert(t1, 0, t2).size == n1 + n2 + 1
 
 
@@ -190,7 +189,7 @@ def test_insert_into_branch_leaf_recovers_operands():
 
 def test_factors_of_branch_is_itself():
     for n in range(1, 6):
-        for b in iter_branches(n):
+        for b in iter_branch_word(size_word(n)):
             factors = insertion_factors(b)
             assert len(factors) == 1
             assert encode(factors[0]) == encode(b)
@@ -198,7 +197,7 @@ def test_factors_of_branch_is_itself():
 
 def test_factor_count_is_two_child_count_plus_one():
     for n in range(1, 7):
-        for t in iter_bpt(n):
+        for t in iter_bpt_word(size_word(n)):
             assert len(insertion_factors(t)) == two_child_count(t) + 1
 
 
@@ -206,9 +205,9 @@ def test_graft_factor_multiset_union_exhaustive():
     """Insertion factors of a graft are the multiset union of the operands'."""
     for n1 in range(1, 7):
         for n2 in range(1, 8 - n1):
-            for t1 in iter_bpt(n1):
+            for t1 in iter_bpt_word(size_word(n1)):
                 key1 = multiset_key(insertion_factors(t1))
-                for t2 in iter_bpt(n2):
+                for t2 in iter_bpt_word(size_word(n2)):
                     key2 = multiset_key(insertion_factors(t2))
                     expected = tuple(sorted(key1 + key2))
                     for v in range(n1):
@@ -261,7 +260,7 @@ def test_swing_rejects_leaf_and_two_children():
 def test_swing_branch_shape():
     b = branch_from_directions("LL")
     s = swing(b, b.root)
-    assert branch_directions(s) == ["R", "L"]
+    assert branch_profile(s)[0] == ["R", "L"]
 
 
 def test_swing_preserves_decreasing_labels():
@@ -277,12 +276,12 @@ def test_swing_preserves_decreasing_labels():
 
 def test_enumeration_counts():
     for n in range(1, 9):
-        assert sum(1 for _ in iter_bpt(n)) == CATALAN[n]
-        assert sum(1 for _ in iter_branches(n)) == 2 ** (n - 1)
+        assert sum(1 for _ in iter_bpt_word(size_word(n))) == CATALAN[n]
+        assert sum(1 for _ in iter_branch_word(size_word(n))) == 2 ** (n - 1)
     for n in range(1, 7):
         count = 0
         seen = set()
-        for lt in iter_dbpt(n):
+        for lt in iter_dbpt_word(size_word(n)):
             count += 1
             seen.add(encode_labeled(lt))
         import math
@@ -292,23 +291,58 @@ def test_enumeration_counts():
 
 def test_enumeration_no_duplicates():
     for n in range(1, 8):
-        encodings = [encode(t) for t in iter_bpt(n)]
+        encodings = [encode(t) for t in iter_bpt_word(size_word(n))]
         assert len(encodings) == len(set(encodings))
 
 
+def _listing(kind, word):
+    enc = encode_labeled if kind == "dbpt" else encode
+    return [enc(t) for t in enumerate_trees(kind, word)]
+
+
 def test_enumeration_order_is_stable():
-    assert [encode(t) for t in iter_bpt(3)] == [
+    assert _listing("bpt", size_word(3)) == [
         "0:(0 . (0 . (0 . .)))",
         "0:(0 . (0 (0 . .) .))",
         "0:(0 (0 . .) (0 . .))",
         "0:(0 (0 . (0 . .)) .)",
         "0:(0 (0 (0 . .) .) .)",
     ]
-    assert [encode(b) for b in iter_branches(3)] == [
+    assert _listing("branch", size_word(3)) == [
         "0:(0 (0 (0 . .) .) .)",
         "0:(0 (0 . (0 . .)) .)",
         "0:(0 . (0 (0 . .) .))",
         "0:(0 . (0 . (0 . .)))",
+    ]
+    assert _listing("dbpt", size_word(3)) == [
+        "0:(0|3 (0|2 (0|1 . .) .) .)",
+        "0:(0|3 (0|1 . .) (0|2 . .))",
+        "0:(0|3 (0|2 . (0|1 . .)) .)",
+        "0:(0|3 (0|2 . .) (0|1 . .))",
+        "0:(0|3 . (0|2 (0|1 . .) .))",
+        "0:(0|3 . (0|2 . (0|1 . .)))",
+    ]
+    word = (0, 1, 0, 1)
+    assert _listing("bpt", word) == [
+        "1:(0 . (1 . (0 . .)))",
+        "1:(0 . (1 (0 . .) .))",
+        "1:(0 (0 . .) (1 . .))",
+        "1:(0 (1 . (0 . .)) .)",
+        "1:(0 (1 (0 . .) .) .)",
+    ]
+    assert _listing("branch", word) == [
+        "1:(0 (1 (0 . .) .) .)",
+        "1:(0 (1 . (0 . .)) .)",
+        "1:(0 . (1 (0 . .) .))",
+        "1:(0 . (1 . (0 . .)))",
+    ]
+    assert _listing("dbpt", word) == [
+        "1:(0|3 (1|2 (0|1 . .) .) .)",
+        "1:(0|3 (0|1 . .) (1|2 . .))",
+        "1:(0|3 (1|2 . (0|1 . .)) .)",
+        "1:(0|3 (1|2 . .) (0|1 . .))",
+        "1:(0|3 . (1|2 (0|1 . .) .))",
+        "1:(0|3 . (1|2 . (0|1 . .)))",
     ]
 
 
@@ -344,12 +378,20 @@ def test_colored_postorder_matches_word():
 
 
 def test_enumerate_trees_dispatch():
-    assert sum(1 for _ in enumerate_trees("bpt", n=4)) == 14
-    assert sum(1 for _ in enumerate_trees("branch", word=(0, 0, 0))) == 2
+    assert sum(1 for _ in enumerate_trees("bpt", size_word(4))) == 14
+    assert sum(1 for _ in enumerate_trees("branch", (0, 0, 0))) == 2
+    assert sum(1 for _ in enumerate_trees("DBPT", (0, 1, 0))) == 2
     with pytest.raises(ValueError):
-        list(enumerate_trees("bpt", n=2, word=(0,)))
+        enumerate_trees("weird", (0, 0))
     with pytest.raises(ValueError):
-        list(enumerate_trees("weird", n=2))
+        list(enumerate_trees("bpt", ()))
+
+
+def test_size_word_is_the_constant_word():
+    assert size_word(0) == (0,)
+    assert size_word(3) == (0, 0, 0, 0)
+    with pytest.raises(ValueError):
+        size_word(-1)
 
 
 # -- predicates
@@ -368,7 +410,8 @@ def test_predicates():
 def test_motzkin_shape_counts():
     motzkin = [1, 1, 2, 4, 9, 21, 51]  # trees of sizes 1..7
     for n in range(1, 8):
-        assert sum(1 for t in iter_bpt(n) if is_motzkin(t)) == motzkin[n - 1]
+        trees = iter_bpt_word(size_word(n))
+        assert sum(1 for t in trees if is_motzkin(t)) == motzkin[n - 1]
 
 
 # -- canonical encoding

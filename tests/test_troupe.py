@@ -17,7 +17,6 @@ from troupes.troupe import (
     right_two_monomial,
     tree_series,
     weighted_sum,
-    weighted_sum_size,
 )
 from troupes.trees import (
     ColoredTree,
@@ -26,11 +25,10 @@ from troupes.trees import (
     insert,
     is_full,
     is_motzkin,
-    iter_bpt,
     iter_bpt_word,
     iter_branch_word,
-    iter_branches,
     right_edges,
+    size_word,
     two_child_count,
 )
 
@@ -53,7 +51,7 @@ def test_empty_tree_evaluates_to_zero():
 def test_branch_evaluates_to_its_weight():
     tau = right_two_monomial(q, 2)
     for n in range(1, 5):
-        for b in iter_branches(n):
+        for b in iter_branch_word(size_word(n)):
             assert tau.evaluate(b) == q ** (right_edges(b) + 1) * 2
 
 
@@ -64,7 +62,7 @@ def test_indicator_matches_direct_predicate():
         (motzkin_trees(), is_motzkin),
     ]
     for n in range(1, 7):
-        for t in iter_bpt(n):
+        for t in iter_bpt_word(size_word(n)):
             for tau, pred in cases:
                 assert tau.evaluate(t) == (1 if pred(t) else 0)
 
@@ -102,8 +100,8 @@ def test_multiplicativity_exhaustive():
             from_table(random_branch_table(3, max_size=6))]
     for n1 in range(1, 7):
         for n2 in range(1, 8 - n1):
-            for t1 in iter_bpt(n1):
-                for t2 in iter_bpt(n2):
+            for t1 in iter_bpt_word(size_word(n1)):
+                for t2 in iter_bpt_word(size_word(n2)):
                     for v in range(n1):
                         t = insert(t1, v, t2)
                         for tau in taus:
@@ -114,8 +112,8 @@ def test_right_and_two_statistics_add_under_insertion():
     # the additivity that makes the monomial weights multiplicative
     for n1 in range(1, 5):
         for n2 in range(1, 6 - n1):
-            for t1 in iter_bpt(n1):
-                for t2 in iter_bpt(n2):
+            for t1 in iter_bpt_word(size_word(n1)):
+                for t2 in iter_bpt_word(size_word(n2)):
                     for v in range(n1):
                         t = insert(t1, v, t2)
                         assert right_edges(t) == right_edges(t1) + right_edges(t2) + 1
@@ -129,11 +127,11 @@ def test_same_branch_weights_same_troupe():
     reference = right_two_monomial(q, 1)
     table = {}
     for n in range(1, 8):
-        for b in iter_branches(n):
+        for b in iter_branch_word(size_word(n)):
             table[encode(b)] = reference.weight_of_branch(b)
     clone = from_table(table, name="clone")
     for n in range(1, 8):
-        for t in iter_bpt(n):
+        for t in iter_bpt_word(size_word(n)):
             assert clone.evaluate(t) == reference.evaluate(t)
 
 
@@ -141,8 +139,8 @@ def test_indicator_support_closed_under_insertion():
     for tau in (full_trees(), motzkin_trees()):
         for n1 in range(1, 4):
             for n2 in range(1, 5 - n1):
-                for t1 in iter_bpt(n1):
-                    for t2 in iter_bpt(n2):
+                for t1 in iter_bpt_word(size_word(n1)):
+                    for t2 in iter_bpt_word(size_word(n2)):
                         for v in range(n1):
                             t = insert(t1, v, t2)
                             inside = tau.evaluate(t1) == 1 and tau.evaluate(t2) == 1
@@ -155,7 +153,7 @@ def test_indicator_support_closed_under_insertion():
 def test_all_troupe_sums():
     tau = all_trees()
     for n in range(1, 7):
-        assert weighted_sum_size(tau, "branch", n) == 2 ** (n - 1)
+        assert weighted_sum(tau, "branch", size_word(n)) == 2 ** (n - 1)
     import math
 
     for n in range(2, 7):
@@ -178,7 +176,7 @@ def test_motzkin_troupe_bpt_sums():
 def test_rightmono_sums():
     tau = right_two_monomial(q, 1)
     for n in range(1, 6):
-        assert weighted_sum_size(tau, "branch", n) == q * (1 + q) ** (n - 1)
+        assert weighted_sum(tau, "branch", size_word(n)) == q * (1 + q) ** (n - 1)
 
 
 def test_word_length_one_sums_vanish():
@@ -214,7 +212,7 @@ def test_builtin_dispatch():
     assert builtin("colorset:0,1").name == "colorset:[0, 1]"
     assert builtin("colorcount:1").name == "colorcount:[1]"
     tau = builtin("rightmono:q,1")
-    assert tau.evaluate(next(iter_branches(2))) in (q, q * q)
+    assert tau.evaluate(next(iter_branch_word(size_word(2)))) in (q, q * q)
     assert builtin("rightmono:2,1/3") is not None
     with pytest.raises(ValueError):
         builtin("nonsense")
@@ -240,6 +238,6 @@ def test_random_table_covers_all_small_branches():
 
 def test_weight_of_branch_rejects_non_branch():
     tau = all_trees()
-    t = next(t for t in iter_bpt(3) if two_child_count(t) > 0)
+    t = next(t for t in iter_bpt_word(size_word(3)) if two_child_count(t) > 0)
     with pytest.raises(ValueError):
         tau.weight_of_branch(t)
