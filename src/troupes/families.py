@@ -47,18 +47,17 @@ def narayana_polynomial(n: int) -> QPoly:
 
 @lru_cache(maxsize=None)
 def alternating_count(n: int) -> int:
-    """Number of alternating permutations of size n (up-down convention),
-    by brute force.  Odd entries are the tangent numbers."""
+    """Number of alternating permutations of size n (up-down convention), by
+    the Seidel-Entringer boustrophedon.  Odd entries are the tangent numbers."""
     if n < 1:
         raise ValueError("n must be positive")
-    count = 0
-    for sigma in itertools.permutations(range(1, n + 1)):
-        if all(
-            (sigma[i - 1] < sigma[i]) == (i % 2 == 1)
-            for i in range(1, n)
-        ):
-            count += 1
-    return count
+    row = [1]
+    for _ in range(n):
+        sums = [0]
+        for x in reversed(row):
+            sums.append(sums[-1] + x)
+        row = sums
+    return row[-1]
 
 
 @dataclass(frozen=True)

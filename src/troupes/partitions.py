@@ -114,6 +114,8 @@ def iter_partitions(n: int, klass: str = "all") -> Iterator[SetPartition]:
 
     Deterministic order: element n is placed into each block of a partition
     of 1..n-1 in turn (existing blocks first, then alone), recursively.
+    Every class but ``all`` is noncrossing, and a crossing or a gap never
+    goes away as larger elements join, so such branches are cut early.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -124,6 +126,13 @@ def iter_partitions(n: int, klass: str = "all") -> Iterator[SetPartition]:
             return
         for blocks in rec(k - 1):
             for i in range(len(blocks)):
+                last = blocks[i][-1]
+                # k joins block i by the arc (last, k): that leaves a gap unless
+                # last = k-1, and crosses each block with elements around last
+                if klass == "interval" and last != k - 1:
+                    continue
+                if klass != "all" and any(b[0] < last < b[-1] for b in blocks):
+                    continue
                 blocks[i].append(k)
                 yield blocks
                 blocks[i].pop()

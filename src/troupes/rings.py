@@ -223,7 +223,7 @@ def _format_fraction(x: Fraction) -> str:
 
 
 def parse_ring_elem(text: str) -> RingElem:
-    """Parse the output of :func:`format_ring_elem`."""
+    """Parse the output of :func:`format_ring_elem`; a bare ``q^k`` is ``1*q^k``."""
     text = text.strip()
     if "q" not in text:
         return _parse_fraction(text)
@@ -232,13 +232,19 @@ def parse_ring_elem(text: str) -> RingElem:
         term = term.strip()
         if not term:
             raise ValueError(f"empty term in polynomial {text!r}")
-        if "*q^" in term:
+        if term == "q":
+            cs, k = "1", 1
+        elif term.startswith("q^"):
+            cs, k = "1", int(term[2:])
+        elif "*q^" in term:
             cs, _, ks = term.partition("*q^")
             k = int(ks)
         elif term.endswith("*q"):
             cs, k = term[:-2], 1
         else:
             cs, k = term, 0
+        if k < 0:
+            raise ValueError(f"negative degree in polynomial {text!r}")
         if k in coeffs:
             raise ValueError(f"repeated degree {k} in polynomial {text!r}")
         coeffs[k] = _parse_fraction(cs)

@@ -6,9 +6,9 @@ Everything is exact; truncation order is the only approximation anywhere, and
 binary operations truncate to the smaller operand order.
 
 The branch-to-tree generating function transform (:func:`troupe_transform`)
-solves ``T(t) = B(t / (1 - t*T(t)))`` degree by degree: the coefficient of
-``t^n`` on the right depends only on coefficients of ``T`` below ``n``, which
-also makes the solution manifestly unique.
+solves ``T(t) = B(t / (1 - t*T(t)))`` by Lagrange inversion (see
+:func:`_lagrange_root`), as do its inverse and the compositional inverse;
+``log`` and ``exp`` solve ``f*(log f)' = f'`` and ``(exp f)' = f'*exp f``.
 """
 
 from __future__ import annotations
@@ -46,18 +46,12 @@ class Series:
             cs = cs[:order]
         if not cs and order is None:
             raise ValueError("a series needs an order")
-        if any(is_poly(c) for c in cs):
+        poly = any(is_poly(c) for c in cs)
+        if poly:
             cs = [to_poly(c) for c in cs]
         if order is not None and len(cs) < order:
-            zero = self._zero_for(cs)
-            cs.extend([zero] * (order - len(cs)))
+            cs.extend([QPoly() if poly else Fraction(0)] * (order - len(cs)))
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    @staticmethod
-    def _zero_for(cs) -> RingElem:
-        if any(is_poly(c) for c in cs):
-            return QPoly()
-        return Fraction(0)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
@@ -87,7 +81,7 @@ class Series:
 
     @property
     def is_poly_ring(self) -> bool:
-        return any(is_poly(c) for c in self.coeffs)
+        return is_poly(self.coeffs[0])  # __init__ puts all in one ring
 
     def __getitem__(self, n: int) -> RingElem:
         return self.coeffs[n]
@@ -139,7 +133,7 @@ class Series:
     def __mul__(self, other: Series) -> Series:
         n = self._common(other)
         a, b = self.coeffs, other.coeffs
-        out = [self._zero() for _ in range(n)]
+        out = [self._zero()] * n
         for i in range(n):
             if a[i] == 0:
                 continue
@@ -183,32 +177,24 @@ class Series:
             raise ValueError("composition needs an inner series with zero constant term")
         # Horner evaluation: ((a_{n-1} inner + a_{n-2}) inner + ...) + a_0
         result = Series([self._zero()] * n)
-        inner_n = inner.truncate(n)
-        for k in range(n - 1, -1, -1):
-            result = result * inner_n
-            ck = self.coeffs[k]
-            if ck != 0:
-                result = Series(
-                    [result.coeffs[0] + ck] + list(result.coeffs[1:])
-                )
+        for ck in reversed(self.coeffs[:n]):
+            result = result * inner
+            result = Series((result.coeffs[0] + ck,) + result.coeffs[1:])
         return result
 
     def compositional_inverse(self) -> Series:
         """The series ``v`` with ``self(v(t)) = v(self(t)) = t``.
 
-        Requires zero constant term and invertible linear coefficient.
+        Requires zero constant term and invertible linear coefficient; then
+        ``v = t*phi(v)`` with ``phi(u) = u/self(u)``.
         """
         n = self.order
         if self.coeffs[0] != 0:
             raise ValueError("compositional inverse needs zero constant term")
-        w1 = self.coeffs[1] if n > 1 else self._zero()
-        inv_w1 = ring_inverse(w1)  # raises if not invertible
-        out = [self._zero(), inv_w1]
-        for m in range(2, n):
-            partial = Series(out, order=n)
-            residue = self.compose(partial).coeffs[m]
-            out.append(-residue * inv_w1)
-        return Series(out, order=n)
+        if n == 1:
+            raise ZeroDivisionError("compositional inverse needs a linear term")
+        phi = Series.one(n - 1, poly=self.is_poly_ring) / Series(self.coeffs[1:])
+        return _lagrange_root(phi)
 
     # -- transcendental operations (ring contains the rationals)
 
@@ -216,49 +202,52 @@ class Series:
         """Formal logarithm; the constant term must be 1."""
         if self.coeffs[0] != self._one():
             raise ValueError("log needs constant term 1")
-        n = self.order
-        h = self - Series.one(n, poly=self.is_poly_ring)
-        out = Series([self._zero()] * n)
-        power = Series.one(n, poly=self.is_poly_ring)
-        for k in range(1, n):
-            power = power * h
-            sign = 1 if k % 2 == 1 else -1
-            out = out + Series([c * Fraction(sign, k) for c in power.coeffs])
-        return out
+        # g = log f solves f*g' = f': m*g_m = m*f_m - sum_{0<k<m} k*g_k*f_(m-k)
+        f, zero = self.coeffs, self._zero()
+        kg = [zero]  # kg[k] = k*g_k
+        for m in range(1, self.order):
+            kg.append(f[m] * m - sum((kg[k] * f[m - k] for k in range(1, m)), zero))
+        return Series([zero] + [kg[m] * Fraction(1, m) for m in range(1, self.order)])
 
     def exp(self) -> Series:
         """Formal exponential; the constant term must be 0."""
         if self.coeffs[0] != 0:
             raise ValueError("exp needs constant term 0")
-        n = self.order
-        out = Series.one(n, poly=self.is_poly_ring)
-        power = Series.one(n, poly=self.is_poly_ring)
-        kfact = 1
-        for k in range(1, n):
-            power = power * self
-            kfact *= k
-            out = out + Series([c * Fraction(1, kfact) for c in power.coeffs])
-        return out
+        # g = exp f solves g' = f'*g: m*g_m = sum_{0<k<=m} k*f_k*g_(m-k)
+        kf = [c * k for k, c in enumerate(self.coeffs)]  # kf[k] = k*f_k
+        g, zero = [self._one()], self._zero()
+        for m in range(1, self.order):
+            km = sum((kf[k] * g[m - k] for k in range(1, m + 1)), zero)
+            g.append(km * Fraction(1, m))
+        return Series(g)
+
+
+def _lagrange_root(phi: Series) -> Series:
+    """The series ``W = t*phi(W)``, one order longer than ``phi``, by Lagrange
+    inversion: ``[t^m] W = (1/m) [u^(m-1)] phi(u)^m`` (Stanley, EC2 Thm 5.4.2).
+    """
+    power = Series.one(phi.order, poly=phi.is_poly_ring)
+    coeffs = [phi._zero()]
+    for m in range(1, phi.order + 1):
+        power = power * phi
+        coeffs.append(power.coeffs[m - 1] * Fraction(1, m))
+    return Series(coeffs)
 
 
 def troupe_transform(branch_series: Series) -> Series:
     """Solve ``T(t) = B(t / (1 - t*T(t)))`` for ``T`` to the truncation order.
 
-    ``branch_series`` must have zero constant term; so does the result.  The
-    solve proceeds degree by degree, with no rounding anywhere.
+    ``branch_series`` must have zero constant term; so does the result.
+    ``W = t/(1 - t*T)`` solves ``W = t*(1 + W*B(W))``, and ``T = B(W)``.
     """
     b = branch_series
     if b.coeffs[0] != 0:
         raise ValueError("the branch series must have zero constant term")
     n = b.order
-    one = Series.one(n, poly=b.is_poly_ring)
-    t = Series.t(n, poly=b.is_poly_ring)
-    coeffs = [b._zero() for _ in range(n)]
-    for m in range(1, n):
-        partial = Series(coeffs)
-        inner = t / (one - partial.shift())
-        coeffs[m] = b.compose(inner).coeffs[m]
-    return Series(coeffs)
+    if n == 1:
+        return b
+    phi = Series.one(n - 1, poly=b.is_poly_ring) + b.shift()
+    return b.compose(_lagrange_root(phi))
 
 
 def inverse_troupe_transform(tree_series: Series) -> Series:

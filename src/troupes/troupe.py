@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .rings import RingElem, as_ring_elem, q
+from .rings import RingElem, as_ring_elem, parse_ring_elem, q
 from .series import Series
 from .trees import (
     ColoredTree,
@@ -180,7 +180,7 @@ def builtin(spec: str) -> WeightedTroupe:
         parts = arg.split(",")
         if len(parts) != 2:
             raise ValueError("rightmono needs two parameters, e.g. rightmono:q,1")
-        return right_two_monomial(_parse_param(parts[0]), _parse_param(parts[1]))
+        return right_two_monomial(parse_ring_elem(parts[0]), parse_ring_elem(parts[1]))
     raise ValueError(f"unknown troupe {spec!r}")
 
 
@@ -188,13 +188,6 @@ def _parse_colors(arg: str) -> list[int]:
     if not arg:
         raise ValueError("expected a comma-separated color list")
     return [int(x) for x in arg.split(",")]
-
-
-def _parse_param(text: str) -> RingElem:
-    text = text.strip()
-    if text == "q":
-        return q
-    return Fraction(text)
 
 
 # ---------------------------------------------------------------------------

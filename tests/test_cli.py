@@ -207,6 +207,7 @@ PARTITION_KINDS = ("partition", "interval", "noncrossing", "nc-irreducible",
     ["verify", "--troupe", "all", "--n", "0"],
     ["verify", "--troupe", "all", "--num-colors", "0"],
     ["verify", "--troupe", "all", "--order", "0"],
+    ["verify", "--troupe", "rightmono:1/0,1"],
     ["cumulants", "--moments", "{missing_word_table}"],
 ], ids=" ".join)
 def test_bad_input_exits_2_without_traceback(argv, tmp_path):
@@ -235,3 +236,15 @@ def test_transform_output_parses_as_series():
     from troupes.rings import parse_ring_elem
 
     assert [parse_ring_elem(v) for v in values] == [1, 1, 2, 3]
+
+
+def test_transform_accepts_bare_q():
+    bare = run("transform", "--order", "4", "--coeffs", "q,1")
+    spelled = run("transform", "--order", "4", "--coeffs", "0 + 1*q,1")
+    assert bare[0] == 0 and bare == spelled
+
+
+def test_examples_secant_at_default_order():
+    code, out, _ = run("examples", "secant")
+    assert code == 0
+    assert "\n12: 353792\n" in out.split("# classical cumulants")[1]

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -48,6 +49,19 @@ def test_narayana_matches_closed_form():
 
 def test_alternating_counts():
     assert [alternating_count(n) for n in range(1, 8)] == [1, 1, 2, 5, 16, 61, 272]
+
+
+def alternating_count_brute_force(n):
+    """Up-down permutations of 1..n, counted by walking all n! of them."""
+    return sum(
+        all((sigma[i - 1] < sigma[i]) == (i % 2 == 1) for i in range(1, n))
+        for sigma in itertools.permutations(range(1, n + 1))
+    )
+
+
+def test_alternating_count_matches_brute_force():
+    for n in range(1, 9):
+        assert alternating_count(n) == alternating_count_brute_force(n)
 
 
 def test_right_edge_triple():

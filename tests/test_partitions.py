@@ -87,6 +87,26 @@ def test_min2_class():
     assert list(iter_partitions(1, "nc_irreducible_min2")) == []
 
 
+def test_pruned_classes_equal_the_filtered_lattice_in_order():
+    # the brute-force route: walk every set partition and keep the class,
+    # judged by the definitional oracles
+    def oracle_class(klass, p):
+        nc = oracle_noncrossing(p)
+        irreducible = nc and p.block_of(1) == p.block_of(p.n)
+        return {
+            "interval": oracle_interval(p),
+            "noncrossing": nc,
+            "nc_irreducible": irreducible,
+            "nc_irreducible_min2": irreducible and all(len(b) >= 2 for b in p.blocks),
+        }[klass]
+
+    for n in range(1, 9):
+        every = list(iter_partitions(n))
+        for klass in ("interval", "noncrossing", "nc_irreducible", "nc_irreducible_min2"):
+            assert list(iter_partitions(n, klass)) == [
+                p for p in every if oracle_class(klass, p)], (n, klass)
+
+
 def test_no_duplicates_in_enumeration():
     for n in range(1, 8):
         out = [str(p) for p in iter_partitions(n)]

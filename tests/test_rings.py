@@ -91,8 +91,13 @@ def test_format_poly():
 def test_parse_examples():
     assert parse_ring_elem("-3/7") == Fraction(-3, 7)
     assert parse_ring_elem("1 + 0*q + -3/2*q^2") == QPoly((1, 0, Fraction(-3, 2)))
-    with pytest.raises(ValueError):
-        parse_ring_elem("1 + nope*q")
+    # a bare q or q^k term has coefficient 1; negative degrees are rejected
+    assert parse_ring_elem("q") == q
+    assert parse_ring_elem("2 + q^3") == QPoly((2, 0, 0, 1))
+    assert parse_ring_elem("q + -1/2*q^2") == QPoly((0, 1, Fraction(-1, 2)))
+    for bad in ("1 + nope*q", "q^-1", "1*q^-2", "-q", "qq"):
+        with pytest.raises(ValueError):
+            parse_ring_elem(bad)
 
 
 @given(fractions_st)

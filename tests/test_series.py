@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from troupes.rings import QPoly, RingMismatchError, q
+from troupes.rings import QPoly, RingMismatchError, q, ring_inverse
 from troupes.series import (
     Series,
     boolean_free_series_check,
@@ -126,6 +127,10 @@ def test_comp_inverse_preconditions():
         Series.one(3).compositional_inverse()
     with pytest.raises(ZeroDivisionError):
         series(0, 0, 1).compositional_inverse()
+    with pytest.raises(ZeroDivisionError):
+        series(0).compositional_inverse()
+    with pytest.raises(ZeroDivisionError):
+        Series([QPoly(), q, QPoly((1,))]).compositional_inverse()
 
 
 @settings(max_examples=30, deadline=None)
@@ -278,3 +283,140 @@ def test_parse_errors():
         parse_series("nonsense")
     with pytest.raises(ValueError):
         parse_series("order 2\n5: 1\n")
+
+
+# -- brute-force oracles for the Lagrange-inversion solve and the recurrences
+#
+# These are the slow, direct solves: the transform and the compositional
+# inverse fix one coefficient per degree by a full composition, and log/exp
+# sum powers of the series.  Outcomes must agree exactly, errors included.
+
+
+def oracle_troupe_transform(b):
+    if b.coeffs[0] != 0:
+        raise ValueError("the branch series must have zero constant term")
+    n = b.order
+    one = Series.one(n, poly=b.is_poly_ring)
+    t = Series.t(n, poly=b.is_poly_ring)
+    coeffs = [b._zero() for _ in range(n)]
+    for m in range(1, n):
+        inner = t / (one - Series(coeffs).shift())
+        coeffs[m] = b.compose(inner).coeffs[m]
+    return Series(coeffs)
+
+
+def oracle_compositional_inverse(f):
+    n = f.order
+    if f.coeffs[0] != 0:
+        raise ValueError("compositional inverse needs zero constant term")
+    inv_w1 = ring_inverse(f.coeffs[1] if n > 1 else f._zero())
+    out = [f._zero(), inv_w1]
+    for m in range(2, n):
+        residue = f.compose(Series(out, order=n)).coeffs[m]
+        out.append(-residue * inv_w1)
+    return Series(out, order=n)
+
+
+def oracle_inverse_troupe_transform(ts):
+    if ts.coeffs[0] != 0:
+        raise ValueError("the tree series must have zero constant term")
+    n = ts.order
+    one = Series.one(n, poly=ts.is_poly_ring)
+    t = Series.t(n, poly=ts.is_poly_ring)
+    return ts.compose(oracle_compositional_inverse(t / (one - ts.shift())))
+
+
+def oracle_log(f):
+    if f.coeffs[0] != f._one():
+        raise ValueError("log needs constant term 1")
+    n = f.order
+    h = f - Series.one(n, poly=f.is_poly_ring)
+    out = Series([f._zero()] * n)
+    power = Series.one(n, poly=f.is_poly_ring)
+    for k in range(1, n):
+        power = power * h
+        out = out + power.scale(Fraction((-1) ** (k + 1), k))
+    return out
+
+
+def oracle_exp(f):
+    if f.coeffs[0] != 0:
+        raise ValueError("exp needs constant term 0")
+    n = f.order
+    out = Series.one(n, poly=f.is_poly_ring)
+    power = Series.one(n, poly=f.is_poly_ring)
+    kfact = 1
+    for k in range(1, n):
+        power = power * f
+        kfact *= k
+        out = out + power.scale(Fraction(1, kfact))
+    return out
+
+
+def outcome(fn, s):
+    """The result of ``fn(s)``, or the type of the error it raises."""
+    try:
+        return fn(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def random_series(seed):
+    """A seeded rational series of order <= 14 (even seeds) or a QPoly series
+    of order <= 9 (odd seeds), with some zero coefficients."""
+    rng = random.Random(seed)
+    if seed % 2 == 0:
+        order = rng.randint(1, 14)
+        return Series([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                       for _ in range(order)])
+    order = rng.randint(1, 9)
+    return Series([QPoly(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                         for _ in range(rng.randint(0, 3)))
+                   for _ in range(order)])
+
+
+def with_head(s, *head):
+    """``s`` with its leading coefficients replaced, keeping its order and ring."""
+    zero = s._zero()
+    cs = [zero + c for c in head] + list(s.coeffs[len(head):])
+    return Series(cs[: s.order])
+
+
+FAST_AND_ORACLE = [
+    (troupe_transform, oracle_troupe_transform),
+    (inverse_troupe_transform, oracle_inverse_troupe_transform),
+    (Series.compositional_inverse, oracle_compositional_inverse),
+    (Series.log, oracle_log),
+    (Series.exp, oracle_exp),
+]
+
+
+def test_fast_paths_match_brute_force_oracles():
+    seen = set()
+    for seed in range(40):
+        s = random_series(seed)
+        # as drawn; zero constant term; invertible, zero and (for QPoly)
+        # positive-degree linear term; constant term 1
+        variants = [s, with_head(s, 0), with_head(s, 0, 2), with_head(s, 0, 0),
+                    with_head(s, 1)]
+        if s.is_poly_ring:
+            variants.append(with_head(s, 0, q))
+        for fast, oracle in FAST_AND_ORACLE:
+            for v in variants:
+                got = outcome(fast, v)
+                assert got == outcome(oracle, v), (fast.__name__, v)
+                kind = got if isinstance(got, type) else Series
+                seen.add((fast.__name__, kind, v.is_poly_ring))
+    # every outcome occurs in both rings, so no comparison above is vacuous
+    for poly in (False, True):
+        for fast, _ in FAST_AND_ORACLE:
+            assert (fast.__name__, Series, poly) in seen
+            assert (fast.__name__, ValueError, poly) in seen
+        assert ("compositional_inverse", ZeroDivisionError, poly) in seen
+
+
+def test_order_one_matches_oracles():
+    for fast, oracle in FAST_AND_ORACLE:
+        for s in (Series([0]), Series([1]), Series([QPoly()]), Series([QPoly((1,))])):
+            assert outcome(fast, s) == outcome(oracle, s)
+    assert troupe_transform(Series([0])) == Series([0])
