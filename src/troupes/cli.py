@@ -172,7 +172,12 @@ def cmd_verify(args) -> int:
             failures += 1
         cells = []
         for check in report.checks:
-            cells.append(f"{check.kind}={format_ring_elem(check.enumeration)}")
+            cell = f"{check.kind}={format_ring_elem(check.enumeration)}"
+            if not check.equal:  # name every route, so the one that disagreed shows
+                routes = {"from_moments": check.from_moments, "bridge": check.bridge}
+                cell += " [" + " ".join(f"{name}={format_ring_elem(value)}" for name, value
+                                        in routes.items() if value is not None) + "]"
+            cells.append(cell)
         word = ",".join(map(str, report.word))
         print(f"{status} word {word}: " + " ".join(cells))
 

@@ -8,24 +8,26 @@ enter the defining expansion:
 * free      -- noncrossing partitions,
 * boolean   -- interval partitions.
 
-Conversion uses a single triangular recursion (moment of a word minus the
-contributions of every non-maximal partition) rather than Mobius inversion,
-so one code path serves all three lattices and stays easy to cross-check by
-brute force.
+Every conversion is one call of a single partition-sum kernel: the sum over
+``(blocks, multiplicity)`` terms of the multiplicity times the product of the
+table over the blocks.  Moments to cumulants solves it triangularly, holding
+the unknown cumulant at 0 so the one-block term drops out.  The two bridges
+negate a Boolean table, sum it over irreducible noncrossing partitions (free)
+or over the descending-run partitions of permutations with first entry
+maximal (classical, each run partition once with its count), and negate.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rings import RingElem, as_ring_elem, format_ring_elem, parse_ring_elem
-from .partitions import (
-    first_n_druns_index_blocks,
-    partitions_as_index_blocks,
-)
+from .partitions import first_n_druns_index_blocks, partitions_as_index_blocks
 from .series import Series
 from .troupe import WeightedTroupe, weighted_sum
 
@@ -43,10 +45,6 @@ def iter_words(alphabet: Sequence[int], max_len: int) -> Iterator[Word]:
     for n in range(1, max_len + 1):
         for word in itertools.product(alphabet, repeat=n):
             yield word
-
-
-def _restrict(word: Word, positions: Iterable[int]) -> Word:
-    return tuple(word[i] for i in positions)
 
 
 @dataclass(frozen=True)
@@ -89,12 +87,33 @@ class CumulantTable:
     def cumulant(self, word: Word) -> RingElem:
         return self.table[word]
 
-    def partition_product(self, word: Word, blocks: Iterable[Iterable[int]]) -> RingElem:
-        """Product of cumulants over the blocks of a partition of positions."""
-        out: RingElem = Fraction(1)
+
+Blocks = tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _run_partition_counts(n: int) -> Counter[Blocks]:
+    return Counter(first_n_druns_index_blocks(n))
+
+
+def _partition_sum(word: Word, klass: str, table: Mapping[Word, RingElem]) -> RingElem:
+    """Sum over the class of multiplicity times the product of
+    ``table[word|block]`` over the blocks.
+
+    ``druns`` is the run partitions of the permutations with first entry
+    maximal, each once with the number of those permutations that have it.
+    """
+    if klass == "druns":
+        terms: Iterable[tuple[Blocks, int]] = _run_partition_counts(len(word)).items()
+    else:
+        terms = zip(partitions_as_index_blocks(len(word), klass), itertools.repeat(1))
+    acc: RingElem = Fraction(0)
+    for blocks, multiplicity in terms:
+        prod: RingElem = multiplicity
         for block in blocks:
-            out = out * self.table[_restrict(word, block)]
-        return out
+            prod = prod * table[tuple(word[i] for i in block)]
+        acc = acc + prod
+    return acc
 
 
 def moments_to_cumulants(phi: MomentFunctional, kind: str) -> CumulantTable:
@@ -102,71 +121,45 @@ def moments_to_cumulants(phi: MomentFunctional, kind: str) -> CumulantTable:
     klass = KIND_TO_CLASS[kind]
     table: dict[Word, RingElem] = {}
     for word in iter_words(phi.alphabet, phi.max_len):
-        n = len(word)
-        acc = phi.moment(word)
-        for blocks in partitions_as_index_blocks(n, klass):
-            if len(blocks) == 1:
-                continue  # the one-block partition carries the unknown
-            prod: RingElem = Fraction(1)
-            for block in blocks:
-                prod = prod * table[_restrict(word, block)]
-            acc = acc - prod
-        table[word] = acc
+        table[word] = Fraction(0)  # held at 0 in its own sum: the one-block term drops out
+        table[word] = phi.moment(word) - _partition_sum(word, klass, table)
     return CumulantTable(kind, phi.alphabet, phi.max_len, table)
 
 
 def cumulants_to_moments(c: CumulantTable) -> MomentFunctional:
     """Direct expansion: each moment is the partition sum of cumulant products."""
     klass = KIND_TO_CLASS[c.kind]
-    table: dict[Word, RingElem] = {}
-    for word in iter_words(c.alphabet, c.max_len):
-        n = len(word)
-        acc: RingElem = Fraction(0)
-        for blocks in partitions_as_index_blocks(n, klass):
-            acc = acc + c.partition_product(word, blocks)
-        table[word] = acc
+    table = {word: _partition_sum(word, klass, c.table)
+             for word in iter_words(c.alphabet, c.max_len)}
     return MomentFunctional(c.alphabet, c.max_len, table)
+
+
+def _bridge(b: CumulantTable, kind: str, klass: str) -> CumulantTable:
+    """Negated partition sum of negated Boolean cumulants over ``klass``."""
+    if b.kind != "boolean":
+        raise ValueError("input must be a boolean cumulant table")
+    negated = {word: -value for word, value in b.table.items()}
+    table = {word: -_partition_sum(word, klass, negated)
+             for word in iter_words(b.alphabet, b.max_len)}
+    return CumulantTable(kind, b.alphabet, b.max_len, table)
 
 
 def boolean_to_free(b: CumulantTable) -> CumulantTable:
     """Bridge from Boolean to free cumulants through irreducible noncrossing
     partitions: the negated free cumulant of a word is the sum over such
     partitions of products of negated Boolean cumulants of the blocks."""
-    if b.kind != "boolean":
-        raise ValueError("input must be a boolean cumulant table")
-    table: dict[Word, RingElem] = {}
-    for word in iter_words(b.alphabet, b.max_len):
-        n = len(word)
-        acc: RingElem = Fraction(0)
-        for blocks in partitions_as_index_blocks(n, "nc_irreducible"):
-            prod: RingElem = Fraction(1)
-            for block in blocks:
-                prod = prod * (-b.table[_restrict(word, block)])
-            acc = acc + prod
-        table[word] = -acc
-    return CumulantTable("free", b.alphabet, b.max_len, table)
+    return _bridge(b, "free", "nc_irreducible")
 
 
 def boolean_to_classical(b: CumulantTable) -> CumulantTable:
     """Bridge from Boolean to classical cumulants through permutations whose
     first entry is maximal, grouped by descending runs.
 
-    The sum runs over all such permutations; terms with a singleton run
-    vanish on their own whenever the length-1 Boolean cumulants are zero.
+    Each run partition is summed once, weighted by the number of such
+    permutations that have it; terms with a singleton run vanish on their
+    own whenever the length-1 Boolean cumulants are zero.
     """
-    if b.kind != "boolean":
-        raise ValueError("input must be a boolean cumulant table")
-    table: dict[Word, RingElem] = {}
-    for word in iter_words(b.alphabet, b.max_len):
-        n = len(word)
-        acc: RingElem = Fraction(0)
-        for blocks in first_n_druns_index_blocks(n):
-            prod: RingElem = Fraction(1)
-            for block in blocks:
-                prod = prod * (-b.table[_restrict(word, block)])
-            acc = acc + prod
-        table[word] = -acc
-    return CumulantTable("classical", b.alphabet, b.max_len, table)
+    return _bridge(b, "classical", "druns")
 
 
 def classical_via_egf(moments: Sequence[RingElem]) -> list[RingElem]:

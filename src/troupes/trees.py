@@ -84,9 +84,6 @@ class LabeledTree:
     def size(self) -> int:
         return self.tree.size
 
-    def label_of(self, v: int) -> int:
-        return self.labels[v]
-
     def validate(self) -> None:
         t = self.tree
         t.validate()

@@ -1,9 +1,14 @@
 import io
+import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from troupes import cli
+from troupes.cumulants import ConditionCheck, EquivalenceReport, iter_words
 from troupes.trees import parse_tree
 
 
@@ -129,17 +134,23 @@ def test_verify_unknown_troupe():
 
 
 def test_verify_reports_failure(monkeypatch):
-    from troupes.cumulants import ConditionCheck, EquivalenceReport
-    from fractions import Fraction
+    def one_disagreeing_report(tau, alphabet, max_len):
+        checks = (
+            ConditionCheck("classical", Fraction(1), Fraction(2), Fraction(3)),
+            ConditionCheck("free", Fraction(5), Fraction(5), Fraction(5)),
+            ConditionCheck("boolean", Fraction(7), Fraction(-1, 2), None),
+        )
+        return [EquivalenceReport((0, 1), checks)]
 
-    def fake_verify_all(tau, alphabet, max_len):
-        bad = ConditionCheck("classical", Fraction(1), Fraction(2), None)
-        return [EquivalenceReport((0,), (bad,))]
-
-    monkeypatch.setattr(cli, "equivalence_reports", fake_verify_all)
+    monkeypatch.setattr(cli, "equivalence_reports", one_disagreeing_report)
     code, out, _ = run("verify", "--troupe", "all", "--n", "2")
     assert code == 1
-    assert "FAIL" in out
+    lines = out.splitlines()
+    # the enumeration, the partition formula and the bridge of each failed
+    # check; the agreeing check keeps its plain cell
+    assert lines[0] == ("FAIL word 0,1: classical=1 [from_moments=2 bridge=3] "
+                        "free=5 boolean=7 [from_moments=-1/2]")
+    assert lines[-1] == "FAIL (1 words checked)"
 
 
 def test_peaks_command():
@@ -248,3 +259,83 @@ def test_examples_secant_at_default_order():
     code, out, _ = run("examples", "secant")
     assert code == 0
     assert "\n12: 353792\n" in out.split("# classical cumulants")[1]
+
+
+# -- fuzzing the CLI contract: exit 0 on success, 1 only for a failed
+# verification, 2 on bad input, and never an uncaught exception
+
+SMALL = st.integers(-2, 5).map(str)
+WORD = st.lists(st.integers(-1, 4), max_size=5).map(lambda xs: ",".join(map(str, xs)))
+WELL_FORMED_RING = st.sampled_from(["0", "1", "-2", "3/4", "q", "q^2", "2*q", "0 + 1*q"])
+RING = st.one_of(WELL_FORMED_RING, st.sampled_from(["1/0", "1*q^-1", "zebra", ""]))
+KINDS = st.sampled_from(["bpt", "branch", "dbpt", "partition", "interval", "noncrossing",
+                         "nc-irreducible", "nc-irreducible-min2", "d-permutations",
+                         "bogus"])
+TROUPES = st.sampled_from(["all", "full", "motzkin", "colorset:0", "colorset:x",
+                           "colorcount:1", "rightmono:q,1", "rightmono:1/0,1",
+                           "rightmono:1", "random", "bogus"])
+PERMUTATION = st.integers(1, 6).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+    lambda xs: ",".join(map(str, xs)))
+NAMES = st.sampled_from(["gamma_minus_one", "shifted_exponential", "two_atom",
+                         "geometric_like", "secant", "bogus"])
+
+
+def _flags(draw, options):
+    """Each flag present or not; a value drawn from its strategy."""
+    argv = []
+    for flag, values in options:
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["count", "enumerate", "transform", "cumulants",
+                                    "verify", "peaks", "sort", "examples"]))
+    if command in ("count", "enumerate"):
+        return [command, "--kind", draw(KINDS),
+                *_flags(draw, [("--n", SMALL), ("--colors", WORD)])]
+    if command == "transform":
+        coeffs = ",".join(draw(st.lists(RING, min_size=1, max_size=4)))
+        return [command, f"--coeffs={coeffs}",
+                *_flags(draw, [("--order", st.integers(-1, 7).map(str)),
+                               ("--kind", st.sampled_from(["forward", "inverse", "up"]))])]
+    if command == "cumulants":
+        if draw(st.booleans()):  # a dense table, mostly well formed
+            num_colors, max_len = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+            words = [",".join(map(str, w)) for w in iter_words(range(num_colors), max_len)]
+            lines = [(w, draw(RING if draw(st.integers(0, 9)) == 0 else WELL_FORMED_RING))
+                     for w in words]
+        else:
+            lines = draw(st.lists(st.tuples(WORD, RING), max_size=8))
+        return [command, "--moments",
+                "".join(f"word {w} = {v}\n" for w, v in lines)]  # a file's contents
+    if command == "verify":
+        return [command, "--troupe", draw(TROUPES),
+                *_flags(draw, [("--n", st.integers(-1, 4).map(str)),
+                               ("--order", st.integers(-1, 6).map(str)),
+                               ("--seed", st.integers(0, 3).map(str)),
+                               ("--num-colors", st.integers(-1, 2).map(str))])]
+    if command in ("peaks", "sort"):
+        return [command, draw(st.one_of(WORD, PERMUTATION))]
+    # the default order takes seconds, so examples always get a small one
+    return [command, draw(NAMES), "--order", draw(st.integers(-1, 6).map(str))]
+
+
+@settings(deadline=None, max_examples=150)
+@given(cli_argv())
+def test_cli_contract_holds_under_fuzzing(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "cumulants":
+            path = os.path.join(tmp, "moments.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(argv[2])
+            argv = argv[:2] + [path]
+        code, out, err = run(*argv)
+    assert "Traceback" not in err
+    if argv[0] == "verify":
+        assert code in (0, 1, 2)
+        assert (code == 1) == any(line.startswith("FAIL") for line in out.splitlines())
+    else:
+        assert code in (0, 2)

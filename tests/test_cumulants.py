@@ -18,6 +18,7 @@ from troupes.cumulants import (
     equivalence_report,
     equivalence_reports,
 )
+from troupes.partitions import druns, iter_partitions, iter_sigma_first_n
 from troupes.rings import QPoly, q
 from troupes.troupe import (
     all_trees,
@@ -173,6 +174,82 @@ def test_bridges_agree_with_partition_recursion():
             boolean_to_classical(boolean).table
             == moments_to_cumulants(phi, "classical").table
         )
+
+
+# -- brute-force oracle: block products summed straight from the lattices
+
+
+def _oracle_sum(word, partitions, table):
+    """Sum over 1-based block lists of the product of ``table[word|block]``."""
+    total = Fraction(0)
+    for blocks in partitions:
+        prod = Fraction(1)
+        for block in blocks:
+            prod = prod * table[tuple(word[i - 1] for i in block)]
+        total = total + prod
+    return total
+
+
+def _class_blocks(n, kind):
+    klass = {"classical": "all", "free": "noncrossing", "boolean": "interval"}[kind]
+    return [p.blocks for p in iter_partitions(n, klass)]
+
+
+def oracle_moments(cumulants, kind, words):
+    return {w: _oracle_sum(w, _class_blocks(len(w), kind), cumulants) for w in words}
+
+
+def oracle_cumulants(moments, kind, words):
+    out = {}
+    for w in words:  # shortest first, so every proper block is already solved
+        proper = [blocks for blocks in _class_blocks(len(w), kind) if len(blocks) > 1]
+        out[w] = moments[w] - _oracle_sum(w, proper, out)
+    return out
+
+
+def oracle_bridge(boolean, partitions_of, words):
+    negated = {w: -v for w, v in boolean.items()}
+    return {w: -_oracle_sum(w, partitions_of(len(w)), negated) for w in words}
+
+
+def _nc_irreducible_blocks(n):
+    return [p.blocks for p in iter_partitions(n, "nc_irreducible")]
+
+
+def _run_blocks(n):
+    # one term per permutation: run partitions that repeat are summed again
+    return [druns(sigma).blocks for sigma in iter_sigma_first_n(n)]
+
+
+def random_ring_table(rng, ring, alphabet, max_len):
+    def value():
+        if ring == "rational":
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        return QPoly(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                     for _ in range(rng.randint(0, 3)))
+
+    return {w: value() for w in iter_words(alphabet, max_len)}
+
+
+@pytest.mark.parametrize("ring", ["rational", "qpoly"])
+def test_conversions_match_brute_force_oracle(ring):
+    alphabet, max_len = (0, 1), 5
+    words = list(iter_words(alphabet, max_len))
+    # two of the 24 permutations share a run partition, so the grouped
+    # classical bridge meets a multiplicity above 1
+    assert len(set(_run_blocks(max_len))) == 22
+    rng = random.Random(31)
+    for _ in range(2):
+        table = random_ring_table(rng, ring, alphabet, max_len)
+        phi = MomentFunctional.of(alphabet, max_len, table)
+        for kind in ("classical", "free", "boolean"):
+            assert moments_to_cumulants(phi, kind).table == oracle_cumulants(table, kind, words)
+            cum = CumulantTable(kind, alphabet, max_len, table)
+            assert cumulants_to_moments(cum).table == oracle_moments(table, kind, words)
+        boolean = CumulantTable("boolean", alphabet, max_len, table)
+        assert boolean_to_free(boolean).table == oracle_bridge(
+            table, _nc_irreducible_blocks, words)
+        assert boolean_to_classical(boolean).table == oracle_bridge(table, _run_blocks, words)
 
 
 def test_bridge_kind_guards():
