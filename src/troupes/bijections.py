@@ -36,17 +36,16 @@ from .trees import (
     ColoredTree,
     LabeledTree,
     Node,
-    _branch_of_block,
     alpha,
     alpha_inverse,
     branch_from_directions,
     branch_profile,
     encode,
-    factor_blocks,
+    factor_branch,
+    factor_paths,
     is_branch,
     iter_branch_word,
     insert,
-    parent_map,
     parse_tree,
     postorder,
     swing_labeled,
@@ -212,37 +211,25 @@ def psi_via_insertions(inp: PsiInput) -> tuple[ColoredTree, dict[int, int]]:
 def psi_inverse(t: ColoredTree) -> PsiInput:
     """Read the partition and branch factors back off a tree.
 
-    Vertices are named by postorder position and the box by n; each factor
-    block then yields its branch, whose labels automatically decrease from
-    the root down.
+    Vertices are named by postorder position and the box by n.  Each factor
+    path of :func:`~troupes.trees.factor_paths` gives a block: its vertices'
+    names, which fall from the root down, and last the name of its owner,
+    which exceeds every name in the owner's right subtree.
     """
     if t.size == 0:
         raise ValueError("psi_inverse needs a nonempty tree")
     n = t.size + 1
-    post = postorder(t)
-    postlabel = {v: k for k, v in enumerate(post, start=1)}
-    parents = parent_map(t)
-    blocks: list[tuple[int, ...]] = []
-    branches: list[ColoredTree] = []
+    name = [0] * t.size
+    for k, v in enumerate(postorder(t), start=1):
+        name[v] = k
     pairs = []
-    for owner, members in factor_blocks(t):
-        labels = sorted(postlabel[u] for u in members if u != BOX)
-        if owner == BOX:
-            labels.append(n)
-        branch, vertices = _branch_of_block(t, owner, members, parents)
-        # sanity: walking the branch from the root must descend through the
-        # block's labels in decreasing order
-        order = [postlabel[u] for u in vertices]
-        expected = _branch_label_map(branch, tuple(labels))
-        for lab, bid in expected.items():
-            if order[bid] != lab:
-                raise AssertionError("factor labels out of order")
-        pairs.append((tuple(labels), branch))
-    pairs.sort(key=lambda pb: pb[0][0])
-    for labels, branch in pairs:
-        blocks.append(labels)
-        branches.append(branch)
-    return PsiInput(SetPartition.of(n, blocks), tuple(branches))
+    for owner, vertices, sides in factor_paths(t):
+        top = n if owner == BOX else name[owner]
+        block = tuple(name[u] for u in reversed(vertices)) + (top,)
+        pairs.append((block, factor_branch(t, owner, vertices, sides)))
+    pairs.sort(key=lambda pair: pair[0])
+    return PsiInput(SetPartition.of(n, [block for block, _ in pairs]),
+                    tuple(branch for _, branch in pairs))
 
 
 def iter_psi_inputs(word: Sequence[int]) -> Iterator[PsiInput]:
@@ -362,6 +349,8 @@ def _parse_block_lines(lines: list[str]) -> dict[tuple[int, ...], ColoredTree]:
         if not sep:
             raise ValueError(f"expected 'block -> tree' in {line!r}")
         block = tuple(sorted(int(x) for x in block_text.strip().split(",")))
+        if block in out:
+            raise ValueError(f"repeated block {','.join(map(str, block))}")
         out[block] = parse_tree(tree_text.strip())
     return out
 

@@ -206,6 +206,8 @@ def parse_table(text: str) -> dict[Word, RingElem]:
             if not sep:
                 raise ValueError("missing '='")
             word = tuple(int(x) for x in word_text.strip().split(","))
+            if word in table:
+                raise ValueError(f"repeated word {word_text.strip()}")
             table[word] = parse_ring_elem(value_text)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -54,17 +54,6 @@ def parse_partition(text: str) -> SetPartition:
     return SetPartition.of(n, blocks)
 
 
-class PartitionFlags(NamedTuple):
-    interval: bool
-    noncrossing: bool
-    irreducible: bool
-
-
-def is_interval(p: SetPartition) -> bool:
-    """Every block is a contiguous range of integers."""
-    return all(b[-1] - b[0] + 1 == len(b) for b in p.blocks)
-
-
 def is_noncrossing(p: SetPartition) -> bool:
     """No i<j<k<l with i~k and j~l in different blocks.
 
@@ -90,42 +79,29 @@ def is_irreducible(p: SetPartition) -> bool:
     return is_noncrossing(p) and p.block_of(1) == p.block_of(p.n)
 
 
-def classify(p: SetPartition) -> PartitionFlags:
-    nc = is_noncrossing(p)
-    return PartitionFlags(is_interval(p), nc, nc and p.block_of(1) == p.block_of(p.n))
-
-
-def _accepts(klass: str, p: SetPartition) -> bool:
-    if klass == "all":
-        return True
-    if klass == "interval":
-        return is_interval(p)
-    if klass == "noncrossing":
-        return is_noncrossing(p)
-    if klass == "nc_irreducible":
-        return is_irreducible(p)
-    if klass == "nc_irreducible_min2":
-        return is_irreducible(p) and all(len(b) >= 2 for b in p.blocks)
-    raise ValueError(f"unknown partition class {klass!r}")
-
-
 def iter_partitions(n: int, klass: str = "all") -> Iterator[SetPartition]:
     """All partitions of 1..n in the given class, each exactly once.
 
     Deterministic order: element n is placed into each block of a partition
     of 1..n-1 in turn (existing blocks first, then alone), recursively.
     Every class but ``all`` is noncrossing, and a crossing or a gap never
-    goes away as larger elements join, so such branches are cut early.
+    goes away as larger elements join, so such branches are cut early.  An
+    irreducible partition places n (for n > 1) in the block of 1 only.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if klass not in ("all", "interval", "noncrossing", "nc_irreducible",
+                     "nc_irreducible_min2"):
+        raise ValueError(f"unknown partition class {klass!r}")
+    irreducible = klass.startswith("nc_irreducible")
 
     def rec(k: int) -> Iterator[list[list[int]]]:
         if k == 0:
             yield []
             return
+        closing = irreducible and k == n > 1
         for blocks in rec(k - 1):
-            for i in range(len(blocks)):
+            for i in range(1 if closing else len(blocks)):
                 last = blocks[i][-1]
                 # k joins block i by the arc (last, k): that leaves a gap unless
                 # last = k-1, and crosses each block with elements around last
@@ -136,14 +112,15 @@ def iter_partitions(n: int, klass: str = "all") -> Iterator[SetPartition]:
                 blocks[i].append(k)
                 yield blocks
                 blocks[i].pop()
-            blocks.append([k])
-            yield blocks
-            blocks.pop()
+            if not closing:
+                blocks.append([k])
+                yield blocks
+                blocks.pop()
 
     for blocks in rec(n):
-        p = SetPartition.of(n, [list(b) for b in blocks])
-        if _accepts(klass, p):
-            yield p
+        if klass == "nc_irreducible_min2" and any(len(b) == 1 for b in blocks):
+            continue
+        yield SetPartition.of(n, [list(b) for b in blocks])
 
 
 @lru_cache(maxsize=None)

@@ -153,16 +153,6 @@ def traversal_labeling(t: ColoredTree, kind: str) -> LabeledTree:
     return LabeledTree(t, tuple(labels))
 
 
-def parent_map(t: ColoredTree) -> list[int | None]:
-    parents: list[int | None] = [None] * t.size
-    for v, nd in enumerate(t.nodes):
-        if nd.left is not None:
-            parents[nd.left] = v
-        if nd.right is not None:
-            parents[nd.right] = v
-    return parents
-
-
 def alpha(lt: LabeledTree) -> tuple[int, ...]:
     """The permutation read off a labeled tree in inorder."""
     return tuple(lt.labels[v] for v in inorder(lt.tree))
@@ -255,112 +245,76 @@ def insert(t1: ColoredTree, v: int, t2: ColoredTree) -> ColoredTree:
 BOX = -1  # sentinel for the external box in factor computations
 
 
-def factor_blocks(t: ColoredTree) -> list[tuple[int, list[int]]]:
-    """Group vertices by their governing two-child vertex.
+def factor_paths(t: ColoredTree) -> list[tuple[int, list[int], list[str]]]:
+    """The insertion factors of a tree as root-down vertex paths, in O(n).
 
-    Returns ``(owner, members)`` pairs where ``owner`` is either ``BOX`` or a
-    vertex with two children, and ``members`` lists the vertices mapped to it:
-    the owner itself (for vertex owners) plus every vertex of the owner's
-    right subtree not claimed by a deeper two-child vertex.  The box block
-    comes first, then vertex owners by id.
+    Returns ``(owner, vertices, sides)`` triples, one per factor.  ``owner``
+    is ``BOX`` or a two-child vertex, whose color is the factor's box color;
+    ``vertices`` runs from the factor's root down, and ``sides[i]`` is the
+    side (``L`` or ``R``) on which ``vertices[i+1]`` hangs below
+    ``vertices[i]``.  A factor starts at its owner's right child (the box's
+    at the root) and descends through one-child vertices; a two-child vertex
+    on the way is passed to its left child and owns the factor of its right
+    child.  The box's factor comes first.
     """
     if t.size == 0:
         raise ValueError("the empty tree has no factors")
-    owner_of = [BOX] * t.size
-
-    def walk(v: int, owner: int) -> None:
-        nd = t.nodes[v]
-        two = nd.left is not None and nd.right is not None
-        owner_of[v] = v if two else owner
-        if nd.left is not None:
-            walk(nd.left, owner)
-        if nd.right is not None:
-            walk(nd.right, v if two else owner)
-
-    walk(t.root, BOX)
-    blocks: dict[int, list[int]] = {BOX: []}
-    for v in range(t.size):
-        blocks.setdefault(owner_of[v], []).append(v)
-    result = [(BOX, blocks[BOX])]
-    result.extend((v, blocks[v]) for v in sorted(blocks) if v != BOX)
-    return result
-
-
-def _branch_of_block(t: ColoredTree, owner: int, members: list[int],
-                     parents: list[int | None]) -> tuple[ColoredTree, list[int]]:
-    """Assemble the branch factor living on ``members`` minus the owner.
-
-    Within the factor, a vertex's parent is its nearest ancestor in the same
-    block, on the side of the subtree it came from.  Returns the branch and
-    the list mapping new node ids to original vertex ids.
-    """
-    vertices = [u for u in members if u != owner]
-    index = {u: i for i, u in enumerate(vertices)}
-    member_set = set(vertices)
-    links: list[tuple[int | None, str | None]] = [(None, None)] * len(vertices)
-    for u in vertices:
-        cur = u
+    nodes = t.nodes
+    out = []
+    work = [(BOX, t.root)]
+    while work:
+        owner, v = work.pop()
+        vertices: list[int] = []
+        sides: list[str] = []
         while True:
-            p = parents[cur]
-            if p is None:
+            nd = nodes[v]
+            if nd.left is not None and nd.right is not None:
+                work.append((v, nd.right))
+                v = nd.left
+                continue
+            vertices.append(v)
+            if nd.left is not None:
+                sides.append("L")
+                v = nd.left
+            elif nd.right is not None:
+                sides.append("R")
+                v = nd.right
+            else:
                 break
-            side = "L" if t.nodes[p].left == cur else "R"
-            if p in member_set:
-                links[index[u]] = (index[p], side)
-                break
-            if p == owner:
-                break
-            cur = p
-    lefts: list[int | None] = [None] * len(vertices)
-    rights: list[int | None] = [None] * len(vertices)
-    root = None
-    for i, (p, side) in enumerate(links):
-        if p is None:
-            if root is not None:
-                raise AssertionError("factor block is not connected")
-            root = i
-        elif side == "L":
-            if lefts[p] is not None:
-                raise AssertionError("factor is not a branch")
-            lefts[p] = i
-        else:
-            if rights[p] is not None:
-                raise AssertionError("factor is not a branch")
-            rights[p] = i
+        out.append((owner, vertices, sides))
+    return out
+
+
+def factor_branch(t: ColoredTree, owner: int, vertices: Sequence[int],
+                  sides: Sequence[str]) -> ColoredTree:
+    """The branch of one factor of :func:`factor_paths`; node ids run from
+    the bottom vertex (0) up, as in :func:`branch_from_directions`."""
     box = t.box_color if owner == BOX else t.nodes[owner].color
-    nodes = tuple(
-        Node(t.nodes[u].color, lefts[i], rights[i]) for i, u in enumerate(vertices)
-    )
-    return ColoredTree(nodes, root, box), vertices
+    return branch_from_directions(sides, [t.nodes[u].color for u in vertices], box)
 
 
 def insertion_factors(t: ColoredTree) -> list[ColoredTree]:
     """The multiset of branches a tree factors into under iterated insertion.
 
-    One factor per block of :func:`factor_blocks`; each factor's box color is
+    One factor per path of :func:`factor_paths`; each factor's box color is
     the color of its governing vertex (the tree's box color for the box
-    block).  The factor list order is deterministic; treat it as a multiset.
+    factor).  The factor list order is deterministic; treat it as a multiset.
     """
-    parents = parent_map(t)
-    return [
-        _branch_of_block(t, owner, members, parents)[0]
-        for owner, members in factor_blocks(t)
-    ]
+    return [factor_branch(t, *path) for path in factor_paths(t)]
 
 
 def labeled_insertion_factors(lt: LabeledTree) -> list[LabeledTree]:
     """Insertion factors of a labeled tree, keeping the original labels.
 
     The labels of each factor are the restriction of the tree's labeling, not
-    renormalized, so factors of distinct blocks carry disjoint label sets.
+    renormalized, so factors of distinct owners carry disjoint label sets.
     """
     t = lt.tree
-    parents = parent_map(t)
-    out = []
-    for owner, members in factor_blocks(t):
-        branch, vertices = _branch_of_block(t, owner, members, parents)
-        out.append(LabeledTree(branch, tuple(lt.labels[u] for u in vertices)))
-    return out
+    return [
+        LabeledTree(factor_branch(t, owner, vertices, sides),
+                    tuple(lt.labels[u] for u in reversed(vertices)))
+        for owner, vertices, sides in factor_paths(t)
+    ]
 
 
 def swing(t: ColoredTree, v: int) -> ColoredTree:

@@ -17,10 +17,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .rings import RingElem, as_ring_elem, parse_ring_elem, q
 from .series import Series
 from .trees import (
+    BOX,
     ColoredTree,
+    branch_from_directions,
+    branch_profile,
     encode,
     enumerate_trees,
-    insertion_factors,
+    factor_paths,
     is_branch,
     iter_branch_word,
     right_edges,
@@ -32,41 +35,44 @@ class WeightedTroupe:
     """A branch-weight rule extended multiplicatively to all trees.
 
     ``branch_weight`` must be total on branches; it is only ever called on
-    branches.  Evaluations are memoized by canonical tree encoding.
+    branches.  Branch weights are memoized under the branch's box color,
+    root-down colors and root-down sides, so the cache grows with the number
+    of distinct branches met, not with the number of trees evaluated.
     """
 
     def __init__(self, name: str, branch_weight: Callable[[ColoredTree], RingElem]):
         self.name = name
         self.branch_weight = branch_weight
-        self._cache: dict[str, RingElem] = {}
+        self._cache: dict[tuple[int, tuple[int, ...], str], RingElem] = {}
 
     def __repr__(self):
         return f"WeightedTroupe({self.name!r})"
 
+    def _weight(self, box: int, colors: tuple[int, ...], sides: str) -> RingElem:
+        key = (box, colors, sides)
+        value = self._cache.get(key)
+        if value is None:
+            branch = branch_from_directions(sides, colors, box)
+            value = self._cache[key] = as_ring_elem(self.branch_weight(branch))
+        return value
+
     def weight_of_branch(self, branch: ColoredTree) -> RingElem:
         if not is_branch(branch):
             raise ValueError("branch weights are defined on branches only")
-        key = encode(branch)
-        if key not in self._cache:
-            self._cache[key] = as_ring_elem(self.branch_weight(branch))
-        return self._cache[key]
+        sides, colors, box = branch_profile(branch)
+        return self._weight(box, tuple(colors), "".join(sides))
 
     def evaluate(self, t: ColoredTree) -> RingElem:
         """0 on the empty tree, else the product of branch weights over the
         insertion factors."""
         if t.size == 0:
             return Fraction(0)
-        key = encode(t)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if is_branch(t):
-            value = as_ring_elem(self.branch_weight(t))
-        else:
-            value = Fraction(1)
-            for factor in insertion_factors(t):
-                value = value * self.weight_of_branch(factor)
-        self._cache[key] = value
+        nodes = t.nodes
+        value: RingElem = Fraction(1)
+        for owner, vertices, sides in factor_paths(t):
+            box = t.box_color if owner == BOX else nodes[owner].color
+            colors = tuple([nodes[u].color for u in vertices])
+            value = value * self._weight(box, colors, "".join(sides))
         return value
 
 

@@ -15,13 +15,13 @@ from troupes.bijections import (
     psi_inverse,
     psi_via_insertions,
 )
-from troupes.partitions import SetPartition, classify, druns
+from troupes.partitions import SetPartition, druns, is_irreducible
 from troupes.trees import (
     branch_from_directions,
     branch_profile,
     encode,
     encode_labeled,
-    factor_blocks,
+    factor_paths,
     insertion_factors,
     iter_bpt_word,
     iter_dbpt_word,
@@ -124,8 +124,7 @@ def test_psi_worked_fourteen_element_example():
     two-child vertices, block minima become leaves."""
     n = 14
     p = SetPartition.of(n, [[1, 11, 14], [2, 3, 8, 9, 10], [4, 5, 6, 7], [12, 13]])
-    flags = classify(p)
-    assert flags.noncrossing and flags.irreducible
+    assert is_irreducible(p)
     word = (0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1)
     # any branch choice witnesses the structural claims; fix one per block
     branches = []
@@ -283,11 +282,8 @@ def test_nine_vertex_factor_block_structure():
         branches.append(branch_from_directions("L" * (len(block) - 2)))
     t = psi(PsiInput(p, tuple(branches)))
     assert t.size == 9
-    blocks = factor_blocks(t)
-    # the box block lists its vertex members only; the box itself adds one
-    sizes = sorted(
-        len(members) + (1 if owner == -1 else 0) for owner, members in blocks
-    )
+    # a block is a factor's vertices plus its owner (a vertex or the box)
+    sizes = sorted(len(vertices) + 1 for _, vertices, _ in factor_paths(t))
     assert sizes == [2, 2, 3, 3]
     factors = insertion_factors(t)
     singles = [encode(f) for f in factors if f.size == 1]
@@ -333,3 +329,5 @@ def test_input_serialization_errors():
         parse_psi_input("{{1,2}}\n3,4 -> 0:(0 . .)\n")
     with pytest.raises(ValueError):
         parse_phi_input("2,1\nno arrow here\n")
+    with pytest.raises(ValueError, match="repeated block 1,2"):
+        parse_psi_input("{{1,2}}\n1,2 -> 0:(0 . .)\n2,1 -> 0:(0 . .)\n")

@@ -220,11 +220,15 @@ PARTITION_KINDS = ("partition", "interval", "noncrossing", "nc-irreducible",
     ["verify", "--troupe", "all", "--order", "0"],
     ["verify", "--troupe", "rightmono:1/0,1"],
     ["cumulants", "--moments", "{missing_word_table}"],
+    ["cumulants", "--moments", "{repeated_word_table}"],
 ], ids=" ".join)
 def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     table = tmp_path / "moments.txt"
     table.write_text("word 0 = 1\nword 0,0,0 = 2\n")  # no moment for 0,0
-    argv = [a.format(missing_word_table=table) for a in argv]
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text("word 0 = 1\nword 0 = 5\n")  # two moments for 0
+    argv = [a.format(missing_word_table=table, repeated_word_table=repeated)
+            for a in argv]
     code, out, err = run(*argv)
     assert code == 2 and out == ""
     assert "error:" in err

@@ -362,6 +362,8 @@ def test_table_parse_reports_line():
         parse_table("word 0 = 1\nword 0,0 := broken\n")
     with pytest.raises(ValueError, match="line 1"):
         parse_table("0 = 1\n")
+    with pytest.raises(ValueError, match="line 3: repeated word 0"):
+        parse_table("word 0 = 1\nword 1 = 2\nword 0 = 5\n")
 
 
 def test_moment_functional_requires_dense_table():

@@ -4,9 +4,7 @@ import pytest
 
 from troupes.partitions import (
     SetPartition,
-    classify,
     druns,
-    is_interval,
     is_irreducible,
     is_noncrossing,
     iter_D,
@@ -40,19 +38,25 @@ def oracle_noncrossing(p):
 
 def test_classify_examples():
     p = SetPartition.of(3, [[1, 2, 3]])
-    assert classify(p) == (True, True, True)
+    assert is_irreducible(p) and p in set(iter_partitions(3, "interval"))
     p = SetPartition.of(4, [[1, 3], [2, 4]])
     assert not is_noncrossing(p)
     p = SetPartition.of(3, [[1, 3], [2]])
-    flags = classify(p)
-    assert flags.noncrossing and flags.irreducible and not flags.interval
+    assert is_noncrossing(p) and is_irreducible(p)
+    assert p not in set(iter_partitions(3, "interval"))
 
 
 def test_predicates_match_definitions():
     for n in range(1, 8):
+        interval = set(iter_partitions(n, "interval"))
         for p in iter_partitions(n):
-            assert is_interval(p) == oracle_interval(p)
+            assert (p in interval) == oracle_interval(p)
             assert is_noncrossing(p) == oracle_noncrossing(p)
+
+
+def test_unknown_class_raises():
+    with pytest.raises(ValueError, match="unknown partition class"):
+        next(iter_partitions(3, "crossing"))
 
 
 def test_singleton_partition_of_one_is_irreducible():

@@ -1,8 +1,11 @@
 import itertools
+import random
 
 import pytest
 
+from troupes.bijections import psi_inverse
 from troupes.trees import (
+    BOX,
     ColoredTree,
     LabeledTree,
     Node,
@@ -14,6 +17,7 @@ from troupes.trees import (
     encode,
     encode_labeled,
     enumerate_trees,
+    factor_paths,
     insert,
     insertion_factors,
     is_branch,
@@ -23,6 +27,7 @@ from troupes.trees import (
     iter_branch_word,
     iter_dbpt_word,
     labeled_insertion_factors,
+    labeled_multiset_key,
     multiset_key,
     parse_tree,
     postorder,
@@ -33,7 +38,6 @@ from troupes.trees import (
     swing_labeled,
     traversal_labeling,
     two_child_count,
-    parent_map,
 )
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]  # C_0..C_8
@@ -238,6 +242,93 @@ def test_labeled_factors_partition_non_governing_labels():
         }
         labels = [l for f in labeled_insertion_factors(lt) for l in f.labels]
         assert sorted(labels) == sorted(set(range(1, 6)) - governing)
+
+
+# Brute-force oracle for the factor walk: group the vertices under their
+# governing two-child vertex (or the box), then rebuild each block's branch
+# by climbing parent pointers to the nearest ancestor in the same block.
+
+
+def oracle_factor_blocks(t):
+    owner_of = [BOX] * t.size
+
+    def walk(v, owner):
+        nd = t.nodes[v]
+        two = nd.left is not None and nd.right is not None
+        owner_of[v] = v if two else owner
+        if nd.left is not None:
+            walk(nd.left, owner)
+        if nd.right is not None:
+            walk(nd.right, v if two else owner)
+
+    walk(t.root, BOX)
+    blocks = {BOX: []}
+    for v in range(t.size):
+        blocks.setdefault(owner_of[v], []).append(v)
+    return [(BOX, blocks[BOX])] + [(v, blocks[v]) for v in sorted(blocks) if v != BOX]
+
+
+def oracle_branch_of_block(t, owner, members):
+    parents = [None] * t.size
+    for v, nd in enumerate(t.nodes):
+        for c in (nd.left, nd.right):
+            if c is not None:
+                parents[c] = v
+    vertices = [u for u in members if u != owner]
+    index = {u: i for i, u in enumerate(vertices)}
+    lefts = [None] * len(vertices)
+    rights = [None] * len(vertices)
+    roots = []
+    for u in vertices:
+        cur, p = u, parents[u]
+        while p is not None and p != owner and p not in index:
+            cur, p = p, parents[p]
+        if p is None or p == owner:
+            roots.append(index[u])
+            continue
+        side = lefts if t.nodes[p].left == cur else rights
+        assert side[index[p]] is None, "factor is not a branch"
+        side[index[p]] = index[u]
+    assert len(roots) == 1, "factor block is not connected"
+    box = t.box_color if owner == BOX else t.nodes[owner].color
+    nodes = tuple(Node(t.nodes[u].color, lefts[i], rights[i]) for i, u in enumerate(vertices))
+    return ColoredTree(nodes, roots[0], box), vertices
+
+
+def oracle_psi_key(t):
+    n = t.size + 1
+    post = {v: k for k, v in enumerate(postorder(t), start=1)}
+    pairs = []
+    for owner, members in oracle_factor_blocks(t):
+        labels = sorted(post[u] for u in members)
+        if owner == BOX:
+            labels.append(n)
+        branch, _ = oracle_branch_of_block(t, owner, members)
+        pairs.append((tuple(labels), encode(branch)))
+    pairs.sort()
+    return tuple(b for b, _ in pairs), tuple(e for _, e in pairs)
+
+
+def test_factor_walk_matches_brute_force_oracle():
+    rng = random.Random(5)
+    words = [size_word(n) for n in range(1, 9)]
+    words += [tuple(rng.randrange(3) for _ in range(n + 1)) for n in range(1, 9)]
+    # every dbpt up to size 6, and every bpt up to size 8 labelled in postorder
+    cases = [lt for w in words if len(w) <= 7 for lt in iter_dbpt_word(w)]
+    cases += [traversal_labeling(t, "postorder") for w in words for t in iter_bpt_word(w)]
+    for lt in cases:
+        t = lt.tree
+        blocks = [(o, m, oracle_branch_of_block(t, o, m)) for o, m in oracle_factor_blocks(t)]
+        assert multiset_key(insertion_factors(t)) == multiset_key([b for _, _, (b, _) in blocks])
+        assert labeled_multiset_key(labeled_insertion_factors(lt)) == labeled_multiset_key([
+            LabeledTree(b, tuple(lt.labels[u] for u in vs)) for _, _, (b, vs) in blocks])
+        assert psi_inverse(t).key() == oracle_psi_key(t)
+        # the walk's own claim: postorder labels fall from a factor's root
+        # down, below the label of its owner
+        post = traversal_labeling(t, "postorder").labels
+        for owner, vertices, _ in factor_paths(t):
+            names = ([] if owner == BOX else [post[owner]]) + [post[u] for u in vertices]
+            assert names == sorted(names, reverse=True)
 
 
 # -- swing
@@ -445,9 +536,16 @@ def test_validate_catches_breakage():
         ColoredTree((Node(0),), None).validate()
 
 
-def test_parent_map():
-    t = root_with_both()
-    assert parent_map(t) == [2, 2, None]
+def test_factor_paths_examples():
+    assert factor_paths(root_with_both()) == [(BOX, [0], []), (2, [1], [])]
+    # a root whose one child has two children: the box factor passes that
+    # vertex and continues at its left child, on the root's side
+    for side in ("left", "right"):
+        t = ColoredTree(
+            (Node(0), Node(0), Node(0, left=0, right=1), Node(0, **{side: 2})), 3)
+        assert factor_paths(t) == [(BOX, [3, 0], [side[0].upper()]), (2, [1], [])]
+    with pytest.raises(ValueError):
+        factor_paths(ColoredTree((), None))
 
 
 def test_beta_is_postorder_reading():

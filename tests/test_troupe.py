@@ -236,6 +236,15 @@ def test_random_table_covers_all_small_branches():
                 assert encode(br) in table
 
 
+def test_cache_holds_branches_only():
+    # single-colour branches of sizes 1..7 number 2^0 + ... + 2^6 = 127,
+    # fewer than the 429 tree shapes of size 7
+    tau = all_trees()
+    assert weighted_sum(tau, "bpt", size_word(7)) == 429
+    assert weighted_sum(tau, "dbpt", size_word(7)) == 5040
+    assert len(tau._cache) <= 127
+
+
 def test_weight_of_branch_rejects_non_branch():
     tau = all_trees()
     t = next(t for t in iter_bpt_word(size_word(3)) if two_child_count(t) > 0)
