@@ -8,13 +8,16 @@ enter the defining expansion:
 * free      -- noncrossing partitions,
 * boolean   -- interval partitions.
 
-Every conversion is one call of a single partition-sum kernel: the sum over
-``(blocks, multiplicity)`` terms of the multiplicity times the product of the
-table over the blocks.  Moments to cumulants solves it triangularly, holding
-the unknown cumulant at 0 so the one-block term drops out.  The two bridges
-negate a Boolean table, sum it over irreducible noncrossing partitions (free)
-or over the descending-run partitions of permutations with first entry
-maximal (classical, each run partition once with its count), and negate.
+Both conversions are one first-block recursion: a moment is the sum, over
+the blocks S that hold the first position, of the cumulant on S times the
+moments of what S leaves (the complement, the gaps of S, or the suffix).
+Moments to cumulants solves it triangularly, holding the unknown cumulant at
+0 so the one-block term drops out; cumulants to moments fills moments in
+length order.  The two bridges are the theorem's other route and keep a
+whole-class partition sum: they negate a Boolean table, sum it over
+irreducible noncrossing partitions (free) or over the descending-run
+partitions of permutations with first entry maximal (classical, each run
+partition once with its count), and negate.
 """
 
 from __future__ import annotations
@@ -27,17 +30,11 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rings import RingElem, as_ring_elem, format_ring_elem, parse_ring_elem
-from .partitions import first_n_druns_index_blocks, partitions_as_index_blocks
+from .partitions import iter_first_max_run_blocks, partitions_as_index_blocks
 from .series import Series
 from .troupe import WeightedTroupe, weighted_sum
 
 Word = tuple[int, ...]
-
-KIND_TO_CLASS = {
-    "classical": "all",
-    "free": "noncrossing",
-    "boolean": "interval",
-}
 
 
 def iter_words(alphabet: Sequence[int], max_len: int) -> Iterator[Word]:
@@ -88,12 +85,71 @@ class CumulantTable:
         return self.table[word]
 
 
+KINDS = ("classical", "free", "boolean")
+
+
+def _first_block_sum(word: Word, kind: str, cumulants: Mapping[Word, RingElem],
+                     moments: Mapping[Word, RingElem]) -> RingElem:
+    """Sum over the blocks S that hold position 0 of ``cumulants[word|S]``
+    times the moments of what S leaves: the complement (classical), the gaps
+    between consecutive elements of S and after its last one (free), or the
+    suffix, S being a prefix (boolean).  The empty word has moment 1.
+
+    Positions join S or the open gap from left to right: a free gap closes
+    into the running product when S resumes, a Boolean S never resumes, and
+    the classical complement stays one open gap.  That is 2^(n-1) blocks for
+    the classical and free kinds and n for the Boolean one.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown cumulant kind {kind!r}")
+    # (word on S, product of the closed gaps' moments or None, open gap)
+    states: list[tuple[Word, RingElem | None, Word]] = [((word[0],), None, ())]
+    for letter in word[1:]:
+        grown = []
+        for block, closed, gap in states:
+            if kind == "classical" or not gap:
+                grown.append((block + (letter,), closed, gap))
+            elif kind == "free":
+                m = moments[gap]
+                grown.append((block + (letter,), m if closed is None else closed * m, ()))
+            grown.append((block, closed, gap + (letter,)))
+        states = grown
+    acc: RingElem = Fraction(0)
+    for block, closed, gap in states:
+        term = cumulants[block]
+        if closed is not None:
+            term = term * closed
+        if gap:
+            term = term * moments[gap]
+        acc = acc + term
+    return acc
+
+
+def moments_to_cumulants(phi: MomentFunctional, kind: str) -> CumulantTable:
+    """Triangular solve of the first-block recursion for the requested kind."""
+    table: dict[Word, RingElem] = {}
+    for word in iter_words(phi.alphabet, phi.max_len):
+        table[word] = Fraction(0)  # held at 0 in its own sum: the one-block term drops out
+        table[word] = phi.moment(word) - _first_block_sum(word, kind, table, phi.table)
+    return CumulantTable(kind, phi.alphabet, phi.max_len, table)
+
+
+def cumulants_to_moments(c: CumulantTable) -> MomentFunctional:
+    """The first-block recursion, filling moments in length order."""
+    table: dict[Word, RingElem] = {}
+    for word in iter_words(c.alphabet, c.max_len):
+        table[word] = _first_block_sum(word, c.kind, c.table, table)
+    return MomentFunctional(c.alphabet, c.max_len, table)
+
+
 Blocks = tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
 def _run_partition_counts(n: int) -> Counter[Blocks]:
-    return Counter(first_n_druns_index_blocks(n))
+    """Each descending-run partition of the permutations with first entry
+    maximal, with the number of those permutations that have it."""
+    return Counter(iter_first_max_run_blocks(n))
 
 
 def _partition_sum(word: Word, klass: str, table: Mapping[Word, RingElem]) -> RingElem:
@@ -114,24 +170,6 @@ def _partition_sum(word: Word, klass: str, table: Mapping[Word, RingElem]) -> Ri
             prod = prod * table[tuple(word[i] for i in block)]
         acc = acc + prod
     return acc
-
-
-def moments_to_cumulants(phi: MomentFunctional, kind: str) -> CumulantTable:
-    """Triangular solve of the defining expansion for the requested kind."""
-    klass = KIND_TO_CLASS[kind]
-    table: dict[Word, RingElem] = {}
-    for word in iter_words(phi.alphabet, phi.max_len):
-        table[word] = Fraction(0)  # held at 0 in its own sum: the one-block term drops out
-        table[word] = phi.moment(word) - _partition_sum(word, klass, table)
-    return CumulantTable(kind, phi.alphabet, phi.max_len, table)
-
-
-def cumulants_to_moments(c: CumulantTable) -> MomentFunctional:
-    """Direct expansion: each moment is the partition sum of cumulant products."""
-    klass = KIND_TO_CLASS[c.kind]
-    table = {word: _partition_sum(word, klass, c.table)
-             for word in iter_words(c.alphabet, c.max_len)}
-    return MomentFunctional(c.alphabet, c.max_len, table)
 
 
 def _bridge(b: CumulantTable, kind: str, klass: str) -> CumulantTable:

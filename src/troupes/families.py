@@ -8,14 +8,12 @@ cumulants, against which the generating-function route is checked.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
 from .cumulants import classical_via_egf
-from .partitions import descents
 from .rings import QPoly, RingElem, q, to_poly
 from .series import Series
 from .trees import iter_bpt_word, right_edges, size_word
@@ -23,14 +21,15 @@ from .trees import iter_bpt_word, right_edges, size_word
 
 @lru_cache(maxsize=None)
 def eulerian_polynomial(n: int) -> QPoly:
-    """Descent-generating polynomial of all permutations of 1..n, by brute
-    force."""
+    """Descent-generating polynomial of all permutations of 1..n, by the
+    recurrence A(n, k) = (k + 1) A(n-1, k) + (n - k) A(n-1, k-1)."""
     if n < 1:
         raise ValueError("n must be positive")
-    counts = [0] * n
-    for sigma in itertools.permutations(range(1, n + 1)):
-        counts[len(descents(sigma))] += 1
-    return QPoly(counts)
+    row = [1]
+    for m in range(2, n + 1):
+        prev = [0] + row + [0]  # prev[k + 1] = A(m-1, k)
+        row = [(k + 1) * prev[k + 1] + (m - k) * prev[k] for k in range(m)]
+    return QPoly(row)
 
 
 @lru_cache(maxsize=None)

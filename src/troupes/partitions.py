@@ -167,10 +167,27 @@ def iter_D(n: int) -> Iterator[tuple[int, ...]]:
             yield sigma
 
 
+def iter_first_max_run_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The descending runs of each permutation with first entry maximal,
+    as canonical 0-based blocks, in the order of :func:`iter_sigma_first_n`.
+
+    Runs are split on 0-based values directly: a reversed run is ascending
+    and starts at its minimum, so sorting the reversed runs orders the blocks.
+    """
+    for rest in itertools.permutations(range(n - 1)):
+        sigma = (n - 1,) + rest
+        runs = []
+        start = 0
+        for i in range(1, n):
+            if sigma[i - 1] < sigma[i]:
+                runs.append(sigma[start:i][::-1])
+                start = i
+        runs.append(sigma[start:][::-1])
+        runs.sort()
+        yield tuple(runs)
+
+
 @lru_cache(maxsize=None)
 def first_n_druns_index_blocks(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """For each permutation with sigma(1)=n, its run blocks 0-based; cached."""
-    return tuple(
-        tuple(tuple(i - 1 for i in b) for b in druns(sigma).blocks)
-        for sigma in iter_sigma_first_n(n)
-    )
+    return tuple(iter_first_max_run_blocks(n))

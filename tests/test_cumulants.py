@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from troupes import cumulants
 from troupes.cumulants import (
+    _run_partition_counts,
     CumulantTable,
     MomentFunctional,
     boolean_to_classical,
@@ -18,7 +21,13 @@ from troupes.cumulants import (
     equivalence_report,
     equivalence_reports,
 )
-from troupes.partitions import druns, iter_partitions, iter_sigma_first_n
+from troupes.partitions import (
+    druns,
+    first_n_druns_index_blocks,
+    iter_partitions,
+    iter_sigma_first_n,
+    partitions_as_index_blocks,
+)
 from troupes.rings import QPoly, q
 from troupes.troupe import (
     all_trees,
@@ -233,23 +242,59 @@ def random_ring_table(rng, ring, alphabet, max_len):
 
 @pytest.mark.parametrize("ring", ["rational", "qpoly"])
 def test_conversions_match_brute_force_oracle(ring):
-    alphabet, max_len = (0, 1), 5
-    words = list(iter_words(alphabet, max_len))
     # two of the 24 permutations share a run partition, so the grouped
     # classical bridge meets a multiplicity above 1
-    assert len(set(_run_blocks(max_len))) == 22
+    assert len(set(_run_blocks(5))) == 22
     rng = random.Random(31)
-    for _ in range(2):
-        table = random_ring_table(rng, ring, alphabet, max_len)
-        phi = MomentFunctional.of(alphabet, max_len, table)
-        for kind in ("classical", "free", "boolean"):
-            assert moments_to_cumulants(phi, kind).table == oracle_cumulants(table, kind, words)
-            cum = CumulantTable(kind, alphabet, max_len, table)
-            assert cumulants_to_moments(cum).table == oracle_moments(table, kind, words)
-        boolean = CumulantTable("boolean", alphabet, max_len, table)
-        assert boolean_to_free(boolean).table == oracle_bridge(
-            table, _nc_irreducible_blocks, words)
-        assert boolean_to_classical(boolean).table == oracle_bridge(table, _run_blocks, words)
+    for alphabet, max_len, tables in (((0, 1), 5, 2), ((0, 1, 2), 4, 1)):
+        words = list(iter_words(alphabet, max_len))
+        for _ in range(tables):
+            table = random_ring_table(rng, ring, alphabet, max_len)
+            phi = MomentFunctional.of(alphabet, max_len, table)
+            for kind in ("classical", "free", "boolean"):
+                assert (moments_to_cumulants(phi, kind).table
+                        == oracle_cumulants(table, kind, words))
+                cum = CumulantTable(kind, alphabet, max_len, table)
+                assert cumulants_to_moments(cum).table == oracle_moments(table, kind, words)
+            boolean = CumulantTable("boolean", alphabet, max_len, table)
+            assert boolean_to_free(boolean).table == oracle_bridge(
+                table, _nc_irreducible_blocks, words)
+            assert boolean_to_classical(boolean).table == oracle_bridge(
+                table, _run_blocks, words)
+
+
+def test_run_partition_counts_match_druns():
+    for n in range(1, 9):
+        zero_based = [tuple(tuple(i - 1 for i in b) for b in druns(sigma).blocks)
+                      for sigma in iter_sigma_first_n(n)]
+        assert _run_partition_counts(n) == Counter(zero_based)
+        assert first_n_druns_index_blocks(n) == tuple(zero_based)
+
+
+def test_conversions_build_no_lattice_table(monkeypatch):
+    requested = []
+
+    def spy(n, klass):
+        requested.append(klass)
+        return partitions_as_index_blocks(n, klass)
+
+    monkeypatch.setattr(cumulants, "partitions_as_index_blocks", spy)
+    rng = random.Random(5)
+    phi = random_phi(rng, (0, 1), 5)
+    for kind in ("classical", "free", "boolean"):
+        cumulants_to_moments(moments_to_cumulants(phi, kind))
+    assert requested == []
+    # the spy sees the bridges, which keep the whole-class sum
+    boolean_to_free(moments_to_cumulants(phi, "boolean"))
+    assert set(requested) == {"nc_irreducible"}
+
+
+def test_unknown_kind_raises():
+    phi = random_phi(random.Random(1), (0,), 2)
+    with pytest.raises(ValueError, match="unknown cumulant kind"):
+        moments_to_cumulants(phi, "monotone")
+    with pytest.raises(ValueError, match="unknown cumulant kind"):
+        cumulants_to_moments(CumulantTable("monotone", (0,), 2, dict(phi.table)))
 
 
 def test_bridge_kind_guards():

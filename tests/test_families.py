@@ -11,6 +11,7 @@ from troupes.families import (
     named_sequence,
     narayana_polynomial,
 )
+from troupes.partitions import descents
 from troupes.rings import QPoly, q
 from troupes.series import Series
 from troupes.trees import size_word
@@ -34,6 +35,19 @@ def test_eulerian_small():
 def test_eulerian_total_mass():
     for n in range(1, 7):
         assert sum(eulerian_polynomial(n).coeffs) == math.factorial(n)
+
+
+def eulerian_brute_force(n):
+    """Descent counts of all n! permutations of 1..n, walked one by one."""
+    counts = [0] * n
+    for sigma in itertools.permutations(range(1, n + 1)):
+        counts[len(descents(sigma))] += 1
+    return QPoly(counts)
+
+
+def test_eulerian_polynomial_matches_brute_force():
+    for n in range(1, 9):
+        assert eulerian_polynomial(n) == eulerian_brute_force(n)
 
 
 def test_narayana_small():
