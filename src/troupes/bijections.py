@@ -27,8 +27,8 @@ from .partitions import (
     SetPartition,
     druns,
     is_irreducible,
-    iter_D,
     iter_partitions,
+    iter_sigma_first_n,
     parse_partition,
 )
 from .trees import (
@@ -36,7 +36,7 @@ from .trees import (
     ColoredTree,
     LabeledTree,
     Node,
-    alpha,
+    _decreasing_tree,
     alpha_inverse,
     branch_from_directions,
     branch_profile,
@@ -48,7 +48,6 @@ from .trees import (
     insert,
     parse_tree,
     postorder,
-    swing_labeled,
 )
 
 
@@ -89,6 +88,11 @@ class PhiInput:
         return self.sigma, tuple(encode(b) for b in self.branches)
 
     def validate(self) -> None:
+        self._runs()
+
+    def _runs(self) -> list[tuple[tuple[int, ...], list[str], list[int], int]]:
+        """Check the input, then give each run block with its branch's
+        :func:`~troupes.trees.branch_profile`."""
         n = len(self.sigma)
         if n == 0 or self.sigma[0] != n:
             raise ValueError("permutation must start with its maximum")
@@ -97,23 +101,24 @@ class PhiInput:
             raise ValueError("all descending runs must have size >= 2")
         if len(self.branches) != len(blocks):
             raise ValueError("one branch per run required")
+        runs = []
         for block, br in zip(blocks, self.branches):
-            if not is_branch(br) or br.size != len(block) - 1:
+            if br.size != len(block) - 1:
                 raise ValueError(f"branch for run {block} has the wrong size")
+            runs.append((block, *branch_profile(br)))  # checks it is a branch
+        return runs
 
 
-def _recover_word(n: int, blocks: Sequence[tuple[int, ...]],
-                  branches: Sequence[ColoredTree]) -> list[int]:
-    """The color word i_1..i_n encoded by the branches (1-indexed list)."""
+def _recover_word(n: int, runs) -> list[int]:
+    """The color word i_1..i_n (1-indexed list) encoded by blocks paired with
+    branch profiles ``(block, directions, colors, box)``."""
     word = [0] * (n + 1)
-    for block, br in zip(blocks, branches):
-        dirs, colors, box = branch_profile(br)
-        labels_desc = list(reversed(block[:-1]))
-        if len(colors) != len(labels_desc):
+    for block, _, colors, box in runs:
+        if len(colors) != len(block) - 1:
             raise ValueError("branch size does not match its block")
         word[block[-1]] = box
-        for depth, lab in enumerate(labels_desc):
-            word[lab] = colors[depth]
+        for lab, color in zip(block[-2::-1], colors):
+            word[lab] = color
     return word
 
 
@@ -133,11 +138,12 @@ def psi(inp: PsiInput) -> ColoredTree:
     n = inp.partition.n
     if n < 2:
         raise ValueError("psi needs n >= 2")
-    word = _recover_word(n, inp.partition.blocks, inp.branches)
+    runs = [(block, *branch_profile(br))
+            for block, br in zip(inp.partition.blocks, inp.branches)]
+    word = _recover_word(n, runs)
     left = [None] * (n + 1)
     right = [None] * (n + 1)
-    for block, br in zip(inp.partition.blocks, inp.branches):
-        dirs, _, _ = branch_profile(br)
+    for block, dirs, _, _ in runs:
         labels_desc = list(reversed(block[:-1]))
         mn, mx = block[0], block[-1]
         for j in block:
@@ -255,73 +261,112 @@ def phi_tilde(inp: PhiInput) -> LabeledTree:
     Because no run is a singleton, every vertex with a left child also has a
     right child (a reverse Motzkin tree).
     """
-    inp.validate()
     n = len(inp.sigma)
-    blocks = druns(inp.sigma).blocks
-    word = _recover_word(n, blocks, inp.branches)
+    word = _recover_word(n, inp._runs())
     return alpha_inverse(inp.sigma[1:], colors=word[1:n], box_color=word[n])
 
 
 def phi(inp: PhiInput) -> LabeledTree:
-    """Swing the intermediate tree at every branch vertex that has a left
-    child; the result is the decreasing tree whose factors are the input
-    branches."""
-    lt = phi_tilde(inp)
-    blocks = druns(inp.sigma).blocks
-    for block, br in zip(blocks, inp.branches):
-        dirs, _, _ = branch_profile(br)
-        labels_desc = list(reversed(block[:-1]))
-        for depth, side in enumerate(dirs):
-            if side == "L":
-                v = lt.labels.index(labels_desc[depth])
-                lt = swing_labeled(lt, v)
-    return lt
+    """The decreasing tree whose factors are the input branches.
+
+    It is :func:`phi_tilde` with the single child moved to the left at every
+    branch vertex whose step is ``L``; one stack pass builds it with those
+    vertices' child slots exchanged, so node ids stay postorder ids of the
+    intermediate tree.
+    """
+    runs = inp._runs()
+    n = len(inp.sigma)
+    word = _recover_word(n, runs)
+    left_steps = {label for block, dirs, _, _ in runs
+                  for label, side in zip(block[-2::-1], dirs) if side == "L"}
+    return _decreasing_tree(inp.sigma[1:], word[1:], word[n], left_steps)
 
 
 def phi_inverse(lt: LabeledTree) -> PhiInput:
     """Recover the permutation and run branches from a decreasing tree.
 
-    Swinging every left-only-child vertex gives a reverse Motzkin tree whose
-    inorder reading (with n prepended) is the permutation; each run block
-    rebuilds its branch with child sides copied from the original tree.
+    One pass indexes the vertices by label and checks that the labels are a
+    bijection onto 1..n-1 that falls along every edge.  The permutation is n
+    followed by the inorder reading of the tree in which every left-only
+    child counts as a right child (the inverse of :func:`phi`'s exchange);
+    each run block rebuilds its branch with child sides copied from ``lt``.
     """
-    if lt.size == 0:
+    t = lt.tree
+    m = t.size
+    if m == 0:
         raise ValueError("phi_inverse needs a nonempty tree")
-    n = lt.size + 1
-    tilde = lt
-    for v, nd in enumerate(lt.tree.nodes):
-        if nd.left is not None and nd.right is None:
-            tilde = swing_labeled(tilde, v)
-    sigma = (n,) + alpha(tilde)
-    blocks = druns(sigma).blocks
+    n = m + 1
+    nodes, labels = t.nodes, lt.labels
+    if len(labels) != m:
+        raise ValueError(f"labels must be a bijection onto 1..{m}")
+    vertex = [-1] * n  # vertex[k] is the vertex labeled k
+    has_parent = [False] * m
+    for v, nd in enumerate(nodes):
+        label = labels[v]
+        if not 0 < label < n or vertex[label] >= 0:
+            raise ValueError(f"labels must be a bijection onto 1..{m}")
+        vertex[label] = v
+        for c in (nd.left, nd.right):
+            if c is None:
+                continue
+            if not 0 <= c < m or has_parent[c]:
+                raise ValueError(f"child {c} of vertex {v} is out of range or has two parents")
+            if labels[c] >= label:
+                raise ValueError("labeling is not decreasing")
+            has_parent[c] = True
+    if t.root is None or not 0 <= t.root < m or has_parent[t.root]:
+        raise ValueError("the root must be a vertex without a parent")
+
+    sigma = [n]
+    pending: list[int] = []
+    v = t.root
+    while True:
+        while v is not None:
+            nd = nodes[v]
+            if nd.right is None:  # a leaf, or a left-only child read as right
+                sigma.append(labels[v])
+            else:
+                pending.append(v)
+            v = nd.left
+        if not pending:
+            break
+        v = pending.pop()
+        sigma.append(labels[v])
+        v = nodes[v].right
+    if len(sigma) != n:
+        raise ValueError("unreachable vertices present")
+
     branches = []
-    for block in blocks:
-        labels_desc = list(reversed(block[:-1]))
+    for block in druns(sigma).blocks:
+        labels_desc = block[-2::-1]
         dirs = []
-        for lab in labels_desc[:-1]:
-            v = lt.labels.index(lab)
-            nd = lt.tree.nodes[v]
+        for label in labels_desc[:-1]:
+            nd = nodes[vertex[label]]
             if (nd.left is None) == (nd.right is None):
                 raise AssertionError("run interior vertex must have one child")
             dirs.append("L" if nd.left is not None else "R")
-        colors = [lt.tree.nodes[lt.labels.index(lab)].color for lab in labels_desc]
+        colors = [nodes[vertex[label]].color for label in labels_desc]
         mx = block[-1]
-        box = lt.tree.box_color if mx == n else lt.tree.nodes[lt.labels.index(mx)].color
+        box = t.box_color if mx == n else nodes[vertex[mx]].color
         branches.append(branch_from_directions(dirs, colors, box))
-    return PhiInput(sigma, tuple(branches))
+    return PhiInput(tuple(sigma), tuple(branches))
 
 
 def iter_phi_inputs(word: Sequence[int]) -> Iterator[PhiInput]:
     """Every valid input for the given color word, deterministically."""
-    n = len(word)
-    for sigma in iter_D(n):
+    branches: dict[tuple[int, ...], list[ColoredTree]] = {}  # by block subword
+    for sigma in iter_sigma_first_n(len(word)):
         blocks = druns(sigma).blocks
+        if any(len(b) < 2 for b in blocks):
+            continue
         choices = []
         for block in blocks:
             restricted = tuple(word[u - 1] for u in block)
-            choices.append(list(iter_branch_word(restricted)))
+            if restricted not in branches:
+                branches[restricted] = list(iter_branch_word(restricted))
+            choices.append(branches[restricted])
         for combo in itertools.product(*choices):
-            yield PhiInput(sigma, tuple(combo))
+            yield PhiInput(sigma, combo)
 
 
 # ---------------------------------------------------------------------------

@@ -140,18 +140,29 @@ def descents(sigma: Sequence[int]) -> list[int]:
     return [i for i in range(1, len(sigma)) if sigma[i - 1] > sigma[i]]
 
 
+def _run_blocks(sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The maximal consecutive decreasing runs of ``sigma`` as canonical
+    blocks: a reversed run is ascending and starts at its minimum, so the
+    reversed runs, sorted, are ordered by minimum."""
+    runs = []
+    start = 0
+    for i in range(1, len(sigma)):
+        if sigma[i - 1] < sigma[i]:
+            runs.append(sigma[start:i][::-1])
+            start = i
+    runs.append(sigma[start:][::-1])
+    runs.sort()
+    return tuple(runs)
+
+
 def druns(sigma: Sequence[int]) -> SetPartition:
     """Partition of values into maximal consecutive decreasing runs."""
     n = len(sigma)
     if n == 0:
         raise ValueError("empty permutation")
-    blocks: list[list[int]] = [[sigma[0]]]
-    for i in range(1, n):
-        if sigma[i - 1] > sigma[i]:
-            blocks[-1].append(sigma[i])
-        else:
-            blocks.append([sigma[i]])
-    return SetPartition.of(n, blocks)
+    if set(sigma) != set(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}")
+    return SetPartition(n, _run_blocks(tuple(sigma)))
 
 
 def iter_sigma_first_n(n: int) -> Iterator[tuple[int, ...]]:
@@ -171,20 +182,10 @@ def iter_first_max_run_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The descending runs of each permutation with first entry maximal,
     as canonical 0-based blocks, in the order of :func:`iter_sigma_first_n`.
 
-    Runs are split on 0-based values directly: a reversed run is ascending
-    and starts at its minimum, so sorting the reversed runs orders the blocks.
+    Runs are split on 0-based values directly, with no permutation check.
     """
     for rest in itertools.permutations(range(n - 1)):
-        sigma = (n - 1,) + rest
-        runs = []
-        start = 0
-        for i in range(1, n):
-            if sigma[i - 1] < sigma[i]:
-                runs.append(sigma[start:i][::-1])
-                start = i
-        runs.append(sigma[start:][::-1])
-        runs.sort()
-        yield tuple(runs)
+        yield _run_blocks((n - 1,) + rest)
 
 
 @lru_cache(maxsize=None)

@@ -13,8 +13,9 @@ tree (including the empty one).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Container, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -167,33 +168,45 @@ def alpha_inverse(word: Sequence[int], colors: Sequence[int] | None = None,
                   box_color: int = 0) -> LabeledTree:
     """The unique decreasing labeled tree whose inorder reading is ``word``.
 
-    The root sits at the position of the maximum; the construction recurses on
-    the prefix and suffix.  Node ids come out in postorder.  ``colors``, when
-    given, assigns ``colors[k-1]`` to the vertex labeled ``k``.
+    Built by :func:`_decreasing_tree` in one stack pass, so node ids come out
+    in postorder.  ``colors``, when given, assigns ``colors[k-1]`` to the
+    vertex labeled ``k``.
     """
     if len(word) == 0:
         raise ValueError("alpha_inverse needs a nonempty word")
     if len(set(word)) != len(word):
         raise ValueError("word entries must be distinct")
+    return _decreasing_tree(word, colors, box_color, ())
+
+
+def _decreasing_tree(word: Sequence[int], colors: Sequence[int] | None,
+                     box_color: int, swapped: Container[int]) -> LabeledTree:
+    """:func:`alpha_inverse` of a nonempty word of distinct entries, with the
+    two child slots exchanged at every vertex whose label is in ``swapped``.
+
+    The stack-sorting pass: the stack holds the open vertices of the right
+    spine, labels falling toward the top.  Each entry (then a final sentinel)
+    pops every smaller label, which is postorder; a popped vertex takes the
+    vertex popped just before it in the same sweep as its right child, and
+    keeps as left child the last vertex popped before its own push.  Node ids
+    are pop positions.
+    """
     nodes: list[Node] = []
     labels: list[int] = []
-
-    def build(lo: int, hi: int) -> int | None:
-        if lo > hi:
-            return None
-        m = lo
-        for i in range(lo + 1, hi + 1):
-            if word[i] > word[m]:
-                m = i
-        left = build(lo, m - 1)
-        right = build(m + 1, hi)
-        color = colors[word[m] - 1] if colors is not None else 0
-        nodes.append(Node(color, left, right))
-        labels.append(word[m])
-        return len(nodes) - 1
-
-    root = build(0, len(word) - 1)
-    return LabeledTree(ColoredTree(tuple(nodes), root, box_color), tuple(labels))
+    spine: list[tuple[int, int | None]] = []  # (label, left child id)
+    for x in itertools.chain(word, (math.inf,)):
+        below = None
+        while spine and spine[-1][0] < x:
+            label, left = spine.pop()
+            color = colors[label - 1] if colors is not None else 0
+            if label in swapped:
+                nodes.append(Node(color, below, left))
+            else:
+                nodes.append(Node(color, left, below))
+            labels.append(label)
+            below = len(nodes) - 1
+        spine.append((x, below))
+    return LabeledTree(ColoredTree(tuple(nodes), len(nodes) - 1, box_color), tuple(labels))
 
 
 def stack_sort(sigma: Sequence[int]) -> tuple[int, ...]:
@@ -315,20 +328,6 @@ def labeled_insertion_factors(lt: LabeledTree) -> list[LabeledTree]:
                     tuple(lt.labels[u] for u in reversed(vertices)))
         for owner, vertices, sides in factor_paths(t)
     ]
-
-
-def swing(t: ColoredTree, v: int) -> ColoredTree:
-    """Flip the single child of ``v`` to the other side; an involution."""
-    nd = t.nodes[v]
-    if (nd.left is None) == (nd.right is None):
-        raise ValueError("swing needs a vertex with exactly one child")
-    flipped = Node(nd.color, nd.right, nd.left)
-    nodes = t.nodes[:v] + (flipped,) + t.nodes[v + 1:]
-    return ColoredTree(nodes, t.root, t.box_color)
-
-
-def swing_labeled(lt: LabeledTree, v: int) -> LabeledTree:
-    return LabeledTree(swing(lt.tree, v), lt.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -15,8 +16,11 @@ from troupes.bijections import (
     psi_inverse,
     psi_via_insertions,
 )
-from troupes.partitions import SetPartition, druns, is_irreducible
+from troupes.partitions import SetPartition, druns, is_irreducible, iter_D
 from troupes.trees import (
+    ColoredTree,
+    LabeledTree,
+    Node,
     branch_from_directions,
     branch_profile,
     encode,
@@ -24,12 +28,17 @@ from troupes.trees import (
     factor_paths,
     insertion_factors,
     iter_bpt_word,
+    iter_branch_word,
     iter_dbpt_word,
     labeled_insertion_factors,
     multiset_key,
     postorder,
+    shapes,
     size_word,
+    tree_from_shape,
 )
+
+from oracles import phi_inverse_via_swings, phi_via_swings
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
@@ -218,6 +227,84 @@ def test_phi_roundtrip_two_colors():
         for word in itertools.product((0, 1), repeat=n):
             for x in iter_phi_inputs(word):
                 assert phi_inverse(phi(x)).key() == x.key()
+
+
+def _oracle_words():
+    """Every 2-color word of length <= 7, and seeded 3-color words of
+    length <= 6."""
+    rng = random.Random(17)
+    for n in range(2, 8):
+        yield from itertools.product((0, 1), repeat=n)
+    for n in range(2, 7):
+        for _ in range(6):
+            yield tuple(rng.randrange(3) for _ in range(n))
+
+
+def test_phi_and_inverse_match_the_swing_route():
+    """The one-pass maps give the swing route's node ids, labels, colors,
+    box, permutation and branches, compared with ``==``."""
+    for word in _oracle_words():
+        for x in iter_phi_inputs(word):
+            lt = phi(x)
+            assert lt == phi_via_swings(x)
+            assert phi_inverse(lt) == phi_inverse_via_swings(lt) == x
+
+
+def test_phi_inputs_match_the_per_permutation_enumeration():
+    """Same inputs in the same order as building every run's branches afresh
+    for each permutation of ``iter_D``."""
+    for n in range(2, 7):
+        for word in itertools.product((0, 1), repeat=n):
+            expected = [
+                PhiInput(sigma, combo)
+                for sigma in iter_D(n)
+                for combo in itertools.product(*(
+                    list(iter_branch_word(tuple(word[u - 1] for u in block)))
+                    for block in druns(sigma).blocks))
+            ]
+            assert list(iter_phi_inputs(word)) == expected
+
+
+def test_phi_inverse_rejects_exactly_the_invalid_labelings():
+    """Over every labeling of every shape up to size 5, phi_inverse raises
+    ValueError exactly when the labeled tree does not validate."""
+    rejected = 0
+    for size in range(1, 6):
+        for sh in shapes(size):
+            t = tree_from_shape(sh)
+            for labels in itertools.permutations(range(1, size + 1)):
+                lt = LabeledTree(t, labels)
+                try:
+                    lt.validate()
+                except ValueError:
+                    rejected += 1
+                    with pytest.raises(ValueError):
+                        phi_inverse(lt)
+                else:
+                    assert phi(phi_inverse(lt)) == lt
+    # all labelings less the s! decreasing ones of each size s
+    assert rejected == sum(CATALAN[s] * math.factorial(s) - math.factorial(s)
+                           for s in range(1, 6))
+
+
+@pytest.mark.parametrize("lt", [
+    LabeledTree(ColoredTree((Node(0), Node(0, left=0)), 1), (1, 1)),
+    LabeledTree(ColoredTree((Node(0), Node(0, left=0)), 1), (0, 2)),
+    LabeledTree(ColoredTree((Node(0), Node(0, left=0)), 1), (2,)),
+    LabeledTree(ColoredTree((Node(0), Node(0, left=0)), 1), (1, 3)),
+    LabeledTree(ColoredTree((Node(0), Node(0, left=0)), 1), (2, 1)),
+    LabeledTree(ColoredTree((Node(0), Node(0, left=2)), 1), (1, 2)),
+    LabeledTree(ColoredTree((Node(0), Node(0, left=-1)), 1), (1, 2)),
+    LabeledTree(ColoredTree((Node(0), Node(0, left=0, right=0)), 1), (1, 2)),
+    LabeledTree(ColoredTree((Node(0), Node(0), Node(0, left=0)), 2), (1, 2, 3)),
+    LabeledTree(ColoredTree((Node(0), Node(0, left=0)), 0), (1, 2)),
+    LabeledTree(ColoredTree((Node(0), Node(0, left=0)), None), (1, 2)),
+])
+def test_phi_inverse_rejects_malformed_trees(lt):
+    with pytest.raises(ValueError):
+        lt.validate()
+    with pytest.raises(ValueError):
+        phi_inverse(lt)
 
 
 def test_phi_inverse_single_vertex():

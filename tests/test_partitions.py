@@ -13,6 +13,8 @@ from troupes.partitions import (
     parse_partition,
 )
 
+from oracles import druns_by_normalisation
+
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]  # B_0..B_9
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]  # C_0..C_9
 
@@ -128,6 +130,19 @@ def test_druns_displayed_example():
 def test_druns_trivial():
     assert druns((1, 2, 3)).blocks == ((1,), (2,), (3,))
     assert druns((3, 2, 1)).blocks == ((1, 2, 3),)
+
+
+def test_druns_matches_normalised_runs():
+    for n in range(1, 9):
+        for sigma in itertools.permutations(range(1, n + 1)):
+            assert druns(sigma) == druns_by_normalisation(sigma)
+    assert druns([3, 1, 2]) == druns_by_normalisation([3, 1, 2])
+
+
+@pytest.mark.parametrize("sigma", [(), (1, 1), (0, 1), (2, 3), (1, 2, 2), (4, 2, 1)])
+def test_druns_rejects_non_permutations(sigma):
+    with pytest.raises(ValueError):
+        druns(sigma)
 
 
 def test_druns_block_count():

@@ -34,11 +34,11 @@ from troupes.trees import (
     right_edges,
     size_word,
     stack_sort,
-    swing,
-    swing_labeled,
     traversal_labeling,
     two_child_count,
 )
+
+from oracles import alpha_inverse_by_max_split, swing, swing_labeled
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]  # C_0..C_8
 
@@ -137,6 +137,19 @@ def test_alpha_bijection_exhaustive():
 def test_alpha_inverse_is_decreasing():
     for sigma in itertools.permutations(range(1, 6)):
         alpha_inverse(sigma).validate()
+
+
+def test_alpha_inverse_matches_max_split_build():
+    """The stack pass gives the recursive build's node ids, labels, colors
+    and box, compared with ``==``."""
+    rng = random.Random(8)
+    for n in range(1, 9):
+        colors = [rng.randrange(3) for _ in range(n)]
+        box = rng.randrange(3)
+        for sigma in itertools.permutations(range(1, n + 1)):
+            assert (alpha_inverse(sigma, colors=colors, box_color=box)
+                    == alpha_inverse_by_max_split(sigma, colors=colors, box_color=box))
+        assert alpha_inverse(sigma) == alpha_inverse_by_max_split(sigma)
 
 
 def _stack_sort_recursive(word):
