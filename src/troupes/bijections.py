@@ -29,7 +29,6 @@ from .partitions import (
     is_irreducible,
     iter_partitions,
     iter_sigma_first_n,
-    parse_partition,
 )
 from .trees import (
     BOX,
@@ -45,8 +44,6 @@ from .trees import (
     factor_paths,
     is_branch,
     iter_branch_word,
-    insert,
-    parse_tree,
     postorder,
 )
 
@@ -174,44 +171,6 @@ def psi(inp: PsiInput) -> ColoredTree:
     out = ColoredTree(nodes, roots[0] - 1, word[n])
     out.validate()
     return out
-
-
-def _branch_label_map(br: ColoredTree, block: tuple[int, ...]) -> dict[int, int]:
-    """Map block labels (decreasing from the root) to branch node ids."""
-    labels_desc = list(reversed(block[:-1]))
-    out: dict[int, int] = {}
-    v = br.root
-    for lab in labels_desc:
-        out[lab] = v
-        nd = br.nodes[v]
-        v = nd.left if nd.left is not None else nd.right
-    return out
-
-
-def psi_via_insertions(inp: PsiInput) -> tuple[ColoredTree, dict[int, int]]:
-    """The same map computed by iterated insertion, blocks by minimum.
-
-    Returns the tree plus the map from vertex names 1..n-1 to node ids.  The
-    first block's branch seeds the tree; each later branch is inserted at the
-    vertex named ``min(U)-1``, and the vertex created by that insertion is
-    named ``max(U)``.
-    """
-    inp.validate()
-    blocks = inp.partition.blocks
-    n = inp.partition.n
-    if blocks[0][-1] != n:
-        raise AssertionError("irreducible partition must tie 1 to n")
-    first = inp.branches[0]
-    names = dict(_branch_label_map(first, blocks[0]))
-    tree = first
-    for block, br in zip(blocks[1:], inp.branches[1:]):
-        v = names[block[0] - 1]
-        offset = tree.size + 1
-        tree = insert(tree, v, br)
-        names[block[-1]] = offset - 1  # the vertex created by the insertion
-        for lab, bid in _branch_label_map(br, block).items():
-            names[lab] = bid + offset
-    return tree, names
 
 
 def psi_inverse(t: ColoredTree) -> PsiInput:
@@ -367,57 +326,3 @@ def iter_phi_inputs(word: Sequence[int]) -> Iterator[PhiInput]:
             choices.append(branches[restricted])
         for combo in itertools.product(*choices):
             yield PhiInput(sigma, combo)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: skeleton line, then one "block -> tree encoding" line each
-
-
-def format_psi_input(inp: PsiInput) -> str:
-    lines = [str(inp.partition)]
-    for block, br in zip(inp.partition.blocks, inp.branches):
-        lines.append(f"{','.join(map(str, block))} -> {encode(br)}")
-    return "\n".join(lines) + "\n"
-
-
-def format_phi_input(inp: PhiInput) -> str:
-    lines = [",".join(map(str, inp.sigma))]
-    for block, br in zip(druns(inp.sigma).blocks, inp.branches):
-        lines.append(f"{','.join(map(str, block))} -> {encode(br)}")
-    return "\n".join(lines) + "\n"
-
-
-def _parse_block_lines(lines: list[str]) -> dict[tuple[int, ...], ColoredTree]:
-    out: dict[tuple[int, ...], ColoredTree] = {}
-    for line in lines:
-        block_text, sep, tree_text = line.partition("->")
-        if not sep:
-            raise ValueError(f"expected 'block -> tree' in {line!r}")
-        block = tuple(sorted(int(x) for x in block_text.strip().split(",")))
-        if block in out:
-            raise ValueError(f"repeated block {','.join(map(str, block))}")
-        out[block] = parse_tree(tree_text.strip())
-    return out
-
-
-def parse_psi_input(text: str) -> PsiInput:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty input")
-    partition = parse_partition(lines[0])
-    by_block = _parse_block_lines(lines[1:])
-    if set(by_block) != set(partition.blocks):
-        raise ValueError("branch lines do not match the partition blocks")
-    return PsiInput(partition, tuple(by_block[b] for b in partition.blocks))
-
-
-def parse_phi_input(text: str) -> PhiInput:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty input")
-    sigma = tuple(int(x) for x in lines[0].split(","))
-    by_block = _parse_block_lines(lines[1:])
-    blocks = druns(sigma).blocks
-    if set(by_block) != set(blocks):
-        raise ValueError("branch lines do not match the descending runs")
-    return PhiInput(sigma, tuple(by_block[b] for b in blocks))

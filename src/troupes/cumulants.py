@@ -337,20 +337,10 @@ def equivalence_reports(tau: WeightedTroupe, alphabet: Sequence[int],
             ),
             ConditionCheck(
                 "boolean",
-                -weighted_sum(tau, "branch", word),
+                boolean_table[word],
                 boolean_back.table[word],
                 None,
             ),
         )
         reports.append(EquivalenceReport(word, checks))
     return reports
-
-
-def equivalence_report(tau: WeightedTroupe, word: Sequence[int]) -> EquivalenceReport:
-    """Single-word convenience wrapper around :func:`equivalence_reports`."""
-    word = tuple(word)
-    reports = equivalence_reports(tau, sorted(set(word)), len(word))
-    for r in reports:
-        if r.word == word:
-            return r
-    raise AssertionError("word not covered")

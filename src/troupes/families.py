@@ -1,4 +1,4 @@
-"""Worked moment/cumulant families and the brute-force polynomial oracles.
+"""Worked moment/cumulant families and their counting polynomials.
 
 Everything analytic is replaced by formal moment sequences: a "distribution"
 here is just its sequence of moments with m_0 = 1, over the rationals or over
@@ -14,9 +14,8 @@ from functools import lru_cache
 from typing import Callable
 
 from .cumulants import classical_via_egf
-from .rings import QPoly, RingElem, q, to_poly
+from .rings import QPoly, RingElem, q
 from .series import Series
-from .trees import iter_bpt_word, right_edges, size_word
 
 
 @lru_cache(maxsize=None)
@@ -30,18 +29,6 @@ def eulerian_polynomial(n: int) -> QPoly:
         prev = [0] + row + [0]  # prev[k + 1] = A(m-1, k)
         row = [(k + 1) * prev[k + 1] + (m - k) * prev[k] for k in range(m)]
     return QPoly(row)
-
-
-@lru_cache(maxsize=None)
-def narayana_polynomial(n: int) -> QPoly:
-    """Right-edge-generating polynomial of size-n trees, by brute-force
-    enumeration."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    counts = [0] * n
-    for t in iter_bpt_word(size_word(n)):
-        counts[right_edges(t)] += 1
-    return QPoly(counts)
 
 
 @lru_cache(maxsize=None)
@@ -206,9 +193,6 @@ def convolution_additivity_check(f: NamedSequence, g: NamedSequence,
         fact.append(fact[-1] * k)
     ef = Series([m * Fraction(1, fact[n]) for n, m in enumerate(mf)])
     eg = Series([m * Fraction(1, fact[n]) for n, m in enumerate(mg)])
-    if ef.is_poly_ring != eg.is_poly_ring:
-        ef = Series([to_poly(c) for c in ef.coeffs])
-        eg = Series([to_poly(c) for c in eg.coeffs])
     product = ef * eg
     conv_moments = [product.coeffs[n] * fact[n] for n in range(order + 1)]
     kf = classical_via_egf(mf)

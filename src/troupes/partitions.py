@@ -42,18 +42,6 @@ class SetPartition:
         return "{" + inner + "}"
 
 
-def parse_partition(text: str) -> SetPartition:
-    """Parse the ``{{a,b},{c}}`` form produced by ``str``."""
-    text = text.strip()
-    if not (text.startswith("{{") and text.endswith("}}")):
-        raise ValueError(f"bad partition syntax {text!r}")
-    blocks = []
-    for chunk in text[2:-2].split("},{"):
-        blocks.append([int(x) for x in chunk.split(",") if x])
-    n = sum(len(b) for b in blocks)
-    return SetPartition.of(n, blocks)
-
-
 def is_noncrossing(p: SetPartition) -> bool:
     """No i<j<k<l with i~k and j~l in different blocks.
 
@@ -79,6 +67,31 @@ def is_irreducible(p: SetPartition) -> bool:
     return is_noncrossing(p) and p.block_of(1) == p.block_of(p.n)
 
 
+def _grow(k: int, n: int, klass: str) -> Iterator[list[list[int]]]:
+    """The blocks of each partition of 1..k that can still grow into a
+    partition of 1..n in ``klass``, as one list mutated between yields."""
+    if k == 0:
+        yield []
+        return
+    closing = klass.startswith("nc_irreducible") and k == n > 1
+    for blocks in _grow(k - 1, n, klass):
+        for i in range(1 if closing else len(blocks)):
+            last = blocks[i][-1]
+            # k joins block i by the arc (last, k): that leaves a gap unless
+            # last = k-1, and crosses each block with elements around last
+            if klass == "interval" and last != k - 1:
+                continue
+            if klass != "all" and any(b[0] < last < b[-1] for b in blocks):
+                continue
+            blocks[i].append(k)
+            yield blocks
+            blocks[i].pop()
+        if not closing:
+            blocks.append([k])
+            yield blocks
+            blocks.pop()
+
+
 def iter_partitions(n: int, klass: str = "all") -> Iterator[SetPartition]:
     """All partitions of 1..n in the given class, each exactly once.
 
@@ -93,31 +106,7 @@ def iter_partitions(n: int, klass: str = "all") -> Iterator[SetPartition]:
     if klass not in ("all", "interval", "noncrossing", "nc_irreducible",
                      "nc_irreducible_min2"):
         raise ValueError(f"unknown partition class {klass!r}")
-    irreducible = klass.startswith("nc_irreducible")
-
-    def rec(k: int) -> Iterator[list[list[int]]]:
-        if k == 0:
-            yield []
-            return
-        closing = irreducible and k == n > 1
-        for blocks in rec(k - 1):
-            for i in range(1 if closing else len(blocks)):
-                last = blocks[i][-1]
-                # k joins block i by the arc (last, k): that leaves a gap unless
-                # last = k-1, and crosses each block with elements around last
-                if klass == "interval" and last != k - 1:
-                    continue
-                if klass != "all" and any(b[0] < last < b[-1] for b in blocks):
-                    continue
-                blocks[i].append(k)
-                yield blocks
-                blocks[i].pop()
-            if not closing:
-                blocks.append([k])
-                yield blocks
-                blocks.pop()
-
-    for blocks in rec(n):
+    for blocks in _grow(n, n, klass):
         if klass == "nc_irreducible_min2" and any(len(b) == 1 for b in blocks):
             continue
         yield SetPartition.of(n, [list(b) for b in blocks])

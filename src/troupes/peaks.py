@@ -14,11 +14,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from .trees import (
-    ColoredTree,
     LabeledTree,
-    Node,
+    alpha,
     alpha_inverse,
-    inorder,
+    branch_from_directions,
     labeled_insertion_factors,
 )
 
@@ -78,25 +77,11 @@ def branch_from_inorder(values: Sequence[int]) -> LabeledTree:
         raise ValueError("empty branch word")
     pos = {v: i for i, v in enumerate(values)}
     desc = sorted(values, reverse=True)
-    nodes: list[Node] = []
-    labels: list[int] = []
-    below: int | None = None
-    for label in reversed(desc):  # build bottom-up so ids match branch ids
-        if below is None:
-            nodes.append(Node(0))
-        else:
-            child_label = labels[below]
-            if pos[child_label] < pos[label]:
-                nodes.append(Node(0, below, None))
-            else:
-                nodes.append(Node(0, None, below))
-        labels.append(label)
-        below = len(nodes) - 1
-    lt = LabeledTree(
-        ColoredTree(tuple(nodes), below, 0),
-        tuple(labels),
-    )
-    if tuple(lt.labels[v] for v in inorder(lt.tree)) != tuple(values):
+    directions = ["L" if pos[child] < pos[parent] else "R"
+                  for parent, child in zip(desc, desc[1:])]
+    # node ids run from the bottom vertex up, so labels ascend with them
+    lt = LabeledTree(branch_from_directions(directions), tuple(reversed(desc)))
+    if alpha(lt) != tuple(values):
         raise ValueError(f"{values!r} is not the inorder word of a branch")
     return lt
 

@@ -23,7 +23,6 @@ from .rings import (
     as_ring_elem,
     format_ring_elem,
     is_poly,
-    parse_ring_elem,
     ring_inverse,
     to_poly,
 )
@@ -268,51 +267,18 @@ def inverse_troupe_transform(tree_series: Series) -> Series:
 def boolean_free_series_check(boolean_cumulants: Series, free_cumulants: Series) -> bool:
     """Check ``1 - B(t/(1 + R(t))) = 1/(1 + R(t))`` exactly.
 
-    Both arguments are ordinary generating functions of cumulant sequences and
-    must have zero constant term.
+    Both arguments are ordinary generating functions of cumulant sequences,
+    over one ring, and must have zero constant term; a rational and a
+    polynomial series raise :class:`RingMismatchError`, as arithmetic does.
     """
     bc, rc = boolean_cumulants, free_cumulants
     if bc.coeffs[0] != 0 or rc.coeffs[0] != 0:
         raise ValueError("cumulant series must have zero constant term")
     n = min(bc.order, rc.order)
     bc, rc = bc.truncate(n), rc.truncate(n)
-    poly = bc.is_poly_ring or rc.is_poly_ring
-    if bc.is_poly_ring != rc.is_poly_ring:
-        bc = Series([to_poly(c) for c in bc.coeffs])
-        rc = Series([to_poly(c) for c in rc.coeffs])
-    one = Series.one(n, poly=poly)
-    t = Series.t(n, poly=poly)
+    one = Series.one(n, poly=rc.is_poly_ring)
+    t = Series.t(n, poly=rc.is_poly_ring)
     denom = one + rc
     lhs = one - bc.compose(t / denom)
     rhs = one / denom
     return lhs == rhs
-
-
-def format_series(s: Series) -> str:
-    """Serialize as an ``order N`` header plus one ``n: coeff`` line per term."""
-    lines = [f"order {s.order}"]
-    lines.extend(f"{n}: {format_ring_elem(c)}" for n, c in enumerate(s.coeffs))
-    return "\n".join(lines) + "\n"
-
-
-def parse_series(text: str) -> Series:
-    """Parse the output of :func:`format_series`."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("order "):
-        raise ValueError("series text must start with an 'order N' line")
-    try:
-        order = int(lines[0][len("order "):])
-    except ValueError as exc:
-        raise ValueError(f"bad order line {lines[0]!r}") from exc
-    coeffs: list[RingElem] = [Fraction(0)] * order
-    seen = set()
-    for ln in lines[1:]:
-        idx_text, sep, value_text = ln.partition(":")
-        if not sep:
-            raise ValueError(f"bad series line {ln!r}")
-        n = int(idx_text)
-        if n < 0 or n >= order or n in seen:
-            raise ValueError(f"bad coefficient index in line {ln!r}")
-        seen.add(n)
-        coeffs[n] = parse_ring_elem(value_text)
-    return Series(coeffs)

@@ -101,35 +101,31 @@ class LabeledTree:
 # Traversals and the inorder/postorder machinery
 
 
+def _walk(nodes: Sequence[Node], v: int | None, out: list[int], post: bool) -> None:
+    """Append the node ids below ``v`` to ``out`` in inorder, or in postorder
+    when ``post``."""
+    if v is None:
+        return
+    nd = nodes[v]
+    _walk(nodes, nd.left, out, post)
+    if not post:
+        out.append(v)
+    _walk(nodes, nd.right, out, post)
+    if post:
+        out.append(v)
+
+
 def inorder(t: ColoredTree) -> list[int]:
     """Node ids in inorder (left subtree, vertex, right subtree)."""
     out: list[int] = []
-
-    def walk(v: int | None) -> None:
-        if v is None:
-            return
-        nd = t.nodes[v]
-        walk(nd.left)
-        out.append(v)
-        walk(nd.right)
-
-    walk(t.root)
+    _walk(t.nodes, t.root, out, False)
     return out
 
 
 def postorder(t: ColoredTree) -> list[int]:
     """Node ids in postorder (left subtree, right subtree, vertex)."""
     out: list[int] = []
-
-    def walk(v: int | None) -> None:
-        if v is None:
-            return
-        nd = t.nodes[v]
-        walk(nd.left)
-        walk(nd.right)
-        out.append(v)
-
-    walk(t.root)
+    _walk(t.nodes, t.root, out, True)
     return out
 
 
@@ -340,29 +336,21 @@ def is_branch(t: ColoredTree) -> bool:
     return all(nd.left is None or nd.right is None for nd in t.nodes)
 
 
-def is_full(t: ColoredTree) -> bool:
-    if t.size == 0:
-        return False
-    return all((nd.left is None) == (nd.right is None) for nd in t.nodes)
-
-
-def is_motzkin(t: ColoredTree) -> bool:
-    """Every vertex with a right child also has a left child."""
-    if t.size == 0:
-        return False
-    return all(nd.right is None or nd.left is not None for nd in t.nodes)
-
-
 def right_edges(t: ColoredTree) -> int:
     return sum(1 for nd in t.nodes if nd.right is not None)
 
 
-def two_child_count(t: ColoredTree) -> int:
-    return sum(1 for nd in t.nodes if nd.left is not None and nd.right is not None)
-
-
 # ---------------------------------------------------------------------------
 # Canonical encoding (also the CLI / on-disk format)
+
+
+def _encode(nodes: Sequence[Node], tags: Sequence[str], v: int | None) -> str:
+    """The encoding of the subtree at ``v``; ``tags[u]`` follows the color of
+    vertex ``u``."""
+    if v is None:
+        return "."
+    nd = nodes[v]
+    return f"({nd.color}{tags[v]} {_encode(nodes, tags, nd.left)} {_encode(nodes, tags, nd.right)})"
 
 
 def encode(t: ColoredTree) -> str:
@@ -370,26 +358,33 @@ def encode(t: ColoredTree) -> str:
 
     Equal strings exactly characterize isomorphic colored trees.
     """
-
-    def enc(v: int | None) -> str:
-        if v is None:
-            return "."
-        nd = t.nodes[v]
-        return f"({nd.color} {enc(nd.left)} {enc(nd.right)})"
-
-    return f"{t.box_color}:{enc(t.root)}"
+    return f"{t.box_color}:{_encode(t.nodes, ('',) * t.size, t.root)}"
 
 
 def encode_labeled(lt: LabeledTree) -> str:
     """Like :func:`encode` but each vertex prints ``color|label``."""
+    t = lt.tree
+    return f"{t.box_color}:{_encode(t.nodes, [f'|{x}' for x in lt.labels], t.root)}"
 
-    def enc(v: int | None) -> str:
-        if v is None:
-            return "."
-        nd = lt.tree.nodes[v]
-        return f"({nd.color}|{lt.labels[v]} {enc(nd.left)} {enc(nd.right)})"
 
-    return f"{lt.tree.box_color}:{enc(lt.tree.root)}"
+def _parse_node(body: str, pos: int, nodes: list[Node]) -> tuple[int | None, int]:
+    """Parse the subtree starting at offset ``pos`` of ``body``, appending its
+    vertices to ``nodes`` in postorder; returns its root id and the offset
+    just past it."""
+    if pos < len(body) and body[pos] == ".":
+        return None, pos + 1
+    if pos >= len(body) or body[pos] != "(":
+        raise ValueError(f"expected '(' or '.' at offset {pos} of {body!r}")
+    end = pos + 1
+    while end < len(body) and body[end] not in " )":
+        end += 1
+    color = int(body[pos + 1:end])
+    left, pos = _parse_node(body, end + 1, nodes)  # skip the space
+    right, pos = _parse_node(body, pos + 1, nodes)
+    if pos >= len(body) or body[pos] != ")":
+        raise ValueError(f"expected ')' at offset {pos} of {body!r}")
+    nodes.append(Node(color, left, right))
+    return len(nodes) - 1, pos + 1
 
 
 def parse_tree(text: str) -> ColoredTree:
@@ -400,31 +395,7 @@ def parse_tree(text: str) -> ColoredTree:
         raise ValueError(f"missing box color in {text!r}")
     box = int(box_text)
     nodes: list[Node] = []
-    pos = 0
-
-    def parse_node() -> int | None:
-        nonlocal pos
-        if pos < len(body) and body[pos] == ".":
-            pos += 1
-            return None
-        if pos >= len(body) or body[pos] != "(":
-            raise ValueError(f"expected '(' or '.' at offset {pos} of {body!r}")
-        pos += 1
-        end = pos
-        while end < len(body) and body[end] not in " )":
-            end += 1
-        color = int(body[pos:end])
-        pos = end + 1  # skip the space
-        left = parse_node()
-        pos += 1
-        right = parse_node()
-        if pos >= len(body) or body[pos] != ")":
-            raise ValueError(f"expected ')' at offset {pos} of {body!r}")
-        pos += 1
-        nodes.append(Node(color, left, right))
-        return len(nodes) - 1
-
-    root = parse_node()
+    root, pos = _parse_node(body, 0, nodes)
     if pos != len(body):
         raise ValueError(f"trailing input in {text!r}")
     return ColoredTree(tuple(nodes), root, box)
@@ -468,22 +439,23 @@ def shapes(n: int) -> list:
     return _shape_cache[n]
 
 
+def _build_shape(sh, colors: Iterator[int | None], nodes: list[Node]) -> int | None:
+    """Append the vertices of ``sh`` to ``nodes`` in postorder, the k-th node
+    taking the k-th color; returns the root id."""
+    if sh is None:
+        return None
+    left = _build_shape(sh[0], colors, nodes)
+    right = _build_shape(sh[1], colors, nodes)
+    nodes.append(Node(next(colors, None), left, right))
+    return len(nodes) - 1
+
+
 def tree_from_shape(shape, postorder_colors: Sequence[int] | None = None,
                     box_color: int = 0) -> ColoredTree:
     """Materialize a shape, coloring vertices by their postorder position."""
     colors = itertools.repeat(0) if postorder_colors is None else iter(postorder_colors)
     nodes: list[Node] = []
-
-    def build(sh) -> int | None:
-        if sh is None:
-            return None
-        left = build(sh[0])
-        right = build(sh[1])
-        # nodes are appended in postorder, so the k-th node takes the k-th color
-        nodes.append(Node(next(colors, None), left, right))
-        return len(nodes) - 1
-
-    root = build(shape)
+    root = _build_shape(shape, colors, nodes)
     if postorder_colors is not None and len(postorder_colors) != len(nodes):
         raise ValueError("color word length must match the shape size")
     return ColoredTree(tuple(nodes), root, box_color)

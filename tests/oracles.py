@@ -3,12 +3,18 @@
 The swing of a single child, and the two-step bijection phi built on it:
 phi as the intermediate tree followed by one swing per left step, and its
 inverse as one swing per left-only vertex followed by the inorder reading.
-Also the recursive max-split build of a decreasing tree, and descending runs
-normalised through ``SetPartition.of``.
+Also the recursive max-split build of a decreasing tree, descending runs
+normalised through ``SetPartition.of``, psi by iterated insertion, the
+Narayana polynomial by enumeration, the tree predicates only tests use, the
+single-word equivalence report, and the tree walks as self-recursive closures.
 """
 
-from troupes.bijections import PhiInput, phi_tilde
+from functools import lru_cache
+
+from troupes.bijections import PhiInput, PsiInput, phi_tilde
+from troupes.cumulants import EquivalenceReport, equivalence_reports
 from troupes.partitions import SetPartition, druns
+from troupes.rings import QPoly
 from troupes.trees import (
     ColoredTree,
     LabeledTree,
@@ -16,7 +22,12 @@ from troupes.trees import (
     alpha,
     branch_from_directions,
     branch_profile,
+    insert,
+    iter_bpt_word,
+    right_edges,
+    size_word,
 )
+from troupes.troupe import WeightedTroupe
 
 
 def swing(t: ColoredTree, v: int) -> ColoredTree:
@@ -98,3 +109,131 @@ def druns_by_normalisation(sigma) -> SetPartition:
         else:
             blocks.append([cur])
     return SetPartition.of(len(sigma), blocks)
+
+
+def _branch_label_map(br: ColoredTree, block: tuple[int, ...]) -> dict[int, int]:
+    """Map block labels (decreasing from the root) to branch node ids."""
+    labels_desc = list(reversed(block[:-1]))
+    out: dict[int, int] = {}
+    v = br.root
+    for lab in labels_desc:
+        out[lab] = v
+        nd = br.nodes[v]
+        v = nd.left if nd.left is not None else nd.right
+    return out
+
+
+def psi_via_insertions(inp: PsiInput) -> tuple[ColoredTree, dict[int, int]]:
+    """The map psi computed by iterated insertion, blocks by minimum.
+
+    Returns the tree plus the map from vertex names 1..n-1 to node ids.  The
+    first block's branch seeds the tree; each later branch is inserted at the
+    vertex named ``min(U)-1``, and the vertex created by that insertion is
+    named ``max(U)``.
+    """
+    inp.validate()
+    blocks = inp.partition.blocks
+    n = inp.partition.n
+    if blocks[0][-1] != n:
+        raise AssertionError("irreducible partition must tie 1 to n")
+    first = inp.branches[0]
+    names = dict(_branch_label_map(first, blocks[0]))
+    tree = first
+    for block, br in zip(blocks[1:], inp.branches[1:]):
+        v = names[block[0] - 1]
+        offset = tree.size + 1
+        tree = insert(tree, v, br)
+        names[block[-1]] = offset - 1  # the vertex created by the insertion
+        for lab, bid in _branch_label_map(br, block).items():
+            names[lab] = bid + offset
+    return tree, names
+
+
+@lru_cache(maxsize=None)
+def narayana_polynomial(n: int) -> QPoly:
+    """Right-edge-generating polynomial of size-n trees, by brute-force
+    enumeration."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    counts = [0] * n
+    for t in iter_bpt_word(size_word(n)):
+        counts[right_edges(t)] += 1
+    return QPoly(counts)
+
+
+def is_full(t: ColoredTree) -> bool:
+    if t.size == 0:
+        return False
+    return all((nd.left is None) == (nd.right is None) for nd in t.nodes)
+
+
+def is_motzkin(t: ColoredTree) -> bool:
+    """Every vertex with a right child also has a left child."""
+    if t.size == 0:
+        return False
+    return all(nd.right is None or nd.left is not None for nd in t.nodes)
+
+
+def two_child_count(t: ColoredTree) -> int:
+    return sum(1 for nd in t.nodes if nd.left is not None and nd.right is not None)
+
+
+def equivalence_report(tau: WeightedTroupe, word) -> EquivalenceReport:
+    """The report of one word, out of :func:`equivalence_reports` over its
+    letters up to its length."""
+    word = tuple(word)
+    reports = equivalence_reports(tau, sorted(set(word)), len(word))
+    for r in reports:
+        if r.word == word:
+            return r
+    raise AssertionError("word not covered")
+
+
+def encode_by_closure(t: ColoredTree) -> str:
+    def enc(v):
+        if v is None:
+            return "."
+        nd = t.nodes[v]
+        return f"({nd.color} {enc(nd.left)} {enc(nd.right)})"
+
+    return f"{t.box_color}:{enc(t.root)}"
+
+
+def encode_labeled_by_closure(lt: LabeledTree) -> str:
+    def enc(v):
+        if v is None:
+            return "."
+        nd = lt.tree.nodes[v]
+        return f"({nd.color}|{lt.labels[v]} {enc(nd.left)} {enc(nd.right)})"
+
+    return f"{lt.tree.box_color}:{enc(lt.tree.root)}"
+
+
+def inorder_by_closure(t: ColoredTree) -> list[int]:
+    out: list[int] = []
+
+    def walk(v):
+        if v is None:
+            return
+        nd = t.nodes[v]
+        walk(nd.left)
+        out.append(v)
+        walk(nd.right)
+
+    walk(t.root)
+    return out
+
+
+def postorder_by_closure(t: ColoredTree) -> list[int]:
+    out: list[int] = []
+
+    def walk(v):
+        if v is None:
+            return
+        nd = t.nodes[v]
+        walk(nd.left)
+        walk(nd.right)
+        out.append(v)
+
+    walk(t.root)
+    return out

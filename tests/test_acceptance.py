@@ -24,7 +24,6 @@ from troupes.families import (
     convolution_additivity_check,
     eulerian_polynomial,
     named_sequence,
-    narayana_polynomial,
 )
 from troupes.peaks import factors_from_plot, peaks, southeast_decomposition, tree_factors_for_comparison
 from troupes.bijections import (
@@ -67,6 +66,8 @@ from troupes.trees import (
     postorder,
     size_word,
 )
+
+from oracles import narayana_polynomial
 
 
 def catalan(n: int) -> int:

@@ -14,7 +14,6 @@ from troupes.bijections import (
     phi_tilde,
     psi,
     psi_inverse,
-    psi_via_insertions,
 )
 from troupes.partitions import SetPartition, druns, is_irreducible, iter_D
 from troupes.trees import (
@@ -38,7 +37,7 @@ from troupes.trees import (
     tree_from_shape,
 )
 
-from oracles import phi_inverse_via_swings, phi_via_swings
+from oracles import phi_inverse_via_swings, phi_via_swings, psi_via_insertions
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
@@ -390,31 +389,3 @@ def test_reconstruction_with_colors():
         for t in iter_bpt_word(word):
             rebuilt, _ = psi_via_insertions(psi_inverse(t))
             assert encode(rebuilt) == encode(t)
-
-
-def test_input_serialization_roundtrip():
-    from troupes.bijections import (
-        format_phi_input,
-        format_psi_input,
-        parse_phi_input,
-        parse_psi_input,
-    )
-
-    for word in [(0,) * 5, (0, 1, 0, 1, 1)]:
-        for x in itertools.islice(iter_psi_inputs(word), 10):
-            assert parse_psi_input(format_psi_input(x)).key() == x.key()
-        for x in itertools.islice(iter_phi_inputs(word), 10):
-            assert parse_phi_input(format_phi_input(x)).key() == x.key()
-
-
-def test_input_serialization_errors():
-    from troupes.bijections import parse_phi_input, parse_psi_input
-
-    with pytest.raises(ValueError):
-        parse_psi_input("")
-    with pytest.raises(ValueError):
-        parse_psi_input("{{1,2}}\n3,4 -> 0:(0 . .)\n")
-    with pytest.raises(ValueError):
-        parse_phi_input("2,1\nno arrow here\n")
-    with pytest.raises(ValueError, match="repeated block 1,2"):
-        parse_psi_input("{{1,2}}\n1,2 -> 0:(0 . .)\n2,1 -> 0:(0 . .)\n")

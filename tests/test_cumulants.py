@@ -18,7 +18,6 @@ from troupes.cumulants import (
     moment_functional_from_text,
     moments_to_cumulants,
     parse_table,
-    equivalence_report,
     equivalence_reports,
 )
 from troupes.partitions import (
@@ -37,6 +36,8 @@ from troupes.troupe import (
     random_branch_table,
     right_two_monomial,
 )
+
+from oracles import equivalence_report
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]  # C_0..C_7
 
@@ -382,6 +383,23 @@ def test_equivalence_for_color_sensitive_builtins():
     for tau in (color_constrained({0}), color_count({1}, q)):
         reports = equivalence_reports(tau, (0, 1), 5)
         assert all(r.all_equal for r in reports)
+
+
+def test_equivalence_reports_sums_each_branch_family_once(monkeypatch):
+    """The Boolean check reuses the synthesized Boolean table."""
+    calls = Counter()
+    real = cumulants.weighted_sum
+
+    def counting(tau, kind, word):
+        calls[kind, word] += 1
+        return real(tau, kind, word)
+
+    monkeypatch.setattr(cumulants, "weighted_sum", counting)
+    reports = equivalence_reports(right_two_monomial(q, 1), (0, 1), 4)
+    assert all(r.all_equal for r in reports)
+    words = list(iter_words((0, 1), 4))
+    for kind in ("branch", "bpt", "dbpt"):
+        assert [calls[kind, word] for word in words] == [1] * len(words)
 
 
 def test_equivalence_single_word_wrapper():

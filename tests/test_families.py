@@ -9,13 +9,14 @@ from troupes.families import (
     convolution_additivity_check,
     eulerian_polynomial,
     named_sequence,
-    narayana_polynomial,
 )
 from troupes.partitions import descents
-from troupes.rings import QPoly, q
+from troupes.rings import QPoly, RingMismatchError, q
 from troupes.series import Series
 from troupes.trees import size_word
 from troupes.troupe import full_trees, right_two_monomial, weighted_sum
+
+from oracles import narayana_polynomial
 
 
 def narayana_closed_form(n):
@@ -172,6 +173,14 @@ def test_convolution_additivity():
     tq = named_sequence("two_atom")
     gq = named_sequence("geometric_like")
     assert convolution_additivity_check(tq, gq, 10)
+
+
+def test_convolution_check_rejects_mixed_rings():
+    rational = named_sequence("gamma_minus_one")
+    poly = named_sequence("two_atom")
+    for f, g in ((rational, poly), (poly, rational)):
+        with pytest.raises(RingMismatchError):
+            convolution_additivity_check(f, g, 6)
 
 
 def test_additivity_cancellation_is_elementwise_zero():

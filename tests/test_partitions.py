@@ -10,7 +10,6 @@ from troupes.partitions import (
     iter_D,
     iter_partitions,
     iter_sigma_first_n,
-    parse_partition,
 )
 
 from oracles import druns_by_normalisation
@@ -197,14 +196,6 @@ def test_branch_tuple_tally_for_D4():
 def test_str_and_parse():
     p = SetPartition.of(4, [[2, 4], [1], [3]])
     assert str(p) == "{{1},{2,4},{3}}"
-    assert parse_partition(str(p)) == p
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_partition("{1,2}")
-    with pytest.raises(ValueError):
-        parse_partition("{{1,2},{2}}")
 
 
 def test_of_validates():

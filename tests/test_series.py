@@ -8,9 +8,7 @@ from troupes.rings import QPoly, RingMismatchError, q, ring_inverse
 from troupes.series import (
     Series,
     boolean_free_series_check,
-    format_series,
     inverse_troupe_transform,
-    parse_series,
     troupe_transform,
 )
 
@@ -264,25 +262,14 @@ def test_series_check_precondition():
         boolean_free_series_check(Series.one(4), Series.zero(4))
 
 
-# -- serialization
-
-
-def test_format_parse_roundtrip():
-    s = Series([Fraction(1, 2), Fraction(-3), Fraction(0)])
-    assert parse_series(format_series(s)) == s
-    sp = Series([QPoly((1,)), q, 1 - q])
-    assert parse_series(format_series(sp)) == sp
-
-
-def test_format_layout():
-    assert format_series(Series([1, 2])) == "order 2\n0: 1\n1: 2\n"
-
-
-def test_parse_errors():
-    with pytest.raises(ValueError):
-        parse_series("nonsense")
-    with pytest.raises(ValueError):
-        parse_series("order 2\n5: 1\n")
+def test_series_check_rejects_mixed_rings():
+    """Only ``Series`` promotes; the check does not mix a rational series
+    with a polynomial one."""
+    rational = Series([0, 1, 1, 2])
+    poly = Series([0, q, 1, 2])
+    for pair in ((rational, poly), (poly, rational)):
+        with pytest.raises(RingMismatchError):
+            boolean_free_series_check(*pair)
 
 
 # -- brute-force oracles for the Lagrange-inversion solve and the recurrences

@@ -1,9 +1,13 @@
+import gc
 import itertools
 import random
 
 import pytest
 
-from troupes.bijections import psi_inverse
+from troupes.bijections import iter_phi_inputs, iter_psi_inputs, phi, phi_inverse, psi, psi_inverse
+from troupes.cumulants import equivalence_reports
+from troupes.peaks import factors_from_plot, tree_factors_for_comparison
+from troupes.troupe import from_table, random_branch_table
 from troupes.trees import (
     BOX,
     ColoredTree,
@@ -19,10 +23,9 @@ from troupes.trees import (
     enumerate_trees,
     factor_paths,
     insert,
+    inorder,
     insertion_factors,
     is_branch,
-    is_full,
-    is_motzkin,
     iter_bpt_word,
     iter_branch_word,
     iter_dbpt_word,
@@ -35,10 +38,20 @@ from troupes.trees import (
     size_word,
     stack_sort,
     traversal_labeling,
-    two_child_count,
 )
 
-from oracles import alpha_inverse_by_max_split, swing, swing_labeled
+from oracles import (
+    alpha_inverse_by_max_split,
+    encode_by_closure,
+    encode_labeled_by_closure,
+    inorder_by_closure,
+    is_full,
+    is_motzkin,
+    postorder_by_closure,
+    swing,
+    swing_labeled,
+    two_child_count,
+)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]  # C_0..C_8
 
@@ -531,6 +544,57 @@ def test_encode_parse_roundtrip():
         for word in itertools.product((0, 3), repeat=n + 1):
             for t in iter_bpt_word(word):
                 assert encode(parse_tree(encode(t))) == encode(t)
+
+
+def test_walks_match_the_closure_oracles():
+    """The module-level walkers give what the self-recursive closures gave."""
+    rng = random.Random(8)
+    colored = [tuple(rng.randrange(3) for _ in range(rng.randint(1, 7)))
+               for _ in range(20)]
+    plain = [t for n in range(9) for t in iter_bpt_word(size_word(n))]
+    plain += [t for word in colored for kind in ("bpt", "branch")
+              for t in enumerate_trees(kind, word)]
+    labeled = [lt for n in range(7) for lt in iter_dbpt_word(size_word(n))]
+    labeled += [lt for word in colored for lt in iter_dbpt_word(word)]
+    plain += [lt.tree for lt in labeled]
+    for t in plain:
+        assert encode(t) == encode_by_closure(t)
+        assert inorder(t) == inorder_by_closure(t)
+        assert postorder(t) == postorder_by_closure(t)
+        assert encode(parse_tree(encode(t))) == encode(t)
+    for lt in labeled:
+        assert encode_labeled(lt) == encode_labeled_by_closure(lt)
+
+
+def test_library_leaves_no_cyclic_garbage():
+    """No walk closes over itself, so library calls leave no reference cycle
+    for the collector."""
+    word = (0, 1, 1, 0, 1, 0)
+    rng = random.Random(1)
+    gc.collect()
+    gc.disable()
+    try:
+        equivalence_reports(from_table(random_branch_table(3, 5, 2)), [0, 1], 5)
+        for x in iter_phi_inputs(word):
+            lt = phi(x)
+            multiset_key([f.tree for f in labeled_insertion_factors(lt)])
+            assert phi_inverse(lt).key() == x.key()
+            encode_labeled(lt)
+        sorted(encode_labeled(lt) for lt in iter_dbpt_word(word))
+        for _ in range(50):
+            sigma = tuple(rng.sample(range(1, 10), 9))
+            assert (labeled_multiset_key(factors_from_plot(sigma))
+                    == labeled_multiset_key(tree_factors_for_comparison(sigma)))
+        for x in iter_psi_inputs(word):
+            t = psi(x)
+            multiset_key(insertion_factors(t))
+            assert psi_inverse(t).key() == x.key()
+            encode(t)
+        sorted(encode(t) for t in iter_bpt_word(word))
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
 
 
 def test_parse_errors():

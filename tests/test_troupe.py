@@ -23,14 +23,13 @@ from troupes.trees import (
     EMPTY,
     encode,
     insert,
-    is_full,
-    is_motzkin,
     iter_bpt_word,
     iter_branch_word,
     right_edges,
     size_word,
-    two_child_count,
 )
+
+from oracles import is_full, is_motzkin, two_child_count
 
 
 @lru_cache(maxsize=None)
