@@ -13,26 +13,14 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .cumulants import (
-    MomentFunctional,
-    format_table,
-    moment_functional_from_text,
-    moments_to_cumulants,
-    equivalence_reports,
-)
-from .families import named_sequence
-from .partitions import iter_D, iter_partitions
-from .peaks import factors_from_plot, peaks
+# Only the ring and series layers load with this module, since they are all
+# that ``transform`` uses; every other handler imports its own layers.
 from .rings import format_ring_elem, parse_ring_elem
-from .series import Series, boolean_free_series_check, troupe_transform, inverse_troupe_transform
-from .troupe import branch_series, builtin, from_table, random_branch_table
-from .trees import (
-    TREE_KINDS,
-    encode,
-    encode_labeled,
-    enumerate_trees,
-    size_word,
-    stack_sort,
+from .series import (
+    Series,
+    boolean_free_series_check,
+    inverse_troupe_transform,
+    troupe_transform,
 )
 
 DEFAULT_ORDER = 12
@@ -79,6 +67,8 @@ def _check_min(flag: str, value: int | None, least: int) -> None:
 
 
 def _family_items(kind: str, n: int | None, colors: tuple[int, ...] | None):
+    from .trees import TREE_KINDS, encode, encode_labeled, enumerate_trees, size_word
+
     kind = kind.lower()
     if kind in TREE_KINDS:
         if (n is None) == (colors is None):
@@ -91,6 +81,8 @@ def _family_items(kind: str, n: int | None, colors: tuple[int, ...] | None):
             return (encode_labeled(lt) for lt in items)
         return (encode(t) for t in items)
     if kind in PARTITION_KIND_NAMES or kind == "d-permutations":
+        from .partitions import iter_D, iter_partitions
+
         if n is None:
             raise CliError(f"--n is required for kind {kind!r}")
         _check_min("--n", n, 1)
@@ -134,6 +126,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_cumulants(args) -> int:
+    from .cumulants import format_table, moment_functional_from_text, moments_to_cumulants
+
     try:
         with open(args.moments, "r", encoding="utf-8") as fh:
             phi = moment_functional_from_text(fh.read())
@@ -149,6 +143,9 @@ def cmd_cumulants(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .cumulants import equivalence_reports
+    from .troupe import branch_series, builtin, from_table, random_branch_table
+
     _check_min("--n", args.n, 1)
     _check_min("--num-colors", args.num_colors, 1)
     # the series identity first compares a coefficient at order 3
@@ -195,6 +192,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_peaks(args) -> int:
+    from .peaks import factors_from_plot, peaks
+    from .trees import encode_labeled
+
     word = _parse_permutation(args.permutation)
     print("peaks: " + ",".join(map(str, peaks(word))))
     for factor in factors_from_plot(word):
@@ -203,12 +203,17 @@ def cmd_peaks(args) -> int:
 
 
 def cmd_sort(args) -> int:
+    from .trees import stack_sort
+
     word = _parse_permutation(args.permutation)
     print(",".join(map(str, stack_sort(word))))
     return 0
 
 
 def cmd_examples(args) -> int:
+    from .cumulants import MomentFunctional, moments_to_cumulants
+    from .families import named_sequence
+
     try:
         seq = named_sequence(args.name)
     except ValueError as exc:

@@ -74,19 +74,25 @@ def _grow(k: int, n: int, klass: str) -> Iterator[list[list[int]]]:
         yield []
         return
     closing = klass.startswith("nc_irreducible") and k == n > 1
+    min2 = klass == "nc_irreducible_min2"
     for blocks in _grow(k - 1, n, klass):
         for i in range(1 if closing else len(blocks)):
-            last = blocks[i][-1]
+            target = blocks[i]
+            last = target[-1]
             # k joins block i by the arc (last, k): that leaves a gap unless
             # last = k-1, and crosses each block with elements around last
             if klass == "interval" and last != k - 1:
                 continue
             if klass != "all" and any(b[0] < last < b[-1] for b in blocks):
                 continue
-            blocks[i].append(k)
+            # a singleton under the arc, or left at the end, never grows
+            if min2 and any(len(b) == 1 and (b[0] > last or k == n)
+                            for b in blocks if b is not target):
+                continue
+            target.append(k)
             yield blocks
-            blocks[i].pop()
-        if not closing:
+            target.pop()
+        if not closing and not (min2 and k == n):
             blocks.append([k])
             yield blocks
             blocks.pop()
@@ -99,7 +105,9 @@ def iter_partitions(n: int, klass: str = "all") -> Iterator[SetPartition]:
     of 1..n-1 in turn (existing blocks first, then alone), recursively.
     Every class but ``all`` is noncrossing, and a crossing or a gap never
     goes away as larger elements join, so such branches are cut early.  An
-    irreducible partition places n (for n > 1) in the block of 1 only.
+    irreducible partition places n (for n > 1) in the block of 1 only.  In
+    ``nc_irreducible_min2`` a singleton under an arc, or left once n is
+    placed, can never grow either, so its branch is cut too.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -107,8 +115,6 @@ def iter_partitions(n: int, klass: str = "all") -> Iterator[SetPartition]:
                      "nc_irreducible_min2"):
         raise ValueError(f"unknown partition class {klass!r}")
     for blocks in _grow(n, n, klass):
-        if klass == "nc_irreducible_min2" and any(len(b) == 1 for b in blocks):
-            continue
         yield SetPartition.of(n, [list(b) for b in blocks])
 
 

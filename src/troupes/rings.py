@@ -9,6 +9,7 @@ rationals promote to constant polynomials on demand, never the other way.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 
@@ -27,45 +28,54 @@ def _as_fraction(x) -> Fraction:
 class QPoly:
     """Dense polynomial in ``q`` with exact rational coefficients.
 
-    Coefficients are stored lowest degree first with no trailing zeros; the
-    zero polynomial has an empty coefficient tuple.  Arithmetic with ``int``
-    and ``Fraction`` operands treats them as constant polynomials.
+    Stored as integer numerators over one common denominator, lowest degree
+    first, in normal form: the denominator is positive and shares no factor
+    with all the numerators, and the last numerator is nonzero, so the zero
+    polynomial is ``((), 1)`` and equal polynomials have equal storage.
+    :attr:`coeffs` reads the coefficients as ``Fraction`` values.  Arithmetic
+    with ``int`` and ``Fraction`` operands treats them as constant polynomials.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        p = _make([c.numerator * (den // c.denominator) for c in cs], den)
+        _set_num(self, p._num)
+        _set_den(self, p._den)
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients, lowest degree first, with no trailing zero."""
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
+
+    @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._num) <= 1
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial, as a rational."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self._num[0], self._den) if self._num else Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_value() == other
-        return NotImplemented
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return self._num == o[0] and self._den == o[1]
 
     def __hash__(self):
         if self.is_constant():
@@ -73,66 +83,53 @@ class QPoly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return QPoly(
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-        )
+        return _add(self._num, self._den, o[0], o[1])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly(-c for c in self.coeffs)
+        return _make([-c for c in self._num], self._den)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return self + (-other)
+        return _add(self._num, self._den, [-c for c in o[0]], o[1])
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return other + (-self)
+        return _add([-c for c in self._num], self._den, o[0], o[1])
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return QPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return QPoly(out)
+        return _make(_convolve(self._num, o[0]), self._den * o[1])
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = QPoly((1,))
-        base = self
+        result, base, den = [1], self._num, self._den ** n
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = _convolve(result, base)
             n >>= 1
-        return result
+            if n:
+                base = _convolve(base, base)
+        return _make(result, den)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero scalar")
-            inv = Fraction(1) / Fraction(other)
-            return QPoly(c * inv for c in self.coeffs)
+            return self * (1 / Fraction(other))
         if isinstance(other, QPoly):
             return self * ring_inverse(other)
         return NotImplemented
@@ -144,18 +141,70 @@ class QPoly:
         return format_ring_elem(self)
 
 
+_new = object.__new__
+_set_num = QPoly._num.__set__
+_set_den = QPoly._den.__set__
+
+
+def _make(num: list[int], den: int) -> QPoly:
+    """The polynomial ``num/den`` in normal form; ``den`` must be positive."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    p = _new(QPoly)
+    _set_num(p, tuple(num))
+    _set_den(p, den)
+    return p
+
+
+def _parts(x):
+    """``(numerators, denominator)`` of a ring element in normal form, or None."""
+    if isinstance(x, QPoly):
+        return x._num, x._den
+    if isinstance(x, int):
+        return ((x,) if x else ()), 1
+    if isinstance(x, Fraction):
+        return ((x.numerator,) if x else ()), x.denominator
+    return None
+
+
+def _add(a, da: int, b, db: int) -> QPoly:
+    """``a/da + b/db`` for integer coefficient sequences over positive
+    denominators."""
+    if da != db:
+        g = gcd(da, db)
+        a = [c * (db // g) for c in a]
+        b = [c * (da // g) for c in b]
+        da = da // g * db
+    if len(a) < len(b):
+        a, b = b, a
+    out = [x + y for x, y in zip(a, b)]
+    out.extend(a[len(b):])
+    return _make(out, da)
+
+
+def _convolve(a, b) -> list[int]:
+    """Product of two integer coefficient sequences."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
+
+
 #: The indeterminate of ``QPoly``.
 q = QPoly((0, 1))
 
 RingElem = Union[Fraction, QPoly]
-
-
-def _coerce(x):
-    if isinstance(x, QPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QPoly((x,))
-    return None
 
 
 def is_poly(x: RingElem) -> bool:
@@ -202,7 +251,7 @@ def format_ring_elem(x: RingElem) -> str:
     x = as_ring_elem(x)
     if isinstance(x, Fraction):
         return _format_fraction(x)
-    if not x.coeffs:
+    if not x:
         return "0"
     parts = []
     for k, c in enumerate(x.coeffs):

@@ -7,13 +7,16 @@ Also the recursive max-split build of a decreasing tree, descending runs
 normalised through ``SetPartition.of``, psi by iterated insertion, the
 Narayana polynomial by enumeration, the tree predicates only tests use, the
 single-word equivalence report, and the tree walks as self-recursive closures.
+Also the polynomial ring with one ``Fraction`` per coefficient, and the
+irreducible noncrossing partitions without singletons by filtering.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 from troupes.bijections import PhiInput, PsiInput, phi_tilde
 from troupes.cumulants import EquivalenceReport, equivalence_reports
-from troupes.partitions import SetPartition, druns
+from troupes.partitions import SetPartition, druns, iter_partitions
 from troupes.rings import QPoly
 from troupes.trees import (
     ColoredTree,
@@ -237,3 +240,72 @@ def postorder_by_closure(t: ColoredTree) -> list[int]:
 
     walk(t.root)
     return out
+
+
+def nc_irreducible_min2_by_filter(n: int) -> list[SetPartition]:
+    """Every irreducible noncrossing partition, less those with a singleton."""
+    return [p for p in iter_partitions(n, "nc_irreducible")
+            if all(len(b) >= 2 for b in p.blocks)]
+
+
+class FractionQPoly:
+    """Dense polynomial in ``q`` with one ``Fraction`` per coefficient,
+    lowest degree first, no trailing zero."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __eq__(self, other):
+        return isinstance(other, FractionQPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else Fraction(0))
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        n = max(len(a), len(b))
+        return FractionQPoly((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                             for i in range(n))
+
+    def __neg__(self):
+        return FractionQPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+        return FractionQPoly(out)
+
+    def __pow__(self, n: int):
+        result = FractionQPoly((1,))
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def scale(self, c) -> "FractionQPoly":
+        return FractionQPoly(x * c for x in self.coeffs)
+
+    def inverse(self) -> "FractionQPoly":
+        """Inverse of a nonzero constant."""
+        assert len(self.coeffs) == 1
+        return FractionQPoly((1 / self.coeffs[0],))
+
+    def format(self) -> str:
+        """Dense ``c0 + c1*q + c2*q^2`` text, ``0`` for the zero polynomial."""
+        def frac(c):
+            return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+        if not self.coeffs:
+            return "0"
+        return " + ".join(frac(c) if k == 0 else f"{frac(c)}*q" if k == 1
+                          else f"{frac(c)}*q^{k}" for k, c in enumerate(self.coeffs))

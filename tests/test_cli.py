@@ -1,6 +1,8 @@
 import hashlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -143,7 +145,7 @@ def test_verify_reports_failure(monkeypatch):
         )
         return [EquivalenceReport((0, 1), checks)]
 
-    monkeypatch.setattr(cli, "equivalence_reports", one_disagreeing_report)
+    monkeypatch.setattr("troupes.cumulants.equivalence_reports", one_disagreeing_report)
     code, out, _ = run("verify", "--troupe", "all", "--n", "2")
     assert code == 1
     lines = out.splitlines()
@@ -152,6 +154,25 @@ def test_verify_reports_failure(monkeypatch):
     assert lines[0] == ("FAIL word 0,1: classical=1 [from_moments=2 bridge=3] "
                         "free=5 boolean=7 [from_moments=-1/2]")
     assert lines[-1] == "FAIL (1 words checked)"
+
+
+def test_transform_loads_only_the_ring_and_series_layers():
+    # a fresh interpreter without site, so nothing but the command imports
+    code = (
+        "import sys\n"
+        "from troupes import cli\n"
+        "rc = cli.main(['transform', '--order', '6', '--coeffs', '0 + 1*q,1/2'])\n"
+        "loaded = sorted(m for m in sys.modules if m == 'dataclasses' or m in {\n"
+        "    'troupes.' + n for n in ('trees', 'troupe', 'cumulants', 'partitions',\n"
+        "                             'families', 'peaks', 'bijections')})\n"
+        "print(rc, loaded)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[0] == (
+        "0 + 1*q,1/2,0 + 0*q + 1*q^2,0 + 3/2*q,1/2 + 0*q + 0*q^2 + 2*q^3")
 
 
 def test_peaks_command():

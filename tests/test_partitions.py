@@ -4,6 +4,7 @@ import pytest
 
 from troupes.partitions import (
     SetPartition,
+    _grow,
     druns,
     is_irreducible,
     is_noncrossing,
@@ -12,7 +13,7 @@ from troupes.partitions import (
     iter_sigma_first_n,
 )
 
-from oracles import druns_by_normalisation
+from oracles import druns_by_normalisation, nc_irreducible_min2_by_filter
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]  # B_0..B_9
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]  # C_0..C_9
@@ -90,6 +91,20 @@ def test_min2_class():
             assert all(len(b) >= 2 for b in p.blocks)
             assert is_irreducible(p)
     assert list(iter_partitions(1, "nc_irreducible_min2")) == []
+
+
+def test_min2_walk_equals_the_filter_in_order():
+    for n in range(1, 13):
+        kept = list(iter_partitions(n, "nc_irreducible_min2"))
+        assert kept == nc_irreducible_min2_by_filter(n), n
+        # the walk reaches no partition it would have to drop
+        assert sum(1 for _ in _grow(n, n, "nc_irreducible_min2")) == len(kept), n
+
+
+def test_min2_walk_keeps_an_open_singleton():
+    # 2 is alone while 3 and 4 are placed, and 5 joins it later
+    assert SetPartition.of(6, [[1, 6], [2, 5], [3, 4]]) in set(
+        iter_partitions(6, "nc_irreducible_min2"))
 
 
 def test_pruned_classes_equal_the_filtered_lattice_in_order():

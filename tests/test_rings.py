@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,8 @@ from troupes.rings import (
     ring_inverse,
     to_poly,
 )
+
+from oracles import FractionQPoly
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 polys_st = st.lists(fractions_st, max_size=5).map(QPoly)
@@ -119,3 +123,95 @@ def test_to_poly():
 
 def test_ring_mismatch_is_value_error():
     assert issubclass(RingMismatchError, ValueError)
+
+
+def _seeded_polys(seed: int, count: int = 40) -> list[QPoly]:
+    """Degree 0..12, mixed denominators, some zero coefficients."""
+    rng = random.Random(seed)
+    out = [QPoly(), QPoly((1,)), QPoly((Fraction(-3, 4),)), q]
+    while len(out) < count:
+        out.append(QPoly(
+            Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 7, 12, 35)))
+            if rng.random() < 0.8 else 0
+            for _ in range(rng.randint(1, 13))))
+    return out
+
+
+def _oracle(p: QPoly) -> FractionQPoly:
+    return FractionQPoly(p.coeffs)
+
+
+def _assert_normal(p: QPoly) -> QPoly:
+    num, den = p._num, p._den
+    assert type(num) is tuple and all(type(c) is int for c in num)
+    assert type(den) is int and den > 0
+    assert not num or num[-1] != 0
+    assert math.gcd(den, *num) == 1  # also den == 1 for the zero polynomial
+    return p
+
+
+SCALARS = (0, 1, -2, 3, Fraction(1, 2), Fraction(-5, 6), Fraction(35, 12))
+
+
+def test_arithmetic_matches_the_fraction_oracle():
+    polys = _seeded_polys(1)
+    for a, b in zip(polys, polys[1:] + polys[:1]):
+        oa, ob = _oracle(a), _oracle(b)
+        assert _oracle(_assert_normal(a + b)) == oa + ob
+        assert _oracle(_assert_normal(a - b)) == oa - ob
+        assert _oracle(_assert_normal(a * b)) == oa * ob
+        assert _oracle(_assert_normal(-a)) == -oa
+        for k in range(4):
+            assert _oracle(_assert_normal(a ** k)) == oa ** k
+        for s in SCALARS:
+            os_ = FractionQPoly((s,))
+            assert _oracle(_assert_normal(a + s)) == oa + os_
+            assert _oracle(_assert_normal(s - a)) == os_ - oa
+            assert _oracle(_assert_normal(s * a)) == oa.scale(s)
+            if s:
+                assert _oracle(_assert_normal(a / s)) == oa.scale(1 / Fraction(s))
+                assert _oracle(_assert_normal(a / QPoly((s,)))) == oa.scale(1 / Fraction(s))
+
+
+def test_ring_inverse_matches_the_fraction_oracle():
+    for s in SCALARS[1:]:
+        c = QPoly((s,))
+        assert _oracle(_assert_normal(ring_inverse(c))) == _oracle(c).inverse()
+        assert c * ring_inverse(c) == 1
+
+
+def test_seeded_ring_laws_hold_in_normal_form():
+    polys = _seeded_polys(2, count=24)
+    for a, b, c in zip(polys, polys[1:], polys[2:]):
+        assert a + b == b + a and hash(a + b) == hash(b + a)
+        assert a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        # equal values reached by different routes have equal storage
+        assert (a + b) - b == a
+        assert (a * 6) / 6 == a
+        assert a * Fraction(1, 2) + a * Fraction(1, 2) == a
+        assert (a + c) ** 2 == a * a + 2 * a * c + c * c
+
+
+def test_equality_and_hash_match_the_fraction_oracle():
+    for p in _seeded_polys(3):
+        assert p == QPoly(p.coeffs) and hash(p) == hash(QPoly(p.coeffs))
+        assert hash(p) == hash(_oracle(p))
+        if p.is_constant():
+            c = p.constant_value()
+            assert p == c and hash(p) == hash(c)
+            if c.denominator == 1:
+                assert p == c.numerator and hash(p) == hash(c.numerator)
+        else:
+            assert p != p.coeffs[0]
+    for s in SCALARS:
+        assert QPoly((s,)) == s and hash(QPoly((s,))) == hash(Fraction(s))
+
+
+def test_format_and_parse_match_the_fraction_oracle():
+    for p in _seeded_polys(4):
+        text = format_ring_elem(p)
+        assert text == _oracle(p).format()
+        assert to_poly(parse_ring_elem(text)) == p
