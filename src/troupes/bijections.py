@@ -20,8 +20,7 @@ to the largest element of U minus max(U).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import (
     SetPartition,
@@ -36,6 +35,7 @@ from .trees import (
     LabeledTree,
     Node,
     _decreasing_tree,
+    _new,
     alpha_inverse,
     branch_from_directions,
     branch_profile,
@@ -48,8 +48,7 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
-class PsiInput:
+class PsiInput(NamedTuple):
     """A partition paired with one branch per block (aligned with
     ``partition.blocks``)."""
 
@@ -73,8 +72,7 @@ class PsiInput:
                 raise ValueError(f"branch for block {block} has the wrong size")
 
 
-@dataclass(frozen=True)
-class PhiInput:
+class PhiInput(NamedTuple):
     """A permutation (first entry maximal, no singleton run) paired with one
     branch per descending run (aligned with ``druns(sigma).blocks``)."""
 
@@ -156,14 +154,11 @@ def psi(inp: PsiInput) -> ColoredTree:
                     left[j] = j - 1
                 else:
                     right[j] = j - 1
-    nodes = tuple(
-        Node(
-            word[j],
-            None if left[j] is None else left[j] - 1,
-            None if right[j] is None else right[j] - 1,
-        )
+    nodes = tuple([
+        _new(Node, (word[j], None if left[j] is None else left[j] - 1,
+                    None if right[j] is None else right[j] - 1))
         for j in range(1, n)
-    )
+    ])
     referenced = {c for c in left[1:n] + right[1:n] if c is not None}
     roots = [j for j in range(1, n) if j not in referenced]
     if len(roots) != 1:

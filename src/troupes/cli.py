@@ -44,6 +44,13 @@ def _parse_word(text: str) -> tuple[int, ...]:
     return items
 
 
+def _parse_colors(text: str) -> tuple[int, ...]:
+    word = _parse_word(text)
+    if min(word) < 0:
+        raise CliError(f"colors must be nonnegative, got {text!r}")
+    return word
+
+
 def _parse_permutation(text: str) -> tuple[int, ...]:
     word = _parse_word(text)
     if sorted(word) != list(range(1, len(word) + 1)):
@@ -253,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bpt, branch, dbpt, partition, interval, noncrossing, "
                             "nc-irreducible, nc-irreducible-min2, d-permutations")
         p.add_argument("--n", type=int, default=None, help="size (single color)")
-        p.add_argument("--colors", type=_parse_word, default=None,
+        p.add_argument("--colors", type=_parse_colors, default=None,
                        help="color word i1,i2,...,in")
 
     p = sub.add_parser("count", help="count a combinatorial family")

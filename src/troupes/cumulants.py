@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .rings import RingElem, as_ring_elem, format_ring_elem, parse_ring_elem
 from .partitions import iter_first_max_run_blocks, partitions_as_index_blocks
@@ -44,8 +43,7 @@ def iter_words(alphabet: Sequence[int], max_len: int) -> Iterator[Word]:
             yield word
 
 
-@dataclass(frozen=True)
-class MomentFunctional:
+class MomentFunctional(NamedTuple):
     """Dense table of moments for words up to ``max_len``.
 
     The empty word implicitly has moment 1 (the functional is unital).
@@ -72,8 +70,7 @@ class MomentFunctional:
         return self.table[word]
 
 
-@dataclass(frozen=True)
-class CumulantTable:
+class CumulantTable(NamedTuple):
     """Dense table of cumulants of one kind over the same word domain."""
 
     kind: str
@@ -244,6 +241,8 @@ def parse_table(text: str) -> dict[Word, RingElem]:
             if not sep:
                 raise ValueError("missing '='")
             word = tuple(int(x) for x in word_text.strip().split(","))
+            if min(word) < 0:
+                raise ValueError(f"negative color in word {word_text.strip()}")
             if word in table:
                 raise ValueError(f"repeated word {word_text.strip()}")
             table[word] = parse_ring_elem(value_text)
@@ -265,8 +264,7 @@ def moment_functional_from_text(text: str) -> MomentFunctional:
 # Tree-enumeration characterization of the three cumulant kinds
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(NamedTuple):
     """One cumulant kind's comparison for one word.
 
     ``enumeration`` is the negated weighted tree sum, ``from_moments`` the
@@ -288,8 +286,7 @@ class ConditionCheck:
         return all(r == self.enumeration for r in routes)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     word: Word
     checks: tuple[ConditionCheck, ...]
 

@@ -8,10 +8,9 @@ cumulants, against which the generating-function route is checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cumulants import classical_via_egf
 from .rings import QPoly, RingElem, q
@@ -46,8 +45,7 @@ def alternating_count(n: int) -> int:
     return row[-1]
 
 
-@dataclass(frozen=True)
-class NamedSequence:
+class NamedSequence(NamedTuple):
     """A named moment sequence with its classical-cumulant closed form."""
 
     name: str

@@ -7,13 +7,11 @@ ascending within a block.  Permutations are plain tuples of values 1..n.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(NamedTuple):
     n: int
     blocks: tuple[tuple[int, ...], ...]
 

@@ -8,25 +8,29 @@ that is also the on-disk and CLI format.
 Colors are nonnegative integers into an ambient index set; a tree also carries
 a ``box_color``, the color of the external marker that rides along with every
 tree (including the empty one).
+
+Every record is a ``NamedTuple``, so ``len()`` of one is its field count: a
+tree's vertex count is ``size``.  The builders make records with ``_new``,
+which runs no Python-level constructor per vertex.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Container, Iterator, Sequence
+from typing import Container, Iterator, NamedTuple, Sequence
+
+# ``_new(Record, fields)`` builds a record from the tuple of its fields.
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     color: int
     left: int | None = None
     right: int | None = None
 
 
-@dataclass(frozen=True)
-class ColoredTree:
+class ColoredTree(NamedTuple):
     """A binary plane tree with per-vertex colors and an external box color.
 
     Node identity is positional; two representations of the same colored tree
@@ -74,8 +78,7 @@ class ColoredTree:
 EMPTY = ColoredTree((), None, 0)
 
 
-@dataclass(frozen=True)
-class LabeledTree:
+class LabeledTree(NamedTuple):
     """A colored tree plus a standard decreasing labeling (labels 1..size)."""
 
     tree: ColoredTree
@@ -196,13 +199,14 @@ def _decreasing_tree(word: Sequence[int], colors: Sequence[int] | None,
             label, left = spine.pop()
             color = colors[label - 1] if colors is not None else 0
             if label in swapped:
-                nodes.append(Node(color, below, left))
+                nodes.append(_new(Node, (color, below, left)))
             else:
-                nodes.append(Node(color, left, below))
+                nodes.append(_new(Node, (color, left, below)))
             labels.append(label)
             below = len(nodes) - 1
         spine.append((x, below))
-    return LabeledTree(ColoredTree(tuple(nodes), len(nodes) - 1, box_color), tuple(labels))
+    tree = _new(ColoredTree, (tuple(nodes), len(nodes) - 1, box_color))
+    return _new(LabeledTree, (tree, tuple(labels)))
 
 
 def stack_sort(sigma: Sequence[int]) -> tuple[int, ...]:
@@ -230,25 +234,18 @@ def insert(t1: ColoredTree, v: int, t2: ColoredTree) -> ColoredTree:
     n1 = t1.size
     v_star = n1
     offset = n1 + 1
-    nodes: list[Node] = []
-    for u, nd in enumerate(t1.nodes):
-        left = v_star if nd.left == v else nd.left
-        right = v_star if nd.right == v else nd.right
+    nodes = list(t1.nodes)
+    for u, (color, left, right) in enumerate(t1.nodes):
         # only the parent of v is rewired; v itself keeps its children
-        if u == v:
-            left, right = nd.left, nd.right
-        nodes.append(Node(nd.color, left, right))
-    nodes.append(Node(t2.box_color, v, t2.root + offset))
-    for nd in t2.nodes:
-        nodes.append(
-            Node(
-                nd.color,
-                None if nd.left is None else nd.left + offset,
-                None if nd.right is None else nd.right + offset,
-            )
-        )
+        if u != v and (left == v or right == v):
+            nodes[u] = _new(Node, (color, v_star if left == v else left,
+                                   v_star if right == v else right))
+    nodes.append(_new(Node, (t2.box_color, v, t2.root + offset)))
+    for color, left, right in t2.nodes:
+        nodes.append(_new(Node, (color, None if left is None else left + offset,
+                                 None if right is None else right + offset)))
     root = v_star if t1.root == v else t1.root
-    return ColoredTree(tuple(nodes), root, t1.box_color)
+    return _new(ColoredTree, (tuple(nodes), root, t1.box_color))
 
 
 BOX = -1  # sentinel for the external box in factor computations
@@ -320,8 +317,8 @@ def labeled_insertion_factors(lt: LabeledTree) -> list[LabeledTree]:
     """
     t = lt.tree
     return [
-        LabeledTree(factor_branch(t, owner, vertices, sides),
-                    tuple(lt.labels[u] for u in reversed(vertices)))
+        _new(LabeledTree, (factor_branch(t, owner, vertices, sides),
+                           tuple([lt.labels[u] for u in reversed(vertices)])))
         for owner, vertices, sides in factor_paths(t)
     ]
 
@@ -383,7 +380,7 @@ def _parse_node(body: str, pos: int, nodes: list[Node]) -> tuple[int | None, int
     right, pos = _parse_node(body, pos + 1, nodes)
     if pos >= len(body) or body[pos] != ")":
         raise ValueError(f"expected ')' at offset {pos} of {body!r}")
-    nodes.append(Node(color, left, right))
+    nodes.append(_new(Node, (color, left, right)))
     return len(nodes) - 1, pos + 1
 
 
@@ -398,7 +395,7 @@ def parse_tree(text: str) -> ColoredTree:
     root, pos = _parse_node(body, 0, nodes)
     if pos != len(body):
         raise ValueError(f"trailing input in {text!r}")
-    return ColoredTree(tuple(nodes), root, box)
+    return _new(ColoredTree, (tuple(nodes), root, box))
 
 
 def multiset_key(trees: Sequence[ColoredTree]) -> tuple[str, ...]:
@@ -446,7 +443,7 @@ def _build_shape(sh, colors: Iterator[int | None], nodes: list[Node]) -> int | N
         return None
     left = _build_shape(sh[0], colors, nodes)
     right = _build_shape(sh[1], colors, nodes)
-    nodes.append(Node(next(colors, None), left, right))
+    nodes.append(_new(Node, (next(colors, None), left, right)))
     return len(nodes) - 1
 
 
@@ -458,7 +455,7 @@ def tree_from_shape(shape, postorder_colors: Sequence[int] | None = None,
     root = _build_shape(shape, colors, nodes)
     if postorder_colors is not None and len(postorder_colors) != len(nodes):
         raise ValueError("color word length must match the shape size")
-    return ColoredTree(tuple(nodes), root, box_color)
+    return _new(ColoredTree, (tuple(nodes), root, box_color))
 
 
 def branch_from_directions(directions: Sequence[str],
@@ -475,15 +472,15 @@ def branch_from_directions(directions: Sequence[str],
     for depth in range(n - 1, -1, -1):
         color = colors_root_down[depth] if colors_root_down is not None else 0
         if below is None:
-            nodes.append(Node(color))
+            nodes.append(_new(Node, (color, None, None)))
         elif directions[depth] == "L":
-            nodes.append(Node(color, below, None))
+            nodes.append(_new(Node, (color, below, None)))
         elif directions[depth] == "R":
-            nodes.append(Node(color, None, below))
+            nodes.append(_new(Node, (color, None, below)))
         else:
             raise ValueError(f"bad direction {directions[depth]!r}")
         below = len(nodes) - 1
-    return ColoredTree(tuple(nodes), below, box_color)
+    return _new(ColoredTree, (tuple(nodes), below, box_color))
 
 
 def branch_profile(b: ColoredTree) -> tuple[list[str], list[int], int]:

@@ -193,7 +193,10 @@ def builtin(spec: str) -> WeightedTroupe:
 def _parse_colors(arg: str) -> list[int]:
     if not arg:
         raise ValueError("expected a comma-separated color list")
-    return [int(x) for x in arg.split(",")]
+    colors = [int(x) for x in arg.split(",")]
+    if min(colors) < 0:
+        raise ValueError(f"colors must be nonnegative, got {arg!r}")
+    return colors
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ Also the recursive max-split build of a decreasing tree, descending runs
 normalised through ``SetPartition.of``, psi by iterated insertion, the
 Narayana polynomial by enumeration, the tree predicates only tests use, the
 single-word equivalence report, and the tree walks as self-recursive closures.
-Also the polynomial ring with one ``Fraction`` per coefficient, and the
-irreducible noncrossing partitions without singletons by filtering.
+Also the polynomial ring with one ``Fraction`` per coefficient, the
+irreducible noncrossing partitions without singletons by filtering, and a
+frozen-dataclass twin of each ``NamedTuple`` record.
 """
 
+import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 
@@ -309,3 +311,9 @@ class FractionQPoly:
             return "0"
         return " + ".join(frac(c) if k == 0 else f"{frac(c)}*q" if k == 1
                           else f"{frac(c)}*q^{k}" for k, c in enumerate(self.coeffs))
+
+
+def frozen_dataclass_twin(cls):
+    """A frozen dataclass with the fields of the record class ``cls``, whose
+    hashing, equality and repr the record must reproduce."""
+    return dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)

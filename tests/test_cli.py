@@ -175,6 +175,19 @@ def test_transform_loads_only_the_ring_and_series_layers():
         "0 + 1*q,1/2,0 + 0*q + 1*q^2,0 + 3/2*q,1/2 + 0*q + 0*q^2 + 2*q^3")
 
 
+def test_plot_and_verify_layers_load_no_dataclasses():
+    # the records are NamedTuples, so no layer needs the dataclasses module
+    code = (
+        "import sys\n"
+        "from troupes import bijections, cli, cumulants, families, peaks\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.splitlines() == ["False"]
+
+
 def test_peaks_command():
     code, out, _ = run("peaks", "1,3,2")
     assert code == 0
@@ -243,14 +256,21 @@ PARTITION_KINDS = ("partition", "interval", "noncrossing", "nc-irreducible",
     ["verify", "--troupe", "rightmono:1/0,1"],
     ["cumulants", "--moments", "{missing_word_table}"],
     ["cumulants", "--moments", "{repeated_word_table}"],
+    ["count", "--kind", "dbpt", "--colors=0,-1,2"],
+    ["enumerate", "--kind", "bpt", "--colors=-1"],
+    ["verify", "--troupe", "colorset:-1"],
+    ["verify", "--troupe", "colorcount:-2"],
+    ["cumulants", "--moments", "{negative_color_table}"],
 ], ids=" ".join)
 def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     table = tmp_path / "moments.txt"
     table.write_text("word 0 = 1\nword 0,0,0 = 2\n")  # no moment for 0,0
     repeated = tmp_path / "repeated.txt"
     repeated.write_text("word 0 = 1\nword 0 = 5\n")  # two moments for 0
-    argv = [a.format(missing_word_table=table, repeated_word_table=repeated)
-            for a in argv]
+    negative = tmp_path / "negative.txt"
+    negative.write_text("word -1 = 1\n")  # colors are nonnegative
+    argv = [a.format(missing_word_table=table, repeated_word_table=repeated,
+                     negative_color_table=negative) for a in argv]
     code, out, err = run(*argv)
     assert code == 2 and out == ""
     assert "error:" in err
@@ -316,8 +336,9 @@ KINDS = st.sampled_from(["bpt", "branch", "dbpt", "partition", "interval", "nonc
                          "nc-irreducible", "nc-irreducible-min2", "d-permutations",
                          "bogus"])
 TROUPES = st.sampled_from(["all", "full", "motzkin", "colorset:0", "colorset:x",
-                           "colorcount:1", "rightmono:q,1", "rightmono:1/0,1",
-                           "rightmono:1", "random", "bogus"])
+                           "colorset:0,-1", "colorcount:1", "colorcount:-2",
+                           "rightmono:q,1", "rightmono:1/0,1", "rightmono:1", "random",
+                           "bogus"])
 PERMUTATION = st.integers(1, 6).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
     lambda xs: ",".join(map(str, xs)))
 NAMES = st.sampled_from(["gamma_minus_one", "shifted_exponential", "two_atom",
@@ -367,9 +388,23 @@ def cli_argv(draw):
     return [command, draw(NAMES), "--order", draw(st.integers(-1, 6).map(str))]
 
 
+def _has_negative_color(argv):
+    """Whether a color list or moment-table word in ``argv`` has a negative
+    entry; WORD draws -1, so ``--colors`` and table words get one often."""
+    if "--colors" in argv:
+        return "-" in argv[argv.index("--colors") + 1]
+    if argv[0] == "verify":
+        head, _, colors = argv[2].partition(":")
+        return head in ("colorset", "colorcount") and "-" in colors
+    if argv[0] == "cumulants":
+        return any("-" in line.partition("=")[0] for line in argv[2].splitlines())
+    return False
+
+
 @settings(deadline=None, max_examples=150)
 @given(cli_argv())
 def test_cli_contract_holds_under_fuzzing(argv):
+    negative_color = _has_negative_color(argv)
     with tempfile.TemporaryDirectory() as tmp:
         if argv[0] == "cumulants":
             path = os.path.join(tmp, "moments.txt")
@@ -378,6 +413,8 @@ def test_cli_contract_holds_under_fuzzing(argv):
             argv = argv[:2] + [path]
         code, out, err = run(*argv)
     assert "Traceback" not in err
+    if negative_color:
+        assert code == 2
     if argv[0] == "verify":
         assert code in (0, 1, 2)
         assert (code == 1) == any(line.startswith("FAIL") for line in out.splitlines())

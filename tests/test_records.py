@@ -1,0 +1,145 @@
+"""The ``NamedTuple`` records against frozen-dataclass twins, and the record
+type of every vertex the tree builders make."""
+
+import functools
+import itertools
+import random
+
+import pytest
+
+from troupes.bijections import (
+    PhiInput,
+    PsiInput,
+    iter_phi_inputs,
+    iter_psi_inputs,
+    phi,
+    phi_inverse,
+    psi,
+)
+from troupes.cumulants import (
+    ConditionCheck,
+    CumulantTable,
+    EquivalenceReport,
+    MomentFunctional,
+    cumulants_to_moments,
+    equivalence_reports,
+    moments_to_cumulants,
+)
+from troupes.families import NAMED_SEQUENCES, NamedSequence
+from troupes.partitions import SetPartition, druns, iter_partitions
+from troupes.troupe import from_table, random_branch_table
+from troupes.trees import (
+    ColoredTree,
+    LabeledTree,
+    Node,
+    alpha_inverse,
+    branch_from_directions,
+    encode,
+    insert,
+    iter_bpt_word,
+    iter_branch_word,
+    iter_dbpt_word,
+    parse_tree,
+    shapes,
+    tree_from_shape,
+)
+
+from oracles import frozen_dataclass_twin
+
+
+RECORD_CLASSES = (Node, ColoredTree, LabeledTree, SetPartition, PsiInput, PhiInput,
+                  MomentFunctional, CumulantTable, ConditionCheck, EquivalenceReport,
+                  NamedSequence)
+
+
+@functools.lru_cache(maxsize=None)
+def _seeded_records():
+    """A few records of every class, drawn from seeded color words."""
+    rng = random.Random(11)
+    words = [tuple(rng.randrange(2) for _ in range(n)) for n in (1, 2, 3, 4, 5)]
+    trees = [t for w in words for t in iter_bpt_word(w)]
+    labeled = [lt for w in words for lt in iter_dbpt_word(w)]
+    reports = equivalence_reports(from_table(random_branch_table(3, 2, 2)), [0, 1], 3)
+    boolean = CumulantTable("boolean", (0, 1), 2, {
+        w: rng.randint(-3, 3) for n in (1, 2) for w in itertools.product((0, 1), repeat=n)})
+    moments = cumulants_to_moments(boolean)
+    return {
+        Node: [nd for t in trees for nd in t.nodes],
+        ColoredTree: trees,
+        LabeledTree: labeled,
+        SetPartition: [p for n in (1, 2, 3, 4) for p in iter_partitions(n)],
+        PsiInput: list(iter_psi_inputs((0, 1, 0, 1))) + list(iter_psi_inputs((0, 0, 0, 0))),
+        PhiInput: list(iter_phi_inputs((0, 1, 0, 1))) + list(iter_phi_inputs((0, 0, 0, 0))),
+        MomentFunctional: [moments, moments._replace(max_len=1)],
+        CumulantTable: [boolean, moments_to_cumulants(moments, "free"),
+                        moments_to_cumulants(moments, "boolean")],
+        ConditionCheck: [c for r in reports for c in r.checks],
+        EquivalenceReport: reports,
+        NamedSequence: list(NAMED_SEQUENCES.values()),
+    }
+
+
+def _hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError as exc:  # a record holding a dict is unhashable either way
+        return type(exc)
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_record_behaves_as_its_frozen_dataclass_twin(cls):
+    twin = frozen_dataclass_twin(cls)
+    records = _seeded_records()[cls]
+    assert len(records) >= 2 and all(type(r) is cls for r in records)
+    twins = [twin(*r) for r in records]
+    for r, tw in zip(records, twins):
+        assert repr(r) == repr(tw)
+        assert _hash_or_error(r) == _hash_or_error(tw)
+        for field in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(r, field, None)
+        with pytest.raises(AttributeError):
+            r.extra = None
+    pairs = list(zip(records, twins))
+    for (a, ta), (b, tb) in itertools.product(pairs, repeat=2):
+        assert (a == b) == (ta == tb)
+        assert (a != b) == (ta != tb)
+
+
+def _assert_tree_records(t):
+    assert type(t) is ColoredTree
+    assert all(type(nd) is Node for nd in t.nodes)
+
+
+def _assert_labeled_records(lt):
+    assert type(lt) is LabeledTree
+    _assert_tree_records(lt.tree)
+
+
+def test_every_builder_makes_node_records():
+    rng = random.Random(5)
+    for n in range(1, 7):
+        word = rng.sample(range(1, n + 1), n)
+        colors = [rng.randrange(3) for _ in range(n)]
+        _assert_labeled_records(alpha_inverse(word, colors, box_color=1))
+        for sh in shapes(n):
+            t = tree_from_shape(sh, colors, box_color=2)
+            _assert_tree_records(t)
+            _assert_tree_records(parse_tree(encode(t)))
+            for v in range(t.size):
+                _assert_tree_records(insert(t, v, t))
+        directions = [rng.choice("LR") for _ in range(n - 1)]
+        _assert_tree_records(branch_from_directions(directions, colors, 1))
+    for word in ((0, 1, 0, 1), (1, 0, 0, 1, 1)):
+        for x in iter_psi_inputs(word):
+            _assert_tree_records(psi(x))
+        for x in iter_phi_inputs(word):
+            lt = phi(x)
+            _assert_labeled_records(lt)
+            back = phi_inverse(lt)
+            assert type(back) is PhiInput
+            for b in back.branches:
+                _assert_tree_records(b)
+        for b in iter_branch_word(word):
+            _assert_tree_records(b)
+    assert type(druns((3, 1, 2))) is SetPartition
