@@ -93,6 +93,8 @@ def _family_items(kind: str, n: int | None, colors: tuple[int, ...] | None):
         if n is None:
             raise CliError(f"--n is required for kind {kind!r}")
         _check_min("--n", n, 1)
+        if colors is not None:
+            raise CliError(f"--colors does not apply to kind {kind!r}")
         if kind == "d-permutations":
             return (",".join(map(str, sigma)) for sigma in iter_D(n))
         return (str(p) for p in iter_partitions(n, PARTITION_KIND_NAMES[kind]))
@@ -157,17 +159,22 @@ def cmd_verify(args) -> int:
     _check_min("--num-colors", args.num_colors, 1)
     # the series identity first compares a coefficient at order 3
     _check_min("--order", args.order, 3)
+    alphabet = range(args.num_colors)
     if args.troupe == "random":
         table = random_branch_table(args.seed, max_size=max(args.n - 1, 1),
                                     num_colors=args.num_colors)
         tau = from_table(table, name=f"random(seed={args.seed})")
-        alphabet = range(args.num_colors)
     else:
         try:
             tau = builtin(args.troupe)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-        alphabet = range(args.num_colors)
+        head, _, named = args.troupe.partition(":")
+        if head in ("colorset", "colorcount"):
+            outside = sorted({int(c) for c in named.split(",")} - set(alphabet))
+            if outside:  # the check would compare nothing the troupe names
+                raise CliError(f"troupe {args.troupe!r} names colors {outside} outside "
+                               f"0..{args.num_colors - 1} (--num-colors {args.num_colors})")
     failures = 0
     reports = equivalence_reports(tau, list(alphabet), args.n)
     for report in reports:

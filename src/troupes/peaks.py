@@ -13,13 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .trees import (
-    LabeledTree,
-    alpha,
-    alpha_inverse,
-    branch_from_directions,
-    labeled_insertion_factors,
-)
+from .trees import LabeledTree, alpha_inverse, is_branch, labeled_insertion_factors
 
 
 def peaks(word: Sequence[int]) -> list[int]:
@@ -69,19 +63,13 @@ def southeast_decomposition(word: Sequence[int]) -> list[tuple[int, ...]]:
 def branch_from_inorder(values: Sequence[int]) -> LabeledTree:
     """The unique decreasing labeled branch whose inorder reading is ``values``.
 
-    Vertices descend from the root in decreasing label order; each child
-    hangs left when it precedes its parent in the word, right otherwise.
+    This is :func:`alpha_inverse` of the word, which must come out a branch.
     Raises if the word is not the inorder reading of any branch.
     """
     if len(values) == 0:
         raise ValueError("empty branch word")
-    pos = {v: i for i, v in enumerate(values)}
-    desc = sorted(values, reverse=True)
-    directions = ["L" if pos[child] < pos[parent] else "R"
-                  for parent, child in zip(desc, desc[1:])]
-    # node ids run from the bottom vertex up, so labels ascend with them
-    lt = LabeledTree(branch_from_directions(directions), tuple(reversed(desc)))
-    if alpha(lt) != tuple(values):
+    lt = alpha_inverse(values)
+    if not is_branch(lt.tree):
         raise ValueError(f"{values!r} is not the inorder word of a branch")
     return lt
 

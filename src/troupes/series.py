@@ -7,8 +7,9 @@ binary operations truncate to the smaller operand order.
 
 The branch-to-tree generating function transform (:func:`troupe_transform`)
 solves ``T(t) = B(t / (1 - t*T(t)))`` by Lagrange inversion (see
-:func:`_lagrange_root`), as do its inverse and the compositional inverse;
-``log`` and ``exp`` solve ``f*(log f)' = f'`` and ``(exp f)' = f'*exp f``.
+:func:`_lagrange_root`); its inverse is the same transform conjugated by
+negation, ``-troupe_transform(-T)``.  ``log`` and ``exp`` solve
+``f*(log f)' = f'`` and ``(exp f)' = f'*exp f``.
 """
 
 from __future__ import annotations
@@ -181,20 +182,6 @@ class Series:
             result = Series((result.coeffs[0] + ck,) + result.coeffs[1:])
         return result
 
-    def compositional_inverse(self) -> Series:
-        """The series ``v`` with ``self(v(t)) = v(self(t)) = t``.
-
-        Requires zero constant term and invertible linear coefficient; then
-        ``v = t*phi(v)`` with ``phi(u) = u/self(u)``.
-        """
-        n = self.order
-        if self.coeffs[0] != 0:
-            raise ValueError("compositional inverse needs zero constant term")
-        if n == 1:
-            raise ZeroDivisionError("compositional inverse needs a linear term")
-        phi = Series.one(n - 1, poly=self.is_poly_ring) / Series(self.coeffs[1:])
-        return _lagrange_root(phi)
-
     # -- transcendental operations (ring contains the rationals)
 
     def log(self) -> Series:
@@ -250,18 +237,14 @@ def troupe_transform(branch_series: Series) -> Series:
 
 
 def inverse_troupe_transform(tree_series: Series) -> Series:
-    """Invert :func:`troupe_transform`: recover ``B`` from ``T``.
+    """Invert :func:`troupe_transform`: recover ``B`` from ``T`` as ``-F(-T)``.
 
-    Uses ``W = t/(1 - t*T)`` and ``B = T(W^<-1>(t))``.
+    ``V = t*(1 - V*T(V))`` inverts ``W = t/(1 - t*T)`` and ``B = T(V)``: the
+    forward equations with ``B`` and ``T`` replaced by ``-T`` and ``-B``.
     """
-    ts = tree_series
-    if ts.coeffs[0] != 0:
+    if tree_series.coeffs[0] != 0:
         raise ValueError("the tree series must have zero constant term")
-    n = ts.order
-    one = Series.one(n, poly=ts.is_poly_ring)
-    t = Series.t(n, poly=ts.is_poly_ring)
-    w = t / (one - ts.shift())
-    return ts.compose(w.compositional_inverse())
+    return -troupe_transform(-tree_series)
 
 
 def boolean_free_series_check(boolean_cumulants: Series, free_cumulants: Series) -> bool:

@@ -210,8 +210,9 @@ def _decreasing_tree(word: Sequence[int], colors: Sequence[int] | None,
 
 
 def stack_sort(sigma: Sequence[int]) -> tuple[int, ...]:
-    """One pass of the stack-sorting map: postorder reading of alpha_inverse."""
-    return beta(alpha_inverse(sigma))
+    """One pass of the stack-sorting map, ``beta(alpha_inverse(sigma))``: the
+    stack pass stores labels in pop order, which is postorder."""
+    return alpha_inverse(sigma).labels
 
 
 # ---------------------------------------------------------------------------

@@ -220,11 +220,3 @@ def branch_series(tau: WeightedTroupe, order: int) -> Series:
     for n in range(1, order):
         coeffs.append(weighted_sum(tau, "branch", size_word(n)))
     return Series(coeffs)
-
-
-def tree_series(tau: WeightedTroupe, order: int) -> Series:
-    """Generating function of tree sums, by direct enumeration."""
-    coeffs: list[RingElem] = [Fraction(0)]
-    for n in range(1, order):
-        coeffs.append(weighted_sum(tau, "bpt", size_word(n)))
-    return Series(coeffs)

@@ -5,7 +5,8 @@ phi as the intermediate tree followed by one swing per left step, and its
 inverse as one swing per left-only vertex followed by the inorder reading.
 Also the recursive max-split build of a decreasing tree, descending runs
 normalised through ``SetPartition.of``, psi by iterated insertion, the
-Narayana polynomial by enumeration, the tree predicates only tests use, the
+Narayana polynomial and the tree series by enumeration, the branch of an
+inorder word from its sorted labels, the tree predicates only tests use, the
 single-word equivalence report, and the tree walks as self-recursive closures.
 Also the polynomial ring with one ``Fraction`` per coefficient, the
 irreducible noncrossing partitions without singletons by filtering, and a
@@ -32,7 +33,8 @@ from troupes.trees import (
     right_edges,
     size_word,
 )
-from troupes.troupe import WeightedTroupe
+from troupes.series import Series
+from troupes.troupe import WeightedTroupe, weighted_sum
 
 
 def swing(t: ColoredTree, v: int) -> ColoredTree:
@@ -164,6 +166,31 @@ def narayana_polynomial(n: int) -> QPoly:
     for t in iter_bpt_word(size_word(n)):
         counts[right_edges(t)] += 1
     return QPoly(counts)
+
+
+def branch_from_inorder_by_directions(values) -> LabeledTree:
+    """The branch whose inorder reading is ``values``, built from its labels
+    in decreasing order: each child hangs left when it precedes its parent in
+    the word, right otherwise; the inorder reading must give the word back."""
+    if len(values) == 0:
+        raise ValueError("empty branch word")
+    pos = {v: i for i, v in enumerate(values)}
+    desc = sorted(values, reverse=True)
+    directions = ["L" if pos[child] < pos[parent] else "R"
+                  for parent, child in zip(desc, desc[1:])]
+    # node ids run from the bottom vertex up, so labels ascend with them
+    lt = LabeledTree(branch_from_directions(directions), tuple(reversed(desc)))
+    if alpha(lt) != tuple(values):
+        raise ValueError(f"{values!r} is not the inorder word of a branch")
+    return lt
+
+
+def tree_series(tau: WeightedTroupe, order: int) -> Series:
+    """Generating function of tree sums, by direct enumeration."""
+    coeffs = [Fraction(0)]
+    for n in range(1, order):
+        coeffs.append(weighted_sum(tau, "bpt", size_word(n)))
+    return Series(coeffs)
 
 
 def is_full(t: ColoredTree) -> bool:

@@ -51,7 +51,6 @@ from troupes.troupe import (
     motzkin_trees,
     random_branch_table,
     right_two_monomial,
-    tree_series,
     weighted_sum,
 )
 from troupes.trees import (
@@ -67,7 +66,7 @@ from troupes.trees import (
     size_word,
 )
 
-from oracles import narayana_polynomial
+from oracles import narayana_polynomial, tree_series
 
 
 def catalan(n: int) -> int:

@@ -261,6 +261,10 @@ PARTITION_KINDS = ("partition", "interval", "noncrossing", "nc-irreducible",
     ["verify", "--troupe", "colorset:-1"],
     ["verify", "--troupe", "colorcount:-2"],
     ["cumulants", "--moments", "{negative_color_table}"],
+    ["verify", "--troupe", "colorset:7", "--n", "3"],
+    ["verify", "--troupe", "colorcount:7", "--n", "3"],
+    ["count", "--kind", "partition", "--n", "3", "--colors", "0,1"],
+    ["count", "--kind", "d-permutations", "--n", "3", "--colors", "0,1"],
 ], ids=" ".join)
 def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     table = tmp_path / "moments.txt"
@@ -336,7 +340,7 @@ KINDS = st.sampled_from(["bpt", "branch", "dbpt", "partition", "interval", "nonc
                          "nc-irreducible", "nc-irreducible-min2", "d-permutations",
                          "bogus"])
 TROUPES = st.sampled_from(["all", "full", "motzkin", "colorset:0", "colorset:x",
-                           "colorset:0,-1", "colorcount:1", "colorcount:-2",
+                           "colorset:0,-1", "colorset:0,2", "colorcount:1", "colorcount:-2",
                            "rightmono:q,1", "rightmono:1/0,1", "rightmono:1", "random",
                            "bogus"])
 PERMUTATION = st.integers(1, 6).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
@@ -388,14 +392,25 @@ def cli_argv(draw):
     return [command, draw(NAMES), "--order", draw(st.integers(-1, 6).map(str))]
 
 
-def _has_negative_color(argv):
-    """Whether a color list or moment-table word in ``argv`` has a negative
-    entry; WORD draws -1, so ``--colors`` and table words get one often."""
+def _has_bad_color(argv):
+    """Whether ``argv`` names a color the command must reject: a negative
+    entry in a color list or moment-table word (WORD draws -1, so ``--colors``
+    and table words get one often), ``--colors`` on a kind that takes no color
+    word, or a troupe color outside ``range(--num-colors)``."""
     if "--colors" in argv:
-        return "-" in argv[argv.index("--colors") + 1]
+        return ("-" in argv[argv.index("--colors") + 1]
+                or argv[2] not in ("bpt", "branch", "dbpt"))
     if argv[0] == "verify":
-        head, _, colors = argv[2].partition(":")
-        return head in ("colorset", "colorcount") and "-" in colors
+        head, _, named = argv[2].partition(":")
+        if head not in ("colorset", "colorcount"):
+            return False
+        num_colors = 1
+        if "--num-colors" in argv:
+            num_colors = int(argv[argv.index("--num-colors") + 1])
+        try:
+            return any(not 0 <= int(c) < num_colors for c in named.split(","))
+        except ValueError:
+            return True  # not a color list at all
     if argv[0] == "cumulants":
         return any("-" in line.partition("=")[0] for line in argv[2].splitlines())
     return False
@@ -404,7 +419,7 @@ def _has_negative_color(argv):
 @settings(deadline=None, max_examples=150)
 @given(cli_argv())
 def test_cli_contract_holds_under_fuzzing(argv):
-    negative_color = _has_negative_color(argv)
+    bad_color = _has_bad_color(argv)
     with tempfile.TemporaryDirectory() as tmp:
         if argv[0] == "cumulants":
             path = os.path.join(tmp, "moments.txt")
@@ -413,7 +428,7 @@ def test_cli_contract_holds_under_fuzzing(argv):
             argv = argv[:2] + [path]
         code, out, err = run(*argv)
     assert "Traceback" not in err
-    if negative_color:
+    if bad_color:
         assert code == 2
     if argv[0] == "verify":
         assert code in (0, 1, 2)

@@ -15,7 +15,7 @@ from troupes.trees import (
     labeled_multiset_key,
 )
 
-from oracles import two_child_count
+from oracles import branch_from_inorder_by_directions, two_child_count
 
 WORKED = (15, 16, 10, 11, 6, 20, 18, 12, 1, 7, 13, 17, 8, 3, 2, 9, 5, 4, 14, 19)
 
@@ -76,6 +76,26 @@ def test_branch_from_inorder_shapes():
     assert lt.tree.nodes[lt.tree.root].left is not None
     with pytest.raises(ValueError):
         branch_from_inorder((1, 3, 2))  # a peak: not a branch word
+
+
+def _branch_or_message(build, word):
+    try:
+        return build(word)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_branch_from_inorder_matches_oracle():
+    """Every word up to length 7, as a permutation and with shifted values:
+    the same branch, or the same rejection."""
+    branches = 0
+    words = [()] + [w for n in range(1, 8) for w in itertools.permutations(range(1, n + 1))]
+    for sigma in words:
+        for word in (sigma, tuple(v + 3 for v in sigma)):
+            got = _branch_or_message(branch_from_inorder, word)
+            assert got == _branch_or_message(branch_from_inorder_by_directions, word)
+            branches += not isinstance(got, str)
+    assert branches == 2 * sum(2 ** (n - 1) for n in range(1, 8))
 
 
 def test_factors_of_decreasing_word_is_single_chain():

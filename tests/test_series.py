@@ -99,48 +99,6 @@ def test_compose_associative(f, g, h):
     assert f.compose(g).compose(h) == f.compose(g.compose(h))
 
 
-# -- compositional inverse
-
-
-def test_comp_inverse_identity():
-    t = Series.t(6)
-    assert t.compositional_inverse() == t
-
-
-def test_comp_inverse_moebius():
-    w = Series.t(6) / (Series.one(6) - Series.t(6))
-    v = w.compositional_inverse()
-    assert v == Series.t(6) / (Series.one(6) + Series.t(6))
-    assert w.compose(v) == Series.t(6)
-    assert v.compose(w) == Series.t(6)
-
-
-def test_comp_inverse_catalan_shift():
-    w = series(0, 1, -1, order=5)
-    assert w.compositional_inverse() == series(0, 1, 1, 2, 5)
-
-
-def test_comp_inverse_preconditions():
-    with pytest.raises(ValueError):
-        Series.one(3).compositional_inverse()
-    with pytest.raises(ZeroDivisionError):
-        series(0, 0, 1).compositional_inverse()
-    with pytest.raises(ZeroDivisionError):
-        series(0).compositional_inverse()
-    with pytest.raises(ZeroDivisionError):
-        Series([QPoly(), q, QPoly((1,))]).compositional_inverse()
-
-
-@settings(max_examples=30, deadline=None)
-@given(small_series)
-def test_comp_inverse_roundtrip(f):
-    w = Series([Fraction(0), Fraction(1)] + list(f.coeffs), order=f.order + 2)
-    v = w.compositional_inverse()
-    t = Series.t(w.order)
-    assert w.compose(v) == t
-    assert v.compose(w) == t
-
-
 # -- log and exp
 
 
@@ -296,7 +254,7 @@ def oracle_compositional_inverse(f):
     n = f.order
     if f.coeffs[0] != 0:
         raise ValueError("compositional inverse needs zero constant term")
-    inv_w1 = ring_inverse(f.coeffs[1] if n > 1 else f._zero())
+    inv_w1 = ring_inverse(f.coeffs[1])
     out = [f._zero(), inv_w1]
     for m in range(2, n):
         residue = f.compose(Series(out, order=n)).coeffs[m]
@@ -308,6 +266,8 @@ def oracle_inverse_troupe_transform(ts):
     if ts.coeffs[0] != 0:
         raise ValueError("the tree series must have zero constant term")
     n = ts.order
+    if n == 1:
+        return ts
     one = Series.one(n, poly=ts.is_poly_ring)
     t = Series.t(n, poly=ts.is_poly_ring)
     return ts.compose(oracle_compositional_inverse(t / (one - ts.shift())))
@@ -372,7 +332,6 @@ def with_head(s, *head):
 FAST_AND_ORACLE = [
     (troupe_transform, oracle_troupe_transform),
     (inverse_troupe_transform, oracle_inverse_troupe_transform),
-    (Series.compositional_inverse, oracle_compositional_inverse),
     (Series.log, oracle_log),
     (Series.exp, oracle_exp),
 ]
@@ -399,7 +358,6 @@ def test_fast_paths_match_brute_force_oracles():
         for fast, _ in FAST_AND_ORACLE:
             assert (fast.__name__, Series, poly) in seen
             assert (fast.__name__, ValueError, poly) in seen
-        assert ("compositional_inverse", ZeroDivisionError, poly) in seen
 
 
 def test_order_one_matches_oracles():
@@ -407,3 +365,5 @@ def test_order_one_matches_oracles():
         for s in (Series([0]), Series([1]), Series([QPoly()]), Series([QPoly((1,))])):
             assert outcome(fast, s) == outcome(oracle, s)
     assert troupe_transform(Series([0])) == Series([0])
+    assert inverse_troupe_transform(Series([0])) == Series([0])
+    assert inverse_troupe_transform(Series([QPoly()])) == Series([QPoly()])

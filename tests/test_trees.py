@@ -186,6 +186,7 @@ def test_stack_sort_matches_recursion():
     for n in range(1, 8):
         for sigma in itertools.permutations(range(1, n + 1)):
             assert stack_sort(sigma) == _stack_sort_recursive(sigma)
+            assert stack_sort(sigma) == beta(alpha_inverse(sigma))
 
 
 # -- insertion

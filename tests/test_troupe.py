@@ -15,7 +15,6 @@ from troupes.troupe import (
     motzkin_trees,
     random_branch_table,
     right_two_monomial,
-    tree_series,
     weighted_sum,
 )
 from troupes.trees import (
@@ -29,7 +28,7 @@ from troupes.trees import (
     size_word,
 )
 
-from oracles import is_full, is_motzkin, two_child_count
+from oracles import is_full, is_motzkin, tree_series, two_child_count
 
 
 @lru_cache(maxsize=None)
