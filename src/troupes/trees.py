@@ -560,6 +560,50 @@ def iter_dbpt_word(word: Sequence[int]) -> Iterator[LabeledTree]:
         yield alpha_inverse(perm, colors=word, box_color=word[-1])
 
 
+def _dbpt_counts(colors: tuple[int, ...], memo: dict) -> dict:
+    """``{(shape, postorder colors): count}`` over the decreasing trees whose
+    vertex colors, read in increasing label order, are ``colors``; ``count``
+    is the number of decreasing labelings that give that colored tree.
+
+    The root carries the largest label; the splits of the other labels into
+    a left and a right set are grouped by their pair of color subwords.
+    """
+    counts = memo.get(colors)
+    if counts is not None:
+        return counts
+    if not colors:
+        counts = {(None, ()): 1}
+    else:
+        splits = {((), ()): 1}
+        for c in colors[:-1]:
+            grown: dict = {}
+            for (left, right), k in splits.items():
+                for key in ((left + (c,), right), (left, right + (c,))):
+                    grown[key] = grown.get(key, 0) + k
+            splits = grown
+        root = (colors[-1],)
+        counts = {}
+        for (left, right), k in splits.items():
+            right_counts = _dbpt_counts(right, memo)
+            for (lshape, lcolors), lk in _dbpt_counts(left, memo).items():
+                for (rshape, rcolors), rk in right_counts.items():
+                    key = ((lshape, rshape), lcolors + rcolors + root)
+                    counts[key] = counts.get(key, 0) + k * lk * rk
+    memo[colors] = counts
+    return counts
+
+
+def iter_dbpt(word: Sequence[int]) -> Iterator[tuple[ColoredTree, int]]:
+    """The family of :func:`iter_dbpt_word` grouped by colored tree: one
+    ``(tree, count)`` per distinct colored tree, ``count`` being the number
+    of decreasing labelings that give it.  The counts sum to
+    ``(len(word)-1)!``; trees are built by :func:`tree_from_shape`."""
+    if len(word) < 1:
+        raise ValueError("color word must be nonempty")
+    for (shape, colors), count in _dbpt_counts(tuple(word[:-1]), {}).items():
+        yield tree_from_shape(shape, colors, word[-1]), count
+
+
 TREE_KINDS = ("bpt", "branch", "dbpt")
 
 

@@ -26,6 +26,7 @@ from .trees import (
     factor_paths,
     is_branch,
     iter_branch_word,
+    iter_dbpt,
     right_edges,
     size_word,
 )
@@ -204,12 +205,19 @@ def _parse_colors(arg: str) -> list[int]:
 
 
 def weighted_sum(tau: WeightedTroupe, kind: str, word: Sequence[int]) -> RingElem:
-    """Exact sum of the troupe over the colored family of the given word."""
-    family = enumerate_trees(kind, word)
-    if kind.lower() == "dbpt":
-        family = (lt.tree for lt in family)
+    """Exact sum of the troupe over the colored family of the given word.
+
+    A labeled tree's value depends only on its colored tree, so the
+    decreasing trees are summed through :func:`iter_dbpt`: each distinct
+    colored tree is evaluated once and weighted by its number of decreasing
+    labelings.
+    """
     total: RingElem = Fraction(0)
-    for t in family:
+    if kind.lower() == "dbpt":
+        for t, count in iter_dbpt(word):
+            total = total + tau.evaluate(t) * count
+        return total
+    for t in enumerate_trees(kind, word):
         total = total + tau.evaluate(t)
     return total
 

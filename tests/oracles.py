@@ -5,9 +5,10 @@ phi as the intermediate tree followed by one swing per left step, and its
 inverse as one swing per left-only vertex followed by the inorder reading.
 Also the recursive max-split build of a decreasing tree, descending runs
 normalised through ``SetPartition.of``, psi by iterated insertion, the
-Narayana polynomial and the tree series by enumeration, the branch of an
-inorder word from its sorted labels, the tree predicates only tests use, the
-single-word equivalence report, and the tree walks as self-recursive closures.
+Narayana polynomial and the tree series by enumeration, the decreasing-tree
+sum over every labeled tree, the branch of an inorder word from its sorted
+labels, the tree predicates only tests use, the single-word equivalence
+report, and the tree walks as self-recursive closures.
 Also the polynomial ring with one ``Fraction`` per coefficient, the
 irreducible noncrossing partitions without singletons by filtering, and a
 frozen-dataclass twin of each ``NamedTuple`` record.
@@ -30,6 +31,7 @@ from troupes.trees import (
     branch_profile,
     insert,
     iter_bpt_word,
+    iter_dbpt_word,
     right_edges,
     size_word,
 )
@@ -191,6 +193,16 @@ def tree_series(tau: WeightedTroupe, order: int) -> Series:
     for n in range(1, order):
         coeffs.append(weighted_sum(tau, "bpt", size_word(n)))
     return Series(coeffs)
+
+
+def dbpt_sums_by_labeled_trees(taus, word) -> list:
+    """Each troupe summed over the decreasing trees of a word, evaluating
+    every one of the (n-1)! labeled trees."""
+    totals = [Fraction(0)] * len(taus)
+    for lt in iter_dbpt_word(word):
+        for i, tau in enumerate(taus):
+            totals[i] = totals[i] + tau.evaluate(lt.tree)
+    return totals
 
 
 def is_full(t: ColoredTree) -> bool:

@@ -87,6 +87,7 @@ def test_right_edge_triple():
     for n in range(1, 7):
         assert weighted_sum(tau, "branch", size_word(n)) == q * (1 + q) ** (n - 1)
         assert weighted_sum(tau, "bpt", size_word(n)) == q * narayana_polynomial(n)
+    for n in range(1, 11):
         assert weighted_sum(tau, "dbpt", size_word(n)) == q * eulerian_polynomial(n)
 
 
@@ -94,15 +95,13 @@ def test_full_triple():
     tau = full_trees()
     catalan = [1, 1, 2, 5, 14]
     for n in range(1, 7):
-        dbpt = weighted_sum(tau, "dbpt", size_word(n))
         bpt = weighted_sum(tau, "bpt", size_word(n))
         branch = weighted_sum(tau, "branch", size_word(n))
-        if n % 2 == 1:
-            assert dbpt == alternating_count(n)
-            assert bpt == catalan[(n - 1) // 2]
-        else:
-            assert dbpt == 0 and bpt == 0
+        assert bpt == (catalan[(n - 1) // 2] if n % 2 == 1 else 0)
         assert branch == (1 if n == 1 else 0)
+    for n in range(1, 11):
+        dbpt = weighted_sum(tau, "dbpt", size_word(n))
+        assert dbpt == (alternating_count(n) if n % 2 == 1 else 0)
 
 
 def test_gamma_minus_one():

@@ -1,6 +1,8 @@
 import gc
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -28,6 +30,7 @@ from troupes.trees import (
     is_branch,
     iter_bpt_word,
     iter_branch_word,
+    iter_dbpt,
     iter_dbpt_word,
     labeled_insertion_factors,
     labeled_multiset_key,
@@ -477,6 +480,7 @@ def test_word_length_one_families():
     assert next(iter_bpt_word((5,))).box_color == 5
     assert list(iter_branch_word((5,))) == []
     assert [lt.size for lt in iter_dbpt_word((5,))] == [0]
+    assert [(t.size, t.box_color, c) for t, c in iter_dbpt((5,))] == [(0, 5, 1)]
 
 
 def test_colored_postorder_matches_word():
@@ -495,6 +499,41 @@ def test_colored_postorder_matches_word():
         )
 
 
+def test_iter_dbpt_groups_the_labeled_family():
+    words = [w for n in range(1, 8) for w in itertools.product((0, 1), repeat=n)]
+    words += [w for n in range(1, 6) for w in itertools.product((0, 1, 2), repeat=n)]
+    for word in words:
+        grouped = {}
+        for t, count in iter_dbpt(word):
+            t.validate()
+            assert t.box_color == word[-1]
+            assert postorder(t) == list(range(t.size))
+            assert encode(t) not in grouped
+            grouped[encode(t)] = count
+        assert grouped == Counter(encode(lt.tree) for lt in iter_dbpt_word(word))
+
+
+def _hook_product(t, v):
+    """Size of the subtree at ``v`` and the product of its subtree sizes."""
+    if v is None:
+        return 0, 1
+    nd = t.nodes[v]
+    (ls, lp), (rs, rp) = _hook_product(t, nd.left), _hook_product(t, nd.right)
+    size = ls + rs + 1
+    return size, lp * rp * size
+
+
+def test_iter_dbpt_single_color_hook_lengths():
+    # s! / (product of subtree sizes) decreasing labelings per shape, one
+    # yield per shape of size s
+    for s in range(10):
+        grouped = list(iter_dbpt(size_word(s)))
+        assert len(grouped) == math.comb(2 * s, s) // (s + 1)
+        for t, count in grouped:
+            assert count == math.factorial(s) // _hook_product(t, t.root)[1]
+        assert sum(count for _, count in grouped) == math.factorial(s)
+
+
 def test_enumerate_trees_dispatch():
     assert sum(1 for _ in enumerate_trees("bpt", size_word(4))) == 14
     assert sum(1 for _ in enumerate_trees("branch", (0, 0, 0))) == 2
@@ -503,6 +542,8 @@ def test_enumerate_trees_dispatch():
         enumerate_trees("weird", (0, 0))
     with pytest.raises(ValueError):
         list(enumerate_trees("bpt", ()))
+    with pytest.raises(ValueError):
+        list(iter_dbpt(()))
 
 
 def test_size_word_is_the_constant_word():

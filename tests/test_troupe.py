@@ -28,7 +28,7 @@ from troupes.trees import (
     size_word,
 )
 
-from oracles import is_full, is_motzkin, tree_series, two_child_count
+from oracles import dbpt_sums_by_labeled_trees, is_full, is_motzkin, tree_series, two_child_count
 
 
 @lru_cache(maxsize=None)
@@ -241,6 +241,25 @@ def test_cache_holds_branches_only():
     assert weighted_sum(tau, "bpt", size_word(7)) == 429
     assert weighted_sum(tau, "dbpt", size_word(7)) == 5040
     assert len(tau._cache) <= 127
+
+
+def test_dbpt_sum_by_colored_tree_matches_labeled_trees():
+    words = [w for n in range(1, 8) for w in itertools.product((0, 1), repeat=n)]
+    words += [w for n in range(1, 6) for w in itertools.product((0, 1, 2), repeat=n)]
+    makers = [
+        all_trees,
+        lambda: builtin("colorcount:1"),
+        lambda: builtin("rightmono:q,2/3"),
+        motzkin_trees,
+        lambda: from_table(random_branch_table(5, 6, 2)),
+    ]
+    taus = [make() for make in makers]
+    oracle_taus = [make() for make in makers]
+    for word in words:
+        expected = dbpt_sums_by_labeled_trees(oracle_taus, word)
+        for tau, want in zip(taus, expected):
+            got = weighted_sum(tau, "dbpt", word)
+            assert got == want and type(got) is type(want), (tau, word)
 
 
 def test_weight_of_branch_rejects_non_branch():
