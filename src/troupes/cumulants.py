@@ -17,19 +17,21 @@ length order.  The two bridges are the theorem's other route and keep a
 whole-class partition sum: they negate a Boolean table, sum it over
 irreducible noncrossing partitions (free) or over the descending-run
 partitions of permutations with first entry maximal (classical, each run
-partition once with its count), and negate.
+partition once with its count), and negate.  Conversions and bridges alike
+sum on integers over a graded table (:func:`_grade`).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .rings import RingElem, as_ring_elem, format_ring_elem, parse_ring_elem
-from .partitions import iter_first_max_run_blocks, partitions_as_index_blocks
+from .rings import (QPoly, RingElem, as_ring_elem, denominator, format_ring_elem,
+                    parse_ring_elem)
+from .partitions import partitions_as_index_blocks
 from .series import Series
 from .troupe import WeightedTroupe, weighted_sum
 
@@ -111,7 +113,7 @@ def _first_block_sum(word: Word, kind: str, cumulants: Mapping[Word, RingElem],
                 grown.append((block + (letter,), m if closed is None else closed * m, ()))
             grown.append((block, closed, gap + (letter,)))
         states = grown
-    acc: RingElem = Fraction(0)
+    acc: RingElem = 0
     for block, closed, gap in states:
         term = cumulants[block]
         if closed is not None:
@@ -122,31 +124,128 @@ def _first_block_sum(word: Word, kind: str, cumulants: Mapping[Word, RingElem],
     return acc
 
 
+def _grade(table: Mapping[Word, RingElem]) -> tuple[dict[Word, RingElem], int]:
+    """The table with each entry times ``d**len(word)``, and ``d``, the lcm of
+    the entries' denominators: entries become ``int``s or integer-coefficient
+    ``QPoly``s.  Every kernel here is homogeneous of degree ``len(word)`` in
+    its table, so it runs unchanged on the graded table, and
+    :func:`_ungrade` divides once per word."""
+    d = lcm(*map(denominator, table.values()))
+    graded: dict[Word, RingElem] = {}
+    for word, x in table.items():
+        scale = d ** len(word)
+        if isinstance(x, QPoly):
+            graded[word] = x * scale
+        else:
+            graded[word] = x.numerator * (scale // x.denominator)
+    return graded, d
+
+
+def _ungrade(graded: Mapping[Word, RingElem], d: int) -> dict[Word, RingElem]:
+    """Each entry over ``d**len(word)``: a ``Fraction`` from an ``int``, a
+    ``QPoly`` from a ``QPoly``."""
+    out: dict[Word, RingElem] = {}
+    for word, x in graded.items():
+        scale = d ** len(word)
+        out[word] = x * Fraction(1, scale) if isinstance(x, QPoly) else Fraction(x, scale)
+    return out
+
+
 def moments_to_cumulants(phi: MomentFunctional, kind: str) -> CumulantTable:
     """Triangular solve of the first-block recursion for the requested kind."""
+    moments, d = _grade(phi.table)
     table: dict[Word, RingElem] = {}
     for word in iter_words(phi.alphabet, phi.max_len):
-        table[word] = Fraction(0)  # held at 0 in its own sum: the one-block term drops out
-        table[word] = phi.moment(word) - _first_block_sum(word, kind, table, phi.table)
-    return CumulantTable(kind, phi.alphabet, phi.max_len, table)
+        table[word] = 0  # held at 0 in its own sum: the one-block term drops out
+        table[word] = moments[word] - _first_block_sum(word, kind, table, moments)
+    return CumulantTable(kind, phi.alphabet, phi.max_len, _ungrade(table, d))
 
 
 def cumulants_to_moments(c: CumulantTable) -> MomentFunctional:
     """The first-block recursion, filling moments in length order."""
+    cumulants, d = _grade(c.table)
     table: dict[Word, RingElem] = {}
     for word in iter_words(c.alphabet, c.max_len):
-        table[word] = _first_block_sum(word, c.kind, c.table, table)
-    return MomentFunctional(c.alphabet, c.max_len, table)
+        table[word] = _first_block_sum(word, c.kind, cumulants, table)
+    return MomentFunctional(c.alphabet, c.max_len, _ungrade(table, d))
 
 
 Blocks = tuple[tuple[int, ...], ...]
 
+# ``perm.translate(_SHIFT)`` adds 1 to every value of a permutation held as
+# bytes, one value a byte
+_SHIFT = bytes(range(1, 256)) + b"\0"
+
 
 @lru_cache(maxsize=None)
-def _run_partition_counts(n: int) -> Counter[Blocks]:
-    """Each descending-run partition of the permutations with first entry
-    maximal, with the number of those permutations that have it."""
-    return Counter(iter_first_max_run_blocks(n))
+def _run_partitions(n: int) -> tuple[dict[Blocks, int], bytes]:
+    """:func:`_run_partition_counts`, and the lexicographically first
+    permutation having each key, as bytes of n values each, concatenated.
+
+    A permutation of 0..n-1 with first entry n-1 is one of size n-1, its
+    values shifted up by 1, with 0 put right after some entry a, ending a's
+    run.  If a is its block's minimum, 0 joins that block; otherwise the
+    block splits into {x >= a} + {0} and {x < a}.  The block of 0 goes first
+    and the rest keeps the old block's place, so keys stay canonical.
+
+    Insertions run in the lexicographic order of the permutations they make
+    (a preorder walk of the trie of the previous first permutations: a node,
+    the range sharing d entries, puts 0 at index d of each, then visits its
+    children), so keys come in the permutation walk's order.  Equal blocks
+    are one object across keys.
+    """
+    if n == 1:
+        return {((0,),): 1}, b"\0"
+    old, old_perms = _run_partitions(n - 1)
+    m = n - 1
+    perms = old_perms.translate(_SHIFT)
+    shifted = {b: tuple([x + 1 for x in b]) for key in old for b in key}
+    interned = {b: b for b in shifted.values()}
+    keys = [tuple([shifted[b] for b in key]) for key in old]
+    mult = list(old.values())
+    counts: dict[Blocks, int] = {}
+    firsts = bytearray()
+    stack = [(0, len(keys), 1)]
+    while stack:
+        lo, hi, d = stack.pop()
+        for r in range(lo, hi):
+            start = r * m
+            a = perms[start + d - 1]
+            blocks = keys[r]
+            for j, b in enumerate(blocks):
+                if a in b:
+                    break
+            k = b.index(a)
+            z = (0,) + b[k:]
+            z = interned.setdefault(z, z)
+            if k:
+                rest = interned.setdefault(b[:k], b[:k])
+                new = (z,) + blocks[:j] + (rest,) + blocks[j + 1:]
+            else:
+                new = (z,) + blocks[:j] + blocks[j + 1:]
+            got = counts.get(new)
+            if got is None:
+                counts[new] = mult[r]
+                firsts += perms[start:start + d]
+                firsts.append(0)
+                firsts += perms[start + d:start + m]
+            else:
+                counts[new] = got + mult[r]
+        if d < m:  # children share d+1 entries; pushed last first
+            cut = hi
+            for r in range(hi - 1, lo, -1):
+                if perms[r * m + d] != perms[(r - 1) * m + d]:
+                    stack.append((r, cut, d + 1))
+                    cut = r
+            stack.append((lo, cut, d + 1))
+    return counts, bytes(firsts)
+
+
+def _run_partition_counts(n: int) -> dict[Blocks, int]:
+    """Each descending-run partition of the permutations of 0..n-1 with
+    first entry maximal, as canonical blocks, with the number of those
+    permutations that have it; built from the table of n-1 by inserting 0."""
+    return _run_partitions(n)[0]
 
 
 def _partition_sum(word: Word, klass: str, table: Mapping[Word, RingElem]) -> RingElem:
@@ -160,7 +259,7 @@ def _partition_sum(word: Word, klass: str, table: Mapping[Word, RingElem]) -> Ri
         terms: Iterable[tuple[Blocks, int]] = _run_partition_counts(len(word)).items()
     else:
         terms = zip(partitions_as_index_blocks(len(word), klass), itertools.repeat(1))
-    acc: RingElem = Fraction(0)
+    acc: RingElem = 0
     for blocks, multiplicity in terms:
         prod: RingElem = multiplicity
         for block in blocks:
@@ -173,10 +272,11 @@ def _bridge(b: CumulantTable, kind: str, klass: str) -> CumulantTable:
     """Negated partition sum of negated Boolean cumulants over ``klass``."""
     if b.kind != "boolean":
         raise ValueError("input must be a boolean cumulant table")
-    negated = {word: -value for word, value in b.table.items()}
+    graded, d = _grade(b.table)
+    negated = {word: -value for word, value in graded.items()}
     table = {word: -_partition_sum(word, klass, negated)
              for word in iter_words(b.alphabet, b.max_len)}
-    return CumulantTable(kind, b.alphabet, b.max_len, table)
+    return CumulantTable(kind, b.alphabet, b.max_len, _ungrade(table, d))
 
 
 def boolean_to_free(b: CumulantTable) -> CumulantTable:

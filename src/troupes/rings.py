@@ -220,6 +220,17 @@ def as_ring_elem(x) -> RingElem:
     raise TypeError(f"not a ring element: {x!r}")
 
 
+def denominator(x) -> int:
+    """The least positive integer that makes ``x`` integral: the denominator
+    of an ``int`` or ``Fraction``, and the common denominator of a ``QPoly``'s
+    coefficients."""
+    if isinstance(x, QPoly):
+        return x._den
+    if isinstance(x, (int, Fraction)):
+        return x.denominator
+    raise TypeError(f"not a ring element: {x!r}")
+
+
 def to_poly(x: RingElem) -> QPoly:
     """Promote a rational to a constant polynomial (polynomials pass through)."""
     if isinstance(x, QPoly):

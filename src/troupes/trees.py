@@ -561,18 +561,21 @@ def iter_dbpt_word(word: Sequence[int]) -> Iterator[LabeledTree]:
 
 
 def _dbpt_counts(colors: tuple[int, ...], memo: dict) -> dict:
-    """``{(shape, postorder colors): count}`` over the decreasing trees whose
-    vertex colors, read in increasing label order, are ``colors``; ``count``
-    is the number of decreasing labelings that give that colored tree.
+    """``{nodes: count}`` over the decreasing trees whose vertex colors, read
+    in increasing label order, are ``colors``: ``nodes`` is a colored tree's
+    vertices in postorder, numbered as :func:`tree_from_shape` numbers them,
+    and ``count`` the number of decreasing labelings that give that tree.
 
     The root carries the largest label; the splits of the other labels into
-    a left and a right set are grouped by their pair of color subwords.
+    a left and a right set are grouped by their pair of color subwords.  The
+    right subtrees of a split are renumbered past the left ones once per
+    split.
     """
     counts = memo.get(colors)
     if counts is not None:
         return counts
     if not colors:
-        counts = {(None, ()): 1}
+        counts = {(): 1}
     else:
         splits = {((), ()): 1}
         for c in colors[:-1]:
@@ -581,13 +584,22 @@ def _dbpt_counts(colors: tuple[int, ...], memo: dict) -> dict:
                 for key in ((left + (c,), right), (left, right + (c,))):
                     grown[key] = grown.get(key, 0) + k
             splits = grown
-        root = (colors[-1],)
+        root = colors[-1]
         counts = {}
         for (left, right), k in splits.items():
-            right_counts = _dbpt_counts(right, memo)
-            for (lshape, lcolors), lk in _dbpt_counts(left, memo).items():
-                for (rshape, rcolors), rk in right_counts.items():
-                    key = ((lshape, rshape), lcolors + rcolors + root)
+            size = len(left)
+            top = size + len(right) - 1
+            lroot = size - 1 if size else None
+            node = _new(Node, (root, lroot, top if right else None))
+            rights = [
+                (tuple([_new(Node, (color, None if lc is None else lc + size,
+                                    None if rc is None else rc + size))
+                        for color, lc, rc in rnodes]) + (node,), rk)
+                for rnodes, rk in _dbpt_counts(right, memo).items()
+            ]
+            for lnodes, lk in _dbpt_counts(left, memo).items():
+                for rnodes, rk in rights:
+                    key = lnodes + rnodes
                     counts[key] = counts.get(key, 0) + k * lk * rk
     memo[colors] = counts
     return counts
@@ -597,11 +609,13 @@ def iter_dbpt(word: Sequence[int]) -> Iterator[tuple[ColoredTree, int]]:
     """The family of :func:`iter_dbpt_word` grouped by colored tree: one
     ``(tree, count)`` per distinct colored tree, ``count`` being the number
     of decreasing labelings that give it.  The counts sum to
-    ``(len(word)-1)!``; trees are built by :func:`tree_from_shape`."""
+    ``(len(word)-1)!``; node ids are postorder positions, as in
+    :func:`tree_from_shape`."""
     if len(word) < 1:
         raise ValueError("color word must be nonempty")
-    for (shape, colors), count in _dbpt_counts(tuple(word[:-1]), {}).items():
-        yield tree_from_shape(shape, colors, word[-1]), count
+    box = word[-1]
+    for nodes, count in _dbpt_counts(tuple(word[:-1]), {}).items():
+        yield _new(ColoredTree, (nodes, len(nodes) - 1 if nodes else None, box)), count
 
 
 TREE_KINDS = ("bpt", "branch", "dbpt")

@@ -231,45 +231,79 @@ def _run_blocks(n):
     return [druns(sigma).blocks for sigma in iter_sigma_first_n(n)]
 
 
+COPRIME = (2, 3, 5, 7)
+
+
 def random_ring_table(rng, ring, alphabet, max_len):
-    def value():
+    """``int`` entries, ``Fraction``s over 1..4 (``rational``) or over the
+    pairwise-coprime 2, 3, 5, 7 (``coprime``), ``QPoly``s, or all three in
+    one table (``mixed``)."""
+    def value(ring):
+        if ring == "int":
+            return rng.randint(-4, 4)
         if ring == "rational":
             return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        if ring == "coprime":
+            return Fraction(rng.randint(-6, 6), rng.choice(COPRIME))
+        if ring == "mixed":
+            return value(rng.choice(("int", "coprime", "qpoly")))
         return QPoly(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                      for _ in range(rng.randint(0, 3)))
 
-    return {w: value() for w in iter_words(alphabet, max_len)}
+    return {w: value(ring) for w in iter_words(alphabet, max_len)}
 
 
-@pytest.mark.parametrize("ring", ["rational", "qpoly"])
+def assert_same_entries(got, want):
+    """Equal tables, entry by entry, in value and in ``type()``."""
+    assert list(got) == list(want)
+    for word, value in want.items():
+        assert got[word] == value, word
+        assert type(got[word]) is type(value), word
+
+
+@pytest.mark.parametrize("ring", ["rational", "qpoly", "int", "coprime", "mixed"])
 def test_conversions_match_brute_force_oracle(ring):
     # two of the 24 permutations share a run partition, so the grouped
     # classical bridge meets a multiplicity above 1
     assert len(set(_run_blocks(5))) == 22
     rng = random.Random(31)
-    for alphabet, max_len, tables in (((0, 1), 5, 2), ((0, 1, 2), 4, 1)):
+    for alphabet, max_len, tables in (((0, 1), 5, 2), ((0, 1, 2), 4, 1), ((0,), 7, 1)):
         words = list(iter_words(alphabet, max_len))
         for _ in range(tables):
             table = random_ring_table(rng, ring, alphabet, max_len)
-            phi = MomentFunctional.of(alphabet, max_len, table)
+            # built directly, so int entries reach the kernels as ints
+            phi = MomentFunctional(alphabet, max_len, table)
             for kind in ("classical", "free", "boolean"):
-                assert (moments_to_cumulants(phi, kind).table
-                        == oracle_cumulants(table, kind, words))
+                assert_same_entries(moments_to_cumulants(phi, kind).table,
+                                    oracle_cumulants(table, kind, words))
                 cum = CumulantTable(kind, alphabet, max_len, table)
-                assert cumulants_to_moments(cum).table == oracle_moments(table, kind, words)
+                assert_same_entries(cumulants_to_moments(cum).table,
+                                    oracle_moments(table, kind, words))
             boolean = CumulantTable("boolean", alphabet, max_len, table)
-            assert boolean_to_free(boolean).table == oracle_bridge(
-                table, _nc_irreducible_blocks, words)
-            assert boolean_to_classical(boolean).table == oracle_bridge(
-                table, _run_blocks, words)
+            assert_same_entries(boolean_to_free(boolean).table,
+                                oracle_bridge(table, _nc_irreducible_blocks, words))
+            assert_same_entries(boolean_to_classical(boolean).table,
+                                oracle_bridge(table, _run_blocks, words))
 
 
 def test_run_partition_counts_match_druns():
-    for n in range(1, 9):
+    for n in range(1, 10):
         zero_based = [tuple(tuple(i - 1 for i in b) for b in druns(sigma).blocks)
                       for sigma in iter_sigma_first_n(n)]
-        assert _run_partition_counts(n) == Counter(zero_based)
+        walk = Counter(zero_based)
+        counts = _run_partition_counts(n)
+        assert counts == walk
+        # keys in the order the walk first meets them, not just the same set
+        assert list(counts) == list(walk)
         assert first_n_druns_index_blocks(n) == tuple(zero_based)
+
+
+def test_run_partition_blocks_are_shared_between_keys():
+    counts = _run_partition_counts(7)
+    blocks = {}
+    for key in counts:
+        for block in key:
+            assert blocks.setdefault(block, block) is block
 
 
 def test_conversions_build_no_lattice_table(monkeypatch):

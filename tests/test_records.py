@@ -38,6 +38,7 @@ from troupes.trees import (
     insert,
     iter_bpt_word,
     iter_branch_word,
+    iter_dbpt,
     iter_dbpt_word,
     parse_tree,
     shapes,
@@ -142,4 +143,6 @@ def test_every_builder_makes_node_records():
                 _assert_tree_records(b)
         for b in iter_branch_word(word):
             _assert_tree_records(b)
+        for t, _ in iter_dbpt(word):
+            _assert_tree_records(t)
     assert type(druns((3, 1, 2))) is SetPartition

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from troupes.rings import (
     QPoly,
     RingMismatchError,
+    denominator,
     format_ring_elem,
     parse_ring_elem,
     q,
@@ -119,6 +120,21 @@ def test_poly_roundtrip(p):
 def test_to_poly():
     assert to_poly(Fraction(2)) == QPoly((2,))
     assert to_poly(q) is q
+
+
+def test_denominator():
+    assert denominator(-3) == 1
+    assert denominator(Fraction(6, -4)) == 2
+    assert denominator(QPoly((Fraction(1, 2), Fraction(1, 3)))) == 6
+    assert denominator(QPoly((Fraction(1, 2), Fraction(3, 2)))) == 2
+    assert denominator(QPoly()) == 1
+    with pytest.raises(TypeError):
+        denominator(0.5)
+
+
+@given(polys_st)
+def test_denominator_is_the_lcm_of_the_coefficients(p):
+    assert denominator(p) == math.lcm(*(c.denominator for c in p.coeffs))
 
 
 def test_ring_mismatch_is_value_error():
