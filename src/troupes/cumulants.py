@@ -254,16 +254,22 @@ def _partition_sum(word: Word, klass: str, table: Mapping[Word, RingElem]) -> Ri
 
     ``druns`` is the run partitions of the permutations with first entry
     maximal, each once with the number of those permutations that have it.
+    The classes share block objects across partitions, so ``table[word|block]``
+    is looked up once per distinct block.
     """
     if klass == "druns":
         terms: Iterable[tuple[Blocks, int]] = _run_partition_counts(len(word)).items()
     else:
         terms = zip(partitions_as_index_blocks(len(word), klass), itertools.repeat(1))
+    values: dict[tuple[int, ...], RingElem] = {}
     acc: RingElem = 0
     for blocks, multiplicity in terms:
         prod: RingElem = multiplicity
         for block in blocks:
-            prod = prod * table[tuple(word[i] for i in block)]
+            value = values.get(block)
+            if value is None:
+                value = values[block] = table[tuple(word[i] for i in block)]
+            prod = prod * value
         acc = acc + prod
     return acc
 
@@ -311,7 +317,7 @@ def classical_via_egf(moments: Sequence[RingElem]) -> list[RingElem]:
         fact.append(fact[-1] * k)
     egf = Series([m * Fraction(1, fact[n]) for n, m in enumerate(moments)])
     log = egf.log()
-    return [log.coeffs[n] * fact[n] for n in range(1, len(moments))]
+    return [log[n] * fact[n] for n in range(1, len(moments))]
 
 
 # ---------------------------------------------------------------------------

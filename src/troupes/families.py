@@ -79,7 +79,7 @@ def _factorial_cumulant_egf(order: int, scale: int) -> list[RingElem]:
     out: list[RingElem] = [Fraction(1)]
     for n in range(1, order + 1):
         fact *= n
-        out.append(egf.coeffs[n] * fact)
+        out.append(egf[n] * fact)
     return out
 
 
@@ -117,7 +117,7 @@ def _geometric_like_moments(order: int) -> list[RingElem]:
     out: list[RingElem] = [QPoly((1,))]
     for n in range(1, order + 1):
         fact *= n
-        out.append(egf.coeffs[n] * fact)
+        out.append(egf[n] * fact)
     return out
 
 
@@ -139,7 +139,7 @@ def _secant_moments(order: int) -> list[RingElem]:
     out: list[RingElem] = [Fraction(1)]
     for n in range(1, order + 1):
         fact *= n
-        out.append(sec.coeffs[n] * fact)
+        out.append(sec[n] * fact)
     return out
 
 
@@ -192,7 +192,7 @@ def convolution_additivity_check(f: NamedSequence, g: NamedSequence,
     ef = Series([m * Fraction(1, fact[n]) for n, m in enumerate(mf)])
     eg = Series([m * Fraction(1, fact[n]) for n, m in enumerate(mg)])
     product = ef * eg
-    conv_moments = [product.coeffs[n] * fact[n] for n in range(order + 1)]
+    conv_moments = [product[n] * fact[n] for n in range(order + 1)]
     kf = classical_via_egf(mf)
     kg = classical_via_egf(mg)
     kfg = classical_via_egf(conv_moments)

@@ -129,10 +129,6 @@ def partitions_as_index_blocks(n: int, klass: str) -> tuple[tuple[tuple[int, ...
 # Permutations and descending runs
 
 
-def descents(sigma: Sequence[int]) -> list[int]:
-    return [i for i in range(1, len(sigma)) if sigma[i - 1] > sigma[i]]
-
-
 def _run_blocks(sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The maximal consecutive decreasing runs of ``sigma`` as canonical
     blocks: a reversed run is ascending and starts at its minimum, so the

@@ -86,7 +86,7 @@ class QPoly:
         o = _parts(other)
         if o is None:
             return NotImplemented
-        return _add(self._num, self._den, o[0], o[1])
+        return _make(*_add(self._num, self._den, o[0], o[1]))
 
     __radd__ = __add__
 
@@ -97,13 +97,13 @@ class QPoly:
         o = _parts(other)
         if o is None:
             return NotImplemented
-        return _add(self._num, self._den, [-c for c in o[0]], o[1])
+        return _make(*_add(self._num, self._den, [-c for c in o[0]], o[1]))
 
     def __rsub__(self, other):
         o = _parts(other)
         if o is None:
             return NotImplemented
-        return _add([-c for c in self._num], self._den, o[0], o[1])
+        return _make(*_add([-c for c in self._num], self._den, o[0], o[1]))
 
     def __mul__(self, other):
         o = _parts(other)
@@ -150,17 +150,22 @@ def _make(num: list[int], den: int) -> QPoly:
     """The polynomial ``num/den`` in normal form; ``den`` must be positive."""
     while num and not num[-1]:
         num.pop()
-    if not num:
-        den = 1
-    elif den != 1:
-        g = gcd(den, *num)
-        if g != 1:
-            num = [c // g for c in num]
-            den //= g
+    num, den = _reduce(num, den)
     p = _new(QPoly)
     _set_num(p, tuple(num))
     _set_den(p, den)
     return p
+
+
+def _reduce(num: list[int], den: int) -> tuple[list[int], int]:
+    """``num/den`` in lowest terms, by one gcd over the whole sequence; all-zero
+    numerators get the denominator 1."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return num, den
 
 
 def _parts(x):
@@ -174,9 +179,9 @@ def _parts(x):
     return None
 
 
-def _add(a, da: int, b, db: int) -> QPoly:
-    """``a/da + b/db`` for integer coefficient sequences over positive
-    denominators."""
+def _add(a, da: int, b, db: int) -> tuple[list, int]:
+    """``a/da + b/db`` over a common denominator, not reduced, for coefficient
+    sequences over positive denominators; the longer sequence's tail is kept."""
     if da != db:
         g = gcd(da, db)
         a = [c * (db // g) for c in a]
@@ -186,18 +191,25 @@ def _add(a, da: int, b, db: int) -> QPoly:
         a, b = b, a
     out = [x + y for x, y in zip(a, b)]
     out.extend(a[len(b):])
-    return _make(out, da)
+    return out, da
 
 
-def _convolve(a, b) -> list[int]:
-    """Product of two integer coefficient sequences."""
+def _convolve(a, b, n: int | None = None) -> list:
+    """The first ``n`` coefficients (all of them by default) of the product of
+    two coefficient sequences.  The entries may be ``int``s, as in a
+    ``QPoly``'s numerators, or ``QPoly``s, as in a polynomial series; an
+    output entry that no product reaches stays the ``int`` 0."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
+    size = len(a) + len(b) - 1
+    if n is not None and n < size:
+        size = n
+    out = [0] * size
+    for i, ca in enumerate(a[:size]):
         if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
+            for k, cb in enumerate(b[:size - i], i):
+                if cb:
+                    out[k] += ca * cb
     return out
 
 

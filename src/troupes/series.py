@@ -5,6 +5,12 @@ of the two supported coefficient rings (rationals or polynomials in ``q``).
 Everything is exact; truncation order is the only approximation anywhere, and
 binary operations truncate to the smaller operand order.
 
+A rational series is stored as integer numerators over one positive common
+denominator, and a polynomial series as its ``QPoly`` coefficients; both
+multiply through the truncated convolution of :mod:`troupes.rings`, and a
+result is reduced once, by one gcd over its numerators.  ``s[n]`` reads a
+rational coefficient as a ``Fraction``.
+
 The branch-to-tree generating function transform (:func:`troupe_transform`)
 solves ``T(t) = B(t / (1 - t*T(t)))`` by Lagrange inversion (see
 :func:`_lagrange_root`); its inverse is the same transform conjugated by
@@ -15,12 +21,16 @@ negation, ``-troupe_transform(-T)``.  ``log`` and ``exp`` solve
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm
 from typing import Iterable
 
 from .rings import (
     QPoly,
     RingElem,
     RingMismatchError,
+    _add,
+    _convolve,
+    _reduce,
     as_ring_elem,
     format_ring_elem,
     is_poly,
@@ -34,9 +44,16 @@ class Series:
 
     ``Series([1, 2, 3])`` is ``1 + 2t + 3t^2 + O(t^3)``.  All coefficients
     share one ring; supplying any polynomial coefficient promotes the rest.
+
+    A rational series is stored as integer numerators over one positive
+    common denominator, in normal form: the denominator shares no factor with
+    all the numerators, so the zero series has denominator 1 and equal series
+    have equal storage.  A polynomial series stores its ``QPoly``
+    coefficients over the denominator 1.  ``s[n]`` and :attr:`coeffs` read
+    the coefficients as ``Fraction`` (or ``QPoly``) values.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable, order: int | None = None):
         cs = [as_ring_elem(c) for c in coeffs]
@@ -46,12 +63,15 @@ class Series:
             cs = cs[:order]
         if not cs and order is None:
             raise ValueError("a series needs an order")
-        poly = any(is_poly(c) for c in cs)
-        if poly:
-            cs = [to_poly(c) for c in cs]
         if order is not None and len(cs) < order:
-            cs.extend([QPoly() if poly else Fraction(0)] * (order - len(cs)))
-        object.__setattr__(self, "coeffs", tuple(cs))
+            cs.extend([Fraction(0)] * (order - len(cs)))
+        if any(is_poly(c) for c in cs):
+            num, den = [to_poly(c) for c in cs], 1
+        else:  # numerators over the lcm of the reduced denominators share no factor with it
+            den = lcm(*(c.denominator for c in cs))
+            num = [c.numerator * (den // c.denominator) for c in cs]
+        _set_num(self, tuple(num))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
@@ -77,19 +97,31 @@ class Series:
 
     @property
     def order(self) -> int:
-        return len(self.coeffs)
+        return len(self._num)
 
     @property
     def is_poly_ring(self) -> bool:
-        return is_poly(self.coeffs[0])  # __init__ puts all in one ring
+        return type(self._num[0]) is QPoly  # __init__ puts all in one ring
+
+    @property
+    def coeffs(self) -> tuple[RingElem, ...]:
+        """The coefficients of ``t^0 .. t^(order-1)``."""
+        if self.is_poly_ring:
+            return self._num
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
 
     def __getitem__(self, n: int) -> RingElem:
-        return self.coeffs[n]
+        if self.is_poly_ring:
+            return self._num[n]
+        return Fraction(self._num[n], self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        if self.is_poly_ring != other.is_poly_ring:  # equal only if every coefficient is constant
+            return self.coeffs == other.coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -100,13 +132,9 @@ class Series:
     def truncate(self, order: int) -> Series:
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return Series(self.coeffs[:order])
-
-    def _zero(self) -> RingElem:
-        return QPoly() if self.is_poly_ring else Fraction(0)
-
-    def _one(self) -> RingElem:
-        return QPoly((1,)) if self.is_poly_ring else Fraction(1)
+        if order < 1:
+            raise ValueError("order must be a positive integer")
+        return _build(self._num[:order], self._den, self.is_poly_ring)
 
     def _common(self, other: Series) -> int:
         if not isinstance(other, Series):
@@ -121,49 +149,50 @@ class Series:
 
     def __add__(self, other: Series) -> Series:
         n = self._common(other)
-        return Series([self.coeffs[i] + other.coeffs[i] for i in range(n)])
+        return _build(*_add(self._num[:n], self._den, other._num[:n], other._den),
+                      self.is_poly_ring)
 
     def __sub__(self, other: Series) -> Series:
-        n = self._common(other)
-        return Series([self.coeffs[i] - other.coeffs[i] for i in range(n)])
+        return self + -other
 
     def __neg__(self) -> Series:
-        return Series([-c for c in self.coeffs])
+        return _series([-c for c in self._num], self._den)
 
     def __mul__(self, other: Series) -> Series:
         n = self._common(other)
-        a, b = self.coeffs, other.coeffs
-        out = [self._zero()] * n
-        for i in range(n):
-            if a[i] == 0:
-                continue
-            for j in range(n - i):
-                if b[j] != 0:
-                    out[i + j] = out[i + j] + a[i] * b[j]
-        return Series(out)
+        return _build(_convolve(self._num, other._num, n), self._den * other._den,
+                      self.is_poly_ring)
 
     def __truediv__(self, other: Series) -> Series:
         n = self._common(other)
-        b0 = other.coeffs[0]
-        if b0 == 0:
+        a, b = self._num, other._num
+        b0 = b[0]
+        if not b0:
             raise ZeroDivisionError("division by a series with zero constant term")
-        inv = ring_inverse(b0)
-        a, b = self.coeffs, other.coeffs
-        out: list[RingElem] = []
+        if self.is_poly_ring:
+            ring_inverse(b0)  # only a constant is invertible in the polynomial ring
+        # e[k] = b0^(k+1) * (db/da) * (self/other)[k], from self = other * (self/other)
+        # read on the numerators, so no step divides
+        power = [1]
+        for _ in range(n):
+            power.append(power[-1] * b0)
+        e: list = []
         for k in range(n):
-            acc = a[k]
-            for j in range(1, k + 1):
-                acc = acc - b[j] * out[k - j]
-            out.append(acc * inv)
-        return Series(out)
+            e.append(a[k] * power[k]
+                     - sum(b[j] * power[j - 1] * e[k - j] for j in range(1, k + 1)))
+        num = [x * power[n - 1 - k] * other._den for k, x in enumerate(e)]
+        return _build(num, self._den * power[n], self.is_poly_ring)
 
     def scale(self, c) -> Series:
         c = as_ring_elem(c)
-        return Series([c * x for x in self.coeffs])
+        if is_poly(c):
+            return _build([c * x for x in self._num], self._den, True)
+        return _build([c.numerator * x for x in self._num], c.denominator * self._den,
+                      self.is_poly_ring)
 
     def shift(self) -> Series:
         """Multiply by t, keeping the truncation order."""
-        return Series((self._zero(),) + self.coeffs[: self.order - 1])
+        return _build((0,) + self._num[:-1], self._den, self.is_poly_ring)
 
     # -- composition
 
@@ -173,51 +202,96 @@ class Series:
         The inner series must have zero constant term.
         """
         n = self._common(inner)
-        if inner.coeffs[0] != 0:
+        if inner._num[0]:
             raise ValueError("composition needs an inner series with zero constant term")
-        # Horner evaluation: ((a_{n-1} inner + a_{n-2}) inner + ...) + a_0
-        result = Series([self._zero()] * n)
-        for ck in reversed(self.coeffs[:n]):
-            result = result * inner
-            result = Series((result.coeffs[0] + ck,) + result.coeffs[1:])
-        return result
+        # Horner evaluation: ((a_{n-1} inner + a_{n-2}) inner + ...) + a_0, on the
+        # numerators, reduced once per step
+        b, db, da = inner._num, inner._den, self._den
+        num: list = [0] * n
+        den = 1
+        for ck in reversed(self._num[:n]):
+            num, den = _reduce(*_add(_convolve(num, b, n), den * db, (ck,), da))
+        return _build(num, den, self.is_poly_ring)
 
     # -- transcendental operations (ring contains the rationals)
 
     def log(self) -> Series:
         """Formal logarithm; the constant term must be 1."""
-        if self.coeffs[0] != self._one():
+        f, d, n, poly = self._num, self._den, self.order, self.is_poly_ring
+        if f[0] != d:
             raise ValueError("log needs constant term 1")
-        # g = log f solves f*g' = f': m*g_m = m*f_m - sum_{0<k<m} k*g_k*f_(m-k)
-        f, zero = self.coeffs, self._zero()
-        kg = [zero]  # kg[k] = k*g_k
-        for m in range(1, self.order):
-            kg.append(f[m] * m - sum((kg[k] * f[m - k] for k in range(1, m)), zero))
-        return Series([zero] + [kg[m] * Fraction(1, m) for m in range(1, self.order)])
+        if n == 1:
+            return _build([0], 1, poly)
+        # log f is the integral of f'/f
+        ratio = _build([m * f[m] for m in range(1, n)], d, poly) / self
+        top = lcm(*range(1, n))
+        return _build([0] + [c * (top // m) for m, c in enumerate(ratio._num, 1)],
+                      ratio._den * top, poly)
 
     def exp(self) -> Series:
         """Formal exponential; the constant term must be 0."""
-        if self.coeffs[0] != 0:
+        f, d, n = self._num, self._den, self.order
+        if f[0]:
             raise ValueError("exp needs constant term 0")
-        # g = exp f solves g' = f'*g: m*g_m = sum_{0<k<=m} k*f_k*g_(m-k)
-        kf = [c * k for k, c in enumerate(self.coeffs)]  # kf[k] = k*f_k
-        g, zero = [self._one()], self._zero()
-        for m in range(1, self.order):
-            km = sum((kf[k] * g[m - k] for k in range(1, m + 1)), zero)
-            g.append(km * Fraction(1, m))
-        return Series(g)
+        # g = exp f solves g' = f'*g: m*g_m = sum_{0<k<=m} k*f_k*g_(m-k).  On the
+        # numerators F = d*f, G[m] = d^m * m! * g_m is
+        # sum_{0<k<=m} k*F_k*d^(k-1) * (m-1)!/(m-k)! * G[m-k].
+        fact = [factorial(k) for k in range(n)]
+        kf = [k * c * d ** (k - 1) if k else 0 for k, c in enumerate(f)]
+        g: list = [1]
+        for m in range(1, n):
+            g.append(sum(kf[k] * (fact[m - 1] // fact[m - k]) * g[m - k]
+                         for k in range(1, m + 1)))
+        num = [x * d ** (n - 1 - m) * (fact[n - 1] // fact[m]) for m, x in enumerate(g)]
+        return _build(num, d ** (n - 1) * fact[n - 1], self.is_poly_ring)
+
+
+_new = object.__new__
+_set_num = Series._num.__set__
+_set_den = Series._den.__set__
+
+
+def _series(num, den: int) -> Series:
+    """The series with numerators ``num`` over ``den``, already in normal form."""
+    s = _new(Series)
+    _set_num(s, tuple(num))
+    _set_den(s, den)
+    return s
+
+
+def _build(num, den, poly: bool) -> Series:
+    """The series ``num/den`` in normal form, in the polynomial ring if ``poly``.
+
+    ``den`` is a nonzero integer, or for a polynomial series a nonzero constant
+    ``QPoly``, which is divided into each coefficient.
+    """
+    if poly:
+        num = [to_poly(c) for c in num]
+        if den != 1:
+            num = [c / den for c in num]
+        return _series(num, 1)
+    if den < 0:
+        num, den = [-c for c in num], -den
+    return _series(*_reduce(num, den))
 
 
 def _lagrange_root(phi: Series) -> Series:
     """The series ``W = t*phi(W)``, one order longer than ``phi``, by Lagrange
     inversion: ``[t^m] W = (1/m) [u^(m-1)] phi(u)^m`` (Stanley, EC2 Thm 5.4.2).
+
+    ``phi^m`` runs on the numerators, reduced once per power; the ``1/m`` are
+    folded into the one common denominator of the result.
     """
-    power = Series.one(phi.order, poly=phi.is_poly_ring)
-    coeffs = [phi._zero()]
-    for m in range(1, phi.order + 1):
-        power = power * phi
-        coeffs.append(power.coeffs[m - 1] * Fraction(1, m))
-    return Series(coeffs)
+    f, df, n = phi._num, phi._den, phi.order
+    power: list = [1]
+    den = 1
+    tops, dens = [0], [1]
+    for m in range(1, n + 1):
+        power, den = _reduce(_convolve(power, f, n), den * df)
+        tops.append(power[m - 1])
+        dens.append(den * m)
+    common = lcm(*dens)
+    return _build([x * (common // e) for x, e in zip(tops, dens)], common, phi.is_poly_ring)
 
 
 def troupe_transform(branch_series: Series) -> Series:
@@ -227,7 +301,7 @@ def troupe_transform(branch_series: Series) -> Series:
     ``W = t/(1 - t*T)`` solves ``W = t*(1 + W*B(W))``, and ``T = B(W)``.
     """
     b = branch_series
-    if b.coeffs[0] != 0:
+    if b._num[0]:
         raise ValueError("the branch series must have zero constant term")
     n = b.order
     if n == 1:
@@ -242,7 +316,7 @@ def inverse_troupe_transform(tree_series: Series) -> Series:
     ``V = t*(1 - V*T(V))`` inverts ``W = t/(1 - t*T)`` and ``B = T(V)``: the
     forward equations with ``B`` and ``T`` replaced by ``-T`` and ``-B``.
     """
-    if tree_series.coeffs[0] != 0:
+    if tree_series._num[0]:
         raise ValueError("the tree series must have zero constant term")
     return -troupe_transform(-tree_series)
 
@@ -255,7 +329,7 @@ def boolean_free_series_check(boolean_cumulants: Series, free_cumulants: Series)
     polynomial series raise :class:`RingMismatchError`, as arithmetic does.
     """
     bc, rc = boolean_cumulants, free_cumulants
-    if bc.coeffs[0] != 0 or rc.coeffs[0] != 0:
+    if bc._num[0] or rc._num[0]:
         raise ValueError("cumulant series must have zero constant term")
     n = min(bc.order, rc.order)
     bc, rc = bc.truncate(n), rc.truncate(n)

@@ -132,27 +132,6 @@ def postorder(t: ColoredTree) -> list[int]:
     return out
 
 
-def traversal_labeling(t: ColoredTree, kind: str) -> LabeledTree:
-    """Standard labeling assigning 1..n in the requested traversal order.
-
-    The postorder labeling is always decreasing (children precede parents in
-    postorder), so the result of ``kind="postorder"`` is a valid LabeledTree;
-    the inorder labeling generally is not decreasing and is returned unchecked.
-    """
-    if t.size == 0:
-        raise ValueError("cannot label the empty tree")
-    if kind == "inorder":
-        order = inorder(t)
-    elif kind == "postorder":
-        order = postorder(t)
-    else:
-        raise ValueError(f"unknown traversal {kind!r}")
-    labels = [0] * t.size
-    for pos, v in enumerate(order, start=1):
-        labels[v] = pos
-    return LabeledTree(t, tuple(labels))
-
-
 def alpha(lt: LabeledTree) -> tuple[int, ...]:
     """The permutation read off a labeled tree in inorder."""
     return tuple(lt.labels[v] for v in inorder(lt.tree))

@@ -8,10 +8,12 @@ normalised through ``SetPartition.of``, psi by iterated insertion, the
 Narayana polynomial and the tree series by enumeration, the decreasing-tree
 sum over every labeled tree, the branch of an inorder word from its sorted
 labels, the tree predicates only tests use, the single-word equivalence
-report, and the tree walks as self-recursive closures.
-Also the polynomial ring with one ``Fraction`` per coefficient, the
-irreducible noncrossing partitions without singletons by filtering, and a
-frozen-dataclass twin of each ``NamedTuple`` record.
+report, the tree walks as self-recursive closures, the standard traversal
+labelings and the descent set of a permutation.
+Also the polynomial ring with one ``Fraction`` per coefficient, truncated
+series as plain lists of ring elements, the irreducible noncrossing
+partitions without singletons by filtering, and a frozen-dataclass twin of
+each ``NamedTuple`` record.
 """
 
 import dataclasses
@@ -29,9 +31,11 @@ from troupes.trees import (
     alpha,
     branch_from_directions,
     branch_profile,
+    inorder,
     insert,
     iter_bpt_word,
     iter_dbpt_word,
+    postorder,
     right_edges,
     size_word,
 )
@@ -356,3 +360,81 @@ def frozen_dataclass_twin(cls):
     """A frozen dataclass with the fields of the record class ``cls``, whose
     hashing, equality and repr the record must reproduce."""
     return dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+
+
+def descents(sigma) -> list[int]:
+    """The positions ``i`` with ``sigma[i-1] > sigma[i]``."""
+    return [i for i in range(1, len(sigma)) if sigma[i - 1] > sigma[i]]
+
+
+def traversal_labeling(t: ColoredTree, kind: str) -> LabeledTree:
+    """Standard labeling assigning 1..n in the requested traversal order.
+
+    The postorder labeling is always decreasing (children precede parents in
+    postorder), so the result of ``kind="postorder"`` is a valid LabeledTree;
+    the inorder labeling generally is not decreasing and is returned unchecked.
+    """
+    if t.size == 0:
+        raise ValueError("cannot label the empty tree")
+    if kind == "inorder":
+        order = inorder(t)
+    elif kind == "postorder":
+        order = postorder(t)
+    else:
+        raise ValueError(f"unknown traversal {kind!r}")
+    labels = [0] * t.size
+    for pos, v in enumerate(order, start=1):
+        labels[v] = pos
+    return LabeledTree(t, tuple(labels))
+
+
+# Truncated power series as plain lists of ring elements (``Fraction`` or
+# ``QPoly``), one element per coefficient, with no common denominator.
+
+
+def list_mul(a: list, b: list) -> list:
+    """The product of two series, truncated to the shorter one."""
+    zero = a[0] * 0
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), zero)
+            for k in range(min(len(a), len(b)))]
+
+
+def list_compose(a: list, b: list) -> list:
+    """``a(b(t))`` by Horner's rule, truncated to the shorter series;
+    ``b[0]`` must be zero."""
+    n = min(len(a), len(b))
+    out = [a[0] * 0] * n
+    for c in reversed(a[:n]):
+        out = list_mul(out, b[:n])
+        out[0] = out[0] + c
+    return out
+
+
+def list_lagrange_root(phi: list) -> list:
+    """``W = t*phi(W)``, one term longer than ``phi``:
+    ``[t^m] W = (1/m) [u^(m-1)] phi(u)^m``."""
+    zero = phi[0] * 0
+    power = [zero + 1] + [zero] * (len(phi) - 1)
+    root = [zero]
+    for m in range(1, len(phi) + 1):
+        power = list_mul(power, phi)
+        root.append(power[m - 1] * Fraction(1, m))
+    return root
+
+
+def list_troupe_transform(b: list) -> list:
+    """``T = B(W)`` with ``W = t*(1 + W*B(W))``, which solves
+    ``T(t) = B(t/(1 - t*T(t)))``; ``b[0]`` must be zero."""
+    if len(b) == 1:
+        return list(b)
+    phi = [b[0] + 1] + b[:len(b) - 2]  # 1 + u*B(u), one term shorter than b
+    return list_compose(b, list_lagrange_root(phi))
+
+
+def list_inverse_troupe_transform(t: list) -> list:
+    """``B = T(V)`` with ``V = t*(1 - V*T(V))``, which inverts ``W = t/(1 - t*T)``;
+    ``t[0]`` must be zero."""
+    if len(t) == 1:
+        return list(t)
+    psi = [t[0] + 1] + [-c for c in t[:len(t) - 2]]  # 1 - u*T(u)
+    return list_compose(t, list_lagrange_root(psi))

@@ -10,13 +10,12 @@ from troupes.families import (
     eulerian_polynomial,
     named_sequence,
 )
-from troupes.partitions import descents
 from troupes.rings import QPoly, RingMismatchError, q
 from troupes.series import Series
 from troupes.trees import size_word
 from troupes.troupe import full_trees, right_two_monomial, weighted_sum
 
-from oracles import narayana_polynomial
+from oracles import descents, narayana_polynomial
 
 
 def narayana_closed_form(n):

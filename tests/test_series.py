@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,9 +8,18 @@ from hypothesis import given, settings, strategies as st
 from troupes.rings import QPoly, RingMismatchError, q, ring_inverse
 from troupes.series import (
     Series,
+    _lagrange_root,
     boolean_free_series_check,
     inverse_troupe_transform,
     troupe_transform,
+)
+
+from oracles import (
+    list_compose,
+    list_inverse_troupe_transform,
+    list_lagrange_root,
+    list_mul,
+    list_troupe_transform,
 )
 
 # Frozen reference sequences, cross-checked against enumeration elsewhere.
@@ -237,13 +247,17 @@ def test_series_check_rejects_mixed_rings():
 # sum powers of the series.  Outcomes must agree exactly, errors included.
 
 
+def zero_of(s):
+    return QPoly() if s.is_poly_ring else Fraction(0)
+
+
 def oracle_troupe_transform(b):
     if b.coeffs[0] != 0:
         raise ValueError("the branch series must have zero constant term")
     n = b.order
     one = Series.one(n, poly=b.is_poly_ring)
     t = Series.t(n, poly=b.is_poly_ring)
-    coeffs = [b._zero() for _ in range(n)]
+    coeffs = [zero_of(b) for _ in range(n)]
     for m in range(1, n):
         inner = t / (one - Series(coeffs).shift())
         coeffs[m] = b.compose(inner).coeffs[m]
@@ -255,7 +269,7 @@ def oracle_compositional_inverse(f):
     if f.coeffs[0] != 0:
         raise ValueError("compositional inverse needs zero constant term")
     inv_w1 = ring_inverse(f.coeffs[1])
-    out = [f._zero(), inv_w1]
+    out = [zero_of(f), inv_w1]
     for m in range(2, n):
         residue = f.compose(Series(out, order=n)).coeffs[m]
         out.append(-residue * inv_w1)
@@ -274,11 +288,11 @@ def oracle_inverse_troupe_transform(ts):
 
 
 def oracle_log(f):
-    if f.coeffs[0] != f._one():
+    if f.coeffs[0] != zero_of(f) + 1:
         raise ValueError("log needs constant term 1")
     n = f.order
     h = f - Series.one(n, poly=f.is_poly_ring)
-    out = Series([f._zero()] * n)
+    out = Series([zero_of(f)] * n)
     power = Series.one(n, poly=f.is_poly_ring)
     for k in range(1, n):
         power = power * h
@@ -324,7 +338,7 @@ def random_series(seed):
 
 def with_head(s, *head):
     """``s`` with its leading coefficients replaced, keeping its order and ring."""
-    zero = s._zero()
+    zero = zero_of(s)
     cs = [zero + c for c in head] + list(s.coeffs[len(head):])
     return Series(cs[: s.order])
 
@@ -367,3 +381,114 @@ def test_order_one_matches_oracles():
     assert troupe_transform(Series([0])) == Series([0])
     assert inverse_troupe_transform(Series([0])) == Series([0])
     assert inverse_troupe_transform(Series([QPoly()])) == Series([QPoly()])
+
+
+# -- the storage: integer numerators over one common denominator, checked
+# against series as plain lists of ring elements (tests/oracles.py)
+
+
+def assert_normal(s):
+    """``s`` is stored in normal form: integer numerators over a positive
+    denominator that shares no factor with all of them, or ``QPoly``
+    coefficients over 1."""
+    if s.is_poly_ring:
+        assert s._den == 1 and all(type(c) is QPoly for c in s._num)
+    else:
+        assert all(type(c) is int for c in s._num)
+        assert s._den > 0 and math.gcd(s._den, *s._num) == 1
+    return s
+
+
+def assert_same(s, ref):
+    """``s`` reads the list ``ref``, coefficient by coefficient, in value and
+    in ``type()``, both through ``coeffs`` and through ``s[k]``."""
+    assert_normal(s)
+    for got in (list(s.coeffs), [s[k] for k in range(s.order)]):
+        assert [type(c) for c in got] == [type(c) for c in ref]
+        assert got == ref
+
+
+def random_list(rng, order, poly):
+    """Seeded coefficients, about one in four zero: rationals with
+    denominators up to 4, or ``QPoly``s of degree at most 1."""
+    def rational():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 4)) if rng.random() < 0.75 else Fraction(0)
+
+    if poly:
+        return [QPoly((rational(), rational())) for _ in range(order)]
+    return [rational() for _ in range(order)]
+
+
+def test_products_and_compositions_match_the_list_oracle():
+    rng = random.Random(14)
+    for poly in (False, True):
+        for order in range(1, 21):
+            a, b = random_list(rng, order, poly), random_list(rng, order + 2, poly)
+            b[0] = a[0] * 0
+            sa, sb = Series(a), Series(b)
+            assert_same(sa * sb, list_mul(a, b))
+            assert_same(sb * sa, list_mul(a, b))
+            assert_same(sa.compose(sb), list_compose(a, b))
+
+
+def test_lagrange_root_and_transforms_match_the_list_oracle():
+    rng = random.Random(41)
+    for poly in (False, True):
+        for order in range(1, 21):
+            phi = random_list(rng, order, poly)
+            phi[0] = phi[0] * 0 + rng.choice([1, 2, Fraction(-1, 3)])
+            assert_same(_lagrange_root(Series(phi)), list_lagrange_root(phi))
+            b = random_list(rng, order, poly)
+            b[0] = b[0] * 0
+            assert_same(troupe_transform(Series(b)), list_troupe_transform(b))
+            assert_same(inverse_troupe_transform(Series(b)), list_inverse_troupe_transform(b))
+
+
+def test_equal_series_have_equal_storage_and_the_old_hash():
+    a, b = Series([1, 2]), Series([Fraction(1), Fraction(2)])
+    assert a == b and hash(a) == hash(b)
+    assert (a._num, a._den) == (b._num, b._den) == ((1, 2), 1)
+    half = Series([Fraction(1, 2), Fraction(-1, 3), 0])
+    assert (half._num, half._den) == ((3, -2, 0), 6)
+    assert hash(half) == hash((Fraction(1, 2), Fraction(-1, 3), Fraction(0)))
+    assert Series([Fraction(2, 6), Fraction(4, 6)]) == Series([Fraction(1, 3), Fraction(2, 3)])
+    zero = Series([0, 0], order=3)
+    assert (zero._num, zero._den) == ((0, 0, 0), 1)
+    assert (Series([Fraction(1, 2), 1]) - Series([Fraction(1, 2), 1])) == zero.truncate(2)
+    # a constant polynomial series equals the rational one, as coefficients do
+    assert Series([QPoly((1,)), QPoly((2,))]) == a
+    assert hash(Series([QPoly((1,)), QPoly((2,))])) == hash(a)
+    assert Series([QPoly((1,)), q]) != Series([1, 1])
+
+
+def test_mixed_input_promotes_as_before():
+    s = Series([1, Fraction(1, 2)])
+    assert [type(c) for c in s.coeffs] == [Fraction, Fraction]
+    s = Series([1, Fraction(1, 2), q], order=4)
+    assert [type(c) for c in s.coeffs] == [QPoly] * 4
+    assert s.coeffs == (QPoly((1,)), QPoly((Fraction(1, 2),)), q, QPoly())
+    assert s.is_poly_ring and assert_normal(s)
+    assert Series([QPoly(), 1]).coeffs == (QPoly(), QPoly((1,)))
+    with pytest.raises(TypeError):
+        Series([1, 0.5])
+
+
+def test_every_operation_returns_normal_storage():
+    """A negative constant term, a cancelling tail and a scale by a
+    denominator all come back reduced, with a positive denominator."""
+    rng = random.Random(7)
+    for order in range(1, 12):
+        for poly in (False, True):
+            a = Series(random_list(rng, order, poly))
+            b = random_list(rng, order, poly)
+            b[0] = b[0] * 0 + Fraction(-3, 2)
+            b = Series(b)
+            zero_head = Series([b[0] * 0] + list(b.coeffs[1:]))
+            results = [a + b, a - b, a - a, -a, a * b, a / b, b / b, a.shift(), a.truncate(1),
+                       a.scale(Fraction(-2, 9)), a.scale(q), a.compose(zero_head),
+                       Series([b[0] * 0 + 1] + list(a.coeffs[1:])).log(), zero_head.exp()]
+            for s in results:
+                assert_normal(s)
+    assert (Series([1, 1]) / Series([-3, 0])).coeffs == (Fraction(-1, 3), Fraction(-1, 3))
+    assert Series([Fraction(1, 2), Fraction(1, 3)]).shift()._den == 2
+    assert Series([Fraction(1, 2), Fraction(1, 3)]).truncate(1)._den == 2

@@ -40,7 +40,6 @@ from troupes.trees import (
     right_edges,
     size_word,
     stack_sort,
-    traversal_labeling,
 )
 
 from oracles import (
@@ -53,6 +52,7 @@ from oracles import (
     postorder_by_closure,
     swing,
     swing_labeled,
+    traversal_labeling,
     two_child_count,
 )
 
