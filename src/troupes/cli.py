@@ -124,6 +124,9 @@ def cmd_transform(args) -> int:
             coeffs.append(parse_ring_elem(chunk))
         except ValueError as exc:
             raise CliError(str(exc)) from exc
+    if args.order is not None and len(coeffs) > args.order:
+        raise CliError(f"{len(coeffs) - 1} coefficients given, but --order {args.order} "
+                       f"keeps only {args.order - 1}")
     order = args.order if args.order is not None else max(DEFAULT_ORDER, len(coeffs))
     series = Series(coeffs, order=order)
     if args.kind == "inverse":

@@ -27,7 +27,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .rings import (QPoly, RingElem, as_ring_elem, denominator, format_ring_elem,
                     parse_ring_elem)
@@ -96,28 +96,30 @@ def _first_block_sum(word: Word, kind: str, cumulants: Mapping[Word, RingElem],
 
     Positions join S or the open gap from left to right: a free gap closes
     into the running product when S resumes, a Boolean S never resumes, and
-    the classical complement stays one open gap.  That is 2^(n-1) blocks for
-    the classical and free kinds and n for the Boolean one.
+    the classical complement stays one open gap.  Each term is linear in the
+    closed gaps' product, so the blocks giving one (word on S, open gap) are
+    one state holding the sum of their products: at most one state per pair
+    of subwords, not one per block.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown cumulant kind {kind!r}")
-    # (word on S, product of the closed gaps' moments or None, open gap)
-    states: list[tuple[Word, RingElem | None, Word]] = [((word[0],), None, ())]
+    # (word on S, open gap) -> sum of the products of the closed gaps' moments
+    states: dict[tuple[Word, Word], RingElem] = {((word[0],), ()): 1}
     for letter in word[1:]:
-        grown = []
-        for block, closed, gap in states:
+        grown: dict[tuple[Word, Word], RingElem] = {}
+        for (block, gap), closed in states.items():
             if kind == "classical" or not gap:
-                grown.append((block + (letter,), closed, gap))
+                key = (block + (letter,), gap)
+                grown[key] = grown.get(key, 0) + closed
             elif kind == "free":
-                m = moments[gap]
-                grown.append((block + (letter,), m if closed is None else closed * m, ()))
-            grown.append((block, closed, gap + (letter,)))
+                key = (block + (letter,), ())
+                grown[key] = grown.get(key, 0) + closed * moments[gap]
+            key = (block, gap + (letter,))
+            grown[key] = grown.get(key, 0) + closed
         states = grown
     acc: RingElem = 0
-    for block, closed, gap in states:
-        term = cumulants[block]
-        if closed is not None:
-            term = term * closed
+    for (block, gap), closed in states.items():
+        term = cumulants[block] * closed
         if gap:
             term = term * moments[gap]
         acc = acc + term
@@ -172,95 +174,49 @@ def cumulants_to_moments(c: CumulantTable) -> MomentFunctional:
 
 Blocks = tuple[tuple[int, ...], ...]
 
-# ``perm.translate(_SHIFT)`` adds 1 to every value of a permutation held as
-# bytes, one value a byte
-_SHIFT = bytes(range(1, 256)) + b"\0"
-
 
 @lru_cache(maxsize=None)
-def _run_partitions(n: int) -> tuple[dict[Blocks, int], bytes]:
-    """:func:`_run_partition_counts`, and the lexicographically first
-    permutation having each key, as bytes of n values each, concatenated.
-
-    A permutation of 0..n-1 with first entry n-1 is one of size n-1, its
-    values shifted up by 1, with 0 put right after some entry a, ending a's
-    run.  If a is its block's minimum, 0 joins that block; otherwise the
-    block splits into {x >= a} + {0} and {x < a}.  The block of 0 goes first
-    and the rest keeps the old block's place, so keys stay canonical.
-
-    Insertions run in the lexicographic order of the permutations they make
-    (a preorder walk of the trie of the previous first permutations: a node,
-    the range sharing d entries, puts 0 at index d of each, then visits its
-    children), so keys come in the permutation walk's order.  Equal blocks
-    are one object across keys.
-    """
-    if n == 1:
-        return {((0,),): 1}, b"\0"
-    old, old_perms = _run_partitions(n - 1)
-    m = n - 1
-    perms = old_perms.translate(_SHIFT)
-    shifted = {b: tuple([x + 1 for x in b]) for key in old for b in key}
-    interned = {b: b for b in shifted.values()}
-    keys = [tuple([shifted[b] for b in key]) for key in old]
-    mult = list(old.values())
-    counts: dict[Blocks, int] = {}
-    firsts = bytearray()
-    stack = [(0, len(keys), 1)]
-    while stack:
-        lo, hi, d = stack.pop()
-        for r in range(lo, hi):
-            start = r * m
-            a = perms[start + d - 1]
-            blocks = keys[r]
-            for j, b in enumerate(blocks):
-                if a in b:
-                    break
-            k = b.index(a)
-            z = (0,) + b[k:]
-            z = interned.setdefault(z, z)
-            if k:
-                rest = interned.setdefault(b[:k], b[:k])
-                new = (z,) + blocks[:j] + (rest,) + blocks[j + 1:]
-            else:
-                new = (z,) + blocks[:j] + blocks[j + 1:]
-            got = counts.get(new)
-            if got is None:
-                counts[new] = mult[r]
-                firsts += perms[start:start + d]
-                firsts.append(0)
-                firsts += perms[start + d:start + m]
-            else:
-                counts[new] = got + mult[r]
-        if d < m:  # children share d+1 entries; pushed last first
-            cut = hi
-            for r in range(hi - 1, lo, -1):
-                if perms[r * m + d] != perms[(r - 1) * m + d]:
-                    stack.append((r, cut, d + 1))
-                    cut = r
-            stack.append((lo, cut, d + 1))
-    return counts, bytes(firsts)
-
-
 def _run_partition_counts(n: int) -> dict[Blocks, int]:
     """Each descending-run partition of the permutations of 0..n-1 with
     first entry maximal, as canonical blocks, with the number of those
-    permutations that have it; built from the table of n-1 by inserting 0."""
-    return _run_partitions(n)[0]
+    permutations that have it.
+
+    Such a permutation is one of size n-1, its values shifted up by 1, with
+    0 put right after some entry a, ending a's run.  If a is its block's
+    minimum, 0 joins that block; otherwise the block splits into
+    {x >= a} + {0} and {x < a}.  The block of 0 goes first and the rest keep
+    their places, so keys stay canonical.  Equal blocks are one object
+    across keys.  The keys come in no set order: the bridge's sum is exact.
+    """
+    if n == 1:
+        return {((0,),): 1}
+    old = _run_partition_counts(n - 1)
+    shifted = {b: tuple([x + 1 for x in b]) for key in old for b in key}
+    interned = {b: b for b in shifted.values()}
+    counts: dict[Blocks, int] = {}
+    for key, count in old.items():
+        blocks = tuple([shifted[b] for b in key])
+        for j, b in enumerate(blocks):
+            for k in range(len(b)):  # a = b[k]
+                z = (0,) + b[k:]
+                z = interned.setdefault(z, z)
+                if k:
+                    rest = interned.setdefault(b[:k], b[:k])
+                    new = (z,) + blocks[:j] + (rest,) + blocks[j + 1:]
+                else:
+                    new = (z,) + blocks[:j] + blocks[j + 1:]
+                counts[new] = counts.get(new, 0) + count
+    return counts
 
 
-def _partition_sum(word: Word, klass: str, table: Mapping[Word, RingElem]) -> RingElem:
-    """Sum over the class of multiplicity times the product of
-    ``table[word|block]`` over the blocks.
+def _partition_sum(word: Word, terms: Iterable[tuple[Blocks, int]],
+                   table: Mapping[Word, RingElem]) -> RingElem:
+    """Sum over the ``(blocks, multiplicity)`` terms of the multiplicity
+    times the product of ``table[word|block]`` over the blocks.
 
-    ``druns`` is the run partitions of the permutations with first entry
-    maximal, each once with the number of those permutations that have it.
-    The classes share block objects across partitions, so ``table[word|block]``
+    The terms share block objects across partitions, so ``table[word|block]``
     is looked up once per distinct block.
     """
-    if klass == "druns":
-        terms: Iterable[tuple[Blocks, int]] = _run_partition_counts(len(word)).items()
-    else:
-        terms = zip(partitions_as_index_blocks(len(word), klass), itertools.repeat(1))
     values: dict[tuple[int, ...], RingElem] = {}
     acc: RingElem = 0
     for blocks, multiplicity in terms:
@@ -274,13 +230,15 @@ def _partition_sum(word: Word, klass: str, table: Mapping[Word, RingElem]) -> Ri
     return acc
 
 
-def _bridge(b: CumulantTable, kind: str, klass: str) -> CumulantTable:
-    """Negated partition sum of negated Boolean cumulants over ``klass``."""
+def _bridge(b: CumulantTable, kind: str,
+            terms: Callable[[int], Iterable[tuple[Blocks, int]]]) -> CumulantTable:
+    """Negated partition sum of negated Boolean cumulants, each word over
+    ``terms(len(word))``."""
     if b.kind != "boolean":
         raise ValueError("input must be a boolean cumulant table")
     graded, d = _grade(b.table)
     negated = {word: -value for word, value in graded.items()}
-    table = {word: -_partition_sum(word, klass, negated)
+    table = {word: -_partition_sum(word, terms(len(word)), negated)
              for word in iter_words(b.alphabet, b.max_len)}
     return CumulantTable(kind, b.alphabet, b.max_len, _ungrade(table, d))
 
@@ -289,7 +247,8 @@ def boolean_to_free(b: CumulantTable) -> CumulantTable:
     """Bridge from Boolean to free cumulants through irreducible noncrossing
     partitions: the negated free cumulant of a word is the sum over such
     partitions of products of negated Boolean cumulants of the blocks."""
-    return _bridge(b, "free", "nc_irreducible")
+    return _bridge(b, "free", lambda n: zip(partitions_as_index_blocks(n, "nc_irreducible"),
+                                            itertools.repeat(1)))
 
 
 def boolean_to_classical(b: CumulantTable) -> CumulantTable:
@@ -300,7 +259,7 @@ def boolean_to_classical(b: CumulantTable) -> CumulantTable:
     permutations that have it; terms with a singleton run vanish on their
     own whenever the length-1 Boolean cumulants are zero.
     """
-    return _bridge(b, "classical", "druns")
+    return _bridge(b, "classical", lambda n: _run_partition_counts(n).items())
 
 
 def classical_via_egf(moments: Sequence[RingElem]) -> list[RingElem]:

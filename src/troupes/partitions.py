@@ -167,17 +167,11 @@ def iter_D(n: int) -> Iterator[tuple[int, ...]]:
             yield sigma
 
 
-def iter_first_max_run_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The descending runs of each permutation with first entry maximal,
-    as canonical 0-based blocks, in the order of :func:`iter_sigma_first_n`.
-
-    Runs are split on 0-based values directly, with no permutation check.
-    """
-    for rest in itertools.permutations(range(n - 1)):
-        yield _run_blocks((n - 1,) + rest)
-
-
 @lru_cache(maxsize=None)
 def first_n_druns_index_blocks(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For each permutation with sigma(1)=n, its run blocks 0-based; cached."""
-    return tuple(iter_first_max_run_blocks(n))
+    """The descending runs of each permutation with first entry maximal, as
+    canonical 0-based blocks, in the order of :func:`iter_sigma_first_n`;
+    cached.  Runs are split on 0-based values directly, with no permutation
+    check."""
+    return tuple(_run_blocks((n - 1,) + rest)
+                 for rest in itertools.permutations(range(n - 1)))

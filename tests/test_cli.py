@@ -93,6 +93,14 @@ def test_transform_bad_coeffs():
     assert "zebra" in err
 
 
+def test_transform_rejects_coefficients_beyond_order():
+    code, out, err = run("transform", "--order", "3", "--coeffs", "1,2,3,4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "4 coefficients given, but --order 3 keeps only 2" in err
+    # as many coefficients as the order keeps is fine
+    assert run("transform", "--order", "5", "--coeffs", "1,2,4,8")[:2] == (0, "1,2,5,14\n")
+
+
 def test_cumulants_from_file(tmp_path):
     table = tmp_path / "moments.txt"
     table.write_text("word 0 = 0\nword 0,0 = 1\nword 0,0,0 = 0\nword 0,0,0,0 = 3\n")
@@ -388,8 +396,8 @@ def cli_argv(draw):
                                ("--num-colors", st.integers(-1, 2).map(str))])]
     if command in ("peaks", "sort"):
         return [command, draw(st.one_of(WORD, PERMUTATION))]
-    # the default order takes seconds, so examples always get a small one
-    return [command, draw(NAMES), "--order", draw(st.integers(-1, 6).map(str))]
+    # an explicit order keeps each run short; -1 and 0 must exit 2
+    return [command, draw(NAMES), "--order", draw(st.integers(-1, 20).map(str))]
 
 
 def _has_bad_color(argv):

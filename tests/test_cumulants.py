@@ -293,8 +293,6 @@ def test_run_partition_counts_match_druns():
         walk = Counter(zero_based)
         counts = _run_partition_counts(n)
         assert counts == walk
-        # keys in the order the walk first meets them, not just the same set
-        assert list(counts) == list(walk)
         assert first_n_druns_index_blocks(n) == tuple(zero_based)
 
 

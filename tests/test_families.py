@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from troupes.cumulants import MomentFunctional, moments_to_cumulants
 from troupes.families import (
     alternating_count,
     convolution_additivity_check,
@@ -11,7 +12,7 @@ from troupes.families import (
     named_sequence,
 )
 from troupes.rings import QPoly, RingMismatchError, q
-from troupes.series import Series
+from troupes.series import Series, boolean_free_series_check
 from troupes.trees import size_word
 from troupes.troupe import full_trees, right_two_monomial, weighted_sum
 
@@ -146,6 +147,23 @@ def test_every_sequence_matches_its_closed_form():
                  "geometric_like", "secant"):
         seq = named_sequence(name)
         assert seq.classical_cumulants(10) == seq.expected_classical(10)
+
+
+def test_rational_families_free_and_boolean_at_order_30():
+    # the univariate conversions keep one first-block state per (word on S,
+    # open gap), so order 30 is quick; one state per block would be 2^29
+    order = 30
+    for name in ("gamma_minus_one", "shifted_exponential", "secant"):  # the rational ones
+        moments = named_sequence(name).moments(order)
+        phi = MomentFunctional.of((0,), order,
+                                  {(0,) * n: moments[n] for n in range(1, order + 1)})
+        ogf = {}
+        for kind in ("free", "boolean"):
+            table = moments_to_cumulants(phi, kind).table
+            ogf[kind] = Series([0] + [table[(0,) * n] for n in range(1, order + 1)])
+        one = Series.one(order + 1)
+        assert Series(moments) == one / (one - ogf["boolean"]), name
+        assert boolean_free_series_check(ogf["boolean"], ogf["free"]), name
 
 
 def test_unknown_sequence():
