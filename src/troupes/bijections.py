@@ -24,6 +24,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import (
     SetPartition,
+    _run_blocks,
     druns,
     is_irreducible,
     iter_partitions,
@@ -33,7 +34,6 @@ from .trees import (
     BOX,
     ColoredTree,
     LabeledTree,
-    Node,
     _decreasing_tree,
     _new,
     alpha_inverse,
@@ -42,7 +42,6 @@ from .trees import (
     encode,
     factor_branch,
     factor_paths,
-    is_branch,
     iter_branch_word,
     postorder,
 )
@@ -60,16 +59,17 @@ class PsiInput(NamedTuple):
         return self.partition.blocks, tuple(encode(b) for b in self.branches)
 
     def validate(self) -> None:
+        self._runs()
+
+    def _runs(self) -> list[tuple[tuple[int, ...], list[str], list[int], int]]:
+        """Check the input, then give each block with its branch's
+        :func:`~troupes.trees.branch_profile`."""
         p = self.partition
         if not is_irreducible(p):
             raise ValueError("partition must be noncrossing and irreducible")
         if any(len(b) < 2 for b in p.blocks):
             raise ValueError("all blocks must have size >= 2")
-        if len(self.branches) != len(p.blocks):
-            raise ValueError("one branch per block required")
-        for block, br in zip(p.blocks, self.branches):
-            if not is_branch(br) or br.size != len(block) - 1:
-                raise ValueError(f"branch for block {block} has the wrong size")
+        return _profiles(p.blocks, self.branches, "block")
 
 
 class PhiInput(NamedTuple):
@@ -94,14 +94,20 @@ class PhiInput(NamedTuple):
         blocks = druns(self.sigma).blocks
         if any(len(b) < 2 for b in blocks):
             raise ValueError("all descending runs must have size >= 2")
-        if len(self.branches) != len(blocks):
-            raise ValueError("one branch per run required")
-        runs = []
-        for block, br in zip(blocks, self.branches):
-            if br.size != len(block) - 1:
-                raise ValueError(f"branch for run {block} has the wrong size")
-            runs.append((block, *branch_profile(br)))  # checks it is a branch
-        return runs
+        return _profiles(blocks, self.branches, "run")
+
+
+def _profiles(blocks, branches, what: str) -> list[tuple[tuple[int, ...], list[str], list[int], int]]:
+    """Each block with the :func:`~troupes.trees.branch_profile` of its
+    branch, which must be a branch with one vertex fewer than the block."""
+    if len(branches) != len(blocks):
+        raise ValueError(f"one branch per {what} required")
+    runs = []
+    for block, br in zip(blocks, branches):
+        if len(br.nodes) != len(block) - 1:
+            raise ValueError(f"branch for {what} {block} has the wrong size")
+        runs.append((block, *branch_profile(br)))  # checks it is a branch
+    return runs
 
 
 def _recover_word(n: int, runs) -> list[int]:
@@ -129,41 +135,33 @@ def psi(inp: PsiInput) -> ColoredTree:
     (other than n) take ``j-1`` as right child and ``min(U)-1`` as left child.
     Vertex j is node id j-1, and the coloring reads the word off the input.
     """
-    inp.validate()
+    runs = inp._runs()
     n = inp.partition.n
     if n < 2:
         raise ValueError("psi needs n >= 2")
-    runs = [(block, *branch_profile(br))
-            for block, br in zip(inp.partition.blocks, inp.branches)]
     word = _recover_word(n, runs)
-    left = [None] * (n + 1)
-    right = [None] * (n + 1)
+    # left[j] and right[j] are the child node ids of vertex j
+    left: list[int | None] = [None] * n
+    right: list[int | None] = [None] * n
     for block, dirs, _, _ in runs:
-        labels_desc = list(reversed(block[:-1]))
         mn, mx = block[0], block[-1]
-        for j in block:
-            if j == mx:
-                if j <= n - 1:
-                    right[j] = j - 1
-                    left[j] = mn - 1
-            elif j == mn:
-                pass
+        if mx < n:
+            right[mx] = mx - 2
+            left[mx] = mn - 2
+        # the branch's root-down steps run over the block from block[-2] down
+        last = len(block) - 2
+        for p in range(1, last + 1):
+            j = block[p]
+            if dirs[last - p] == "L":
+                left[j] = j - 2
             else:
-                side = dirs[labels_desc.index(j)]
-                if side == "L":
-                    left[j] = j - 1
-                else:
-                    right[j] = j - 1
-    nodes = tuple([
-        _new(Node, (word[j], None if left[j] is None else left[j] - 1,
-                    None if right[j] is None else right[j] - 1))
-        for j in range(1, n)
-    ])
-    referenced = {c for c in left[1:n] + right[1:n] if c is not None}
-    roots = [j for j in range(1, n) if j not in referenced]
+                right[j] = j - 2
+    nodes = tuple(zip(word[1:n], left[1:], right[1:]))
+    referenced = {c for c in left[1:] + right[1:] if c is not None}
+    roots = [v for v in range(n - 1) if v not in referenced]
     if len(roots) != 1:
         raise AssertionError("construction did not produce a single root")
-    out = ColoredTree(nodes, roots[0] - 1, word[n])
+    out = _new(ColoredTree, (nodes, roots[0], word[n]))
     out.validate()
     return out
 
@@ -176,10 +174,11 @@ def psi_inverse(t: ColoredTree) -> PsiInput:
     names, which fall from the root down, and last the name of its owner,
     which exceeds every name in the owner's right subtree.
     """
-    if t.size == 0:
+    m = len(t.nodes)
+    if m == 0:
         raise ValueError("psi_inverse needs a nonempty tree")
-    n = t.size + 1
-    name = [0] * t.size
+    n = m + 1
+    name = [0] * m
     for k, v in enumerate(postorder(t), start=1):
         name[v] = k
     pairs = []
@@ -239,78 +238,76 @@ def phi(inp: PhiInput) -> LabeledTree:
 def phi_inverse(lt: LabeledTree) -> PhiInput:
     """Recover the permutation and run branches from a decreasing tree.
 
-    One pass indexes the vertices by label and checks that the labels are a
-    bijection onto 1..n-1 that falls along every edge.  The permutation is n
+    One walk from the root reads the permutation and checks the input: n
     followed by the inorder reading of the tree in which every left-only
-    child counts as a right child (the inverse of :func:`phi`'s exchange);
-    each run block rebuilds its branch with child sides copied from ``lt``.
+    child counts as a right child (the inverse of :func:`phi`'s exchange).
+    Every edge it follows must stay in range and lower the label, so it
+    ends; every vertex it enters must carry a new label in 1..n-1, so no
+    vertex is entered twice, and it must enter all of them.  Each run block
+    then rebuilds its branch with child sides copied from ``lt``.
     """
     t = lt.tree
-    m = t.size
+    nodes, labels = t.nodes, lt.labels
+    m = len(nodes)
     if m == 0:
         raise ValueError("phi_inverse needs a nonempty tree")
     n = m + 1
-    nodes, labels = t.nodes, lt.labels
     if len(labels) != m:
         raise ValueError(f"labels must be a bijection onto 1..{m}")
-    vertex = [-1] * n  # vertex[k] is the vertex labeled k
-    has_parent = [False] * m
-    for v, nd in enumerate(nodes):
-        label = labels[v]
-        if not 0 < label < n or vertex[label] >= 0:
-            raise ValueError(f"labels must be a bijection onto 1..{m}")
-        vertex[label] = v
-        for c in (nd.left, nd.right):
-            if c is None:
-                continue
-            if not 0 <= c < m or has_parent[c]:
-                raise ValueError(f"child {c} of vertex {v} is out of range or has two parents")
-            if labels[c] >= label:
-                raise ValueError("labeling is not decreasing")
-            has_parent[c] = True
-    if t.root is None or not 0 <= t.root < m or has_parent[t.root]:
-        raise ValueError("the root must be a vertex without a parent")
-
-    sigma = [n]
-    pending: list[int] = []
     v = t.root
+    if v is None or not 0 <= v < m:
+        raise ValueError("the root must be a vertex")
+    vertex = [-1] * n  # vertex[k] is the vertex labeled k
+    reading = [n]
+    pending: list[int] = []
     while True:
         while v is not None:
-            nd = nodes[v]
-            if nd.right is None:  # a leaf, or a left-only child read as right
-                sigma.append(labels[v])
+            _, left, right = nodes[v]
+            label = labels[v]
+            if not 0 < label < n or vertex[label] >= 0:
+                raise ValueError(f"labels must be a bijection onto 1..{m}")
+            vertex[label] = v
+            for c in (left, right):
+                if c is not None and not (0 <= c < m and labels[c] < label):
+                    raise ValueError(f"child {c} of vertex {v} is out of range "
+                                     "or not below it in the labeling")
+            if right is None:  # a leaf, or a left-only child read as right
+                reading.append(label)
             else:
                 pending.append(v)
-            v = nd.left
+            v = left
         if not pending:
             break
         v = pending.pop()
-        sigma.append(labels[v])
-        v = nodes[v].right
-    if len(sigma) != n:
+        reading.append(labels[v])
+        v = nodes[v][2]
+    if len(reading) != n:
         raise ValueError("unreachable vertices present")
+    # the labels were checked to be a bijection onto 1..n-1, so this is a
+    # permutation of 1..n and its runs need no further check
+    sigma = tuple(reading)
 
     branches = []
-    for block in druns(sigma).blocks:
+    for block in _run_blocks(sigma):
         labels_desc = block[-2::-1]
         dirs = []
         for label in labels_desc[:-1]:
-            nd = nodes[vertex[label]]
-            if (nd.left is None) == (nd.right is None):
+            _, left, right = nodes[vertex[label]]
+            if (left is None) == (right is None):
                 raise AssertionError("run interior vertex must have one child")
-            dirs.append("L" if nd.left is not None else "R")
-        colors = [nodes[vertex[label]].color for label in labels_desc]
+            dirs.append("L" if left is not None else "R")
+        colors = [nodes[vertex[label]][0] for label in labels_desc]
         mx = block[-1]
-        box = t.box_color if mx == n else nodes[vertex[mx]].color
+        box = t.box_color if mx == n else nodes[vertex[mx]][0]
         branches.append(branch_from_directions(dirs, colors, box))
-    return PhiInput(tuple(sigma), tuple(branches))
+    return _new(PhiInput, (sigma, tuple(branches)))
 
 
 def iter_phi_inputs(word: Sequence[int]) -> Iterator[PhiInput]:
     """Every valid input for the given color word, deterministically."""
     branches: dict[tuple[int, ...], list[ColoredTree]] = {}  # by block subword
     for sigma in iter_sigma_first_n(len(word)):
-        blocks = druns(sigma).blocks
+        blocks = _run_blocks(sigma)
         if any(len(b) < 2 for b in blocks):
             continue
         choices = []
@@ -320,4 +317,4 @@ def iter_phi_inputs(word: Sequence[int]) -> Iterator[PhiInput]:
                 branches[restricted] = list(iter_branch_word(restricted))
             choices.append(branches[restricted])
         for combo in itertools.product(*choices):
-            yield PhiInput(sigma, combo)
+            yield _new(PhiInput, (sigma, combo))

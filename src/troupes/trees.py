@@ -1,17 +1,18 @@
 """Colored binary plane trees: traversals, insertion, factorization, enumeration.
 
 Trees are stored positionally: a node is an index into a node list, and each
-node records a color plus optional left/right child indices.  Isomorphism of
-colored trees is decided through :func:`encode`, a canonical serialization
-that is also the on-disk and CLI format.
+vertex is a plain ``(color, left, right)`` tuple whose children are node
+indices or ``None``.  Isomorphism of colored trees is decided through
+:func:`encode`, a canonical serialization that is also the on-disk and CLI
+format.
 
 Colors are nonnegative integers into an ambient index set; a tree also carries
 a ``box_color``, the color of the external marker that rides along with every
 tree (including the empty one).
 
-Every record is a ``NamedTuple``, so ``len()`` of one is its field count: a
-tree's vertex count is ``size``.  The builders make records with ``_new``,
-which runs no Python-level constructor per vertex.
+The trees themselves are ``NamedTuple`` records, so ``len()`` of one is its
+field count: a tree's vertex count is ``size``, or ``len(t.nodes)``.  The
+builders make records with ``_new``, which runs no Python-level constructor.
 """
 
 from __future__ import annotations
@@ -23,11 +24,8 @@ from typing import Container, Iterator, NamedTuple, Sequence
 # ``_new(Record, fields)`` builds a record from the tuple of its fields.
 _new = tuple.__new__
 
-
-class Node(NamedTuple):
-    color: int
-    left: int | None = None
-    right: int | None = None
+# A vertex: its color, then its left and right child ids.
+Vertex = tuple[int, int | None, int | None]
 
 
 class ColoredTree(NamedTuple):
@@ -37,7 +35,7 @@ class ColoredTree(NamedTuple):
     may differ, so compare trees with :func:`encode`, not ``==``.
     """
 
-    nodes: tuple[Node, ...]
+    nodes: tuple[Vertex, ...]
     root: int | None
     box_color: int = 0
 
@@ -45,7 +43,7 @@ class ColoredTree(NamedTuple):
     def size(self) -> int:
         return len(self.nodes)
 
-    def node(self, v: int) -> Node:
+    def node(self, v: int) -> Vertex:
         return self.nodes[v]
 
     def validate(self) -> None:
@@ -66,11 +64,11 @@ class ColoredTree(NamedTuple):
                 raise ValueError(f"node {v} reached twice")
             seen[v] = True
             count += 1
-            nd = self.nodes[v]
-            if nd.left is not None:
-                stack.append(nd.left)
-            if nd.right is not None:
-                stack.append(nd.right)
+            _, left, right = self.nodes[v]
+            if left is not None:
+                stack.append(left)
+            if right is not None:
+                stack.append(right)
         if count != n:
             raise ValueError("unreachable nodes present")
 
@@ -91,11 +89,11 @@ class LabeledTree(NamedTuple):
     def validate(self) -> None:
         t = self.tree
         t.validate()
-        n = t.size
+        n = len(t.nodes)
         if sorted(self.labels) != list(range(1, n + 1)):
             raise ValueError("labels must be a bijection onto 1..n")
-        for v, nd in enumerate(t.nodes):
-            for c in (nd.left, nd.right):
+        for v, (_, left, right) in enumerate(t.nodes):
+            for c in (left, right):
                 if c is not None and self.labels[c] >= self.labels[v]:
                     raise ValueError("labeling is not decreasing")
 
@@ -104,16 +102,16 @@ class LabeledTree(NamedTuple):
 # Traversals and the inorder/postorder machinery
 
 
-def _walk(nodes: Sequence[Node], v: int | None, out: list[int], post: bool) -> None:
+def _walk(nodes: Sequence[Vertex], v: int | None, out: list[int], post: bool) -> None:
     """Append the node ids below ``v`` to ``out`` in inorder, or in postorder
     when ``post``."""
     if v is None:
         return
-    nd = nodes[v]
-    _walk(nodes, nd.left, out, post)
+    _, left, right = nodes[v]
+    _walk(nodes, left, out, post)
     if not post:
         out.append(v)
-    _walk(nodes, nd.right, out, post)
+    _walk(nodes, right, out, post)
     if post:
         out.append(v)
 
@@ -163,27 +161,30 @@ def _decreasing_tree(word: Sequence[int], colors: Sequence[int] | None,
     two child slots exchanged at every vertex whose label is in ``swapped``.
 
     The stack-sorting pass: the stack holds the open vertices of the right
-    spine, labels falling toward the top.  Each entry (then a final sentinel)
-    pops every smaller label, which is postorder; a popped vertex takes the
-    vertex popped just before it in the same sweep as its right child, and
-    keeps as left child the last vertex popped before its own push.  Node ids
-    are pop positions.
+    spine, labels falling toward the top, above an infinite sentinel.  Each
+    entry (then a final infinity) pops every smaller label, which is
+    postorder; a popped vertex takes the vertex popped just before it in the
+    same sweep as its right child, and keeps as left child the last vertex
+    popped before its own push.  Node ids are pop positions.
     """
-    nodes: list[Node] = []
+    nodes: list[Vertex] = []
     labels: list[int] = []
-    spine: list[tuple[int, int | None]] = []  # (label, left child id)
+    spine: list[float] = [math.inf]  # labels of the open vertices
+    lefts: list[int | None] = [None]  # and their left child ids
     for x in itertools.chain(word, (math.inf,)):
         below = None
-        while spine and spine[-1][0] < x:
-            label, left = spine.pop()
+        while spine[-1] < x:
+            label = spine.pop()
+            left = lefts.pop()
             color = colors[label - 1] if colors is not None else 0
             if label in swapped:
-                nodes.append(_new(Node, (color, below, left)))
+                nodes.append((color, below, left))
             else:
-                nodes.append(_new(Node, (color, left, below)))
+                nodes.append((color, left, below))
+            below = len(labels)
             labels.append(label)
-            below = len(nodes) - 1
-        spine.append((x, below))
+        spine.append(x)
+        lefts.append(below)
     tree = _new(ColoredTree, (tuple(nodes), len(nodes) - 1, box_color))
     return _new(LabeledTree, (tree, tuple(labels)))
 
@@ -207,23 +208,23 @@ def insert(t1: ColoredTree, v: int, t2: ColoredTree) -> ColoredTree:
     ``t1``'s box color.  Node ids: ``t1``'s ids are unchanged, ``v*`` gets id
     ``t1.size``, and ``t2``'s ids are shifted up by ``t1.size + 1``.
     """
-    if t1.size == 0 or t2.size == 0:
+    n1 = len(t1.nodes)
+    if n1 == 0 or not t2.nodes:
         raise ValueError("insertion needs nonempty operands")
-    if not 0 <= v < t1.size:
+    if not 0 <= v < n1:
         raise ValueError(f"vertex {v} not in the host tree")
-    n1 = t1.size
     v_star = n1
     offset = n1 + 1
     nodes = list(t1.nodes)
     for u, (color, left, right) in enumerate(t1.nodes):
         # only the parent of v is rewired; v itself keeps its children
         if u != v and (left == v or right == v):
-            nodes[u] = _new(Node, (color, v_star if left == v else left,
-                                   v_star if right == v else right))
-    nodes.append(_new(Node, (t2.box_color, v, t2.root + offset)))
+            nodes[u] = (color, v_star if left == v else left,
+                        v_star if right == v else right)
+    nodes.append((t2.box_color, v, t2.root + offset))
     for color, left, right in t2.nodes:
-        nodes.append(_new(Node, (color, None if left is None else left + offset,
-                                 None if right is None else right + offset)))
+        nodes.append((color, None if left is None else left + offset,
+                      None if right is None else right + offset))
     root = v_star if t1.root == v else t1.root
     return _new(ColoredTree, (tuple(nodes), root, t1.box_color))
 
@@ -243,7 +244,7 @@ def factor_paths(t: ColoredTree) -> list[tuple[int, list[int], list[str]]]:
     on the way is passed to its left child and owns the factor of its right
     child.  The box's factor comes first.
     """
-    if t.size == 0:
+    if not t.nodes:
         raise ValueError("the empty tree has no factors")
     nodes = t.nodes
     out = []
@@ -253,18 +254,18 @@ def factor_paths(t: ColoredTree) -> list[tuple[int, list[int], list[str]]]:
         vertices: list[int] = []
         sides: list[str] = []
         while True:
-            nd = nodes[v]
-            if nd.left is not None and nd.right is not None:
-                work.append((v, nd.right))
-                v = nd.left
+            _, left, right = nodes[v]
+            if left is not None and right is not None:
+                work.append((v, right))
+                v = left
                 continue
             vertices.append(v)
-            if nd.left is not None:
+            if left is not None:
                 sides.append("L")
-                v = nd.left
-            elif nd.right is not None:
+                v = left
+            elif right is not None:
                 sides.append("R")
-                v = nd.right
+                v = right
             else:
                 break
         out.append((owner, vertices, sides))
@@ -275,8 +276,9 @@ def factor_branch(t: ColoredTree, owner: int, vertices: Sequence[int],
                   sides: Sequence[str]) -> ColoredTree:
     """The branch of one factor of :func:`factor_paths`; node ids run from
     the bottom vertex (0) up, as in :func:`branch_from_directions`."""
-    box = t.box_color if owner == BOX else t.nodes[owner].color
-    return branch_from_directions(sides, [t.nodes[u].color for u in vertices], box)
+    nodes = t.nodes
+    box = t.box_color if owner == BOX else nodes[owner][0]
+    return branch_from_directions(sides, [nodes[u][0] for u in vertices], box)
 
 
 def insertion_factors(t: ColoredTree) -> list[ColoredTree]:
@@ -308,26 +310,70 @@ def labeled_insertion_factors(lt: LabeledTree) -> list[LabeledTree]:
 
 
 def is_branch(t: ColoredTree) -> bool:
-    if t.size == 0:
+    if not t.nodes:
         return False
-    return all(nd.left is None or nd.right is None for nd in t.nodes)
+    return all(left is None or right is None for _, left, right in t.nodes)
 
 
 def right_edges(t: ColoredTree) -> int:
-    return sum(1 for nd in t.nodes if nd.right is not None)
+    return sum(1 for _, _, right in t.nodes if right is not None)
 
 
 # ---------------------------------------------------------------------------
 # Canonical encoding (also the CLI / on-disk format)
 
 
-def _encode(nodes: Sequence[Node], tags: Sequence[str], v: int | None) -> str:
-    """The encoding of the subtree at ``v``; ``tags[u]`` follows the color of
-    vertex ``u``."""
-    if v is None:
-        return "."
-    nd = nodes[v]
-    return f"({nd.color}{tags[v]} {_encode(nodes, tags, nd.left)} {_encode(nodes, tags, nd.right)})"
+# Trees with fewer vertices than this are encoded by plain recursion, whose
+# depth their size bounds; larger ones walk their one-child runs in a loop.
+_RECURSIVE_SIZE = 256
+
+
+def _encode(nodes: Sequence[Vertex], tags: Sequence[str], v: int) -> str:
+    """The encoding of the subtree at vertex ``v``; ``tags[u]`` follows the
+    color of vertex ``u``.
+
+    One call per vertex, none per empty child slot.  In a tree of
+    ``_RECURSIVE_SIZE`` vertices or more, a one-child vertex starts a run
+    walked by :func:`_encode_run`, so only two-child vertices recurse.
+    """
+    color, left, right = nodes[v]
+    if left is None:
+        if right is None:
+            return f"({color}{tags[v]} . .)"
+        if len(nodes) < _RECURSIVE_SIZE:
+            return f"({color}{tags[v]} . {_encode(nodes, tags, right)})"
+    elif right is None:
+        if len(nodes) < _RECURSIVE_SIZE:
+            return f"({color}{tags[v]} {_encode(nodes, tags, left)} .)"
+    else:
+        return f"({color}{tags[v]} {_encode(nodes, tags, left)} {_encode(nodes, tags, right)})"
+    return _encode_run(nodes, tags, v)
+
+
+def _encode_run(nodes: Sequence[Vertex], tags: Sequence[str], v: int) -> str:
+    """:func:`_encode` of the subtree at ``v``, walking down the run of
+    one-child vertices from ``v`` in a loop; the vertex that ends the run
+    goes back to :func:`_encode`.  The walk stops after ``len(nodes)``
+    vertices, so one-child links that loop raise ``ValueError``."""
+    head: list[str] = []
+    tail: list[str] = []
+    for _ in range(len(nodes)):
+        color, left, right = nodes[v]
+        if left is None and right is not None:
+            head.append(f"({color}{tags[v]} . ")
+            tail.append(")")
+            v = right
+        elif right is None and left is not None:
+            head.append(f"({color}{tags[v]} ")
+            tail.append(" .)")
+            v = left
+        else:
+            head.append(_encode(nodes, tags, v))
+            break
+    else:
+        raise ValueError("a run of one-child vertices loops")
+    tail.reverse()
+    return "".join(head) + "".join(tail)
 
 
 def encode(t: ColoredTree) -> str:
@@ -335,16 +381,20 @@ def encode(t: ColoredTree) -> str:
 
     Equal strings exactly characterize isomorphic colored trees.
     """
-    return f"{t.box_color}:{_encode(t.nodes, ('',) * t.size, t.root)}"
+    if t.root is None:
+        return f"{t.box_color}:."
+    return f"{t.box_color}:{_encode(t.nodes, ('',) * len(t.nodes), t.root)}"
 
 
 def encode_labeled(lt: LabeledTree) -> str:
     """Like :func:`encode` but each vertex prints ``color|label``."""
     t = lt.tree
+    if t.root is None:
+        return f"{t.box_color}:."
     return f"{t.box_color}:{_encode(t.nodes, [f'|{x}' for x in lt.labels], t.root)}"
 
 
-def _parse_node(body: str, pos: int, nodes: list[Node]) -> tuple[int | None, int]:
+def _parse_node(body: str, pos: int, nodes: list[Vertex]) -> tuple[int | None, int]:
     """Parse the subtree starting at offset ``pos`` of ``body``, appending its
     vertices to ``nodes`` in postorder; returns its root id and the offset
     just past it."""
@@ -360,7 +410,7 @@ def _parse_node(body: str, pos: int, nodes: list[Node]) -> tuple[int | None, int
     right, pos = _parse_node(body, pos + 1, nodes)
     if pos >= len(body) or body[pos] != ")":
         raise ValueError(f"expected ')' at offset {pos} of {body!r}")
-    nodes.append(_new(Node, (color, left, right)))
+    nodes.append((color, left, right))
     return len(nodes) - 1, pos + 1
 
 
@@ -371,7 +421,7 @@ def parse_tree(text: str) -> ColoredTree:
     if not sep:
         raise ValueError(f"missing box color in {text!r}")
     box = int(box_text)
-    nodes: list[Node] = []
+    nodes: list[Vertex] = []
     root, pos = _parse_node(body, 0, nodes)
     if pos != len(body):
         raise ValueError(f"trailing input in {text!r}")
@@ -416,14 +466,14 @@ def shapes(n: int) -> list:
     return _shape_cache[n]
 
 
-def _build_shape(sh, colors: Iterator[int | None], nodes: list[Node]) -> int | None:
+def _build_shape(sh, colors: Iterator[int | None], nodes: list[Vertex]) -> int | None:
     """Append the vertices of ``sh`` to ``nodes`` in postorder, the k-th node
     taking the k-th color; returns the root id."""
     if sh is None:
         return None
     left = _build_shape(sh[0], colors, nodes)
     right = _build_shape(sh[1], colors, nodes)
-    nodes.append(_new(Node, (next(colors, None), left, right)))
+    nodes.append((next(colors, None), left, right))
     return len(nodes) - 1
 
 
@@ -431,7 +481,7 @@ def tree_from_shape(shape, postorder_colors: Sequence[int] | None = None,
                     box_color: int = 0) -> ColoredTree:
     """Materialize a shape, coloring vertices by their postorder position."""
     colors = itertools.repeat(0) if postorder_colors is None else iter(postorder_colors)
-    nodes: list[Node] = []
+    nodes: list[Vertex] = []
     root = _build_shape(shape, colors, nodes)
     if postorder_colors is not None and len(postorder_colors) != len(nodes):
         raise ValueError("color word length must match the shape size")
@@ -447,16 +497,16 @@ def branch_from_directions(directions: Sequence[str],
     from the bottom vertex (0) up to the root.
     """
     n = len(directions) + 1
-    nodes: list[Node] = []
+    nodes: list[Vertex] = []
     below: int | None = None
     for depth in range(n - 1, -1, -1):
         color = colors_root_down[depth] if colors_root_down is not None else 0
         if below is None:
-            nodes.append(_new(Node, (color, None, None)))
+            nodes.append((color, None, None))
         elif directions[depth] == "L":
-            nodes.append(_new(Node, (color, below, None)))
+            nodes.append((color, below, None))
         elif directions[depth] == "R":
-            nodes.append(_new(Node, (color, None, below)))
+            nodes.append((color, None, below))
         else:
             raise ValueError(f"bad direction {directions[depth]!r}")
         below = len(nodes) - 1
@@ -465,24 +515,33 @@ def branch_from_directions(directions: Sequence[str],
 
 def branch_profile(b: ColoredTree) -> tuple[list[str], list[int], int]:
     """Root-down direction word, root-down colors, and box color of a branch;
-    the inverse of :func:`branch_from_directions`."""
-    if not is_branch(b):
-        raise ValueError("expected a branch")
+    the inverse of :func:`branch_from_directions`.
+
+    The walk from the root is the branch check: it raises ``ValueError`` at
+    a two-child vertex, and unless it ends at a leaf after exactly
+    ``len(b.nodes)`` vertices, so one-child links that loop are caught too.
+    """
+    nodes = b.nodes
     dirs: list[str] = []
     colors: list[int] = []
     v = b.root
-    while v is not None:
-        nd = b.nodes[v]
-        colors.append(nd.color)
-        if nd.left is not None:
-            dirs.append("L")
-            v = nd.left
-        elif nd.right is not None:
-            dirs.append("R")
-            v = nd.right
-        else:
-            v = None
-    return dirs, colors, b.box_color
+    if v is not None:
+        for _ in range(len(nodes)):
+            color, left, right = nodes[v]
+            colors.append(color)
+            if left is None:
+                if right is None:
+                    if len(colors) == len(nodes):
+                        return dirs, colors, b.box_color
+                    break
+                dirs.append("R")
+                v = right
+            elif right is None:
+                dirs.append("L")
+                v = left
+            else:
+                break
+    raise ValueError("expected a branch")
 
 
 def size_word(n: int) -> tuple[int, ...]:
@@ -535,8 +594,9 @@ def iter_dbpt_word(word: Sequence[int]) -> Iterator[LabeledTree]:
     if n == 1:
         yield LabeledTree(ColoredTree((), None, word[0]), ())
         return
+    box = word[-1]
     for perm in itertools.permutations(range(1, n)):
-        yield alpha_inverse(perm, colors=word, box_color=word[-1])
+        yield _decreasing_tree(perm, word, box, ())
 
 
 def _dbpt_counts(colors: tuple[int, ...], memo: dict) -> dict:
@@ -569,10 +629,10 @@ def _dbpt_counts(colors: tuple[int, ...], memo: dict) -> dict:
             size = len(left)
             top = size + len(right) - 1
             lroot = size - 1 if size else None
-            node = _new(Node, (root, lroot, top if right else None))
+            node = (root, lroot, top if right else None)
             rights = [
-                (tuple([_new(Node, (color, None if lc is None else lc + size,
-                                    None if rc is None else rc + size))
+                (tuple([(color, None if lc is None else lc + size,
+                         None if rc is None else rc + size)
                         for color, lc, rc in rnodes]) + (node,), rk)
                 for rnodes, rk in _dbpt_counts(right, memo).items()
             ]

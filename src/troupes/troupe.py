@@ -24,7 +24,6 @@ from .trees import (
     encode,
     enumerate_trees,
     factor_paths,
-    is_branch,
     iter_branch_word,
     iter_dbpt,
     right_edges,
@@ -58,21 +57,20 @@ class WeightedTroupe:
         return value
 
     def weight_of_branch(self, branch: ColoredTree) -> RingElem:
-        if not is_branch(branch):
-            raise ValueError("branch weights are defined on branches only")
+        """The weight of a branch; ``ValueError`` on any other tree."""
         sides, colors, box = branch_profile(branch)
         return self._weight(box, tuple(colors), "".join(sides))
 
     def evaluate(self, t: ColoredTree) -> RingElem:
         """0 on the empty tree, else the product of branch weights over the
         insertion factors."""
-        if t.size == 0:
-            return Fraction(0)
         nodes = t.nodes
+        if not nodes:
+            return Fraction(0)
         value: RingElem = Fraction(1)
         for owner, vertices, sides in factor_paths(t):
-            box = t.box_color if owner == BOX else nodes[owner].color
-            colors = tuple([nodes[u].color for u in vertices])
+            box = t.box_color if owner == BOX else nodes[owner][0]
+            colors = tuple([nodes[u][0] for u in vertices])
             value = value * self._weight(box, colors, "".join(sides))
         return value
 
@@ -89,7 +87,7 @@ def all_trees() -> WeightedTroupe:
 def full_trees() -> WeightedTroupe:
     """Indicator of full trees (no vertex with exactly one child); the
     branches of that family are the single-vertex ones."""
-    return WeightedTroupe("full", lambda b: Fraction(1 if b.size == 1 else 0))
+    return WeightedTroupe("full", lambda b: Fraction(1 if len(b.nodes) == 1 else 0))
 
 
 def motzkin_trees() -> WeightedTroupe:
@@ -106,8 +104,8 @@ def color_constrained(allowed: Iterable[int]) -> WeightedTroupe:
     def weight(b: ColoredTree) -> RingElem:
         if b.box_color not in colors:
             return Fraction(0)
-        for nd in b.nodes:
-            if nd.left is not None and nd.color not in colors:
+        for color, left, _ in b.nodes:
+            if left is not None and color not in colors:
                 return Fraction(0)
         return Fraction(1)
 
@@ -132,7 +130,7 @@ def color_count(counted: Iterable[int], t: RingElem = q) -> WeightedTroupe:
     t = as_ring_elem(t)
 
     def weight(b: ColoredTree) -> RingElem:
-        k = sum(1 for nd in b.nodes if nd.color in colors)
+        k = sum(1 for color, _, _ in b.nodes if color in colors)
         if b.box_color in colors:
             k += 1
         return t ** k

@@ -27,7 +27,6 @@ from troupes.rings import QPoly
 from troupes.trees import (
     ColoredTree,
     LabeledTree,
-    Node,
     alpha,
     branch_from_directions,
     branch_profile,
@@ -45,10 +44,10 @@ from troupes.troupe import WeightedTroupe, weighted_sum
 
 def swing(t: ColoredTree, v: int) -> ColoredTree:
     """Flip the single child of ``v`` to the other side; an involution."""
-    nd = t.nodes[v]
-    if (nd.left is None) == (nd.right is None):
+    color, left, right = t.nodes[v]
+    if (left is None) == (right is None):
         raise ValueError("swing needs a vertex with exactly one child")
-    flipped = Node(nd.color, nd.right, nd.left)
+    flipped = (color, right, left)
     nodes = t.nodes[:v] + (flipped,) + t.nodes[v + 1:]
     return ColoredTree(nodes, t.root, t.box_color)
 
@@ -74,8 +73,8 @@ def phi_inverse_via_swings(lt: LabeledTree) -> PhiInput:
     rebuild each run's branch with child sides copied from ``lt``."""
     n = lt.size + 1
     tilde = lt
-    for v, nd in enumerate(lt.tree.nodes):
-        if nd.left is not None and nd.right is None:
+    for v, (_, left, right) in enumerate(lt.tree.nodes):
+        if left is not None and right is None:
             tilde = swing_labeled(tilde, v)
     sigma = (n,) + alpha(tilde)
     branches = []
@@ -83,11 +82,11 @@ def phi_inverse_via_swings(lt: LabeledTree) -> PhiInput:
         labels_desc = list(reversed(block[:-1]))
         dirs = []
         for lab in labels_desc[:-1]:
-            nd = lt.tree.nodes[lt.labels.index(lab)]
-            dirs.append("L" if nd.left is not None else "R")
-        colors = [lt.tree.nodes[lt.labels.index(lab)].color for lab in labels_desc]
+            _, left, _ = lt.tree.nodes[lt.labels.index(lab)]
+            dirs.append("L" if left is not None else "R")
+        colors = [lt.tree.nodes[lt.labels.index(lab)][0] for lab in labels_desc]
         mx = block[-1]
-        box = lt.tree.box_color if mx == n else lt.tree.nodes[lt.labels.index(mx)].color
+        box = lt.tree.box_color if mx == n else lt.tree.nodes[lt.labels.index(mx)][0]
         branches.append(branch_from_directions(dirs, colors, box))
     return PhiInput(sigma, tuple(branches))
 
@@ -96,7 +95,7 @@ def alpha_inverse_by_max_split(word, colors=None, box_color: int = 0) -> Labeled
     """The recursive build: the maximum is the root, and the prefix and the
     suffix around it build the left and right subtrees.  Node ids come out
     in postorder."""
-    nodes: list[Node] = []
+    nodes: list[tuple] = []
     labels: list[int] = []
 
     def build(lo: int, hi: int):
@@ -105,7 +104,7 @@ def alpha_inverse_by_max_split(word, colors=None, box_color: int = 0) -> Labeled
         m = max(range(lo, hi + 1), key=lambda i: word[i])
         left = build(lo, m - 1)
         right = build(m + 1, hi)
-        nodes.append(Node(colors[word[m] - 1] if colors is not None else 0, left, right))
+        nodes.append((colors[word[m] - 1] if colors is not None else 0, left, right))
         labels.append(word[m])
         return len(nodes) - 1
 
@@ -131,8 +130,8 @@ def _branch_label_map(br: ColoredTree, block: tuple[int, ...]) -> dict[int, int]
     v = br.root
     for lab in labels_desc:
         out[lab] = v
-        nd = br.nodes[v]
-        v = nd.left if nd.left is not None else nd.right
+        _, left, right = br.nodes[v]
+        v = left if left is not None else right
     return out
 
 
@@ -212,18 +211,18 @@ def dbpt_sums_by_labeled_trees(taus, word) -> list:
 def is_full(t: ColoredTree) -> bool:
     if t.size == 0:
         return False
-    return all((nd.left is None) == (nd.right is None) for nd in t.nodes)
+    return all((left is None) == (right is None) for _, left, right in t.nodes)
 
 
 def is_motzkin(t: ColoredTree) -> bool:
     """Every vertex with a right child also has a left child."""
     if t.size == 0:
         return False
-    return all(nd.right is None or nd.left is not None for nd in t.nodes)
+    return all(right is None or left is not None for _, left, right in t.nodes)
 
 
 def two_child_count(t: ColoredTree) -> int:
-    return sum(1 for nd in t.nodes if nd.left is not None and nd.right is not None)
+    return sum(1 for _, left, right in t.nodes if left is not None and right is not None)
 
 
 def equivalence_report(tau: WeightedTroupe, word) -> EquivalenceReport:
@@ -241,8 +240,8 @@ def encode_by_closure(t: ColoredTree) -> str:
     def enc(v):
         if v is None:
             return "."
-        nd = t.nodes[v]
-        return f"({nd.color} {enc(nd.left)} {enc(nd.right)})"
+        color, left, right = t.nodes[v]
+        return f"({color} {enc(left)} {enc(right)})"
 
     return f"{t.box_color}:{enc(t.root)}"
 
@@ -251,8 +250,8 @@ def encode_labeled_by_closure(lt: LabeledTree) -> str:
     def enc(v):
         if v is None:
             return "."
-        nd = lt.tree.nodes[v]
-        return f"({nd.color}|{lt.labels[v]} {enc(nd.left)} {enc(nd.right)})"
+        color, left, right = lt.tree.nodes[v]
+        return f"({color}|{lt.labels[v]} {enc(left)} {enc(right)})"
 
     return f"{lt.tree.box_color}:{enc(lt.tree.root)}"
 
@@ -263,10 +262,10 @@ def inorder_by_closure(t: ColoredTree) -> list[int]:
     def walk(v):
         if v is None:
             return
-        nd = t.nodes[v]
-        walk(nd.left)
+        _, left, right = t.nodes[v]
+        walk(left)
         out.append(v)
-        walk(nd.right)
+        walk(right)
 
     walk(t.root)
     return out
@@ -278,9 +277,9 @@ def postorder_by_closure(t: ColoredTree) -> list[int]:
     def walk(v):
         if v is None:
             return
-        nd = t.nodes[v]
-        walk(nd.left)
-        walk(nd.right)
+        _, left, right = t.nodes[v]
+        walk(left)
+        walk(right)
         out.append(v)
 
     walk(t.root)

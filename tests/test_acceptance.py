@@ -209,7 +209,7 @@ def test_criterion_6_bijections():
         for x in iter_phi_inputs(word):
             tilde = phi_tilde(x)
             assert all(
-                nd.right is not None or nd.left is None for nd in tilde.tree.nodes
+                right is not None or left is None for _, left, right in tilde.tree.nodes
             )
             lt = phi(x)
             from troupes.trees import labeled_insertion_factors

@@ -19,7 +19,6 @@ from troupes.partitions import SetPartition, druns, is_irreducible, iter_D
 from troupes.trees import (
     ColoredTree,
     LabeledTree,
-    Node,
     branch_from_directions,
     branch_profile,
     encode,
@@ -148,13 +147,13 @@ def test_psi_worked_fourteen_element_example():
     # two-child vertices sit exactly at the in-range block maxima
     two_child_names = {
         v + 1
-        for v, nd in enumerate(t.nodes)
-        if nd.left is not None and nd.right is not None
+        for v, (_, left, right) in enumerate(t.nodes)
+        if left is not None and right is not None
     }
     assert two_child_names == {10, 7, 13}
     # block minima (except 1's block minimum... including it) are leaves
     leaves = {
-        v + 1 for v, nd in enumerate(t.nodes) if nd.left is None and nd.right is None
+        v + 1 for v, (_, left, right) in enumerate(t.nodes) if left is None and right is None
     }
     assert leaves == {1, 2, 4, 12}
     assert t.box_color == word[13]
@@ -196,7 +195,7 @@ def test_phi_tilde_is_reverse_motzkin():
         for x in iter_phi_inputs((0,) * n):
             lt = phi_tilde(x)
             assert all(
-                nd.right is not None or nd.left is None for nd in lt.tree.nodes
+                right is not None or left is None for _, left, right in lt.tree.nodes
             )
 
 
@@ -287,17 +286,20 @@ def test_phi_inverse_rejects_exactly_the_invalid_labelings():
 
 
 @pytest.mark.parametrize("lt", [
-    LabeledTree(ColoredTree((Node(0), Node(0, left=0)), 1), (1, 1)),
-    LabeledTree(ColoredTree((Node(0), Node(0, left=0)), 1), (0, 2)),
-    LabeledTree(ColoredTree((Node(0), Node(0, left=0)), 1), (2,)),
-    LabeledTree(ColoredTree((Node(0), Node(0, left=0)), 1), (1, 3)),
-    LabeledTree(ColoredTree((Node(0), Node(0, left=0)), 1), (2, 1)),
-    LabeledTree(ColoredTree((Node(0), Node(0, left=2)), 1), (1, 2)),
-    LabeledTree(ColoredTree((Node(0), Node(0, left=-1)), 1), (1, 2)),
-    LabeledTree(ColoredTree((Node(0), Node(0, left=0, right=0)), 1), (1, 2)),
-    LabeledTree(ColoredTree((Node(0), Node(0), Node(0, left=0)), 2), (1, 2, 3)),
-    LabeledTree(ColoredTree((Node(0), Node(0, left=0)), 0), (1, 2)),
-    LabeledTree(ColoredTree((Node(0), Node(0, left=0)), None), (1, 2)),
+    LabeledTree(ColoredTree(((0, None, None), (0, 0, None)), 1), (1, 1)),
+    LabeledTree(ColoredTree(((0, None, None), (0, 0, None)), 1), (0, 2)),
+    LabeledTree(ColoredTree(((0, None, None), (0, 0, None)), 1), (2,)),
+    LabeledTree(ColoredTree(((0, None, None), (0, 0, None)), 1), (1, 3)),
+    LabeledTree(ColoredTree(((0, None, None), (0, 0, None)), 1), (2, 1)),
+    LabeledTree(ColoredTree(((0, None, None), (0, 2, None)), 1), (1, 2)),
+    LabeledTree(ColoredTree(((0, None, None), (0, -1, None)), 1), (1, 2)),
+    LabeledTree(ColoredTree(((0, None, None), (0, 0, 0)), 1), (1, 2)),
+    LabeledTree(ColoredTree(((0, None, None), (0, None, None), (0, 0, None)), 2), (1, 2, 3)),
+    LabeledTree(ColoredTree(((0, None, None), (0, 0, None)), 0), (1, 2)),
+    LabeledTree(ColoredTree(((0, None, None), (0, 0, None)), None), (1, 2)),
+    # a vertex under two parents and one never reached, and a repeated label
+    LabeledTree(ColoredTree(((0, None, None), (0, None, None), (0, 0, 0)), 2), (1, 2, 3)),
+    LabeledTree(ColoredTree(((0, None, None), (0, None, None), (0, 0, 1)), 2), (1, 1, 3)),
 ])
 def test_phi_inverse_rejects_malformed_trees(lt):
     with pytest.raises(ValueError):
@@ -311,7 +313,7 @@ def test_phi_inverse_single_vertex():
         inp = phi_inverse(lt)
         assert inp.sigma == (2, 1)
         assert [b.size for b in inp.branches] == [1]
-        assert inp.branches[0].nodes[0].color == 4
+        assert inp.branches[0].nodes[0][0] == 4
         assert inp.branches[0].box_color == 7
 
 
@@ -337,7 +339,7 @@ def test_phi_worked_fourteen_element_example():
         )
     x = PhiInput(sigma, tuple(branches))
     tilde = phi_tilde(x)
-    assert all(nd.right is not None or nd.left is None for nd in tilde.tree.nodes)
+    assert all(right is not None or left is None for _, left, right in tilde.tree.nodes)
     lt = phi(x)
     lt.validate()
     assert lt.size == 13

@@ -337,6 +337,36 @@ def test_examples_match_parent_digests(name):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == EXAMPLE_DIGESTS[name]
 
 
+# sha256 prefixes of the stdout of tree commands, recorded while vertices were
+# still ``NamedTuple`` records; the peaks permutation is
+# ``random.Random(20).sample(range(1, 13), 12)``
+TREE_DIGESTS = {
+    ("enumerate", "--kind", "bpt", "--colors", "0,1,1,0,2,1"): "5e6109645d8f26d3",
+    ("enumerate", "--kind", "branch", "--colors", "0,1,1,0,2,1"): "6b2fd2b7b87a4f26",
+    ("enumerate", "--kind", "dbpt", "--colors", "0,1,1,0,2,1"): "4394e4ac3a95fbda",
+    ("peaks", "12,11,3,5,2,7,10,9,8,1,4,6"): "bca931c677d2a3f2",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TREE_DIGESTS), ids=" ".join)
+def test_tree_commands_match_recorded_digests(argv):
+    code, out, err = run(*argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == TREE_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("values", [range(1, 1501), range(1500, 0, -1)],
+                         ids=["increasing", "decreasing"])
+def test_peaks_on_a_long_permutation(values):
+    # a monotone permutation has no peak and one factor, a branch of 1,500
+    # vertices, which must encode without running out of stack
+    code, out, err = run("peaks", ",".join(map(str, values)))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "peaks: " and len(lines) == 2
+    assert lines[1].count("(") == 1500
+
+
 # -- fuzzing the CLI contract: exit 0 on success, 1 only for a failed
 # verification, 2 on bad input, and never an uncaught exception
 

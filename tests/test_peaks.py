@@ -73,7 +73,7 @@ def test_branch_from_inorder_shapes():
     lt = branch_from_inorder((2, 1))
     assert is_branch(lt.tree) and lt.labels == (1, 2)
     lt = branch_from_inorder((1, 2))
-    assert lt.tree.nodes[lt.tree.root].left is not None
+    assert lt.tree.nodes[lt.tree.root][1] is not None
     with pytest.raises(ValueError):
         branch_from_inorder((1, 3, 2))  # a peak: not a branch word
 

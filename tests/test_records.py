@@ -1,5 +1,5 @@
-"""The ``NamedTuple`` records against frozen-dataclass twins, and the record
-type of every vertex the tree builders make."""
+"""The ``NamedTuple`` records against frozen-dataclass twins, and the plain
+``(color, left, right)`` tuple of every vertex the tree builders make."""
 
 import functools
 import itertools
@@ -31,7 +31,6 @@ from troupes.troupe import from_table, random_branch_table
 from troupes.trees import (
     ColoredTree,
     LabeledTree,
-    Node,
     alpha_inverse,
     branch_from_directions,
     encode,
@@ -48,7 +47,7 @@ from troupes.trees import (
 from oracles import frozen_dataclass_twin
 
 
-RECORD_CLASSES = (Node, ColoredTree, LabeledTree, SetPartition, PsiInput, PhiInput,
+RECORD_CLASSES = (ColoredTree, LabeledTree, SetPartition, PsiInput, PhiInput,
                   MomentFunctional, CumulantTable, ConditionCheck, EquivalenceReport,
                   NamedSequence)
 
@@ -65,7 +64,6 @@ def _seeded_records():
         w: rng.randint(-3, 3) for n in (1, 2) for w in itertools.product((0, 1), repeat=n)})
     moments = cumulants_to_moments(boolean)
     return {
-        Node: [nd for t in trees for nd in t.nodes],
         ColoredTree: trees,
         LabeledTree: labeled,
         SetPartition: [p for n in (1, 2, 3, 4) for p in iter_partitions(n)],
@@ -108,8 +106,12 @@ def test_record_behaves_as_its_frozen_dataclass_twin(cls):
 
 
 def _assert_tree_records(t):
-    assert type(t) is ColoredTree
-    assert all(type(nd) is Node for nd in t.nodes)
+    assert type(t) is ColoredTree and type(t.nodes) is tuple
+    for nd in t.nodes:
+        assert type(nd) is tuple and len(nd) == 3
+        color, left, right = nd
+        assert type(color) is int
+        assert all(c is None or type(c) is int for c in (left, right))
 
 
 def _assert_labeled_records(lt):

@@ -6,15 +6,24 @@ from collections import Counter
 
 import pytest
 
-from troupes.bijections import iter_phi_inputs, iter_psi_inputs, phi, phi_inverse, psi, psi_inverse
+from troupes.bijections import (
+    PhiInput,
+    PsiInput,
+    iter_phi_inputs,
+    iter_psi_inputs,
+    phi,
+    phi_inverse,
+    psi,
+    psi_inverse,
+)
 from troupes.cumulants import equivalence_reports
 from troupes.peaks import factors_from_plot, tree_factors_for_comparison
-from troupes.troupe import from_table, random_branch_table
+from troupes.partitions import SetPartition
+from troupes.troupe import all_trees, from_table, random_branch_table
 from troupes.trees import (
     BOX,
     ColoredTree,
     LabeledTree,
-    Node,
     alpha,
     alpha_inverse,
     beta,
@@ -60,15 +69,15 @@ CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]  # C_0..C_8
 
 
 def single(color=0, box=0):
-    return ColoredTree((Node(color),), 0, box)
+    return ColoredTree(((color, None, None),), 0, box)
 
 
 def root_with_left():
-    return ColoredTree((Node(0), Node(0, left=0)), 1)
+    return ColoredTree(((0, None, None), (0, 0, None)), 1)
 
 
 def root_with_both():
-    return ColoredTree((Node(0), Node(0), Node(0, left=0, right=1)), 2)
+    return ColoredTree(((0, None, None), (0, None, None), (0, 0, 1)), 2)
 
 
 # -- traversals and labelings
@@ -120,7 +129,7 @@ def test_alpha_single():
 
 
 def test_alpha_root_with_right_child():
-    lt = LabeledTree(ColoredTree((Node(0), Node(0, right=0)), 1), (1, 2))
+    lt = LabeledTree(ColoredTree(((0, None, None), (0, None, 0)), 1), (1, 2))
     assert alpha(lt) == (2, 1)
 
 
@@ -128,16 +137,16 @@ def test_alpha_left_comb():
     lt = alpha_inverse((1, 2, 3))
     assert alpha(lt) == (1, 2, 3)
     # left comb: every node has only a left child except the bottom
-    assert all(nd.right is None for nd in lt.tree.nodes)
+    assert all(right is None for _, _, right in lt.tree.nodes)
 
 
 def test_alpha_inverse_231():
     lt = alpha_inverse((2, 3, 1))
     root = lt.tree.root
-    nd = lt.tree.nodes[root]
+    _, left, right = lt.tree.nodes[root]
     assert lt.labels[root] == 3
-    assert lt.labels[nd.left] == 2
-    assert lt.labels[nd.right] == 1
+    assert lt.labels[left] == 2
+    assert lt.labels[right] == 1
 
 
 def test_alpha_bijection_exhaustive():
@@ -267,8 +276,8 @@ def test_labeled_factors_partition_non_governing_labels():
         lt = alpha_inverse(sigma)
         governing = {
             lt.labels[v]
-            for v, nd in enumerate(lt.tree.nodes)
-            if nd.left is not None and nd.right is not None
+            for v, (_, left, right) in enumerate(lt.tree.nodes)
+            if left is not None and right is not None
         }
         labels = [l for f in labeled_insertion_factors(lt) for l in f.labels]
         assert sorted(labels) == sorted(set(range(1, 6)) - governing)
@@ -283,13 +292,13 @@ def oracle_factor_blocks(t):
     owner_of = [BOX] * t.size
 
     def walk(v, owner):
-        nd = t.nodes[v]
-        two = nd.left is not None and nd.right is not None
+        _, left, right = t.nodes[v]
+        two = left is not None and right is not None
         owner_of[v] = v if two else owner
-        if nd.left is not None:
-            walk(nd.left, owner)
-        if nd.right is not None:
-            walk(nd.right, v if two else owner)
+        if left is not None:
+            walk(left, owner)
+        if right is not None:
+            walk(right, v if two else owner)
 
     walk(t.root, BOX)
     blocks = {BOX: []}
@@ -300,8 +309,8 @@ def oracle_factor_blocks(t):
 
 def oracle_branch_of_block(t, owner, members):
     parents = [None] * t.size
-    for v, nd in enumerate(t.nodes):
-        for c in (nd.left, nd.right):
+    for v, (_, left, right) in enumerate(t.nodes):
+        for c in (left, right):
             if c is not None:
                 parents[c] = v
     vertices = [u for u in members if u != owner]
@@ -316,12 +325,12 @@ def oracle_branch_of_block(t, owner, members):
         if p is None or p == owner:
             roots.append(index[u])
             continue
-        side = lefts if t.nodes[p].left == cur else rights
+        side = lefts if t.nodes[p][1] == cur else rights
         assert side[index[p]] is None, "factor is not a branch"
         side[index[p]] = index[u]
     assert len(roots) == 1, "factor block is not connected"
-    box = t.box_color if owner == BOX else t.nodes[owner].color
-    nodes = tuple(Node(t.nodes[u].color, lefts[i], rights[i]) for i, u in enumerate(vertices))
+    box = t.box_color if owner == BOX else t.nodes[owner][0]
+    nodes = tuple((t.nodes[u][0], lefts[i], rights[i]) for i, u in enumerate(vertices))
     return ColoredTree(nodes, roots[0], box), vertices
 
 
@@ -367,7 +376,7 @@ def test_factor_walk_matches_brute_force_oracle():
 def test_swing_flips_single_child():
     t = root_with_left()
     s = swing(t, 1)
-    assert s.nodes[1].left is None and s.nodes[1].right == 0
+    assert s.nodes[1] == (0, None, 0)
     assert encode(swing(s, 1)) == encode(t)
 
 
@@ -387,8 +396,8 @@ def test_swing_branch_shape():
 def test_swing_preserves_decreasing_labels():
     for sigma in itertools.permutations(range(1, 6)):
         lt = alpha_inverse(sigma)
-        for v, nd in enumerate(lt.tree.nodes):
-            if (nd.left is None) != (nd.right is None):
+        for v, (_, left, right) in enumerate(lt.tree.nodes):
+            if (left is None) != (right is None):
                 swing_labeled(lt, v).validate()
 
 
@@ -486,15 +495,15 @@ def test_word_length_one_families():
 def test_colored_postorder_matches_word():
     word = (0, 2, 1, 2, 0)
     for t in iter_bpt_word(word):
-        assert tuple(t.nodes[v].color for v in postorder(t)) == word[:-1]
+        assert tuple(t.nodes[v][0] for v in postorder(t)) == word[:-1]
         assert t.box_color == word[-1]
     for b in iter_branch_word(word):
-        assert tuple(b.nodes[v].color for v in postorder(b)) == word[:-1]
+        assert tuple(b.nodes[v][0] for v in postorder(b)) == word[:-1]
         assert is_branch(b)
     for lt in iter_dbpt_word(word):
         lt.validate()
         assert all(
-            lt.tree.nodes[v].color == word[lt.labels[v] - 1]
+            lt.tree.nodes[v][0] == word[lt.labels[v] - 1]
             for v in range(lt.size)
         )
 
@@ -517,8 +526,8 @@ def _hook_product(t, v):
     """Size of the subtree at ``v`` and the product of its subtree sizes."""
     if v is None:
         return 0, 1
-    nd = t.nodes[v]
-    (ls, lp), (rs, rp) = _hook_product(t, nd.left), _hook_product(t, nd.right)
+    _, left, right = t.nodes[v]
+    (ls, lp), (rs, rp) = _hook_product(t, left), _hook_product(t, right)
     size = ls + rs + 1
     return size, lp * rp * size
 
@@ -562,7 +571,7 @@ def test_predicates():
     assert is_full(root_with_both())
     assert not is_full(root_with_left())
     assert is_motzkin(root_with_left())
-    assert not is_motzkin(ColoredTree((Node(0), Node(0, right=0)), 1))
+    assert not is_motzkin(ColoredTree(((0, None, None), (0, None, 0)), 1))
     assert right_edges(branch_from_directions("LRR")) == 2
 
 
@@ -578,7 +587,7 @@ def test_motzkin_shape_counts():
 
 def test_encode_examples():
     assert encode(ColoredTree((), None, 0)) == "0:."
-    assert encode(ColoredTree((Node(1),), 0, 0)) == "0:(1 . .)"
+    assert encode(ColoredTree(((1, None, None),), 0, 0)) == "0:(1 . .)"
 
 
 def test_encode_parse_roundtrip():
@@ -598,6 +607,18 @@ def test_walks_match_the_closure_oracles():
               for t in enumerate_trees(kind, word)]
     labeled = [lt for n in range(7) for lt in iter_dbpt_word(size_word(n))]
     labeled += [lt for word in colored for lt in iter_dbpt_word(word)]
+    # trees of 300 vertices, past the encoder's recursive size, with long
+    # one-child runs on both sides: the decreasing trees of words made of
+    # ascending and descending stretches
+    for seed in range(4):
+        r = random.Random(seed)
+        values = r.sample(range(1, 301), 300)
+        word = []
+        while values:
+            k = r.randint(1, 60)
+            word += sorted(values[:k], reverse=r.random() < 0.5)
+            del values[:k]
+        labeled.append(alpha_inverse(word, [r.randrange(3) for _ in range(300)], box_color=1))
     plain += [lt.tree for lt in labeled]
     for t in plain:
         assert encode(t) == encode_by_closure(t)
@@ -648,21 +669,41 @@ def test_parse_errors():
 
 def test_validate_catches_breakage():
     with pytest.raises(ValueError):
-        ColoredTree((Node(0, left=0),), 0).validate()  # self loop
+        ColoredTree(((0, 0, None),), 0).validate()  # self loop
     with pytest.raises(ValueError):
-        ColoredTree((Node(0), Node(0)), 1).validate()  # unreachable node
+        ColoredTree(((0, None, None), (0, None, None)), 1).validate()  # unreachable node
     with pytest.raises(ValueError):
-        ColoredTree((Node(0),), None).validate()
+        ColoredTree(((0, None, None),), None).validate()
+
+
+def test_walks_stop_on_looping_one_child_links():
+    # one-child links that loop pass is_branch, but no walk down them ends
+    loops = [ColoredTree(((0, 0, None),), 0), ColoredTree(((0, None, 1), (0, 0, None)), 0)]
+    for t in loops:
+        assert is_branch(t)
+        with pytest.raises(ValueError):
+            branch_profile(t)
+        with pytest.raises(ValueError):
+            all_trees().weight_of_branch(t)
+    with pytest.raises(ValueError):
+        PhiInput((2, 1), loops[:1]).validate()
+    with pytest.raises(ValueError):
+        PsiInput(SetPartition.of(3, [[1, 2, 3]]), loops[1:]).validate()
+    # the encoder's loop, in a tree past its recursive size
+    with pytest.raises(ValueError):
+        encode(ColoredTree(tuple((0, (v + 1) % 300, None) for v in range(300)), 0))
+    # a vertex the walk from the root never meets makes no branch either
+    with pytest.raises(ValueError):
+        branch_profile(ColoredTree(((0, None, None), (0, None, None)), 0))
 
 
 def test_factor_paths_examples():
     assert factor_paths(root_with_both()) == [(BOX, [0], []), (2, [1], [])]
     # a root whose one child has two children: the box factor passes that
     # vertex and continues at its left child, on the root's side
-    for side in ("left", "right"):
-        t = ColoredTree(
-            (Node(0), Node(0), Node(0, left=0, right=1), Node(0, **{side: 2})), 3)
-        assert factor_paths(t) == [(BOX, [3, 0], [side[0].upper()]), (2, [1], [])]
+    for side, top in (("L", (0, 2, None)), ("R", (0, None, 2))):
+        t = ColoredTree(((0, None, None), (0, None, None), (0, 0, 1), top), 3)
+        assert factor_paths(t) == [(BOX, [3, 0], [side]), (2, [1], [])]
     with pytest.raises(ValueError):
         factor_paths(ColoredTree((), None))
 

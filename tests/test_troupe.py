@@ -73,7 +73,7 @@ def test_color_constrained_matches_direct_predicate():
         if t.box_color not in allowed:
             return False
         return all(
-            nd.color in allowed for nd in t.nodes if nd.left is not None
+            color in allowed for color, left, _ in t.nodes if left is not None
         )
 
     for n in range(2, 6):
@@ -88,7 +88,7 @@ def test_color_count_matches_direct_count():
     for n in range(2, 6):
         for word in itertools.product((0, 1), repeat=n):
             for t in iter_bpt_word(word):
-                k = sum(1 for nd in t.nodes if nd.color in counted)
+                k = sum(1 for color, _, _ in t.nodes if color in counted)
                 k += 1 if t.box_color in counted else 0
                 assert tau.evaluate(t) == q ** k
 
