@@ -102,9 +102,15 @@ class LabeledTree(NamedTuple):
 # Traversals and the inorder/postorder machinery
 
 
+# Trees with fewer vertices than this are walked, encoded and parsed by plain
+# recursion, whose depth their size bounds; larger ones by loops.
+_RECURSIVE_SIZE = 256
+
+
 def _walk(nodes: Sequence[Vertex], v: int | None, out: list[int], post: bool) -> None:
     """Append the node ids below ``v`` to ``out`` in inorder, or in postorder
-    when ``post``."""
+    when ``post``; one call per vertex, so only for trees of fewer than
+    ``_RECURSIVE_SIZE`` vertices."""
     if v is None:
         return
     _, left, right = nodes[v]
@@ -116,18 +122,60 @@ def _walk(nodes: Sequence[Vertex], v: int | None, out: list[int], post: bool) ->
         out.append(v)
 
 
+def _order(t: ColoredTree, post: bool) -> list[int]:
+    """Node ids in inorder, or in postorder when ``post``.
+
+    Trees of ``_RECURSIVE_SIZE`` vertices or more are walked with an
+    explicit stack, which stops after ``len(t.nodes)`` vertices, so child
+    links that loop raise ``ValueError``.
+    """
+    nodes = t.nodes
+    out: list[int] = []
+    if len(nodes) < _RECURSIVE_SIZE:
+        _walk(nodes, t.root, out, post)
+        return out
+    stack: list[int] = []
+    v = t.root
+    if post:
+        # root, right subtree, left subtree, then reversed
+        if v is not None:
+            stack.append(v)
+        for _ in range(len(nodes)):
+            if not stack:
+                break
+            v = stack.pop()
+            out.append(v)
+            _, left, right = nodes[v]
+            if left is not None:
+                stack.append(left)
+            if right is not None:
+                stack.append(right)
+        if not stack:
+            out.reverse()
+            return out
+    else:
+        for _ in range(len(nodes)):
+            while v is not None and len(stack) <= len(nodes):
+                stack.append(v)
+                v = nodes[v][1]
+            if not stack:
+                break
+            v = stack.pop()
+            out.append(v)
+            v = nodes[v][2]
+        if not stack and v is None:
+            return out
+    raise ValueError("the tree's child links loop")
+
+
 def inorder(t: ColoredTree) -> list[int]:
     """Node ids in inorder (left subtree, vertex, right subtree)."""
-    out: list[int] = []
-    _walk(t.nodes, t.root, out, False)
-    return out
+    return _order(t, False)
 
 
 def postorder(t: ColoredTree) -> list[int]:
     """Node ids in postorder (left subtree, right subtree, vertex)."""
-    out: list[int] = []
-    _walk(t.nodes, t.root, out, True)
-    return out
+    return _order(t, True)
 
 
 def alpha(lt: LabeledTree) -> tuple[int, ...]:
@@ -242,34 +290,39 @@ def factor_paths(t: ColoredTree) -> list[tuple[int, list[int], list[str]]]:
     ``vertices[i]``.  A factor starts at its owner's right child (the box's
     at the root) and descends through one-child vertices; a two-child vertex
     on the way is passed to its left child and owns the factor of its right
-    child.  The box's factor comes first.
+    child.  The box's factor comes first.  The walk takes at most
+    ``len(t.nodes)`` vertex steps, so child links that loop raise
+    ``ValueError``.
     """
     if not t.nodes:
         raise ValueError("the empty tree has no factors")
     nodes = t.nodes
     out = []
-    work = [(BOX, t.root)]
-    while work:
-        owner, v = work.pop()
-        vertices: list[int] = []
-        sides: list[str] = []
-        while True:
-            _, left, right = nodes[v]
-            if left is not None and right is not None:
-                work.append((v, right))
-                v = left
-                continue
-            vertices.append(v)
-            if left is not None:
-                sides.append("L")
-                v = left
-            elif right is not None:
-                sides.append("R")
-                v = right
-            else:
-                break
-        out.append((owner, vertices, sides))
-    return out
+    work: list[tuple[int, int]] = []
+    owner, v = BOX, t.root
+    vertices: list[int] = []
+    sides: list[str] = []
+    for _ in range(len(nodes)):
+        _, left, right = nodes[v]
+        if left is not None and right is not None:
+            work.append((v, right))
+            v = left
+            continue
+        vertices.append(v)
+        if left is not None:
+            sides.append("L")
+            v = left
+        elif right is not None:
+            sides.append("R")
+            v = right
+        else:
+            out.append((owner, vertices, sides))
+            if not work:
+                return out
+            owner, v = work.pop()
+            vertices = []
+            sides = []
+    raise ValueError("the tree's child links loop")
 
 
 def factor_branch(t: ColoredTree, owner: int, vertices: Sequence[int],
@@ -321,11 +374,6 @@ def right_edges(t: ColoredTree) -> int:
 
 # ---------------------------------------------------------------------------
 # Canonical encoding (also the CLI / on-disk format)
-
-
-# Trees with fewer vertices than this are encoded by plain recursion, whose
-# depth their size bounds; larger ones walk their one-child runs in a loop.
-_RECURSIVE_SIZE = 256
 
 
 def _encode(nodes: Sequence[Vertex], tags: Sequence[str], v: int) -> str:
@@ -397,7 +445,8 @@ def encode_labeled(lt: LabeledTree) -> str:
 def _parse_node(body: str, pos: int, nodes: list[Vertex]) -> tuple[int | None, int]:
     """Parse the subtree starting at offset ``pos`` of ``body``, appending its
     vertices to ``nodes`` in postorder; returns its root id and the offset
-    just past it."""
+    just past it.  One call per vertex and per empty child slot, so only
+    for a body too short to hold ``_RECURSIVE_SIZE`` vertices."""
     if pos < len(body) and body[pos] == ".":
         return None, pos + 1
     if pos >= len(body) or body[pos] != "(":
@@ -414,6 +463,37 @@ def _parse_node(body: str, pos: int, nodes: list[Vertex]) -> tuple[int | None, i
     return len(nodes) - 1, pos + 1
 
 
+def _parse_stack(body: str, nodes: list[Vertex]) -> tuple[int | None, int]:
+    """:func:`_parse_node` from offset 0, with an explicit stack of the open
+    vertices: ``[color]``, then ``[color, left child id]`` once the left
+    subtree is read."""
+    stack: list[list] = []
+    pos = 0
+    while True:
+        if pos < len(body) and body[pos] == ".":
+            child, pos = None, pos + 1
+        elif pos >= len(body) or body[pos] != "(":
+            raise ValueError(f"expected '(' or '.' at offset {pos} of {body!r}")
+        else:
+            end = pos + 1
+            while end < len(body) and body[end] not in " )":
+                end += 1
+            stack.append([int(body[pos + 1:end])])
+            pos = end + 1  # skip the space
+            continue
+        # hand the finished subtree to the open vertices above it
+        while stack and len(stack[-1]) == 2:
+            if pos >= len(body) or body[pos] != ")":
+                raise ValueError(f"expected ')' at offset {pos} of {body!r}")
+            color, left = stack.pop()
+            nodes.append((color, left, child))
+            child, pos = len(nodes) - 1, pos + 1
+        if not stack:
+            return child, pos
+        stack[-1].append(child)
+        pos += 1  # skip the space
+
+
 def parse_tree(text: str) -> ColoredTree:
     """Parse the output of :func:`encode`."""
     text = text.strip()
@@ -422,7 +502,11 @@ def parse_tree(text: str) -> ColoredTree:
         raise ValueError(f"missing box color in {text!r}")
     box = int(box_text)
     nodes: list[Vertex] = []
-    root, pos = _parse_node(body, 0, nodes)
+    # a subtree of k vertices takes at least 6k + 1 characters
+    if len(body) < 6 * _RECURSIVE_SIZE:
+        root, pos = _parse_node(body, 0, nodes)
+    else:
+        root, pos = _parse_stack(body, nodes)
     if pos != len(body):
         raise ValueError(f"trailing input in {text!r}")
     return _new(ColoredTree, (tuple(nodes), root, box))

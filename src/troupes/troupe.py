@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .rings import RingElem, as_ring_elem, parse_ring_elem, q
 from .series import Series
@@ -199,25 +199,101 @@ def _parse_colors(arg: str) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Weighted sums over the enumerated families
+# Weighted sums over the families
 
 
 def weighted_sum(tau: WeightedTroupe, kind: str, word: Sequence[int]) -> RingElem:
     """Exact sum of the troupe over the colored family of the given word.
 
-    A labeled tree's value depends only on its colored tree, so the
-    decreasing trees are summed through :func:`iter_dbpt`: each distinct
-    colored tree is evaluated once and weighted by its number of decreasing
-    labelings.
+    Each family is summed by its own route:
+
+    - ``bpt`` by recursion on the root (:func:`_root_sum`), which builds no
+      tree;
+    - ``dbpt`` through :func:`iter_dbpt`: a labeled tree's value depends
+      only on its colored tree, so each distinct colored tree is evaluated
+      once and weighted by its number of decreasing labelings;
+    - ``branch`` by evaluating every branch its enumerator yields.
     """
+    kind = kind.lower()
+    if kind == "bpt":
+        if not word:
+            raise ValueError("color word must be nonempty")
+        return _root_sum(tau, tuple(word), _cuts, {}, {})
     total: RingElem = Fraction(0)
-    if kind.lower() == "dbpt":
+    if kind == "dbpt":
         for t, count in iter_dbpt(word):
             total = total + tau.evaluate(t) * count
         return total
     for t in enumerate_trees(kind, word):
         total = total + tau.evaluate(t)
     return total
+
+
+# A tree's weight is the branch weight of its root factor (the box's factor)
+# times the closed weights of the right subtrees of that factor's two-child
+# vertices, each a whole tree whose box color is its parent's color.  So a
+# family is summed by recursion on the root, through one table per vertex
+# color word: ``{(root-down colors, root-down sides): summed value}`` over
+# the trees on that word, keyed by their open root factor.  The families
+# differ only in how a two-child root splits the other vertices between its
+# subtrees, which a split function gives as ``(left, right, count)``
+# triples, both color words nonempty.
+
+
+def _cuts(s: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """The two-child splits of the plain trees whose postorder colors are
+    ``s`` and root ``s[-1]``: a contiguous cut of ``s[:-1]``, each once."""
+    for k in range(1, len(s) - 1):
+        yield s[:k], s[k:-1], 1
+
+
+def _root_sum(tau: WeightedTroupe, word: tuple[int, ...], split: Callable,
+              tables: dict, sums: dict) -> RingElem:
+    """The sum over the family of the nonempty color ``word``: vertex colors
+    ``word[:-1]``, in the order ``split`` reads them (postorder for
+    :func:`_cuts`), and box color ``word[-1]``.
+
+    It reads only branch weights and the sums of shorter words; both memos,
+    ``sums`` by word and ``tables`` by vertex color word, belong to the
+    caller.
+    """
+    total = sums.get(word)
+    if total is None:
+        total = Fraction(0)
+        if len(word) > 1:
+            box = word[-1]
+            weight = tau._weight
+            for (colors, sides), value in _open_table(tau, word[:-1], split, tables, sums).items():
+                total = total + value * weight(box, colors, sides)
+        sums[word] = total
+    return total
+
+
+def _open_table(tau: WeightedTroupe, s: tuple[int, ...], split: Callable,
+                tables: dict, sums: dict) -> dict:
+    """``{(root-down colors, sides): summed value}`` over the trees on the
+    nonempty vertex color word ``s``, whose root has color ``s[-1]``."""
+    table = tables.get(s)
+    if table is not None:
+        return table
+    root = s[-1]
+    if len(s) == 1:
+        table = {((root,), ""): 1}
+    else:
+        table = {}
+        # a one-child root heads the open factor, over all other vertices
+        below = _open_table(tau, s[:-1], split, tables, sums)
+        for side in "LR":
+            for (colors, sides), value in below.items():
+                table[(root,) + colors, side + sides] = value
+        # a two-child root passes the open factor to its left subtree and
+        # closes its right one, whose box takes the root's color
+        for left, right, count in split(s):
+            closed = _root_sum(tau, right + (root,), split, tables, sums) * count
+            for key, value in _open_table(tau, left, split, tables, sums).items():
+                table[key] = table.get(key, 0) + value * closed
+    tables[s] = table
+    return table
 
 
 def branch_series(tau: WeightedTroupe, order: int) -> Series:

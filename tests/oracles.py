@@ -39,7 +39,7 @@ from troupes.trees import (
     size_word,
 )
 from troupes.series import Series
-from troupes.troupe import WeightedTroupe, weighted_sum
+from troupes.troupe import WeightedTroupe
 
 
 def swing(t: ColoredTree, v: int) -> ColoredTree:
@@ -194,8 +194,18 @@ def tree_series(tau: WeightedTroupe, order: int) -> Series:
     """Generating function of tree sums, by direct enumeration."""
     coeffs = [Fraction(0)]
     for n in range(1, order):
-        coeffs.append(weighted_sum(tau, "bpt", size_word(n)))
+        coeffs += bpt_sums_by_trees([tau], size_word(n))
     return Series(coeffs)
+
+
+def bpt_sums_by_trees(taus, word) -> list:
+    """Each troupe summed over the plain trees of a word, evaluating every
+    one of them."""
+    totals = [Fraction(0)] * len(taus)
+    for t in iter_bpt_word(word):
+        for i, tau in enumerate(taus):
+            totals[i] = totals[i] + tau.evaluate(t)
+    return totals
 
 
 def dbpt_sums_by_labeled_trees(taus, word) -> list:

@@ -1,10 +1,15 @@
 import gc
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
+
+import troupes.trees
 
 from troupes.bijections import (
     PhiInput,
@@ -695,6 +700,53 @@ def test_walks_stop_on_looping_one_child_links():
     # a vertex the walk from the root never meets makes no branch either
     with pytest.raises(ValueError):
         branch_profile(ColoredTree(((0, None, None), (0, None, None)), 0))
+
+
+def test_factor_paths_stops_on_looping_links():
+    # in a fresh interpreter with a time limit, so a walk that never ends
+    # fails the test instead of hanging the suite
+    code = (
+        "from troupes.trees import ColoredTree, factor_paths\n"
+        "from troupes.troupe import all_trees\n"
+        "loops = [((0, 0, None),), ((0, None, 0),), ((0, 0, 0),),\n"
+        "         ((0, None, None), (0, 0, 1)), ((0, 1, None), (0, None, 0))]\n"
+        "for nodes in loops:\n"
+        "    for walk in (factor_paths, all_trees().evaluate):\n"
+        "        try:\n"
+        "            walk(ColoredTree(nodes, len(nodes) - 1))\n"
+        "        except ValueError:\n"
+        "            continue\n"
+        "        print('no error', nodes)\n"
+        "print('done')\n"
+    )
+    src = os.path.dirname(os.path.dirname(troupes.trees.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=30, check=True)
+    assert proc.stdout.splitlines() == ["done"]
+
+
+def test_walks_and_parse_at_1500_vertices():
+    n = 1500
+    for directions, inorder_ids in (("L" * (n - 1), list(range(n))),
+                                    ("R" * (n - 1), list(range(n - 1, -1, -1)))):
+        b = branch_from_directions(directions, [v % 3 for v in range(n)], 2)
+        assert postorder(b) == list(range(n))  # ids run from the bottom up
+        assert inorder(b) == inorder_ids
+        assert encode(parse_tree(encode(b))) == encode(b)
+    # deep trees with two-child vertices: ascending and descending stretches
+    r = random.Random(15)
+    values = r.sample(range(1, n + 1), n)
+    word = []
+    while values:
+        k = r.randint(100, 400)
+        word += sorted(values[:k], reverse=r.random() < 0.5)
+        del values[:k]
+    lt = alpha_inverse(word, [r.randrange(3) for _ in range(n)], box_color=1)
+    assert alpha(lt) == tuple(word)
+    assert postorder(lt.tree) == list(range(n))  # the stack pass numbers in postorder
+    t = parse_tree(encode(lt.tree))
+    assert encode(t) == encode(lt.tree)
+    assert postorder(t) == list(range(n))  # the parser appends in postorder
 
 
 def test_factor_paths_examples():

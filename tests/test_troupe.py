@@ -28,7 +28,14 @@ from troupes.trees import (
     size_word,
 )
 
-from oracles import dbpt_sums_by_labeled_trees, is_full, is_motzkin, tree_series, two_child_count
+from oracles import (
+    bpt_sums_by_trees,
+    dbpt_sums_by_labeled_trees,
+    is_full,
+    is_motzkin,
+    tree_series,
+    two_child_count,
+)
 
 
 @lru_cache(maxsize=None)
@@ -260,6 +267,44 @@ def test_dbpt_sum_by_colored_tree_matches_labeled_trees():
         for tau, want in zip(taus, expected):
             got = weighted_sum(tau, "dbpt", word)
             assert got == want and type(got) is type(want), (tau, word)
+
+
+def test_bpt_root_sum_matches_enumerated_trees():
+    words = [w for n in range(1, 7) for w in itertools.product((0, 1), repeat=n)]
+    words += [w for n in range(1, 6) for w in itertools.product((0, 1, 2), repeat=n)]
+    words += [size_word(n) for n in range(8)]
+    table = random_branch_table(5, 6, 3)
+    makers = [
+        all_trees,
+        motzkin_trees,
+        lambda: builtin("colorcount:1"),
+        lambda: builtin("rightmono:q,2/3"),
+        lambda: from_table(table),
+    ]
+    taus = [make() for make in makers]
+    oracle_taus = [make() for make in makers]
+    for word in words:
+        expected = bpt_sums_by_trees(oracle_taus, word)
+        for tau, want in zip(taus, expected):
+            got = weighted_sum(tau, "bpt", word)
+            assert got == want and type(got) is type(want), (tau, word)
+
+
+def test_bpt_sum_builds_no_tree(monkeypatch):
+    import troupes.trees
+    import troupes.troupe
+
+    def refuse(*args):
+        raise AssertionError("a plain tree was built")
+
+    for module in (troupes.trees, troupes.troupe):
+        monkeypatch.setattr(module, "enumerate_trees", refuse)
+    monkeypatch.setattr(troupes.trees, "iter_bpt_word", refuse)
+    assert weighted_sum(all_trees(), "bpt", size_word(7)) == 429
+    assert weighted_sum(motzkin_trees(), "BPT", (0, 1, 1, 0, 1)) == motzkin_number(3)
+    assert weighted_sum(builtin("colorcount:1"), "bpt", (0, 1, 1)) == 2 * q ** 2
+    with pytest.raises(ValueError):
+        weighted_sum(all_trees(), "bpt", ())
 
 
 def test_weight_of_branch_rejects_non_branch():
