@@ -102,38 +102,19 @@ class LabeledTree(NamedTuple):
 # Traversals and the inorder/postorder machinery
 
 
-# Trees with fewer vertices than this are walked, encoded and parsed by plain
-# recursion, whose depth their size bounds; larger ones by loops.
+# Trees with fewer vertices than this are encoded by plain recursion, whose
+# depth their size bounds; larger ones by loops.
 _RECURSIVE_SIZE = 256
-
-
-def _walk(nodes: Sequence[Vertex], v: int | None, out: list[int], post: bool) -> None:
-    """Append the node ids below ``v`` to ``out`` in inorder, or in postorder
-    when ``post``; one call per vertex, so only for trees of fewer than
-    ``_RECURSIVE_SIZE`` vertices."""
-    if v is None:
-        return
-    _, left, right = nodes[v]
-    _walk(nodes, left, out, post)
-    if not post:
-        out.append(v)
-    _walk(nodes, right, out, post)
-    if post:
-        out.append(v)
 
 
 def _order(t: ColoredTree, post: bool) -> list[int]:
     """Node ids in inorder, or in postorder when ``post``.
 
-    Trees of ``_RECURSIVE_SIZE`` vertices or more are walked with an
-    explicit stack, which stops after ``len(t.nodes)`` vertices, so child
-    links that loop raise ``ValueError``.
+    The walk keeps an explicit stack and stops after ``len(t.nodes)``
+    vertices, so child links that loop raise ``ValueError``.
     """
     nodes = t.nodes
     out: list[int] = []
-    if len(nodes) < _RECURSIVE_SIZE:
-        _walk(nodes, t.root, out, post)
-        return out
     stack: list[int] = []
     v = t.root
     if post:
@@ -154,17 +135,17 @@ def _order(t: ColoredTree, post: bool) -> list[int]:
             out.reverse()
             return out
     else:
-        for _ in range(len(nodes)):
-            while v is not None and len(stack) <= len(nodes):
-                stack.append(v)
-                v = nodes[v][1]
-            if not stack:
-                break
-            v = stack.pop()
-            out.append(v)
-            v = nodes[v][2]
-        if not stack and v is None:
-            return out
+        # each step pops the vertices whose left subtrees are done, then
+        # pushes one more
+        for _ in range(len(nodes) + 1):
+            while v is None and stack:
+                v = stack.pop()
+                out.append(v)
+                v = nodes[v][2]
+            if v is None:
+                return out
+            stack.append(v)
+            v = nodes[v][1]
     raise ValueError("the tree's child links loop")
 
 
@@ -442,31 +423,11 @@ def encode_labeled(lt: LabeledTree) -> str:
     return f"{t.box_color}:{_encode(t.nodes, [f'|{x}' for x in lt.labels], t.root)}"
 
 
-def _parse_node(body: str, pos: int, nodes: list[Vertex]) -> tuple[int | None, int]:
-    """Parse the subtree starting at offset ``pos`` of ``body``, appending its
+def _parse_body(body: str, nodes: list[Vertex]) -> tuple[int | None, int]:
+    """Parse the subtree starting at offset 0 of ``body``, appending its
     vertices to ``nodes`` in postorder; returns its root id and the offset
-    just past it.  One call per vertex and per empty child slot, so only
-    for a body too short to hold ``_RECURSIVE_SIZE`` vertices."""
-    if pos < len(body) and body[pos] == ".":
-        return None, pos + 1
-    if pos >= len(body) or body[pos] != "(":
-        raise ValueError(f"expected '(' or '.' at offset {pos} of {body!r}")
-    end = pos + 1
-    while end < len(body) and body[end] not in " )":
-        end += 1
-    color = int(body[pos + 1:end])
-    left, pos = _parse_node(body, end + 1, nodes)  # skip the space
-    right, pos = _parse_node(body, pos + 1, nodes)
-    if pos >= len(body) or body[pos] != ")":
-        raise ValueError(f"expected ')' at offset {pos} of {body!r}")
-    nodes.append((color, left, right))
-    return len(nodes) - 1, pos + 1
-
-
-def _parse_stack(body: str, nodes: list[Vertex]) -> tuple[int | None, int]:
-    """:func:`_parse_node` from offset 0, with an explicit stack of the open
-    vertices: ``[color]``, then ``[color, left child id]`` once the left
-    subtree is read."""
+    just past it.  The open vertices wait on an explicit stack: ``[color]``,
+    then ``[color, left child id]`` once the left subtree is read."""
     stack: list[list] = []
     pos = 0
     while True:
@@ -502,11 +463,7 @@ def parse_tree(text: str) -> ColoredTree:
         raise ValueError(f"missing box color in {text!r}")
     box = int(box_text)
     nodes: list[Vertex] = []
-    # a subtree of k vertices takes at least 6k + 1 characters
-    if len(body) < 6 * _RECURSIVE_SIZE:
-        root, pos = _parse_node(body, 0, nodes)
-    else:
-        root, pos = _parse_stack(body, nodes)
+    root, pos = _parse_body(body, nodes)
     if pos != len(body):
         raise ValueError(f"trailing input in {text!r}")
     return _new(ColoredTree, (tuple(nodes), root, box))

@@ -236,15 +236,15 @@ def weighted_sum(tau: WeightedTroupe, kind: str, word: Sequence[int]) -> RingEle
 # color word: ``{(root-down colors, root-down sides): summed value}`` over
 # the trees on that word, keyed by their open root factor.  The families
 # differ only in how a two-child root splits the other vertices between its
-# subtrees, which a split function gives as ``(left, right, count)``
-# triples, both color words nonempty.
+# subtrees, which a split function gives as ``(left, right)`` pairs, both
+# color words nonempty.
 
 
-def _cuts(s: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+def _cuts(s: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The two-child splits of the plain trees whose postorder colors are
     ``s`` and root ``s[-1]``: a contiguous cut of ``s[:-1]``, each once."""
     for k in range(1, len(s) - 1):
-        yield s[:k], s[k:-1], 1
+        yield s[:k], s[k:-1]
 
 
 def _root_sum(tau: WeightedTroupe, word: tuple[int, ...], split: Callable,
@@ -288,8 +288,8 @@ def _open_table(tau: WeightedTroupe, s: tuple[int, ...], split: Callable,
                 table[(root,) + colors, side + sides] = value
         # a two-child root passes the open factor to its left subtree and
         # closes its right one, whose box takes the root's color
-        for left, right, count in split(s):
-            closed = _root_sum(tau, right + (root,), split, tables, sums) * count
+        for left, right in split(s):
+            closed = _root_sum(tau, right + (root,), split, tables, sums)
             for key, value in _open_table(tau, left, split, tables, sums).items():
                 table[key] = table.get(key, 0) + value * closed
     tables[s] = table

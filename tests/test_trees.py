@@ -690,6 +690,9 @@ def test_walks_stop_on_looping_one_child_links():
             branch_profile(t)
         with pytest.raises(ValueError):
             all_trees().weight_of_branch(t)
+        for walk in (inorder, postorder):
+            with pytest.raises(ValueError):
+                walk(t)
     with pytest.raises(ValueError):
         PhiInput((2, 1), loops[:1]).validate()
     with pytest.raises(ValueError):
