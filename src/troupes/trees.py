@@ -43,9 +43,6 @@ class ColoredTree(NamedTuple):
     def size(self) -> int:
         return len(self.nodes)
 
-    def node(self, v: int) -> Vertex:
-        return self.nodes[v]
-
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on violation."""
         n = len(self.nodes)
@@ -439,7 +436,10 @@ def _parse_body(body: str, nodes: list[Vertex]) -> tuple[int | None, int]:
             end = pos + 1
             while end < len(body) and body[end] not in " )":
                 end += 1
-            stack.append([int(body[pos + 1:end])])
+            color = int(body[pos + 1:end])
+            if color < 0:
+                raise ValueError(f"negative color at offset {pos} of {body!r}")
+            stack.append([color])
             pos = end + 1  # skip the space
             continue
         # hand the finished subtree to the open vertices above it
@@ -462,6 +462,8 @@ def parse_tree(text: str) -> ColoredTree:
     if not sep:
         raise ValueError(f"missing box color in {text!r}")
     box = int(box_text)
+    if box < 0:
+        raise ValueError(f"negative box color in {text!r}")
     nodes: list[Vertex] = []
     root, pos = _parse_body(body, nodes)
     if pos != len(body):
@@ -480,53 +482,6 @@ def labeled_multiset_key(lts: Sequence[LabeledTree]) -> tuple[str, ...]:
 
 # ---------------------------------------------------------------------------
 # Deterministic enumeration
-#
-# Shapes of a given size are enumerated recursively in left-subtree-size-major
-# order: sizes of the left subtree ascend, then left shapes vary, then right
-# shapes.  Colored families fix each shape's coloring through its postorder.
-
-
-def _shapes(n: int) -> list:
-    if n == 0:
-        return [None]
-    out = []
-    for k in range(n):
-        for left in _shapes(k):
-            for right in _shapes(n - 1 - k):
-                out.append((left, right))
-    return out
-
-
-_shape_cache: dict[int, list] = {}
-
-
-def shapes(n: int) -> list:
-    """All binary tree shapes of size n as nested ``(left, right)`` tuples."""
-    if n not in _shape_cache:
-        _shape_cache[n] = _shapes(n)
-    return _shape_cache[n]
-
-
-def _build_shape(sh, colors: Iterator[int | None], nodes: list[Vertex]) -> int | None:
-    """Append the vertices of ``sh`` to ``nodes`` in postorder, the k-th node
-    taking the k-th color; returns the root id."""
-    if sh is None:
-        return None
-    left = _build_shape(sh[0], colors, nodes)
-    right = _build_shape(sh[1], colors, nodes)
-    nodes.append((next(colors, None), left, right))
-    return len(nodes) - 1
-
-
-def tree_from_shape(shape, postorder_colors: Sequence[int] | None = None,
-                    box_color: int = 0) -> ColoredTree:
-    """Materialize a shape, coloring vertices by their postorder position."""
-    colors = itertools.repeat(0) if postorder_colors is None else iter(postorder_colors)
-    nodes: list[Vertex] = []
-    root = _build_shape(shape, colors, nodes)
-    if postorder_colors is not None and len(postorder_colors) != len(nodes):
-        raise ValueError("color word length must match the shape size")
-    return _new(ColoredTree, (tuple(nodes), root, box_color))
 
 
 def branch_from_directions(directions: Sequence[str],
@@ -595,21 +550,38 @@ def size_word(n: int) -> tuple[int, ...]:
     return (0,) * (n + 1)
 
 
+def _grow_bpt(s: Sequence[int], nodes: list[Vertex]) -> Iterator[int | None]:
+    """The trees with postorder colors ``s``, grown one at a time on the end
+    of ``nodes``: each yields its root id while its vertices are on the list,
+    and pops them before the next.  The root takes ``s[-1]``; the left
+    subtree sizes ascend, then left subtrees vary, then right ones.  An empty
+    ``s`` yields the empty tree's root, ``None``."""
+    if not s:
+        yield None
+        return
+    root = s[-1]
+    for k in range(len(s)):
+        for left in _grow_bpt(s[:k], nodes):
+            for right in _grow_bpt(s[k:-1], nodes):
+                nodes.append((root, left, right))
+                yield len(nodes) - 1
+                nodes.pop()
+
+
 def iter_bpt_word(word: Sequence[int]) -> Iterator[ColoredTree]:
     """Colored trees of size ``len(word)-1`` with postorder colors
-    ``word[:-1]`` and box color ``word[-1]``.
+    ``word[:-1]`` and box color ``word[-1]``, node ids in postorder.
 
     For a word of length 1 this is the singleton family holding the empty
-    tree with the prescribed box color.
+    tree with the prescribed box color.  The trees are grown in place on one
+    vertex list, so memory stays linear in the size.
     """
-    n = len(word)
-    if n < 1:
+    if len(word) < 1:
         raise ValueError("color word must be nonempty")
-    if n == 1:
-        yield ColoredTree((), None, word[0])
-        return
-    for sh in shapes(n - 1):
-        yield tree_from_shape(sh, postorder_colors=word[:-1], box_color=word[-1])
+    box = word[-1]
+    nodes: list[Vertex] = []
+    for root in _grow_bpt(tuple(word[:-1]), nodes):
+        yield _new(ColoredTree, (tuple(nodes), root, box))
 
 
 def iter_branch_word(word: Sequence[int]) -> Iterator[ColoredTree]:
@@ -643,8 +615,8 @@ def iter_dbpt_word(word: Sequence[int]) -> Iterator[LabeledTree]:
 def _dbpt_counts(colors: tuple[int, ...], memo: dict) -> dict:
     """``{nodes: count}`` over the decreasing trees whose vertex colors, read
     in increasing label order, are ``colors``: ``nodes`` is a colored tree's
-    vertices in postorder, numbered as :func:`tree_from_shape` numbers them,
-    and ``count`` the number of decreasing labelings that give that tree.
+    vertices numbered in postorder, and ``count`` the number of decreasing
+    labelings that give that tree.
 
     The root carries the largest label; the splits of the other labels into
     a left and a right set are grouped by their pair of color subwords.  The
@@ -689,8 +661,7 @@ def iter_dbpt(word: Sequence[int]) -> Iterator[tuple[ColoredTree, int]]:
     """The family of :func:`iter_dbpt_word` grouped by colored tree: one
     ``(tree, count)`` per distinct colored tree, ``count`` being the number
     of decreasing labelings that give it.  The counts sum to
-    ``(len(word)-1)!``; node ids are postorder positions, as in
-    :func:`tree_from_shape`."""
+    ``(len(word)-1)!``; node ids are postorder positions."""
     if len(word) < 1:
         raise ValueError("color word must be nonempty")
     box = word[-1]

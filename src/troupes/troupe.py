@@ -138,27 +138,26 @@ def color_count(counted: Iterable[int], t: RingElem = q) -> WeightedTroupe:
     return WeightedTroupe(f"colorcount:{sorted(colors)}", weight)
 
 
-def from_table(table: Mapping[str, RingElem], default: RingElem = Fraction(0),
-               name: str = "table") -> WeightedTroupe:
-    """Branch weights looked up by canonical encoding, with a default."""
+def from_table(table: Mapping[str, RingElem], name: str = "table") -> WeightedTroupe:
+    """Branch weights looked up by canonical encoding; a branch missing from
+    the table weighs 0."""
     frozen = {k: as_ring_elem(v) for k, v in table.items()}
-    default = as_ring_elem(default)
-    return WeightedTroupe(name, lambda b: frozen.get(encode(b), default))
+    zero = Fraction(0)
+    return WeightedTroupe(name, lambda b: frozen.get(encode(b), zero))
 
 
-def random_branch_table(seed: int, max_size: int, num_colors: int = 1,
-                        denominator_bound: int = 4,
-                        numerator_bound: int = 5) -> dict[str, RingElem]:
+def random_branch_table(seed: int, max_size: int, num_colors: int = 1) -> dict[str, RingElem]:
     """Deterministic random rational weights for every colored branch up to
-    ``max_size``; useful with :func:`from_table`."""
+    ``max_size``, numerators in -5..5 over denominators in 1..4; useful with
+    :func:`from_table`."""
     rng = random.Random(seed)
     table: dict[str, RingElem] = {}
     for size in range(1, max_size + 1):
         for word in itertools.product(range(num_colors), repeat=size + 1):
             for b in iter_branch_word(word):
                 table[encode(b)] = Fraction(
-                    rng.randint(-numerator_bound, numerator_bound),
-                    rng.randint(1, denominator_bound),
+                    rng.randint(-5, 5),
+                    rng.randint(1, 4),
                 )
     return table
 

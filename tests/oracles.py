@@ -5,7 +5,8 @@ phi as the intermediate tree followed by one swing per left step, and its
 inverse as one swing per left-only vertex followed by the inorder reading.
 Also the recursive max-split build of a decreasing tree, descending runs
 normalised through ``SetPartition.of``, psi by iterated insertion, the
-Narayana polynomial and the tree series by enumeration, the decreasing-tree
+Narayana polynomial and the tree series by enumeration, the plain trees of
+a color word built shape by shape, the decreasing-tree
 sum over every labeled tree, the branch of an inorder word from its sorted
 labels, the tree predicates only tests use, the single-word equivalence
 report, the tree walks as self-recursive closures, the standard traversal
@@ -188,6 +189,36 @@ def branch_from_inorder_by_directions(values) -> LabeledTree:
     if alpha(lt) != tuple(values):
         raise ValueError(f"{values!r} is not the inorder word of a branch")
     return lt
+
+
+@lru_cache(maxsize=None)
+def _shapes(n: int) -> tuple:
+    """Every tree shape of size n as nested ``(left, right)`` tuples: left
+    sizes ascend, then left shapes vary, then right shapes."""
+    if n == 0:
+        return (None,)
+    return tuple((left, right) for k in range(n)
+                 for left in _shapes(k) for right in _shapes(n - 1 - k))
+
+
+def bpt_by_shapes(word) -> list[ColoredTree]:
+    """The plain trees of a color word, built shape by shape from
+    :func:`_shapes`: each vertex takes the next color of ``word[:-1]`` in
+    postorder, which is also the order of the node ids."""
+    def build(shape, colors, nodes):
+        if shape is None:
+            return None
+        left = build(shape[0], colors, nodes)
+        right = build(shape[1], colors, nodes)
+        nodes.append((next(colors), left, right))
+        return len(nodes) - 1
+
+    trees = []
+    for shape in _shapes(len(word) - 1):
+        nodes = []
+        root = build(shape, iter(word[:-1]), nodes)
+        trees.append(ColoredTree(tuple(nodes), root, word[-1]))
+    return trees
 
 
 def tree_series(tau: WeightedTroupe, order: int) -> Series:

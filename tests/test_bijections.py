@@ -31,9 +31,7 @@ from troupes.trees import (
     labeled_insertion_factors,
     multiset_key,
     postorder,
-    shapes,
     size_word,
-    tree_from_shape,
 )
 
 from oracles import phi_inverse_via_swings, phi_via_swings, psi_via_insertions
@@ -268,8 +266,7 @@ def test_phi_inverse_rejects_exactly_the_invalid_labelings():
     ValueError exactly when the labeled tree does not validate."""
     rejected = 0
     for size in range(1, 6):
-        for sh in shapes(size):
-            t = tree_from_shape(sh)
+        for t in iter_bpt_word(size_word(size)):
             for labels in itertools.permutations(range(1, size + 1)):
                 lt = LabeledTree(t, labels)
                 try:

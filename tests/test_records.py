@@ -40,8 +40,6 @@ from troupes.trees import (
     iter_dbpt,
     iter_dbpt_word,
     parse_tree,
-    shapes,
-    tree_from_shape,
 )
 
 from oracles import frozen_dataclass_twin
@@ -125,8 +123,7 @@ def test_every_builder_makes_node_records():
         word = rng.sample(range(1, n + 1), n)
         colors = [rng.randrange(3) for _ in range(n)]
         _assert_labeled_records(alpha_inverse(word, colors, box_color=1))
-        for sh in shapes(n):
-            t = tree_from_shape(sh, colors, box_color=2)
+        for t in iter_bpt_word(colors + [2]):
             _assert_tree_records(t)
             _assert_tree_records(parse_tree(encode(t)))
             for v in range(t.size):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -58,6 +59,7 @@ from troupes.trees import (
 
 from oracles import (
     alpha_inverse_by_max_split,
+    bpt_by_shapes,
     encode_by_closure,
     encode_labeled_by_closure,
     inorder_by_closure,
@@ -489,6 +491,30 @@ def test_colored_word_counts():
             assert sum(1 for _ in iter_branch_word(word)) == 2 ** (n - 2)
 
 
+def test_bpt_enumeration_matches_shape_oracle():
+    """Same records in the same order, node ids included."""
+    words = [w for n in range(1, 8) for w in itertools.product((0, 1), repeat=n)]
+    words += [w for n in range(1, 6) for w in itertools.product((0, 1, 2), repeat=n)]
+    words += [size_word(n) for n in range(10)]
+    for word in words:
+        trees = list(iter_bpt_word(word))
+        assert all(type(t) is ColoredTree for t in trees)
+        assert trees == bpt_by_shapes(word)
+
+
+def test_bpt_enumeration_memory_is_bounded_by_the_size():
+    # the 58,786 trees of size 11 are never held at once
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        for _ in itertools.islice(iter_bpt_word(size_word(11)), 100):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_word_length_one_families():
     assert [t.size for t in iter_bpt_word((5,))] == [0]
     assert next(iter_bpt_word((5,))).box_color == 5
@@ -670,6 +696,10 @@ def test_parse_errors():
         parse_tree("(0 . .)")  # missing box prefix
     with pytest.raises(ValueError):
         parse_tree("0:(0 . .) junk")
+    with pytest.raises(ValueError):
+        parse_tree("0:(-1 . .)")  # negative vertex color
+    with pytest.raises(ValueError):
+        parse_tree("-1:.")  # negative box color
 
 
 def test_validate_catches_breakage():
