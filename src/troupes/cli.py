@@ -74,6 +74,7 @@ def _check_min(flag: str, value: int | None, least: int) -> None:
 
 
 def _family_items(kind: str, n: int | None, colors: tuple[int, ...] | None):
+    """The items of a family, and the function that prints one as a line."""
     from .trees import TREE_KINDS, encode, encode_labeled, enumerate_trees, size_word
 
     kind = kind.lower()
@@ -83,10 +84,7 @@ def _family_items(kind: str, n: int | None, colors: tuple[int, ...] | None):
         if n is not None:
             _check_min("--n", n, 0)
             colors = size_word(n)
-        items = enumerate_trees(kind, colors)
-        if kind == "dbpt":
-            return (encode_labeled(lt) for lt in items)
-        return (encode(t) for t in items)
+        return enumerate_trees(kind, colors), encode_labeled if kind == "dbpt" else encode
     if kind in PARTITION_KIND_NAMES or kind == "d-permutations":
         from .partitions import iter_D, iter_partitions
 
@@ -96,8 +94,8 @@ def _family_items(kind: str, n: int | None, colors: tuple[int, ...] | None):
         if colors is not None:
             raise CliError(f"--colors does not apply to kind {kind!r}")
         if kind == "d-permutations":
-            return (",".join(map(str, sigma)) for sigma in iter_D(n))
-        return (str(p) for p in iter_partitions(n, PARTITION_KIND_NAMES[kind]))
+            return iter_D(n), lambda sigma: ",".join(map(str, sigma))
+        return iter_partitions(n, PARTITION_KIND_NAMES[kind]), str
     raise CliError(
         f"unknown kind {kind!r}; expected one of "
         f"{TREE_KINDS + tuple(PARTITION_KIND_NAMES) + ('d-permutations',)}"
@@ -105,14 +103,15 @@ def _family_items(kind: str, n: int | None, colors: tuple[int, ...] | None):
 
 
 def cmd_count(args) -> int:
-    total = sum(1 for _ in _family_items(args.kind, args.n, args.colors))
-    print(total)
+    items, _ = _family_items(args.kind, args.n, args.colors)
+    print(sum(1 for _ in items))
     return 0
 
 
 def cmd_enumerate(args) -> int:
-    for line in _family_items(args.kind, args.n, args.colors):
-        print(line)
+    items, line = _family_items(args.kind, args.n, args.colors)
+    for item in items:
+        print(line(item))
     return 0
 
 
@@ -141,10 +140,14 @@ def cmd_cumulants(args) -> int:
     from .cumulants import format_table, moment_functional_from_text, moments_to_cumulants
 
     try:
-        with open(args.moments, "r", encoding="utf-8") as fh:
-            phi = moment_functional_from_text(fh.read())
+        with open(args.moments, "rb") as fh:
+            # decoded whole, so a decode error's offset counts from the file start
+            phi = moment_functional_from_text(fh.read().decode("utf-8"))
     except OSError as exc:
         raise CliError(f"cannot read {args.moments}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{args.moments}: not UTF-8 text: byte "
+                       f"0x{exc.object[exc.start]:02x} at offset {exc.start}") from exc
     except (KeyError, ValueError) as exc:
         raise CliError(f"{args.moments}: {exc.args[0]}") from exc
     for kind in ("classical", "free", "boolean"):

@@ -18,11 +18,11 @@ from .rings import RingElem, as_ring_elem, parse_ring_elem, q
 from .series import Series
 from .trees import (
     BOX,
+    TREE_KINDS,
     ColoredTree,
     branch_from_directions,
     branch_profile,
     encode,
-    enumerate_trees,
     factor_paths,
     iter_branch_word,
     iter_dbpt,
@@ -123,17 +123,16 @@ def right_two_monomial(t1: RingElem, t2: RingElem) -> WeightedTroupe:
     return WeightedTroupe("rightmono", weight)
 
 
-def color_count(counted: Iterable[int], t: RingElem = q) -> WeightedTroupe:
-    """Weight ``t^k`` where k counts vertices (and the box) colored from
+def color_count(counted: Iterable[int]) -> WeightedTroupe:
+    """Weight ``q^k`` where k counts vertices (and the box) colored from
     ``counted``, over the all-trees troupe."""
     colors = frozenset(counted)
-    t = as_ring_elem(t)
 
     def weight(b: ColoredTree) -> RingElem:
         k = sum(1 for color, _, _ in b.nodes if color in colors)
         if b.box_color in colors:
             k += 1
-        return t ** k
+        return q ** k
 
     return WeightedTroupe(f"colorcount:{sorted(colors)}", weight)
 
@@ -204,28 +203,24 @@ def _parse_colors(arg: str) -> list[int]:
 def weighted_sum(tau: WeightedTroupe, kind: str, word: Sequence[int]) -> RingElem:
     """Exact sum of the troupe over the colored family of the given word.
 
-    Each family is summed by its own route:
-
-    - ``bpt`` by recursion on the root (:func:`_root_sum`), which builds no
-      tree;
-    - ``dbpt`` through :func:`iter_dbpt`: a labeled tree's value depends
+    - ``bpt`` and ``branch`` go by recursion on the root (:func:`_root_sum`),
+      which builds no tree;
+    - ``dbpt`` goes through :func:`iter_dbpt`: a labeled tree's value depends
       only on its colored tree, so each distinct colored tree is evaluated
-      once and weighted by its number of decreasing labelings;
-    - ``branch`` by evaluating every branch its enumerator yields.
+      once and weighted by its number of decreasing labelings.
     """
     kind = kind.lower()
-    if kind == "bpt":
-        if not word:
-            raise ValueError("color word must be nonempty")
-        return _root_sum(tau, tuple(word), _cuts, {}, {})
-    total: RingElem = Fraction(0)
+    if kind not in TREE_KINDS:
+        raise ValueError(f"unknown tree family {kind!r}")
+    if not word:
+        raise ValueError("color word must be nonempty")
     if kind == "dbpt":
+        total: RingElem = Fraction(0)
         for t, count in iter_dbpt(word):
             total = total + tau.evaluate(t) * count
         return total
-    for t in enumerate_trees(kind, word):
-        total = total + tau.evaluate(t)
-    return total
+    # a branch is a plain tree whose root factor never splits
+    return _root_sum(tau, tuple(word), _cuts if kind == "bpt" else lambda s: (), {}, {})
 
 
 # A tree's weight is the branch weight of its root factor (the box's factor)
@@ -236,7 +231,7 @@ def weighted_sum(tau: WeightedTroupe, kind: str, word: Sequence[int]) -> RingEle
 # the trees on that word, keyed by their open root factor.  The families
 # differ only in how a two-child root splits the other vertices between its
 # subtrees, which a split function gives as ``(left, right)`` pairs, both
-# color words nonempty.
+# color words nonempty; branches have no two-child vertex, so no split.
 
 
 def _cuts(s: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -250,7 +245,7 @@ def _root_sum(tau: WeightedTroupe, word: tuple[int, ...], split: Callable,
               tables: dict, sums: dict) -> RingElem:
     """The sum over the family of the nonempty color ``word``: vertex colors
     ``word[:-1]``, in the order ``split`` reads them (postorder for
-    :func:`_cuts`), and box color ``word[-1]``.
+    :func:`_cuts` and for branches), and box color ``word[-1]``.
 
     It reads only branch weights and the sums of shorter words; both memos,
     ``sums`` by word and ``tables`` by vertex color word, belong to the

@@ -34,6 +34,7 @@ from troupes.trees import (
     inorder,
     insert,
     iter_bpt_word,
+    iter_branch_word,
     iter_dbpt_word,
     postorder,
     right_edges,
@@ -234,6 +235,16 @@ def bpt_sums_by_trees(taus, word) -> list:
     one of them."""
     totals = [Fraction(0)] * len(taus)
     for t in iter_bpt_word(word):
+        for i, tau in enumerate(taus):
+            totals[i] = totals[i] + tau.evaluate(t)
+    return totals
+
+
+def branch_sums_by_trees(taus, word) -> list:
+    """Each troupe summed over the branches of a word, evaluating every one
+    of them."""
+    totals = [Fraction(0)] * len(taus)
+    for t in iter_branch_word(word):
         for i, tau in enumerate(taus):
             totals[i] = totals[i] + tau.evaluate(t)
     return totals

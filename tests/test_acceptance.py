@@ -184,7 +184,7 @@ def test_criterion_5_transform_maps_and_roundtrips():
         motzkin_trees(),
         right_two_monomial(q, 1),
         right_two_monomial(Fraction(2), Fraction(3)),
-        color_count({0}, q),
+        color_count({0}),
     )
     for tau in troupes:
         assert troupe_transform(branch_series(tau, 9)) == tree_series(tau, 9)

@@ -37,6 +37,19 @@ def test_count_other_kinds():
     assert run("count", "--kind", "d-permutations", "--n", "4")[1] == "3\n"
 
 
+def test_count_encodes_no_tree(monkeypatch):
+    import troupes.trees
+
+    def refuse(*args):
+        raise AssertionError("count encoded a tree")
+
+    for name in ("encode", "encode_labeled"):
+        monkeypatch.setattr(troupes.trees, name, refuse)
+    assert run("count", "--kind", "bpt", "--n", "5") == (0, "42\n", "")
+    assert run("count", "--kind", "branch", "--n", "6") == (0, "32\n", "")
+    assert run("count", "--kind", "dbpt", "--colors", "0,1,1,0,1") == (0, "24\n", "")
+
+
 def test_count_colored():
     code, out, _ = run("count", "--kind", "bpt", "--colors", "0,1,0")
     assert code == 0 and out == "2\n"
@@ -118,6 +131,10 @@ def test_cumulants_bad_file(tmp_path):
     code, _, err = run("cumulants", "--moments", str(table))
     assert code == 2
     assert "line 2" in err
+    table.write_bytes(b"word 0 = 1\nword 0,0 = \xff2\n")
+    code, out, err = run("cumulants", "--moments", str(table))
+    assert code == 2 and out == ""
+    assert "not UTF-8" in err and "0xff at offset 22" in err
 
 
 def test_cumulants_missing_file():

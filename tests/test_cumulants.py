@@ -412,7 +412,7 @@ def test_equivalence_for_random_two_color_troupe():
 def test_equivalence_for_color_sensitive_builtins():
     from troupes.troupe import color_constrained, color_count
 
-    for tau in (color_constrained({0}), color_count({1}, q)):
+    for tau in (color_constrained({0}), color_count({1})):
         reports = equivalence_reports(tau, (0, 1), 5)
         assert all(r.all_equal for r in reports)
 

@@ -30,6 +30,7 @@ from troupes.trees import (
 
 from oracles import (
     bpt_sums_by_trees,
+    branch_sums_by_trees,
     dbpt_sums_by_labeled_trees,
     is_full,
     is_motzkin,
@@ -91,7 +92,7 @@ def test_color_constrained_matches_direct_predicate():
 
 def test_color_count_matches_direct_count():
     counted = {1}
-    tau = color_count(counted, q)
+    tau = color_count(counted)
     for n in range(2, 6):
         for word in itertools.product((0, 1), repeat=n):
             for t in iter_bpt_word(word):
@@ -269,13 +270,21 @@ def test_dbpt_sum_by_colored_tree_matches_labeled_trees():
             assert got == want and type(got) is type(want), (tau, word)
 
 
-def test_bpt_root_sum_matches_enumerated_trees():
+@pytest.fixture(scope="module")
+def three_color_table():
+    return random_branch_table(5, 6, 3)
+
+
+@pytest.mark.parametrize("kind", ["bpt", "branch"])
+def test_root_sum_matches_enumerated_trees(kind, three_color_table):
+    oracle = {"bpt": bpt_sums_by_trees, "branch": branch_sums_by_trees}[kind]
     words = [w for n in range(1, 7) for w in itertools.product((0, 1), repeat=n)]
     words += [w for n in range(1, 6) for w in itertools.product((0, 1, 2), repeat=n)]
     words += [size_word(n) for n in range(8)]
-    table = random_branch_table(5, 6, 3)
+    table = three_color_table
     makers = [
         all_trees,
+        full_trees,
         motzkin_trees,
         lambda: builtin("colorcount:1"),
         lambda: builtin("rightmono:q,2/3"),
@@ -284,27 +293,33 @@ def test_bpt_root_sum_matches_enumerated_trees():
     taus = [make() for make in makers]
     oracle_taus = [make() for make in makers]
     for word in words:
-        expected = bpt_sums_by_trees(oracle_taus, word)
+        expected = oracle(oracle_taus, word)
         for tau, want in zip(taus, expected):
-            got = weighted_sum(tau, "bpt", word)
+            got = weighted_sum(tau, kind, word)
             assert got == want and type(got) is type(want), (tau, word)
 
 
-def test_bpt_sum_builds_no_tree(monkeypatch):
+def test_root_sums_build_no_tree(monkeypatch):
     import troupes.trees
-    import troupes.troupe
+    from troupes.troupe import WeightedTroupe
 
     def refuse(*args):
-        raise AssertionError("a plain tree was built")
+        raise AssertionError("a tree was built or evaluated")
 
-    for module in (troupes.trees, troupes.troupe):
-        monkeypatch.setattr(module, "enumerate_trees", refuse)
-    monkeypatch.setattr(troupes.trees, "iter_bpt_word", refuse)
+    for name in ("enumerate_trees", "iter_bpt_word", "iter_branch_word"):
+        monkeypatch.setattr(troupes.trees, name, refuse)
+    monkeypatch.setattr(WeightedTroupe, "evaluate", refuse)
     assert weighted_sum(all_trees(), "bpt", size_word(7)) == 429
     assert weighted_sum(motzkin_trees(), "BPT", (0, 1, 1, 0, 1)) == motzkin_number(3)
     assert weighted_sum(builtin("colorcount:1"), "bpt", (0, 1, 1)) == 2 * q ** 2
-    with pytest.raises(ValueError):
-        weighted_sum(all_trees(), "bpt", ())
+    assert weighted_sum(all_trees(), "branch", size_word(7)) == 2 ** 6
+    assert weighted_sum(motzkin_trees(), "Branch", (0, 1, 1, 0, 1)) == 1
+    assert weighted_sum(full_trees(), "branch", size_word(5)) == 0
+    assert weighted_sum(full_trees(), "branch", (1, 0)) == 1
+    assert weighted_sum(builtin("colorcount:1"), "branch", (0, 1, 1)) == 2 * q ** 2
+    for kind in ("bpt", "branch"):
+        with pytest.raises(ValueError):
+            weighted_sum(all_trees(), kind, ())
 
 
 def test_weight_of_branch_rejects_non_branch():
