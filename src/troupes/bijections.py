@@ -134,6 +134,8 @@ def psi(inp: PsiInput) -> ColoredTree:
     down by one with the side copied from the block's branch; block maxima
     (other than n) take ``j-1`` as right child and ``min(U)-1`` as left child.
     Vertex j is node id j-1, and the coloring reads the word off the input.
+    Vertex n-1, last in postorder, is the root, and
+    :meth:`~troupes.trees.ColoredTree.validate` checks the tree.
     """
     runs = inp._runs()
     n = inp.partition.n
@@ -157,11 +159,7 @@ def psi(inp: PsiInput) -> ColoredTree:
             else:
                 right[j] = j - 2
     nodes = tuple(zip(word[1:n], left[1:], right[1:]))
-    referenced = {c for c in left[1:] + right[1:] if c is not None}
-    roots = [v for v in range(n - 1) if v not in referenced]
-    if len(roots) != 1:
-        raise AssertionError("construction did not produce a single root")
-    out = _new(ColoredTree, (nodes, roots[0], word[n]))
+    out = _new(ColoredTree, (nodes, n - 2, word[n]))
     out.validate()
     return out
 

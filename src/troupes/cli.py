@@ -335,6 +335,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         return 0
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

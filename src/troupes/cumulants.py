@@ -66,11 +66,6 @@ class MomentFunctional(NamedTuple):
             full[word] = as_ring_elem(table[word])
         return cls(alphabet, max_len, full)
 
-    def moment(self, word: Word) -> RingElem:
-        if len(word) == 0:
-            return Fraction(1)
-        return self.table[word]
-
 
 class CumulantTable(NamedTuple):
     """Dense table of cumulants of one kind over the same word domain."""
@@ -79,9 +74,6 @@ class CumulantTable(NamedTuple):
     alphabet: tuple[int, ...]
     max_len: int
     table: Mapping[Word, RingElem]
-
-    def cumulant(self, word: Word) -> RingElem:
-        return self.table[word]
 
 
 KINDS = ("classical", "free", "boolean")

@@ -69,11 +69,11 @@ def _gamma_minus_one_cumulants(order: int) -> list[RingElem]:
     return out[:order]
 
 
-def _factorial_cumulant_egf(order: int, scale: int) -> list[RingElem]:
-    """Moments of the sequence whose cumulants are scale*(n-1)! for n >= 2."""
+def _shifted_exponential_moments(order: int) -> list[RingElem]:
+    """Moments of the sequence whose cumulants are (n-1)! for n >= 2."""
     coeffs: list[RingElem] = [Fraction(0), Fraction(0)]
     for n in range(2, order + 1):
-        coeffs.append(Fraction(scale, n))  # (n-1)!/n! = 1/n
+        coeffs.append(Fraction(1, n))  # (n-1)!/n! = 1/n
     egf = Series(coeffs[: order + 1], order=order + 1).exp()
     fact = 1
     out: list[RingElem] = [Fraction(1)]
@@ -81,10 +81,6 @@ def _factorial_cumulant_egf(order: int, scale: int) -> list[RingElem]:
         fact *= n
         out.append(egf[n] * fact)
     return out
-
-
-def _shifted_exponential_moments(order: int) -> list[RingElem]:
-    return _factorial_cumulant_egf(order, 1)
 
 
 def _shifted_exponential_cumulants(order: int) -> list[RingElem]:

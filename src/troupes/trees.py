@@ -44,30 +44,18 @@ class ColoredTree(NamedTuple):
         return len(self.nodes)
 
     def validate(self) -> None:
-        """Check the structural invariants; raises ValueError on violation."""
+        """Check the structural invariants; raises ValueError on violation.
+
+        With every index in range, the tree holds each vertex once exactly
+        when the bounded postorder walk meets ``len(nodes)`` distinct ones."""
         n = len(self.nodes)
-        if (self.root is None) != (n == 0):
-            raise ValueError("root must be present exactly when the tree is nonempty")
-        if n == 0:
-            return
-        seen = [False] * n
-        stack = [self.root]
-        count = 0
-        while stack:
-            v = stack.pop()
-            if not 0 <= v < n:
-                raise ValueError(f"child index {v} out of range")
-            if seen[v]:
-                raise ValueError(f"node {v} reached twice")
-            seen[v] = True
-            count += 1
-            _, left, right = self.nodes[v]
-            if left is not None:
-                stack.append(left)
-            if right is not None:
-                stack.append(right)
-        if count != n:
-            raise ValueError("unreachable nodes present")
+        if (self.root is None) != (n == 0) or n and not 0 <= self.root < n:
+            raise ValueError("root must be a vertex exactly when the tree is nonempty")
+        for _, left, right in self.nodes:
+            if not (left is None or 0 <= left < n) or not (right is None or 0 <= right < n):
+                raise ValueError(f"child indices {left}, {right} not both in 0..{n - 1}")
+        if len(set(_order(self, True))) != n:
+            raise ValueError("a vertex is unreachable or under two parents")
 
 
 EMPTY = ColoredTree((), None, 0)
@@ -100,7 +88,7 @@ class LabeledTree(NamedTuple):
 
 
 # Trees with fewer vertices than this are encoded by plain recursion, whose
-# depth their size bounds; larger ones by loops.
+# depth their size bounds; larger ones by one loop.
 _RECURSIVE_SIZE = 256
 
 
@@ -354,52 +342,43 @@ def right_edges(t: ColoredTree) -> int:
 # Canonical encoding (also the CLI / on-disk format)
 
 
-def _encode(nodes: Sequence[Vertex], tags: Sequence[str], v: int) -> str:
-    """The encoding of the subtree at vertex ``v``; ``tags[u]`` follows the
-    color of vertex ``u``.
-
-    One call per vertex, none per empty child slot.  In a tree of
-    ``_RECURSIVE_SIZE`` vertices or more, a one-child vertex starts a run
-    walked by :func:`_encode_run`, so only two-child vertices recurse.
-    """
+def _encode_small(nodes: Sequence[Vertex], tags: Sequence[str], v: int) -> str:
+    """The encoding of the subtree at vertex ``v``, by recursion: one call
+    per vertex, none per empty child slot."""
     color, left, right = nodes[v]
-    if left is None:
-        if right is None:
-            return f"({color}{tags[v]} . .)"
-        if len(nodes) < _RECURSIVE_SIZE:
-            return f"({color}{tags[v]} . {_encode(nodes, tags, right)})"
-    elif right is None:
-        if len(nodes) < _RECURSIVE_SIZE:
-            return f"({color}{tags[v]} {_encode(nodes, tags, left)} .)"
-    else:
-        return f"({color}{tags[v]} {_encode(nodes, tags, left)} {_encode(nodes, tags, right)})"
-    return _encode_run(nodes, tags, v)
+    return (f"({color}{tags[v]} {'.' if left is None else _encode_small(nodes, tags, left)} "
+            f"{'.' if right is None else _encode_small(nodes, tags, right)})")
 
 
-def _encode_run(nodes: Sequence[Vertex], tags: Sequence[str], v: int) -> str:
-    """:func:`_encode` of the subtree at ``v``, walking down the run of
-    one-child vertices from ``v`` in a loop; the vertex that ends the run
-    goes back to :func:`_encode`.  The walk stops after ``len(nodes)``
-    vertices, so one-child links that loop raise ``ValueError``."""
-    head: list[str] = []
-    tail: list[str] = []
-    for _ in range(len(nodes)):
-        color, left, right = nodes[v]
-        if left is None and right is not None:
-            head.append(f"({color}{tags[v]} . ")
-            tail.append(")")
-            v = right
-        elif right is None and left is not None:
-            head.append(f"({color}{tags[v]} ")
-            tail.append(" .)")
-            v = left
-        else:
-            head.append(_encode(nodes, tags, v))
-            break
-    else:
-        raise ValueError("a run of one-child vertices loops")
-    tail.reverse()
-    return "".join(head) + "".join(tail)
+def _encode_large(nodes: Sequence[Vertex], tags: Sequence[str], v: int) -> str:
+    """:func:`_encode_small` in one loop over a stack of the pieces still to
+    write: strings, and vertex ids to expand.  A vertex pushes at most four
+    pieces, so the loop stops after ``4*len(nodes)+2`` steps and child links
+    that loop raise ``ValueError``."""
+    out: list[str] = []
+    pieces: list[int | str] = [v]
+    for _ in range(4 * len(nodes) + 2):
+        if not pieces:
+            return "".join(out)
+        piece = pieces.pop()
+        if piece.__class__ is str:
+            out.append(piece)
+            continue
+        color, left, right = nodes[piece]
+        out.append(f"({color}{tags[piece]} ")
+        pieces += (" .)",) if right is None else (")", right, " ")
+        pieces.append("." if left is None else left)
+    raise ValueError("the tree's child links loop")
+
+
+def _encode(t: ColoredTree, tags: Sequence[str]) -> str:
+    """:func:`encode` with ``tags[v]`` after the color of vertex ``v``.  The
+    encoder is chosen once per tree: recursion below ``_RECURSIVE_SIZE``
+    vertices, whose depth the size bounds, and the loop from there on."""
+    if t.root is None:
+        return f"{t.box_color}:."
+    encoder = _encode_small if len(t.nodes) < _RECURSIVE_SIZE else _encode_large
+    return f"{t.box_color}:{encoder(t.nodes, tags, t.root)}"
 
 
 def encode(t: ColoredTree) -> str:
@@ -407,17 +386,12 @@ def encode(t: ColoredTree) -> str:
 
     Equal strings exactly characterize isomorphic colored trees.
     """
-    if t.root is None:
-        return f"{t.box_color}:."
-    return f"{t.box_color}:{_encode(t.nodes, ('',) * len(t.nodes), t.root)}"
+    return _encode(t, ('',) * len(t.nodes))
 
 
 def encode_labeled(lt: LabeledTree) -> str:
     """Like :func:`encode` but each vertex prints ``color|label``."""
-    t = lt.tree
-    if t.root is None:
-        return f"{t.box_color}:."
-    return f"{t.box_color}:{_encode(t.nodes, [f'|{x}' for x in lt.labels], t.root)}"
+    return _encode(lt.tree, [f'|{x}' for x in lt.labels])
 
 
 def _parse_body(body: str, nodes: list[Vertex]) -> tuple[int | None, int]:

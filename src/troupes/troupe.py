@@ -164,11 +164,13 @@ def random_branch_table(seed: int, max_size: int, num_colors: int = 1) -> dict[s
 def builtin(spec: str) -> WeightedTroupe:
     """Resolve a CLI troupe name.
 
-    Accepted: ``all``, ``full``, ``motzkin``, ``colorset:J``,
-    ``rightmono:t1,t2`` and ``colorcount:J`` where J is a comma-separated
-    color list and t1,t2 are rationals or the literal ``q``.
+    Accepted: ``all``, ``full``, ``motzkin`` (with no ``:`` part),
+    ``colorset:J``, ``rightmono:t1,t2`` and ``colorcount:J`` where J is a
+    comma-separated color list and t1,t2 are rationals or the literal ``q``.
     """
-    head, _, arg = spec.partition(":")
+    head, sep, arg = spec.partition(":")
+    if sep and head in ("all", "full", "motzkin"):
+        raise ValueError(f"troupe {head!r} takes no argument, got {spec!r}")
     if head == "all":
         return all_trees()
     if head == "full":

@@ -288,6 +288,7 @@ PARTITION_KINDS = ("partition", "interval", "noncrossing", "nc-irreducible",
     ["cumulants", "--moments", "{negative_color_table}"],
     ["verify", "--troupe", "colorset:7", "--n", "3"],
     ["verify", "--troupe", "colorcount:7", "--n", "3"],
+    *(["verify", "--troupe", troupe, "--n", "3"] for troupe in ("all:x", "full:1", "motzkin:0")),
     ["count", "--kind", "partition", "--n", "3", "--colors", "0,1"],
     ["count", "--kind", "d-permutations", "--n", "3", "--colors", "0,1"],
 ], ids=" ".join)
@@ -304,6 +305,23 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     assert code == 2 and out == ""
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def test_huge_order_exits_2_out_of_memory():
+    # in a fresh interpreter under a 256 MB address-space limit, as CI's
+    # `ulimit -v` line, so padding the series to the order never touches
+    # real memory
+    code = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, hard))\n"
+        "from troupes import cli\n"
+        "sys.exit(cli.main(['transform', '--coeffs', '1,2', '--order', '1000000000000']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
 
 
 def test_usage_error_exit_code():
@@ -397,7 +415,7 @@ KINDS = st.sampled_from(["bpt", "branch", "dbpt", "partition", "interval", "nonc
 TROUPES = st.sampled_from(["all", "full", "motzkin", "colorset:0", "colorset:x",
                            "colorset:0,-1", "colorset:0,2", "colorcount:1", "colorcount:-2",
                            "rightmono:q,1", "rightmono:1/0,1", "rightmono:1", "random",
-                           "bogus"])
+                           "bogus", "all:x", "full:1", "motzkin:0"])
 PERMUTATION = st.integers(1, 6).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
     lambda xs: ",".join(map(str, xs)))
 NAMES = st.sampled_from(["gamma_minus_one", "shifted_exponential", "two_atom",
@@ -483,7 +501,7 @@ def test_cli_contract_holds_under_fuzzing(argv):
             argv = argv[:2] + [path]
         code, out, err = run(*argv)
     assert "Traceback" not in err
-    if bad_color:
+    if bad_color or argv[0] == "verify" and argv[2] in ("all:x", "full:1", "motzkin:0"):
         assert code == 2
     if argv[0] == "verify":
         assert code in (0, 1, 2)

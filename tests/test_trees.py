@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -709,6 +710,15 @@ def test_validate_catches_breakage():
         ColoredTree(((0, None, None), (0, None, None)), 1).validate()  # unreachable node
     with pytest.raises(ValueError):
         ColoredTree(((0, None, None),), None).validate()
+    broken = [
+        ((0, None, None), (0, 0, 0)),  # vertex 0 under both slots of its parent
+        ((0, None, None), (0, 0, None), (0, 0, 1)),  # vertex 0 under two parents
+        ((0, None, None), (0, -1, 0)),  # a negative child index
+        ((0, None, None), (0, 0, 2)),  # a child index past the last vertex
+    ]
+    for nodes in broken:
+        with pytest.raises(ValueError):
+            ColoredTree(nodes, len(nodes) - 1).validate()
 
 
 def test_walks_stop_on_looping_one_child_links():
@@ -780,6 +790,42 @@ def test_walks_and_parse_at_1500_vertices():
     t = parse_tree(encode(lt.tree))
     assert encode(t) == encode(lt.tree)
     assert postorder(t) == list(range(n))  # the parser appends in postorder
+
+
+def test_encode_round_trips_trees_deeper_than_the_recursion_limit():
+    # recursion would need a frame per two-child vertex on the way down:
+    # 1,200 of them down a left comb, and 1,499 down the zigzag's left spine
+    nodes = [(0, None, None)]
+    for k in range(1200):
+        nodes.append((k % 3, None, None))
+        nodes.append((k % 2, len(nodes) - 2, len(nodes) - 1))
+    comb = ColoredTree(tuple(nodes), len(nodes) - 1, 1)
+    comb.validate()
+    zigzag = alpha_inverse([k + 2 if k % 2 == 0 else k for k in range(3000)])
+    assert len(comb.nodes) == 2401 > sys.getrecursionlimit()
+
+    def shape(t):  # postorder colors and empty slots fix the tree
+        return [(t.nodes[v][0], t.nodes[v][1] is None, t.nodes[v][2] is None)
+                for v in postorder(t)]
+
+    for t in (comb, zigzag.tree):
+        text = encode(t)
+        assert encode(parse_tree(text)) == text
+        assert shape(parse_tree(text)) == shape(t)
+    text = encode_labeled(zigzag)
+    assert len(text) == 31896
+    assert re.sub(r"\|\d+", "", text) == encode(zigzag.tree)
+    labels = [int(x) for x in re.findall(r"\|(\d+)", text)]  # in preorder
+    assert labels[0] == 3000 and sorted(labels) == list(range(1, 3001))
+
+
+def test_encoders_agree_below_the_recursive_size():
+    r = random.Random(20)
+    for n in (1, 2, 3, 40, 255):
+        t, labels = alpha_inverse(r.sample(range(1, n + 1), n), [r.randrange(3) for _ in range(n)])
+        for tags in (("",) * n, [f"|{x}" for x in labels]):
+            assert (troupes.trees._encode_large(t.nodes, tags, t.root)
+                    == troupes.trees._encode_small(t.nodes, tags, t.root))
 
 
 def test_factor_paths_examples():
