@@ -25,7 +25,6 @@ from typing import Iterator, NamedTuple, Sequence
 from .partitions import (
     SetPartition,
     _run_blocks,
-    druns,
     is_irreducible,
     iter_partitions,
     iter_sigma_first_n,
@@ -36,11 +35,8 @@ from .trees import (
     LabeledTree,
     _decreasing_tree,
     _new,
-    alpha_inverse,
-    branch_from_directions,
-    branch_profile,
+    _read_branch,
     encode,
-    factor_branch,
     factor_paths,
     iter_branch_word,
     postorder,
@@ -56,71 +52,67 @@ class PsiInput(NamedTuple):
 
     def key(self):
         """Canonical fingerprint used for equality in tests."""
-        return self.partition.blocks, tuple(encode(b) for b in self.branches)
+        return self.partition.blocks, tuple([encode(b) for b in self.branches])
 
     def validate(self) -> None:
-        self._runs()
+        self._read()
 
-    def _runs(self) -> list[tuple[tuple[int, ...], list[str], list[int], int]]:
-        """Check the input, then give each block with its branch's
-        :func:`~troupes.trees.branch_profile`."""
+    def _read(self) -> tuple[list[int], set[int]]:
+        """Check the input and read its blocks' branches (:func:`_read_blocks`)."""
         p = self.partition
         if not is_irreducible(p):
             raise ValueError("partition must be noncrossing and irreducible")
         if any(len(b) < 2 for b in p.blocks):
             raise ValueError("all blocks must have size >= 2")
-        return _profiles(p.blocks, self.branches, "block")
+        return _read_blocks(p.n, p.blocks, self.branches, "block")
 
 
 class PhiInput(NamedTuple):
     """A permutation (first entry maximal, no singleton run) paired with one
-    branch per descending run (aligned with ``druns(sigma).blocks``)."""
+    branch per descending run (aligned with the blocks of
+    :func:`~troupes.partitions.druns`)."""
 
     sigma: tuple[int, ...]
     branches: tuple[ColoredTree, ...]
 
     def key(self):
-        return self.sigma, tuple(encode(b) for b in self.branches)
+        return self.sigma, tuple([encode(b) for b in self.branches])
 
     def validate(self) -> None:
-        self._runs()
+        self._read()
 
-    def _runs(self) -> list[tuple[tuple[int, ...], list[str], list[int], int]]:
-        """Check the input, then give each run block with its branch's
-        :func:`~troupes.trees.branch_profile`."""
-        n = len(self.sigma)
-        if n == 0 or self.sigma[0] != n:
+    def _read(self) -> tuple[list[int], set[int]]:
+        """Check the permutation and its runs, and read the runs' branches
+        (:func:`_read_blocks`)."""
+        sigma = self.sigma
+        n = len(sigma)
+        if n == 0 or sigma[0] != n:
             raise ValueError("permutation must start with its maximum")
-        blocks = druns(self.sigma).blocks
+        if set(sigma) != set(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}")
+        blocks = _run_blocks(tuple(sigma))
         if any(len(b) < 2 for b in blocks):
             raise ValueError("all descending runs must have size >= 2")
-        return _profiles(blocks, self.branches, "run")
+        return _read_blocks(n, blocks, self.branches, "run")
 
 
-def _profiles(blocks, branches, what: str) -> list[tuple[tuple[int, ...], list[str], list[int], int]]:
-    """Each block with the :func:`~troupes.trees.branch_profile` of its
-    branch, which must be a branch with one vertex fewer than the block."""
+def _read_blocks(n: int, blocks, branches, what: str) -> tuple[list[int], set[int]]:
+    """Read each block's branch onto the block less its maximum, labels
+    falling from the root down, in one pass over the branches' vertices.
+
+    Returns the color word ``word`` (``word[k]`` the color of label k, 1-based,
+    a block maximum taking its branch's box color) and the set of labels
+    whose child hangs on the left.  Each branch must be a branch with one
+    vertex fewer than its block (:func:`~troupes.trees._read_branch`).
+    """
     if len(branches) != len(blocks):
         raise ValueError(f"one branch per {what} required")
-    runs = []
-    for block, br in zip(blocks, branches):
-        if len(br.nodes) != len(block) - 1:
-            raise ValueError(f"branch for {what} {block} has the wrong size")
-        runs.append((block, *branch_profile(br)))  # checks it is a branch
-    return runs
-
-
-def _recover_word(n: int, runs) -> list[int]:
-    """The color word i_1..i_n (1-indexed list) encoded by blocks paired with
-    branch profiles ``(block, directions, colors, box)``."""
     word = [0] * (n + 1)
-    for block, _, colors, box in runs:
-        if len(colors) != len(block) - 1:
-            raise ValueError("branch size does not match its block")
-        word[block[-1]] = box
-        for lab, color in zip(block[-2::-1], colors):
-            word[lab] = color
-    return word
+    left_steps: set[int] = set()
+    for block, br in zip(blocks, branches):
+        _read_branch(br, block[-2::-1], word, left_steps)
+        word[block[-1]] = br.box_color
+    return word, left_steps
 
 
 # ---------------------------------------------------------------------------
@@ -137,24 +129,21 @@ def psi(inp: PsiInput) -> ColoredTree:
     Vertex n-1, last in postorder, is the root, and
     :meth:`~troupes.trees.ColoredTree.validate` checks the tree.
     """
-    runs = inp._runs()
+    word, left_steps = inp._read()
     n = inp.partition.n
     if n < 2:
         raise ValueError("psi needs n >= 2")
-    word = _recover_word(n, runs)
     # left[j] and right[j] are the child node ids of vertex j
     left: list[int | None] = [None] * n
     right: list[int | None] = [None] * n
-    for block, dirs, _, _ in runs:
+    for block in inp.partition.blocks:
         mn, mx = block[0], block[-1]
         if mx < n:
             right[mx] = mx - 2
             left[mx] = mn - 2
-        # the branch's root-down steps run over the block from block[-2] down
-        last = len(block) - 2
-        for p in range(1, last + 1):
-            j = block[p]
-            if dirs[last - p] == "L":
+        # the branch's one-child vertices are the block's interior elements
+        for j in block[1:-1]:
+            if j in left_steps:
                 left[j] = j - 2
             else:
                 right[j] = j - 2
@@ -168,9 +157,9 @@ def psi_inverse(t: ColoredTree) -> PsiInput:
     """Read the partition and branch factors back off a tree.
 
     Vertices are named by postorder position and the box by n.  Each factor
-    path of :func:`~troupes.trees.factor_paths` gives a block: its vertices'
-    names, which fall from the root down, and last the name of its owner,
-    which exceeds every name in the owner's right subtree.
+    of :func:`~troupes.trees.factor_paths` gives its branch and a block: its
+    vertices' names, which rise from the bottom up, and last the name of its
+    owner, which exceeds every name in the owner's right subtree.
     """
     m = len(t.nodes)
     if m == 0:
@@ -180,10 +169,9 @@ def psi_inverse(t: ColoredTree) -> PsiInput:
     for k, v in enumerate(postorder(t), start=1):
         name[v] = k
     pairs = []
-    for owner, vertices, sides in factor_paths(t):
+    for owner, vertices, branch in factor_paths(t):
         top = n if owner == BOX else name[owner]
-        block = tuple(name[u] for u in reversed(vertices)) + (top,)
-        pairs.append((block, factor_branch(t, owner, vertices, sides)))
+        pairs.append((tuple([name[u] for u in vertices]) + (top,), branch))
     pairs.sort(key=lambda pair: pair[0])
     return PsiInput(SetPartition.of(n, [block for block, _ in pairs]),
                     tuple(branch for _, branch in pairs))
@@ -205,31 +193,20 @@ def iter_psi_inputs(word: Sequence[int]) -> Iterator[PsiInput]:
 # phi: permutations with branches  <->  decreasing labeled trees
 
 
-def phi_tilde(inp: PhiInput) -> LabeledTree:
-    """The intermediate tree: drop the leading n, invert the inorder
-    bijection, and color by labels.
-
-    Because no run is a singleton, every vertex with a left child also has a
-    right child (a reverse Motzkin tree).
-    """
-    n = len(inp.sigma)
-    word = _recover_word(n, inp._runs())
-    return alpha_inverse(inp.sigma[1:], colors=word[1:n], box_color=word[n])
-
-
 def phi(inp: PhiInput) -> LabeledTree:
     """The decreasing tree whose factors are the input branches.
 
-    It is :func:`phi_tilde` with the single child moved to the left at every
-    branch vertex whose step is ``L``; one stack pass builds it with those
-    vertices' child slots exchanged, so node ids stay postorder ids of the
-    intermediate tree.
+    The intermediate tree drops the leading n, inverts the inorder bijection
+    and colors by labels; no run is a singleton, so in it every vertex with
+    a left child also has a right child.  ``phi`` is that tree with the
+    single child moved to the left at every branch vertex whose step is
+    ``L``.  :meth:`PhiInput._read` checks the input and reads the colors and
+    those labels in one pass over the branches; one stack pass then builds
+    the tree with those vertices' child slots exchanged, so node ids are
+    postorder ids of the intermediate tree.
     """
-    runs = inp._runs()
+    word, left_steps = inp._read()
     n = len(inp.sigma)
-    word = _recover_word(n, runs)
-    left_steps = {label for block, dirs, _, _ in runs
-                  for label, side in zip(block[-2::-1], dirs) if side == "L"}
     return _decreasing_tree(inp.sigma[1:], word[1:], word[n], left_steps)
 
 
@@ -242,7 +219,8 @@ def phi_inverse(lt: LabeledTree) -> PhiInput:
     Every edge it follows must stay in range and lower the label, so it
     ends; every vertex it enters must carry a new label in 1..n-1, so no
     vertex is entered twice, and it must enter all of them.  Each run block
-    then rebuilds its branch with child sides copied from ``lt``.
+    then builds its branch from the vertices its labels name, with the same
+    colors and child sides.
     """
     t = lt.tree
     nodes, labels = t.nodes, lt.labels
@@ -265,10 +243,10 @@ def phi_inverse(lt: LabeledTree) -> PhiInput:
             if not 0 < label < n or vertex[label] >= 0:
                 raise ValueError(f"labels must be a bijection onto 1..{m}")
             vertex[label] = v
-            for c in (left, right):
-                if c is not None and not (0 <= c < m and labels[c] < label):
-                    raise ValueError(f"child {c} of vertex {v} is out of range "
-                                     "or not below it in the labeling")
+            if (left is not None and not (0 <= left < m and labels[left] < label)
+                    or right is not None and not (0 <= right < m and labels[right] < label)):
+                raise ValueError(f"a child of vertex {v} is out of range "
+                                 "or not below it in the labeling")
             if right is None:  # a leaf, or a left-only child read as right
                 reading.append(label)
             else:
@@ -285,19 +263,19 @@ def phi_inverse(lt: LabeledTree) -> PhiInput:
     # permutation of 1..n and its runs need no further check
     sigma = tuple(reading)
 
+    # A run ends where the reading ascends, which is only after a leaf: every
+    # other vertex is read just before a subtree below it.  So a run's
+    # minimum labels a leaf, the branch's bottom vertex taken as it is, and
+    # branch vertex i is the vertex labeled block[i], over vertex i-1.
     branches = []
     for block in _run_blocks(sigma):
-        labels_desc = block[-2::-1]
-        dirs = []
-        for label in labels_desc[:-1]:
-            _, left, right = nodes[vertex[label]]
-            if (left is None) == (right is None):
-                raise AssertionError("run interior vertex must have one child")
-            dirs.append("L" if left is not None else "R")
-        colors = [nodes[vertex[label]][0] for label in labels_desc]
+        branch = [nodes[vertex[block[0]]]]
+        for below, label in enumerate(block[1:-1]):
+            color, left, _ = nodes[vertex[label]]
+            branch.append((color, below, None) if left is not None else (color, None, below))
         mx = block[-1]
         box = t.box_color if mx == n else nodes[vertex[mx]][0]
-        branches.append(branch_from_directions(dirs, colors, box))
+        branches.append(_new(ColoredTree, (tuple(branch), len(block) - 2, box)))
     return _new(PhiInput, (sigma, tuple(branches)))
 
 

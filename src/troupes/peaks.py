@@ -11,6 +11,7 @@ here lives over a single color.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Sequence
 
 from .trees import LabeledTree, alpha_inverse, is_branch, labeled_insertion_factors
@@ -31,17 +32,28 @@ def peaks(word: Sequence[int]) -> list[int]:
 
 def _regions(word: Sequence[int]) -> list[list[tuple[int, int]]]:
     """Points (position, value) of each region: leftover first, then one
-    region per peak in peak order.  Points come out sorted by position."""
+    region per peak in peak order.  Points come out sorted by position.
+
+    A point belongs to the latest peak at or before it that is at least as
+    high.  One sweep keeps the peaks passed so far that no later peak passed
+    so far is higher than: their heights fall toward the latest, so the
+    peaks high enough for a value are a prefix of them, found by bisection.
+    """
     ps = peaks(word)
     regions: list[list[tuple[int, int]]] = [[] for _ in range(len(ps) + 1)]
+    depths: list[int] = []  # the kept peaks' negated heights, rising
+    owners: list[int] = []  # and their region numbers
+    passed = 0
     for i, value in enumerate(word, start=1):
-        owner = 0
-        for j in range(len(ps), 0, -1):
-            p = ps[j - 1]
-            if i >= p and value <= word[p - 1]:
-                owner = j
-                break
-        regions[owner].append((i, value))
+        if passed < len(ps) and ps[passed] == i:
+            passed += 1
+            while depths and depths[-1] > -value:
+                depths.pop()
+                owners.pop()
+            depths.append(-value)
+            owners.append(passed)
+        k = bisect_right(depths, -value)
+        regions[owners[k - 1] if k else 0].append((i, value))
     return regions
 
 

@@ -91,12 +91,17 @@ class LabeledTree(NamedTuple):
 # depth their size bounds; larger ones by one loop.
 _RECURSIVE_SIZE = 256
 
+# A bounded walk that runs out of steps met a vertex twice: through a loop,
+# or a vertex under two parents.
+_REACHED_TWICE = "a vertex is reached twice: the child links loop or share a vertex"
+
 
 def _order(t: ColoredTree, post: bool) -> list[int]:
     """Node ids in inorder, or in postorder when ``post``.
 
     The walk keeps an explicit stack and stops after ``len(t.nodes)``
-    vertices, so child links that loop raise ``ValueError``.
+    vertices, so child links that loop, or that reach a vertex twice, raise
+    ``ValueError``.
     """
     nodes = t.nodes
     out: list[int] = []
@@ -131,7 +136,7 @@ def _order(t: ColoredTree, post: bool) -> list[int]:
                 return out
             stack.append(v)
             v = nodes[v][1]
-    raise ValueError("the tree's child links loop")
+    raise ValueError(_REACHED_TWICE)
 
 
 def inorder(t: ColoredTree) -> list[int]:
@@ -246,68 +251,75 @@ def insert(t1: ColoredTree, v: int, t2: ColoredTree) -> ColoredTree:
 BOX = -1  # sentinel for the external box in factor computations
 
 
-def factor_paths(t: ColoredTree) -> list[tuple[int, list[int], list[str]]]:
-    """The insertion factors of a tree as root-down vertex paths, in O(n).
+def factor_paths(t: ColoredTree) -> list[tuple[int, list[int], ColoredTree]]:
+    """The insertion factors of a tree, each read off its vertices, in O(n).
 
-    Returns ``(owner, vertices, sides)`` triples, one per factor.  ``owner``
-    is ``BOX`` or a two-child vertex, whose color is the factor's box color;
-    ``vertices`` runs from the factor's root down, and ``sides[i]`` is the
-    side (``L`` or ``R``) on which ``vertices[i+1]`` hangs below
-    ``vertices[i]``.  A factor starts at its owner's right child (the box's
-    at the root) and descends through one-child vertices; a two-child vertex
-    on the way is passed to its left child and owns the factor of its right
-    child.  The box's factor comes first.  The walk takes at most
-    ``len(t.nodes)`` vertex steps, so child links that loop raise
-    ``ValueError``.
+    Returns ``(owner, vertices, branch)`` triples, one per factor.  ``owner``
+    is ``BOX`` or a two-child vertex, whose color is the factor's box color.
+    A factor starts at its owner's right child (the box's at the root) and
+    descends through one-child vertices; a two-child vertex on the way is
+    passed to its left child and owns the factor of its right child.  The
+    box's factor comes first.
+
+    ``vertices`` lists the factor's vertices from the bottom one, a leaf, up,
+    and ``branch`` is the factor itself: its vertex ``i`` is ``vertices[i]``
+    with the same color and its one child on the same side, so node ids run
+    from the bottom vertex (0) up, as in :func:`branch_from_directions`.  The
+    walk takes at most ``len(t.nodes)`` vertex steps, so child links that
+    loop, or that reach a vertex twice, raise ``ValueError``.
     """
     if not t.nodes:
         raise ValueError("the empty tree has no factors")
     nodes = t.nodes
     out = []
-    work: list[tuple[int, int]] = []
-    owner, v = BOX, t.root
-    vertices: list[int] = []
-    sides: list[str] = []
+    work: list[tuple[int, int, int]] = []
+    owner, box, v = BOX, t.box_color, t.root
+    path: list[int] = []
     for _ in range(len(nodes)):
-        _, left, right = nodes[v]
-        if left is not None and right is not None:
-            work.append((v, right))
+        node = nodes[v]
+        color, left, right = node
+        if right is None:
+            if left is not None:
+                path.append(v)
+                v = left
+                continue
+        elif left is None:
+            path.append(v)
+            v = right
+            continue
+        else:
+            work.append((v, color, right))
             v = left
             continue
-        vertices.append(v)
-        if left is not None:
-            sides.append("L")
-            v = left
-        elif right is not None:
-            sides.append("R")
-            v = right
+        # a leaf ends the factor; the vertices above it join the branch
+        # bottom-up, each over the one just below it
+        if path:
+            branch = [node]
+            below = 0
+            for u in reversed(path):
+                color, left, _ = nodes[u]
+                branch.append((color, below, None) if left is not None else (color, None, below))
+                below += 1
+            path.append(v)
+            path.reverse()
+            out.append((owner, path, _new(ColoredTree, (tuple(branch), below, box))))
+            path = []
         else:
-            out.append((owner, vertices, sides))
-            if not work:
-                return out
-            owner, v = work.pop()
-            vertices = []
-            sides = []
-    raise ValueError("the tree's child links loop")
-
-
-def factor_branch(t: ColoredTree, owner: int, vertices: Sequence[int],
-                  sides: Sequence[str]) -> ColoredTree:
-    """The branch of one factor of :func:`factor_paths`; node ids run from
-    the bottom vertex (0) up, as in :func:`branch_from_directions`."""
-    nodes = t.nodes
-    box = t.box_color if owner == BOX else nodes[owner][0]
-    return branch_from_directions(sides, [nodes[u][0] for u in vertices], box)
+            out.append((owner, [v], _new(ColoredTree, ((node,), 0, box))))
+        if not work:
+            return out
+        owner, box, v = work.pop()
+    raise ValueError(_REACHED_TWICE)
 
 
 def insertion_factors(t: ColoredTree) -> list[ColoredTree]:
     """The multiset of branches a tree factors into under iterated insertion.
 
-    One factor per path of :func:`factor_paths`; each factor's box color is
-    the color of its governing vertex (the tree's box color for the box
-    factor).  The factor list order is deterministic; treat it as a multiset.
+    The branches of :func:`factor_paths`; each factor's box color is the
+    color of its governing vertex (the tree's box color for the box factor).
+    The factor list order is deterministic; treat it as a multiset.
     """
-    return [factor_branch(t, *path) for path in factor_paths(t)]
+    return [branch for _, _, branch in factor_paths(t)]
 
 
 def labeled_insertion_factors(lt: LabeledTree) -> list[LabeledTree]:
@@ -316,12 +328,9 @@ def labeled_insertion_factors(lt: LabeledTree) -> list[LabeledTree]:
     The labels of each factor are the restriction of the tree's labeling, not
     renormalized, so factors of distinct owners carry disjoint label sets.
     """
-    t = lt.tree
-    return [
-        _new(LabeledTree, (factor_branch(t, owner, vertices, sides),
-                           tuple([lt.labels[u] for u in reversed(vertices)])))
-        for owner, vertices, sides in factor_paths(t)
-    ]
+    labels = lt.labels
+    return [_new(LabeledTree, (branch, tuple([labels[u] for u in vertices])))
+            for _, vertices, branch in factor_paths(lt.tree)]
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +362,8 @@ def _encode_small(nodes: Sequence[Vertex], tags: Sequence[str], v: int) -> str:
 def _encode_large(nodes: Sequence[Vertex], tags: Sequence[str], v: int) -> str:
     """:func:`_encode_small` in one loop over a stack of the pieces still to
     write: strings, and vertex ids to expand.  A vertex pushes at most four
-    pieces, so the loop stops after ``4*len(nodes)+2`` steps and child links
-    that loop raise ``ValueError``."""
+    pieces, so the loop stops after ``4*len(nodes)+2`` steps, and child links
+    that loop, or that reach a vertex twice, raise ``ValueError``."""
     out: list[str] = []
     pieces: list[int | str] = [v]
     for _ in range(4 * len(nodes) + 2):
@@ -368,7 +377,7 @@ def _encode_large(nodes: Sequence[Vertex], tags: Sequence[str], v: int) -> str:
         out.append(f"({color}{tags[piece]} ")
         pieces += (" .)",) if right is None else (")", right, " ")
         pieces.append("." if left is None else left)
-    raise ValueError("the tree's child links loop")
+    raise ValueError(_REACHED_TWICE)
 
 
 def _encode(t: ColoredTree, tags: Sequence[str]) -> str:
@@ -464,7 +473,8 @@ def branch_from_directions(directions: Sequence[str],
     """Build a branch from root-down direction choices (``L`` or ``R``).
 
     ``colors_root_down[i]`` colors the vertex at depth ``i``.  Node ids run
-    from the bottom vertex (0) up to the root.
+    from the bottom vertex (0) up to the root; :func:`_read_branch` reads a
+    branch back.
     """
     n = len(directions) + 1
     nodes: list[Vertex] = []
@@ -483,35 +493,40 @@ def branch_from_directions(directions: Sequence[str],
     return _new(ColoredTree, (tuple(nodes), below, box_color))
 
 
-def branch_profile(b: ColoredTree) -> tuple[list[str], list[int], int]:
-    """Root-down direction word, root-down colors, and box color of a branch;
-    the inverse of :func:`branch_from_directions`.
+def _read_branch(b: ColoredTree, labels: Sequence[int], colors: list[int],
+                 left_steps: set[int]) -> None:
+    """Read a branch onto ``labels``, from its root down: the vertex at depth
+    ``d`` sets ``colors[labels[d]]`` to its color, and ``labels[d]`` joins
+    ``left_steps`` when that vertex's child hangs on the left.
 
-    The walk from the root is the branch check: it raises ``ValueError`` at
-    a two-child vertex, and unless it ends at a leaf after exactly
-    ``len(b.nodes)`` vertices, so one-child links that loop are caught too.
+    The walk from the root is the branch check: it raises ``ValueError``
+    unless ``b`` has ``len(labels)`` vertices and the walk passes
+    ``len(labels) - 1`` one-child vertices and ends at a leaf.  A walk that
+    ends at a leaf met no vertex twice, so it met every vertex.
     """
     nodes = b.nodes
-    dirs: list[str] = []
-    colors: list[int] = []
+    if len(nodes) != len(labels):
+        raise ValueError(f"expected a branch on {len(labels)} vertices, got {len(nodes)}")
+    if not nodes:
+        raise ValueError("a branch has at least one vertex")
     v = b.root
-    if v is not None:
-        for _ in range(len(nodes)):
+    try:
+        for label in labels[:-1]:
             color, left, right = nodes[v]
-            colors.append(color)
-            if left is None:
-                if right is None:
-                    if len(colors) == len(nodes):
-                        return dirs, colors, b.box_color
-                    break
-                dirs.append("R")
-                v = right
-            elif right is None:
-                dirs.append("L")
+            colors[label] = color
+            if right is None and left is not None:
+                left_steps.add(label)
                 v = left
+            elif left is None and right is not None:
+                v = right
             else:
-                break
-    raise ValueError("expected a branch")
+                raise ValueError("expected a branch")
+        color, left, right = nodes[v]
+    except (IndexError, TypeError):
+        raise ValueError("expected a branch: a child index is out of range") from None
+    if left is not None or right is not None:
+        raise ValueError("expected a branch")
+    colors[labels[-1]] = color
 
 
 def size_word(n: int) -> tuple[int, ...]:

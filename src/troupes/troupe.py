@@ -17,11 +17,12 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .rings import RingElem, as_ring_elem, parse_ring_elem, q
 from .series import Series
 from .trees import (
-    BOX,
     TREE_KINDS,
     ColoredTree,
+    Vertex,
+    _new,
+    _read_branch,
     branch_from_directions,
-    branch_profile,
     encode,
     factor_paths,
     iter_branch_word,
@@ -35,43 +36,48 @@ class WeightedTroupe:
     """A branch-weight rule extended multiplicatively to all trees.
 
     ``branch_weight`` must be total on branches; it is only ever called on
-    branches.  Branch weights are memoized under the branch's box color,
-    root-down colors and root-down sides, so the cache grows with the number
-    of distinct branches met, not with the number of trees evaluated.
+    branches.  Branch weights are memoized under the branch's box color and
+    its vertices, numbered from the bottom one (0) up as
+    :func:`~troupes.trees.factor_paths` and
+    :func:`~troupes.trees.branch_from_directions` build them, so the cache
+    grows with the number of distinct branches met, not with the number of
+    trees evaluated.
     """
 
     def __init__(self, name: str, branch_weight: Callable[[ColoredTree], RingElem]):
         self.name = name
         self.branch_weight = branch_weight
-        self._cache: dict[tuple[int, tuple[int, ...], str], RingElem] = {}
+        self._cache: dict[tuple[int, tuple[Vertex, ...]], RingElem] = {}
 
     def __repr__(self):
         return f"WeightedTroupe({self.name!r})"
 
-    def _weight(self, box: int, colors: tuple[int, ...], sides: str) -> RingElem:
-        key = (box, colors, sides)
+    def _weight(self, box: int, nodes: tuple[Vertex, ...]) -> RingElem:
+        """The weight of the branch of box color ``box`` whose vertices,
+        numbered from the bottom one up, are ``nodes``."""
+        key = (box, nodes)
         value = self._cache.get(key)
         if value is None:
-            branch = branch_from_directions(sides, colors, box)
+            branch = _new(ColoredTree, (nodes, len(nodes) - 1, box))
             value = self._cache[key] = as_ring_elem(self.branch_weight(branch))
         return value
 
     def weight_of_branch(self, branch: ColoredTree) -> RingElem:
         """The weight of a branch; ``ValueError`` on any other tree."""
-        sides, colors, box = branch_profile(branch)
-        return self._weight(box, tuple(colors), "".join(sides))
+        k = len(branch.nodes)
+        colors, left_steps = [0] * k, set()
+        _read_branch(branch, range(k), colors, left_steps)
+        sides = ["L" if d in left_steps else "R" for d in range(k - 1)]
+        return self._weight(branch.box_color, branch_from_directions(sides, colors).nodes)
 
     def evaluate(self, t: ColoredTree) -> RingElem:
         """0 on the empty tree, else the product of branch weights over the
         insertion factors."""
-        nodes = t.nodes
-        if not nodes:
+        if not t.nodes:
             return Fraction(0)
         value: RingElem = Fraction(1)
-        for owner, vertices, sides in factor_paths(t):
-            box = t.box_color if owner == BOX else nodes[owner][0]
-            colors = tuple([nodes[u][0] for u in vertices])
-            value = value * self._weight(box, colors, "".join(sides))
+        for _, _, branch in factor_paths(t):
+            value = value * self._weight(branch.box_color, branch.nodes)
         return value
 
 
@@ -229,11 +235,12 @@ def weighted_sum(tau: WeightedTroupe, kind: str, word: Sequence[int]) -> RingEle
 # times the closed weights of the right subtrees of that factor's two-child
 # vertices, each a whole tree whose box color is its parent's color.  So a
 # family is summed by recursion on the root, through one table per vertex
-# color word: ``{(root-down colors, root-down sides): summed value}`` over
-# the trees on that word, keyed by their open root factor.  The families
-# differ only in how a two-child root splits the other vertices between its
-# subtrees, which a split function gives as ``(left, right)`` pairs, both
-# color words nonempty; branches have no two-child vertex, so no split.
+# color word: ``{vertices: summed value}`` over the trees on that word,
+# keyed by their open root factor's vertices, numbered from its bottom one
+# (0) up as in a branch.  The families differ only in how a two-child root
+# splits the other vertices between its subtrees, which a split function
+# gives as ``(left, right)`` pairs, both color words nonempty; branches have
+# no two-child vertex, so no split.
 
 
 def _cuts(s: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -259,29 +266,29 @@ def _root_sum(tau: WeightedTroupe, word: tuple[int, ...], split: Callable,
         if len(word) > 1:
             box = word[-1]
             weight = tau._weight
-            for (colors, sides), value in _open_table(tau, word[:-1], split, tables, sums).items():
-                total = total + value * weight(box, colors, sides)
+            for nodes, value in _open_table(tau, word[:-1], split, tables, sums).items():
+                total = total + value * weight(box, nodes)
         sums[word] = total
     return total
 
 
 def _open_table(tau: WeightedTroupe, s: tuple[int, ...], split: Callable,
                 tables: dict, sums: dict) -> dict:
-    """``{(root-down colors, sides): summed value}`` over the trees on the
+    """``{open root factor's vertices: summed value}`` over the trees on the
     nonempty vertex color word ``s``, whose root has color ``s[-1]``."""
     table = tables.get(s)
     if table is not None:
         return table
     root = s[-1]
     if len(s) == 1:
-        table = {((root,), ""): 1}
+        table = {((root, None, None),): 1}
     else:
-        table = {}
-        # a one-child root heads the open factor, over all other vertices
+        # a one-child root heads the open factor, over all other vertices:
+        # it takes the next id, over the factor's top vertex on either side
         below = _open_table(tau, s[:-1], split, tables, sums)
-        for side in "LR":
-            for (colors, sides), value in below.items():
-                table[(root,) + colors, side + sides] = value
+        table = {nodes + ((root, len(nodes) - 1, None),): value for nodes, value in below.items()}
+        table.update({nodes + ((root, None, len(nodes) - 1),): value
+                      for nodes, value in below.items()})
         # a two-child root passes the open factor to its left subtree and
         # closes its right one, whose box takes the root's color
         for left, right in split(s):

@@ -3,6 +3,8 @@
 The swing of a single child, and the two-step bijection phi built on it:
 phi as the intermediate tree followed by one swing per left step, and its
 inverse as one swing per left-only vertex followed by the inorder reading.
+Also the branch profile (root-down sides and colors) and the insertion
+factors built from the profiles of a factor walk that recurses on owners.
 Also the recursive max-split build of a decreasing tree, descending runs
 normalised through ``SetPartition.of``, psi by iterated insertion, the
 Narayana polynomial and the tree series by enumeration, the plain trees of
@@ -10,7 +12,8 @@ a color word built shape by shape, the decreasing-tree
 sum over every labeled tree, the branch of an inorder word from its sorted
 labels, the tree predicates only tests use, the single-word equivalence
 report, the tree walks as self-recursive closures, the standard traversal
-labelings and the descent set of a permutation.
+labelings, the descent set of a permutation, and the plot regions by a
+scan over every peak.
 Also the polynomial ring with one ``Fraction`` per coefficient, truncated
 series as plain lists of ring elements, the irreducible noncrossing
 partitions without singletons by filtering, and a frozen-dataclass twin of
@@ -21,16 +24,18 @@ import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 
-from troupes.bijections import PhiInput, PsiInput, phi_tilde
+from troupes.bijections import PhiInput, PsiInput
 from troupes.cumulants import EquivalenceReport, equivalence_reports
 from troupes.partitions import SetPartition, druns, iter_partitions
+from troupes.peaks import peaks
 from troupes.rings import QPoly
 from troupes.trees import (
+    BOX,
     ColoredTree,
     LabeledTree,
     alpha,
+    alpha_inverse,
     branch_from_directions,
-    branch_profile,
     inorder,
     insert,
     iter_bpt_word,
@@ -56,6 +61,100 @@ def swing(t: ColoredTree, v: int) -> ColoredTree:
 
 def swing_labeled(lt: LabeledTree, v: int) -> LabeledTree:
     return LabeledTree(swing(lt.tree, v), lt.labels)
+
+
+def branch_profile(b: ColoredTree) -> tuple[list[str], list[int], int]:
+    """Root-down direction word, root-down colors, and box color of a branch;
+    the inverse of ``branch_from_directions``.  ``ValueError`` unless the
+    walk from the root ends at a leaf after exactly ``len(b.nodes)``
+    vertices, none with two children."""
+    nodes = b.nodes
+    dirs: list[str] = []
+    colors: list[int] = []
+    v = b.root
+    if v is not None:
+        for _ in range(len(nodes)):
+            color, left, right = nodes[v]
+            colors.append(color)
+            if left is None:
+                if right is None:
+                    if len(colors) == len(nodes):
+                        return dirs, colors, b.box_color
+                    break
+                dirs.append("R")
+                v = right
+            elif right is None:
+                dirs.append("L")
+                v = left
+            else:
+                break
+    raise ValueError("expected a branch")
+
+
+def factor_profiles(t: ColoredTree) -> list[tuple[int, list[int], list[str]]]:
+    """``(owner, root-down vertices, root-down sides)`` of each insertion
+    factor: a factor runs from its owner's right child (the box's from the
+    root) down through one-child vertices, passing each two-child vertex to
+    its left child; that vertex's own factor follows, by recursion, in the
+    reverse of the order met.  The box's factor comes first."""
+    out = []
+
+    def factor(owner, v):
+        vertices, sides, owned = [], [], []
+        while v is not None:
+            _, left, right = t.nodes[v]
+            if left is not None and right is not None:
+                owned.append((v, right))
+                v = left
+                continue
+            vertices.append(v)
+            if left is not None:
+                sides.append("L")
+            elif right is not None:
+                sides.append("R")
+            v = left if left is not None else right
+        out.append((owner, vertices, sides))
+        for owner, v in reversed(owned):
+            factor(owner, v)
+
+    factor(BOX, t.root)
+    return out
+
+
+def insertion_factors_by_profiles(t: ColoredTree) -> list[ColoredTree]:
+    """Each factor of :func:`factor_profiles` built by
+    ``branch_from_directions`` from its sides and colors."""
+    nodes = t.nodes
+    return [branch_from_directions(sides, [nodes[u][0] for u in vertices],
+                                   t.box_color if owner == BOX else nodes[owner][0])
+            for owner, vertices, sides in factor_profiles(t)]
+
+
+def labeled_insertion_factors_by_profiles(lt: LabeledTree) -> list[LabeledTree]:
+    """:func:`insertion_factors_by_profiles` with each factor's labels, from
+    the bottom vertex up."""
+    paths = factor_profiles(lt.tree)
+    return [LabeledTree(b, tuple(lt.labels[u] for u in reversed(vertices)))
+            for b, (_, vertices, _) in zip(insertion_factors_by_profiles(lt.tree), paths)]
+
+
+def phi_tilde(inp: PhiInput) -> LabeledTree:
+    """The intermediate tree of phi: drop the leading n, invert the inorder
+    bijection, and color by labels, each run's labels taking its branch's
+    profile colors from the root down and its maximum the box color.
+
+    Because no run is a singleton, every vertex with a left child also has a
+    right child (a reverse Motzkin tree).
+    """
+    inp.validate()
+    n = len(inp.sigma)
+    word = [0] * (n + 1)
+    for block, br in zip(druns(inp.sigma).blocks, inp.branches):
+        _, colors, box = branch_profile(br)
+        word[block[-1]] = box
+        for label, color in zip(block[-2::-1], colors):
+            word[label] = color
+    return alpha_inverse(inp.sigma[1:], colors=word[1:n], box_color=word[n])
 
 
 def phi_via_swings(inp: PhiInput) -> LabeledTree:
@@ -173,6 +272,23 @@ def narayana_polynomial(n: int) -> QPoly:
     for t in iter_bpt_word(size_word(n)):
         counts[right_edges(t)] += 1
     return QPoly(counts)
+
+
+def regions_by_peak_scan(word) -> list[list[tuple[int, int]]]:
+    """The plot regions of ``peaks._regions``: each point goes to the latest
+    peak at or before it that is at least as high, found by scanning every
+    peak from the last (leftover region 0 when there is none)."""
+    ps = peaks(word)
+    regions: list[list[tuple[int, int]]] = [[] for _ in range(len(ps) + 1)]
+    for i, value in enumerate(word, start=1):
+        owner = 0
+        for j in range(len(ps), 0, -1):
+            p = ps[j - 1]
+            if i >= p and value <= word[p - 1]:
+                owner = j
+                break
+        regions[owner].append((i, value))
+    return regions
 
 
 def branch_from_inorder_by_directions(values) -> LabeledTree:

@@ -31,7 +31,6 @@ from troupes.bijections import (
     iter_psi_inputs,
     phi,
     phi_inverse,
-    phi_tilde,
     psi,
     psi_inverse,
 )
@@ -66,7 +65,7 @@ from troupes.trees import (
     size_word,
 )
 
-from oracles import narayana_polynomial, tree_series
+from oracles import narayana_polynomial, phi_tilde, tree_series
 
 
 def catalan(n: int) -> int:

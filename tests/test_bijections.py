@@ -11,7 +11,6 @@ from troupes.bijections import (
     iter_psi_inputs,
     phi,
     phi_inverse,
-    phi_tilde,
     psi,
     psi_inverse,
 )
@@ -20,7 +19,6 @@ from troupes.trees import (
     ColoredTree,
     LabeledTree,
     branch_from_directions,
-    branch_profile,
     encode,
     encode_labeled,
     factor_paths,
@@ -34,7 +32,13 @@ from troupes.trees import (
     size_word,
 )
 
-from oracles import phi_inverse_via_swings, phi_via_swings, psi_via_insertions
+from oracles import (
+    branch_profile,
+    phi_inverse_via_swings,
+    phi_tilde,
+    phi_via_swings,
+    psi_via_insertions,
+)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
@@ -319,6 +323,24 @@ def test_phi_input_validation():
         PhiInput((1, 3, 2), (branch_from_directions("L"),)).validate()
     with pytest.raises(ValueError):
         PhiInput((3, 1, 2), (branch_from_directions(""),) * 2).validate()
+
+
+@pytest.mark.parametrize("nodes, root", [
+    (((0, None, None), (0, None, None), (0, 0, 1)), 2),  # a two-child vertex
+    (((0, None, None), (0, 0, None), (0, None, None)), 1),  # a vertex left out
+    (((0, None, None), (0, 0, None), (0, 7, None)), 2),  # a child out of range
+    (((0, None, None), (0, 0, None), (0, 1, None)), None),  # no root
+    (((0, 1, None), (0, 2, None), (0, 0, None)), 0),  # a loop
+    (((0, None, None), (0, 0, None)), 1),  # one vertex short
+])
+def test_inputs_with_malformed_branches_raise(nodes, root):
+    branch = ColoredTree(nodes, root)
+    for x, bijection in ((PhiInput((4, 3, 2, 1), (branch,)), phi),
+                         (PsiInput(SetPartition.of(4, [[1, 2, 3, 4]]), (branch,)), psi)):
+        with pytest.raises(ValueError):
+            x.validate()
+        with pytest.raises(ValueError):
+            bijection(x)
 
 
 def test_phi_worked_fourteen_element_example():

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from troupes.peaks import (
+    _regions,
     branch_from_inorder,
     factors_from_plot,
     peaks,
@@ -15,7 +17,7 @@ from troupes.trees import (
     labeled_multiset_key,
 )
 
-from oracles import branch_from_inorder_by_directions, two_child_count
+from oracles import branch_from_inorder_by_directions, regions_by_peak_scan, two_child_count
 
 WORKED = (15, 16, 10, 11, 6, 20, 18, 12, 1, 7, 13, 17, 8, 3, 2, 9, 5, 4, 14, 19)
 
@@ -133,3 +135,23 @@ def test_peak_count_equals_two_child_count():
 def test_factors_reject_non_permutation():
     with pytest.raises(ValueError):
         factors_from_plot((2, 5, 1))
+
+
+def zigzag_then_rising(half: int) -> tuple[int, ...]:
+    """2,1,4,3,... over 1..half (half even), then half+1..2*half rising:
+    half/2 - 1 peaks, each higher than the last, and half points above them
+    all."""
+    return tuple([k + 2 if k % 2 == 0 else k for k in range(half)] + list(range(half + 1, 2 * half + 1)))
+
+
+def test_regions_match_the_peak_scan():
+    """The one-sweep regions against a scan over every peak: every
+    permutation up to size 7, seeded ones of sizes 50 and 500, and the
+    zigzag-then-rising shape, whose every point the scan checks against
+    every peak."""
+    words = [w for n in range(1, 8) for w in itertools.permutations(range(1, n + 1))]
+    rng = random.Random(21)
+    words += [tuple(rng.sample(range(1, n + 1), n)) for n in (50, 500) for _ in range(20)]
+    words += [zigzag_then_rising(half) for half in (2, 4, 10, 1000)]
+    for word in words:
+        assert _regions(word) == regions_by_peak_scan(word)

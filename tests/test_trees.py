@@ -35,7 +35,6 @@ from troupes.trees import (
     alpha_inverse,
     beta,
     branch_from_directions,
-    branch_profile,
     encode,
     encode_labeled,
     enumerate_trees,
@@ -61,6 +60,10 @@ from troupes.trees import (
 from oracles import (
     alpha_inverse_by_max_split,
     bpt_by_shapes,
+    branch_profile,
+    insertion_factors_by_profiles,
+    labeled_insertion_factors_by_profiles,
+    psi_via_insertions,
     encode_by_closure,
     encode_labeled_by_closure,
     inorder_by_closure,
@@ -370,12 +373,12 @@ def test_factor_walk_matches_brute_force_oracle():
         assert labeled_multiset_key(labeled_insertion_factors(lt)) == labeled_multiset_key([
             LabeledTree(b, tuple(lt.labels[u] for u in vs)) for _, _, (b, vs) in blocks])
         assert psi_inverse(t).key() == oracle_psi_key(t)
-        # the walk's own claim: postorder labels fall from a factor's root
-        # down, below the label of its owner
+        # the walk's own claim: postorder labels rise from a factor's bottom
+        # vertex up, below the label of its owner
         post = traversal_labeling(t, "postorder").labels
         for owner, vertices, _ in factor_paths(t):
-            names = ([] if owner == BOX else [post[owner]]) + [post[u] for u in vertices]
-            assert names == sorted(names, reverse=True)
+            names = [post[u] for u in vertices] + ([] if owner == BOX else [post[owner]])
+            assert names == sorted(names)
 
 
 # -- swing
@@ -727,7 +730,7 @@ def test_walks_stop_on_looping_one_child_links():
     for t in loops:
         assert is_branch(t)
         with pytest.raises(ValueError):
-            branch_profile(t)
+            read_branch(t)
         with pytest.raises(ValueError):
             all_trees().weight_of_branch(t)
         for walk in (inorder, postorder):
@@ -742,7 +745,55 @@ def test_walks_stop_on_looping_one_child_links():
         encode(ColoredTree(tuple((0, (v + 1) % 300, None) for v in range(300)), 0))
     # a vertex the walk from the root never meets makes no branch either
     with pytest.raises(ValueError):
-        branch_profile(ColoredTree(((0, None, None), (0, None, None)), 0))
+        read_branch(ColoredTree(((0, None, None), (0, None, None)), 0))
+
+
+def read_branch(b):
+    """The branch reader on labels 0..size-1: colors root-down and the
+    depths whose child hangs left."""
+    colors, left_steps = [0] * len(b.nodes), set()
+    troupes.trees._read_branch(b, range(len(b.nodes)), colors, left_steps)
+    return colors, left_steps
+
+
+def test_branch_reader_matches_the_profile():
+    for word in itertools.product((0, 1, 2), repeat=5):
+        for b in iter_branch_word(word):
+            sides, colors, _ = branch_profile(b)
+            assert read_branch(b) == (colors, {d for d, side in enumerate(sides) if side == "L"})
+    # not branches: two children, a vertex left out, a child index out of
+    # range or missing, no root, the empty tree
+    for nodes, root in [(((0, None, None), (0, None, None), (0, 0, 1)), 2),
+                        (((0, None, None), (0, None, None), (0, 0, None)), 2),
+                        (((0, None, None), (0, 5, None)), 1),
+                        (((0, None, None), (0, "0", None)), 1),
+                        (((0, None, None), (0, 0, None)), None),
+                        ((), None)]:
+        with pytest.raises(ValueError):
+            read_branch(ColoredTree(nodes, root))
+        with pytest.raises(ValueError):
+            all_trees().weight_of_branch(ColoredTree(nodes, root))
+
+
+# a vertex under both slots of one parent, one under two parents, and a loop
+REACHED_TWICE = [
+    ColoredTree(((0, None, None), (0, 0, 0)), 1),
+    ColoredTree(((0, None, None), (0, 0, None), (0, 0, 1)), 2),
+    ColoredTree(((0, None, 1), (0, 0, None)), 0),
+]
+
+
+@pytest.mark.parametrize("t", REACHED_TWICE)
+def test_walks_report_a_vertex_reached_twice(t):
+    for walk in (ColoredTree.validate, postorder, inorder, factor_paths):
+        with pytest.raises(ValueError, match="a vertex is reached twice"):
+            walk(t)
+
+
+def test_encoder_reports_a_vertex_reached_twice():
+    loop = ColoredTree(tuple((0, (v + 1) % 300, None) for v in range(300)), 0)
+    with pytest.raises(ValueError, match="a vertex is reached twice"):
+        encode(loop)
 
 
 def test_factor_paths_stops_on_looping_links():
@@ -829,12 +880,14 @@ def test_encoders_agree_below_the_recursive_size():
 
 
 def test_factor_paths_examples():
-    assert factor_paths(root_with_both()) == [(BOX, [0], []), (2, [1], [])]
+    leaf = single()
+    assert factor_paths(root_with_both()) == [(BOX, [0], leaf), (2, [1], leaf)]
     # a root whose one child has two children: the box factor passes that
     # vertex and continues at its left child, on the root's side
-    for side, top in (("L", (0, 2, None)), ("R", (0, None, 2))):
+    for top, branch_root in (((0, 2, None), (0, 0, None)), ((0, None, 2), (0, None, 0))):
         t = ColoredTree(((0, None, None), (0, None, None), (0, 0, 1), top), 3)
-        assert factor_paths(t) == [(BOX, [3, 0], [side]), (2, [1], [])]
+        box_factor = ColoredTree(((0, None, None), branch_root), 1)
+        assert factor_paths(t) == [(BOX, [0, 3], box_factor), (2, [1], leaf)]
     with pytest.raises(ValueError):
         factor_paths(ColoredTree((), None))
 
@@ -842,3 +895,53 @@ def test_factor_paths_examples():
 def test_beta_is_postorder_reading():
     lt = alpha_inverse((2, 3, 1))
     assert beta(lt) == (2, 1, 3)
+
+
+def _seeded_trees(count, size, seed):
+    """Labeled trees of ``size`` vertices: decreasing trees of seeded
+    permutations, and deep ones read off zigzag and rising stretches."""
+    r = random.Random(seed)
+    out = []
+    for k in range(count):
+        values = r.sample(range(1, size + 1), size)
+        if k % 2:
+            # long monotone stretches make long branches and deep nesting
+            values = sorted(values[:size // 2], reverse=True) + sorted(values[size // 2:])
+        out.append(alpha_inverse(values, [r.randrange(3) for _ in range(size)], r.randrange(3)))
+    return out
+
+
+def test_factor_builders_match_the_profile_route():
+    """The branches built in the factor walk equal, node ids and labels
+    included, those built by ``branch_from_directions`` from each factor's
+    sides and colors: every tree of every 2-color word up to length 7 and
+    3-color word up to length 6, the decreasing trees of the 2-color words
+    up to length 6 and of seeded 3-color words of length 7, and seeded
+    300-vertex trees."""
+    words = [w for n in range(1, 8) for w in itertools.product((0, 1), repeat=n)]
+    words += [w for n in range(1, 7) for w in itertools.product((0, 1, 2), repeat=n)]
+    for word in words:
+        for t in iter_bpt_word(word):
+            if t.nodes:
+                assert insertion_factors(t) == insertion_factors_by_profiles(t)
+    r = random.Random(21)
+    labeled_words = [w for n in range(2, 7) for w in itertools.product((0, 1), repeat=n)]
+    labeled_words += [tuple(r.randrange(3) for _ in range(7)) for _ in range(4)]
+    cases = [lt for w in labeled_words for lt in iter_dbpt_word(w)]
+    cases += _seeded_trees(6, 300, 21)
+    for lt in cases:
+        assert labeled_insertion_factors(lt) == labeled_insertion_factors_by_profiles(lt)
+        assert insertion_factors(lt.tree) == [f.tree for f in labeled_insertion_factors(lt)]
+
+
+def test_trees_rebuilt_by_iterated_insertion_of_their_factors():
+    """Inserting the walk's branches back, block by block, gives the tree
+    again: every tree of every 2-color word up to length 6, and seeded
+    300-vertex trees, with no ``RecursionError``."""
+    trees = [t for n in range(2, 7) for w in itertools.product((0, 1), repeat=n)
+             for t in iter_bpt_word(w)]
+    trees += [lt.tree for lt in _seeded_trees(6, 300, 22)]
+    for t in trees:
+        x = psi_inverse(t)
+        assert multiset_key(x.branches) == multiset_key(insertion_factors(t))
+        assert encode(psi_via_insertions(x)[0]) == encode(t)
