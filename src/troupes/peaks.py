@@ -35,9 +35,10 @@ def _regions(word: Sequence[int]) -> list[list[tuple[int, int]]]:
     region per peak in peak order.  Points come out sorted by position.
 
     A point belongs to the latest peak at or before it that is at least as
-    high.  One sweep keeps the peaks passed so far that no later peak passed
-    so far is higher than: their heights fall toward the latest, so the
-    peaks high enough for a value are a prefix of them, found by bisection.
+    high.  The sweep drops a peak once a later one is higher, since that one
+    then wins every point the dropped one could, so the kept peaks fall in
+    height toward the latest, and those high enough for a value are a
+    prefix of them, found by bisection.
     """
     ps = peaks(word)
     regions: list[list[tuple[int, int]]] = [[] for _ in range(len(ps) + 1)]
