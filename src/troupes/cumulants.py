@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .rings import (QPoly, RingElem, as_ring_elem, denominator, format_ring_elem,
@@ -254,6 +254,17 @@ def boolean_to_classical(b: CumulantTable) -> CumulantTable:
     return _bridge(b, "classical", lambda n: _run_partition_counts(n).items())
 
 
+def to_egf(seq: Sequence[RingElem]) -> Series:
+    """The exponential generating function ``sum c_n t^n/n!`` of ``c_0..c_N``,
+    to order ``N+1``."""
+    return Series([c * Fraction(1, factorial(n)) for n, c in enumerate(seq)])
+
+
+def from_egf(egf: Series) -> list[RingElem]:
+    """The sequence ``n!·[t^n] egf`` below the order: :func:`to_egf` undone."""
+    return [egf[n] * factorial(n) for n in range(egf.order)]
+
+
 def classical_via_egf(moments: Sequence[RingElem]) -> list[RingElem]:
     """Univariate classical cumulants from the log of the moment EGF.
 
@@ -263,12 +274,7 @@ def classical_via_egf(moments: Sequence[RingElem]) -> list[RingElem]:
     moments = [as_ring_elem(m) for m in moments]
     if not moments or moments[0] != 1:
         raise ValueError("moment sequence must start with m_0 = 1")
-    fact = [1]
-    for k in range(1, len(moments)):
-        fact.append(fact[-1] * k)
-    egf = Series([m * Fraction(1, fact[n]) for n, m in enumerate(moments)])
-    log = egf.log()
-    return [log[n] * fact[n] for n in range(1, len(moments))]
+    return from_egf(to_egf(moments).log())[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Callable, NamedTuple
 
-from .cumulants import classical_via_egf
+from .cumulants import classical_via_egf, from_egf, to_egf
 from .rings import QPoly, RingElem, q
 from .series import Series
 
@@ -71,16 +72,8 @@ def _gamma_minus_one_cumulants(order: int) -> list[RingElem]:
 
 def _shifted_exponential_moments(order: int) -> list[RingElem]:
     """Moments of the sequence whose cumulants are (n-1)! for n >= 2."""
-    coeffs: list[RingElem] = [Fraction(0), Fraction(0)]
-    for n in range(2, order + 1):
-        coeffs.append(Fraction(1, n))  # (n-1)!/n! = 1/n
-    egf = Series(coeffs[: order + 1], order=order + 1).exp()
-    fact = 1
-    out: list[RingElem] = [Fraction(1)]
-    for n in range(1, order + 1):
-        fact *= n
-        out.append(egf[n] * fact)
-    return out
+    return from_egf(to_egf([factorial(n - 1) if n > 1 else 0
+                            for n in range(order + 1)]).exp())
 
 
 def _shifted_exponential_cumulants(order: int) -> list[RingElem]:
@@ -103,18 +96,8 @@ def _two_atom_cumulants(order: int) -> list[RingElem]:
 
 
 def _geometric_like_moments(order: int) -> list[RingElem]:
-    coeffs: list[RingElem] = [QPoly(), QPoly()]
-    fact = 1
-    for n in range(2, order + 1):
-        fact *= n
-        coeffs.append(q * eulerian_polynomial(n - 1) / fact)
-    egf = Series(coeffs[: order + 1], order=order + 1).exp()
-    fact = 1
-    out: list[RingElem] = [QPoly((1,))]
-    for n in range(1, order + 1):
-        fact *= n
-        out.append(egf[n] * fact)
-    return out
+    return from_egf(to_egf([q * eulerian_polynomial(n - 1) if n > 1 else QPoly()
+                            for n in range(order + 1)]).exp())
 
 
 def _geometric_like_cumulants(order: int) -> list[RingElem]:
@@ -123,20 +106,8 @@ def _geometric_like_cumulants(order: int) -> list[RingElem]:
 
 def _secant_moments(order: int) -> list[RingElem]:
     # reciprocal of the cosine series: sec t as an EGF
-    cos = [Fraction(0)] * (order + 1)
-    fact = 1
-    for n in range(order + 1):
-        if n:
-            fact *= n
-        if n % 2 == 0:
-            cos[n] = Fraction((-1) ** (n // 2), fact)
-    sec = Series.one(order + 1) / Series(cos)
-    fact = 1
-    out: list[RingElem] = [Fraction(1)]
-    for n in range(1, order + 1):
-        fact *= n
-        out.append(sec[n] * fact)
-    return out
+    cos = to_egf([0 if n % 2 else (-1) ** (n // 2) for n in range(order + 1)])
+    return from_egf(Series.one(order + 1) / cos)
 
 
 def _secant_cumulants(order: int) -> list[RingElem]:
@@ -182,13 +153,7 @@ def convolution_additivity_check(f: NamedSequence, g: NamedSequence,
     """
     mf = f.moments(order)
     mg = g.moments(order)
-    fact = [1]
-    for k in range(1, order + 1):
-        fact.append(fact[-1] * k)
-    ef = Series([m * Fraction(1, fact[n]) for n, m in enumerate(mf)])
-    eg = Series([m * Fraction(1, fact[n]) for n, m in enumerate(mg)])
-    product = ef * eg
-    conv_moments = [product[n] * fact[n] for n in range(order + 1)]
+    conv_moments = from_egf(to_egf(mf) * to_egf(mg))
     kf = classical_via_egf(mf)
     kg = classical_via_egf(mg)
     kfg = classical_via_egf(conv_moments)

@@ -46,16 +46,13 @@ class ColoredTree(NamedTuple):
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on violation.
 
-        With every index in range, the tree holds each vertex once exactly
-        when the bounded postorder walk meets ``len(nodes)`` distinct ones."""
+        The postorder walk checks every id it meets and meets none twice, so
+        the tree holds each vertex once exactly when it meets them all."""
         n = len(self.nodes)
-        if (self.root is None) != (n == 0) or n and not 0 <= self.root < n:
+        if (self.root is None) != (n == 0):
             raise ValueError("root must be a vertex exactly when the tree is nonempty")
-        for _, left, right in self.nodes:
-            if not (left is None or 0 <= left < n) or not (right is None or 0 <= right < n):
-                raise ValueError(f"child indices {left}, {right} not both in 0..{n - 1}")
-        if len(set(_order(self, True))) != n:
-            raise ValueError("a vertex is unreachable or under two parents")
+        if len(_order(self, True)) != n:
+            raise ValueError("a vertex is unreachable from the root")
 
 
 EMPTY = ColoredTree((), None, 0)
@@ -91,52 +88,44 @@ class LabeledTree(NamedTuple):
 # depth their size bounds; larger ones by one loop.
 _RECURSIVE_SIZE = 256
 
-# A bounded walk that runs out of steps met a vertex twice: through a loop,
-# or a vertex under two parents.
+# A walk that enters a vertex it has marked met it twice: through a loop, or
+# a vertex under two parents.
 _REACHED_TWICE = "a vertex is reached twice: the child links loop or share a vertex"
 
 
 def _order(t: ColoredTree, post: bool) -> list[int]:
-    """Node ids in inorder, or in postorder when ``post``.
-
-    The walk keeps an explicit stack and stops after ``len(t.nodes)``
-    vertices, so child links that loop, or that reach a vertex twice, raise
-    ``ValueError``.
-    """
+    """Node ids in inorder, or in postorder when ``post``, by one walk on a
+    stack: entering a vertex pushes its children and its output slot (a
+    ``None`` over its id) in the order the traversal writes them.  An id out
+    of range, or a vertex entered twice (a loop, or a vertex under two
+    parents), raises ``ValueError``."""
     nodes = t.nodes
+    n = len(nodes)
+    entered = [False] * n
     out: list[int] = []
-    stack: list[int] = []
-    v = t.root
-    if post:
-        # root, right subtree, left subtree, then reversed
-        if v is not None:
+    stack = [] if t.root is None else [t.root]
+    while stack:
+        v = stack.pop()
+        if v is None:
+            out.append(stack.pop())
+            continue
+        if not 0 <= v < n:
+            raise ValueError(f"vertex id {v} not in 0..{n - 1}")
+        if entered[v]:
+            raise ValueError(_REACHED_TWICE)
+        entered[v] = True
+        _, left, right = nodes[v]
+        if post:
             stack.append(v)
-        for _ in range(len(nodes)):
-            if not stack:
-                break
-            v = stack.pop()
-            out.append(v)
-            _, left, right = nodes[v]
-            if left is not None:
-                stack.append(left)
-            if right is not None:
-                stack.append(right)
-        if not stack:
-            out.reverse()
-            return out
-    else:
-        # each step pops the vertices whose left subtrees are done, then
-        # pushes one more
-        for _ in range(len(nodes) + 1):
-            while v is None and stack:
-                v = stack.pop()
-                out.append(v)
-                v = nodes[v][2]
-            if v is None:
-                return out
+            stack.append(None)
+        if right is not None:
+            stack.append(right)
+        if not post:
             stack.append(v)
-            v = nodes[v][1]
-    raise ValueError(_REACHED_TWICE)
+            stack.append(None)
+        if left is not None:
+            stack.append(left)
+    return out
 
 
 def inorder(t: ColoredTree) -> list[int]:
@@ -265,17 +254,21 @@ def factor_paths(t: ColoredTree) -> list[tuple[int, list[int], ColoredTree]]:
     and ``branch`` is the factor itself: its vertex ``i`` is ``vertices[i]``
     with the same color and its one child on the same side, so node ids run
     from the bottom vertex (0) up, as in :func:`branch_from_directions`.  The
-    walk takes at most ``len(t.nodes)`` vertex steps, so child links that
-    loop, or that reach a vertex twice, raise ``ValueError``.
+    walk marks each vertex it enters, so child links that loop, or that reach
+    a vertex twice, raise ``ValueError``.
     """
     if not t.nodes:
         raise ValueError("the empty tree has no factors")
     nodes = t.nodes
+    entered = [False] * len(nodes)
     out = []
     work: list[tuple[int, int, int]] = []
     owner, box, v = BOX, t.box_color, t.root
     path: list[int] = []
-    for _ in range(len(nodes)):
+    while True:
+        if entered[v]:
+            raise ValueError(_REACHED_TWICE)
+        entered[v] = True
         node = nodes[v]
         color, left, right = node
         if right is None:
@@ -309,7 +302,6 @@ def factor_paths(t: ColoredTree) -> list[tuple[int, list[int], ColoredTree]]:
         if not work:
             return out
         owner, box, v = work.pop()
-    raise ValueError(_REACHED_TWICE)
 
 
 def insertion_factors(t: ColoredTree) -> list[ColoredTree]:
@@ -361,33 +353,41 @@ def _encode_small(nodes: Sequence[Vertex], tags: Sequence[str], v: int) -> str:
 
 def _encode_large(nodes: Sequence[Vertex], tags: Sequence[str], v: int) -> str:
     """:func:`_encode_small` in one loop over a stack of the pieces still to
-    write: strings, and vertex ids to expand.  A vertex pushes at most four
-    pieces, so the loop stops after ``4*len(nodes)+2`` steps, and child links
-    that loop, or that reach a vertex twice, raise ``ValueError``."""
+    write: strings, and vertex ids to expand.  The loop marks each vertex it
+    expands, so child links that loop, or that reach a vertex twice, raise
+    ``ValueError``."""
+    entered = [False] * len(nodes)
     out: list[str] = []
     pieces: list[int | str] = [v]
-    for _ in range(4 * len(nodes) + 2):
-        if not pieces:
-            return "".join(out)
+    while pieces:
         piece = pieces.pop()
         if piece.__class__ is str:
             out.append(piece)
             continue
+        if entered[piece]:
+            raise ValueError(_REACHED_TWICE)
+        entered[piece] = True
         color, left, right = nodes[piece]
         out.append(f"({color}{tags[piece]} ")
         pieces += (" .)",) if right is None else (")", right, " ")
         pieces.append("." if left is None else left)
-    raise ValueError(_REACHED_TWICE)
+    return "".join(out)
 
 
 def _encode(t: ColoredTree, tags: Sequence[str]) -> str:
     """:func:`encode` with ``tags[v]`` after the color of vertex ``v``.  The
     encoder is chosen once per tree: recursion below ``_RECURSIVE_SIZE``
-    vertices, whose depth the size bounds, and the loop from there on."""
+    vertices, whose depth the size bounds, and the loop from there on.  The
+    recursion keeps no marks, so it does not see a vertex under two parents;
+    a loop runs it out of stack, and the loop then names the fault."""
     if t.root is None:
         return f"{t.box_color}:."
-    encoder = _encode_small if len(t.nodes) < _RECURSIVE_SIZE else _encode_large
-    return f"{t.box_color}:{encoder(t.nodes, tags, t.root)}"
+    if len(t.nodes) < _RECURSIVE_SIZE:
+        try:
+            return f"{t.box_color}:{_encode_small(t.nodes, tags, t.root)}"
+        except RecursionError:
+            pass
+    return f"{t.box_color}:{_encode_large(t.nodes, tags, t.root)}"
 
 
 def encode(t: ColoredTree) -> str:
@@ -502,7 +502,8 @@ def _read_branch(b: ColoredTree, labels: Sequence[int], colors: list[int],
     The walk from the root is the branch check: it raises ``ValueError``
     unless ``b`` has ``len(labels)`` vertices and the walk passes
     ``len(labels) - 1`` one-child vertices and ends at a leaf.  A walk that
-    ends at a leaf met no vertex twice, so it met every vertex.
+    ends at a leaf met no vertex twice, so it met every vertex.  A negative
+    id, which indexing would wrap, counts as out of range.
     """
     nodes = b.nodes
     if len(nodes) != len(labels):
@@ -512,6 +513,8 @@ def _read_branch(b: ColoredTree, labels: Sequence[int], colors: list[int],
     v = b.root
     try:
         for label in labels[:-1]:
+            if v < 0:
+                raise IndexError(v)
             color, left, right = nodes[v]
             colors[label] = color
             if right is None and left is not None:
@@ -521,6 +524,8 @@ def _read_branch(b: ColoredTree, labels: Sequence[int], colors: list[int],
                 v = right
             else:
                 raise ValueError("expected a branch")
+        if v < 0:
+            raise IndexError(v)
         color, left, right = nodes[v]
     except (IndexError, TypeError):
         raise ValueError("expected a branch: a child index is out of range") from None

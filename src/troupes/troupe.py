@@ -22,7 +22,6 @@ from .trees import (
     Vertex,
     _new,
     _read_branch,
-    branch_from_directions,
     encode,
     factor_paths,
     iter_branch_word,
@@ -38,10 +37,9 @@ class WeightedTroupe:
     ``branch_weight`` must be total on branches; it is only ever called on
     branches.  Branch weights are memoized under the branch's box color and
     its vertices, numbered from the bottom one (0) up as
-    :func:`~troupes.trees.factor_paths` and
-    :func:`~troupes.trees.branch_from_directions` build them, so the cache
-    grows with the number of distinct branches met, not with the number of
-    trees evaluated.
+    :func:`~troupes.trees.factor_paths` builds them, so the cache grows with
+    the number of distinct branches met, not with the number of trees
+    evaluated.
     """
 
     def __init__(self, name: str, branch_weight: Callable[[ColoredTree], RingElem]):
@@ -63,12 +61,11 @@ class WeightedTroupe:
         return value
 
     def weight_of_branch(self, branch: ColoredTree) -> RingElem:
-        """The weight of a branch; ``ValueError`` on any other tree."""
+        """The weight of a branch; ``ValueError`` on any other tree.  A
+        branch is its own one insertion factor, so this is its value."""
         k = len(branch.nodes)
-        colors, left_steps = [0] * k, set()
-        _read_branch(branch, range(k), colors, left_steps)
-        sides = ["L" if d in left_steps else "R" for d in range(k - 1)]
-        return self._weight(branch.box_color, branch_from_directions(sides, colors).nodes)
+        _read_branch(branch, range(k), [0] * k, set())
+        return self.evaluate(branch)
 
     def evaluate(self, t: ColoredTree) -> RingElem:
         """0 on the empty tree, else the product of branch weights over the

@@ -720,8 +720,9 @@ def test_validate_catches_breakage():
         ((0, None, None), (0, 0, 2)),  # a child index past the last vertex
     ]
     for nodes in broken:
-        with pytest.raises(ValueError):
-            ColoredTree(nodes, len(nodes) - 1).validate()
+        for walk in (ColoredTree.validate, postorder, inorder):
+            with pytest.raises(ValueError):
+                walk(ColoredTree(nodes, len(nodes) - 1))
 
 
 def test_walks_stop_on_looping_one_child_links():
@@ -766,6 +767,7 @@ def test_branch_reader_matches_the_profile():
     for nodes, root in [(((0, None, None), (0, None, None), (0, 0, 1)), 2),
                         (((0, None, None), (0, None, None), (0, 0, None)), 2),
                         (((0, None, None), (0, 5, None)), 1),
+                        (((0, -1, None), (0, None, None)), 0),
                         (((0, None, None), (0, "0", None)), 1),
                         (((0, None, None), (0, 0, None)), None),
                         ((), None)]:
@@ -775,25 +777,35 @@ def test_branch_reader_matches_the_profile():
             all_trees().weight_of_branch(ColoredTree(nodes, root))
 
 
-# a vertex under both slots of one parent, one under two parents, and a loop
+# a vertex under both slots of one parent, one under two parents, a loop,
+# and a vertex under both slots of one parent beside an unreachable vertex,
+# so that the walk makes no more vertex visits than the tree has vertices
 REACHED_TWICE = [
     ColoredTree(((0, None, None), (0, 0, 0)), 1),
     ColoredTree(((0, None, None), (0, 0, None), (0, 0, 1)), 2),
     ColoredTree(((0, None, 1), (0, 0, None)), 0),
+    ColoredTree(((0, None, None), (0, None, None), (0, 0, 0)), 2),
 ]
 
 
 @pytest.mark.parametrize("t", REACHED_TWICE)
 def test_walks_report_a_vertex_reached_twice(t):
-    for walk in (ColoredTree.validate, postorder, inorder, factor_paths):
+    for walk in (ColoredTree.validate, postorder, inorder, factor_paths,
+                 all_trees().evaluate):
         with pytest.raises(ValueError, match="a vertex is reached twice"):
             walk(t)
 
 
 def test_encoder_reports_a_vertex_reached_twice():
     loop = ColoredTree(tuple((0, (v + 1) % 300, None) for v in range(300)), 0)
-    with pytest.raises(ValueError, match="a vertex is reached twice"):
-        encode(loop)
+    # a left chain under both slots of the root, past the encoder's
+    # recursive size, beside unreachable vertices
+    shared = ColoredTree(tuple((0, v - 1 if v else None, None) for v in range(299))
+                         + ((0, 149, 149),), 299)
+    self_loop = ColoredTree(((0, 0, None),), 0)
+    for t in (loop, shared, self_loop):
+        with pytest.raises(ValueError, match="a vertex is reached twice"):
+            encode(t)
 
 
 def test_factor_paths_stops_on_looping_links():

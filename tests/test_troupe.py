@@ -59,6 +59,15 @@ def test_branch_evaluates_to_its_weight():
     for n in range(1, 5):
         for b in iter_branch_word(size_word(n)):
             assert tau.evaluate(b) == q ** (right_edges(b) + 1) * 2
+    # weight_of_branch is evaluate on a branch, in value and in type
+    taus = [all_trees(), builtin("rightmono:q,2/3"), builtin("colorcount:1"),
+            from_table(random_branch_table(6, 6, 2))]
+    for n in range(2, 8):
+        for word in itertools.product((0, 1), repeat=n):
+            for b in iter_branch_word(word):
+                for tau in taus:
+                    weight, value = tau.weight_of_branch(b), tau.evaluate(b)
+                    assert weight == value and type(weight) is type(value)
 
 
 def test_indicator_matches_direct_predicate():
