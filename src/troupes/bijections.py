@@ -26,8 +26,8 @@ from .partitions import (
     SetPartition,
     _run_blocks,
     is_irreducible,
+    iter_D,
     iter_partitions,
-    iter_sigma_first_n,
 )
 from .trees import (
     BOX,
@@ -69,8 +69,8 @@ class PsiInput(NamedTuple):
 
 class PhiInput(NamedTuple):
     """A permutation (first entry maximal, no singleton run) paired with one
-    branch per descending run (aligned with the blocks of
-    :func:`~troupes.partitions.druns`)."""
+    branch per descending run, the runs as canonical blocks (reversed, so
+    ascending, and ordered by minimum)."""
 
     sigma: tuple[int, ...]
     branches: tuple[ColoredTree, ...]
@@ -280,14 +280,13 @@ def phi_inverse(lt: LabeledTree) -> PhiInput:
 
 
 def iter_phi_inputs(word: Sequence[int]) -> Iterator[PhiInput]:
-    """Every valid input for the given color word, deterministically."""
+    """Every valid input for the given color word, deterministically: the
+    permutations of :func:`~troupes.partitions.iter_D` in order, each with
+    every choice of one branch per run."""
     branches: dict[tuple[int, ...], list[ColoredTree]] = {}  # by block subword
-    for sigma in iter_sigma_first_n(len(word)):
-        blocks = _run_blocks(sigma)
-        if any(len(b) < 2 for b in blocks):
-            continue
+    for sigma in iter_D(len(word)):
         choices = []
-        for block in blocks:
+        for block in _run_blocks(sigma):
             restricted = tuple(word[u - 1] for u in block)
             if restricted not in branches:
                 branches[restricted] = list(iter_branch_word(restricted))

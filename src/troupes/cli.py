@@ -338,6 +338,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input too large: maximum recursion depth exceeded", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 
 class SetPartition(NamedTuple):
@@ -144,33 +144,44 @@ def _run_blocks(sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(runs)
 
 
-def druns(sigma: Sequence[int]) -> SetPartition:
-    """Partition of values into maximal consecutive decreasing runs."""
-    n = len(sigma)
-    if n == 0:
-        raise ValueError("empty permutation")
-    if set(sigma) != set(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}")
-    return SetPartition(n, _run_blocks(tuple(sigma)))
-
-
-def iter_sigma_first_n(n: int) -> Iterator[tuple[int, ...]]:
-    """Permutations of 1..n with first entry n, lexicographic in the rest."""
-    for rest in itertools.permutations(range(1, n)):
-        yield (n,) + rest
-
-
 def iter_D(n: int) -> Iterator[tuple[int, ...]]:
-    """Permutations with first entry n whose descending runs all have size >= 2."""
-    for sigma in iter_sigma_first_n(n):
-        if all(len(b) >= 2 for b in druns(sigma).blocks):
-            yield sigma
+    """Permutations with first entry n whose descending runs all have size >= 2,
+    lexicographic in the entries after n.
+
+    Those entries are placed left to right, each position trying the values
+    not yet placed in increasing order.  An ascent closes a one-entry run
+    when the entry before it followed an ascent too, or when it fills the
+    last position; every larger value would ascend there too, so the
+    position gives up at the first such ascent and the walk backs up.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    sigma, last = [n] * n, n - 1
+    free = [True] * (n + 1)  # free[x]: value x is not placed yet
+    rose = [False] * n  # rose[i]: sigma[i] follows an ascent
+    i, x = 1, 1  # the position to fill and the least value to try there
+    while i:
+        while x < n and not free[x]:
+            x += 1
+        prev = sigma[i - 1]
+        if x < prev or x < n and i < last and not rose[i - 1]:
+            sigma[i] = x
+            if i == last:
+                yield tuple(sigma)
+                x += 1
+            else:
+                free[x], rose[i] = False, x > prev
+                i, x = i + 1, 1
+        else:
+            i -= 1
+            free[sigma[i]] = True
+            x = sigma[i] + 1
 
 
 @lru_cache(maxsize=None)
 def first_n_druns_index_blocks(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The descending runs of each permutation with first entry maximal, as
-    canonical 0-based blocks, in the order of :func:`iter_sigma_first_n`;
+    canonical 0-based blocks, lexicographic in the entries after the first;
     cached.  Runs are split on 0-based values directly, with no permutation
     check."""
     return tuple(_run_blocks((n - 1,) + rest)

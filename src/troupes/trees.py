@@ -18,7 +18,6 @@ builders make records with ``_new``, which runs no Python-level constructor.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Container, Iterator, NamedTuple, Sequence
 
 # ``_new(Record, fields)`` builds a record from the tuple of its fields.
@@ -169,30 +168,33 @@ def _decreasing_tree(word: Sequence[int], colors: Sequence[int] | None,
     two child slots exchanged at every vertex whose label is in ``swapped``.
 
     The stack-sorting pass: the stack holds the open vertices of the right
-    spine, labels falling toward the top, above an infinite sentinel.  Each
-    entry (then a final infinity) pops every smaller label, which is
-    postorder; a popped vertex takes the vertex popped just before it in the
-    same sweep as its right child, and keeps as left child the last vertex
-    popped before its own push.  Node ids are pop positions.
+    spine, labels falling toward the top.  Each entry pops every smaller
+    label, and after the last entry the whole spine is popped; pops come in
+    postorder.  A popped vertex takes the vertex popped just before it in
+    the same sweep as its right child, and keeps as left child the last
+    vertex popped before its own push.  Node ids are pop positions.
     """
     nodes: list[Vertex] = []
     labels: list[int] = []
-    spine: list[float] = [math.inf]  # labels of the open vertices
-    lefts: list[int | None] = [None]  # and their left child ids
-    for x in itertools.chain(word, (math.inf,)):
+    spine: list[int] = []  # labels of the open vertices
+    lefts: list[int | None] = []  # and their left child ids
+    for x in word:
         below = None
-        while spine[-1] < x:
-            label = spine.pop()
-            left = lefts.pop()
+        while spine and spine[-1] < x:
+            label, left = spine.pop(), lefts.pop()
             color = colors[label - 1] if colors is not None else 0
-            if label in swapped:
-                nodes.append((color, below, left))
-            else:
-                nodes.append((color, left, below))
+            nodes.append((color, below, left) if label in swapped else (color, left, below))
             below = len(labels)
             labels.append(label)
         spine.append(x)
         lefts.append(below)
+    below = None
+    while spine:
+        label, left = spine.pop(), lefts.pop()
+        color = colors[label - 1] if colors is not None else 0
+        nodes.append((color, below, left) if label in swapped else (color, left, below))
+        below = len(labels)
+        labels.append(label)
     tree = _new(ColoredTree, (tuple(nodes), len(nodes) - 1, box_color))
     return _new(LabeledTree, (tree, tuple(labels)))
 
@@ -255,17 +257,21 @@ def factor_paths(t: ColoredTree) -> list[tuple[int, list[int], ColoredTree]]:
     with the same color and its one child on the same side, so node ids run
     from the bottom vertex (0) up, as in :func:`branch_from_directions`.  The
     walk marks each vertex it enters, so child links that loop, or that reach
-    a vertex twice, raise ``ValueError``.
+    a vertex twice, raise ``ValueError``, and so does an id outside
+    ``0..n-1``.
     """
     if not t.nodes:
         raise ValueError("the empty tree has no factors")
     nodes = t.nodes
-    entered = [False] * len(nodes)
+    n = len(nodes)
+    entered = [False] * n
     out = []
     work: list[tuple[int, int, int]] = []
     owner, box, v = BOX, t.box_color, t.root
     path: list[int] = []
     while True:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex id {v} not in 0..{n - 1}")
         if entered[v]:
             raise ValueError(_REACHED_TWICE)
         entered[v] = True
@@ -329,12 +335,6 @@ def labeled_insertion_factors(lt: LabeledTree) -> list[LabeledTree]:
 # Predicates and statistics
 
 
-def is_branch(t: ColoredTree) -> bool:
-    if not t.nodes:
-        return False
-    return all(left is None or right is None for _, left, right in t.nodes)
-
-
 def right_edges(t: ColoredTree) -> int:
     return sum(1 for _, _, right in t.nodes if right is not None)
 
@@ -343,19 +343,22 @@ def right_edges(t: ColoredTree) -> int:
 # Canonical encoding (also the CLI / on-disk format)
 
 
-def _encode_small(nodes: Sequence[Vertex], tags: Sequence[str], v: int) -> str:
+def _encode_small(nodes: Sequence[Vertex], labels: Sequence[int] | None, v: int) -> str:
     """The encoding of the subtree at vertex ``v``, by recursion: one call
-    per vertex, none per empty child slot."""
+    per vertex, none per empty child slot.  It keeps no marks and trusts
+    every child id it meets, so it detects neither a vertex under two
+    parents nor a negative id, which indexing wraps."""
     color, left, right = nodes[v]
-    return (f"({color}{tags[v]} {'.' if left is None else _encode_small(nodes, tags, left)} "
-            f"{'.' if right is None else _encode_small(nodes, tags, right)})")
+    return (f"({color}{'' if labels is None else f'|{labels[v]}'} "
+            f"{'.' if left is None else _encode_small(nodes, labels, left)} "
+            f"{'.' if right is None else _encode_small(nodes, labels, right)})")
 
 
-def _encode_large(nodes: Sequence[Vertex], tags: Sequence[str], v: int) -> str:
+def _encode_large(nodes: Sequence[Vertex], labels: Sequence[int] | None, v: int) -> str:
     """:func:`_encode_small` in one loop over a stack of the pieces still to
     write: strings, and vertex ids to expand.  The loop marks each vertex it
     expands, so child links that loop, or that reach a vertex twice, raise
-    ``ValueError``."""
+    ``ValueError``; a negative id raises ``IndexError``."""
     entered = [False] * len(nodes)
     out: list[str] = []
     pieces: list[int | str] = [v]
@@ -364,30 +367,35 @@ def _encode_large(nodes: Sequence[Vertex], tags: Sequence[str], v: int) -> str:
         if piece.__class__ is str:
             out.append(piece)
             continue
+        if piece < 0:
+            raise IndexError(piece)
         if entered[piece]:
             raise ValueError(_REACHED_TWICE)
         entered[piece] = True
         color, left, right = nodes[piece]
-        out.append(f"({color}{tags[piece]} ")
+        out.append(f"({color} " if labels is None else f"({color}|{labels[piece]} ")
         pieces += (" .)",) if right is None else (")", right, " ")
         pieces.append("." if left is None else left)
     return "".join(out)
 
 
-def _encode(t: ColoredTree, tags: Sequence[str]) -> str:
-    """:func:`encode` with ``tags[v]`` after the color of vertex ``v``.  The
-    encoder is chosen once per tree: recursion below ``_RECURSIVE_SIZE``
-    vertices, whose depth the size bounds, and the loop from there on.  The
-    recursion keeps no marks, so it does not see a vertex under two parents;
-    a loop runs it out of stack, and the loop then names the fault."""
+def _encode(t: ColoredTree, labels: Sequence[int] | None) -> str:
+    """:func:`encode`, with ``|label`` after each vertex's color when
+    ``labels`` is given.  The encoder is chosen once per tree: recursion
+    below ``_RECURSIVE_SIZE`` vertices, whose depth the size bounds, and the
+    loop from there on.  A loop runs the recursion out of stack, and the
+    loop then names the fault; an id out of range raises ``ValueError``."""
     if t.root is None:
         return f"{t.box_color}:."
-    if len(t.nodes) < _RECURSIVE_SIZE:
-        try:
-            return f"{t.box_color}:{_encode_small(t.nodes, tags, t.root)}"
-        except RecursionError:
-            pass
-    return f"{t.box_color}:{_encode_large(t.nodes, tags, t.root)}"
+    try:
+        if len(t.nodes) < _RECURSIVE_SIZE:
+            try:
+                return f"{t.box_color}:{_encode_small(t.nodes, labels, t.root)}"
+            except RecursionError:
+                pass
+        return f"{t.box_color}:{_encode_large(t.nodes, labels, t.root)}"
+    except IndexError:
+        raise ValueError("a child id is out of range") from None
 
 
 def encode(t: ColoredTree) -> str:
@@ -395,12 +403,12 @@ def encode(t: ColoredTree) -> str:
 
     Equal strings exactly characterize isomorphic colored trees.
     """
-    return _encode(t, ('',) * len(t.nodes))
+    return _encode(t, None)
 
 
 def encode_labeled(lt: LabeledTree) -> str:
     """Like :func:`encode` but each vertex prints ``color|label``."""
-    return _encode(lt.tree, [f'|{x}' for x in lt.labels])
+    return _encode(lt.tree, lt.labels)
 
 
 def _parse_body(body: str, nodes: list[Vertex]) -> tuple[int | None, int]:

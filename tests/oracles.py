@@ -5,8 +5,8 @@ phi as the intermediate tree followed by one swing per left step, and its
 inverse as one swing per left-only vertex followed by the inorder reading.
 Also the branch profile (root-down sides and colors) and the insertion
 factors built from the profiles of a factor walk that recurses on owners.
-Also the recursive max-split build of a decreasing tree, descending runs
-normalised through ``SetPartition.of``, psi by iterated insertion, the
+Also the recursive max-split build of a decreasing tree, the permutations
+with first entry n and their descending runs, also normalised through ``SetPartition.of``, psi by iterated insertion, the
 Narayana polynomial and the tree series by enumeration, the plain trees of
 a color word built shape by shape, the decreasing-tree
 sum over every labeled tree, the branch of an inorder word from its sorted
@@ -21,12 +21,13 @@ each ``NamedTuple`` record.
 """
 
 import dataclasses
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
 from troupes.bijections import PhiInput, PsiInput
 from troupes.cumulants import EquivalenceReport, equivalence_reports
-from troupes.partitions import SetPartition, druns, iter_partitions
+from troupes.partitions import SetPartition, _run_blocks, iter_partitions
 from troupes.peaks import peaks
 from troupes.rings import QPoly
 from troupes.trees import (
@@ -213,6 +214,22 @@ def alpha_inverse_by_max_split(word, colors=None, box_color: int = 0) -> Labeled
     return LabeledTree(ColoredTree(tuple(nodes), root, box_color), tuple(labels))
 
 
+def iter_sigma_first_n(n: int):
+    """Permutations of 1..n with first entry n, lexicographic in the rest."""
+    for rest in itertools.permutations(range(1, n)):
+        yield (n,) + rest
+
+
+def druns(sigma) -> SetPartition:
+    """Partition of values into maximal consecutive decreasing runs."""
+    n = len(sigma)
+    if n == 0:
+        raise ValueError("empty permutation")
+    if set(sigma) != set(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}")
+    return SetPartition(n, _run_blocks(tuple(sigma)))
+
+
 def druns_by_normalisation(sigma) -> SetPartition:
     """Split into maximal decreasing runs, then normalise the blocks."""
     blocks = [[sigma[0]]]
@@ -374,6 +391,12 @@ def dbpt_sums_by_labeled_trees(taus, word) -> list:
         for i, tau in enumerate(taus):
             totals[i] = totals[i] + tau.evaluate(lt.tree)
     return totals
+
+
+def is_branch(t: ColoredTree) -> bool:
+    if not t.nodes:
+        return False
+    return all(left is None or right is None for _, left, right in t.nodes)
 
 
 def is_full(t: ColoredTree) -> bool:

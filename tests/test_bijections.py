@@ -14,7 +14,7 @@ from troupes.bijections import (
     psi,
     psi_inverse,
 )
-from troupes.partitions import SetPartition, druns, is_irreducible, iter_D
+from troupes.partitions import SetPartition, is_irreducible, iter_D
 from troupes.trees import (
     ColoredTree,
     LabeledTree,
@@ -34,6 +34,7 @@ from troupes.trees import (
 
 from oracles import (
     branch_profile,
+    druns,
     phi_inverse_via_swings,
     phi_tilde,
     phi_via_swings,

@@ -8,10 +8,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from troupes import cli
+from troupes import cli, cumulants
 from troupes.cumulants import ConditionCheck, EquivalenceReport, iter_words
+from troupes.series import Series, troupe_transform
 from troupes.trees import parse_tree
 
 
@@ -179,6 +180,69 @@ def test_verify_reports_failure(monkeypatch):
     assert lines[0] == ("FAIL word 0,1: classical=1 [from_moments=2 bridge=3] "
                         "free=5 boolean=7 [from_moments=-1/2]")
     assert lines[-1] == "FAIL (1 words checked)"
+
+
+# Each verify route, made off by one on one word through the module
+# attribute that verify calls: the attribute, the patch, the word, and the
+# kind whose cell changes, written from the word's cells as they were.
+def _raise_sum(fn, word):
+    def patched(tau, kind, w):
+        value = fn(tau, kind, w)
+        return value + 1 if kind == "dbpt" and tuple(w) == word else value
+    return patched
+
+
+def _raise_table(fn, word, kind=None):
+    def patched(*args):
+        table = fn(*args)
+        if kind is not None and table.kind != kind:
+            return table
+        return table._replace(table={**table.table, word: table.table[word] + 1})
+    return patched
+
+
+ROUTES = [
+    ("weighted_sum", lambda fn: _raise_sum(fn, (0, 0, 0)), "0,0,0", "classical",
+     lambda v: f"classical={v - 1} [from_moments={v} bridge={v}]"),
+    ("moments_to_cumulants", lambda fn: _raise_table(fn, (0, 0), "free"), "0,0", "free",
+     lambda v: f"free={v} [from_moments={v + 1} bridge={v}]"),
+    ("boolean_to_free", lambda fn: _raise_table(fn, (0, 0, 0)), "0,0,0", "free",
+     lambda v: f"free={v} [from_moments={v} bridge={v + 1}]"),
+    ("boolean_to_classical", lambda fn: _raise_table(fn, (0, 0)), "0,0", "classical",
+     lambda v: f"classical={v} [from_moments={v} bridge={v + 1}]"),
+]
+
+
+@pytest.mark.parametrize("name, patch, word, kind, cell", ROUTES, ids=[r[0] for r in ROUTES])
+def test_verify_names_the_route_that_is_off_by_one(monkeypatch, name, patch, word, kind, cell):
+    argv = ("verify", "--troupe", "all", "--n", "3", "--order", "4")
+    code, out, _ = run(*argv)
+    assert code == 0
+    line = next(x for x in out.splitlines() if x.startswith(f"ok word {word}: "))
+    cells = dict(c.split("=") for c in line.split(": ")[1].split())
+    monkeypatch.setattr(f"troupes.cumulants.{name}", patch(getattr(cumulants, name)))
+    code, out, _ = run(*argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "FAIL (3 words checked)"
+    assert "ok cumulant series identity to order 4" in lines
+    # the one failed word: its cell names every route, the changed one off by one
+    assert [x for x in lines if x.startswith("FAIL word")] == [
+        f"FAIL word {word}: " + " ".join(cell(int(v)) if k == kind else f"{k}={v}"
+                                         for k, v in cells.items())]
+
+
+def test_verify_fails_the_series_line_on_one_coefficient(monkeypatch):
+    def off_by_one(series):
+        out = troupe_transform(series)
+        return Series([c + 1 if n == 2 else c for n, c in enumerate(out.coeffs)])
+
+    monkeypatch.setattr("troupes.cli.troupe_transform", off_by_one)
+    code, out, _ = run("verify", "--troupe", "all", "--n", "3", "--order", "4")
+    assert code == 1
+    lines = out.splitlines()
+    assert all(x.startswith("ok word") for x in lines[:3])
+    assert lines[3:] == ["FAIL cumulant series identity to order 4", "FAIL (3 words checked)"]
 
 
 def test_transform_loads_only_the_ring_and_series_layers():
@@ -390,6 +454,17 @@ def test_tree_commands_match_recorded_digests(argv):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == TREE_DIGESTS[argv]
 
 
+@pytest.mark.parametrize("argv", [["enumerate", "--kind", "noncrossing", "--n", "1500"],
+                                  ["count", "--kind", "partition", "--n", "1200"]])
+def test_sizes_past_the_recursion_limit_exit_2_without_traceback(argv):
+    # in a fresh interpreter, at its own recursion limit
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "troupes", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: input too large: maximum recursion depth exceeded\n"
+
+
 @pytest.mark.parametrize("values", [range(1, 1501), range(1500, 0, -1)],
                          ids=["increasing", "decreasing"])
 def test_peaks_on_a_long_permutation(values):
@@ -489,8 +564,16 @@ def _has_bad_color(argv):
     return False
 
 
+# sizes whose partition growth recurses deeper than the interpreter allows;
+# Hypothesis lets a test run 2,000 frames deeper, so in-process they pass that
+TOO_DEEP = [["enumerate", "--kind", "noncrossing", "--n", "5000"],
+            ["count", "--kind", "partition", "--n", "4000"]]
+
+
 @settings(deadline=None, max_examples=150)
 @given(cli_argv())
+@example(TOO_DEEP[0])
+@example(TOO_DEEP[1])
 def test_cli_contract_holds_under_fuzzing(argv):
     bad_color = _has_bad_color(argv)
     with tempfile.TemporaryDirectory() as tmp:
@@ -503,6 +586,8 @@ def test_cli_contract_holds_under_fuzzing(argv):
     assert "Traceback" not in err
     if bad_color or argv[0] == "verify" and argv[2] in ("all:x", "full:1", "motzkin:0"):
         assert code == 2
+    if argv in TOO_DEEP:
+        assert code == 2 and err.startswith("error: ") and len(err.splitlines()) == 1
     if argv[0] == "verify":
         assert code in (0, 1, 2)
         assert (code == 1) == any(line.startswith("FAIL") for line in out.splitlines())

@@ -21,10 +21,8 @@ from troupes.cumulants import (
     equivalence_reports,
 )
 from troupes.partitions import (
-    druns,
     first_n_druns_index_blocks,
     iter_partitions,
-    iter_sigma_first_n,
     partitions_as_index_blocks,
 )
 from troupes.rings import QPoly, q
@@ -37,7 +35,7 @@ from troupes.troupe import (
     right_two_monomial,
 )
 
-from oracles import equivalence_report
+from oracles import druns, equivalence_report, iter_sigma_first_n
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]  # C_0..C_7
 

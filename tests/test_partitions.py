@@ -1,19 +1,27 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
+
+import troupes.partitions
 
 from troupes.partitions import (
     SetPartition,
     _grow,
-    druns,
     is_irreducible,
     is_noncrossing,
     iter_D,
     iter_partitions,
-    iter_sigma_first_n,
 )
 
-from oracles import druns_by_normalisation, nc_irreducible_min2_by_filter
+from oracles import (
+    druns,
+    druns_by_normalisation,
+    iter_sigma_first_n,
+    nc_irreducible_min2_by_filter,
+)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]  # B_0..B_9
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]  # C_0..C_9
@@ -185,6 +193,28 @@ def test_iter_D_membership():
         for sigma in iter_sigma_first_n(n):
             expected = all(len(b) >= 2 for b in druns(sigma).blocks)
             assert (sigma in members) == expected
+
+
+def test_iter_D_order_matches_the_filtered_enumeration():
+    counts = []
+    for n in range(1, 10):
+        got = list(iter_D(n))
+        assert got == [sigma for sigma in iter_sigma_first_n(n)
+                       if all(len(b) >= 2 for b in druns(sigma).blocks)]
+        counts.append(len(got))
+    assert counts == [0, 1, 1, 3, 9, 39, 189, 1107, 7281]
+
+
+def test_iter_D_yields_at_once_at_length_1500():
+    # in a fresh interpreter with a time limit, so an enumeration that scans
+    # every first-max permutation fails the test instead of hanging the suite
+    code = ("from troupes.partitions import iter_D\n"
+            "print(','.join(map(str, next(iter_D(1500)))))\n")
+    src = os.path.dirname(os.path.dirname(troupes.partitions.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=30, check=True)
+    want = [1500, 1] + [v for k in range(1, 750) for v in (2 * k + 1, 2 * k)]
+    assert proc.stdout == ",".join(map(str, want)) + "\n"
 
 
 def test_D_first_block_contains_n():

@@ -13,11 +13,15 @@ from troupes.peaks import (
 )
 from troupes.trees import (
     alpha_inverse,
-    is_branch,
     labeled_multiset_key,
 )
 
-from oracles import branch_from_inorder_by_directions, regions_by_peak_scan, two_child_count
+from oracles import (
+    branch_from_inorder_by_directions,
+    is_branch,
+    regions_by_peak_scan,
+    two_child_count,
+)
 
 WORKED = (15, 16, 10, 11, 6, 20, 18, 12, 1, 7, 13, 17, 8, 3, 2, 9, 5, 4, 14, 19)
 
@@ -78,6 +82,13 @@ def test_branch_from_inorder_shapes():
     assert lt.tree.nodes[lt.tree.root][1] is not None
     with pytest.raises(ValueError):
         branch_from_inorder((1, 3, 2))  # a peak: not a branch word
+
+
+@pytest.mark.parametrize("word", [(2, 2), (3, 1, 3), (5, 2, 2), (2, 2, 1), (4, 1, 2, 4),
+                                  (6, 3, 1, 3)])
+def test_branch_from_inorder_rejects_a_repeated_entry(word):
+    with pytest.raises(ValueError, match="word entries must be distinct"):
+        branch_from_inorder(word)
 
 
 def _branch_or_message(build, word):

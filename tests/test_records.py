@@ -26,7 +26,7 @@ from troupes.cumulants import (
     moments_to_cumulants,
 )
 from troupes.families import NAMED_SEQUENCES, NamedSequence
-from troupes.partitions import SetPartition, druns, iter_partitions
+from troupes.partitions import SetPartition, iter_partitions
 from troupes.troupe import from_table, random_branch_table
 from troupes.trees import (
     ColoredTree,
@@ -42,7 +42,7 @@ from troupes.trees import (
     parse_tree,
 )
 
-from oracles import frozen_dataclass_twin
+from oracles import druns, frozen_dataclass_twin
 
 
 RECORD_CLASSES = (ColoredTree, LabeledTree, SetPartition, PsiInput, PhiInput,

@@ -42,7 +42,6 @@ from troupes.trees import (
     insert,
     inorder,
     insertion_factors,
-    is_branch,
     iter_bpt_word,
     iter_branch_word,
     iter_dbpt,
@@ -67,6 +66,7 @@ from oracles import (
     encode_by_closure,
     encode_labeled_by_closure,
     inorder_by_closure,
+    is_branch,
     is_full,
     is_motzkin,
     postorder_by_closure,
@@ -806,6 +806,40 @@ def test_encoder_reports_a_vertex_reached_twice():
     for t in (loop, shared, self_loop):
         with pytest.raises(ValueError, match="a vertex is reached twice"):
             encode(t)
+
+
+# a negative child id, which indexing would wrap onto the last vertex, and
+# a child id past the last vertex
+OUT_OF_RANGE = [
+    ColoredTree(((0, -1, None), (0, None, None)), 0),
+    ColoredTree(((0, 5, None), (0, None, None)), 0),
+    ColoredTree(((0, None, None), (0, 0, 2)), 1),
+]
+
+
+@pytest.mark.parametrize("t", OUT_OF_RANGE)
+def test_factor_walk_rejects_a_child_id_out_of_range(t):
+    for walk in (factor_paths, all_trees().evaluate):
+        with pytest.raises(ValueError, match="not in 0..1"):
+            walk(t)
+
+
+def test_encoders_reject_a_child_id_out_of_range():
+    labels = (2, 1)
+    for t in OUT_OF_RANGE[1:]:
+        with pytest.raises(ValueError, match="out of range"):
+            encode(t)
+        with pytest.raises(ValueError, match="out of range"):
+            encode_labeled(LabeledTree(t, labels))
+    # past the recursive size, a left chain whose bottom child id is -1 (the
+    # last vertex, which nothing else reaches) or one past the last vertex
+    for bottom in (-1, 300):
+        chain = ColoredTree(tuple((0, v + 1, None) for v in range(298))
+                            + ((0, bottom, None), (0, None, None)), 0)
+        with pytest.raises(ValueError, match="out of range"):
+            encode(chain)
+        with pytest.raises(ValueError, match="out of range"):
+            encode_labeled(LabeledTree(chain, tuple(range(300, 0, -1))))
 
 
 def test_factor_paths_stops_on_looping_links():
