@@ -33,7 +33,7 @@ from .rings import (QPoly, RingElem, as_ring_elem, denominator, format_ring_elem
                     parse_ring_elem)
 from .partitions import partitions_as_index_blocks
 from .series import Series
-from .troupe import WeightedTroupe, weighted_sum
+from .troupe import WeightedTroupe, tree_sums
 
 Word = tuple[int, ...]
 
@@ -369,9 +369,8 @@ def equivalence_reports(tau: WeightedTroupe, alphabet: Sequence[int],
     enumerations, and against the two bridge formulas.
     """
     alphabet = tuple(sorted(set(alphabet)))
-    boolean_table: dict[Word, RingElem] = {}
-    for word in iter_words(alphabet, max_len):
-        boolean_table[word] = -weighted_sum(tau, "branch", word)
+    branch = tree_sums(tau, "branch", alphabet, max_len)
+    boolean_table = {word: -value for word, value in branch.items()}
     boolean = CumulantTable("boolean", alphabet, max_len, boolean_table)
     phi = cumulants_to_moments(boolean)
     classical = moments_to_cumulants(phi, "classical")
@@ -379,28 +378,16 @@ def equivalence_reports(tau: WeightedTroupe, alphabet: Sequence[int],
     boolean_back = moments_to_cumulants(phi, "boolean")
     free_bridge = boolean_to_free(boolean)
     classical_bridge = boolean_to_classical(boolean)
+    dbpt = tree_sums(tau, "dbpt", alphabet, max_len)
+    bpt = tree_sums(tau, "bpt", alphabet, max_len)
 
     reports = []
     for word in iter_words(alphabet, max_len):
         checks = (
-            ConditionCheck(
-                "classical",
-                -weighted_sum(tau, "dbpt", word),
-                classical.table[word],
-                classical_bridge.table[word],
-            ),
-            ConditionCheck(
-                "free",
-                -weighted_sum(tau, "bpt", word),
-                free.table[word],
-                free_bridge.table[word],
-            ),
-            ConditionCheck(
-                "boolean",
-                boolean_table[word],
-                boolean_back.table[word],
-                None,
-            ),
+            ConditionCheck("classical", -dbpt[word], classical.table[word],
+                           classical_bridge.table[word]),
+            ConditionCheck("free", -bpt[word], free.table[word], free_bridge.table[word]),
+            ConditionCheck("boolean", boolean_table[word], boolean_back.table[word], None),
         )
         reports.append(EquivalenceReport(word, checks))
     return reports

@@ -17,17 +17,16 @@ class SetPartition(NamedTuple):
 
     @classmethod
     def of(cls, n: int, blocks: Iterable[Iterable[int]]) -> SetPartition:
-        """Normalize and validate a collection of blocks covering 1..n."""
-        materialized = [tuple(sorted(b)) for b in blocks]
-        if any(not b for b in materialized):
+        """Normalize and validate a collection of blocks covering 1..n: sorted
+        disjoint blocks sort by minimum, and an empty one sorts first."""
+        canon = sorted([tuple(sorted(b)) for b in blocks])
+        if canon and not canon[0]:
             raise ValueError("blocks must be nonempty")
-        canon = tuple(sorted(materialized, key=lambda b: b[0]))
-        seen: set[int] = set()
-        for b in canon:
-            seen.update(b)
-        if seen != set(range(1, n + 1)) or sum(len(b) for b in canon) != n:
+        elements = [x for b in canon for x in b]
+        elements.sort()
+        if elements != list(range(1, n + 1)):
             raise ValueError(f"blocks do not partition 1..{n}")
-        return cls(n, canon)
+        return cls(n, tuple(canon))
 
     def block_of(self, i: int) -> tuple[int, ...]:
         for b in self.blocks:
@@ -113,16 +112,14 @@ def iter_partitions(n: int, klass: str = "all") -> Iterator[SetPartition]:
                      "nc_irreducible_min2"):
         raise ValueError(f"unknown partition class {klass!r}")
     for blocks in _grow(n, n, klass):
-        yield SetPartition.of(n, [list(b) for b in blocks])
+        yield SetPartition.of(n, blocks)
 
 
 @lru_cache(maxsize=None)
 def partitions_as_index_blocks(n: int, klass: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Cached partitions with 0-based blocks, for fast word indexing."""
-    return tuple(
-        tuple(tuple(i - 1 for i in b) for b in p.blocks)
-        for p in iter_partitions(n, klass)
-    )
+    return tuple([tuple([tuple([i - 1 for i in b]) for b in p.blocks])
+                  for p in iter_partitions(n, klass)])
 
 
 # ---------------------------------------------------------------------------

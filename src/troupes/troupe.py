@@ -9,6 +9,7 @@ multiplies the rule over the tree's insertion factors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -72,9 +73,12 @@ class WeightedTroupe:
         insertion factors."""
         if not t.nodes:
             return Fraction(0)
-        value: RingElem = Fraction(1)
-        for _, _, branch in factor_paths(t):
-            value = value * self._weight(branch.box_color, branch.nodes)
+        weight = self._weight
+        factors = iter(factor_paths(t))
+        _, _, branch = next(factors)
+        value = weight(branch.box_color, branch.nodes)
+        for _, _, branch in factors:
+            value = value * weight(branch.box_color, branch.nodes)
         return value
 
 
@@ -206,26 +210,64 @@ def _parse_colors(arg: str) -> list[int]:
 
 
 def weighted_sum(tau: WeightedTroupe, kind: str, word: Sequence[int]) -> RingElem:
-    """Exact sum of the troupe over the colored family of the given word.
-
-    - ``bpt`` and ``branch`` go by recursion on the root (:func:`_root_sum`),
-      which builds no tree;
-    - ``dbpt`` goes through :func:`iter_dbpt`: a labeled tree's value depends
-      only on its colored tree, so each distinct colored tree is evaluated
-      once and weighted by its number of decreasing labelings.
-    """
-    kind = kind.lower()
-    if kind not in TREE_KINDS:
-        raise ValueError(f"unknown tree family {kind!r}")
+    """Exact sum of the troupe over the colored family of the given word:
+    :func:`tree_sums` for one word."""
+    table = _TreeSums(tau, kind)
     if not word:
         raise ValueError("color word must be nonempty")
-    if kind == "dbpt":
-        total: RingElem = Fraction(0)
-        for t, count in iter_dbpt(word):
-            total = total + tau.evaluate(t) * count
-        return total
-    # a branch is a plain tree whose root factor never splits
-    return _root_sum(tau, tuple(word), _cuts if kind == "bpt" else lambda s: (), {}, {})
+    return table[tuple(word)]
+
+
+def tree_sums(tau: WeightedTroupe, kind: str, alphabet: Iterable[int],
+              max_len: int) -> dict[tuple[int, ...], RingElem]:
+    """``{word: sum}`` over the family ``kind`` of each word over the
+    alphabet of length 1..``max_len``, shortest first.
+
+    - ``bpt`` and ``branch`` go by recursion on the root (:func:`_root_sum`),
+      which builds no tree, with one pair of memos for the whole table;
+    - ``dbpt`` goes through :func:`iter_dbpt`, word by word: a labeled tree's
+      value depends only on its colored tree, so each distinct colored tree
+      is evaluated once and weighted by its number of decreasing labelings.
+
+    Looking up a missing word (``table[word]``) sums it through the same
+    memos and keeps it; the memos last as long as the table.
+    """
+    table = _TreeSums(tau, kind)
+    letters = sorted(set(alphabet))
+    for n in range(1, max_len + 1):
+        for word in itertools.product(letters, repeat=n):
+            table[word] = table.sum_of(word)
+    return table
+
+
+class _TreeSums(dict):
+    """A family's ``{word: sum}`` table, which sums a missing word on lookup."""
+
+    __slots__ = ("sum_of",)
+
+    def __init__(self, tau: WeightedTroupe, kind: str):
+        kind = kind.lower()
+        if kind not in TREE_KINDS:
+            raise ValueError(f"unknown tree family {kind!r}")
+        if kind == "dbpt":
+            self.sum_of = functools.partial(_dbpt_sum, tau)
+        else:
+            self.sum_of = functools.partial(_root_sum, tau, split=_cuts if kind == "bpt"
+                                            else _no_split, tables={}, sums={})
+
+    def __missing__(self, word: tuple[int, ...]) -> RingElem:
+        value = self[word] = self.sum_of(word)
+        return value
+
+
+def _dbpt_sum(tau: WeightedTroupe, word: tuple[int, ...]) -> RingElem:
+    """The decreasing-tree sum of one word, its :func:`iter_dbpt` memo
+    dropped with the word: shared across words it would hold every colored
+    tree of every shorter word."""
+    total: RingElem = Fraction(0)
+    for t, count in iter_dbpt(word):
+        total = total + tau.evaluate(t) * count
+    return total
 
 
 # A tree's weight is the branch weight of its root factor (the box's factor)
@@ -245,6 +287,11 @@ def _cuts(s: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]
     ``s`` and root ``s[-1]``: a contiguous cut of ``s[:-1]``, each once."""
     for k in range(1, len(s) - 1):
         yield s[:k], s[k:-1]
+
+
+def _no_split(s: tuple[int, ...]) -> tuple:
+    """The split of a branch: none."""
+    return ()
 
 
 def _root_sum(tau: WeightedTroupe, word: tuple[int, ...], split: Callable,
@@ -298,7 +345,5 @@ def _open_table(tau: WeightedTroupe, s: tuple[int, ...], split: Callable,
 
 def branch_series(tau: WeightedTroupe, order: int) -> Series:
     """Generating function of branch sums: coefficient n is the size-n sum."""
-    coeffs: list[RingElem] = [Fraction(0)]
-    for n in range(1, order):
-        coeffs.append(weighted_sum(tau, "branch", size_word(n)))
-    return Series(coeffs)
+    sums = tree_sums(tau, "branch", (0,), order)
+    return Series([Fraction(0)] + [sums[size_word(n)] for n in range(1, order)])

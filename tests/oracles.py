@@ -6,10 +6,12 @@ inverse as one swing per left-only vertex followed by the inorder reading.
 Also the branch profile (root-down sides and colors) and the insertion
 factors built from the profiles of a factor walk that recurses on owners.
 Also the recursive max-split build of a decreasing tree, the permutations
-with first entry n and their descending runs, also normalised through ``SetPartition.of``, psi by iterated insertion, the
-Narayana polynomial and the tree series by enumeration, the plain trees of
-a color word built shape by shape, the decreasing-tree
-sum over every labeled tree, the branch of an inorder word from its sorted
+with first entry n and their descending runs, also normalised through
+``SetPartition.of``, ``SetPartition.of`` by sets, psi by iterated
+insertion, the Narayana polynomial and the tree series by enumeration, the
+plain trees of a color word built shape by shape, the decreasing-tree sum
+over every labeled tree, one tree's value as ``Fraction(1)`` times its
+factors' branch weights, the branch of an inorder word from its sorted
 labels, the tree predicates only tests use, the single-word equivalence
 report, the tree walks as self-recursive closures, the standard traversal
 labelings, the descent set of a permutation, and the plot regions by a
@@ -29,7 +31,7 @@ from troupes.bijections import PhiInput, PsiInput
 from troupes.cumulants import EquivalenceReport, equivalence_reports
 from troupes.partitions import SetPartition, _run_blocks, iter_partitions
 from troupes.peaks import peaks
-from troupes.rings import QPoly
+from troupes.rings import QPoly, as_ring_elem
 from troupes.trees import (
     BOX,
     ColoredTree,
@@ -230,6 +232,21 @@ def druns(sigma) -> SetPartition:
     return SetPartition(n, _run_blocks(tuple(sigma)))
 
 
+def set_partition_of_by_sets(n: int, blocks) -> SetPartition:
+    """Normalize and validate blocks covering 1..n: each block sorted, the
+    blocks ordered by minimum, and coverage checked by a set and a count."""
+    materialized = [tuple(sorted(b)) for b in blocks]
+    if any(not b for b in materialized):
+        raise ValueError("blocks must be nonempty")
+    canon = tuple(sorted(materialized, key=lambda b: b[0]))
+    seen: set[int] = set()
+    for b in canon:
+        seen.update(b)
+    if seen != set(range(1, n + 1)) or sum(len(b) for b in canon) != n:
+        raise ValueError(f"blocks do not partition 1..{n}")
+    return SetPartition(n, canon)
+
+
 def druns_by_normalisation(sigma) -> SetPartition:
     """Split into maximal decreasing runs, then normalise the blocks."""
     blocks = [[sigma[0]]]
@@ -414,6 +431,15 @@ def is_motzkin(t: ColoredTree) -> bool:
 
 def two_child_count(t: ColoredTree) -> int:
     return sum(1 for _, left, right in t.nodes if left is not None and right is not None)
+
+
+def evaluate_from_one(tau: WeightedTroupe, t: ColoredTree):
+    """``Fraction(1)`` times the branch weight of each insertion factor, the
+    factors read off their profiles and weighed by the troupe's own rule."""
+    value = Fraction(1)
+    for b in insertion_factors_by_profiles(t):
+        value = value * as_ring_elem(tau.branch_weight(b))
+    return value
 
 
 def equivalence_report(tau: WeightedTroupe, word) -> EquivalenceReport:

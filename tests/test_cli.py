@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from troupes import cli, cumulants
+from troupes import cli, cumulants, troupe
 from troupes.cumulants import ConditionCheck, EquivalenceReport, iter_words
 from troupes.series import Series, troupe_transform
 from troupes.trees import parse_tree
@@ -185,10 +185,12 @@ def test_verify_reports_failure(monkeypatch):
 # Each verify route, made off by one on one word through the module
 # attribute that verify calls: the attribute, the patch, the word, and the
 # kind whose cell changes, written from the word's cells as they were.
-def _raise_sum(fn, word):
-    def patched(tau, kind, w):
-        value = fn(tau, kind, w)
-        return value + 1 if kind == "dbpt" and tuple(w) == word else value
+def _raise_sum(fn, word, family="dbpt"):
+    def patched(tau, kind, alphabet, max_len):
+        table = fn(tau, kind, alphabet, max_len)
+        if kind == family:
+            table[word] = table[word] + 1
+        return table
     return patched
 
 
@@ -202,7 +204,7 @@ def _raise_table(fn, word, kind=None):
 
 
 ROUTES = [
-    ("weighted_sum", lambda fn: _raise_sum(fn, (0, 0, 0)), "0,0,0", "classical",
+    ("tree_sums", lambda fn: _raise_sum(fn, (0, 0, 0)), "0,0,0", "classical",
      lambda v: f"classical={v - 1} [from_moments={v} bridge={v}]"),
     ("moments_to_cumulants", lambda fn: _raise_table(fn, (0, 0), "free"), "0,0", "free",
      lambda v: f"free={v} [from_moments={v + 1} bridge={v}]"),
@@ -243,6 +245,27 @@ def test_verify_fails_the_series_line_on_one_coefficient(monkeypatch):
     lines = out.splitlines()
     assert all(x.startswith("ok word") for x in lines[:3])
     assert lines[3:] == ["FAIL cumulant series identity to order 4", "FAIL (3 words checked)"]
+
+
+@pytest.mark.parametrize("colors, color", [(1, 0), (2, 1)])
+def test_verify_fails_the_series_line_on_one_tree_sum_past_n(monkeypatch, colors, color):
+    # the plain-tree sum of one constant word longer than --n, off by one:
+    # no word line reads it, so only the series line's tree comparison can fail
+    word = (color,) * 5
+    monkeypatch.setattr("troupes.troupe.tree_sums",
+                        _raise_sum(troupe.tree_sums, word, family="bpt"))
+    code, out, _ = run("verify", "--troupe", "all", "--num-colors", str(colors),
+                       "--n", "3", "--order", "6")
+    assert code == 1
+    lines = out.splitlines()
+    words = len(list(iter_words(range(colors), 3)))
+    assert len(lines) == words + 2
+    assert all(x.startswith("ok word") for x in lines[:words])
+    # C_4 = 14 plain trees on five vertices, each of weight 1
+    assert lines[words:] == [
+        f"FAIL cumulant series identity to order 6 [color {color} coefficient 4: "
+        "transform=14 trees=15]",
+        f"FAIL ({words} words checked)"]
 
 
 def test_transform_loads_only_the_ring_and_series_layers():

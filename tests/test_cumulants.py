@@ -416,20 +416,25 @@ def test_equivalence_for_color_sensitive_builtins():
 
 
 def test_equivalence_reports_sums_each_branch_family_once(monkeypatch):
-    """The Boolean check reuses the synthesized Boolean table."""
+    """One tree_sums call per family, whose table holds every word once; the
+    Boolean check reuses the synthesized Boolean table."""
     calls = Counter()
-    real = cumulants.weighted_sum
+    keys = {}
+    real = cumulants.tree_sums
 
-    def counting(tau, kind, word):
-        calls[kind, word] += 1
-        return real(tau, kind, word)
+    def counting(tau, kind, alphabet, max_len):
+        calls[kind] += 1
+        table = real(tau, kind, alphabet, max_len)
+        keys[kind] = list(table)
+        return table
 
-    monkeypatch.setattr(cumulants, "weighted_sum", counting)
+    monkeypatch.setattr(cumulants, "tree_sums", counting)
     reports = equivalence_reports(right_two_monomial(q, 1), (0, 1), 4)
     assert all(r.all_equal for r in reports)
     words = list(iter_words((0, 1), 4))
+    assert calls == {"branch": 1, "bpt": 1, "dbpt": 1}
     for kind in ("branch", "bpt", "dbpt"):
-        assert [calls[kind, word] for word in words] == [1] * len(words)
+        assert keys[kind] == words
 
 
 def test_equivalence_single_word_wrapper():

@@ -21,6 +21,7 @@ from oracles import (
     druns_by_normalisation,
     iter_sigma_first_n,
     nc_irreducible_min2_by_filter,
+    set_partition_of_by_sets,
 )
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]  # B_0..B_9
@@ -248,3 +249,45 @@ def test_of_validates():
         SetPartition.of(3, [[1, 2]])
     with pytest.raises(ValueError):
         SetPartition.of(2, [[1, 2], []])
+
+
+CLASSES = ("all", "interval", "noncrossing", "nc_irreducible", "nc_irreducible_min2")
+
+
+def _outcome(build, n, blocks):
+    try:
+        p = build(n, blocks)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return type(p), p
+
+
+def test_of_matches_the_set_oracle_on_every_grown_partition():
+    for klass in CLASSES:
+        for n in range(1, 9):
+            grown = []
+            for blocks in _grow(n, n, klass):
+                want = set_partition_of_by_sets(n, blocks)
+                assert _outcome(SetPartition.of, n, blocks) == (SetPartition, want)
+                grown.append(want)
+            assert list(iter_partitions(n, klass)) == grown
+
+
+@pytest.mark.parametrize("n, make", [
+    (1, lambda: [[1], []]),                       # an empty block
+    (2, lambda: [[], [2, 1]]),
+    (2, lambda: [[1, 1], [2]]),                   # a repeated element
+    (3, lambda: [[1, 2], [2, 3]]),                # overlapping blocks
+    (3, lambda: [[1, 2], [1, 3]]),                # overlapping, one minimum
+    (3, lambda: [[1], [3]]),                      # a missing element
+    (3, lambda: [[1], [2], [3, 4]]),              # an element past n
+    (3, lambda: [[0, 1], [2, 3]]),
+    (3, lambda: (b for b in [[3, 1], [2]])),      # a generator of blocks
+    (3, lambda: (b for b in [[3, 1], [1, 2]])),
+    (3, lambda: [iter([3, 2]), (x for x in [1])]),
+    (4, lambda: [[4, 2], [3], [1]]),              # unsorted blocks
+    (0, lambda: []),
+    (1, lambda: []),
+])
+def test_of_matches_the_set_oracle_on_rejected_and_raw_inputs(n, make):
+    assert _outcome(SetPartition.of, n, make()) == _outcome(set_partition_of_by_sets, n, make())

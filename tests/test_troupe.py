@@ -15,6 +15,7 @@ from troupes.troupe import (
     motzkin_trees,
     random_branch_table,
     right_two_monomial,
+    tree_sums,
     weighted_sum,
 )
 from troupes.trees import (
@@ -22,6 +23,7 @@ from troupes.trees import (
     EMPTY,
     encode,
     insert,
+    iter_dbpt,
     iter_bpt_word,
     iter_branch_word,
     right_edges,
@@ -32,6 +34,7 @@ from oracles import (
     bpt_sums_by_trees,
     branch_sums_by_trees,
     dbpt_sums_by_labeled_trees,
+    evaluate_from_one,
     is_full,
     is_motzkin,
     tree_series,
@@ -306,6 +309,44 @@ def test_root_sum_matches_enumerated_trees(kind, three_color_table):
         for tau, want in zip(taus, expected):
             got = weighted_sum(tau, kind, word)
             assert got == want and type(got) is type(want), (tau, word)
+
+
+def table_makers(table):
+    return [
+        all_trees,
+        motzkin_trees,
+        lambda: builtin("colorcount:1"),
+        lambda: builtin("rightmono:q,2/3"),
+        lambda: from_table(table),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["branch", "bpt", "dbpt"])
+def test_tree_sums_match_the_per_word_sums(kind, three_color_table):
+    for make in table_makers(three_color_table):
+        tau, oracle_tau = make(), make()
+        for alphabet, max_len in (((0, 1), 6), ((0, 1, 2), 5)):
+            words = [w for n in range(1, max_len + 1)
+                     for w in itertools.product(alphabet, repeat=n)]
+            table = tree_sums(tau, kind, alphabet, max_len)
+            assert list(table) == words
+            longer = (alphabet[-1],) * (max_len + 2)  # summed on lookup
+            for word in words + [longer]:
+                got, want = table[word], weighted_sum(oracle_tau, kind, word)
+                assert got == want and type(got) is type(want), (tau, word)
+    assert tree_sums(all_trees(), "BPT", (1, 0, 1), 0) == {}
+    with pytest.raises(ValueError, match="unknown tree family"):
+        tree_sums(all_trees(), "trees", (0,), 2)
+
+
+def test_evaluate_starts_from_the_first_factor(three_color_table):
+    trees = [t for t, _ in iter_dbpt((0, 1, 1, 0, 1))]
+    assert len(trees) > 1
+    for make in table_makers(three_color_table):
+        tau, oracle_tau = make(), make()
+        for t in trees:
+            got, want = tau.evaluate(t), evaluate_from_one(oracle_tau, t)
+            assert got == want and type(got) is type(want), (tau, encode(t))
 
 
 def test_root_sums_build_no_tree(monkeypatch):
