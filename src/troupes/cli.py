@@ -16,12 +16,7 @@ from typing import Sequence
 # Only the ring and series layers load with this module, since they are all
 # that ``transform`` uses; every other handler imports its own layers.
 from .rings import format_ring_elem, parse_ring_elem
-from .series import (
-    Series,
-    boolean_free_series_check,
-    inverse_troupe_transform,
-    troupe_transform,
-)
+from .series import Series, inverse_troupe_transform, troupe_transform
 
 DEFAULT_ORDER = 12
 
@@ -159,7 +154,7 @@ def cmd_cumulants(args) -> int:
 
 def cmd_verify(args) -> int:
     from .cumulants import equivalence_reports
-    from .troupe import builtin, from_table, random_branch_table, tree_sums
+    from .troupe import builtin, from_table, random_branch_table
 
     _check_min("--n", args.n, 1)
     _check_min("--num-colors", args.num_colors, 1)
@@ -181,8 +176,9 @@ def cmd_verify(args) -> int:
             if outside:  # the check would compare nothing the troupe names
                 raise CliError(f"troupe {args.troupe!r} names colors {outside} outside "
                                f"0..{args.num_colors - 1} (--num-colors {args.num_colors})")
+    order = args.order if args.order is not None else DEFAULT_ORDER
+    reports, series_fail = equivalence_reports(tau, alphabet, args.n, order)
     failures = 0
-    reports = equivalence_reports(tau, alphabet, args.n)
     for report in reports:
         status = "ok" if report.all_equal else "FAIL"
         if not report.all_equal:
@@ -197,39 +193,12 @@ def cmd_verify(args) -> int:
             cells.append(cell)
         word = ",".join(map(str, report.word))
         print(f"{status} word {word}: " + " ".join(cells))
-
-    order = args.order if args.order is not None else DEFAULT_ORDER
-    # the word lines' branch and plain-tree sums; a constant word past --n
-    # is summed on lookup, through one memo per family
-    branch, bpt = tree_sums(tau, "branch", (), 0), tree_sums(tau, "bpt", (), 0)
-    for report in reports:
-        cells = {check.kind: check.enumeration for check in report.checks}
-        branch[report.word], bpt[report.word] = -cells["boolean"], -cells["free"]
-    series_fail = _series_failure(alphabet, order, branch, bpt)
     print(f"{'ok' if series_fail is None else 'FAIL'} cumulant series identity to "
           f"order {order}{series_fail or ''}")
     if series_fail is not None:
         failures += 1
     print(f"{'PASS' if failures == 0 else 'FAIL'} ({len(reports)} words checked)")
     return 0 if failures == 0 else 1
-
-
-def _series_failure(alphabet, order: int, branch, bpt) -> str | None:
-    """None if, for each color c, the branch series B_c of c's constant words
-    satisfies the series identity and its transform equals their plain-tree
-    sums to ``order``; else ``""`` if the identity fails first, or the color,
-    coefficient and both values that differ, as the word lines name a route."""
-    for c in alphabet:
-        bseries = Series([branch[(c,) * (k + 1)] for k in range(order)])
-        tseries = troupe_transform(bseries)
-        if not boolean_free_series_check(-bseries.shift(), -tseries.shift()):
-            return ""
-        for k in range(1, order):
-            trees = bpt[(c,) * (k + 1)]
-            if tseries[k] != trees:
-                return (f" [color {c} coefficient {k}: transform={format_ring_elem(tseries[k])} "
-                        f"trees={format_ring_elem(trees)}]")
-    return None
 
 
 def cmd_peaks(args) -> int:

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .rings import (QPoly, RingElem, as_ring_elem, denominator, format_ring_elem,
                     parse_ring_elem)
 from .partitions import partitions_as_index_blocks
-from .series import Series
+from .series import Series, boolean_free_series_check, troupe_transform
 from .troupe import WeightedTroupe, tree_sums
 
 Word = tuple[int, ...]
@@ -358,19 +358,32 @@ class EquivalenceReport(NamedTuple):
         return all(c.equal for c in self.checks)
 
 
+class Verification(NamedTuple):
+    """What :func:`equivalence_reports` found: one report per word, and the
+    series check's outcome, None when it holds (see :func:`_series_failure`)."""
+
+    reports: tuple[EquivalenceReport, ...]
+    series_failure: str | None
+
+
 def equivalence_reports(tau: WeightedTroupe, alphabet: Sequence[int],
-                        max_len: int) -> list[EquivalenceReport]:
+                        max_len: int, order: int) -> Verification:
     """Check the tree-enumeration characterization on every word up to
-    ``max_len``.
+    ``max_len``, and the series identity to ``order``.
 
     The moment functional is synthesized so that the Boolean condition holds
     by construction (Boolean cumulants are negated branch sums); the other
     conditions are then compared against the decreasing-tree and plain-tree
-    enumerations, and against the two bridge formulas.
+    enumerations, and against the two bridge formulas.  Each family is one
+    :func:`tree_sums` table; the branch and plain-tree tables also hold each
+    color's constant words of lengths ``max_len+1..order``, which only the
+    series check reads.
     """
     alphabet = tuple(sorted(set(alphabet)))
-    branch = tree_sums(tau, "branch", alphabet, max_len)
-    boolean_table = {word: -value for word, value in branch.items()}
+    words = list(iter_words(alphabet, max_len))
+    constant = [(c,) * n for c in alphabet for n in range(max_len + 1, order + 1)]
+    branch = tree_sums(tau, "branch", words + constant)
+    boolean_table = {word: -branch[word] for word in words}
     boolean = CumulantTable("boolean", alphabet, max_len, boolean_table)
     phi = cumulants_to_moments(boolean)
     classical = moments_to_cumulants(phi, "classical")
@@ -378,11 +391,11 @@ def equivalence_reports(tau: WeightedTroupe, alphabet: Sequence[int],
     boolean_back = moments_to_cumulants(phi, "boolean")
     free_bridge = boolean_to_free(boolean)
     classical_bridge = boolean_to_classical(boolean)
-    dbpt = tree_sums(tau, "dbpt", alphabet, max_len)
-    bpt = tree_sums(tau, "bpt", alphabet, max_len)
+    dbpt = tree_sums(tau, "dbpt", words)
+    bpt = tree_sums(tau, "bpt", words + constant)
 
     reports = []
-    for word in iter_words(alphabet, max_len):
+    for word in words:
         checks = (
             ConditionCheck("classical", -dbpt[word], classical.table[word],
                            classical_bridge.table[word]),
@@ -390,4 +403,23 @@ def equivalence_reports(tau: WeightedTroupe, alphabet: Sequence[int],
             ConditionCheck("boolean", boolean_table[word], boolean_back.table[word], None),
         )
         reports.append(EquivalenceReport(word, checks))
-    return reports
+    return Verification(tuple(reports), _series_failure(alphabet, order, branch, bpt))
+
+
+def _series_failure(alphabet: Sequence[int], order: int, branch: Mapping[Word, RingElem],
+                    bpt: Mapping[Word, RingElem]) -> str | None:
+    """None if, for each color c, the branch series B_c of c's constant words
+    satisfies the series identity and its transform equals their plain-tree
+    sums to ``order``; else ``""`` if the identity fails first, or the color,
+    coefficient and both values that differ, as the word lines name a route."""
+    for c in alphabet:
+        bseries = Series([branch[(c,) * (k + 1)] for k in range(order)])
+        tseries = troupe_transform(bseries)
+        if not boolean_free_series_check(-bseries.shift(), -tseries.shift()):
+            return ""
+        for k in range(1, order):
+            trees = bpt[(c,) * (k + 1)]
+            if tseries[k] != trees:
+                return (f" [color {c} coefficient {k}: transform={format_ring_elem(tseries[k])} "
+                        f"trees={format_ring_elem(trees)}]")
+    return None

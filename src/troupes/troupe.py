@@ -212,52 +212,36 @@ def _parse_colors(arg: str) -> list[int]:
 def weighted_sum(tau: WeightedTroupe, kind: str, word: Sequence[int]) -> RingElem:
     """Exact sum of the troupe over the colored family of the given word:
     :func:`tree_sums` for one word."""
-    table = _TreeSums(tau, kind)
-    if not word:
-        raise ValueError("color word must be nonempty")
-    return table[tuple(word)]
+    word = tuple(word)
+    return tree_sums(tau, kind, [word])[word]
 
 
-def tree_sums(tau: WeightedTroupe, kind: str, alphabet: Iterable[int],
-              max_len: int) -> dict[tuple[int, ...], RingElem]:
-    """``{word: sum}`` over the family ``kind`` of each word over the
-    alphabet of length 1..``max_len``, shortest first.
+def tree_sums(tau: WeightedTroupe, kind: str,
+              words: Iterable[Sequence[int]]) -> dict[tuple[int, ...], RingElem]:
+    """``{word: sum}`` over the family ``kind`` of each of the nonempty
+    ``words``, in the order given.
 
     - ``bpt`` and ``branch`` go by recursion on the root (:func:`_root_sum`),
-      which builds no tree, with one pair of memos for the whole table;
+      which builds no tree, with one pair of memos for the whole call, so
+      the words share the sums of their shorter subwords;
     - ``dbpt`` goes through :func:`iter_dbpt`, word by word: a labeled tree's
       value depends only on its colored tree, so each distinct colored tree
       is evaluated once and weighted by its number of decreasing labelings.
-
-    Looking up a missing word (``table[word]``) sums it through the same
-    memos and keeps it; the memos last as long as the table.
     """
-    table = _TreeSums(tau, kind)
-    letters = sorted(set(alphabet))
-    for n in range(1, max_len + 1):
-        for word in itertools.product(letters, repeat=n):
-            table[word] = table.sum_of(word)
+    kind = kind.lower()
+    if kind not in TREE_KINDS:
+        raise ValueError(f"unknown tree family {kind!r}")
+    if kind == "dbpt":
+        sum_of = functools.partial(_dbpt_sum, tau)
+    else:
+        sum_of = functools.partial(_root_sum, tau, split=_cuts if kind == "bpt" else _no_split,
+                                   tables={}, sums={})
+    table = {}
+    for word in map(tuple, words):
+        if not word:
+            raise ValueError("color word must be nonempty")
+        table[word] = sum_of(word)
     return table
-
-
-class _TreeSums(dict):
-    """A family's ``{word: sum}`` table, which sums a missing word on lookup."""
-
-    __slots__ = ("sum_of",)
-
-    def __init__(self, tau: WeightedTroupe, kind: str):
-        kind = kind.lower()
-        if kind not in TREE_KINDS:
-            raise ValueError(f"unknown tree family {kind!r}")
-        if kind == "dbpt":
-            self.sum_of = functools.partial(_dbpt_sum, tau)
-        else:
-            self.sum_of = functools.partial(_root_sum, tau, split=_cuts if kind == "bpt"
-                                            else _no_split, tables={}, sums={})
-
-    def __missing__(self, word: tuple[int, ...]) -> RingElem:
-        value = self[word] = self.sum_of(word)
-        return value
 
 
 def _dbpt_sum(tau: WeightedTroupe, word: tuple[int, ...]) -> RingElem:
@@ -345,5 +329,5 @@ def _open_table(tau: WeightedTroupe, s: tuple[int, ...], split: Callable,
 
 def branch_series(tau: WeightedTroupe, order: int) -> Series:
     """Generating function of branch sums: coefficient n is the size-n sum."""
-    sums = tree_sums(tau, "branch", (0,), order)
-    return Series([Fraction(0)] + [sums[size_word(n)] for n in range(1, order)])
+    sums = tree_sums(tau, "branch", [size_word(n) for n in range(1, order)])
+    return Series([Fraction(0)] + list(sums.values()))

@@ -446,8 +446,7 @@ def equivalence_report(tau: WeightedTroupe, word) -> EquivalenceReport:
     """The report of one word, out of :func:`equivalence_reports` over its
     letters up to its length."""
     word = tuple(word)
-    reports = equivalence_reports(tau, sorted(set(word)), len(word))
-    for r in reports:
+    for r in equivalence_reports(tau, sorted(set(word)), len(word), len(word)).reports:
         if r.word == word:
             return r
     raise AssertionError("word not covered")

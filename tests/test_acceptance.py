@@ -95,12 +95,16 @@ def test_criterion_1_cumulant_equivalence():
     and the two bridge expansions alike."""
     builtins = (all_trees(), full_trees(), motzkin_trees(), right_two_monomial(q, 1))
     for tau in builtins:
-        for r in equivalence_reports(tau, (0,), 8):
+        found = equivalence_reports(tau, (0,), 8, 8)
+        assert found.series_failure is None, tau.name
+        for r in found.reports:
             assert r.all_equal, (tau.name, r.word)
     for seed in range(20):
         tau = from_table(random_branch_table(seed, max_size=5, num_colors=2),
                          name=f"random{seed}")
-        for r in equivalence_reports(tau, (0, 1), 6):
+        found = equivalence_reports(tau, (0, 1), 6, 6)
+        assert found.series_failure is None, tau.name
+        for r in found.reports:
             assert r.all_equal, (tau.name, r.word)
     report(1, "three-way cumulant equivalence")
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from troupes import cli, cumulants, troupe
-from troupes.cumulants import ConditionCheck, EquivalenceReport, iter_words
+from troupes.cumulants import ConditionCheck, EquivalenceReport, Verification, iter_words
 from troupes.series import Series, troupe_transform
 from troupes.trees import parse_tree
 
@@ -163,13 +163,13 @@ def test_verify_unknown_troupe():
 
 
 def test_verify_reports_failure(monkeypatch):
-    def one_disagreeing_report(tau, alphabet, max_len):
+    def one_disagreeing_report(tau, alphabet, max_len, order):
         checks = (
             ConditionCheck("classical", Fraction(1), Fraction(2), Fraction(3)),
             ConditionCheck("free", Fraction(5), Fraction(5), Fraction(5)),
             ConditionCheck("boolean", Fraction(7), Fraction(-1, 2), None),
         )
-        return [EquivalenceReport((0, 1), checks)]
+        return Verification((EquivalenceReport((0, 1), checks),), None)
 
     monkeypatch.setattr("troupes.cumulants.equivalence_reports", one_disagreeing_report)
     code, out, _ = run("verify", "--troupe", "all", "--n", "2")
@@ -186,8 +186,8 @@ def test_verify_reports_failure(monkeypatch):
 # attribute that verify calls: the attribute, the patch, the word, and the
 # kind whose cell changes, written from the word's cells as they were.
 def _raise_sum(fn, word, family="dbpt"):
-    def patched(tau, kind, alphabet, max_len):
-        table = fn(tau, kind, alphabet, max_len)
+    def patched(tau, kind, words):
+        table = fn(tau, kind, words)
         if kind == family:
             table[word] = table[word] + 1
         return table
@@ -239,7 +239,7 @@ def test_verify_fails_the_series_line_on_one_coefficient(monkeypatch):
         out = troupe_transform(series)
         return Series([c + 1 if n == 2 else c for n, c in enumerate(out.coeffs)])
 
-    monkeypatch.setattr("troupes.cli.troupe_transform", off_by_one)
+    monkeypatch.setattr("troupes.cumulants.troupe_transform", off_by_one)
     code, out, _ = run("verify", "--troupe", "all", "--n", "3", "--order", "4")
     assert code == 1
     lines = out.splitlines()
@@ -252,8 +252,8 @@ def test_verify_fails_the_series_line_on_one_tree_sum_past_n(monkeypatch, colors
     # the plain-tree sum of one constant word longer than --n, off by one:
     # no word line reads it, so only the series line's tree comparison can fail
     word = (color,) * 5
-    monkeypatch.setattr("troupes.troupe.tree_sums",
-                        _raise_sum(troupe.tree_sums, word, family="bpt"))
+    monkeypatch.setattr("troupes.cumulants.tree_sums",
+                        _raise_sum(cumulants.tree_sums, word, family="bpt"))
     code, out, _ = run("verify", "--troupe", "all", "--num-colors", str(colors),
                        "--n", "3", "--order", "6")
     assert code == 1
@@ -266,6 +266,27 @@ def test_verify_fails_the_series_line_on_one_tree_sum_past_n(monkeypatch, colors
         f"FAIL cumulant series identity to order 6 [color {color} coefficient 4: "
         "transform=14 trees=15]",
         f"FAIL ({words} words checked)"]
+
+
+def test_verify_sums_each_family_in_one_table(monkeypatch):
+    # the word lines and the series line past --n read one table per family,
+    # whichever module attribute a caller reaches tree_sums through
+    calls = []
+
+    def counting(fn):
+        def patched(tau, kind, *rest):
+            calls.append(kind)
+            return fn(tau, kind, *rest)
+        return patched
+
+    monkeypatch.setattr("troupes.troupe.tree_sums", counting(troupe.tree_sums))
+    monkeypatch.setattr("troupes.cumulants.tree_sums", counting(cumulants.tree_sums))
+    code, out, _ = run("verify", "--troupe", "all", "--num-colors", "2", "--n", "3",
+                       "--order", "6")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["ok cumulant series identity to order 6",
+                                     "PASS (14 words checked)"]
+    assert sorted(calls) == ["bpt", "branch", "dbpt"]
 
 
 def test_transform_loads_only_the_ring_and_series_layers():

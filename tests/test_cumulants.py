@@ -380,8 +380,8 @@ def test_equivalence_for_all_trees_singleton():
 
 
 def test_equivalence_for_full_troupe():
-    reports = equivalence_reports(full_trees(), (0,), 7)
-    assert all(r.all_equal for r in reports)
+    reports, series_failure = equivalence_reports(full_trees(), (0,), 7, 7)
+    assert all(r.all_equal for r in reports) and series_failure is None
     by_len = {len(r.word): r for r in reports}
     # a word of length n sums over trees of size n-1; full trees have odd
     # size, so odd word lengths vanish
@@ -396,45 +396,51 @@ def test_equivalence_for_full_troupe():
 
 def test_equivalence_for_weighted_troupes():
     for tau in (motzkin_trees(), right_two_monomial(q, 1), right_two_monomial(Fraction(2), Fraction(1, 3))):
-        reports = equivalence_reports(tau, (0,), 6)
-        assert all(r.all_equal for r in reports)
+        reports, series_failure = equivalence_reports(tau, (0,), 6, 6)
+        assert all(r.all_equal for r in reports) and series_failure is None
 
 
 def test_equivalence_for_random_two_color_troupe():
     tau = from_table(random_branch_table(23, max_size=4, num_colors=2))
-    reports = equivalence_reports(tau, (0, 1), 5)
+    reports, series_failure = equivalence_reports(tau, (0, 1), 5, 5)
     assert len(reports) == 2 + 4 + 8 + 16 + 32
-    assert all(r.all_equal for r in reports)
+    assert all(r.all_equal for r in reports) and series_failure is None
 
 
 def test_equivalence_for_color_sensitive_builtins():
     from troupes.troupe import color_constrained, color_count
 
     for tau in (color_constrained({0}), color_count({1})):
-        reports = equivalence_reports(tau, (0, 1), 5)
-        assert all(r.all_equal for r in reports)
+        reports, series_failure = equivalence_reports(tau, (0, 1), 5, 5)
+        assert all(r.all_equal for r in reports) and series_failure is None
 
 
 def test_equivalence_reports_sums_each_branch_family_once(monkeypatch):
-    """One tree_sums call per family, whose table holds every word once; the
-    Boolean check reuses the synthesized Boolean table."""
+    """One tree_sums call per family, whose table holds every word once, and
+    for branches and plain trees then each color's constant words past the
+    words, for the series check; the Boolean check reuses the synthesized
+    Boolean table."""
     calls = Counter()
     keys = {}
     real = cumulants.tree_sums
 
-    def counting(tau, kind, alphabet, max_len):
+    def counting(tau, kind, words):
         calls[kind] += 1
-        table = real(tau, kind, alphabet, max_len)
+        table = real(tau, kind, words)
         keys[kind] = list(table)
         return table
 
     monkeypatch.setattr(cumulants, "tree_sums", counting)
-    reports = equivalence_reports(right_two_monomial(q, 1), (0, 1), 4)
-    assert all(r.all_equal for r in reports)
     words = list(iter_words((0, 1), 4))
-    assert calls == {"branch": 1, "bpt": 1, "dbpt": 1}
-    for kind in ("branch", "bpt", "dbpt"):
-        assert keys[kind] == words
+    for order in (4, 7):
+        calls.clear()
+        reports, series_failure = equivalence_reports(right_two_monomial(q, 1), (1, 0), 4,
+                                                      order)
+        assert all(r.all_equal for r in reports) and series_failure is None
+        constant = [(c,) * n for c in (0, 1) for n in range(5, order + 1)]
+        assert calls == {"branch": 1, "bpt": 1, "dbpt": 1}
+        assert keys["dbpt"] == [r.word for r in reports] == words
+        assert keys["branch"] == keys["bpt"] == words + constant
 
 
 def test_equivalence_single_word_wrapper():

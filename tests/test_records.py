@@ -21,6 +21,7 @@ from troupes.cumulants import (
     CumulantTable,
     EquivalenceReport,
     MomentFunctional,
+    Verification,
     cumulants_to_moments,
     equivalence_reports,
     moments_to_cumulants,
@@ -47,7 +48,7 @@ from oracles import druns, frozen_dataclass_twin
 
 RECORD_CLASSES = (ColoredTree, LabeledTree, SetPartition, PsiInput, PhiInput,
                   MomentFunctional, CumulantTable, ConditionCheck, EquivalenceReport,
-                  NamedSequence)
+                  Verification, NamedSequence)
 
 
 @functools.lru_cache(maxsize=None)
@@ -57,7 +58,8 @@ def _seeded_records():
     words = [tuple(rng.randrange(2) for _ in range(n)) for n in (1, 2, 3, 4, 5)]
     trees = [t for w in words for t in iter_bpt_word(w)]
     labeled = [lt for w in words for lt in iter_dbpt_word(w)]
-    reports = equivalence_reports(from_table(random_branch_table(3, 2, 2)), [0, 1], 3)
+    verification = equivalence_reports(from_table(random_branch_table(3, 2, 2)), [0, 1], 3, 5)
+    reports = verification.reports
     boolean = CumulantTable("boolean", (0, 1), 2, {
         w: rng.randint(-3, 3) for n in (1, 2) for w in itertools.product((0, 1), repeat=n)})
     moments = cumulants_to_moments(boolean)
@@ -72,6 +74,8 @@ def _seeded_records():
                         moments_to_cumulants(moments, "boolean")],
         ConditionCheck: [c for r in reports for c in r.checks],
         EquivalenceReport: reports,
+        Verification: [verification, verification._replace(series_failure=""),
+                       verification._replace(reports=reports[:2])],
         NamedSequence: list(NAMED_SEQUENCES.values()),
     }
 

@@ -672,7 +672,7 @@ def test_library_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        equivalence_reports(from_table(random_branch_table(3, 5, 2)), [0, 1], 5)
+        equivalence_reports(from_table(random_branch_table(3, 5, 2)), [0, 1], 5, 7)
         for x in iter_phi_inputs(word):
             lt = phi(x)
             multiset_key([f.tree for f in labeled_insertion_factors(lt)])

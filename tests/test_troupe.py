@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -24,6 +25,7 @@ from troupes.trees import (
     encode,
     insert,
     iter_dbpt,
+    iter_dbpt_word,
     iter_bpt_word,
     iter_branch_word,
     right_edges,
@@ -323,20 +325,27 @@ def table_makers(table):
 
 @pytest.mark.parametrize("kind", ["branch", "bpt", "dbpt"])
 def test_tree_sums_match_the_per_word_sums(kind, three_color_table):
+    trees = {"branch": iter_branch_word, "bpt": iter_bpt_word,
+             "dbpt": lambda w: (lt.tree for lt in iter_dbpt_word(w))}[kind]
     for make in table_makers(three_color_table):
         tau, oracle_tau = make(), make()
         for alphabet, max_len in (((0, 1), 6), ((0, 1, 2), 5)):
-            words = [w for n in range(1, max_len + 1)
+            # longest first, then a constant word longer than the rest, so no
+            # word finds its shorter subwords already summed
+            words = [w for n in range(max_len, 0, -1)
                      for w in itertools.product(alphabet, repeat=n)]
-            table = tree_sums(tau, kind, alphabet, max_len)
-            assert list(table) == words
-            longer = (alphabet[-1],) * (max_len + 2)  # summed on lookup
-            for word in words + [longer]:
-                got, want = table[word], weighted_sum(oracle_tau, kind, word)
+            words.append((alphabet[-1],) * (max_len + 2))
+            table = tree_sums(tau, kind, iter(words))
+            assert type(table) is dict and list(table) == words
+            for word in words:
+                want = sum((oracle_tau.evaluate(t) for t in trees(word)), Fraction(0))
+                got = table[word]
                 assert got == want and type(got) is type(want), (tau, word)
-    assert tree_sums(all_trees(), "BPT", (1, 0, 1), 0) == {}
+    assert tree_sums(all_trees(), "BPT", []) == {}
     with pytest.raises(ValueError, match="unknown tree family"):
-        tree_sums(all_trees(), "trees", (0,), 2)
+        tree_sums(all_trees(), "trees", [(0,)])
+    with pytest.raises(ValueError, match="nonempty"):
+        tree_sums(all_trees(), kind, [(0, 0), ()])
 
 
 def test_evaluate_starts_from_the_first_factor(three_color_table):
