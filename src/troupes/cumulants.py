@@ -29,8 +29,8 @@ from functools import lru_cache
 from math import factorial, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .rings import (QPoly, RingElem, as_ring_elem, denominator, format_ring_elem,
-                    parse_ring_elem)
+from .rings import (RingElem, _over, _scaled, as_ring_elem, denominator,
+                    format_ring_elem, parse_ring_elem)
 from .partitions import partitions_as_index_blocks
 from .series import Series, boolean_free_series_check, troupe_transform
 from .troupe import WeightedTroupe, tree_sums
@@ -125,24 +125,13 @@ def _grade(table: Mapping[Word, RingElem]) -> tuple[dict[Word, RingElem], int]:
     its table, so it runs unchanged on the graded table, and
     :func:`_ungrade` divides once per word."""
     d = lcm(*map(denominator, table.values()))
-    graded: dict[Word, RingElem] = {}
-    for word, x in table.items():
-        scale = d ** len(word)
-        if isinstance(x, QPoly):
-            graded[word] = x * scale
-        else:
-            graded[word] = x.numerator * (scale // x.denominator)
-    return graded, d
+    return {word: _scaled(x, d ** len(word)) for word, x in table.items()}, d
 
 
 def _ungrade(graded: Mapping[Word, RingElem], d: int) -> dict[Word, RingElem]:
     """Each entry over ``d**len(word)``: a ``Fraction`` from an ``int``, a
     ``QPoly`` from a ``QPoly``."""
-    out: dict[Word, RingElem] = {}
-    for word, x in graded.items():
-        scale = d ** len(word)
-        out[word] = x * Fraction(1, scale) if isinstance(x, QPoly) else Fraction(x, scale)
-    return out
+    return {word: _over(x, d ** len(word)) for word, x in graded.items()}
 
 
 def moments_to_cumulants(phi: MomentFunctional, kind: str) -> CumulantTable:
@@ -377,8 +366,10 @@ def equivalence_reports(tau: WeightedTroupe, alphabet: Sequence[int],
     enumerations, and against the two bridge formulas.  Each family is one
     :func:`tree_sums` table; the branch and plain-tree tables also hold each
     color's constant words of lengths ``max_len+1..order``, which only the
-    series check reads.
+    series check reads.  ``order`` must be positive.
     """
+    if order < 1:
+        raise ValueError("order must be a positive integer")
     alphabet = tuple(sorted(set(alphabet)))
     words = list(iter_words(alphabet, max_len))
     constant = [(c,) * n for c in alphabet for n in range(max_len + 1, order + 1)]

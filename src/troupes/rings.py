@@ -41,7 +41,7 @@ class QPoly:
     def __init__(self, coeffs=()):
         cs = [_as_fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
-        p = _make([c.numerator * (den // c.denominator) for c in cs], den)
+        p = _make([_scaled(c, den) for c in cs], den)
         _set_num(self, p._num)
         _set_den(self, p._den)
 
@@ -157,15 +157,37 @@ def _make(num: list[int], den: int) -> QPoly:
     return p
 
 
-def _reduce(num: list[int], den: int) -> tuple[list[int], int]:
-    """``num/den`` in lowest terms, by one gcd over the whole sequence; all-zero
-    numerators get the denominator 1."""
-    if den != 1:
+def _reduce(num: list, den: int) -> tuple[list, int]:
+    """``num/den`` in lowest terms, for ``int`` or integer-coefficient ``QPoly``
+    numerators (all ``QPoly``s after a division), by one gcd over ``den`` and
+    every integer coefficient; all-zero numerators get the denominator 1."""
+    if den == 1:
+        return num, den
+    try:
         g = gcd(den, *num)
+    except TypeError:  # QPoly numerators: the gcd runs over their coefficients
+        g = gcd(den, *(k for c in num for k in _parts(c)[0]))
         if g != 1:
-            num = [c // g for c in num]
-            den //= g
+            num, den = [_make([k // g for k in _parts(c)[0]], 1) for c in num], den // g
+        return num, den
+    if g != 1:
+        num, den = [c // g for c in num], den // g
     return num, den
+
+
+def _scaled(x, d: int):
+    """``x*d`` as an ``int`` or a ``QPoly`` over 1; ``denominator(x)`` divides ``d``."""
+    if x.__class__ is QPoly:
+        k = d // x._den
+        return _make([c * k for c in x._num], 1)
+    return x.numerator * (d // x.denominator)
+
+
+def _over(c, d: int):
+    """``c/d`` for a positive ``int`` ``d``: a ``Fraction`` or a ``QPoly``, as ``c``."""
+    if c.__class__ is QPoly:
+        return _make(list(c._num), c._den * d)
+    return Fraction(c, d)
 
 
 def _parts(x):
@@ -273,12 +295,12 @@ def format_ring_elem(x: RingElem) -> str:
     """
     x = as_ring_elem(x)
     if isinstance(x, Fraction):
-        return _format_fraction(x)
+        return str(x)
     if not x:
         return "0"
     parts = []
     for k, c in enumerate(x.coeffs):
-        cs = _format_fraction(c)
+        cs = str(c)
         if k == 0:
             parts.append(cs)
         elif k == 1:
@@ -286,12 +308,6 @@ def format_ring_elem(x: RingElem) -> str:
         else:
             parts.append(f"{cs}*q^{k}")
     return " + ".join(parts)
-
-
-def _format_fraction(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_ring_elem(text: str) -> RingElem:

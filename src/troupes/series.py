@@ -5,11 +5,11 @@ of the two supported coefficient rings (rationals or polynomials in ``q``).
 Everything is exact; truncation order is the only approximation anywhere, and
 binary operations truncate to the smaller operand order.
 
-A rational series is stored as integer numerators over one positive common
-denominator, and a polynomial series as its ``QPoly`` coefficients; both
-multiply through the truncated convolution of :mod:`troupes.rings`, and a
-result is reduced once, by one gcd over its numerators.  ``s[n]`` reads a
-rational coefficient as a ``Fraction``.
+Every series is stored as numerators over one positive ``int`` denominator:
+``int`` numerators for a rational series, integer-coefficient ``QPoly``
+numerators for a polynomial one.  Both multiply through the truncated
+convolution of :mod:`troupes.rings`, and a result is reduced once, by one gcd
+over its denominator and every integer coefficient of its numerators.
 
 The branch-to-tree generating function transform (:func:`troupe_transform`)
 solves ``T(t) = B(t / (1 - t*T(t)))`` by Lagrange inversion (see
@@ -20,7 +20,6 @@ negation, ``-troupe_transform(-T)``.  ``log`` and ``exp`` solve
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable
 
@@ -30,8 +29,11 @@ from .rings import (
     RingMismatchError,
     _add,
     _convolve,
+    _over,
     _reduce,
+    _scaled,
     as_ring_elem,
+    denominator,
     format_ring_elem,
     is_poly,
     ring_inverse,
@@ -45,12 +47,13 @@ class Series:
     ``Series([1, 2, 3])`` is ``1 + 2t + 3t^2 + O(t^3)``.  All coefficients
     share one ring; supplying any polynomial coefficient promotes the rest.
 
-    A rational series is stored as integer numerators over one positive
-    common denominator, in normal form: the denominator shares no factor with
-    all the numerators, so the zero series has denominator 1 and equal series
-    have equal storage.  A polynomial series stores its ``QPoly``
-    coefficients over the denominator 1.  ``s[n]`` and :attr:`coeffs` read
-    the coefficients as ``Fraction`` (or ``QPoly``) values.
+    A series is stored as numerators over one positive common ``int``
+    denominator: ``int``s in the rationals, integer-coefficient ``QPoly``s in
+    the polynomial ring.  The storage is in normal form: the denominator
+    shares no factor with every integer coefficient of the numerators, so the
+    zero series has denominator 1 and equal series have equal storage.
+    ``s[n]`` and :attr:`coeffs` read the coefficients as ``Fraction`` (or
+    ``QPoly``) values.
     """
 
     __slots__ = ("_num", "_den")
@@ -60,17 +63,14 @@ class Series:
         if order is not None:
             if order < 1:
                 raise ValueError("order must be a positive integer")
-            cs = cs[:order]
-        if not cs and order is None:
+            cs = cs[:order] + [0] * (order - len(cs))
+        elif not cs:
             raise ValueError("a series needs an order")
-        if order is not None and len(cs) < order:
-            cs.extend([Fraction(0)] * (order - len(cs)))
         if any(is_poly(c) for c in cs):
-            num, den = [to_poly(c) for c in cs], 1
-        else:  # numerators over the lcm of the reduced denominators share no factor with it
-            den = lcm(*(c.denominator for c in cs))
-            num = [c.numerator * (den // c.denominator) for c in cs]
-        _set_num(self, tuple(num))
+            cs = [to_poly(c) for c in cs]
+        # numerators over the lcm of the reduced denominators share no factor with it
+        den = lcm(*map(denominator, cs))
+        _set_num(self, tuple([_scaled(c, den) for c in cs]))
         _set_den(self, den)
 
     def __setattr__(self, name, value):
@@ -80,18 +80,15 @@ class Series:
 
     @classmethod
     def zero(cls, order: int, poly: bool = False) -> Series:
-        c = QPoly() if poly else Fraction(0)
-        return cls([c] * order)
+        return cls([QPoly() if poly else 0] * order)
 
     @classmethod
     def one(cls, order: int, poly: bool = False) -> Series:
-        c = QPoly((1,)) if poly else Fraction(1)
-        return cls([c], order=order)
+        return cls([QPoly((1,)) if poly else 1], order=order)
 
     @classmethod
     def t(cls, order: int, poly: bool = False) -> Series:
-        one = QPoly((1,)) if poly else Fraction(1)
-        return cls([one * 0, one], order=order)
+        return cls([0, QPoly((1,)) if poly else 1], order=order)
 
     # -- basic structure
 
@@ -106,15 +103,11 @@ class Series:
     @property
     def coeffs(self) -> tuple[RingElem, ...]:
         """The coefficients of ``t^0 .. t^(order-1)``."""
-        if self.is_poly_ring:
-            return self._num
         den = self._den
-        return tuple(Fraction(c, den) for c in self._num)
+        return tuple([_over(c, den) for c in self._num])
 
     def __getitem__(self, n: int) -> RingElem:
-        if self.is_poly_ring:
-            return self._num[n]
-        return Fraction(self._num[n], self._den)
+        return _over(self._num[n], self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
@@ -171,6 +164,7 @@ class Series:
             raise ZeroDivisionError("division by a series with zero constant term")
         if self.is_poly_ring:
             ring_inverse(b0)  # only a constant is invertible in the polynomial ring
+            b0 = b0.constant_value().numerator  # an integer, as b0 is a numerator
         # e[k] = b0^(k+1) * (db/da) * (self/other)[k], from self = other * (self/other)
         # read on the numerators, so no step divides
         power = [1]
@@ -185,10 +179,10 @@ class Series:
 
     def scale(self, c) -> Series:
         c = as_ring_elem(c)
-        if is_poly(c):
-            return _build([c * x for x in self._num], self._den, True)
-        return _build([c.numerator * x for x in self._num], c.denominator * self._den,
-                      self.is_poly_ring)
+        d = denominator(c)
+        k = _scaled(c, d)
+        return _build([k * x for x in self._num], d * self._den,
+                      self.is_poly_ring or is_poly(k))
 
     def shift(self) -> Series:
         """Multiply by t, keeping the truncation order."""
@@ -259,17 +253,12 @@ def _series(num, den: int) -> Series:
     return s
 
 
-def _build(num, den, poly: bool) -> Series:
-    """The series ``num/den`` in normal form, in the polynomial ring if ``poly``.
-
-    ``den`` is a nonzero integer, or for a polynomial series a nonzero constant
-    ``QPoly``, which is divided into each coefficient.
-    """
+def _build(num, den: int, poly: bool) -> Series:
+    """The series ``num/den`` in normal form, in the polynomial ring if
+    ``poly``, for a nonzero ``int`` ``den`` and ``int`` or integer-coefficient
+    ``QPoly`` numerators."""
     if poly:
         num = [to_poly(c) for c in num]
-        if den != 1:
-            num = [c / den for c in num]
-        return _series(num, 1)
     if den < 0:
         num, den = [-c for c in num], -den
     return _series(*_reduce(num, den))

@@ -345,9 +345,11 @@ def right_edges(t: ColoredTree) -> int:
 
 def _encode_small(nodes: Sequence[Vertex], labels: Sequence[int] | None, v: int) -> str:
     """The encoding of the subtree at vertex ``v``, by recursion: one call
-    per vertex, none per empty child slot.  It keeps no marks and trusts
-    every child id it meets, so it detects neither a vertex under two
-    parents nor a negative id, which indexing wraps."""
+    per vertex, none per empty child slot.  It keeps no marks, so it does not
+    detect a vertex under two parents; a negative id, which indexing would
+    wrap, raises ``IndexError``."""
+    if v < 0:
+        raise IndexError(v)
     color, left, right = nodes[v]
     return (f"({color}{'' if labels is None else f'|{labels[v]}'} "
             f"{'.' if left is None else _encode_small(nodes, labels, left)} "

@@ -443,6 +443,16 @@ def test_equivalence_reports_sums_each_branch_family_once(monkeypatch):
         assert keys["branch"] == keys["bpt"] == words + constant
 
 
+def test_equivalence_reports_rejects_an_order_below_1_before_any_work(monkeypatch):
+    def no_sums(*args):
+        raise AssertionError("tree_sums ran")
+
+    monkeypatch.setattr(cumulants, "tree_sums", no_sums)
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="order must be a positive integer"):
+            equivalence_reports(right_two_monomial(q, 1), (0,), 3, order)
+
+
 def test_equivalence_single_word_wrapper():
     report = equivalence_report(right_two_monomial(q, 1), (0, 0, 0))
     assert report.word == (0, 0, 0)

@@ -388,14 +388,18 @@ def test_order_one_matches_oracles():
 
 
 def assert_normal(s):
-    """``s`` is stored in normal form: integer numerators over a positive
-    denominator that shares no factor with all of them, or ``QPoly``
-    coefficients over 1."""
+    """``s`` is stored in normal form: ``int`` numerators, or ``QPoly``
+    numerators with ``int`` coefficients, over a positive ``int`` denominator
+    that shares no factor with every integer coefficient of them."""
+    assert type(s._den) is int and s._den > 0
     if s.is_poly_ring:
-        assert s._den == 1 and all(type(c) is QPoly for c in s._num)
+        assert all(type(c) is QPoly and all(type(k) is int for k in c._num) and c._den == 1
+                   for c in s._num)
+        ints = [k for c in s._num for k in c._num]
     else:
-        assert all(type(c) is int for c in s._num)
-        assert s._den > 0 and math.gcd(s._den, *s._num) == 1
+        ints = list(s._num)
+        assert all(type(c) is int for c in ints)
+    assert math.gcd(s._den, *ints) == 1
     return s
 
 
@@ -459,6 +463,24 @@ def test_equal_series_have_equal_storage_and_the_old_hash():
     assert Series([QPoly((1,)), QPoly((2,))]) == a
     assert hash(Series([QPoly((1,)), QPoly((2,))])) == hash(a)
     assert Series([QPoly((1,)), q]) != Series([1, 1])
+
+
+def test_a_rational_polynomial_series_is_stored_over_one_denominator():
+    """``QPoly`` coefficients with rational coefficients become integer
+    ``QPoly`` numerators over the lcm of their denominators, as rationals
+    become integer numerators, and read back as the ``QPoly`` values."""
+    half_third = QPoly((Fraction(1, 2), Fraction(1, 3)))
+    s = assert_normal(Series([half_third, q / 6]))
+    assert (s._num, s._den) == ((QPoly((3, 2)), q), 6)
+    assert_same(s, [half_third, q / 6])
+    assert_same(s.scale(6), [QPoly((3, 2)), q])
+    assert (s.scale(6)._num, s.scale(6)._den) == ((QPoly((3, 2)), q), 1)
+    assert_same(s.scale(q), [half_third * q, q * q / 6])
+    assert_same(Series([1, 2]).scale(q / 2), [q / 2, q])
+    # a sum that cancels every q comes back reduced, over 2
+    cancelled = s + Series([-q / 3, -q / 6])
+    assert_same(cancelled, [QPoly((Fraction(1, 2),)), QPoly()])
+    assert (cancelled._num, cancelled._den) == ((QPoly((1,)), QPoly()), 2)
 
 
 def test_mixed_input_promotes_as_before():

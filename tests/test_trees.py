@@ -826,7 +826,9 @@ def test_factor_walk_rejects_a_child_id_out_of_range(t):
 
 def test_encoders_reject_a_child_id_out_of_range():
     labels = (2, 1)
-    for t in OUT_OF_RANGE[1:]:
+    # below the recursive size, a negative id, in a child slot or as the
+    # root, would wrap onto the last vertex
+    for t in OUT_OF_RANGE + [ColoredTree(((0, None, None), (0, 0, None)), -1)]:
         with pytest.raises(ValueError, match="out of range"):
             encode(t)
         with pytest.raises(ValueError, match="out of range"):
