@@ -153,59 +153,63 @@ def cumulants_to_moments(c: CumulantTable) -> MomentFunctional:
     return MomentFunctional(c.alphabet, c.max_len, _ungrade(table, d))
 
 
-Blocks = tuple[tuple[int, ...], ...]
+Blocks = tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
 def _run_partition_counts(n: int) -> dict[Blocks, int]:
     """Each descending-run partition of the permutations of 0..n-1 with
-    first entry maximal, as canonical blocks, with the number of those
-    permutations that have it.
+    first entry maximal, as a tuple of block masks (bit i is value i), with
+    the number of those permutations that have it.
 
     Such a permutation is one of size n-1, its values shifted up by 1, with
     0 put right after some entry a, ending a's run.  If a is its block's
     minimum, 0 joins that block; otherwise the block splits into
     {x >= a} + {0} and {x < a}.  The block of 0 goes first and the rest keep
-    their places, so keys stay canonical.  Equal blocks are one object
-    across keys.  The keys come in no set order: the bridge's sum is exact.
+    their places, so each key lists its blocks by least bit.  Equal masks
+    are one object across keys.  The keys come in no set order: the
+    bridge's sum is exact.
     """
     if n == 1:
-        return {((0,),): 1}
+        return {(1,): 1}
     old = _run_partition_counts(n - 1)
-    shifted = {b: tuple([x + 1 for x in b]) for key in old for b in key}
+    shifted = {b: b << 1 for key in old for b in key}
     interned = {b: b for b in shifted.values()}
     counts: dict[Blocks, int] = {}
     for key, count in old.items():
         blocks = tuple([shifted[b] for b in key])
         for j, b in enumerate(blocks):
-            for k in range(len(b)):  # a = b[k]
-                z = (0,) + b[k:]
+            head, tail = blocks[:j], blocks[j + 1:]
+            lower, upper = 0, b
+            while upper:  # a is the least bit of upper
+                z = upper | 1
                 z = interned.setdefault(z, z)
-                if k:
-                    rest = interned.setdefault(b[:k], b[:k])
-                    new = (z,) + blocks[:j] + (rest,) + blocks[j + 1:]
+                if lower:
+                    new = (z,) + head + (interned.setdefault(lower, lower),) + tail
                 else:
-                    new = (z,) + blocks[:j] + blocks[j + 1:]
+                    new = (z,) + head + tail
                 counts[new] = counts.get(new, 0) + count
+                a = upper & -upper
+                lower, upper = lower | a, upper ^ a
     return counts
 
 
 def _partition_sum(word: Word, terms: Iterable[tuple[Blocks, int]],
                    table: Mapping[Word, RingElem]) -> RingElem:
     """Sum over the ``(blocks, multiplicity)`` terms of the multiplicity
-    times the product of ``table[word|block]`` over the blocks.
+    times the product of ``table[word|block]`` over the block masks.
 
-    The terms share block objects across partitions, so ``table[word|block]``
-    is looked up once per distinct block.
+    ``table[word|block]`` is looked up once per distinct mask.
     """
-    values: dict[tuple[int, ...], RingElem] = {}
+    values: dict[int, RingElem] = {}
     acc: RingElem = 0
     for blocks, multiplicity in terms:
         prod: RingElem = multiplicity
         for block in blocks:
             value = values.get(block)
             if value is None:
-                value = values[block] = table[tuple(word[i] for i in block)]
+                value = values[block] = table[tuple([c for i, c in enumerate(word)
+                                                     if block >> i & 1])]
             prod = prod * value
         acc = acc + prod
     return acc

@@ -116,10 +116,13 @@ def iter_partitions(n: int, klass: str = "all") -> Iterator[SetPartition]:
 
 
 @lru_cache(maxsize=None)
-def partitions_as_index_blocks(n: int, klass: str) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Cached partitions with 0-based blocks, for fast word indexing."""
-    return tuple([tuple([tuple([i - 1 for i in b]) for b in p.blocks])
-                  for p in iter_partitions(n, klass)])
+def partitions_as_index_blocks(n: int, klass: str) -> tuple[tuple[int, ...], ...]:
+    """Cached partitions as block masks over 0-based positions (bit i is
+    element i+1), in the order of :func:`iter_partitions`.  Each distinct
+    block is turned into a mask once, so equal blocks are one mask object."""
+    parts = [p.blocks for p in iter_partitions(n, klass)]
+    masks = {b: sum([1 << i for i in b]) >> 1 for b in {b for blocks in parts for b in blocks}}
+    return tuple([tuple([masks[b] for b in blocks]) for blocks in parts])
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .rings import RingElem, as_ring_elem, parse_ring_elem, q
+from .rings import (RingElem, _over, _scaled, as_ring_elem, denominator,
+                    parse_ring_elem, q)
 from .series import Series
 from .trees import (
     TREE_KINDS,
@@ -247,11 +249,11 @@ def tree_sums(tau: WeightedTroupe, kind: str,
 def _dbpt_sum(tau: WeightedTroupe, word: tuple[int, ...]) -> RingElem:
     """The decreasing-tree sum of one word, its :func:`iter_dbpt` memo
     dropped with the word: shared across words it would hold every colored
-    tree of every shorter word."""
-    total: RingElem = Fraction(0)
-    for t, count in iter_dbpt(word):
-        total = total + tau.evaluate(t) * count
-    return total
+    tree of every shorter word.  The values are summed as integer numerators
+    over the lcm of their denominators, then divided once."""
+    terms = [(tau.evaluate(t), count) for t, count in iter_dbpt(word)]
+    d = lcm(*[denominator(value) for value, _ in terms])
+    return _over(sum([_scaled(value, d * count) for value, count in terms]), d)
 
 
 # A tree's weight is the branch weight of its root factor (the box's factor)

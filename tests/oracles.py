@@ -10,7 +10,8 @@ with first entry n and their descending runs, also normalised through
 ``SetPartition.of``, ``SetPartition.of`` by sets, psi by iterated
 insertion, the Narayana polynomial and the tree series by enumeration, the
 plain trees of a color word built shape by shape, the decreasing-tree sum
-over every labeled tree, one tree's value as ``Fraction(1)`` times its
+over every labeled tree and, by one ring addition per colored tree, over
+the grouped ones, one tree's value as ``Fraction(1)`` times its
 factors' branch weights, the branch of an inorder word from its sorted
 labels, the tree predicates only tests use, the single-word equivalence
 report, the tree walks as self-recursive closures, the standard traversal
@@ -43,6 +44,7 @@ from troupes.trees import (
     insert,
     iter_bpt_word,
     iter_branch_word,
+    iter_dbpt,
     iter_dbpt_word,
     postorder,
     right_edges,
@@ -408,6 +410,16 @@ def dbpt_sums_by_labeled_trees(taus, word) -> list:
         for i, tau in enumerate(taus):
             totals[i] = totals[i] + tau.evaluate(lt.tree)
     return totals
+
+
+def dbpt_sum_by_ring_additions(tau: WeightedTroupe, word):
+    """The decreasing-tree sum of one word, as ``troupe`` summed it before it
+    went to integer numerators: one ring multiplication and addition per
+    colored tree, starting from ``Fraction(0)``."""
+    total = Fraction(0)
+    for t, count in iter_dbpt(word):
+        total = total + tau.evaluate(t) * count
+    return total
 
 
 def is_branch(t: ColoredTree) -> bool:

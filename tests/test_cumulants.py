@@ -284,14 +284,36 @@ def test_conversions_match_brute_force_oracle(ring):
                                 oracle_bridge(table, _run_blocks, words))
 
 
+def _mask_positions(mask, n):
+    """The 0-based positions of the set bits of a block mask, ascending."""
+    assert 0 < mask < 1 << n
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
 def test_run_partition_counts_match_druns():
     for n in range(1, 10):
         zero_based = [tuple(tuple(i - 1 for i in b) for b in druns(sigma).blocks)
                       for sigma in iter_sigma_first_n(n)]
         walk = Counter(zero_based)
         counts = _run_partition_counts(n)
-        assert counts == walk
+        as_positions = Counter()
+        for key, count in counts.items():
+            as_positions[tuple(_mask_positions(m, n) for m in key)] += count
+        assert len(as_positions) == len(counts)
+        assert as_positions == walk
         assert first_n_druns_index_blocks(n) == tuple(zero_based)
+
+
+@pytest.mark.parametrize("klass", ["all", "interval", "noncrossing", "nc_irreducible",
+                                   "nc_irreducible_min2"])
+def test_partition_masks_round_trip_to_iter_partitions(klass):
+    for n in range(1, 9):
+        masks = partitions_as_index_blocks(n, klass)
+        blocks = [p.blocks for p in iter_partitions(n, klass)]
+        assert len(masks) == len(blocks)
+        for key, want in zip(masks, blocks):
+            assert all(type(m) is int for m in key)
+            assert tuple(tuple(i + 1 for i in _mask_positions(m, n)) for m in key) == want
 
 
 def test_run_partition_blocks_are_shared_between_keys():
@@ -300,6 +322,18 @@ def test_run_partition_blocks_are_shared_between_keys():
     for key in counts:
         for block in key:
             assert blocks.setdefault(block, block) is block
+
+
+def test_run_partition_masks_past_the_small_int_cache_are_shared_between_keys():
+    # masks below 257 are one object in CPython anyway; at n = 9 most are not
+    counts = _run_partition_counts(9)
+    masks = {}
+    large = 0
+    for key in counts:
+        for mask in key:
+            assert masks.setdefault(mask, mask) is mask
+            large += mask > 256
+    assert large == len(counts)  # the block of 8 in each key
 
 
 def test_conversions_build_no_lattice_table(monkeypatch):

@@ -4,8 +4,9 @@ from functools import lru_cache
 
 import pytest
 
-from troupes.rings import q
+from troupes.rings import QPoly, q
 from troupes.troupe import (
+    WeightedTroupe,
     all_trees,
     branch_series,
     builtin,
@@ -35,6 +36,7 @@ from troupes.trees import (
 from oracles import (
     bpt_sums_by_trees,
     branch_sums_by_trees,
+    dbpt_sum_by_ring_additions,
     dbpt_sums_by_labeled_trees,
     evaluate_from_one,
     is_full,
@@ -282,6 +284,29 @@ def test_dbpt_sum_by_colored_tree_matches_labeled_trees():
         for tau, want in zip(taus, expected):
             got = weighted_sum(tau, "dbpt", word)
             assert got == want and type(got) is type(want), (tau, word)
+
+
+def test_dbpt_sum_on_integer_numerators_matches_ring_additions():
+    two_colors = [w for n in range(1, 7) for w in itertools.product((0, 1), repeat=n)]
+    one_color = [size_word(n) for n in range(1, 9)]
+    cases = [
+        (all_trees, one_color),
+        (lambda: builtin("rightmono:q,2/3"), one_color),
+        (lambda: builtin("colorcount:1"), two_colors),
+        (lambda: from_table(random_branch_table(27, 6, 2)), two_colors),
+        (lambda: from_table({}), one_color),
+        (lambda: WeightedTroupe("zero", lambda b: QPoly(())), one_color),
+    ]
+    for make, words in cases:
+        tau, oracle_tau = make(), make()
+        got = tree_sums(tau, "dbpt", words)
+        for word in words:
+            want = dbpt_sum_by_ring_additions(oracle_tau, word)
+            assert got[word] == want and type(got[word]) is type(want), (tau, word)
+    # a length-1 word is an empty tree, whose value is Fraction(0)
+    for make, _ in cases:
+        got = weighted_sum(make(), "dbpt", (1,))
+        assert got == 0 and type(got) is Fraction
 
 
 @pytest.fixture(scope="module")
