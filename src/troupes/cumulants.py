@@ -13,19 +13,17 @@ the blocks S that hold the first position, of the cumulant on S times the
 moments of what S leaves (the complement, the gaps of S, or the suffix).
 Moments to cumulants solves it triangularly, holding the unknown cumulant at
 0 so the one-block term drops out; cumulants to moments fills moments in
-length order.  The two bridges are the theorem's other route and keep a
-whole-class partition sum: they negate a Boolean table, sum it over
-irreducible noncrossing partitions (free) or over the descending-run
-partitions of permutations with first entry maximal (classical, each run
-partition once with its count), and negate.  Conversions and bridges alike
-sum on integers over a graded table (:func:`_grade`).
+length order.  The two bridges are the theorem's other route: they negate a
+Boolean table, sum it over the irreducible noncrossing partitions (free) or
+over the descending runs of the permutations with first entry maximal
+(classical, by a walk over run states that lists no partition), and negate.
+Conversions and bridges alike sum on integers over a graded table (:func:`_grade`).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -154,57 +152,72 @@ def cumulants_to_moments(c: CumulantTable) -> MomentFunctional:
 
 
 Blocks = tuple[int, ...]
+State = tuple[Word, ...]  # the sorted run words shared by some of a tail's permutations
 
 
-@lru_cache(maxsize=None)
-def _run_partition_counts(n: int) -> dict[Blocks, int]:
-    """Each descending-run partition of the permutations of 0..n-1 with
-    first entry maximal, as a tuple of block masks (bit i is value i), with
-    the number of those permutations that have it.
+def _closed_sum(state: State, c: int, negated: Mapping[Word, RingElem]) -> RingElem:
+    """Sum over the successors of ``state``, a new least position of color
+    ``c`` put right after some entry, of the product of ``negated`` over their
+    runs.  After the k-th least entry of a run r it makes ``(c,) + r[k:]`` a
+    run and leaves ``r[:k]`` one if k > 0, so the sum is, over the runs r, the
+    other runs' product times the sum over k for r alone."""
+    value: RingElem = 0
+    for j, run in enumerate(state):
+        term = sum((negated[(c,) + run[k:]] * negated[run[:k]] for k in range(1, len(run))),
+                   negated[(c,) + run])
+        for other in state[:j] + state[j + 1:]:
+            term = term * negated[other]
+        value = value + term
+    return value
 
-    Such a permutation is one of size n-1, its values shifted up by 1, with
-    0 put right after some entry a, ending a's run.  If a is its block's
-    minimum, 0 joins that block; otherwise the block splits into
-    {x >= a} + {0} and {x < a}.  The block of 0 goes first and the rest keep
-    their places, so each key lists its blocks by least bit.  Equal masks
-    are one object across keys.  The keys come in no set order: the
-    bridge's sum is exact.
+
+def _first_max_sums(negated: Mapping[Word, RingElem], alphabet: Sequence[int],
+                    max_len: int) -> dict[Word, RingElem]:
+    """For each word up to ``max_len``, the sum over the permutations of its
+    positions with first entry maximal of the product of ``negated`` over
+    their descending runs, each run read as the word on its positions.
+
+    Such a permutation of ``(c,) + u`` is one of u's, shifted up by 1, with 0
+    put right after some entry.  So a tail u keeps its permutations as states,
+    each with the number of permutations that have it, and ``(c,) + u`` sums
+    that number times :func:`_closed_sum`, one per (state, c), over them.
+    Depth first, a tail holds its states only while its extensions read them.
     """
-    if n == 1:
-        return {(1,): 1}
-    old = _run_partition_counts(n - 1)
-    shifted = {b: b << 1 for key in old for b in key}
-    interned = {b: b for b in shifted.values()}
-    counts: dict[Blocks, int] = {}
-    for key, count in old.items():
-        blocks = tuple([shifted[b] for b in key])
-        for j, b in enumerate(blocks):
-            head, tail = blocks[:j], blocks[j + 1:]
-            lower, upper = 0, b
-            while upper:  # a is the least bit of upper
-                z = upper | 1
-                z = interned.setdefault(z, z)
-                if lower:
-                    new = (z,) + head + (interned.setdefault(lower, lower),) + tail
-                else:
-                    new = (z,) + head + tail
-                counts[new] = counts.get(new, 0) + count
-                a = upper & -upper
-                lower, upper = lower | a, upper ^ a
-    return counts
+    closed: dict[tuple[State, int], RingElem] = {}
+    sums = {(c,): negated[(c,)] for c in alphabet if max_len}  # one position, one run
+    stack = [((c,), {((c,),): 1}, iter(alphabet)) for c in alphabet if max_len > 1]
+    while stack:
+        tail, states, letters = stack[-1]
+        for c in letters:
+            word, acc, grown = (c,) + tail, 0, {}
+            for state, count in states.items():
+                value = closed.get((state, c))
+                if value is None:
+                    value = closed[state, c] = _closed_sum(state, c, negated)
+                acc = acc + count * value
+                if len(word) < max_len:  # the successors, as states of word
+                    for j, run in enumerate(state):
+                        for k in range(len(run)):
+                            cut = ((c,) + run[k:], run[:k]) if k else ((c,) + run,)
+                            new = tuple(sorted(state[:j] + state[j + 1:] + cut))
+                            grown[new] = grown.get(new, 0) + count
+            sums[word] = acc
+            if grown:
+                stack.append((word, grown, iter(alphabet)))
+                break
+        else:
+            stack.pop()
+    return sums
 
 
-def _partition_sum(word: Word, terms: Iterable[tuple[Blocks, int]],
+def _partition_sum(word: Word, partitions: Iterable[Blocks],
                    table: Mapping[Word, RingElem]) -> RingElem:
-    """Sum over the ``(blocks, multiplicity)`` terms of the multiplicity
-    times the product of ``table[word|block]`` over the block masks.
-
-    ``table[word|block]`` is looked up once per distinct mask.
-    """
+    """Sum over the partitions, as tuples of block masks, of the product of
+    ``table[word|block]`` over the blocks, each mask looked up once."""
     values: dict[int, RingElem] = {}
     acc: RingElem = 0
-    for blocks, multiplicity in terms:
-        prod: RingElem = multiplicity
+    for blocks in partitions:
+        prod: RingElem = 1
         for block in blocks:
             value = values.get(block)
             if value is None:
@@ -216,15 +229,14 @@ def _partition_sum(word: Word, terms: Iterable[tuple[Blocks, int]],
 
 
 def _bridge(b: CumulantTable, kind: str,
-            terms: Callable[[int], Iterable[tuple[Blocks, int]]]) -> CumulantTable:
-    """Negated partition sum of negated Boolean cumulants, each word over
-    ``terms(len(word))``."""
+            sums: Callable[[dict[Word, RingElem]], Mapping[Word, RingElem]]) -> CumulantTable:
+    """Negated ``sums`` of the negated Boolean table: ``sums`` maps it to
+    each word's partition sum."""
     if b.kind != "boolean":
         raise ValueError("input must be a boolean cumulant table")
     graded, d = _grade(b.table)
-    negated = {word: -value for word, value in graded.items()}
-    table = {word: -_partition_sum(word, terms(len(word)), negated)
-             for word in iter_words(b.alphabet, b.max_len)}
+    found = sums({word: -value for word, value in graded.items()})
+    table = {word: -found[word] for word in iter_words(b.alphabet, b.max_len)}
     return CumulantTable(kind, b.alphabet, b.max_len, _ungrade(table, d))
 
 
@@ -232,19 +244,17 @@ def boolean_to_free(b: CumulantTable) -> CumulantTable:
     """Bridge from Boolean to free cumulants through irreducible noncrossing
     partitions: the negated free cumulant of a word is the sum over such
     partitions of products of negated Boolean cumulants of the blocks."""
-    return _bridge(b, "free", lambda n: zip(partitions_as_index_blocks(n, "nc_irreducible"),
-                                            itertools.repeat(1)))
+    return _bridge(b, "free", lambda negated: {word: _partition_sum(
+        word, partitions_as_index_blocks(len(word), "nc_irreducible"), negated)
+        for word in iter_words(b.alphabet, b.max_len)})
 
 
 def boolean_to_classical(b: CumulantTable) -> CumulantTable:
     """Bridge from Boolean to classical cumulants through permutations whose
-    first entry is maximal, grouped by descending runs.
-
-    Each run partition is summed once, weighted by the number of such
-    permutations that have it; terms with a singleton run vanish on their
-    own whenever the length-1 Boolean cumulants are zero.
-    """
-    return _bridge(b, "classical", lambda n: _run_partition_counts(n).items())
+    first entry is maximal, grouped by descending runs (:func:`_first_max_sums`).
+    Terms with a singleton run vanish whenever the length-1 cumulants do."""
+    return _bridge(b, "classical",
+                   lambda negated: _first_max_sums(negated, b.alphabet, b.max_len))
 
 
 def to_egf(seq: Sequence[RingElem]) -> Series:

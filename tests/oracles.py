@@ -7,8 +7,9 @@ Also the branch profile (root-down sides and colors) and the insertion
 factors built from the profiles of a factor walk that recurses on owners.
 Also the recursive max-split build of a decreasing tree, the permutations
 with first entry n and their descending runs, also normalised through
-``SetPartition.of``, ``SetPartition.of`` by sets, psi by iterated
-insertion, the Narayana polynomial and the tree series by enumeration, the
+``SetPartition.of`` and counted by run partition on block masks,
+``SetPartition.of`` by sets, psi by iterated insertion, the Narayana
+polynomial and the tree series by enumeration, the
 plain trees of a color word built shape by shape, the decreasing-tree sum
 over every labeled tree and, by one ring addition per colored tree, over
 the grouped ones, one tree's value as ``Fraction(1)`` times its
@@ -232,6 +233,34 @@ def druns(sigma) -> SetPartition:
     if set(sigma) != set(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}")
     return SetPartition(n, _run_blocks(tuple(sigma)))
+
+
+@lru_cache(maxsize=None)
+def run_partition_counts(n: int) -> dict[tuple[int, ...], int]:
+    """Each descending-run partition of the permutations of 0..n-1 with
+    first entry maximal, as a tuple of block masks (bit i is value i), with
+    the number of those permutations that have it.
+
+    Such a permutation is one of size n-1, its values shifted up by 1, with
+    0 put right after some entry a, ending a's run.  If a is its block's
+    minimum, 0 joins that block; otherwise the block splits into
+    {x >= a} + {0} and {x < a}.  The block of 0 goes first and the rest keep
+    their places, so each key lists its blocks by least bit.
+    """
+    if n == 1:
+        return {(1,): 1}
+    counts: dict[tuple[int, ...], int] = {}
+    for key, count in run_partition_counts(n - 1).items():
+        blocks = tuple([b << 1 for b in key])
+        for j, b in enumerate(blocks):
+            head, tail = blocks[:j], blocks[j + 1:]
+            lower, upper = 0, b
+            while upper:  # a is the least bit of upper
+                new = (upper | 1,) + head + ((lower,) if lower else ()) + tail
+                counts[new] = counts.get(new, 0) + count
+                a = upper & -upper
+                lower, upper = lower | a, upper ^ a
+    return counts
 
 
 def set_partition_of_by_sets(n: int, blocks) -> SetPartition:

@@ -1,12 +1,12 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from troupes import cumulants
 from troupes.cumulants import (
-    _run_partition_counts,
     CumulantTable,
     MomentFunctional,
     boolean_to_classical,
@@ -35,7 +35,7 @@ from troupes.troupe import (
     right_two_monomial,
 )
 
-from oracles import druns, equivalence_report, iter_sigma_first_n
+from oracles import druns, equivalence_report, iter_sigma_first_n, run_partition_counts
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]  # C_0..C_7
 
@@ -198,9 +198,10 @@ def _oracle_sum(word, partitions, table):
     return total
 
 
+@lru_cache(maxsize=None)
 def _class_blocks(n, kind):
     klass = {"classical": "all", "free": "noncrossing", "boolean": "interval"}[kind]
-    return [p.blocks for p in iter_partitions(n, klass)]
+    return tuple(p.blocks for p in iter_partitions(n, klass))
 
 
 def oracle_moments(cumulants, kind, words):
@@ -220,13 +221,15 @@ def oracle_bridge(boolean, partitions_of, words):
     return {w: -_oracle_sum(w, partitions_of(len(w)), negated) for w in words}
 
 
+@lru_cache(maxsize=None)
 def _nc_irreducible_blocks(n):
-    return [p.blocks for p in iter_partitions(n, "nc_irreducible")]
+    return tuple(p.blocks for p in iter_partitions(n, "nc_irreducible"))
 
 
+@lru_cache(maxsize=None)
 def _run_blocks(n):
     # one term per permutation: run partitions that repeat are summed again
-    return [druns(sigma).blocks for sigma in iter_sigma_first_n(n)]
+    return tuple(druns(sigma).blocks for sigma in iter_sigma_first_n(n))
 
 
 COPRIME = (2, 3, 5, 7)
@@ -265,7 +268,8 @@ def test_conversions_match_brute_force_oracle(ring):
     # classical bridge meets a multiplicity above 1
     assert len(set(_run_blocks(5))) == 22
     rng = random.Random(31)
-    for alphabet, max_len, tables in (((0, 1), 5, 2), ((0, 1, 2), 4, 1), ((0,), 7, 1)):
+    for alphabet, max_len, tables in (((0, 1), 5, 2), ((0, 1, 2), 4, 1), ((0,), 7, 1),
+                                      ((0, 1), 6, 1), ((0, 1, 2), 5, 1)):
         words = list(iter_words(alphabet, max_len))
         for _ in range(tables):
             table = random_ring_table(rng, ring, alphabet, max_len)
@@ -295,13 +299,32 @@ def test_run_partition_counts_match_druns():
         zero_based = [tuple(tuple(i - 1 for i in b) for b in druns(sigma).blocks)
                       for sigma in iter_sigma_first_n(n)]
         walk = Counter(zero_based)
-        counts = _run_partition_counts(n)
+        counts = run_partition_counts(n)
         as_positions = Counter()
         for key, count in counts.items():
             as_positions[tuple(_mask_positions(m, n) for m in key)] += count
         assert len(as_positions) == len(counts)
         assert as_positions == walk
         assert first_n_druns_index_blocks(n) == tuple(zero_based)
+
+
+def test_classical_bridge_matches_the_run_partition_table():
+    # past the brute-force sizes: each run partition once, with its count
+    rng = random.Random(28)
+    for alphabet, max_len in (((0,), 9), ((0, 1), 7), ((0, 1, 2), 6)):
+        table = random_ring_table(rng, "mixed", alphabet, max_len)
+        negated = {w: -v for w, v in table.items()}
+        want = {}
+        for w in iter_words(alphabet, max_len):
+            total = Fraction(0)
+            for key, count in run_partition_counts(len(w)).items():
+                prod = Fraction(count)
+                for m in key:
+                    prod = prod * negated[tuple(w[i] for i in _mask_positions(m, len(w)))]
+                total = total + prod
+            want[w] = -total
+        boolean = CumulantTable("boolean", alphabet, max_len, table)
+        assert_same_entries(boolean_to_classical(boolean).table, want)
 
 
 @pytest.mark.parametrize("klass", ["all", "interval", "noncrossing", "nc_irreducible",
@@ -316,26 +339,6 @@ def test_partition_masks_round_trip_to_iter_partitions(klass):
             assert tuple(tuple(i + 1 for i in _mask_positions(m, n)) for m in key) == want
 
 
-def test_run_partition_blocks_are_shared_between_keys():
-    counts = _run_partition_counts(7)
-    blocks = {}
-    for key in counts:
-        for block in key:
-            assert blocks.setdefault(block, block) is block
-
-
-def test_run_partition_masks_past_the_small_int_cache_are_shared_between_keys():
-    # masks below 257 are one object in CPython anyway; at n = 9 most are not
-    counts = _run_partition_counts(9)
-    masks = {}
-    large = 0
-    for key in counts:
-        for mask in key:
-            assert masks.setdefault(mask, mask) is mask
-            large += mask > 256
-    assert large == len(counts)  # the block of 8 in each key
-
-
 def test_conversions_build_no_lattice_table(monkeypatch):
     requested = []
 
@@ -348,8 +351,9 @@ def test_conversions_build_no_lattice_table(monkeypatch):
     phi = random_phi(rng, (0, 1), 5)
     for kind in ("classical", "free", "boolean"):
         cumulants_to_moments(moments_to_cumulants(phi, kind))
+    boolean_to_classical(moments_to_cumulants(phi, "boolean"))
     assert requested == []
-    # the spy sees the bridges, which keep the whole-class sum
+    # the spy sees the free bridge, which keeps the whole-class sum
     boolean_to_free(moments_to_cumulants(phi, "boolean"))
     assert set(requested) == {"nc_irreducible"}
 
