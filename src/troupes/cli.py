@@ -154,7 +154,7 @@ def cmd_cumulants(args) -> int:
 
 def cmd_verify(args) -> int:
     from .cumulants import equivalence_reports
-    from .troupe import builtin, from_table, random_branch_table
+    from .troupe import _parse_colors as troupe_colors, builtin, from_table, random_branch_table
 
     _check_min("--n", args.n, 1)
     _check_min("--num-colors", args.num_colors, 1)
@@ -172,7 +172,7 @@ def cmd_verify(args) -> int:
             raise CliError(str(exc)) from exc
         head, _, named = args.troupe.partition(":")
         if head in ("colorset", "colorcount"):
-            outside = sorted({int(c) for c in named.split(",")} - set(alphabet))
+            outside = sorted(set(troupe_colors(named)) - set(alphabet))
             if outside:  # the check would compare nothing the troupe names
                 raise CliError(f"troupe {args.troupe!r} names colors {outside} outside "
                                f"0..{args.num_colors - 1} (--num-colors {args.num_colors})")

@@ -91,8 +91,6 @@ def _first_block_sum(word: Word, kind: str, cumulants: Mapping[Word, RingElem],
     one state holding the sum of their products: at most one state per pair
     of subwords, not one per block.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown cumulant kind {kind!r}")
     # (word on S, open gap) -> sum of the products of the closed gaps' moments
     states: dict[tuple[Word, Word], RingElem] = {((word[0],), ()): 1}
     for letter in word[1:]:
@@ -134,6 +132,8 @@ def _ungrade(graded: Mapping[Word, RingElem], d: int) -> dict[Word, RingElem]:
 
 def moments_to_cumulants(phi: MomentFunctional, kind: str) -> CumulantTable:
     """Triangular solve of the first-block recursion for the requested kind."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown cumulant kind {kind!r}")
     moments, d = _grade(phi.table)
     table: dict[Word, RingElem] = {}
     for word in iter_words(phi.alphabet, phi.max_len):
@@ -144,6 +144,8 @@ def moments_to_cumulants(phi: MomentFunctional, kind: str) -> CumulantTable:
 
 def cumulants_to_moments(c: CumulantTable) -> MomentFunctional:
     """The first-block recursion, filling moments in length order."""
+    if c.kind not in KINDS:
+        raise ValueError(f"unknown cumulant kind {c.kind!r}")
     cumulants, d = _grade(c.table)
     table: dict[Word, RingElem] = {}
     for word in iter_words(c.alphabet, c.max_len):

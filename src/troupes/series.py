@@ -79,10 +79,6 @@ class Series:
     # -- construction helpers
 
     @classmethod
-    def zero(cls, order: int, poly: bool = False) -> Series:
-        return cls([QPoly() if poly else 0] * order)
-
-    @classmethod
     def one(cls, order: int, poly: bool = False) -> Series:
         return cls([QPoly((1,)) if poly else 1], order=order)
 
@@ -176,13 +172,6 @@ class Series:
                      - sum(b[j] * power[j - 1] * e[k - j] for j in range(1, k + 1)))
         num = [x * power[n - 1 - k] * other._den for k, x in enumerate(e)]
         return _build(num, self._den * power[n], self.is_poly_ring)
-
-    def scale(self, c) -> Series:
-        c = as_ring_elem(c)
-        d = denominator(c)
-        k = _scaled(c, d)
-        return _build([k * x for x in self._num], d * self._den,
-                      self.is_poly_ring or is_poly(k))
 
     def shift(self) -> Series:
         """Multiply by t, keeping the truncation order."""
@@ -283,13 +272,13 @@ def _lagrange_root(phi: Series) -> Series:
     return _build([x * (common // e) for x, e in zip(tops, dens)], common, phi.is_poly_ring)
 
 
-def troupe_transform(branch_series: Series) -> Series:
-    """Solve ``T(t) = B(t / (1 - t*T(t)))`` for ``T`` to the truncation order.
+def troupe_transform(b: Series) -> Series:
+    """Solve ``T(t) = B(t / (1 - t*T(t)))`` for ``T`` to the truncation order,
+    ``b`` being the branch series ``B``.
 
-    ``branch_series`` must have zero constant term; so does the result.
+    ``b`` must have zero constant term; so does the result.
     ``W = t/(1 - t*T)`` solves ``W = t*(1 + W*B(W))``, and ``T = B(W)``.
     """
-    b = branch_series
     if b._num[0]:
         raise ValueError("the branch series must have zero constant term")
     n = b.order

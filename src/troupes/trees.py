@@ -3,8 +3,8 @@
 Trees are stored positionally: a node is an index into a node list, and each
 vertex is a plain ``(color, left, right)`` tuple whose children are node
 indices or ``None``.  Isomorphism of colored trees is decided through
-:func:`encode`, a canonical serialization that is also the on-disk and CLI
-format.
+:func:`encode`, a canonical serialization that is also the CLI's output
+format; trees are written, never read back.
 
 Colors are nonnegative integers into an ambient index set; a tree also carries
 a ``box_color``, the color of the external marker that rides along with every
@@ -340,7 +340,7 @@ def right_edges(t: ColoredTree) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Canonical encoding (also the CLI / on-disk format)
+# Canonical encoding (also the CLI output format)
 
 
 def _encode_small(nodes: Sequence[Vertex], labels: Sequence[int] | None, v: int) -> str:
@@ -411,57 +411,6 @@ def encode(t: ColoredTree) -> str:
 def encode_labeled(lt: LabeledTree) -> str:
     """Like :func:`encode` but each vertex prints ``color|label``."""
     return _encode(lt.tree, lt.labels)
-
-
-def _parse_body(body: str, nodes: list[Vertex]) -> tuple[int | None, int]:
-    """Parse the subtree starting at offset 0 of ``body``, appending its
-    vertices to ``nodes`` in postorder; returns its root id and the offset
-    just past it.  The open vertices wait on an explicit stack: ``[color]``,
-    then ``[color, left child id]`` once the left subtree is read."""
-    stack: list[list] = []
-    pos = 0
-    while True:
-        if pos < len(body) and body[pos] == ".":
-            child, pos = None, pos + 1
-        elif pos >= len(body) or body[pos] != "(":
-            raise ValueError(f"expected '(' or '.' at offset {pos} of {body!r}")
-        else:
-            end = pos + 1
-            while end < len(body) and body[end] not in " )":
-                end += 1
-            color = int(body[pos + 1:end])
-            if color < 0:
-                raise ValueError(f"negative color at offset {pos} of {body!r}")
-            stack.append([color])
-            pos = end + 1  # skip the space
-            continue
-        # hand the finished subtree to the open vertices above it
-        while stack and len(stack[-1]) == 2:
-            if pos >= len(body) or body[pos] != ")":
-                raise ValueError(f"expected ')' at offset {pos} of {body!r}")
-            color, left = stack.pop()
-            nodes.append((color, left, child))
-            child, pos = len(nodes) - 1, pos + 1
-        if not stack:
-            return child, pos
-        stack[-1].append(child)
-        pos += 1  # skip the space
-
-
-def parse_tree(text: str) -> ColoredTree:
-    """Parse the output of :func:`encode`."""
-    text = text.strip()
-    box_text, sep, body = text.partition(":")
-    if not sep:
-        raise ValueError(f"missing box color in {text!r}")
-    box = int(box_text)
-    if box < 0:
-        raise ValueError(f"negative box color in {text!r}")
-    nodes: list[Vertex] = []
-    root, pos = _parse_body(body, nodes)
-    if pos != len(body):
-        raise ValueError(f"trailing input in {text!r}")
-    return _new(ColoredTree, (tuple(nodes), root, box))
 
 
 def multiset_key(trees: Sequence[ColoredTree]) -> tuple[str, ...]:

@@ -18,19 +18,16 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .rings import (RingElem, _over, _scaled, as_ring_elem, denominator,
                     parse_ring_elem, q)
-from .series import Series
 from .trees import (
     TREE_KINDS,
     ColoredTree,
     Vertex,
     _new,
-    _read_branch,
     encode,
     factor_paths,
     iter_branch_word,
     iter_dbpt,
     right_edges,
-    size_word,
 )
 
 
@@ -62,13 +59,6 @@ class WeightedTroupe:
             branch = _new(ColoredTree, (nodes, len(nodes) - 1, box))
             value = self._cache[key] = as_ring_elem(self.branch_weight(branch))
         return value
-
-    def weight_of_branch(self, branch: ColoredTree) -> RingElem:
-        """The weight of a branch; ``ValueError`` on any other tree.  A
-        branch is its own one insertion factor, so this is its value."""
-        k = len(branch.nodes)
-        _read_branch(branch, range(k), [0] * k, set())
-        return self.evaluate(branch)
 
     def evaluate(self, t: ColoredTree) -> RingElem:
         """0 on the empty tree, else the product of branch weights over the
@@ -211,13 +201,6 @@ def _parse_colors(arg: str) -> list[int]:
 # Weighted sums over the families
 
 
-def weighted_sum(tau: WeightedTroupe, kind: str, word: Sequence[int]) -> RingElem:
-    """Exact sum of the troupe over the colored family of the given word:
-    :func:`tree_sums` for one word."""
-    word = tuple(word)
-    return tree_sums(tau, kind, [word])[word]
-
-
 def tree_sums(tau: WeightedTroupe, kind: str,
               words: Iterable[Sequence[int]]) -> dict[tuple[int, ...], RingElem]:
     """``{word: sum}`` over the family ``kind`` of each of the nonempty
@@ -328,8 +311,3 @@ def _open_table(tau: WeightedTroupe, s: tuple[int, ...], split: Callable,
     tables[s] = table
     return table
 
-
-def branch_series(tau: WeightedTroupe, order: int) -> Series:
-    """Generating function of branch sums: coefficient n is the size-n sum."""
-    sums = tree_sums(tau, "branch", [size_word(n) for n in range(1, order)])
-    return Series([Fraction(0)] + list(sums.values()))

@@ -43,14 +43,13 @@ from troupes.series import (
 )
 from troupes.troupe import (
     all_trees,
-    branch_series,
     color_count,
     from_table,
     full_trees,
     motzkin_trees,
     random_branch_table,
     right_two_monomial,
-    weighted_sum,
+    tree_sums,
 )
 from troupes.trees import (
     encode,
@@ -124,19 +123,20 @@ def test_criterion_2_count_triples():
 
 def test_criterion_3_right_edge_polynomial_triple():
     tau = right_two_monomial(q, 1)
-    for n in range(1, 8):
-        assert weighted_sum(tau, "dbpt", size_word(n)) == q * eulerian_polynomial(n)
-        assert weighted_sum(tau, "bpt", size_word(n)) == q * narayana_polynomial(n)
-        assert weighted_sum(tau, "branch", size_word(n)) == q * (1 + q) ** (n - 1)
+    words = [size_word(n) for n in range(1, 8)]
+    dbpt, bpt, branch = (tree_sums(tau, kind, words) for kind in ("dbpt", "bpt", "branch"))
+    for n, word in enumerate(words, 1):
+        assert dbpt[word] == q * eulerian_polynomial(n)
+        assert bpt[word] == q * narayana_polynomial(n)
+        assert branch[word] == q * (1 + q) ** (n - 1)
     report(3, "Eulerian / Narayana / binomial weighted sums")
 
 
 def test_criterion_4_full_triple_and_secant():
     tau = full_trees()
-    for n in range(1, 8):
-        dbpt = weighted_sum(tau, "dbpt", size_word(n))
-        bpt = weighted_sum(tau, "bpt", size_word(n))
-        branch = weighted_sum(tau, "branch", size_word(n))
+    words = [size_word(n) for n in range(1, 8)]
+    sums = [tree_sums(tau, kind, words).values() for kind in ("dbpt", "bpt", "branch")]
+    for n, dbpt, bpt, branch in zip(range(1, 8), *sums):
         if n % 2 == 1:
             assert dbpt == alternating_count(n)
             assert bpt == catalan((n - 1) // 2)
@@ -190,7 +190,8 @@ def test_criterion_5_transform_maps_and_roundtrips():
         color_count({0}),
     )
     for tau in troupes:
-        assert troupe_transform(branch_series(tau, 9)) == tree_series(tau, 9)
+        branches = tree_sums(tau, "branch", [size_word(n) for n in range(1, 9)])
+        assert troupe_transform(Series([0] + list(branches.values()))) == tree_series(tau, 9)
     report(5, "series transform against enumeration")
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from troupes import cli, cumulants, troupe
 from troupes.cumulants import ConditionCheck, EquivalenceReport, Verification, iter_words
 from troupes.series import Series, troupe_transform
-from troupes.trees import parse_tree
+from troupes.trees import encode, iter_bpt_word, size_word
 
 
 def run(*argv):
@@ -56,14 +56,12 @@ def test_count_colored():
     assert code == 0 and out == "2\n"
 
 
-def test_enumerate_round_trips_tree_format():
+def test_enumerate_writes_tree_format():
     code, out, _ = run("enumerate", "--kind", "bpt", "--n", "3")
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 5
-    for line in lines:
-        parsed = parse_tree(line)
-        assert parsed.size == 3
+    assert lines == [encode(t) for t in iter_bpt_word(size_word(3))]
 
 
 def test_enumerate_partitions():

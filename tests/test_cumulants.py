@@ -364,6 +364,13 @@ def test_unknown_kind_raises():
         moments_to_cumulants(phi, "monotone")
     with pytest.raises(ValueError, match="unknown cumulant kind"):
         cumulants_to_moments(CumulantTable("monotone", (0,), 2, dict(phi.table)))
+    # the kind is checked on entry, so a table with no word to sum, or one
+    # whose one word sums no block product, does not let it through
+    for max_len, table in ((0, {}), (1, {(0,): Fraction(2)})):
+        with pytest.raises(ValueError, match="unknown cumulant kind 'bogus'"):
+            moments_to_cumulants(MomentFunctional.of([0], max_len, table), "bogus")
+        with pytest.raises(ValueError, match="unknown cumulant kind 'bogus'"):
+            cumulants_to_moments(CumulantTable("bogus", (0,), max_len, table))
 
 
 def test_bridge_kind_guards():

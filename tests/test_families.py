@@ -14,7 +14,7 @@ from troupes.families import (
 from troupes.rings import QPoly, RingMismatchError, q
 from troupes.series import Series, boolean_free_series_check
 from troupes.trees import size_word
-from troupes.troupe import full_trees, right_two_monomial, weighted_sum
+from troupes.troupe import full_trees, right_two_monomial, tree_sums
 
 from oracles import descents, narayana_polynomial
 
@@ -84,24 +84,27 @@ def test_right_edge_triple():
     oracles: branches give q(1+q)^(n-1), trees the Narayana polynomial, and
     labeled trees the Eulerian polynomial."""
     tau = right_two_monomial(q, 1)
-    for n in range(1, 7):
-        assert weighted_sum(tau, "branch", size_word(n)) == q * (1 + q) ** (n - 1)
-        assert weighted_sum(tau, "bpt", size_word(n)) == q * narayana_polynomial(n)
-    for n in range(1, 11):
-        assert weighted_sum(tau, "dbpt", size_word(n)) == q * eulerian_polynomial(n)
+    words = [size_word(n) for n in range(1, 11)]
+    branch, bpt = (tree_sums(tau, kind, words[:6]) for kind in ("branch", "bpt"))
+    dbpt = tree_sums(tau, "dbpt", words)
+    for n, word in enumerate(words, 1):
+        if n < 7:
+            assert branch[word] == q * (1 + q) ** (n - 1)
+            assert bpt[word] == q * narayana_polynomial(n)
+        assert dbpt[word] == q * eulerian_polynomial(n)
 
 
 def test_full_triple():
     tau = full_trees()
     catalan = [1, 1, 2, 5, 14]
-    for n in range(1, 7):
-        bpt = weighted_sum(tau, "bpt", size_word(n))
-        branch = weighted_sum(tau, "branch", size_word(n))
-        assert bpt == (catalan[(n - 1) // 2] if n % 2 == 1 else 0)
-        assert branch == (1 if n == 1 else 0)
-    for n in range(1, 11):
-        dbpt = weighted_sum(tau, "dbpt", size_word(n))
-        assert dbpt == (alternating_count(n) if n % 2 == 1 else 0)
+    words = [size_word(n) for n in range(1, 11)]
+    bpt, branch = (tree_sums(tau, kind, words[:6]) for kind in ("bpt", "branch"))
+    dbpt = tree_sums(tau, "dbpt", words)
+    for n, word in enumerate(words, 1):
+        if n < 7:
+            assert bpt[word] == (catalan[(n - 1) // 2] if n % 2 == 1 else 0)
+            assert branch[word] == (1 if n == 1 else 0)
+        assert dbpt[word] == (alternating_count(n) if n % 2 == 1 else 0)
 
 
 def test_gamma_minus_one():

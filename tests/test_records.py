@@ -34,13 +34,11 @@ from troupes.trees import (
     LabeledTree,
     alpha_inverse,
     branch_from_directions,
-    encode,
     insert,
     iter_bpt_word,
     iter_branch_word,
     iter_dbpt,
     iter_dbpt_word,
-    parse_tree,
 )
 
 from oracles import druns, frozen_dataclass_twin
@@ -129,7 +127,6 @@ def test_every_builder_makes_node_records():
         _assert_labeled_records(alpha_inverse(word, colors, box_color=1))
         for t in iter_bpt_word(colors + [2]):
             _assert_tree_records(t)
-            _assert_tree_records(parse_tree(encode(t)))
             for v in range(t.size):
                 _assert_tree_records(insert(t, v, t))
         directions = [rng.choice("LR") for _ in range(n - 1)]

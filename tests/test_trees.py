@@ -49,7 +49,6 @@ from troupes.trees import (
     labeled_insertion_factors,
     labeled_multiset_key,
     multiset_key,
-    parse_tree,
     postorder,
     right_edges,
     size_word,
@@ -625,13 +624,6 @@ def test_encode_examples():
     assert encode(ColoredTree(((1, None, None),), 0, 0)) == "0:(1 . .)"
 
 
-def test_encode_parse_roundtrip():
-    for n in range(0, 5):
-        for word in itertools.product((0, 3), repeat=n + 1):
-            for t in iter_bpt_word(word):
-                assert encode(parse_tree(encode(t))) == encode(t)
-
-
 def test_walks_match_the_closure_oracles():
     """The module-level walkers give what the self-recursive closures gave."""
     rng = random.Random(8)
@@ -659,7 +651,6 @@ def test_walks_match_the_closure_oracles():
         assert encode(t) == encode_by_closure(t)
         assert inorder(t) == inorder_by_closure(t)
         assert postorder(t) == postorder_by_closure(t)
-        assert encode(parse_tree(encode(t))) == encode(t)
     for lt in labeled:
         assert encode_labeled(lt) == encode_labeled_by_closure(lt)
 
@@ -695,17 +686,6 @@ def test_library_leaves_no_cyclic_garbage():
     assert garbage == 0
 
 
-def test_parse_errors():
-    with pytest.raises(ValueError):
-        parse_tree("(0 . .)")  # missing box prefix
-    with pytest.raises(ValueError):
-        parse_tree("0:(0 . .) junk")
-    with pytest.raises(ValueError):
-        parse_tree("0:(-1 . .)")  # negative vertex color
-    with pytest.raises(ValueError):
-        parse_tree("-1:.")  # negative box color
-
-
 def test_validate_catches_breakage():
     with pytest.raises(ValueError):
         ColoredTree(((0, 0, None),), 0).validate()  # self loop
@@ -732,8 +712,6 @@ def test_walks_stop_on_looping_one_child_links():
         assert is_branch(t)
         with pytest.raises(ValueError):
             read_branch(t)
-        with pytest.raises(ValueError):
-            all_trees().weight_of_branch(t)
         for walk in (inorder, postorder):
             with pytest.raises(ValueError):
                 walk(t)
@@ -773,8 +751,6 @@ def test_branch_reader_matches_the_profile():
                         ((), None)]:
         with pytest.raises(ValueError):
             read_branch(ColoredTree(nodes, root))
-        with pytest.raises(ValueError):
-            all_trees().weight_of_branch(ColoredTree(nodes, root))
 
 
 # a vertex under both slots of one parent, one under two parents, a loop,
@@ -867,14 +843,17 @@ def test_factor_paths_stops_on_looping_links():
     assert proc.stdout.splitlines() == ["done"]
 
 
-def test_walks_and_parse_at_1500_vertices():
+def test_walks_and_encode_at_1500_vertices():
     n = 1500
-    for directions, inorder_ids in (("L" * (n - 1), list(range(n))),
-                                    ("R" * (n - 1), list(range(n - 1, -1, -1)))):
-        b = branch_from_directions(directions, [v % 3 for v in range(n)], 2)
+    colors = [v % 3 for v in range(n)]  # root down
+    for directions, inorder_ids, opening, closing in (
+            ("L" * (n - 1), list(range(n)), "({} ", " .)"),
+            ("R" * (n - 1), list(range(n - 1, -1, -1)), "({} . ", ")")):
+        b = branch_from_directions(directions, colors, 2)
         assert postorder(b) == list(range(n))  # ids run from the bottom up
         assert inorder(b) == inorder_ids
-        assert encode(parse_tree(encode(b))) == encode(b)
+        assert encode(b) == ("2:" + "".join(opening.format(c) for c in colors[:-1])
+                             + f"({colors[-1]} . .)" + closing * (n - 1))
     # deep trees with two-child vertices: ascending and descending stretches
     r = random.Random(15)
     values = r.sample(range(1, n + 1), n)
@@ -886,12 +865,10 @@ def test_walks_and_parse_at_1500_vertices():
     lt = alpha_inverse(word, [r.randrange(3) for _ in range(n)], box_color=1)
     assert alpha(lt) == tuple(word)
     assert postorder(lt.tree) == list(range(n))  # the stack pass numbers in postorder
-    t = parse_tree(encode(lt.tree))
-    assert encode(t) == encode(lt.tree)
-    assert postorder(t) == list(range(n))  # the parser appends in postorder
+    assert encode(lt.tree) == encode_by_closure(lt.tree)  # 612 deep, within the recursion limit
 
 
-def test_encode_round_trips_trees_deeper_than_the_recursion_limit():
+def test_encode_writes_trees_deeper_than_the_recursion_limit():
     # recursion would need a frame per two-child vertex on the way down:
     # 1,200 of them down a left comb, and 1,499 down the zigzag's left spine
     nodes = [(0, None, None)]
@@ -902,15 +879,12 @@ def test_encode_round_trips_trees_deeper_than_the_recursion_limit():
     comb.validate()
     zigzag = alpha_inverse([k + 2 if k % 2 == 0 else k for k in range(3000)])
     assert len(comb.nodes) == 2401 > sys.getrecursionlimit()
-
-    def shape(t):  # postorder colors and empty slots fix the tree
-        return [(t.nodes[v][0], t.nodes[v][1] is None, t.nodes[v][2] is None)
-                for v in postorder(t)]
-
-    for t in (comb, zigzag.tree):
-        text = encode(t)
-        assert encode(parse_tree(text)) == text
-        assert shape(parse_tree(text)) == shape(t)
+    # the comb's k-th two-child vertex, from the bottom, has color k % 2 and
+    # a right leaf of color k % 3; the zigzag's spine vertices 3000, 2998,
+    # ..., 4 each have a right leaf, and 2 has a right leaf only
+    assert encode(comb) == ("1:" + "".join(f"({k % 2} " for k in reversed(range(1200)))
+                            + "(0 . .)" + "".join(f" ({k % 3} . .))" for k in range(1200)))
+    assert encode(zigzag.tree) == "0:" + "(0 " * 1499 + "(0 . (0 . .))" + " (0 . .))" * 1499
     text = encode_labeled(zigzag)
     assert len(text) == 31896
     assert re.sub(r"\|\d+", "", text) == encode(zigzag.tree)

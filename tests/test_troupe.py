@@ -4,11 +4,13 @@ from functools import lru_cache
 
 import pytest
 
-from troupes.rings import QPoly, q
+from troupes.bijections import PhiInput, PsiInput
+from troupes.partitions import SetPartition
+from troupes.rings import QPoly, as_ring_elem, q
+from troupes.series import Series, troupe_transform
 from troupes.troupe import (
     WeightedTroupe,
     all_trees,
-    branch_series,
     builtin,
     color_constrained,
     color_count,
@@ -18,7 +20,6 @@ from troupes.troupe import (
     random_branch_table,
     right_two_monomial,
     tree_sums,
-    weighted_sum,
 )
 from troupes.trees import (
     ColoredTree,
@@ -66,14 +67,15 @@ def test_branch_evaluates_to_its_weight():
     for n in range(1, 5):
         for b in iter_branch_word(size_word(n)):
             assert tau.evaluate(b) == q ** (right_edges(b) + 1) * 2
-    # weight_of_branch is evaluate on a branch, in value and in type
+    # a branch is its own one insertion factor: evaluate gives its rule's
+    # weight, in value and in type
     taus = [all_trees(), builtin("rightmono:q,2/3"), builtin("colorcount:1"),
             from_table(random_branch_table(6, 6, 2))]
     for n in range(2, 8):
         for word in itertools.product((0, 1), repeat=n):
             for b in iter_branch_word(word):
                 for tau in taus:
-                    weight, value = tau.weight_of_branch(b), tau.evaluate(b)
+                    weight, value = as_ring_elem(tau.branch_weight(b)), tau.evaluate(b)
                     assert weight == value and type(weight) is type(value)
 
 
@@ -150,7 +152,7 @@ def test_same_branch_weights_same_troupe():
     table = {}
     for n in range(1, 8):
         for b in iter_branch_word(size_word(n)):
-            table[encode(b)] = reference.weight_of_branch(b)
+            table[encode(b)] = reference.evaluate(b)
     clone = from_table(table, name="clone")
     for n in range(1, 8):
         for t in iter_bpt_word(size_word(n)):
@@ -174,54 +176,49 @@ def test_indicator_support_closed_under_insertion():
 
 def test_all_troupe_sums():
     tau = all_trees()
-    for n in range(1, 7):
-        assert weighted_sum(tau, "branch", size_word(n)) == 2 ** (n - 1)
+    branch = tree_sums(tau, "branch", [size_word(n) for n in range(1, 7)])
+    assert list(branch.values()) == [2 ** (n - 1) for n in range(1, 7)]
     import math
 
-    for n in range(2, 7):
-        assert weighted_sum(tau, "dbpt", (0,) * n) == math.factorial(n - 1)
+    dbpt = tree_sums(tau, "dbpt", [(0,) * n for n in range(2, 7)])
+    assert list(dbpt.values()) == [math.factorial(n - 1) for n in range(2, 7)]
 
 
 def test_full_troupe_branch_sums():
-    tau = full_trees()
-    assert weighted_sum(tau, "branch", (0, 0)) == 1
-    for n in range(3, 7):
-        assert weighted_sum(tau, "branch", (0,) * n) == 0
+    sums = tree_sums(full_trees(), "branch", [(0,) * n for n in range(2, 7)])
+    assert list(sums.values()) == [1, 0, 0, 0, 0]
 
 
 def test_motzkin_troupe_bpt_sums():
-    tau = motzkin_trees()
-    for n in range(2, 8):
-        assert weighted_sum(tau, "bpt", (0,) * n) == motzkin_number(n - 2)
+    sums = tree_sums(motzkin_trees(), "bpt", [(0,) * n for n in range(2, 8)])
+    assert list(sums.values()) == [motzkin_number(n - 2) for n in range(2, 8)]
 
 
 def test_rightmono_sums():
-    tau = right_two_monomial(q, 1)
-    for n in range(1, 6):
-        assert weighted_sum(tau, "branch", size_word(n)) == q * (1 + q) ** (n - 1)
+    sums = tree_sums(right_two_monomial(q, 1), "branch", [size_word(n) for n in range(1, 6)])
+    assert list(sums.values()) == [q * (1 + q) ** (n - 1) for n in range(1, 6)]
 
 
 def test_word_length_one_sums_vanish():
     for tau in (all_trees(), right_two_monomial(q, 1)):
-        assert weighted_sum(tau, "branch", (0,)) == 0
-        assert weighted_sum(tau, "bpt", (0,)) == 0  # the empty tree weighs 0
-        assert weighted_sum(tau, "dbpt", (0,)) == 0
+        for kind in ("branch", "bpt", "dbpt"):
+            assert tree_sums(tau, kind, [(0,)]) == {(0,): 0}  # the empty tree weighs 0
 
 
 def test_series_helpers():
     tau = all_trees()
-    bs = branch_series(tau, 6)
+    branches = tree_sums(tau, "branch", [size_word(n) for n in range(1, 6)])
+    bs = Series([0] + list(branches.values()))
     ts = tree_series(tau, 6)
     assert list(bs.coeffs) == [0, 1, 2, 4, 8, 16]
     assert list(ts.coeffs) == [0, 1, 2, 5, 14, 42]
 
 
 def test_transform_matches_enumeration_for_random_weights():
-    from troupes.series import troupe_transform
-
     for seed in (101, 202, 303):
         tau = from_table(random_branch_table(seed, max_size=7))
-        assert troupe_transform(branch_series(tau, 8)) == tree_series(tau, 8)
+        branches = tree_sums(tau, "branch", [size_word(n) for n in range(1, 8)])
+        assert troupe_transform(Series([0] + list(branches.values()))) == tree_series(tau, 8)
 
 
 # -- built-in lookup and the random table
@@ -262,8 +259,8 @@ def test_cache_holds_branches_only():
     # single-colour branches of sizes 1..7 number 2^0 + ... + 2^6 = 127,
     # fewer than the 429 tree shapes of size 7
     tau = all_trees()
-    assert weighted_sum(tau, "bpt", size_word(7)) == 429
-    assert weighted_sum(tau, "dbpt", size_word(7)) == 5040
+    assert tree_sums(tau, "bpt", [size_word(7)]) == {size_word(7): 429}
+    assert tree_sums(tau, "dbpt", [size_word(7)]) == {size_word(7): 5040}
     assert len(tau._cache) <= 127
 
 
@@ -278,11 +275,12 @@ def test_dbpt_sum_by_colored_tree_matches_labeled_trees():
         lambda: from_table(random_branch_table(5, 6, 2)),
     ]
     taus = [make() for make in makers]
+    tables = [tree_sums(tau, "dbpt", words) for tau in taus]
     oracle_taus = [make() for make in makers]
     for word in words:
         expected = dbpt_sums_by_labeled_trees(oracle_taus, word)
-        for tau, want in zip(taus, expected):
-            got = weighted_sum(tau, "dbpt", word)
+        for tau, table, want in zip(taus, tables, expected):
+            got = table[word]
             assert got == want and type(got) is type(want), (tau, word)
 
 
@@ -305,7 +303,7 @@ def test_dbpt_sum_on_integer_numerators_matches_ring_additions():
             assert got[word] == want and type(got[word]) is type(want), (tau, word)
     # a length-1 word is an empty tree, whose value is Fraction(0)
     for make, _ in cases:
-        got = weighted_sum(make(), "dbpt", (1,))
+        got = tree_sums(make(), "dbpt", [(1,)])[(1,)]
         assert got == 0 and type(got) is Fraction
 
 
@@ -330,11 +328,12 @@ def test_root_sum_matches_enumerated_trees(kind, three_color_table):
         lambda: from_table(table),
     ]
     taus = [make() for make in makers]
+    tables = [tree_sums(tau, kind, words) for tau in taus]
     oracle_taus = [make() for make in makers]
     for word in words:
         expected = oracle(oracle_taus, word)
-        for tau, want in zip(taus, expected):
-            got = weighted_sum(tau, kind, word)
+        for tau, table, want in zip(taus, tables, expected):
+            got = table[word]
             assert got == want and type(got) is type(want), (tau, word)
 
 
@@ -393,21 +392,23 @@ def test_root_sums_build_no_tree(monkeypatch):
     for name in ("enumerate_trees", "iter_bpt_word", "iter_branch_word"):
         monkeypatch.setattr(troupes.trees, name, refuse)
     monkeypatch.setattr(WeightedTroupe, "evaluate", refuse)
-    assert weighted_sum(all_trees(), "bpt", size_word(7)) == 429
-    assert weighted_sum(motzkin_trees(), "BPT", (0, 1, 1, 0, 1)) == motzkin_number(3)
-    assert weighted_sum(builtin("colorcount:1"), "bpt", (0, 1, 1)) == 2 * q ** 2
-    assert weighted_sum(all_trees(), "branch", size_word(7)) == 2 ** 6
-    assert weighted_sum(motzkin_trees(), "Branch", (0, 1, 1, 0, 1)) == 1
-    assert weighted_sum(full_trees(), "branch", size_word(5)) == 0
-    assert weighted_sum(full_trees(), "branch", (1, 0)) == 1
-    assert weighted_sum(builtin("colorcount:1"), "branch", (0, 1, 1)) == 2 * q ** 2
+    assert tree_sums(all_trees(), "bpt", [size_word(7)]) == {size_word(7): 429}
+    assert (tree_sums(motzkin_trees(), "BPT", [(0, 1, 1, 0, 1)])
+            == {(0, 1, 1, 0, 1): motzkin_number(3)})
+    assert tree_sums(builtin("colorcount:1"), "bpt", [(0, 1, 1)]) == {(0, 1, 1): 2 * q ** 2}
+    assert tree_sums(all_trees(), "branch", [size_word(7)]) == {size_word(7): 2 ** 6}
+    assert tree_sums(motzkin_trees(), "Branch", [(0, 1, 1, 0, 1)]) == {(0, 1, 1, 0, 1): 1}
+    assert tree_sums(full_trees(), "branch", [size_word(5)]) == {size_word(5): 0}
+    assert tree_sums(full_trees(), "branch", [(1, 0)]) == {(1, 0): 1}
+    assert tree_sums(builtin("colorcount:1"), "branch", [(0, 1, 1)]) == {(0, 1, 1): 2 * q ** 2}
     for kind in ("bpt", "branch"):
         with pytest.raises(ValueError):
-            weighted_sum(all_trees(), kind, ())
+            tree_sums(all_trees(), kind, [()])
 
 
-def test_weight_of_branch_rejects_non_branch():
-    tau = all_trees()
+def test_branch_reader_rejects_non_branch():
     t = next(t for t in iter_bpt_word(size_word(3)) if two_child_count(t) > 0)
     with pytest.raises(ValueError):
-        tau.weight_of_branch(t)
+        PsiInput(SetPartition.of(4, [[1, 2, 3, 4]]), (t,)).validate()
+    with pytest.raises(ValueError):
+        PhiInput((4, 3, 2, 1), (t,)).validate()
