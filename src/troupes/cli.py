@@ -170,9 +170,8 @@ def cmd_verify(args) -> int:
             tau = builtin(args.troupe)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-        head, _, named = args.troupe.partition(":")
-        if head in ("colorset", "colorcount"):
-            outside = sorted(set(troupe_colors(named)) - set(alphabet))
+        if args.troupe.partition(":")[0] in ("colorset", "colorcount"):
+            outside = sorted(set(troupe_colors(args.troupe)) - set(alphabet))
             if outside:  # the check would compare nothing the troupe names
                 raise CliError(f"troupe {args.troupe!r} names colors {outside} outside "
                                f"0..{args.num_colors - 1} (--num-colors {args.num_colors})")

@@ -7,9 +7,14 @@ binary operations truncate to the smaller operand order.
 
 Every series is stored as numerators over one positive ``int`` denominator:
 ``int`` numerators for a rational series, integer-coefficient ``QPoly``
-numerators for a polynomial one.  Both multiply through the truncated
-convolution of :mod:`troupes.rings`, and a result is reduced once, by one gcd
-over its denominator and every integer coefficient of its numerators.
+numerators for a polynomial one.  Addition, multiplication, composition and
+the Lagrange root run on the numerators, through the truncated convolution of
+:mod:`troupes.rings`, and reduce a result once, by one gcd over its
+denominator and every integer coefficient of its numerators: the transform
+spends its time in them.  Division, ``log`` and ``exp`` run only at small
+orders (the Boolean-free series check and the moment EGFs), so they are plain
+coefficient recurrences over ring elements that return through the
+constructor.
 
 The branch-to-tree generating function transform (:func:`troupe_transform`)
 solves ``T(t) = B(t / (1 - t*T(t)))`` by Lagrange inversion (see
@@ -20,7 +25,7 @@ negation, ``-troupe_transform(-T)``.  ``log`` and ``exp`` solve
 
 from __future__ import annotations
 
-from math import factorial, lcm
+from math import lcm
 from typing import Iterable
 
 from .rings import (
@@ -154,24 +159,15 @@ class Series:
 
     def __truediv__(self, other: Series) -> Series:
         n = self._common(other)
-        a, b = self._num, other._num
-        b0 = b[0]
-        if not b0:
+        a, b = self.coeffs, other.coeffs
+        if not b[0]:
             raise ZeroDivisionError("division by a series with zero constant term")
-        if self.is_poly_ring:
-            ring_inverse(b0)  # only a constant is invertible in the polynomial ring
-            b0 = b0.constant_value().numerator  # an integer, as b0 is a numerator
-        # e[k] = b0^(k+1) * (db/da) * (self/other)[k], from self = other * (self/other)
-        # read on the numerators, so no step divides
-        power = [1]
-        for _ in range(n):
-            power.append(power[-1] * b0)
-        e: list = []
+        inv = ring_inverse(b[0])  # only a constant is invertible in the polynomial ring
+        # q_k = (a_k - sum_{0<j<=k} b_j q_(k-j)) / b_0, from self = other * (self/other)
+        q: list = []
         for k in range(n):
-            e.append(a[k] * power[k]
-                     - sum(b[j] * power[j - 1] * e[k - j] for j in range(1, k + 1)))
-        num = [x * power[n - 1 - k] * other._den for k, x in enumerate(e)]
-        return _build(num, self._den * power[n], self.is_poly_ring)
+            q.append((a[k] - sum(b[j] * q[k - j] for j in range(1, k + 1))) * inv)
+        return Series(q)
 
     def shift(self) -> Series:
         """Multiply by t, keeping the truncation order."""
@@ -200,33 +196,25 @@ class Series:
 
     def log(self) -> Series:
         """Formal logarithm; the constant term must be 1."""
-        f, d, n, poly = self._num, self._den, self.order, self.is_poly_ring
-        if f[0] != d:
+        f = self.coeffs
+        if f[0] != 1:
             raise ValueError("log needs constant term 1")
-        if n == 1:
-            return _build([0], 1, poly)
-        # log f is the integral of f'/f
-        ratio = _build([m * f[m] for m in range(1, n)], d, poly) / self
-        top = lcm(*range(1, n))
-        return _build([0] + [c * (top // m) for m, c in enumerate(ratio._num, 1)],
-                      ratio._den * top, poly)
+        # g = log f solves f*g' = f': m*g_m = m*f_m - sum_{0<k<m} k*g_k*f_(m-k)
+        g = [f[0] * 0]  # zero in f's ring, so an order-1 polynomial series stays one
+        for m in range(1, len(f)):
+            g.append((m * f[m] - sum(k * g[k] * f[m - k] for k in range(1, m))) / m)
+        return Series(g)
 
     def exp(self) -> Series:
         """Formal exponential; the constant term must be 0."""
-        f, d, n = self._num, self._den, self.order
+        f = self.coeffs
         if f[0]:
             raise ValueError("exp needs constant term 0")
-        # g = exp f solves g' = f'*g: m*g_m = sum_{0<k<=m} k*f_k*g_(m-k).  On the
-        # numerators F = d*f, G[m] = d^m * m! * g_m is
-        # sum_{0<k<=m} k*F_k*d^(k-1) * (m-1)!/(m-k)! * G[m-k].
-        fact = [factorial(k) for k in range(n)]
-        kf = [k * c * d ** (k - 1) if k else 0 for k, c in enumerate(f)]
-        g: list = [1]
-        for m in range(1, n):
-            g.append(sum(kf[k] * (fact[m - 1] // fact[m - k]) * g[m - k]
-                         for k in range(1, m + 1)))
-        num = [x * d ** (n - 1 - m) * (fact[n - 1] // fact[m]) for m, x in enumerate(g)]
-        return _build(num, d ** (n - 1) * fact[n - 1], self.is_poly_ring)
+        # g = exp f solves g' = f'*g: m*g_m = sum_{0<k<=m} k*f_k*g_(m-k)
+        g = [f[0] * 0 + 1]  # one in f's ring
+        for m in range(1, len(f)):
+            g.append(sum(k * f[k] * g[m - k] for k in range(1, m + 1)) / m)
+        return Series(g)
 
 
 _new = object.__new__
@@ -310,10 +298,7 @@ def boolean_free_series_check(boolean_cumulants: Series, free_cumulants: Series)
     if bc._num[0] or rc._num[0]:
         raise ValueError("cumulant series must have zero constant term")
     n = min(bc.order, rc.order)
-    bc, rc = bc.truncate(n), rc.truncate(n)
     one = Series.one(n, poly=rc.is_poly_ring)
     t = Series.t(n, poly=rc.is_poly_ring)
-    denom = one + rc
-    lhs = one - bc.compose(t / denom)
-    rhs = one / denom
-    return lhs == rhs
+    inv = one / (one + rc)
+    return one - bc.compose(t * inv) == inv

@@ -177,9 +177,9 @@ def builtin(spec: str) -> WeightedTroupe:
     if head == "motzkin":
         return motzkin_trees()
     if head == "colorset":
-        return color_constrained(_parse_colors(arg))
+        return color_constrained(_parse_colors(spec))
     if head == "colorcount":
-        return color_count(_parse_colors(arg))
+        return color_count(_parse_colors(spec))
     if head == "rightmono":
         parts = arg.split(",")
         if len(parts) != 2:
@@ -188,12 +188,16 @@ def builtin(spec: str) -> WeightedTroupe:
     raise ValueError(f"unknown troupe {spec!r}")
 
 
-def _parse_colors(arg: str) -> list[int]:
-    if not arg:
-        raise ValueError("expected a comma-separated color list")
-    colors = [int(x) for x in arg.split(",")]
+def _parse_colors(spec: str) -> list[int]:
+    """The color list J of a ``colorset:J`` or ``colorcount:J`` spec."""
+    arg = spec.partition(":")[2]
+    try:
+        colors = [int(x) for x in arg.split(",")]
+    except ValueError:
+        raise ValueError(f"expected a comma-separated integer color list, "
+                         f"got {arg!r} in troupe {spec!r}") from None
     if min(colors) < 0:
-        raise ValueError(f"colors must be nonnegative, got {arg!r}")
+        raise ValueError(f"colors must be nonnegative, got {arg!r} in troupe {spec!r}")
     return colors
 
 

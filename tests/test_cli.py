@@ -248,22 +248,22 @@ def test_verify_fails_the_series_line_on_one_coefficient(monkeypatch):
 @pytest.mark.parametrize("colors, color", [(1, 0), (2, 1)])
 def test_verify_fails_the_series_line_on_one_tree_sum_past_n(monkeypatch, colors, color):
     # the plain-tree sum of one constant word longer than --n, off by one:
-    # no word line reads it, so only the series line's tree comparison can fail
-    word = (color,) * 5
-    monkeypatch.setattr("troupes.cumulants.tree_sums",
-                        _raise_sum(cumulants.tree_sums, word, family="bpt"))
-    code, out, _ = run("verify", "--troupe", "all", "--num-colors", str(colors),
-                       "--n", "3", "--order", "6")
-    assert code == 1
-    lines = out.splitlines()
-    words = len(list(iter_words(range(colors), 3)))
-    assert len(lines) == words + 2
-    assert all(x.startswith("ok word") for x in lines[:words])
-    # C_4 = 14 plain trees on five vertices, each of weight 1
-    assert lines[words:] == [
-        f"FAIL cumulant series identity to order 6 [color {color} coefficient 4: "
-        "transform=14 trees=15]",
-        f"FAIL ({words} words checked)"]
+    # no word line reads it, so only the series line's tree comparison can fail;
+    # C_(size-1) plain trees on size vertices, each of weight 1
+    for n, size, trees in ((3, 5, 14), (1, 2, 1)):
+        monkeypatch.setattr("troupes.cumulants.tree_sums",
+                            _raise_sum(troupe.tree_sums, (color,) * size, family="bpt"))
+        code, out, _ = run("verify", "--troupe", "all", "--num-colors", str(colors),
+                           "--n", str(n), "--order", "6")
+        assert code == 1
+        lines = out.splitlines()
+        words = len(list(iter_words(range(colors), n)))
+        assert len(lines) == words + 2
+        assert all(x.startswith("ok word") for x in lines[:words])
+        assert lines[words:] == [
+            f"FAIL cumulant series identity to order 6 [color {color} coefficient "
+            f"{size - 1}: transform={trees} trees={trees + 1}]",
+            f"FAIL ({words} words checked)"]
 
 
 def test_verify_sums_each_family_in_one_table(monkeypatch):
@@ -390,6 +390,8 @@ PARTITION_KINDS = ("partition", "interval", "noncrossing", "nc-irreducible",
     ["count", "--kind", "dbpt", "--colors=0,-1,2"],
     ["enumerate", "--kind", "bpt", "--colors=-1"],
     ["verify", "--troupe", "colorset:-1"],
+    ["verify", "--troupe", "colorset:0 1"],
+    ["verify", "--troupe", "colorcount:x"],
     ["verify", "--troupe", "colorcount:-2"],
     ["cumulants", "--moments", "{negative_color_table}"],
     ["verify", "--troupe", "colorset:7", "--n", "3"],
@@ -411,6 +413,12 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     assert code == 2 and out == ""
     assert "error:" in err
     assert "Traceback" not in err
+    spec = dict(zip(argv, argv[1:])).get("--troupe", "")
+    if spec.startswith("color"):  # the message quotes the troupe spec
+        assert repr(spec) in err
+    if spec in ("colorset:0 1", "colorcount:x"):
+        assert err == ("error: expected a comma-separated integer color list, got "
+                       f"{spec.partition(':')[2]!r} in troupe {spec!r}\n")
 
 
 def test_huge_order_exits_2_out_of_memory():

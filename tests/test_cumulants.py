@@ -311,7 +311,9 @@ def test_run_partition_counts_match_druns():
 def test_classical_bridge_matches_the_run_partition_table():
     # past the brute-force sizes: each run partition once, with its count
     rng = random.Random(28)
-    for alphabet, max_len in (((0,), 9), ((0, 1), 7), ((0, 1, 2), 6)):
+    # and at max_len 1 and 2, where the walk over tails reads no tail or no grown state
+    for alphabet, max_len in (((0,), 9), ((0, 1), 7), ((0, 1, 2), 6),
+                              ((0,), 1), ((0, 1), 1), ((0,), 2), ((0, 1, 2), 2)):
         table = random_ring_table(rng, "mixed", alphabet, max_len)
         negated = {w: -v for w, v in table.items()}
         want = {}
