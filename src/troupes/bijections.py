@@ -36,6 +36,7 @@ from .trees import (
     _decreasing_tree,
     _new,
     _read_branch,
+    _write_branch,
     encode,
     factor_paths,
     iter_branch_word,
@@ -177,16 +178,28 @@ def psi_inverse(t: ColoredTree) -> PsiInput:
                     tuple(branch for _, branch in pairs))
 
 
-def iter_psi_inputs(word: Sequence[int]) -> Iterator[PsiInput]:
-    """Every valid input for the given color word, deterministically."""
-    n = len(word)
-    for p in iter_partitions(n, "nc_irreducible_min2"):
+def _iter_inputs(record: type, word: Sequence[int], skeletons) -> Iterator:
+    """``record(skeleton, branches)`` for each ``(skeleton, blocks)`` pair in
+    ``skeletons``, with every choice of one branch per block: a branch whose
+    word is the block's color subword.  The branches of each subword are
+    listed once and shared by every block that has it."""
+    branches: dict[tuple[int, ...], list[ColoredTree]] = {}  # by block subword
+    for skeleton, blocks in skeletons:
         choices = []
-        for block in p.blocks:
-            restricted = tuple(word[u - 1] for u in block)
-            choices.append(list(iter_branch_word(restricted)))
+        for block in blocks:
+            restricted = tuple([word[u - 1] for u in block])
+            if restricted not in branches:
+                branches[restricted] = list(iter_branch_word(restricted))
+            choices.append(branches[restricted])
         for combo in itertools.product(*choices):
-            yield PsiInput(p, tuple(combo))
+            yield _new(record, (skeleton, combo))
+
+
+def iter_psi_inputs(word: Sequence[int]) -> Iterator[PsiInput]:
+    """Every valid input for the given color word, deterministically: the
+    partitions in order, each with every choice of one branch per block."""
+    yield from _iter_inputs(PsiInput, word, ((p, p.blocks) for p in
+                                             iter_partitions(len(word), "nc_irreducible_min2")))
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +278,13 @@ def phi_inverse(lt: LabeledTree) -> PhiInput:
 
     # A run ends where the reading ascends, which is only after a leaf: every
     # other vertex is read just before a subtree below it.  So a run's
-    # minimum labels a leaf, the branch's bottom vertex taken as it is, and
-    # branch vertex i is the vertex labeled block[i], over vertex i-1.
+    # minimum labels a leaf, and its branch is written bottom-up on the
+    # vertices its labels name, less its maximum's.
     branches = []
     for block in _run_blocks(sigma):
-        branch = [nodes[vertex[block[0]]]]
-        for below, label in enumerate(block[1:-1]):
-            color, left, _ = nodes[vertex[label]]
-            branch.append((color, below, None) if left is not None else (color, None, below))
         mx = block[-1]
         box = t.box_color if mx == n else nodes[vertex[mx]][0]
-        branches.append(_new(ColoredTree, (tuple(branch), len(block) - 2, box)))
+        branches.append(_write_branch(nodes, [vertex[label] for label in block[:-1]], box))
     return _new(PhiInput, (sigma, tuple(branches)))
 
 
@@ -283,13 +292,5 @@ def iter_phi_inputs(word: Sequence[int]) -> Iterator[PhiInput]:
     """Every valid input for the given color word, deterministically: the
     permutations of :func:`~troupes.partitions.iter_D` in order, each with
     every choice of one branch per run."""
-    branches: dict[tuple[int, ...], list[ColoredTree]] = {}  # by block subword
-    for sigma in iter_D(len(word)):
-        choices = []
-        for block in _run_blocks(sigma):
-            restricted = tuple(word[u - 1] for u in block)
-            if restricted not in branches:
-                branches[restricted] = list(iter_branch_word(restricted))
-            choices.append(branches[restricted])
-        for combo in itertools.product(*choices):
-            yield _new(PhiInput, (sigma, combo))
+    yield from _iter_inputs(PhiInput, word,
+                            ((sigma, _run_blocks(sigma)) for sigma in iter_D(len(word))))

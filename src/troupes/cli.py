@@ -9,6 +9,7 @@ pass), 1 on verification failure, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -30,13 +31,11 @@ class CliError(argparse.ArgumentTypeError):
 
 
 def _parse_word(text: str) -> tuple[int, ...]:
+    """Integers separated by commas or whitespace; an empty item is an error."""
     try:
-        items = tuple(int(x) for x in text.replace(",", " ").split())
+        return tuple([int(x) for x in re.split(r"\s*,\s*|\s+", text.strip())])
     except ValueError as exc:
         raise CliError(f"bad integer list {text!r}") from exc
-    if not items:
-        raise CliError("expected a nonempty integer list")
-    return items
 
 
 def _parse_colors(text: str) -> tuple[int, ...]:
@@ -162,9 +161,9 @@ def cmd_verify(args) -> int:
     _check_min("--order", args.order, 3)
     alphabet = range(args.num_colors)
     if args.troupe == "random":
-        table = random_branch_table(args.seed, max_size=max(args.n - 1, 1),
-                                    num_colors=args.num_colors)
-        tau = from_table(table, name=f"random(seed={args.seed})")
+        tau = from_table(random_branch_table(args.seed, max_size=max(args.n - 1, 1),
+                                             num_colors=args.num_colors),
+                         name=f"random(seed={args.seed})")
     else:
         try:
             tau = builtin(args.troupe)
@@ -175,8 +174,7 @@ def cmd_verify(args) -> int:
             if outside:  # the check would compare nothing the troupe names
                 raise CliError(f"troupe {args.troupe!r} names colors {outside} outside "
                                f"0..{args.num_colors - 1} (--num-colors {args.num_colors})")
-    order = args.order if args.order is not None else DEFAULT_ORDER
-    reports, series_fail = equivalence_reports(tau, alphabet, args.n, order)
+    reports, series_fail = equivalence_reports(tau, alphabet, args.n, args.order)
     failures = 0
     for report in reports:
         status = "ok" if report.all_equal else "FAIL"
@@ -193,7 +191,7 @@ def cmd_verify(args) -> int:
         word = ",".join(map(str, report.word))
         print(f"{status} word {word}: " + " ".join(cells))
     print(f"{'ok' if series_fail is None else 'FAIL'} cumulant series identity to "
-          f"order {order}{series_fail or ''}")
+          f"order {args.order}{series_fail or ''}")
     if series_fail is not None:
         failures += 1
     print(f"{'PASS' if failures == 0 else 'FAIL'} ({len(reports)} words checked)")
@@ -228,24 +226,23 @@ def cmd_examples(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     _check_min("--order", args.order, 1)
-    order = args.order if args.order is not None else DEFAULT_ORDER
-    moments = seq.moments(order)
+    moments = seq.moments(args.order)
     print("# moments")
     for n, m in enumerate(moments):
         print(f"{n}: {format_ring_elem(m)}")
-    classical = seq.classical_cumulants(order)
+    classical = seq.classical_cumulants(args.order)
     print("# classical cumulants")
     for n, k in enumerate(classical, start=1):
         print(f"{n}: {format_ring_elem(k)}")
     alphabet = (0,)
     table = {}
-    for length in range(1, order + 1):
+    for length in range(1, args.order + 1):
         table[(0,) * length] = moments[length]
-    phi = MomentFunctional.of(alphabet, order, table)
+    phi = MomentFunctional.of(alphabet, args.order, table)
     for kind in ("free", "boolean"):
         cum = moments_to_cumulants(phi, kind)
         print(f"# {kind} cumulants")
-        for length in range(1, order + 1):
+        for length in range(1, args.order + 1):
             print(f"{length}: {format_ring_elem(cum.table[(0,) * length])}")
     return 0
 
@@ -289,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="all, full, motzkin, colorset:J, rightmono:t1,t2, "
                         "colorcount:J, or random")
     p.add_argument("--n", type=int, default=6, help="maximum word length")
-    p.add_argument("--order", type=int, default=None,
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                    help="truncation order for the series identity")
     p.add_argument("--seed", type=int, default=0, help="seed for random troupes")
     p.add_argument("--num-colors", type=int, default=1)
@@ -305,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("examples", help="moments and cumulants of a named family")
     p.add_argument("name")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.set_defaults(func=cmd_examples)
 
     return parser

@@ -241,10 +241,6 @@ q = QPoly((0, 1))
 RingElem = Union[Fraction, QPoly]
 
 
-def is_poly(x: RingElem) -> bool:
-    return isinstance(x, QPoly)
-
-
 def as_ring_elem(x) -> RingElem:
     """Normalize ints to Fractions, leaving Fractions and QPolys alone."""
     if isinstance(x, (Fraction, QPoly)):

@@ -40,7 +40,6 @@ from .rings import (
     as_ring_elem,
     denominator,
     format_ring_elem,
-    is_poly,
     ring_inverse,
     to_poly,
 )
@@ -71,7 +70,7 @@ class Series:
             cs = cs[:order] + [0] * (order - len(cs))
         elif not cs:
             raise ValueError("a series needs an order")
-        if any(is_poly(c) for c in cs):
+        if any(isinstance(c, QPoly) for c in cs):
             cs = [to_poly(c) for c in cs]
         # numerators over the lcm of the reduced denominators share no factor with it
         den = lcm(*map(denominator, cs))
@@ -122,13 +121,6 @@ class Series:
 
     def __repr__(self):
         return f"Series({[format_ring_elem(c) for c in self.coeffs]})"
-
-    def truncate(self, order: int) -> Series:
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        if order < 1:
-            raise ValueError("order must be a positive integer")
-        return _build(self._num[:order], self._den, self.is_poly_ring)
 
     def _common(self, other: Series) -> int:
         if not isinstance(other, Series):

@@ -18,6 +18,7 @@ builders make records with ``_new``, which runs no Python-level constructor.
 from __future__ import annotations
 
 import itertools
+from math import inf
 from typing import Container, Iterator, NamedTuple, Sequence
 
 # ``_new(Record, fields)`` builds a record from the tuple of its fields.
@@ -169,16 +170,16 @@ def _decreasing_tree(word: Sequence[int], colors: Sequence[int] | None,
 
     The stack-sorting pass: the stack holds the open vertices of the right
     spine, labels falling toward the top.  Each entry pops every smaller
-    label, and after the last entry the whole spine is popped; pops come in
-    postorder.  A popped vertex takes the vertex popped just before it in
-    the same sweep as its right child, and keeps as left child the last
-    vertex popped before its own push.  Node ids are pop positions.
+    label, and one last entry above every label pops the whole spine; pops
+    come in postorder.  A popped vertex takes the vertex popped just before
+    it in the same sweep as its right child, and keeps as left child the
+    last vertex popped before its own push.  Node ids are pop positions.
     """
     nodes: list[Vertex] = []
     labels: list[int] = []
     spine: list[int] = []  # labels of the open vertices
     lefts: list[int | None] = []  # and their left child ids
-    for x in word:
+    for x in itertools.chain(word, (inf,)):
         below = None
         while spine and spine[-1] < x:
             label, left = spine.pop(), lefts.pop()
@@ -188,13 +189,6 @@ def _decreasing_tree(word: Sequence[int], colors: Sequence[int] | None,
             labels.append(label)
         spine.append(x)
         lefts.append(below)
-    below = None
-    while spine:
-        label, left = spine.pop(), lefts.pop()
-        color = colors[label - 1] if colors is not None else 0
-        nodes.append((color, below, left) if label in swapped else (color, left, below))
-        below = len(labels)
-        labels.append(label)
     tree = _new(ColoredTree, (tuple(nodes), len(nodes) - 1, box_color))
     return _new(LabeledTree, (tree, tuple(labels)))
 
@@ -240,6 +234,20 @@ def insert(t1: ColoredTree, v: int, t2: ColoredTree) -> ColoredTree:
 
 
 BOX = -1  # sentinel for the external box in factor computations
+
+
+def _write_branch(nodes: Sequence[Vertex], vertices: Sequence[int], box: int) -> ColoredTree:
+    """The branch of box color ``box`` on ``vertices``, ids into ``nodes``
+    from the bottom one, a leaf, up: vertex ``i`` is ``nodes[vertices[i]]``
+    with its one child, vertex ``i-1``, on the same side.  Node ids run from
+    the bottom (0) up, the numbering ``WeightedTroupe._weight`` keys on."""
+    branch = [nodes[vertices[0]]]
+    below = 0
+    for u in vertices[1:]:
+        color, left, _ = nodes[u]
+        branch.append((color, below, None) if left is not None else (color, None, below))
+        below += 1
+    return _new(ColoredTree, (tuple(branch), below, box))
 
 
 def factor_paths(t: ColoredTree) -> list[tuple[int, list[int], ColoredTree]]:
@@ -290,18 +298,11 @@ def factor_paths(t: ColoredTree) -> list[tuple[int, list[int], ColoredTree]]:
             work.append((v, color, right))
             v = left
             continue
-        # a leaf ends the factor; the vertices above it join the branch
-        # bottom-up, each over the one just below it
+        # a leaf ends the factor
         if path:
-            branch = [node]
-            below = 0
-            for u in reversed(path):
-                color, left, _ = nodes[u]
-                branch.append((color, below, None) if left is not None else (color, None, below))
-                below += 1
             path.append(v)
             path.reverse()
-            out.append((owner, path, _new(ColoredTree, (tuple(branch), below, box))))
+            out.append((owner, path, _write_branch(nodes, path, box)))
             path = []
         else:
             out.append((owner, [v], _new(ColoredTree, ((node,), 0, box))))

@@ -37,7 +37,7 @@ class WeightedTroupe:
     ``branch_weight`` must be total on branches; it is only ever called on
     branches.  Branch weights are memoized under the branch's box color and
     its vertices, numbered from the bottom one (0) up as
-    :func:`~troupes.trees.factor_paths` builds them, so the cache grows with
+    :func:`~troupes.trees._write_branch` writes them, so the cache grows with
     the number of distinct branches met, not with the number of trees
     evaluated.
     """

@@ -299,6 +299,11 @@ def test_phi_inverse_rejects_exactly_the_invalid_labelings():
     LabeledTree(ColoredTree(((0, None, None), (0, None, None), (0, 0, None)), 2), (1, 2, 3)),
     LabeledTree(ColoredTree(((0, None, None), (0, 0, None)), 0), (1, 2)),
     LabeledTree(ColoredTree(((0, None, None), (0, 0, None)), None), (1, 2)),
+    # a root id, and a right child id, out of range above and below
+    LabeledTree(ColoredTree(((0, None, None), (0, 0, None)), 2), (1, 2)),
+    LabeledTree(ColoredTree(((0, None, None), (0, 0, None)), -1), (1, 2)),
+    LabeledTree(ColoredTree(((0, None, None), (0, None, 2)), 1), (1, 2)),
+    LabeledTree(ColoredTree(((0, None, None), (0, None, -1)), 1), (1, 2)),
     # a vertex under two parents and one never reached, and a repeated label
     LabeledTree(ColoredTree(((0, None, None), (0, None, None), (0, 0, 0)), 2), (1, 2, 3)),
     LabeledTree(ColoredTree(((0, None, None), (0, None, None), (0, 0, 1)), 2), (1, 1, 3)),

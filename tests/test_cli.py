@@ -335,6 +335,7 @@ def test_peaks_rejects_non_permutation():
 def test_sort_command():
     assert run("sort", "2,3,1")[1] == "2,1,3\n"
     assert run("sort", "3 2 1")[1] == "1,2,3\n"
+    assert run("sort", " 3 ,2  1\t")[1] == "1,2,3\n"
 
 
 def test_examples_command():
@@ -377,6 +378,10 @@ PARTITION_KINDS = ("partition", "interval", "noncrossing", "nc-irreducible",
     *(["count", "--kind", kind, "--n", "0"] for kind in PARTITION_KINDS),
     ["enumerate", "--kind", "d-permutations", "--n", "-2"],
     ["enumerate", "--kind", "bpt", "--colors", ""],
+    ["enumerate", "--kind", "bpt", "--colors", "0,,1"],
+    ["enumerate", "--kind", "bpt", "--colors=,0"],
+    ["sort", "2,1,"],
+    ["peaks", "1,,2"],
     ["transform", "--coeffs", "1,2", "--order", "0"],
     ["transform", "--coeffs", "1,2", "--order", "-3"],
     ["examples", "secant", "--order", "-2"],
@@ -411,7 +416,7 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path):
                      negative_color_table=negative) for a in argv]
     code, out, err = run(*argv)
     assert code == 2 and out == ""
-    assert "error:" in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
     assert "Traceback" not in err
     spec = dict(zip(argv, argv[1:])).get("--troupe", "")
     if spec.startswith("color"):  # the message quotes the troupe spec
@@ -531,7 +536,8 @@ def test_peaks_on_a_long_permutation(values):
 # verification, 2 on bad input, and never an uncaught exception
 
 SMALL = st.integers(-2, 5).map(str)
-WORD = st.lists(st.integers(-1, 4), max_size=5).map(lambda xs: ",".join(map(str, xs)))
+# an empty item ("0,,1", ",0", "1,") is a malformed list
+WORD = st.lists(st.one_of(st.integers(-1, 4).map(str), st.just("")), max_size=5).map(",".join)
 WELL_FORMED_RING = st.sampled_from(["0", "1", "-2", "3/4", "q", "q^2", "2*q", "0 + 1*q"])
 RING = st.one_of(WELL_FORMED_RING, st.sampled_from(["1/0", "1*q^-1", "zebra", ""]))
 KINDS = st.sampled_from(["bpt", "branch", "dbpt", "partition", "interval", "noncrossing",

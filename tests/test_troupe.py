@@ -372,14 +372,64 @@ def test_tree_sums_match_the_per_word_sums(kind, three_color_table):
         tree_sums(all_trees(), kind, [(0, 0), ()])
 
 
-def test_evaluate_starts_from_the_first_factor(three_color_table):
+def evaluate_mismatches(table) -> list:
+    """``(troupe, tree)`` for each tree of the word ``0,1,1,0,1`` that
+    ``evaluate`` weighs otherwise than the oracle, which reads the factors
+    off their profiles and weighs them by the troupe's own branch rule."""
     trees = [t for t, _ in iter_dbpt((0, 1, 1, 0, 1))]
     assert len(trees) > 1
-    for make in table_makers(three_color_table):
+    mismatches = []
+    for make in table_makers(table):
         tau, oracle_tau = make(), make()
         for t in trees:
             got, want = tau.evaluate(t), evaluate_from_one(oracle_tau, t)
-            assert got == want and type(got) is type(want), (tau, encode(t))
+            if got != want or type(got) is not type(want):
+                mismatches.append((tau, encode(t)))
+    return mismatches
+
+
+def test_evaluate_starts_from_the_first_factor(three_color_table):
+    assert evaluate_mismatches(three_color_table) == []
+
+
+def _mirrored(weight):
+    """``WeightedTroupe._weight`` weighing each branch's mirror image."""
+    return lambda self, box, nodes: weight(
+        self, box, tuple([(color, right, left) for color, left, right in nodes]))
+
+
+def _box_dropped(weight):
+    """``WeightedTroupe._weight`` reading every box color as 0."""
+    return lambda self, box, nodes: weight(self, 0, nodes)
+
+
+@pytest.mark.parametrize("fault", [_mirrored, _box_dropped], ids=["mirrored", "box-dropped"])
+def test_another_troupe_fault_passes_verify_and_fails_the_evaluate_oracle(
+        fault, monkeypatch, three_color_table):
+    """A fault in the branch weight lookup that every route shares weighs
+    the trees of another troupe, for which the theorem holds too: every
+    verify route agrees.  The comparison of ``evaluate`` with the
+    oracle of :func:`test_evaluate_starts_from_the_first_factor` sees it.
+    A dropped box color changes the sums of the color-reading troupes; the
+    mirror permutes the branches of each word, so it changes no sum."""
+    from troupes.cumulants import equivalence_reports
+
+    table = random_branch_table(3, 4, 2)
+    cases = [(lambda: builtin("rightmono:q,2/3"), (0,)),
+             (lambda: builtin("colorset:0"), (0, 1)),
+             (lambda: builtin("colorcount:1"), (0, 1)),
+             (lambda: from_table(table), (0, 1))]
+    words = [(0, 0, 0, 0), (0, 1, 1, 0, 1)]
+    clean = [tree_sums(make(), "bpt", words) for make, _ in cases]
+    monkeypatch.setattr(WeightedTroupe, "_weight", fault(WeightedTroupe._weight))
+    changed = [tree_sums(make(), "bpt", words) != sums for (make, _), sums in zip(cases, clean)]
+    assert any(changed) == (fault is _box_dropped)
+    for make, alphabet in cases:
+        tau = make()
+        found = equivalence_reports(tau, alphabet, 5, 6)
+        assert all(report.all_equal for report in found.reports), tau
+        assert found.series_failure is None, tau
+    assert evaluate_mismatches(three_color_table)
 
 
 def test_root_sums_build_no_tree(monkeypatch):
