@@ -31,11 +31,15 @@ class CliError(argparse.ArgumentTypeError):
 
 
 def _parse_word(text: str) -> tuple[int, ...]:
-    """Integers separated by commas or whitespace; an empty item is an error."""
+    """Integers, each ``-?[0-9]+``, separated by commas or whitespace; an
+    empty item is an error."""
+    items = re.split(r"\s*,\s*|\s+", text.strip())
     try:
-        return tuple([int(x) for x in re.split(r"\s*,\s*|\s+", text.strip())])
-    except ValueError as exc:
-        raise CliError(f"bad integer list {text!r}") from exc
+        if all(re.fullmatch(r"-?[0-9]+", x) for x in items):
+            return tuple([int(x) for x in items])
+    except ValueError:  # more digits than int() converts
+        pass
+    raise CliError(f"bad integer list {text!r}")
 
 
 def _parse_colors(text: str) -> tuple[int, ...]:

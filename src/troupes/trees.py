@@ -283,8 +283,7 @@ def factor_paths(t: ColoredTree) -> list[tuple[int, list[int], ColoredTree]]:
         if entered[v]:
             raise ValueError(_REACHED_TWICE)
         entered[v] = True
-        node = nodes[v]
-        color, left, right = node
+        color, left, right = nodes[v]
         if right is None:
             if left is not None:
                 path.append(v)
@@ -299,13 +298,10 @@ def factor_paths(t: ColoredTree) -> list[tuple[int, list[int], ColoredTree]]:
             v = left
             continue
         # a leaf ends the factor
-        if path:
-            path.append(v)
-            path.reverse()
-            out.append((owner, path, _write_branch(nodes, path, box)))
-            path = []
-        else:
-            out.append((owner, [v], _new(ColoredTree, ((node,), 0, box))))
+        path.append(v)
+        path.reverse()
+        out.append((owner, path, _write_branch(nodes, path, box)))
+        path = []
         if not work:
             return out
         owner, box, v = work.pop()

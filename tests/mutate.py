@@ -1,7 +1,7 @@
 """First-order mutation testing of named ``troupes`` functions (stdlib only).
 
     python tests/mutate.py --work DIR [--tests PATH]... [--verify ARGS]...
-                           [--jobs N] [--list] MODULE:FUNCTION...
+                           [--list] MODULE:FUNCTION...
 
 Run from the root of a source checkout.  ``MODULE:FUNCTION`` names a function
 in ``src/troupes/MODULE.py``, a method as ``Class.method``: for example
@@ -17,9 +17,9 @@ mutations, parsed and written back with the ``ast`` module:
 - an integer constant grows by 1;
 - a ``not`` or a unary ``-`` is dropped.
 
-The source tree is copied once per job into ``DIR`` (``src/``, ``tests/``
-and ``pyproject.toml``), and each mutant's module is written into the copy
-in turn.  A mutant is first run through ``verify`` on each ``--verify``
+The source tree is copied once into ``DIR`` (``src/``, ``tests/`` and
+``pyproject.toml``), and the mutants run one at a time, each module written
+into the copy in turn.  A mutant is first run through ``verify`` on each ``--verify``
 argument string (by default the three cases below), and every outcome is
 named: ``pass`` (exit 0 and a ``PASS`` line), ``FAIL`` (exit 1 with a
 ``FAIL`` line), ``traceback`` (an uncaught exception, whatever the exit
@@ -42,10 +42,8 @@ from __future__ import annotations
 
 import argparse
 import ast
-import concurrent.futures
 import copy
 import os
-import queue
 import resource
 import shutil
 import signal
@@ -233,18 +231,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("functions", nargs="+", help="MODULE:FUNCTION")
     parser.add_argument("--work", type=Path, required=True,
-                        help="scratch directory for the copies (emptied first)")
+                        help="scratch directory for the copy (emptied first)")
     parser.add_argument("--tests", action="append",
                         help="a pytest path or node id, repeatable (default: tests)")
     parser.add_argument("--verify", action="append",
                         help="a verify argument string, repeatable (default: three cases)")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--list", action="store_true", help="list the mutants and stop")
     args = parser.parse_args(argv)
     args.tests = args.tests or ["tests"]
     args.verify = args.verify or list(DEFAULT_VERIFY)
-    if not 1 <= args.jobs <= 8:
-        parser.error("--jobs must be in 1..8")
 
     sources, baseline, mutants = {}, {}, []
     for spec in args.functions:
@@ -265,51 +260,35 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{spec} line {line}: {before}  ->  {after}")
         return 0
 
-    works = [args.work / f"job{i}" for i in range(args.jobs)]
-    for work in works:
-        _copy_tree(work)
-        for module, text in baseline.items():
-            (work / "src" / "troupes" / f"{module}.py").write_text(text)
-    verify, failed = _check(works[0], args)
+    work = args.work
+    _copy_tree(work)
+    for module, text in baseline.items():
+        (work / "src" / "troupes" / f"{module}.py").write_text(text)
+    verify, failed = _check(work, args)
     if _killed(verify, failed):
         print(f"error: the unmutated copy does not pass: verify {verify}, first failed test "
               f"{failed}", file=sys.stderr)
         return 2
 
-    free: queue.Queue = queue.Queue()
-    for work in works:
-        free.put(work)
-
-    def run_one(mutant):
-        spec, module, qualname, target, _ = mutant
-        work = free.get()
+    results = []
+    for spec, module, qualname, target, (line, before, after) in mutants:
+        file = work / "src" / "troupes" / f"{module}.py"
+        file.write_text(_mutant(sources[module], qualname, target)[0])
         try:
-            file = work / "src" / "troupes" / f"{module}.py"
-            file.write_text(_mutant(sources[module], qualname, target)[0])
-            try:
-                return _check(work, args)
-            finally:
-                file.write_text(baseline[module])
+            verify, failed = _check(work, args)
         finally:
-            free.put(work)
-
-    results = {}
-    with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
-        futures = {pool.submit(run_one, m): i for i, m in enumerate(mutants)}
-        for future in concurrent.futures.as_completed(futures):
-            i = futures[future]
-            spec, _, _, _, (line, before, after) = mutants[i]
-            verify, failed = results[i] = future.result()
-            killed = _killed(verify, failed)
-            reason = EQUIVALENT.get((spec, before, after))
-            if reason is not None:
-                status = ("KILLED, but listed as equivalent" if killed else "equivalent") \
-                    + f" ({reason})"
-            else:
-                status = "killed" if killed else "survived"
-            print(f"{status}: {spec} line {line}: {before}  ->  {after}\n"
-                  f"    verify: {', '.join(verify)}; first failed test: {failed or 'none'}",
-                  flush=True)
+            file.write_text(baseline[module])
+        results.append((verify, failed))
+        killed = _killed(verify, failed)
+        reason = EQUIVALENT.get((spec, before, after))
+        if reason is not None:
+            status = ("KILLED, but listed as equivalent" if killed else "equivalent") \
+                + f" ({reason})"
+        else:
+            status = "killed" if killed else "survived"
+        print(f"{status}: {spec} line {line}: {before}  ->  {after}\n"
+              f"    verify: {', '.join(verify)}; first failed test: {failed or 'none'}",
+              flush=True)
 
     print("\nscore (killed / mutants not listed as equivalent):")
     for spec in args.functions:

@@ -382,6 +382,9 @@ PARTITION_KINDS = ("partition", "interval", "noncrossing", "nc-irreducible",
     ["enumerate", "--kind", "bpt", "--colors=,0"],
     ["sort", "2,1,"],
     ["peaks", "1,,2"],
+    ["enumerate", "--kind", "bpt", "--colors", "0_1"],
+    ["sort", "+2,1"],
+    ["count", "--kind", "bpt", "--colors", "\u0660,\u0661"],
     ["transform", "--coeffs", "1,2", "--order", "0"],
     ["transform", "--coeffs", "1,2", "--order", "-3"],
     ["examples", "secant", "--order", "-2"],
@@ -532,12 +535,19 @@ def test_peaks_on_a_long_permutation(values):
     assert lines[1].count("(") == 1500
 
 
+def test_integer_past_int_digit_limit_exits_2():
+    # CPython 3.11+ refuses to convert a string of more than 4,300 digits
+    code, out, err = run("peaks", "1," + "9" * 5000)
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
 # -- fuzzing the CLI contract: exit 0 on success, 1 only for a failed
 # verification, 2 on bad input, and never an uncaught exception
 
 SMALL = st.integers(-2, 5).map(str)
-# an empty item ("0,,1", ",0", "1,") is a malformed list
-WORD = st.lists(st.one_of(st.integers(-1, 4).map(str), st.just("")), max_size=5).map(",".join)
+# an empty item ("0,,1", ",0", "1,"), "+1" or "0_1" is a malformed list
+WORD = st.lists(st.one_of(st.integers(-1, 4).map(str), st.sampled_from(["", "+1", "0_1"])),
+                max_size=5).map(",".join)
 WELL_FORMED_RING = st.sampled_from(["0", "1", "-2", "3/4", "q", "q^2", "2*q", "0 + 1*q"])
 RING = st.one_of(WELL_FORMED_RING, st.sampled_from(["1/0", "1*q^-1", "zebra", ""]))
 KINDS = st.sampled_from(["bpt", "branch", "dbpt", "partition", "interval", "noncrossing",
