@@ -16,7 +16,7 @@ from typing import Sequence
 
 # Only the ring and series layers load with this module, since they are all
 # that ``transform`` uses; every other handler imports its own layers.
-from .rings import format_ring_elem, parse_ring_elem
+from .rings import format_ring_elem, parse_int, parse_ring_elem
 from .series import Series, inverse_troupe_transform, troupe_transform
 
 DEFAULT_ORDER = 12
@@ -30,16 +30,21 @@ class CliError(argparse.ArgumentTypeError):
     """
 
 
-def _parse_word(text: str) -> tuple[int, ...]:
-    """Integers, each ``-?[0-9]+``, separated by commas or whitespace; an
-    empty item is an error."""
-    items = re.split(r"\s*,\s*|\s+", text.strip())
+def _parse_int(text: str) -> int:
+    """:func:`~troupes.rings.parse_int` for argparse, which prints a CliError's own message."""
     try:
-        if all(re.fullmatch(r"-?[0-9]+", x) for x in items):
-            return tuple([int(x) for x in items])
-    except ValueError:  # more digits than int() converts
-        pass
-    raise CliError(f"bad integer list {text!r}")
+        return parse_int(text)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
+def _parse_word(text: str) -> tuple[int, ...]:
+    """Integers, each read by :func:`~troupes.rings.parse_int`, separated by
+    commas or whitespace; an empty item is an error."""
+    try:
+        return tuple([parse_int(x) for x in re.split(r"\s*,\s*|\s+", text.strip())])
+    except ValueError:
+        raise CliError(f"bad integer list {text!r}") from None
 
 
 def _parse_colors(text: str) -> tuple[int, ...]:
@@ -115,12 +120,10 @@ def cmd_enumerate(args) -> int:
 
 def cmd_transform(args) -> int:
     _check_min("--order", args.order, 2)
-    coeffs = [Fraction(0)]
-    for chunk in args.coeffs.split(","):
-        try:
-            coeffs.append(parse_ring_elem(chunk))
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+    try:
+        coeffs = [Fraction(0), *map(parse_ring_elem, args.coeffs.split(","))]
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     if args.order is not None and len(coeffs) > args.order:
         raise CliError(f"{len(coeffs) - 1} coefficients given, but --order {args.order} "
                        f"keeps only {args.order - 1}")
@@ -238,11 +241,8 @@ def cmd_examples(args) -> int:
     print("# classical cumulants")
     for n, k in enumerate(classical, start=1):
         print(f"{n}: {format_ring_elem(k)}")
-    alphabet = (0,)
-    table = {}
-    for length in range(1, args.order + 1):
-        table[(0,) * length] = moments[length]
-    phi = MomentFunctional.of(alphabet, args.order, table)
+    phi = MomentFunctional.of((0,), args.order,
+                              {(0,) * n: moments[n] for n in range(1, args.order + 1)})
     for kind in ("free", "boolean"):
         cum = moments_to_cumulants(phi, kind)
         print(f"# {kind} cumulants")
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kind", required=True,
                        help="bpt, branch, dbpt, partition, interval, noncrossing, "
                             "nc-irreducible, nc-irreducible-min2, d-permutations")
-        p.add_argument("--n", type=int, default=None, help="size (single color)")
+        p.add_argument("--n", type=_parse_int, default=None, help="size (single color)")
         p.add_argument("--colors", type=_parse_colors, default=None,
                        help="color word i1,i2,...,in")
 
@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="apply the branch-to-tree series transform")
     p.add_argument("--coeffs", required=True,
                    help="comma-separated coefficients of t^1,t^2,...")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_parse_int, default=None)
     p.add_argument("--kind", choices=("forward", "inverse"), default="forward")
     p.set_defaults(func=cmd_transform)
 
@@ -289,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--troupe", required=True,
                    help="all, full, motzkin, colorset:J, rightmono:t1,t2, "
                         "colorcount:J, or random")
-    p.add_argument("--n", type=int, default=6, help="maximum word length")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+    p.add_argument("--n", type=_parse_int, default=6, help="maximum word length")
+    p.add_argument("--order", type=_parse_int, default=DEFAULT_ORDER,
                    help="truncation order for the series identity")
-    p.add_argument("--seed", type=int, default=0, help="seed for random troupes")
-    p.add_argument("--num-colors", type=int, default=1)
+    p.add_argument("--seed", type=_parse_int, default=0, help="seed for random troupes")
+    p.add_argument("--num-colors", type=_parse_int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("peaks", help="peaks and plot-extracted insertion factors")
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("examples", help="moments and cumulants of a named family")
     p.add_argument("name")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--order", type=_parse_int, default=DEFAULT_ORDER)
     p.set_defaults(func=cmd_examples)
 
     return parser

@@ -28,7 +28,7 @@ from math import factorial, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .rings import (RingElem, _over, _scaled, as_ring_elem, denominator,
-                    format_ring_elem, parse_ring_elem)
+                    format_ring_elem, parse_int, parse_ring_elem)
 from .partitions import partitions_as_index_blocks
 from .series import Series, boolean_free_series_check, troupe_transform
 from .troupe import WeightedTroupe, tree_sums
@@ -39,8 +39,7 @@ Word = tuple[int, ...]
 def iter_words(alphabet: Sequence[int], max_len: int) -> Iterator[Word]:
     """All words over the alphabet of lengths 1..max_len, shortest first."""
     for n in range(1, max_len + 1):
-        for word in itertools.product(alphabet, repeat=n):
-            yield word
+        yield from itertools.product(alphabet, repeat=n)
 
 
 class MomentFunctional(NamedTuple):
@@ -287,11 +286,8 @@ def classical_via_egf(moments: Sequence[RingElem]) -> list[RingElem]:
 
 
 def format_table(table: Mapping[Word, RingElem]) -> str:
-    lines = []
-    for word in sorted(table, key=lambda w: (len(w), w)):
-        cols = ",".join(map(str, word))
-        lines.append(f"word {cols} = {format_ring_elem(table[word])}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(f"word {','.join(map(str, word))} = {format_ring_elem(table[word])}"
+                     for word in sorted(table, key=lambda w: (len(w), w))) + "\n"
 
 
 def parse_table(text: str) -> dict[Word, RingElem]:
@@ -304,11 +300,10 @@ def parse_table(text: str) -> dict[Word, RingElem]:
         try:
             if not line.startswith("word "):
                 raise ValueError("expected a 'word ... = ...' line")
-            body = line[len("word "):]
-            word_text, sep, value_text = body.partition("=")
+            word_text, sep, value_text = line[len("word "):].partition("=")
             if not sep:
                 raise ValueError("missing '='")
-            word = tuple(int(x) for x in word_text.strip().split(","))
+            word = tuple([parse_int(x) for x in word_text.strip().split(",")])
             if min(word) < 0:
                 raise ValueError(f"negative color in word {word_text.strip()}")
             if word in table:
@@ -323,9 +318,7 @@ def moment_functional_from_text(text: str) -> MomentFunctional:
     table = parse_table(text)
     if not table:
         raise ValueError("empty moment table")
-    alphabet = sorted({c for w in table for c in w})
-    max_len = max(len(w) for w in table)
-    return MomentFunctional.of(alphabet, max_len, table)
+    return MomentFunctional.of({c for w in table for c in w}, max(map(len, table)), table)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +341,8 @@ class ConditionCheck(NamedTuple):
 
     @property
     def equal(self) -> bool:
-        routes = [self.from_moments]
-        if self.bridge is not None:
-            routes.append(self.bridge)
-        return all(r == self.enumeration for r in routes)
+        return (self.from_moments == self.enumeration
+                and (self.bridge is None or self.bridge == self.enumeration))
 
 
 class EquivalenceReport(NamedTuple):

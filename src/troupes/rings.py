@@ -4,6 +4,11 @@ Two coefficient rings are supported throughout the package: the rationals
 (``fractions.Fraction``) and the univariate polynomial ring over them in the
 indeterminate ``q`` (:class:`QPoly`).  A ring element is either one of these;
 rationals promote to constant polynomials on demand, never the other way.
+
+This module also owns number text: :func:`parse_int` reads every integer the
+package takes as input (``-?[0-9]+`` in ASCII digits), and
+:func:`parse_ring_elem` every ring element, exactly as
+:func:`format_ring_elem` writes it.
 """
 
 from __future__ import annotations
@@ -294,16 +299,22 @@ def format_ring_elem(x: RingElem) -> str:
         return str(x)
     if not x:
         return "0"
-    parts = []
-    for k, c in enumerate(x.coeffs):
-        cs = str(c)
-        if k == 0:
-            parts.append(cs)
-        elif k == 1:
-            parts.append(f"{cs}*q")
-        else:
-            parts.append(f"{cs}*q^{k}")
-    return " + ".join(parts)
+    return " + ".join(str(c) if k == 0 else f"{c!s}*q" if k == 1 else f"{c!s}*q^{k}"
+                      for k, c in enumerate(x.coeffs))
+
+
+def parse_int(text: str) -> int:
+    """An integer written ``-?[0-9]+`` in ASCII digits, whitespace around it
+    stripped; anything else, or more digits than ``int()`` converts, raises
+    ``ValueError``."""
+    text = text.strip()
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    raise ValueError(f"bad integer {text!r}")
 
 
 def parse_ring_elem(text: str) -> RingElem:
@@ -317,16 +328,19 @@ def parse_ring_elem(text: str) -> RingElem:
         if not term:
             raise ValueError(f"empty term in polynomial {text!r}")
         if term == "q":
-            cs, k = "1", 1
+            cs, ks = "1", "1"
         elif term.startswith("q^"):
-            cs, k = "1", int(term[2:])
+            cs, ks = "1", term[2:]
         elif "*q^" in term:
             cs, _, ks = term.partition("*q^")
-            k = int(ks)
         elif term.endswith("*q"):
-            cs, k = term[:-2], 1
+            cs, ks = term[:-2], "1"
         else:
-            cs, k = term, 0
+            cs, ks = term, "0"
+        try:
+            k = parse_int(ks)
+        except ValueError:
+            raise ValueError(f"bad degree {ks!r} in polynomial {text!r}") from None
         if k < 0:
             raise ValueError(f"negative degree in polynomial {text!r}")
         if k in coeffs:
@@ -337,8 +351,13 @@ def parse_ring_elem(text: str) -> RingElem:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    """``p`` or ``p/d``, each part read by :func:`parse_int` with nothing
+    around it, ``d`` positive and unsigned."""
     text = text.strip()
+    num, sep, den = text.partition("/")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}") from exc
+        if num == num.strip() and den == den.strip().removeprefix("-"):
+            return Fraction(parse_int(num), parse_int(den) if sep else 1)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"bad rational {text!r}")

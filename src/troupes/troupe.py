@@ -17,18 +17,9 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .rings import (RingElem, _over, _scaled, as_ring_elem, denominator,
-                    parse_ring_elem, q)
-from .trees import (
-    TREE_KINDS,
-    ColoredTree,
-    Vertex,
-    _new,
-    encode,
-    factor_paths,
-    iter_branch_word,
-    iter_dbpt,
-    right_edges,
-)
+                    parse_int, parse_ring_elem, q)
+from .trees import (TREE_KINDS, ColoredTree, Vertex, _new, encode, factor_paths,
+                    iter_branch_word, iter_dbpt, right_edges)
 
 
 class WeightedTroupe:
@@ -153,10 +144,7 @@ def random_branch_table(seed: int, max_size: int, num_colors: int = 1) -> dict[s
     for size in range(1, max_size + 1):
         for word in itertools.product(range(num_colors), repeat=size + 1):
             for b in iter_branch_word(word):
-                table[encode(b)] = Fraction(
-                    rng.randint(-5, 5),
-                    rng.randint(1, 4),
-                )
+                table[encode(b)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
     return table
 
 
@@ -192,7 +180,7 @@ def _parse_colors(spec: str) -> list[int]:
     """The color list J of a ``colorset:J`` or ``colorcount:J`` spec."""
     arg = spec.partition(":")[2]
     try:
-        colors = [int(x) for x in arg.split(",")]
+        colors = [parse_int(x) for x in arg.split(",")]
     except ValueError:
         raise ValueError(f"expected a comma-separated integer color list, "
                          f"got {arg!r} in troupe {spec!r}") from None

@@ -1,7 +1,8 @@
 """First-order mutation testing of named ``troupes`` functions (stdlib only).
 
     python tests/mutate.py --work DIR [--tests PATH]... [--verify ARGS]...
-                           [--list] MODULE:FUNCTION...
+                           MODULE:FUNCTION...
+    python tests/mutate.py --list MODULE:FUNCTION...
 
 Run from the root of a source checkout.  ``MODULE:FUNCTION`` names a function
 in ``src/troupes/MODULE.py``, a method as ``Class.method``: for example
@@ -34,8 +35,14 @@ must pass every verify case and every test; otherwise the run stops.
 
 Mutants in :data:`EQUIVALENT` behave like the original on every input, each
 for the reason given there; they are reported as ``equivalent`` and left out
-of the score, and one that is killed anyway is flagged.  The script is not a
-test module: pytest does not collect it, and no CI step runs it.
+of the score, and one that is killed anyway is flagged.  An entry of a named
+function that matches none of its mutants (its line has changed) stops the
+script with exit status 1, before any mutant runs.
+
+``--list`` prints the mutants, each one in :data:`EQUIVALENT` tagged
+``[equivalent]``, and runs nothing; it needs no ``--work``.  The script is
+not a test module: pytest does not collect it.  CI runs ``--list`` on every
+function :data:`EQUIVALENT` names, so a change that orphans an entry fails.
 """
 
 from __future__ import annotations
@@ -230,7 +237,7 @@ def _copy_tree(work: Path) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("functions", nargs="+", help="MODULE:FUNCTION")
-    parser.add_argument("--work", type=Path, required=True,
+    parser.add_argument("--work", type=Path,
                         help="scratch directory for the copy (emptied first)")
     parser.add_argument("--tests", action="append",
                         help="a pytest path or node id, repeatable (default: tests)")
@@ -238,6 +245,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="a verify argument string, repeatable (default: three cases)")
     parser.add_argument("--list", action="store_true", help="list the mutants and stop")
     args = parser.parse_args(argv)
+    if args.work is None and not args.list:
+        parser.error("--work is required to run the mutants")
     args.tests = args.tests or ["tests"]
     args.verify = args.verify or list(DEFAULT_VERIFY)
 
@@ -255,9 +264,21 @@ def main(argv: list[str] | None = None) -> int:
             before, after = next((a.strip(), b.strip()) for a, b
                                  in zip(base.splitlines(), text.splitlines()) if a != b)
             mutants.append((spec, module, qualname, target, (line, before, after)))
+    found = {(spec, before, after) for spec, _, _, _, (_, before, after) in mutants}
+    orphans = [key for key in EQUIVALENT if key[0] in args.functions and key not in found]
+    for spec, before, after in orphans:
+        print(f"error: EQUIVALENT entry matches no mutant: {spec}: {before}  ->  {after}",
+              file=sys.stderr)
+    if orphans:
+        return 1
     if args.list:
-        for spec, _, _, _, (line, before, after) in mutants:
-            print(f"{spec} line {line}: {before}  ->  {after}")
+        try:
+            for spec, _, _, _, (line, before, after) in mutants:
+                tag = "  [equivalent]" if (spec, before, after) in EQUIVALENT else ""
+                print(f"{spec} line {line}: {before}  ->  {after}{tag}")
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader closed the pipe, as ``| head`` does
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
 
     work = args.work

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -372,6 +373,26 @@ PARTITION_KINDS = ("partition", "interval", "noncrossing", "nc-irreducible",
                    "nc-irreducible-min2", "d-permutations")
 
 
+# each malformed number, one per place the CLI reads one, and the item its
+# error line quotes: integers are ASCII ``-?[0-9]+`` and rationals ``p`` or
+# ``p/q`` as the output writes them, so digit underscores, a leading ``+``,
+# non-ASCII digits, exponents and decimal points are all refused
+MALFORMED_NUMBERS = {
+    ("verify", "--troupe", "all", "--n", "\u0663"): "\u0663",
+    ("verify", "--troupe", "all", "--order", "1_0"): "1_0",
+    ("verify", "--troupe", "all", "--seed", "+5"): "+5",
+    ("verify", "--troupe", "colorset:0_1"): "0_1",
+    ("verify", "--troupe", "colorcount:\u0661"): "\u0661",
+    ("verify", "--troupe", "rightmono:1e0,1"): "1e0",
+    ("transform", "--coeffs=0.5"): "0.5",
+    ("transform", "--coeffs=1_0"): "1_0",
+    ("transform", "--coeffs=q^\u0661"): "\u0661",
+    ("transform", "--coeffs=2*q^"): "",
+    ("cumulants", "--moments", "{arabic_color_table}"): "\u0660",
+    ("cumulants", "--moments", "{exponent_moment_table}"): "1e0",
+}
+
+
 @pytest.mark.parametrize("argv", [
     *(["count", "--kind", kind, "--n", "-1"] for kind in ("bpt", "branch", "dbpt")),
     ["enumerate", "--kind", "branch", "--n", "-3"],
@@ -407,20 +428,25 @@ PARTITION_KINDS = ("partition", "interval", "noncrossing", "nc-irreducible",
     *(["verify", "--troupe", troupe, "--n", "3"] for troupe in ("all:x", "full:1", "motzkin:0")),
     ["count", "--kind", "partition", "--n", "3", "--colors", "0,1"],
     ["count", "--kind", "d-permutations", "--n", "3", "--colors", "0,1"],
+    *map(list, MALFORMED_NUMBERS),
 ], ids=" ".join)
 def test_bad_input_exits_2_without_traceback(argv, tmp_path):
-    table = tmp_path / "moments.txt"
-    table.write_text("word 0 = 1\nword 0,0,0 = 2\n")  # no moment for 0,0
-    repeated = tmp_path / "repeated.txt"
-    repeated.write_text("word 0 = 1\nword 0 = 5\n")  # two moments for 0
-    negative = tmp_path / "negative.txt"
-    negative.write_text("word -1 = 1\n")  # colors are nonnegative
-    argv = [a.format(missing_word_table=table, repeated_word_table=repeated,
-                     negative_color_table=negative) for a in argv]
+    bad_item = MALFORMED_NUMBERS.get(tuple(argv))
+    tables = {"missing_word_table": "word 0 = 1\nword 0,0,0 = 2\n",  # no moment for 0,0
+              "repeated_word_table": "word 0 = 1\nword 0 = 5\n",  # two moments for 0
+              "negative_color_table": "word -1 = 1\n",  # colors are nonnegative
+              "arabic_color_table": "word \u0660 = 1\n",
+              "exponent_moment_table": "word 0 = 1e0\n"}
+    for name, text in tables.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [a.format(**{name: tmp_path / name for name in tables}) for a in argv]
     code, out, err = run(*argv)
     assert code == 2 and out == ""
-    assert sum("error:" in line for line in err.splitlines()) == 1
-    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "Traceback" not in err and "invalid literal" not in err
+    if bad_item is not None:  # the error line quotes the malformed number
+        assert repr(bad_item) in errors[0]
     spec = dict(zip(argv, argv[1:])).get("--troupe", "")
     if spec.startswith("color"):  # the message quotes the troupe spec
         assert repr(spec) in err
@@ -544,18 +570,31 @@ def test_integer_past_int_digit_limit_exits_2():
 # -- fuzzing the CLI contract: exit 0 on success, 1 only for a failed
 # verification, 2 on bad input, and never an uncaught exception
 
-SMALL = st.integers(-2, 5).map(str)
+# an integer is ASCII ``-?[0-9]+``; int() would read each of these
+MALFORMED_INTS = ["\u0663", "1_0", "+1"]
+INT = re.compile(r"-?[0-9]+")
+
+
+def _ints(least, most):
+    """An integer flag's value: one of ``least..most``, or a malformed integer."""
+    return st.sampled_from([*map(str, range(least, most + 1)), *MALFORMED_INTS])
+
+
+SMALL = _ints(-2, 5)
 # an empty item ("0,,1", ",0", "1,"), "+1" or "0_1" is a malformed list
 WORD = st.lists(st.one_of(st.integers(-1, 4).map(str), st.sampled_from(["", "+1", "0_1"])),
                 max_size=5).map(",".join)
-WELL_FORMED_RING = st.sampled_from(["0", "1", "-2", "3/4", "q", "q^2", "2*q", "0 + 1*q"])
-RING = st.one_of(WELL_FORMED_RING, st.sampled_from(["1/0", "1*q^-1", "zebra", ""]))
+WELL_FORMED_RINGS = ["0", "1", "-2", "3/4", "q", "q^2", "2*q", "0 + 1*q"]
+WELL_FORMED_RING = st.sampled_from(WELL_FORMED_RINGS)
+RING = st.one_of(WELL_FORMED_RING, st.sampled_from(["1/0", "1*q^-1", "zebra", "", "0.5", "1e1",
+                                                    "q^\u0661"]))
 KINDS = st.sampled_from(["bpt", "branch", "dbpt", "partition", "interval", "noncrossing",
                          "nc-irreducible", "nc-irreducible-min2", "d-permutations",
                          "bogus"])
 TROUPES = st.sampled_from(["all", "full", "motzkin", "colorset:0", "colorset:x",
                            "colorset:0,-1", "colorset:0,2", "colorcount:1", "colorcount:-2",
-                           "rightmono:q,1", "rightmono:1/0,1", "rightmono:1", "random",
+                           "colorset:0_1", "colorcount:\u0661", "rightmono:q,1",
+                           "rightmono:1/0,1", "rightmono:1e0,1", "rightmono:1", "random",
                            "bogus", "all:x", "full:1", "motzkin:0"])
 PERMUTATION = st.integers(1, 6).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
     lambda xs: ",".join(map(str, xs)))
@@ -582,7 +621,7 @@ def cli_argv(draw):
     if command == "transform":
         coeffs = ",".join(draw(st.lists(RING, min_size=1, max_size=4)))
         return [command, f"--coeffs={coeffs}",
-                *_flags(draw, [("--order", st.integers(-1, 7).map(str)),
+                *_flags(draw, [("--order", _ints(-1, 7)),
                                ("--kind", st.sampled_from(["forward", "inverse", "up"]))])]
     if command == "cumulants":
         if draw(st.booleans()):  # a dense table, mostly well formed
@@ -596,14 +635,12 @@ def cli_argv(draw):
                 "".join(f"word {w} = {v}\n" for w, v in lines)]  # a file's contents
     if command == "verify":
         return [command, "--troupe", draw(TROUPES),
-                *_flags(draw, [("--n", st.integers(-1, 4).map(str)),
-                               ("--order", st.integers(-1, 6).map(str)),
-                               ("--seed", st.integers(0, 3).map(str)),
-                               ("--num-colors", st.integers(-1, 2).map(str))])]
+                *_flags(draw, [("--n", _ints(-1, 4)), ("--order", _ints(-1, 6)),
+                               ("--seed", _ints(0, 3)), ("--num-colors", _ints(-1, 2))])]
     if command in ("peaks", "sort"):
         return [command, draw(st.one_of(WORD, PERMUTATION))]
     # an explicit order keeps each run short; -1 and 0 must exit 2
-    return [command, draw(NAMES), "--order", draw(st.integers(-1, 20).map(str))]
+    return [command, draw(NAMES), "--order", draw(_ints(-1, 20))]
 
 
 def _has_bad_color(argv):
@@ -618,15 +655,34 @@ def _has_bad_color(argv):
         head, _, named = argv[2].partition(":")
         if head not in ("colorset", "colorcount"):
             return False
-        num_colors = 1
-        if "--num-colors" in argv:
-            num_colors = int(argv[argv.index("--num-colors") + 1])
-        try:
-            return any(not 0 <= int(c) < num_colors for c in named.split(","))
-        except ValueError:
-            return True  # not a color list at all
+        num_colors = dict(zip(argv, argv[1:])).get("--num-colors", "1")
+        if not INT.fullmatch(num_colors):
+            return False  # a malformed number: _has_bad_number's case
+        return not all(INT.fullmatch(c.strip()) and 0 <= int(c) < int(num_colors)
+                       for c in named.split(","))
     if argv[0] == "cumulants":
         return any("-" in line.partition("=")[0] for line in argv[2].splitlines())
+    return False
+
+
+def _has_bad_number(argv):
+    """Whether ``argv`` holds a malformed number: an integer flag's value that
+    is not ``-?[0-9]+``, or a ``transform`` coefficient, ``rightmono``
+    parameter, moment-table word item or moment-table value outside the
+    well-formed draws."""
+    flags = dict(zip(argv, argv[1:]))
+    if not all(INT.fullmatch(flags[flag]) for flag in ("--n", "--order", "--seed", "--num-colors")
+               if flag in flags):
+        return True
+    if argv[0] == "transform":
+        return any(c not in WELL_FORMED_RINGS for c in argv[1].partition("=")[2].split(","))
+    if argv[0] == "verify" and argv[2].startswith("rightmono:"):
+        return any(t not in WELL_FORMED_RINGS for t in argv[2].partition(":")[2].split(","))
+    if argv[0] == "cumulants":
+        for line in argv[2].splitlines():
+            word, _, value = line[len("word "):].partition(" = ")
+            if value not in WELL_FORMED_RINGS or not all(map(INT.fullmatch, word.split(","))):
+                return True
     return False
 
 
@@ -641,7 +697,7 @@ TOO_DEEP = [["enumerate", "--kind", "noncrossing", "--n", "5000"],
 @example(TOO_DEEP[0])
 @example(TOO_DEEP[1])
 def test_cli_contract_holds_under_fuzzing(argv):
-    bad_color = _has_bad_color(argv)
+    bad_input = _has_bad_color(argv) or _has_bad_number(argv)
     with tempfile.TemporaryDirectory() as tmp:
         if argv[0] == "cumulants":
             path = os.path.join(tmp, "moments.txt")
@@ -649,8 +705,8 @@ def test_cli_contract_holds_under_fuzzing(argv):
                 fh.write(argv[2])
             argv = argv[:2] + [path]
         code, out, err = run(*argv)
-    assert "Traceback" not in err
-    if bad_color or argv[0] == "verify" and argv[2] in ("all:x", "full:1", "motzkin:0"):
+    assert "Traceback" not in err and "invalid literal" not in err
+    if bad_input or argv[0] == "verify" and argv[2] in ("all:x", "full:1", "motzkin:0"):
         assert code == 2
     if argv in TOO_DEEP:
         assert code == 2 and err.startswith("error: ") and len(err.splitlines()) == 1

@@ -100,7 +100,8 @@ def test_parse_examples():
     assert parse_ring_elem("q") == q
     assert parse_ring_elem("2 + q^3") == QPoly((2, 0, 0, 1))
     assert parse_ring_elem("q + -1/2*q^2") == QPoly((0, 1, Fraction(-1, 2)))
-    for bad in ("1 + nope*q", "q^-1", "1*q^-2", "-q", "qq"):
+    for bad in ("1 + nope*q", "q^-1", "1*q^-2", "-q", "qq",
+                "1e1", "0.5", "1_0", "\u0663", "q^\u0661", "2*q^"):
         with pytest.raises(ValueError):
             parse_ring_elem(bad)
 

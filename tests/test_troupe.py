@@ -25,6 +25,7 @@ from troupes.trees import (
     ColoredTree,
     EMPTY,
     encode,
+    factor_paths,
     insert,
     iter_dbpt,
     iter_dbpt_word,
@@ -454,6 +455,24 @@ def test_root_sums_build_no_tree(monkeypatch):
     for kind in ("bpt", "branch"):
         with pytest.raises(ValueError):
             tree_sums(all_trees(), kind, [()])
+
+
+@pytest.mark.parametrize("kind", ["bpt", "branch"])
+def test_tree_sums_read_only_the_factors_of_the_words_trees(kind):
+    # a split with an empty right part closes no tree, so it adds 0 to every
+    # sum; it still reads the weight of a branch that no tree of the word has
+    trees = {"bpt": iter_bpt_word, "branch": iter_branch_word}[kind]
+    for word in [w for n in range(1, 7) for w in itertools.product((0, 1), repeat=n)]:
+        read = set()
+
+        def weight(b):
+            read.add((b.box_color, b.nodes))
+            return Fraction(1)
+
+        tree_sums(WeightedTroupe("recorder", weight), kind, [word])
+        factors = {(b.box_color, b.nodes) for t in trees(word) if t.nodes
+                   for _, _, b in factor_paths(t)}
+        assert read <= factors, word
 
 
 def test_branch_reader_rejects_non_branch():
