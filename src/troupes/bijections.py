@@ -3,13 +3,13 @@
 
 Both maps pair a combinatorial skeleton with one branch per block:
 
-* ``psi``: an irreducible noncrossing partition of 1..n with all blocks of
-  size >= 2, plus a colored branch per block, maps to a colored tree of size
-  n-1 whose postorder matches the usual order and whose insertion-factor
-  multiset is exactly the given branches.
 * ``phi``: a permutation with first entry n and no singleton descending run,
   plus a colored branch per run, maps to a decreasing labeled colored tree of
-  size n-1 with the same factor-preservation property.
+  size n-1 whose insertion-factor multiset is exactly the given branches.
+* ``psi``: an irreducible noncrossing partition of 1..n with all blocks of
+  size >= 2, plus a colored branch per block, maps to a colored tree of size
+  n-1 with the same property: ``phi`` on the tree labeled by postorder
+  position, whose descending runs are the blocks.
 
 Branches attached to a block U are realized on the vertex set U minus its
 maximum, labels decreasing from the root down; positionally they are stored
@@ -30,7 +30,6 @@ from .partitions import (
     iter_partitions,
 )
 from .trees import (
-    BOX,
     ColoredTree,
     LabeledTree,
     _decreasing_tree,
@@ -38,7 +37,6 @@ from .trees import (
     _read_branch,
     _write_branch,
     encode,
-    factor_paths,
     iter_branch_word,
     postorder,
 )
@@ -61,6 +59,8 @@ class PsiInput(NamedTuple):
     def _read(self) -> tuple[list[int], set[int]]:
         """Check the input and read its blocks' branches (:func:`_read_blocks`)."""
         p = self.partition
+        if p.n < 2:
+            raise ValueError("psi needs n >= 2")
         if not is_irreducible(p):
             raise ValueError("partition must be noncrossing and irreducible")
         if any(len(b) < 2 for b in p.blocks):
@@ -120,62 +120,57 @@ def _read_blocks(n: int, blocks, branches, what: str) -> tuple[list[int], set[in
 # psi: partitions with branches  <->  colored trees
 
 
-def psi(inp: PsiInput) -> ColoredTree:
-    """Assemble the tree on vertices 1..n-1 directly from the block rules.
+def _psi_sigma(p: SetPartition) -> list[int]:
+    """σ_p: n, then the vertices 1..n-1 as :func:`phi_inverse` reads
+    :func:`psi`'s tree, from n-1.  A block minimum is a leaf, read alone; an
+    interior element j is read, then j-1; a block maximum j < n waits on a
+    stack for the subtree at min-1, then is read, then the subtree at j-1."""
+    n = p.n
+    low = [0] * n  # low[j]: the block minimum, at a block maximum j < n
+    leaf = [False] * n
+    for block in p.blocks:
+        leaf[block[0]] = True
+        if block[-1] < n:
+            low[block[-1]] = block[0]
+    sigma = [n]
+    waiting: list[int] = []
+    j = n - 1
+    while True:
+        if low[j]:
+            waiting.append(j)
+            j = low[j] - 1
+            continue
+        sigma.append(j)
+        if leaf[j]:
+            if not waiting:
+                return sigma
+            j = waiting.pop()
+            sigma.append(j)
+        j -= 1
 
-    Block minima become leaves; interior elements pass their single child
-    down by one with the side copied from the block's branch; block maxima
-    (other than n) take ``j-1`` as right child and ``min(U)-1`` as left child.
-    Vertex j is node id j-1, and the coloring reads the word off the input.
-    Vertex n-1, last in postorder, is the root, and
-    :meth:`~troupes.trees.ColoredTree.validate` checks the tree.
-    """
+
+def psi(inp: PsiInput) -> ColoredTree:
+    """The plain tree whose factors are the input branches: the tree of
+    :func:`phi` on σ_p (:func:`_psi_sigma`).  Block minima are leaves, an
+    interior element j has j-1 as its one child, on its branch's side, and a
+    block maximum j < n has left child min(U)-1 and right child j-1.  Node
+    ids are postorder positions, so vertex j is node id j-1."""
     word, left_steps = inp._read()
-    n = inp.partition.n
-    if n < 2:
-        raise ValueError("psi needs n >= 2")
-    # left[j] and right[j] are the child node ids of vertex j
-    left: list[int | None] = [None] * n
-    right: list[int | None] = [None] * n
-    for block in inp.partition.blocks:
-        mn, mx = block[0], block[-1]
-        if mx < n:
-            right[mx] = mx - 2
-            left[mx] = mn - 2
-        # the branch's one-child vertices are the block's interior elements
-        for j in block[1:-1]:
-            if j in left_steps:
-                left[j] = j - 2
-            else:
-                right[j] = j - 2
-    nodes = tuple(zip(word[1:n], left[1:], right[1:]))
-    out = _new(ColoredTree, (nodes, n - 2, word[n]))
-    out.validate()
-    return out
+    return _decreasing_tree(_psi_sigma(inp.partition)[1:], word[1:], word[-1], left_steps).tree
 
 
 def psi_inverse(t: ColoredTree) -> PsiInput:
-    """Read the partition and branch factors back off a tree.
-
-    Vertices are named by postorder position and the box by n.  Each factor
-    of :func:`~troupes.trees.factor_paths` gives its branch and a block: its
-    vertices' names, which rise from the bottom up, and last the name of its
-    owner, which exceeds every name in the owner's right subtree.
-    """
+    """Read the partition and branch factors back off a tree:
+    :func:`phi_inverse` of the tree labeled by postorder position, whose
+    descending runs are the blocks."""
     m = len(t.nodes)
     if m == 0:
         raise ValueError("psi_inverse needs a nonempty tree")
-    n = m + 1
-    name = [0] * m
+    labels = [0] * m
     for k, v in enumerate(postorder(t), start=1):
-        name[v] = k
-    pairs = []
-    for owner, vertices, branch in factor_paths(t):
-        top = n if owner == BOX else name[owner]
-        pairs.append((tuple([name[u] for u in vertices]) + (top,), branch))
-    pairs.sort(key=lambda pair: pair[0])
-    return PsiInput(SetPartition.of(n, [block for block, _ in pairs]),
-                    tuple(branch for _, branch in pairs))
+        labels[v] = k
+    x = phi_inverse(_new(LabeledTree, (t, tuple(labels))))
+    return PsiInput(SetPartition.of(m + 1, _run_blocks(x.sigma)), x.branches)
 
 
 def _iter_inputs(record: type, word: Sequence[int], skeletons) -> Iterator:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Sequence
 
-from .trees import ColoredTree, LabeledTree, _new, alpha_inverse, labeled_insertion_factors
+from .trees import LabeledTree, alpha_inverse, labeled_insertion_factors
 
 
 def peaks(word: Sequence[int]) -> list[int]:
@@ -74,36 +74,16 @@ def southeast_decomposition(word: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 def branch_from_inorder(values: Sequence[int]) -> LabeledTree:
-    """The decreasing labeled branch whose inorder reading is ``values``, node
-    ids from the bottom vertex (0) up, as :func:`alpha_inverse` numbers it.
-
-    Each vertex is written just before or just after all those below it, so
-    the larger end of what is left of the word is the next vertex down, and
-    its child hangs on the side of the rest.  Raises ``ValueError`` unless
-    each vertex so read is smaller than the one above it.
-    """
-    m = len(values)
-    if m == 0:
+    """The decreasing labeled branch whose inorder reading is ``values``: its
+    :func:`alpha_inverse`, node ids from the bottom vertex (0) up.  Raises
+    ``ValueError`` when a vertex of that tree has two children."""
+    if len(values) == 0:
         raise ValueError("empty branch word")
-    nodes, labels = [(0, None, None)] * m, [0] * m
-    lo, hi = 0, m - 1
-    above = max(values[lo], values[hi]) + 1
-    for k in range(m - 1, 0, -1):
-        if values[lo] > values[hi]:
-            label, lo, nodes[k] = values[lo], lo + 1, (0, None, k - 1)
-        else:
-            label, hi, nodes[k] = values[hi], hi - 1, (0, k - 1, None)
-        if not label < above:  # strict, so a repeated entry never passes
-            break
-        labels[k] = above = label
-    else:
-        if values[lo] < above:
-            labels[0] = values[lo]
-            tree = _new(ColoredTree, (tuple(nodes), m - 1, 0))
-            return _new(LabeledTree, (tree, tuple(labels)))
-    if len(set(values)) != m:
-        raise ValueError("word entries must be distinct")
-    raise ValueError(f"{values!r} is not the inorder word of a branch")
+    lt = alpha_inverse(values)
+    for _, left, right in lt.tree.nodes:
+        if left is not None and right is not None:
+            raise ValueError(f"{values!r} is not the inorder word of a branch")
+    return lt
 
 
 def factors_from_plot(word: Sequence[int]) -> list[LabeledTree]:

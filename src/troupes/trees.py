@@ -46,12 +46,9 @@ class ColoredTree(NamedTuple):
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on violation.
 
-        The postorder walk checks every id it meets and meets none twice, so
-        the tree holds each vertex once exactly when it meets them all."""
-        n = len(self.nodes)
-        if (self.root is None) != (n == 0):
-            raise ValueError("root must be a vertex exactly when the tree is nonempty")
-        if len(_order(self, True)) != n:
+        The postorder walk checks the root and each id it meets and meets
+        none twice: the tree holds each vertex once when it meets them all."""
+        if len(_order(self, True)) != len(self.nodes):
             raise ValueError("a vertex is unreachable from the root")
 
 
@@ -89,18 +86,21 @@ class LabeledTree(NamedTuple):
 _RECURSIVE_SIZE = 256
 
 # A walk that enters a vertex it has marked met it twice: through a loop, or
-# a vertex under two parents.
+# a vertex under two parents.  A walk needs a root exactly when the tree is nonempty.
 _REACHED_TWICE = "a vertex is reached twice: the child links loop or share a vertex"
+_ROOTLESS = "root must be a vertex exactly when the tree is nonempty"
 
 
 def _order(t: ColoredTree, post: bool) -> list[int]:
     """Node ids in inorder, or in postorder when ``post``, by one walk on a
     stack: entering a vertex pushes its children and its output slot (a
     ``None`` over its id) in the order the traversal writes them.  An id out
-    of range, or a vertex entered twice (a loop, or a vertex under two
-    parents), raises ``ValueError``."""
+    of range, a vertex entered twice (a loop, or a vertex under two parents)
+    or a root given exactly when the tree is empty raises ``ValueError``."""
     nodes = t.nodes
     n = len(nodes)
+    if (t.root is None) != (n == 0):
+        raise ValueError(_ROOTLESS)
     entered = [False] * n
     out: list[int] = []
     stack = [] if t.root is None else [t.root]
@@ -179,7 +179,7 @@ def _decreasing_tree(word: Sequence[int], colors: Sequence[int] | None,
     labels: list[int] = []
     spine: list[int] = []  # labels of the open vertices
     lefts: list[int | None] = []  # and their left child ids
-    for x in itertools.chain(word, (inf,)):
+    for x in [*word, inf]:
         below = None
         while spine and spine[-1] < x:
             label, left = spine.pop(), lefts.pop()
@@ -265,11 +265,11 @@ def factor_paths(t: ColoredTree) -> list[tuple[int, list[int], ColoredTree]]:
     with the same color and its one child on the same side, so node ids run
     from the bottom vertex (0) up, as in :func:`branch_from_directions`.  The
     walk marks each vertex it enters, so child links that loop, or that reach
-    a vertex twice, raise ``ValueError``, and so does an id outside
-    ``0..n-1``.
+    a vertex twice, raise ``ValueError``, and so do an id outside ``0..n-1``
+    and a missing root.
     """
-    if not t.nodes:
-        raise ValueError("the empty tree has no factors")
+    if not t.nodes or t.root is None:
+        raise ValueError(_ROOTLESS if t.nodes else "the empty tree has no factors")
     nodes = t.nodes
     n = len(nodes)
     entered = [False] * n
@@ -383,8 +383,10 @@ def _encode(t: ColoredTree, labels: Sequence[int] | None) -> str:
     ``labels`` is given.  The encoder is chosen once per tree: recursion
     below ``_RECURSIVE_SIZE`` vertices, whose depth the size bounds, and the
     loop from there on.  A loop runs the recursion out of stack, and the
-    loop then names the fault; an id out of range raises ``ValueError``."""
+    loop then names the fault.  A bad id or root raises ``ValueError``."""
     if t.root is None:
+        if t.nodes:
+            raise ValueError(_ROOTLESS)
         return f"{t.box_color}:."
     try:
         if len(t.nodes) < _RECURSIVE_SIZE:

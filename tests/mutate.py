@@ -12,7 +12,7 @@ Each mutant changes one place in one named function, by one of these
 mutations, parsed and written back with the ``ast`` module:
 
 - a binary ``+``, ``-`` or ``*`` (augmented assignments too) becomes each of
-  the other two;
+  the other two, and a ``**`` becomes ``*``;
 - a comparison flips: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``,
   ``is`` and ``is not``, ``in`` and ``not in`` trade places;
 - an integer constant grows by 1;
@@ -81,6 +81,10 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
      "while spine and spine[-1] <= x:"):
         "the entries are distinct and the last one exceeds them all, so no "
         "two compared labels are equal",
+    ("bijections:psi_inverse", "labels = [0] * m", "labels = [1] * m"):
+        "only a vertex the postorder walk misses keeps its first label; the "
+        "walk of phi_inverse from the root misses the same vertices, reads "
+        "none of their labels and rejects the tree as having unreachable ones",
     ("bijections:phi_inverse", "vertex = [-1] * n", "vertex = [-2] * n"):
         "any negative value marks a label not yet met",
     ("bijections:phi_inverse", _PHI_CHILD_CHECK,
@@ -94,7 +98,7 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
 
 
 _SWAPS = {ast.Add: (ast.Sub, ast.Mult), ast.Sub: (ast.Add, ast.Mult),
-          ast.Mult: (ast.Add, ast.Sub)}
+          ast.Mult: (ast.Add, ast.Sub), ast.Pow: (ast.Mult,)}
 _FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
           ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
           ast.In: ast.NotIn, ast.NotIn: ast.In}

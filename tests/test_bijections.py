@@ -83,8 +83,11 @@ def test_psi_postorder_is_usual_order():
 
 
 def test_psi_equals_iterated_insertion():
-    for n in range(2, 7):
-        for x in iter_psi_inputs((0,) * n):
+    """Every word over {0, 1} up to length 6, one color included, so the
+    colors and boxes of inputs with left steps meet an oracle that does not
+    use the stack pass."""
+    for word in (w for n in range(2, 7) for w in itertools.product((0, 1), repeat=n)):
+        for x in iter_psi_inputs(word):
             direct = psi(x)
             built, names = psi_via_insertions(x)
             assert encode(built) == encode(direct)
@@ -127,6 +130,10 @@ def test_psi_input_validation():
     singleton_block = SetPartition.of(3, [[1, 3], [2]])
     with pytest.raises(ValueError):
         PsiInput(singleton_block, (branch_from_directions("L"),)).validate()
+    # no elements: refused before the irreducibility check reads block 1
+    for check in (PsiInput.validate, psi):
+        with pytest.raises(ValueError, match="n >= 2"):
+            check(PsiInput(SetPartition.of(0, []), ()))
 
 
 def test_psi_worked_fourteen_element_example():

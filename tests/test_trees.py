@@ -691,8 +691,13 @@ def test_validate_catches_breakage():
         ColoredTree(((0, 0, None),), 0).validate()  # self loop
     with pytest.raises(ValueError):
         ColoredTree(((0, None, None), (0, None, None)), 1).validate()  # unreachable node
-    with pytest.raises(ValueError):
-        ColoredTree(((0, None, None),), None).validate()
+    # a nonempty tree with no root: every walk and both encoders say so
+    rootless = ColoredTree(((0, None, None),), None)
+    for walk in (ColoredTree.validate, postorder, inorder, factor_paths, insertion_factors,
+                 all_trees().evaluate, psi_inverse, encode,
+                 lambda t: encode_labeled(LabeledTree(t, (1,)))):
+        with pytest.raises(ValueError, match="root must be a vertex"):
+            walk(rootless)
     broken = [
         ((0, None, None), (0, 0, 0)),  # vertex 0 under both slots of its parent
         ((0, None, None), (0, 0, None), (0, 0, 1)),  # vertex 0 under two parents
