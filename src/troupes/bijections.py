@@ -1,7 +1,5 @@
 """Bijective expansions of trees into (partition, branches) and
-(permutation, branches) pairs.
-
-Both maps pair a combinatorial skeleton with one branch per block:
+(permutation, branches) pairs, one branch per block:
 
 * ``phi``: a permutation with first entry n and no singleton descending run,
   plus a colored branch per run, maps to a decreasing labeled colored tree of
@@ -11,10 +9,10 @@ Both maps pair a combinatorial skeleton with one branch per block:
   n-1 with the same property: ``phi`` on the tree labeled by postorder
   position, whose descending runs are the blocks.
 
-Branches attached to a block U are realized on the vertex set U minus its
-maximum, labels decreasing from the root down; positionally they are stored
-as plain :class:`~troupes.trees.ColoredTree` branches whose root corresponds
-to the largest element of U minus max(U).
+Each branch is read straight off its run as σ holds it, or off its block
+from the maximum down: the maximum is the box, and the rest label the
+branch's vertices from the root down.  Branches are stored as plain
+:class:`~troupes.trees.ColoredTree` branches, node ids from the bottom up.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .partitions import (
     SetPartition,
-    _run_blocks,
+    _runs,
     is_irreducible,
     iter_D,
     iter_partitions,
@@ -34,7 +32,6 @@ from .trees import (
     LabeledTree,
     _decreasing_tree,
     _new,
-    _read_branch,
     _write_branch,
     encode,
     iter_branch_word,
@@ -51,13 +48,13 @@ class PsiInput(NamedTuple):
 
     def key(self):
         """Canonical fingerprint used for equality in tests."""
-        return self.partition.blocks, tuple([encode(b) for b in self.branches])
+        return self.partition.blocks, tuple(map(encode, self.branches))
 
     def validate(self) -> None:
         self._read()
 
     def _read(self) -> tuple[list[int], set[int]]:
-        """Check the input and read its blocks' branches (:func:`_read_blocks`)."""
+        """Check the input; read each block's branch from its maximum down (:func:`_read_runs`)."""
         p = self.partition
         if p.n < 2:
             raise ValueError("psi needs n >= 2")
@@ -65,54 +62,77 @@ class PsiInput(NamedTuple):
             raise ValueError("partition must be noncrossing and irreducible")
         if any(len(b) < 2 for b in p.blocks):
             raise ValueError("all blocks must have size >= 2")
-        return _read_blocks(p.n, p.blocks, self.branches, "block")
+        return _read_runs(p.n, [block[::-1] for block in p.blocks], self.branches, "block")
 
 
 class PhiInput(NamedTuple):
     """A permutation (first entry maximal, no singleton run) paired with one
-    branch per descending run, the runs as canonical blocks (reversed, so
-    ascending, and ordered by minimum)."""
+    branch per descending run, the runs ordered by minimum."""
 
     sigma: tuple[int, ...]
     branches: tuple[ColoredTree, ...]
 
     def key(self):
-        return self.sigma, tuple([encode(b) for b in self.branches])
+        return self.sigma, tuple(map(encode, self.branches))
 
     def validate(self) -> None:
         self._read()
 
     def _read(self) -> tuple[list[int], set[int]]:
         """Check the permutation and its runs, and read the runs' branches
-        (:func:`_read_blocks`)."""
+        (:func:`_read_runs`)."""
         sigma = self.sigma
         n = len(sigma)
         if n == 0 or sigma[0] != n:
             raise ValueError("permutation must start with its maximum")
-        if set(sigma) != set(range(1, n + 1)):
+        if not set(sigma).issuperset(range(1, n + 1)):  # n entries that hold 1..n are 1..n
             raise ValueError(f"not a permutation of 1..{n}")
-        blocks = _run_blocks(tuple(sigma))
-        if any(len(b) < 2 for b in blocks):
+        runs = _runs(sigma)
+        if min(map(len, runs)) < 2:
             raise ValueError("all descending runs must have size >= 2")
-        return _read_blocks(n, blocks, self.branches, "run")
+        return _read_runs(n, runs, self.branches, "run")
 
 
-def _read_blocks(n: int, blocks, branches, what: str) -> tuple[list[int], set[int]]:
-    """Read each block's branch onto the block less its maximum, labels
-    falling from the root down, in one pass over the branches' vertices.
+def _read_runs(n: int, runs, branches, what: str) -> tuple[list[int], set[int]]:
+    """Read each branch straight off its run, a run read from its maximum
+    down: the box onto ``run[0]``, the vertices from the root down onto
+    ``run[1:]``.  Returns the color word (``word[k]`` the color of label k)
+    and the set of labels whose child hangs on the left.
 
-    Returns the color word ``word`` (``word[k]`` the color of label k, 1-based,
-    a block maximum taking its branch's box color) and the set of labels
-    whose child hangs on the left.  Each branch must be a branch with one
-    vertex fewer than its block (:func:`~troupes.trees._read_branch`).
+    The walk down a branch is its check: it raises ``ValueError`` unless the
+    branch has ``len(run) - 1`` vertices, passes ``len(run) - 2`` one-child
+    vertices and ends at a leaf, so it met every vertex once.  A negative
+    id, which indexing would wrap, counts as out of range.
     """
-    if len(branches) != len(blocks):
+    if len(branches) != len(runs):
         raise ValueError(f"one branch per {what} required")
     word = [0] * (n + 1)
     left_steps: set[int] = set()
-    for block, br in zip(blocks, branches):
-        _read_branch(br, block[-2::-1], word, left_steps)
-        word[block[-1]] = br.box_color
+    for run, (nodes, v, box) in zip(runs, branches):
+        if len(nodes) != len(run) - 1:
+            raise ValueError(f"expected a branch on {len(run) - 1} vertices, got {len(nodes)}")
+        word[run[0]] = box
+        try:
+            for label in run[1:-1]:
+                if v < 0:
+                    raise IndexError(v)
+                color, left, right = nodes[v]
+                word[label] = color
+                if right is None and left is not None:
+                    left_steps.add(label)
+                    v = left
+                elif left is None and right is not None:
+                    v = right
+                else:
+                    raise ValueError("expected a branch")
+            if v < 0:
+                raise IndexError(v)
+            color, left, right = nodes[v]
+        except (IndexError, TypeError):
+            raise ValueError("expected a branch: a child index is out of range") from None
+        if left is not None or right is not None:
+            raise ValueError("expected a branch")
+        word[run[-1]] = color
     return word, left_steps
 
 
@@ -156,36 +176,38 @@ def psi(inp: PsiInput) -> ColoredTree:
     block maximum j < n has left child min(U)-1 and right child j-1.  Node
     ids are postorder positions, so vertex j is node id j-1."""
     word, left_steps = inp._read()
-    return _decreasing_tree(_psi_sigma(inp.partition)[1:], word[1:], word[-1], left_steps).tree
+    return _decreasing_tree(_psi_sigma(inp.partition)[1:], word, word[-1], left_steps).tree
 
 
 def psi_inverse(t: ColoredTree) -> PsiInput:
     """Read the partition and branch factors back off a tree:
     :func:`phi_inverse` of the tree labeled by postorder position, whose
-    descending runs are the blocks."""
+    descending runs, reversed, are the blocks."""
     m = len(t.nodes)
     if m == 0:
         raise ValueError("psi_inverse needs a nonempty tree")
     labels = [0] * m
     for k, v in enumerate(postorder(t), start=1):
         labels[v] = k
-    x = phi_inverse(_new(LabeledTree, (t, tuple(labels))))
-    return PsiInput(SetPartition.of(m + 1, _run_blocks(x.sigma)), x.branches)
+    _, runs, branches = _read_tree(_new(LabeledTree, (t, tuple(labels))))
+    blocks = tuple([run[::-1] for run in runs])
+    return _new(PsiInput, (_new(SetPartition, (m + 1, blocks)), branches))
 
 
 def _iter_inputs(record: type, word: Sequence[int], skeletons) -> Iterator:
-    """``record(skeleton, branches)`` for each ``(skeleton, blocks)`` pair in
-    ``skeletons``, with every choice of one branch per block: a branch whose
-    word is the block's color subword.  The branches of each subword are
-    listed once and shared by every block that has it."""
-    branches: dict[tuple[int, ...], list[ColoredTree]] = {}  # by block subword
-    for skeleton, blocks in skeletons:
+    """``record(skeleton, branches)`` for each ``(skeleton, runs)`` pair in
+    ``skeletons``, runs read from the maximum down, with every choice of one
+    branch per run: a branch whose word is the run's colors from its minimum
+    up.  Each word's branches are listed once, shared by its runs."""
+    branches: dict[tuple[int, ...], list[ColoredTree]] = {}  # by run colors
+    color = (0, *word).__getitem__  # color(u): the color of element u
+    for skeleton, runs in skeletons:
         choices = []
-        for block in blocks:
-            restricted = tuple([word[u - 1] for u in block])
-            if restricted not in branches:
-                branches[restricted] = list(iter_branch_word(restricted))
-            choices.append(branches[restricted])
+        for run in runs:
+            colors = tuple(map(color, run))
+            if colors not in branches:
+                branches[colors] = list(iter_branch_word(colors[::-1]))
+            choices.append(branches[colors])
         for combo in itertools.product(*choices):
             yield _new(record, (skeleton, combo))
 
@@ -193,7 +215,7 @@ def _iter_inputs(record: type, word: Sequence[int], skeletons) -> Iterator:
 def iter_psi_inputs(word: Sequence[int]) -> Iterator[PsiInput]:
     """Every valid input for the given color word, deterministically: the
     partitions in order, each with every choice of one branch per block."""
-    yield from _iter_inputs(PsiInput, word, ((p, p.blocks) for p in
+    yield from _iter_inputs(PsiInput, word, ((p, [b[::-1] for b in p.blocks]) for p in
                                              iter_partitions(len(word), "nc_irreducible_min2")))
 
 
@@ -214,8 +236,7 @@ def phi(inp: PhiInput) -> LabeledTree:
     postorder ids of the intermediate tree.
     """
     word, left_steps = inp._read()
-    n = len(inp.sigma)
-    return _decreasing_tree(inp.sigma[1:], word[1:], word[n], left_steps)
+    return _decreasing_tree(inp.sigma[1:], word, word[-1], left_steps)
 
 
 def phi_inverse(lt: LabeledTree) -> PhiInput:
@@ -226,10 +247,16 @@ def phi_inverse(lt: LabeledTree) -> PhiInput:
     child counts as a right child (the inverse of :func:`phi`'s exchange).
     Every edge it follows must stay in range and lower the label, so it
     ends; every vertex it enters must carry a new label in 1..n-1, so no
-    vertex is entered twice, and it must enter all of them.  Each run block
-    then builds its branch from the vertices its labels name, with the same
-    colors and child sides.
+    vertex is entered twice, and it must enter all of them.  Each run then
+    builds its branch from the vertices its labels name, with the same
+    colors and child sides (:func:`_read_tree`).
     """
+    sigma, _, branches = _read_tree(lt)
+    return _new(PhiInput, (sigma, branches))
+
+
+def _read_tree(lt: LabeledTree) -> tuple[tuple[int, ...], list, tuple[ColoredTree, ...]]:
+    """:func:`phi_inverse`'s permutation, its runs (:func:`_runs`) and branches."""
     t = lt.tree
     nodes, labels = t.nodes, lt.labels
     m = len(nodes)
@@ -271,21 +298,20 @@ def phi_inverse(lt: LabeledTree) -> PhiInput:
     # permutation of 1..n and its runs need no further check
     sigma = tuple(reading)
 
-    # A run ends where the reading ascends, which is only after a leaf: every
-    # other vertex is read just before a subtree below it.  So a run's
-    # minimum labels a leaf, and its branch is written bottom-up on the
-    # vertices its labels name, less its maximum's.
+    # A run ends where the reading ascends, only after a leaf: every other
+    # vertex is read just before a subtree below it.  So a run's minimum labels
+    # a leaf, and its branch is written bottom-up on its labels' vertices.
+    runs = _runs(sigma)
     branches = []
-    for block in _run_blocks(sigma):
-        mx = block[-1]
-        box = t.box_color if mx == n else nodes[vertex[mx]][0]
-        branches.append(_write_branch(nodes, [vertex[label] for label in block[:-1]], box))
-    return _new(PhiInput, (sigma, tuple(branches)))
+    at = vertex.__getitem__
+    for run in runs:
+        box = t.box_color if run[0] == n else nodes[vertex[run[0]]][0]
+        branches.append(_write_branch(nodes, map(at, run[:0:-1]), box))
+    return sigma, runs, tuple(branches)
 
 
 def iter_phi_inputs(word: Sequence[int]) -> Iterator[PhiInput]:
     """Every valid input for the given color word, deterministically: the
     permutations of :func:`~troupes.partitions.iter_D` in order, each with
     every choice of one branch per run."""
-    yield from _iter_inputs(PhiInput, word,
-                            ((sigma, _run_blocks(sigma)) for sigma in iter_D(len(word))))
+    yield from _iter_inputs(PhiInput, word, ((sigma, _runs(sigma)) for sigma in iter_D(len(word))))

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+_last = itemgetter(-1)
 
 
 class SetPartition(NamedTuple):
@@ -129,19 +132,22 @@ def partitions_as_index_blocks(n: int, klass: str) -> tuple[tuple[int, ...], ...
 # Permutations and descending runs
 
 
-def _run_blocks(sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The maximal consecutive decreasing runs of ``sigma`` as canonical
-    blocks: a reversed run is ascending and starts at its minimum, so the
-    reversed runs, sorted, are ordered by minimum."""
+def _runs(sigma: Sequence[int]) -> list[Sequence[int]]:
+    """The maximal descending runs of a nonempty ``sigma``, in one loop: each
+    a slice of it, so read from its maximum down, ordered by minimum, which
+    is a run's last entry."""
     runs = []
-    start = 0
-    for i in range(1, len(sigma)):
-        if sigma[i - 1] < sigma[i]:
-            runs.append(sigma[start:i][::-1])
+    start = i = 0
+    prev = sigma[0]
+    for x in sigma:
+        if prev < x:
+            runs.append(sigma[start:i])
             start = i
-    runs.append(sigma[start:][::-1])
-    runs.sort()
-    return tuple(runs)
+        prev = x
+        i += 1
+    runs.append(sigma[start:])
+    runs.sort(key=_last)
+    return runs
 
 
 def iter_D(n: int) -> Iterator[tuple[int, ...]]:
@@ -184,5 +190,5 @@ def first_n_druns_index_blocks(n: int) -> tuple[tuple[tuple[int, ...], ...], ...
     canonical 0-based blocks, lexicographic in the entries after the first;
     cached.  Runs are split on 0-based values directly, with no permutation
     check."""
-    return tuple(_run_blocks((n - 1,) + rest)
+    return tuple(tuple([run[::-1] for run in _runs((n - 1,) + rest)])
                  for rest in itertools.permutations(range(n - 1)))

@@ -4,9 +4,9 @@ A peak of a word is an interior position whose value exceeds both neighbors.
 The points weakly southeast of a peak (position >= peak position, value <=
 peak value) and not weakly southeast of any later peak form one region per
 peak; together with the leftover region they partition the plot, and each
-region spells out one insertion factor of the decreasing tree obtained by
-inverting the inorder bijection.  Colors stay out of the picture: everything
-here lives over a single color.
+region's values, in position order, spell out one insertion factor of the
+decreasing tree obtained by inverting the inorder bijection.  Colors stay
+out of the picture: everything here lives over a single color.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ def peaks(word: Sequence[int]) -> list[int]:
     ]
 
 
-def _regions(word: Sequence[int]) -> list[list[tuple[int, int]]]:
-    """Points (position, value) of each region: leftover first, then one
-    region per peak in peak order.  Points come out sorted by position.
+def _regions(word: Sequence[int]) -> list[list[int]]:
+    """The values of each region's points: leftover first, then one region
+    per peak in peak order.  Values come out in position order.
 
     A point belongs to the latest peak at or before it that is at least as
     high.  The sweep drops a peak once a later one is higher, since that one
@@ -41,7 +41,7 @@ def _regions(word: Sequence[int]) -> list[list[tuple[int, int]]]:
     prefix of them, found by bisection.
     """
     ps = peaks(word)
-    regions: list[list[tuple[int, int]]] = [[] for _ in range(len(ps) + 1)]
+    regions: list[list[int]] = [[] for _ in range(len(ps) + 1)]
     depths: list[int] = []  # the kept peaks' negated heights, rising
     owners: list[int] = []  # and their region numbers
     passed = 0
@@ -54,7 +54,7 @@ def _regions(word: Sequence[int]) -> list[list[tuple[int, int]]]:
             depths.append(-value)
             owners.append(passed)
         k = bisect_right(depths, -value)
-        regions[owners[k - 1] if k else 0].append((i, value))
+        regions[owners[k - 1] if k else 0].append(value)
     return regions
 
 
@@ -66,8 +66,7 @@ def southeast_decomposition(word: Sequence[int]) -> list[tuple[int, ...]]:
     1..k.
     """
     out = []
-    for region in _regions(word):
-        values = [v for _, v in region]
+    for values in _regions(word):
         ranks = {v: r for r, v in enumerate(sorted(values), start=1)}
         out.append(tuple(ranks[v] for v in values))
     return out
@@ -100,9 +99,8 @@ def factors_from_plot(word: Sequence[int]) -> list[LabeledTree]:
     if sorted(word) != list(range(1, n + 1)):
         raise ValueError("expected a permutation of 1..n")
     regions = _regions(word)
-    factors = [branch_from_inorder([v for _, v in regions[0]])]
-    for region in regions[1:]:
-        values = [v for _, v in region]
+    factors = [branch_from_inorder(regions[0])]
+    for values in regions[1:]:
         if len(values) < 2 or values[0] != max(values):
             raise AssertionError("peak region must lead with its maximum")
         factors.append(branch_from_inorder(values[1:]))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from math import inf
-from typing import Container, Iterator, NamedTuple, Sequence
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 # ``_new(Record, fields)`` builds a record from the tuple of its fields.
 _new = tuple.__new__
@@ -154,42 +154,46 @@ def alpha_inverse(word: Sequence[int], colors: Sequence[int] | None = None,
 
     Built by :func:`_decreasing_tree` in one stack pass, so node ids come out
     in postorder.  ``colors``, when given, assigns ``colors[k-1]`` to the
-    vertex labeled ``k``.
+    vertex labeled ``k``, so the entries must lie in 1..len(colors).
     """
     if len(word) == 0:
         raise ValueError("alpha_inverse needs a nonempty word")
     if len(set(word)) != len(word):
         raise ValueError("word entries must be distinct")
-    return _decreasing_tree(word, colors, box_color, ())
+    if colors is not None and not 0 < min(word) <= max(word) <= len(colors):
+        raise ValueError(f"colored word entries must lie in 1..{len(colors)}")
+    return _decreasing_tree(word, None if colors is None else (0, *colors), box_color, ())
 
 
 def _decreasing_tree(word: Sequence[int], colors: Sequence[int] | None,
                      box_color: int, swapped: Container[int]) -> LabeledTree:
     """:func:`alpha_inverse` of a nonempty word of distinct entries, with the
-    two child slots exchanged at every vertex whose label is in ``swapped``.
+    two child slots exchanged at every vertex whose label is in ``swapped``
+    and, when ``colors`` is given, ``colors[k]`` on the vertex labeled ``k``.
 
-    The stack-sorting pass: the stack holds the open vertices of the right
-    spine, labels falling toward the top.  Each entry pops every smaller
-    label, and one last entry above every label pops the whole spine; pops
-    come in postorder.  A popped vertex takes the vertex popped just before
-    it in the same sweep as its right child, and keeps as left child the
-    last vertex popped before its own push.  Node ids are pop positions.
+    The stack-sorting pass: the open vertices of the right spine are a stack
+    of ``(label, left child id)`` pairs, labels falling toward the top (held
+    in ``label, left``), over an ``inf`` sentinel no entry pops.  Each entry
+    pops every smaller label, one pop per vertex, and a last ``inf`` pops the
+    whole spine, so pops come in postorder.  A popped vertex takes the vertex
+    popped just before it in the same sweep as its right child, and keeps as
+    left child the last one popped before its push.  Node ids are pop positions.
     """
     nodes: list[Vertex] = []
     labels: list[int] = []
-    spine: list[int] = []  # labels of the open vertices
-    lefts: list[int | None] = []  # and their left child ids
+    spine: list[tuple[float, int | None]] = []
+    label, left = inf, None
     for x in [*word, inf]:
         below = None
-        while spine and spine[-1] < x:
-            label, left = spine.pop(), lefts.pop()
-            color = colors[label - 1] if colors is not None else 0
+        while label < x:
+            color = colors[label] if colors is not None else 0
             nodes.append((color, below, left) if label in swapped else (color, left, below))
             below = len(labels)
             labels.append(label)
-        spine.append(x)
-        lefts.append(below)
-    tree = _new(ColoredTree, (tuple(nodes), len(nodes) - 1, box_color))
+            label, left = spine.pop()
+        spine.append((label, left))
+        label, left = x, below
+    tree = _new(ColoredTree, (tuple(nodes), below, box_color))
     return _new(LabeledTree, (tree, tuple(labels)))
 
 
@@ -236,14 +240,15 @@ def insert(t1: ColoredTree, v: int, t2: ColoredTree) -> ColoredTree:
 BOX = -1  # sentinel for the external box in factor computations
 
 
-def _write_branch(nodes: Sequence[Vertex], vertices: Sequence[int], box: int) -> ColoredTree:
+def _write_branch(nodes: Sequence[Vertex], vertices: Iterable[int], box: int) -> ColoredTree:
     """The branch of box color ``box`` on ``vertices``, ids into ``nodes``
-    from the bottom one, a leaf, up: vertex ``i`` is ``nodes[vertices[i]]``
+    from the bottom one, a leaf, up: vertex ``i`` is the ``i``-th one's entry
     with its one child, vertex ``i-1``, on the same side.  Node ids run from
     the bottom (0) up, the numbering ``WeightedTroupe._weight`` keys on."""
-    branch = [nodes[vertices[0]]]
+    vertices = iter(vertices)
+    branch = [nodes[next(vertices)]]
     below = 0
-    for u in vertices[1:]:
+    for u in vertices:
         color, left, _ = nodes[u]
         branch.append((color, below, None) if left is not None else (color, None, below))
         below += 1
@@ -323,8 +328,8 @@ def labeled_insertion_factors(lt: LabeledTree) -> list[LabeledTree]:
     The labels of each factor are the restriction of the tree's labeling, not
     renormalized, so factors of distinct owners carry disjoint label sets.
     """
-    labels = lt.labels
-    return [_new(LabeledTree, (branch, tuple([labels[u] for u in vertices])))
+    label = lt.labels.__getitem__
+    return [_new(LabeledTree, (branch, tuple(map(label, vertices))))
             for _, vertices, branch in factor_paths(lt.tree)]
 
 
@@ -348,9 +353,15 @@ def _encode_small(nodes: Sequence[Vertex], labels: Sequence[int] | None, v: int)
     if v < 0:
         raise IndexError(v)
     color, left, right = nodes[v]
-    return (f"({color}{'' if labels is None else f'|{labels[v]}'} "
-            f"{'.' if left is None else _encode_small(nodes, labels, left)} "
-            f"{'.' if right is None else _encode_small(nodes, labels, right)})")
+    if labels is not None:
+        color = f"{color}|{labels[v]}"
+    if left is None:
+        if right is None:
+            return f"({color} . .)"
+        return f"({color} . {_encode_small(nodes, labels, right)})"
+    if right is None:
+        return f"({color} {_encode_small(nodes, labels, left)} .)"
+    return f"({color} {_encode_small(nodes, labels, left)} {_encode_small(nodes, labels, right)})"
 
 
 def _encode_large(nodes: Sequence[Vertex], labels: Sequence[int] | None, v: int) -> str:
@@ -384,17 +395,18 @@ def _encode(t: ColoredTree, labels: Sequence[int] | None) -> str:
     below ``_RECURSIVE_SIZE`` vertices, whose depth the size bounds, and the
     loop from there on.  A loop runs the recursion out of stack, and the
     loop then names the fault.  A bad id or root raises ``ValueError``."""
-    if t.root is None:
-        if t.nodes:
+    nodes, root, box = t
+    if root is None:
+        if nodes:
             raise ValueError(_ROOTLESS)
-        return f"{t.box_color}:."
+        return f"{box}:."
     try:
-        if len(t.nodes) < _RECURSIVE_SIZE:
+        if len(nodes) < _RECURSIVE_SIZE:
             try:
-                return f"{t.box_color}:{_encode_small(t.nodes, labels, t.root)}"
+                return f"{box}:{_encode_small(nodes, labels, root)}"
             except RecursionError:
                 pass
-        return f"{t.box_color}:{_encode_large(t.nodes, labels, t.root)}"
+        return f"{box}:{_encode_large(nodes, labels, root)}"
     except IndexError:
         raise ValueError("a child id is out of range") from None
 
@@ -414,11 +426,11 @@ def encode_labeled(lt: LabeledTree) -> str:
 
 def multiset_key(trees: Sequence[ColoredTree]) -> tuple[str, ...]:
     """Order-free fingerprint of a collection of colored trees."""
-    return tuple(sorted(encode(t) for t in trees))
+    return tuple(sorted(map(encode, trees)))
 
 
 def labeled_multiset_key(lts: Sequence[LabeledTree]) -> tuple[str, ...]:
-    return tuple(sorted(encode_labeled(lt) for lt in lts))
+    return tuple(sorted(map(encode_labeled, lts)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +443,7 @@ def branch_from_directions(directions: Sequence[str],
     """Build a branch from root-down direction choices (``L`` or ``R``).
 
     ``colors_root_down[i]`` colors the vertex at depth ``i``.  Node ids run
-    from the bottom vertex (0) up to the root; :func:`_read_branch` reads a
-    branch back.
+    from the bottom vertex (0) up to the root.
     """
     n = len(directions) + 1
     nodes: list[Vertex] = []
@@ -449,47 +460,6 @@ def branch_from_directions(directions: Sequence[str],
             raise ValueError(f"bad direction {directions[depth]!r}")
         below = len(nodes) - 1
     return _new(ColoredTree, (tuple(nodes), below, box_color))
-
-
-def _read_branch(b: ColoredTree, labels: Sequence[int], colors: list[int],
-                 left_steps: set[int]) -> None:
-    """Read a branch onto ``labels``, from its root down: the vertex at depth
-    ``d`` sets ``colors[labels[d]]`` to its color, and ``labels[d]`` joins
-    ``left_steps`` when that vertex's child hangs on the left.
-
-    The walk from the root is the branch check: it raises ``ValueError``
-    unless ``b`` has ``len(labels)`` vertices and the walk passes
-    ``len(labels) - 1`` one-child vertices and ends at a leaf.  A walk that
-    ends at a leaf met no vertex twice, so it met every vertex.  A negative
-    id, which indexing would wrap, counts as out of range.
-    """
-    nodes = b.nodes
-    if len(nodes) != len(labels):
-        raise ValueError(f"expected a branch on {len(labels)} vertices, got {len(nodes)}")
-    if not nodes:
-        raise ValueError("a branch has at least one vertex")
-    v = b.root
-    try:
-        for label in labels[:-1]:
-            if v < 0:
-                raise IndexError(v)
-            color, left, right = nodes[v]
-            colors[label] = color
-            if right is None and left is not None:
-                left_steps.add(label)
-                v = left
-            elif left is None and right is not None:
-                v = right
-            else:
-                raise ValueError("expected a branch")
-        if v < 0:
-            raise IndexError(v)
-        color, left, right = nodes[v]
-    except (IndexError, TypeError):
-        raise ValueError("expected a branch: a child index is out of range") from None
-    if left is not None or right is not None:
-        raise ValueError("expected a branch")
-    colors[labels[-1]] = color
 
 
 def size_word(n: int) -> tuple[int, ...]:
@@ -559,9 +529,9 @@ def iter_dbpt_word(word: Sequence[int]) -> Iterator[LabeledTree]:
     if n == 1:
         yield LabeledTree(ColoredTree((), None, word[0]), ())
         return
-    box = word[-1]
+    box, colors = word[-1], (0, *word)
     for perm in itertools.permutations(range(1, n)):
-        yield _decreasing_tree(perm, word, box, ())
+        yield _decreasing_tree(perm, colors, box, ())
 
 
 def _dbpt_counts(colors: tuple[int, ...], memo: dict) -> dict:

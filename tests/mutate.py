@@ -77,23 +77,39 @@ _PHI_CHILD_CHECK = ("if left is not None and (not (0 <= left < m and labels[left
                     "(right is not None and (not (0 <= right < m and labels[right] < label))):")
 
 EQUIVALENT: dict[tuple[str, str, str], str] = {
-    ("trees:_decreasing_tree", "while spine and spine[-1] < x:",
-     "while spine and spine[-1] <= x:"):
-        "the entries are distinct and the last one exceeds them all, so no "
-        "two compared labels are equal",
     ("bijections:psi_inverse", "labels = [0] * m", "labels = [1] * m"):
         "only a vertex the postorder walk misses keeps its first label; the "
         "walk of phi_inverse from the root misses the same vertices, reads "
         "none of their labels and rejects the tree as having unreachable ones",
-    ("bijections:phi_inverse", "vertex = [-1] * n", "vertex = [-2] * n"):
+    ("bijections:_read_tree", "vertex = [-1] * n", "vertex = [-2] * n"):
         "any negative value marks a label not yet met",
-    ("bijections:phi_inverse", _PHI_CHILD_CHECK,
+    ("bijections:_read_tree", _PHI_CHILD_CHECK,
      _PHI_CHILD_CHECK.replace("labels[left] < label", "labels[left] <= label")):
         "a child with its parent's label repeats a label, which the walk "
         "rejects with ValueError on entering the child",
-    ("bijections:phi_inverse", _PHI_CHILD_CHECK,
+    ("bijections:_read_tree", _PHI_CHILD_CHECK,
      _PHI_CHILD_CHECK.replace("labels[right] < label", "labels[right] <= label")):
         "as for the left child",
+    ("bijections:PhiInput._read", "if not set(sigma).issuperset(range(1, n + 1)):",
+     "if not set(sigma).issuperset(range(1, n * 1)):"):
+        "the first entry was checked to be n, so n entries that cover 1..n-1 "
+        "cover 1..n",
+    ("bijections:_read_runs", "word = [0] * (n + 1)", "word = [1] * (n + 1)"):
+        "the runs cover 1..n, so every label's slot is written before the word "
+        "is returned, and no caller reads slot 0",
+    ("bijections:_iter_inputs", "color = (0, *word).__getitem__",
+     "color = (1, *word).__getitem__"):
+        "the skeletons' elements are 1..n, so slot 0 is never read",
+    ("trees:alpha_inverse",
+     "return _decreasing_tree(word, None if colors is None else (0, *colors), box_color, ())",
+     "return _decreasing_tree(word, None if colors is None else (1, *colors), box_color, ())"):
+        "the entries were checked to lie in 1..len(colors), so slot 0 is never read",
+    ("trees:iter_dbpt_word", "box, colors = (word[-1], (0, *word))",
+     "box, colors = (word[-1], (1, *word))"):
+        "the labels are 1..n-1, so slot 0 is never read",
+    ("peaks:_regions", "while depths and depths[-1] > -value:",
+     "while depths and depths[-1] >= -value:"):
+        "the entries are distinct, so no kept peak is exactly as high as a new one",
 }
 
 

@@ -6,7 +6,8 @@ inverse as one swing per left-only vertex followed by the inorder reading.
 Also the branch profile (root-down sides and colors) and the insertion
 factors built from the profiles of a factor walk that recurses on owners.
 Also the recursive max-split build of a decreasing tree, the permutations
-with first entry n and their descending runs, also normalised through
+with first entry n and their descending runs, read by counting the ascents
+before each position, also normalised through
 ``SetPartition.of`` and counted by run partition on block masks,
 ``SetPartition.of`` by sets, psi by iterated insertion, the Narayana
 polynomial and the tree series by enumeration, the
@@ -31,7 +32,7 @@ from functools import lru_cache
 
 from troupes.bijections import PhiInput, PsiInput
 from troupes.cumulants import EquivalenceReport, equivalence_reports
-from troupes.partitions import SetPartition, _run_blocks, iter_partitions
+from troupes.partitions import SetPartition, iter_partitions
 from troupes.peaks import peaks
 from troupes.rings import QPoly, as_ring_elem
 from troupes.trees import (
@@ -225,6 +226,17 @@ def iter_sigma_first_n(n: int):
         yield (n,) + rest
 
 
+def runs_by_ascent_count(sigma) -> list[tuple[int, ...]]:
+    """The maximal descending runs of ``sigma`` as they stand in it, ordered
+    by minimum: the entry at position i lies in run number k, k the number
+    of ascents among positions 0..i, each counted afresh."""
+    groups: dict[int, list[int]] = {}
+    for i, x in enumerate(sigma):
+        k = sum(1 for j in range(1, i + 1) if sigma[j - 1] < sigma[j])
+        groups.setdefault(k, []).append(x)
+    return sorted((tuple(g) for g in groups.values()), key=min)
+
+
 def druns(sigma) -> SetPartition:
     """Partition of values into maximal consecutive decreasing runs."""
     n = len(sigma)
@@ -232,7 +244,8 @@ def druns(sigma) -> SetPartition:
         raise ValueError("empty permutation")
     if set(sigma) != set(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}")
-    return SetPartition(n, _run_blocks(tuple(sigma)))
+    blocks = sorted(tuple(sorted(run)) for run in runs_by_ascent_count(sigma))
+    return SetPartition(n, tuple(blocks))
 
 
 @lru_cache(maxsize=None)
@@ -340,9 +353,10 @@ def narayana_polynomial(n: int) -> QPoly:
 
 
 def regions_by_peak_scan(word) -> list[list[tuple[int, int]]]:
-    """The plot regions of ``peaks._regions``: each point goes to the latest
-    peak at or before it that is at least as high, found by scanning every
-    peak from the last (leftover region 0 when there is none)."""
+    """The plot regions of ``peaks._regions`` as ``(position, value)``
+    points: each point goes to the latest peak at or before it that is at
+    least as high, found by scanning every peak from the last (leftover
+    region 0 when there is none)."""
     ps = peaks(word)
     regions: list[list[tuple[int, int]]] = [[] for _ in range(len(ps) + 1)]
     for i, value in enumerate(word, start=1):

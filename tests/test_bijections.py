@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 
 import pytest
 
@@ -83,14 +82,16 @@ def test_psi_postorder_is_usual_order():
 
 
 def test_psi_equals_iterated_insertion():
-    """Every word over {0, 1} up to length 6, one color included, so the
+    """Every word over {0, 1, 2} up to length 6, one color included, so the
     colors and boxes of inputs with left steps meet an oracle that does not
-    use the stack pass."""
-    for word in (w for n in range(2, 7) for w in itertools.product((0, 1), repeat=n)):
+    use the stack pass; psi_inverse reads the input record back off the
+    oracle's tree, compared with ``==``."""
+    for word in (w for n in range(2, 7) for w in itertools.product((0, 1, 2), repeat=n)):
         for x in iter_psi_inputs(word):
             direct = psi(x)
             built, names = psi_via_insertions(x)
             assert encode(built) == encode(direct)
+            assert psi_inverse(built) == x
             # the name map puts vertex j at postorder position j
             post = postorder(built)
             for name, node in names.items():
@@ -134,6 +135,23 @@ def test_psi_input_validation():
     for check in (PsiInput.validate, psi):
         with pytest.raises(ValueError, match="n >= 2"):
             check(PsiInput(SetPartition.of(0, []), ()))
+    # several faults at once: the first check to fail names the fault
+    leaf, loop, stray = (ColoredTree(((0, None, None),), 0), ColoredTree(((0, 0, None),), 0),
+                         ColoredTree(((0, None, None),), 5))
+    for blocks, branches, message in [
+            ([[1]], (), "n >= 2"),
+            ([[1, 3, 6], [2, 4], [5]], (leaf,) * 3, "noncrossing and irreducible"),
+            ([[1, 2], [3]], (leaf,), "noncrossing and irreducible"),
+            ([[1, 3], [2]], (leaf,) * 3, "all blocks must have size >= 2"),
+            ([[1, 4], [2, 3]], (loop,), "one branch per block required"),
+            ([[1, 4], [2, 3]], (leaf, loop, stray), "one branch per block required"),
+            ([[1, 4], [2, 3]], (loop, stray), "^expected a branch$"),
+            ([[1, 4], [2, 3]], (stray, loop), "out of range"),
+            ([[1, 4], [2, 3]], (leaf, branch_from_directions("L")), "on 1 vertices, got 2")]:
+        x = PsiInput(SetPartition.of(max(map(max, blocks)), blocks), branches)
+        for check in (PsiInput.validate, psi):
+            with pytest.raises(ValueError, match=message):
+                check(x)
 
 
 def test_psi_worked_fourteen_element_example():
@@ -238,14 +256,12 @@ def test_phi_roundtrip_two_colors():
 
 
 def _oracle_words():
-    """Every 2-color word of length <= 7, and seeded 3-color words of
+    """Every 2-color word of length <= 7, and every other 3-color word of
     length <= 6."""
-    rng = random.Random(17)
     for n in range(2, 8):
         yield from itertools.product((0, 1), repeat=n)
     for n in range(2, 7):
-        for _ in range(6):
-            yield tuple(rng.randrange(3) for _ in range(n))
+        yield from (w for w in itertools.product((0, 1, 2), repeat=n) if 2 in w)
 
 
 def test_phi_and_inverse_match_the_swing_route():
@@ -336,6 +352,47 @@ def test_phi_input_validation():
         PhiInput((1, 3, 2), (branch_from_directions("L"),)).validate()
     with pytest.raises(ValueError):
         PhiInput((3, 1, 2), (branch_from_directions(""),) * 2).validate()
+    # several faults at once: the first check to fail names the fault
+    leaf, loop, stray = (ColoredTree(((0, None, None),), 0), ColoredTree(((0, 0, None),), 0),
+                         ColoredTree(((0, None, None),), 5))
+    for sigma, branches, message in [
+            ((), (), "start with its maximum"),
+            ((1, 3, 2), (leaf,) * 3, "start with its maximum"),
+            ((3, 3, 1), (leaf,), "not a permutation of 1..3"),
+            ((3, 2, 2), (leaf,), "not a permutation of 1..3"),
+            ((4, 3, 2, 0), (leaf,), "not a permutation of 1..4"),
+            ((3, 1, 4), (leaf,), "not a permutation of 1..3"),
+            ((4, 4, 2, 1), (leaf,) * 3, "not a permutation of 1..4"),
+            ((3, 1, 2), (leaf,) * 3, "descending runs must have size >= 2"),
+            ((4, 1, 2, 3), (loop,), "descending runs must have size >= 2"),
+            ((4, 1, 3, 2), (loop,), "one branch per run required"),
+            ((4, 1, 3, 2), (leaf, loop, stray), "one branch per run required"),
+            ((4, 1, 3, 2), (loop, stray), "^expected a branch$"),
+            ((4, 1, 3, 2), (stray, loop), "out of range"),
+            ((4, 1, 3, 2), (leaf, branch_from_directions("L")), "on 1 vertices, got 2")]:
+        for check in (PhiInput.validate, phi):
+            with pytest.raises(ValueError, match=message):
+                check(PhiInput(sigma, branches))
+
+
+def _numbered_from_the_root(b):
+    """The same branch with node ids running from the root (0) down."""
+    top = len(b.nodes) - 1
+    flip = {None: None, **{v: top - v for v in range(top + 1)}}
+    return ColoredTree(tuple((color, flip[left], flip[right])
+                             for color, left, right in reversed(b.nodes)),
+                       flip[b.root], b.box_color)
+
+
+def test_branches_are_read_by_their_links_not_their_ids():
+    """Branches numbered from the root down, so the root's id is 0, give
+    the same trees as the bottom-up numbering every builder writes."""
+    for word in (w for n in range(2, 7) for w in itertools.product((0, 1), repeat=n)):
+        for x in iter_phi_inputs(word):
+            assert phi(PhiInput(x.sigma, tuple(map(_numbered_from_the_root, x.branches)))) == phi(x)
+        for x in iter_psi_inputs(word):
+            y = PsiInput(x.partition, tuple(map(_numbered_from_the_root, x.branches)))
+            assert psi(y) == psi(x)
 
 
 @pytest.mark.parametrize("nodes, root", [

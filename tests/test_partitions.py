@@ -7,9 +7,11 @@ import pytest
 
 import troupes.partitions
 
+from troupes.bijections import PhiInput
 from troupes.partitions import (
     SetPartition,
     _grow,
+    _runs,
     is_irreducible,
     is_noncrossing,
     iter_D,
@@ -21,6 +23,7 @@ from oracles import (
     druns_by_normalisation,
     iter_sigma_first_n,
     nc_irreducible_min2_by_filter,
+    runs_by_ascent_count,
     set_partition_of_by_sets,
 )
 
@@ -160,6 +163,27 @@ def test_druns_matches_normalised_runs():
         for sigma in itertools.permutations(range(1, n + 1)):
             assert druns(sigma) == druns_by_normalisation(sigma)
     assert druns([3, 1, 2]) == druns_by_normalisation([3, 1, 2])
+
+
+def test_runs_match_the_ascent_count():
+    """The one-loop splitter against a reader that counts each position's
+    ascents afresh: the same runs, as they stand in the permutation, in the
+    same order, for every permutation of 1..n up to n = 7.  Those with first
+    entry n and a singleton run are rejected, with one branch per run."""
+    from troupes.trees import branch_from_directions
+    for n in range(1, 8):
+        for sigma in itertools.permutations(range(1, n + 1)):
+            runs = runs_by_ascent_count(sigma)
+            assert _runs(sigma) == runs
+            if sigma[0] != n:
+                continue
+            x = PhiInput(sigma, tuple(branch_from_directions("R" * max(len(r) - 2, 0))
+                                      for r in runs))
+            if min(map(len, runs)) < 2:
+                with pytest.raises(ValueError, match="descending runs must have size >= 2"):
+                    x.validate()
+            else:
+                x.validate()
 
 
 @pytest.mark.parametrize("sigma", [(), (1, 1), (0, 1), (2, 3), (1, 2, 2), (4, 2, 1)])

@@ -150,6 +150,14 @@ def test_alpha_left_comb():
     assert all(right is None for _, _, right in lt.tree.nodes)
 
 
+def test_alpha_inverse_colors_only_labels_it_has():
+    assert alpha_inverse((2, 1), colors=(5, 6)).tree.nodes == ((5, None, None), (6, None, 0))
+    assert alpha_inverse((1,), colors=(7,)).tree.nodes == ((7, None, None),)
+    for word in [(0, 1), (1, 3), (-1, 2)]:
+        with pytest.raises(ValueError, match="must lie in 1..2"):
+            alpha_inverse(word, colors=(5, 6))
+
+
 def test_alpha_inverse_231():
     lt = alpha_inverse((2, 3, 1))
     root = lt.tree.root
@@ -733,11 +741,11 @@ def test_walks_stop_on_looping_one_child_links():
 
 
 def read_branch(b):
-    """The branch reader on labels 0..size-1: colors root-down and the
-    depths whose child hangs left."""
-    colors, left_steps = [0] * len(b.nodes), set()
-    troupes.trees._read_branch(b, range(len(b.nodes)), colors, left_steps)
-    return colors, left_steps
+    """The run reader on the one run 0..size, so on labels 1..size from the
+    root down: colors root-down and the depths whose child hangs left."""
+    word, left_steps = troupes.bijections._read_runs(len(b.nodes), [range(len(b.nodes) + 1)],
+                                                     (b,), "run")
+    return word[1:], {label - 1 for label in left_steps}
 
 
 def test_branch_reader_matches_the_profile():
@@ -784,7 +792,11 @@ def test_encoder_reports_a_vertex_reached_twice():
     shared = ColoredTree(tuple((0, v - 1 if v else None, None) for v in range(299))
                          + ((0, 149, 149),), 299)
     self_loop = ColoredTree(((0, 0, None),), 0)
-    for t in (loop, shared, self_loop):
+    # from the recursive size on, the loop that marks vertices writes the tree
+    size = troupes.trees._RECURSIVE_SIZE
+    at_size = ColoredTree(((0, None, None), (0, 0, 0))
+                          + tuple((0, v - 1, None) for v in range(2, size)), size - 1)
+    for t in (loop, shared, self_loop, at_size):
         with pytest.raises(ValueError, match="a vertex is reached twice"):
             encode(t)
 
