@@ -9,14 +9,13 @@ pass), 1 on verification failure, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from fractions import Fraction
 from typing import Sequence
 
 # Only the ring and series layers load with this module, since they are all
 # that ``transform`` uses; every other handler imports its own layers.
-from .rings import format_ring_elem, parse_int, parse_ring_elem
+from .rings import format_ring_elem, parse_int, parse_ring_elem, parse_word
 from .series import Series, inverse_troupe_transform, troupe_transform
 
 DEFAULT_ORDER = 12
@@ -39,19 +38,11 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_word(text: str) -> tuple[int, ...]:
-    """Integers, each read by :func:`~troupes.rings.parse_int`, separated by
-    commas or whitespace; an empty item is an error."""
+    """:func:`~troupes.rings.parse_word` for argparse, as :func:`_parse_int`."""
     try:
-        return tuple([parse_int(x) for x in re.split(r"\s*,\s*|\s+", text.strip())])
-    except ValueError:
-        raise CliError(f"bad integer list {text!r}") from None
-
-
-def _parse_colors(text: str) -> tuple[int, ...]:
-    word = _parse_word(text)
-    if min(word) < 0:
-        raise CliError(f"colors must be nonnegative, got {text!r}")
-    return word
+        return parse_word(text)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _parse_permutation(text: str) -> tuple[int, ...]:
@@ -160,7 +151,7 @@ def cmd_cumulants(args) -> int:
 
 def cmd_verify(args) -> int:
     from .cumulants import equivalence_reports
-    from .troupe import _parse_colors as troupe_colors, builtin, from_table, random_branch_table
+    from .troupe import builtin, from_table, random_branch_table
 
     _check_min("--n", args.n, 1)
     _check_min("--num-colors", args.num_colors, 1)
@@ -173,14 +164,9 @@ def cmd_verify(args) -> int:
                          name=f"random(seed={args.seed})")
     else:
         try:
-            tau = builtin(args.troupe)
+            tau = builtin(args.troupe, args.num_colors)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-        if args.troupe.partition(":")[0] in ("colorset", "colorcount"):
-            outside = sorted(set(troupe_colors(args.troupe)) - set(alphabet))
-            if outside:  # the check would compare nothing the troupe names
-                raise CliError(f"troupe {args.troupe!r} names colors {outside} outside "
-                               f"0..{args.num_colors - 1} (--num-colors {args.num_colors})")
     reports, series_fail = equivalence_reports(tau, alphabet, args.n, args.order)
     failures = 0
     for report in reports:
@@ -263,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bpt, branch, dbpt, partition, interval, noncrossing, "
                             "nc-irreducible, nc-irreducible-min2, d-permutations")
         p.add_argument("--n", type=_parse_int, default=None, help="size (single color)")
-        p.add_argument("--colors", type=_parse_colors, default=None,
+        p.add_argument("--colors", type=_parse_word, default=None,
                        help="color word i1,i2,...,in")
 
     p = sub.add_parser("count", help="count a combinatorial family")

@@ -28,7 +28,7 @@ from math import factorial, lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .rings import (RingElem, _over, _scaled, as_ring_elem, denominator,
-                    format_ring_elem, parse_int, parse_ring_elem)
+                    format_ring_elem, parse_ring_elem, parse_word)
 from .partitions import partitions_as_index_blocks
 from .series import Series, boolean_free_series_check, troupe_transform
 from .troupe import WeightedTroupe, tree_sums
@@ -303,9 +303,7 @@ def parse_table(text: str) -> dict[Word, RingElem]:
             word_text, sep, value_text = line[len("word "):].partition("=")
             if not sep:
                 raise ValueError("missing '='")
-            word = tuple([parse_int(x) for x in word_text.strip().split(",")])
-            if min(word) < 0:
-                raise ValueError(f"negative color in word {word_text.strip()}")
+            word = parse_word(word_text.strip())
             if word in table:
                 raise ValueError(f"repeated word {word_text.strip()}")
             table[word] = parse_ring_elem(value_text)

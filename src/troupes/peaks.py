@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Sequence
 
-from .trees import LabeledTree, alpha_inverse, labeled_insertion_factors
+from .trees import LabeledTree, _decreasing_tree, alpha_inverse, labeled_insertion_factors
 
 
 def peaks(word: Sequence[int]) -> list[int]:
@@ -32,7 +32,8 @@ def peaks(word: Sequence[int]) -> list[int]:
 
 def _regions(word: Sequence[int]) -> list[list[int]]:
     """The values of each region's points: leftover first, then one region
-    per peak in peak order.  Values come out in position order.
+    per peak in peak order.  Values come out in position order.  The entries
+    must be distinct, which the callers check.
 
     A point belongs to the latest peak at or before it that is at least as
     high.  The sweep drops a peak once a later one is higher, since that one
@@ -40,19 +41,18 @@ def _regions(word: Sequence[int]) -> list[list[int]]:
     height toward the latest, and those high enough for a value are a
     prefix of them, found by bisection.
     """
-    ps = peaks(word)
-    regions: list[list[int]] = [[] for _ in range(len(ps) + 1)]
+    regions: list[list[int]] = [[]]
     depths: list[int] = []  # the kept peaks' negated heights, rising
     owners: list[int] = []  # and their region numbers
-    passed = 0
-    for i, value in enumerate(word, start=1):
-        if passed < len(ps) and ps[passed] == i:
-            passed += 1
+    last = len(word) - 1
+    for i, value in enumerate(word):
+        if 0 < i < last and word[i - 1] < value > word[i + 1]:
             while depths and depths[-1] > -value:
                 depths.pop()
                 owners.pop()
             depths.append(-value)
-            owners.append(passed)
+            owners.append(len(regions))
+            regions.append([])
         k = bisect_right(depths, -value)
         regions[owners[k - 1] if k else 0].append(value)
     return regions
@@ -65,6 +65,7 @@ def southeast_decomposition(word: Sequence[int]) -> list[tuple[int, ...]]:
     are already in position order), so each region reads as a permutation of
     1..k.
     """
+    peaks(word)  # the entry check: a nonempty word of distinct entries
     out = []
     for values in _regions(word):
         ranks = {v: r for r, v in enumerate(sorted(values), start=1)}
@@ -93,18 +94,16 @@ def factors_from_plot(word: Sequence[int]) -> list[LabeledTree]:
     its first point (the peak, which is the region's maximum and belongs to
     the factor's governing vertex) and the rest spells the factor's inorder.
     Labels are the original values, matching the restriction labeling of the
-    factors of ``alpha_inverse(word)``.
+    factors of ``alpha_inverse(word)``.  The permutation check is the only
+    one: a permutation's regions are nonempty and repeat-free, so each factor
+    comes straight from the stack pass.
     """
     n = len(word)
-    if sorted(word) != list(range(1, n + 1)):
+    if n == 0 or sorted(word) != list(range(1, n + 1)):
         raise ValueError("expected a permutation of 1..n")
-    regions = _regions(word)
-    factors = [branch_from_inorder(regions[0])]
-    for values in regions[1:]:
-        if len(values) < 2 or values[0] != max(values):
-            raise AssertionError("peak region must lead with its maximum")
-        factors.append(branch_from_inorder(values[1:]))
-    return factors
+    leftover, *regions = _regions(word)
+    return [_decreasing_tree(values, None, 0, ())
+            for values in (leftover, *(region[1:] for region in regions))]
 
 
 def tree_factors_for_comparison(word: Sequence[int]) -> list[LabeledTree]:

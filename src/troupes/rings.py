@@ -6,9 +6,9 @@ indeterminate ``q`` (:class:`QPoly`).  A ring element is either one of these;
 rationals promote to constant polynomials on demand, never the other way.
 
 This module also owns number text: :func:`parse_int` reads every integer the
-package takes as input (``-?[0-9]+`` in ASCII digits), and
-:func:`parse_ring_elem` every ring element, exactly as
-:func:`format_ring_elem` writes it.
+package takes as input (``-?[0-9]+`` in ASCII digits), :func:`parse_word`
+every list of them, and :func:`parse_ring_elem` every ring element, exactly
+as :func:`format_ring_elem` writes it.
 """
 
 from __future__ import annotations
@@ -315,6 +315,26 @@ def parse_int(text: str) -> int:
         except ValueError:  # past the interpreter's digit limit
             pass
     raise ValueError(f"bad integer {text!r}")
+
+
+def parse_word(text: str) -> tuple[int, ...]:
+    """A nonempty list of nonnegative integers, each read by :func:`parse_int`
+    and separated by a comma, with optional whitespace around it, or by
+    whitespace alone; an empty item, a bad integer or a negative one raises
+    ``ValueError`` quoting it and the list."""
+    items = [item for part in text.split(",") for item in part.split() or [""]]
+    word = []
+    for item in items:
+        if not item:
+            raise ValueError(f"empty item in list {text!r}")
+        try:
+            x = parse_int(item)
+        except ValueError as exc:
+            raise ValueError(f"{exc} in list {text!r}") from None
+        if x < 0:
+            raise ValueError(f"negative item {item!r} in list {text!r}")
+        word.append(x)
+    return tuple(word)
 
 
 def parse_ring_elem(text: str) -> RingElem:

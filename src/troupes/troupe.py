@@ -17,7 +17,7 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .rings import (RingElem, _over, _scaled, as_ring_elem, denominator,
-                    parse_int, parse_ring_elem, q)
+                    parse_ring_elem, parse_word, q)
 from .trees import (TREE_KINDS, ColoredTree, Vertex, _new, encode, factor_paths,
                     iter_branch_word, iter_dbpt, right_edges)
 
@@ -148,12 +148,13 @@ def random_branch_table(seed: int, max_size: int, num_colors: int = 1) -> dict[s
     return table
 
 
-def builtin(spec: str) -> WeightedTroupe:
-    """Resolve a CLI troupe name.
+def builtin(spec: str, num_colors: int) -> WeightedTroupe:
+    """Resolve a CLI troupe name over the colors ``0..num_colors-1``.
 
     Accepted: ``all``, ``full``, ``motzkin`` (with no ``:`` part),
     ``colorset:J``, ``rightmono:t1,t2`` and ``colorcount:J`` where J is a
-    comma-separated color list and t1,t2 are rationals or the literal ``q``.
+    list of colors in that range, read by :func:`~troupes.rings.parse_word`,
+    and t1,t2 are rationals or the literal ``q``.
     """
     head, sep, arg = spec.partition(":")
     if sep and head in ("all", "full", "motzkin"):
@@ -164,29 +165,22 @@ def builtin(spec: str) -> WeightedTroupe:
         return full_trees()
     if head == "motzkin":
         return motzkin_trees()
-    if head == "colorset":
-        return color_constrained(_parse_colors(spec))
-    if head == "colorcount":
-        return color_count(_parse_colors(spec))
+    if head in ("colorset", "colorcount"):
+        try:
+            colors = parse_word(arg)
+        except ValueError as exc:
+            raise ValueError(f"troupe {spec!r}: {exc}") from None
+        outside = sorted({c for c in colors if c >= num_colors})
+        if outside:  # the check would compare nothing the troupe names
+            raise ValueError(f"troupe {spec!r} names colors {outside} outside "
+                             f"0..{num_colors - 1} (--num-colors {num_colors})")
+        return (color_constrained if head == "colorset" else color_count)(colors)
     if head == "rightmono":
         parts = arg.split(",")
         if len(parts) != 2:
             raise ValueError("rightmono needs two parameters, e.g. rightmono:q,1")
         return right_two_monomial(parse_ring_elem(parts[0]), parse_ring_elem(parts[1]))
     raise ValueError(f"unknown troupe {spec!r}")
-
-
-def _parse_colors(spec: str) -> list[int]:
-    """The color list J of a ``colorset:J`` or ``colorcount:J`` spec."""
-    arg = spec.partition(":")[2]
-    try:
-        colors = [parse_int(x) for x in arg.split(",")]
-    except ValueError:
-        raise ValueError(f"expected a comma-separated integer color list, "
-                         f"got {arg!r} in troupe {spec!r}") from None
-    if min(colors) < 0:
-        raise ValueError(f"colors must be nonnegative, got {arg!r} in troupe {spec!r}")
-    return colors
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,9 @@ DEFAULT_VERIFY = (
 # (function, original line, mutated line) -> why the mutant is equivalent.
 # The lines are as ``ast.unparse`` writes them (a compound statement is its
 # header), and a key covers every place in the function where they occur.
+_PEAK_TEST = "if 0 < i < last and word[i - 1] < value > word[i + 1]:"
+_RANDOM_TABLE = ("tau = from_table(random_branch_table(args.seed, max_size=max(args.n - 1, 1), "
+                 "num_colors=args.num_colors), name=f'random(seed={args.seed})')")
 _PHI_CHILD_CHECK = ("if left is not None and (not (0 <= left < m and labels[left] < label)) or "
                     "(right is not None and (not (0 <= right < m and labels[right] < label))):")
 
@@ -110,6 +113,23 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
     ("peaks:_regions", "while depths and depths[-1] > -value:",
      "while depths and depths[-1] >= -value:"):
         "the entries are distinct, so no kept peak is exactly as high as a new one",
+    ("cli:cmd_verify", "failures += 1", "failures += 2"):
+        "failures is only compared with 0, and each step adds a positive count",
+    ("cli:cmd_verify", _RANDOM_TABLE, _RANDOM_TABLE.replace("args.n - 1", "args.n + 1")):
+        "the table draws its weights size by size from the smallest, so a larger "
+        "max_size leaves every smaller size's weights as they were; the word lines "
+        "read branches of at most n - 1 vertices, and the series line prints only "
+        "its verdict, which holds for any weights",
+    ("cli:cmd_verify", _RANDOM_TABLE, _RANDOM_TABLE.replace("args.n - 1", "args.n * 1")):
+        "as for args.n + 1",
+    ("cli:cmd_verify", _RANDOM_TABLE, _RANDOM_TABLE.replace("args.n - 1, 1", "args.n - 1, 2")):
+        "as for args.n + 1: only at --n 1 and 2 does the table grow, by one size",
+    ("peaks:_regions", _PEAK_TEST,
+     _PEAK_TEST.replace("word[i - 1] < value", "word[i - 1] <= value")):
+        "the entries are distinct, so no neighbour is exactly as high as the value",
+    ("peaks:_regions", _PEAK_TEST,
+     _PEAK_TEST.replace("value > word[i + 1]", "value >= word[i + 1]")):
+        "as for the left neighbour",
 }
 
 

@@ -56,18 +56,20 @@ from troupes.series import Series
 from troupes.troupe import WeightedTroupe
 
 
-def swing(t: ColoredTree, v: int) -> ColoredTree:
-    """Flip the single child of ``v`` to the other side; an involution."""
-    color, left, right = t.nodes[v]
-    if (left is None) == (right is None):
-        raise ValueError("swing needs a vertex with exactly one child")
-    flipped = (color, right, left)
-    nodes = t.nodes[:v] + (flipped,) + t.nodes[v + 1:]
-    return ColoredTree(nodes, t.root, t.box_color)
+def swing(t: ColoredTree, *vs: int) -> ColoredTree:
+    """Flip the single child of each vertex of ``vs`` in turn to the other
+    side; each flip is an involution."""
+    nodes = list(t.nodes)
+    for v in vs:
+        color, left, right = nodes[v]
+        if (left is None) == (right is None):
+            raise ValueError("swing needs a vertex with exactly one child")
+        nodes[v] = (color, right, left)
+    return ColoredTree(tuple(nodes), t.root, t.box_color)
 
 
-def swing_labeled(lt: LabeledTree, v: int) -> LabeledTree:
-    return LabeledTree(swing(lt.tree, v), lt.labels)
+def swing_labeled(lt: LabeledTree, *vs: int) -> LabeledTree:
+    return LabeledTree(swing(lt.tree, *vs), lt.labels)
 
 
 def branch_profile(b: ColoredTree) -> tuple[list[str], list[int], int]:
@@ -151,13 +153,19 @@ def phi_tilde(inp: PhiInput) -> LabeledTree:
     profile colors from the root down and its maximum the box color.
 
     Because no run is a singleton, every vertex with a left child also has a
-    right child (a reverse Motzkin tree).
+    right child (a reverse Motzkin tree).  The input is checked here, through
+    :func:`druns` and :func:`branch_profile`, not by ``PhiInput.validate``,
+    whose run reader ``phi`` shares.
     """
-    inp.validate()
     n = len(inp.sigma)
+    blocks = druns(inp.sigma).blocks
+    if inp.sigma[0] != n or min(map(len, blocks)) < 2 or len(blocks) != len(inp.branches):
+        raise ValueError("expected n first, no one-entry run and one branch per run")
     word = [0] * (n + 1)
-    for block, br in zip(druns(inp.sigma).blocks, inp.branches):
+    for block, br in zip(blocks, inp.branches):
         _, colors, box = branch_profile(br)
+        if len(colors) != len(block) - 1:
+            raise ValueError(f"expected a branch on {len(block) - 1} vertices")
         word[block[-1]] = box
         for label, color in zip(block[-2::-1], colors):
             word[label] = color
@@ -167,34 +175,32 @@ def phi_tilde(inp: PhiInput) -> LabeledTree:
 def phi_via_swings(inp: PhiInput) -> LabeledTree:
     """Swing the intermediate tree at every branch vertex whose step is L."""
     lt = phi_tilde(inp)
+    vertex = {label: v for v, label in enumerate(lt.labels)}
+    swung = []
     for block, br in zip(druns(inp.sigma).blocks, inp.branches):
         dirs, _, _ = branch_profile(br)
-        labels_desc = list(reversed(block[:-1]))
-        for depth, side in enumerate(dirs):
-            if side == "L":
-                lt = swing_labeled(lt, lt.labels.index(labels_desc[depth]))
-    return lt
+        swung += [vertex[label] for label, side in zip(block[-2::-1], dirs) if side == "L"]
+    return swing_labeled(lt, *swung)
 
 
 def phi_inverse_via_swings(lt: LabeledTree) -> PhiInput:
     """Swing every left-only vertex, read the result in inorder after n, and
     rebuild each run's branch with child sides copied from ``lt``."""
     n = lt.size + 1
-    tilde = lt
-    for v, (_, left, right) in enumerate(lt.tree.nodes):
-        if left is not None and right is None:
-            tilde = swing_labeled(tilde, v)
+    tilde = swing_labeled(lt, *[v for v, (_, left, right) in enumerate(lt.tree.nodes)
+                                if left is not None and right is None])
     sigma = (n,) + alpha(tilde)
+    node = {label: lt.tree.nodes[v] for v, label in enumerate(lt.labels)}
     branches = []
     for block in druns(sigma).blocks:
         labels_desc = list(reversed(block[:-1]))
         dirs = []
         for lab in labels_desc[:-1]:
-            _, left, _ = lt.tree.nodes[lt.labels.index(lab)]
+            _, left, _ = node[lab]
             dirs.append("L" if left is not None else "R")
-        colors = [lt.tree.nodes[lt.labels.index(lab)][0] for lab in labels_desc]
+        colors = [node[lab][0] for lab in labels_desc]
         mx = block[-1]
-        box = lt.tree.box_color if mx == n else lt.tree.nodes[lt.labels.index(mx)][0]
+        box = lt.tree.box_color if mx == n else node[mx][0]
         branches.append(branch_from_directions(dirs, colors, box))
     return PhiInput(sigma, tuple(branches))
 
@@ -239,6 +245,13 @@ def runs_by_ascent_count(sigma) -> list[tuple[int, ...]]:
 
 def druns(sigma) -> SetPartition:
     """Partition of values into maximal consecutive decreasing runs."""
+    return _druns(tuple(sigma))
+
+
+@lru_cache(maxsize=None)
+def _druns(sigma: tuple[int, ...]) -> SetPartition:
+    """:func:`druns`, memoized: each sigma recurs for every color word of its
+    length."""
     n = len(sigma)
     if n == 0:
         raise ValueError("empty permutation")

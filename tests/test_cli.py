@@ -168,17 +168,20 @@ def test_verify_reports_failure(monkeypatch):
             ConditionCheck("free", Fraction(5), Fraction(5), Fraction(5)),
             ConditionCheck("boolean", Fraction(7), Fraction(-1, 2), None),
         )
-        return Verification((EquivalenceReport((0, 1), checks),), None)
+        return Verification((EquivalenceReport((0, 1), checks),), series_fail)
 
     monkeypatch.setattr("troupes.cumulants.equivalence_reports", one_disagreeing_report)
-    code, out, _ = run("verify", "--troupe", "all", "--n", "2")
-    assert code == 1
-    lines = out.splitlines()
-    # the enumeration, the partition formula and the bridge of each failed
-    # check; the agreeing check keeps its plain cell
-    assert lines[0] == ("FAIL word 0,1: classical=1 [from_moments=2 bridge=3] "
-                        "free=5 boolean=7 [from_moments=-1/2]")
-    assert lines[-1] == "FAIL (1 words checked)"
+    # a failed word and then a failed series line are two failures
+    for series_fail in (None, " [color 0 coefficient 4: transform=1 trees=2]"):
+        code, out, _ = run("verify", "--troupe", "all", "--n", "2")
+        assert code == 1
+        lines = out.splitlines()
+        # the enumeration, the partition formula and the bridge of each failed
+        # check; the agreeing check keeps its plain cell
+        assert lines[0] == ("FAIL word 0,1: classical=1 [from_moments=2 bridge=3] "
+                            "free=5 boolean=7 [from_moments=-1/2]")
+        assert lines[1].startswith("ok " if series_fail is None else "FAIL ")
+        assert lines[-1] == "FAIL (1 words checked)"
 
 
 # Each verify route, made off by one on one word through the module
@@ -339,6 +342,63 @@ def test_sort_command():
     assert run("sort", " 3 ,2  1\t")[1] == "1,2,3\n"
 
 
+def test_list_spellings_print_the_comma_forms_stdout(tmp_path):
+    """A troupe's color list and a moment-table word take whitespace as
+    ``--colors`` and the permutations do (``colorset:0 1`` is in
+    ``TREE_DIGESTS``)."""
+    commas = "word 0 = 1\nword 1 = 2\nword 0,0 = 3\nword 0,1 = 1/2\nword 1,0 = 1/2\nword 1,1 = 5\n"
+    spaced = commas.replace("0,0", "0 0").replace("0,1", "0 , 1").replace("1,0", "1\t0")
+    (tmp_path / "commas").write_text(commas)
+    (tmp_path / "spaced").write_text(spaced)
+    flags = ("--num-colors", "2", "--n", "4", "--order", "4")
+    pairs = [(("verify", "--troupe", "colorcount:0 , 1", *flags),
+              ("verify", "--troupe", "colorcount:0,1", *flags)),
+             (("cumulants", "--moments", str(tmp_path / "spaced")),
+              ("cumulants", "--moments", str(tmp_path / "commas")))]
+    for spelled, comma in pairs:
+        want = run(*comma)
+        assert want[0] == 0 and want[2] == "" and run(*spelled) == want
+
+
+# one case per place the CLI reads an integer list, for each of an empty
+# item, a negative item and a leading ``+``: the error line quotes the item
+# and the list
+LIST_ERRORS = [
+    (("count", "--kind", "bpt", "--colors", "0,,1"),
+     "troupes count: error: argument --colors: empty item in list '0,,1'"),
+    (("count", "--kind", "bpt", "--colors", "0 -1"),
+     "troupes count: error: argument --colors: negative item '-1' in list '0 -1'"),
+    (("count", "--kind", "bpt", "--colors", "+1,0"),
+     "troupes count: error: argument --colors: bad integer '+1' in list '+1,0'"),
+    (("peaks", "2,1,"), "error: empty item in list '2,1,'"),
+    (("sort", "2,-1"), "error: negative item '-1' in list '2,-1'"),
+    (("peaks", "+1"), "error: bad integer '+1' in list '+1'"),
+    (("verify", "--troupe", "colorset:0,,1"),
+     "error: troupe 'colorset:0,,1': empty item in list '0,,1'"),
+    (("verify", "--troupe", "colorcount:0 -1"),
+     "error: troupe 'colorcount:0 -1': negative item '-1' in list '0 -1'"),
+    (("verify", "--troupe", "colorset:+1"),
+     "error: troupe 'colorset:+1': bad integer '+1' in list '+1'"),
+    (("cumulants", "--moments", "word 0, = 1\n"),
+     "error: {path}: line 1: empty item in list '0,'"),
+    (("cumulants", "--moments", "word 0 = 1\nword 0 -1 = 1\n"),
+     "error: {path}: line 2: negative item '-1' in list '0 -1'"),
+    (("cumulants", "--moments", "word +1 = 1\n"),
+     "error: {path}: line 1: bad integer '+1' in list '+1'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", LIST_ERRORS, ids=[" ".join(a) for a, _ in LIST_ERRORS])
+def test_list_errors_quote_the_item_and_the_list(argv, message, tmp_path):
+    path = tmp_path / "moments.txt"
+    if argv[0] == "cumulants":
+        path.write_text(argv[2])
+        argv = (*argv[:2], str(path))
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == message.format(path=path)
+
+
 def test_examples_command():
     code, out, _ = run("examples", "gamma_minus_one", "--order", "4")
     assert code == 0
@@ -450,9 +510,11 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     spec = dict(zip(argv, argv[1:])).get("--troupe", "")
     if spec.startswith("color"):  # the message quotes the troupe spec
         assert repr(spec) in err
-    if spec in ("colorset:0 1", "colorcount:x"):
-        assert err == ("error: expected a comma-separated integer color list, got "
-                       f"{spec.partition(':')[2]!r} in troupe {spec!r}\n")
+    messages = {  # J reads as any integer list does, then meets the alphabet
+        "colorset:0 1": "troupe 'colorset:0 1' names colors [1] outside 0..0 (--num-colors 1)",
+        "colorcount:x": "troupe 'colorcount:x': bad integer 'x' in list 'x'"}
+    if spec in messages:
+        assert err == f"error: {messages[spec]}\n"
 
 
 def test_huge_order_exits_2_out_of_memory():
@@ -522,12 +584,20 @@ def test_examples_match_parent_digests(name):
 
 # sha256 prefixes of the stdout of tree commands, recorded while vertices were
 # still ``NamedTuple`` records; the peaks permutation is
-# ``random.Random(20).sample(range(1, 13), 12)``
+# ``random.Random(20).sample(range(1, 13), 12)``.  Then verify runs as CI
+# records them: at the lowest order the series check takes, on a seeded
+# two-colour table whose size-2 branches the words of length 3 read, and on
+# a two-colour color set in both of its list spellings.
 TREE_DIGESTS = {
     ("enumerate", "--kind", "bpt", "--colors", "0,1,1,0,2,1"): "5e6109645d8f26d3",
     ("enumerate", "--kind", "branch", "--colors", "0,1,1,0,2,1"): "6b2fd2b7b87a4f26",
     ("enumerate", "--kind", "dbpt", "--colors", "0,1,1,0,2,1"): "4394e4ac3a95fbda",
     ("peaks", "12,11,3,5,2,7,10,9,8,1,4,6"): "bca931c677d2a3f2",
+    ("verify", "--troupe", "all", "--n", "1", "--order", "3"): "e0a1e5becdf0af8f",
+    ("verify", "--troupe", "random", "--seed", "5", "--num-colors", "2", "--n", "3",
+     "--order", "9"): "7910ba7e71acb4b0",
+    **{("verify", "--troupe", spec, "--num-colors", "2", "--n", "6", "--order", "6"):
+       "a174506b56da56c1" for spec in ("colorset:0,1", "colorset:0 1")},
 }
 
 
@@ -581,9 +651,25 @@ def _ints(least, most):
 
 
 SMALL = _ints(-2, 5)
-# an empty item ("0,,1", ",0", "1,"), "+1" or "0_1" is a malformed list
-WORD = st.lists(st.one_of(st.integers(-1, 4).map(str), st.sampled_from(["", "+1", "0_1"])),
-                max_size=5).map(",".join)
+# a list's items are separated by a comma, with optional whitespace around
+# it, or by whitespace alone; an empty item ("0,,1", ",0", "1,"), "+1" or
+# "0_1" is a malformed list
+LIST_SEP = re.compile(r"\s*,\s*|\s+")
+SEPARATORS = st.sampled_from([",", " ", " , ", ", ", "\t"])
+
+
+def _joined(items):
+    """A list's text: the drawn items, each pair parted by a drawn separator."""
+    return st.tuples(items, SEPARATORS).map(lambda pair: pair[1].join(pair[0]))
+
+
+def _items(text):
+    """A list's items, as the README's grammar splits them."""
+    return LIST_SEP.split(text.strip())
+
+
+WORD = _joined(st.lists(st.one_of(st.integers(-1, 4).map(str),
+                                  st.sampled_from(["", "+1", "0_1"])), max_size=5))
 WELL_FORMED_RINGS = ["0", "1", "-2", "3/4", "q", "q^2", "2*q", "0 + 1*q"]
 WELL_FORMED_RING = st.sampled_from(WELL_FORMED_RINGS)
 RING = st.one_of(WELL_FORMED_RING, st.sampled_from(["1/0", "1*q^-1", "zebra", "", "0.5", "1e1",
@@ -595,9 +681,11 @@ TROUPES = st.sampled_from(["all", "full", "motzkin", "colorset:0", "colorset:x",
                            "colorset:0,-1", "colorset:0,2", "colorcount:1", "colorcount:-2",
                            "colorset:0_1", "colorcount:\u0661", "rightmono:q,1",
                            "rightmono:1/0,1", "rightmono:1e0,1", "rightmono:1", "random",
-                           "bogus", "all:x", "full:1", "motzkin:0"])
-PERMUTATION = st.integers(1, 6).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
-    lambda xs: ",".join(map(str, xs)))
+                           "bogus", "all:x", "full:1", "motzkin:0", "colorset:0 1",
+                           "colorcount:0 , 1", "colorset:0,,1", "colorcount:0 -1",
+                           "colorset:+1"])
+PERMUTATION = _joined(st.integers(1, 6).flatmap(
+    lambda n: st.permutations(range(1, n + 1))).map(lambda xs: [*map(str, xs)]))
 NAMES = st.sampled_from(["gamma_minus_one", "shifted_exponential", "two_atom",
                          "geometric_like", "secant", "bogus"])
 
@@ -658,8 +746,8 @@ def _has_bad_color(argv):
         num_colors = dict(zip(argv, argv[1:])).get("--num-colors", "1")
         if not INT.fullmatch(num_colors):
             return False  # a malformed number: _has_bad_number's case
-        return not all(INT.fullmatch(c.strip()) and 0 <= int(c) < int(num_colors)
-                       for c in named.split(","))
+        return not all(INT.fullmatch(c) and 0 <= int(c) < int(num_colors)
+                       for c in _items(named))
     if argv[0] == "cumulants":
         return any("-" in line.partition("=")[0] for line in argv[2].splitlines())
     return False
@@ -681,7 +769,7 @@ def _has_bad_number(argv):
     if argv[0] == "cumulants":
         for line in argv[2].splitlines():
             word, _, value = line[len("word "):].partition(" = ")
-            if value not in WELL_FORMED_RINGS or not all(map(INT.fullmatch, word.split(","))):
+            if value not in WELL_FORMED_RINGS or not all(map(INT.fullmatch, _items(word))):
                 return True
     return False
 

@@ -144,8 +144,9 @@ def test_peak_count_equals_two_child_count():
 
 
 def test_factors_reject_non_permutation():
-    with pytest.raises(ValueError):
-        factors_from_plot((2, 5, 1))
+    for word in [(2, 5, 1), (1, 1), (0, 1), ()]:
+        with pytest.raises(ValueError, match="expected a permutation of 1..n"):
+            factors_from_plot(word)
 
 
 def zigzag_then_rising(half: int) -> tuple[int, ...]:

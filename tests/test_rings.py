@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from troupes.rings import (
     denominator,
     format_ring_elem,
     parse_ring_elem,
+    parse_word,
     q,
     ring_inverse,
     to_poly,
@@ -232,3 +234,44 @@ def test_format_and_parse_match_the_fraction_oracle():
         text = format_ring_elem(p)
         assert text == _oracle(p).format()
         assert to_poly(parse_ring_elem(text)) == p
+
+
+def parse_word_by_regex(text):
+    """The README's list grammar as one regex split: a comma with optional
+    whitespace around it, or whitespace alone, parts the items, and each
+    must be an ASCII ``-?[0-9]+`` of value at least 0."""
+    items = re.split(r"\s*,\s*|\s+", text.strip())
+    if not all(re.fullmatch(r"-?[0-9]+", x) and int(x) >= 0 for x in items):
+        raise ValueError(text)
+    return tuple(map(int, items))
+
+
+@given(st.text(alphabet="019-+_, \t\n\u0660\u00a0", max_size=10))
+def test_parse_word_matches_the_regex_grammar(text):
+    try:
+        want = parse_word_by_regex(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_word(text)
+    else:
+        assert parse_word(text) == want
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty item in list ''"),
+    (" \t", "empty item in list ' \\t'"),
+    ("0,,1", "empty item in list '0,,1'"),
+    ("1 ,", "empty item in list '1 ,'"),
+    ("2, -1", "negative item '-1' in list '2, -1'"),
+    ("+1", "bad integer '+1' in list '+1'"),
+    ("0 1_0", "bad integer '1_0' in list '0 1_0'"),
+])
+def test_parse_word_quotes_the_bad_item_and_the_list(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_word(text)
+    assert str(info.value) == message
+
+
+def test_parse_word_spellings():
+    assert parse_word("2,3,1") == parse_word("2 3 1") == parse_word(" 2, 3 ,1\t") == (2, 3, 1)
+    assert parse_word("-0") == (0,)

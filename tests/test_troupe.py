@@ -70,7 +70,7 @@ def test_branch_evaluates_to_its_weight():
             assert tau.evaluate(b) == q ** (right_edges(b) + 1) * 2
     # a branch is its own one insertion factor: evaluate gives its rule's
     # weight, in value and in type
-    taus = [all_trees(), builtin("rightmono:q,2/3"), builtin("colorcount:1"),
+    taus = [all_trees(), builtin("rightmono:q,2/3", 1), builtin("colorcount:1", 2),
             from_table(random_branch_table(6, 6, 2))]
     for n in range(2, 8):
         for word in itertools.product((0, 1), repeat=n):
@@ -226,18 +226,37 @@ def test_transform_matches_enumeration_for_random_weights():
 
 
 def test_builtin_dispatch():
-    assert builtin("all").name == "all"
-    assert builtin("full").name == "full"
-    assert builtin("motzkin").name == "motzkin"
-    assert builtin("colorset:0,1").name == "colorset:[0, 1]"
-    assert builtin("colorcount:1").name == "colorcount:[1]"
-    tau = builtin("rightmono:q,1")
+    assert builtin("all", 1).name == "all"
+    assert builtin("full", 1).name == "full"
+    assert builtin("motzkin", 1).name == "motzkin"
+    assert builtin("colorset:0,1", 2).name == "colorset:[0, 1]"
+    assert builtin("colorcount:1", 2).name == "colorcount:[1]"
+    tau = builtin("rightmono:q,1", 1)
     assert tau.evaluate(next(iter_branch_word(size_word(2)))) in (q, q * q)
-    assert builtin("rightmono:2,1/3") is not None
+    assert builtin("rightmono:2,1/3", 1) is not None
     with pytest.raises(ValueError):
-        builtin("nonsense")
+        builtin("nonsense", 1)
     with pytest.raises(ValueError):
-        builtin("rightmono:1")
+        builtin("rightmono:1", 1)
+
+
+def test_builtin_reads_the_color_list_against_the_alphabet():
+    """J takes any spelling of an integer list, and a color at or past
+    ``num_colors`` is refused with the CLI's message."""
+    for spec in ("colorset:0 1", "colorset: 1, 0", "colorset:0,1"):
+        assert builtin(spec, 2).name == "colorset:[0, 1]"
+    assert builtin("colorcount:1\t1", 2).name == "colorcount:[1]"
+    with pytest.raises(ValueError) as info:
+        builtin("colorset:0,3,2,3", 2)
+    assert str(info.value) == ("troupe 'colorset:0,3,2,3' names colors [2, 3] outside 0..1 "
+                               "(--num-colors 2)")
+    with pytest.raises(ValueError) as info:
+        builtin("colorcount:1", 1)
+    assert str(info.value) == ("troupe 'colorcount:1' names colors [1] outside 0..0 "
+                               "(--num-colors 1)")
+    with pytest.raises(ValueError) as info:
+        builtin("colorcount:", 1)
+    assert str(info.value) == "troupe 'colorcount:': empty item in list ''"
 
 
 def test_random_table_is_deterministic():
@@ -270,8 +289,8 @@ def test_dbpt_sum_by_colored_tree_matches_labeled_trees():
     words += [w for n in range(1, 6) for w in itertools.product((0, 1, 2), repeat=n)]
     makers = [
         all_trees,
-        lambda: builtin("colorcount:1"),
-        lambda: builtin("rightmono:q,2/3"),
+        lambda: builtin("colorcount:1", 2),
+        lambda: builtin("rightmono:q,2/3", 1),
         motzkin_trees,
         lambda: from_table(random_branch_table(5, 6, 2)),
     ]
@@ -290,8 +309,8 @@ def test_dbpt_sum_on_integer_numerators_matches_ring_additions():
     one_color = [size_word(n) for n in range(1, 9)]
     cases = [
         (all_trees, one_color),
-        (lambda: builtin("rightmono:q,2/3"), one_color),
-        (lambda: builtin("colorcount:1"), two_colors),
+        (lambda: builtin("rightmono:q,2/3", 1), one_color),
+        (lambda: builtin("colorcount:1", 2), two_colors),
         (lambda: from_table(random_branch_table(27, 6, 2)), two_colors),
         (lambda: from_table({}), one_color),
         (lambda: WeightedTroupe("zero", lambda b: QPoly(())), one_color),
@@ -324,8 +343,8 @@ def test_root_sum_matches_enumerated_trees(kind, three_color_table):
         all_trees,
         full_trees,
         motzkin_trees,
-        lambda: builtin("colorcount:1"),
-        lambda: builtin("rightmono:q,2/3"),
+        lambda: builtin("colorcount:1", 2),
+        lambda: builtin("rightmono:q,2/3", 1),
         lambda: from_table(table),
     ]
     taus = [make() for make in makers]
@@ -342,8 +361,8 @@ def table_makers(table):
     return [
         all_trees,
         motzkin_trees,
-        lambda: builtin("colorcount:1"),
-        lambda: builtin("rightmono:q,2/3"),
+        lambda: builtin("colorcount:1", 2),
+        lambda: builtin("rightmono:q,2/3", 1),
         lambda: from_table(table),
     ]
 
@@ -416,9 +435,9 @@ def test_another_troupe_fault_passes_verify_and_fails_the_evaluate_oracle(
     from troupes.cumulants import equivalence_reports
 
     table = random_branch_table(3, 4, 2)
-    cases = [(lambda: builtin("rightmono:q,2/3"), (0,)),
-             (lambda: builtin("colorset:0"), (0, 1)),
-             (lambda: builtin("colorcount:1"), (0, 1)),
+    cases = [(lambda: builtin("rightmono:q,2/3", 1), (0,)),
+             (lambda: builtin("colorset:0", 2), (0, 1)),
+             (lambda: builtin("colorcount:1", 2), (0, 1)),
              (lambda: from_table(table), (0, 1))]
     words = [(0, 0, 0, 0), (0, 1, 1, 0, 1)]
     clean = [tree_sums(make(), "bpt", words) for make, _ in cases]
@@ -446,12 +465,12 @@ def test_root_sums_build_no_tree(monkeypatch):
     assert tree_sums(all_trees(), "bpt", [size_word(7)]) == {size_word(7): 429}
     assert (tree_sums(motzkin_trees(), "BPT", [(0, 1, 1, 0, 1)])
             == {(0, 1, 1, 0, 1): motzkin_number(3)})
-    assert tree_sums(builtin("colorcount:1"), "bpt", [(0, 1, 1)]) == {(0, 1, 1): 2 * q ** 2}
+    assert tree_sums(builtin("colorcount:1", 2), "bpt", [(0, 1, 1)]) == {(0, 1, 1): 2 * q ** 2}
     assert tree_sums(all_trees(), "branch", [size_word(7)]) == {size_word(7): 2 ** 6}
     assert tree_sums(motzkin_trees(), "Branch", [(0, 1, 1, 0, 1)]) == {(0, 1, 1, 0, 1): 1}
     assert tree_sums(full_trees(), "branch", [size_word(5)]) == {size_word(5): 0}
     assert tree_sums(full_trees(), "branch", [(1, 0)]) == {(1, 0): 1}
-    assert tree_sums(builtin("colorcount:1"), "branch", [(0, 1, 1)]) == {(0, 1, 1): 2 * q ** 2}
+    assert tree_sums(builtin("colorcount:1", 2), "branch", [(0, 1, 1)]) == {(0, 1, 1): 2 * q ** 2}
     for kind in ("bpt", "branch"):
         with pytest.raises(ValueError):
             tree_sums(all_trees(), kind, [()])
