@@ -50,10 +50,7 @@ class PsiInput(NamedTuple):
         """Canonical fingerprint used for equality in tests."""
         return self.partition.blocks, tuple(map(encode, self.branches))
 
-    def validate(self) -> None:
-        self._read()
-
-    def _read(self) -> tuple[list[int], set[int]]:
+    def validate(self) -> tuple[list[int], set[int]]:
         """Check the input; read each block's branch from its maximum down (:func:`_read_runs`)."""
         p = self.partition
         if p.n < 2:
@@ -75,10 +72,7 @@ class PhiInput(NamedTuple):
     def key(self):
         return self.sigma, tuple(map(encode, self.branches))
 
-    def validate(self) -> None:
-        self._read()
-
-    def _read(self) -> tuple[list[int], set[int]]:
+    def validate(self) -> tuple[list[int], set[int]]:
         """Check the permutation and its runs, and read the runs' branches
         (:func:`_read_runs`)."""
         sigma = self.sigma
@@ -175,7 +169,7 @@ def psi(inp: PsiInput) -> ColoredTree:
     interior element j has j-1 as its one child, on its branch's side, and a
     block maximum j < n has left child min(U)-1 and right child j-1.  Node
     ids are postorder positions, so vertex j is node id j-1."""
-    word, left_steps = inp._read()
+    word, left_steps = inp.validate()
     return _decreasing_tree(_psi_sigma(inp.partition)[1:], word, word[-1], left_steps).tree
 
 
@@ -230,12 +224,12 @@ def phi(inp: PhiInput) -> LabeledTree:
     and colors by labels; no run is a singleton, so in it every vertex with
     a left child also has a right child.  ``phi`` is that tree with the
     single child moved to the left at every branch vertex whose step is
-    ``L``.  :meth:`PhiInput._read` checks the input and reads the colors and
-    those labels in one pass over the branches; one stack pass then builds
-    the tree with those vertices' child slots exchanged, so node ids are
-    postorder ids of the intermediate tree.
+    ``L``.  :meth:`PhiInput.validate` checks the input and reads the colors
+    and those labels in one pass over the branches; one stack pass then
+    builds the tree with those vertices' child slots exchanged, so node ids
+    are postorder ids of the intermediate tree.
     """
-    word, left_steps = inp._read()
+    word, left_steps = inp.validate()
     return _decreasing_tree(inp.sigma[1:], word, word[-1], left_steps)
 
 

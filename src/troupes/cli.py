@@ -29,20 +29,19 @@ class CliError(argparse.ArgumentTypeError):
     """
 
 
-def _parse_int(text: str) -> int:
-    """:func:`~troupes.rings.parse_int` for argparse, which prints a CliError's own message."""
-    try:
-        return parse_int(text)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+def _argument(parse):
+    """``parse``, a reader of :mod:`~troupes.rings`, for argparse: its
+    ``ValueError`` becomes a CliError, whose own message argparse prints."""
+    def read(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
+    return read
 
 
-def _parse_word(text: str) -> tuple[int, ...]:
-    """:func:`~troupes.rings.parse_word` for argparse, as :func:`_parse_int`."""
-    try:
-        return parse_word(text)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+_parse_int = _argument(parse_int)
+_parse_word = _argument(parse_word)
 
 
 def _parse_permutation(text: str) -> tuple[int, ...]:
@@ -159,9 +158,14 @@ def cmd_verify(args) -> int:
     _check_min("--order", args.order, 3)
     alphabet = range(args.num_colors)
     if args.troupe == "random":
-        tau = from_table(random_branch_table(args.seed, max_size=max(args.n - 1, 1),
-                                             num_colors=args.num_colors),
-                         name=f"random(seed={args.seed})")
+        # the word lines read every branch of up to n - 1 vertices, the series
+        # line each color's constant words up to --order: their branches take
+        # the one-color table's weights, recolored, where the table has none
+        table = random_branch_table(args.seed, max(args.n - 1, 1), args.num_colors)
+        for key, weight in random_branch_table(args.seed, args.order - 1).items():
+            for color in alphabet:
+                table.setdefault(key.replace("0", str(color)), weight)
+        tau = from_table(table, name=f"random(seed={args.seed})")
     else:
         try:
             tau = builtin(args.troupe, args.num_colors)

@@ -73,19 +73,6 @@ def southeast_decomposition(word: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def branch_from_inorder(values: Sequence[int]) -> LabeledTree:
-    """The decreasing labeled branch whose inorder reading is ``values``: its
-    :func:`alpha_inverse`, node ids from the bottom vertex (0) up.  Raises
-    ``ValueError`` when a vertex of that tree has two children."""
-    if len(values) == 0:
-        raise ValueError("empty branch word")
-    lt = alpha_inverse(values)
-    for _, left, right in lt.tree.nodes:
-        if left is not None and right is not None:
-            raise ValueError(f"{values!r} is not the inorder word of a branch")
-    return lt
-
-
 def factors_from_plot(word: Sequence[int]) -> list[LabeledTree]:
     """Labeled insertion factors of the decreasing tree of a permutation,
     extracted from the plot alone.

@@ -148,21 +148,17 @@ def beta(lt: LabeledTree) -> tuple[int, ...]:
     return tuple(lt.labels[v] for v in postorder(lt.tree))
 
 
-def alpha_inverse(word: Sequence[int], colors: Sequence[int] | None = None,
-                  box_color: int = 0) -> LabeledTree:
+def alpha_inverse(word: Sequence[int]) -> LabeledTree:
     """The unique decreasing labeled tree whose inorder reading is ``word``.
 
     Built by :func:`_decreasing_tree` in one stack pass, so node ids come out
-    in postorder.  ``colors``, when given, assigns ``colors[k-1]`` to the
-    vertex labeled ``k``, so the entries must lie in 1..len(colors).
+    in postorder.  Every vertex and the box have color 0.
     """
     if len(word) == 0:
         raise ValueError("alpha_inverse needs a nonempty word")
     if len(set(word)) != len(word):
         raise ValueError("word entries must be distinct")
-    if colors is not None and not 0 < min(word) <= max(word) <= len(colors):
-        raise ValueError(f"colored word entries must lie in 1..{len(colors)}")
-    return _decreasing_tree(word, None if colors is None else (0, *colors), box_color, ())
+    return _decreasing_tree(word, None, 0, ())
 
 
 def _decreasing_tree(word: Sequence[int], colors: Sequence[int] | None,
@@ -268,7 +264,7 @@ def factor_paths(t: ColoredTree) -> list[tuple[int, list[int], ColoredTree]]:
     ``vertices`` lists the factor's vertices from the bottom one, a leaf, up,
     and ``branch`` is the factor itself: its vertex ``i`` is ``vertices[i]``
     with the same color and its one child on the same side, so node ids run
-    from the bottom vertex (0) up, as in :func:`branch_from_directions`.  The
+    from the bottom vertex (0) up, as in :func:`iter_branch_word`.  The
     walk marks each vertex it enters, so child links that loop, or that reach
     a vertex twice, raise ``ValueError``, and so do an id outside ``0..n-1``
     and a missing root.
@@ -437,31 +433,6 @@ def labeled_multiset_key(lts: Sequence[LabeledTree]) -> tuple[str, ...]:
 # Deterministic enumeration
 
 
-def branch_from_directions(directions: Sequence[str],
-                           colors_root_down: Sequence[int] | None = None,
-                           box_color: int = 0) -> ColoredTree:
-    """Build a branch from root-down direction choices (``L`` or ``R``).
-
-    ``colors_root_down[i]`` colors the vertex at depth ``i``.  Node ids run
-    from the bottom vertex (0) up to the root.
-    """
-    n = len(directions) + 1
-    nodes: list[Vertex] = []
-    below: int | None = None
-    for depth in range(n - 1, -1, -1):
-        color = colors_root_down[depth] if colors_root_down is not None else 0
-        if below is None:
-            nodes.append((color, None, None))
-        elif directions[depth] == "L":
-            nodes.append((color, below, None))
-        elif directions[depth] == "R":
-            nodes.append((color, None, below))
-        else:
-            raise ValueError(f"bad direction {directions[depth]!r}")
-        below = len(nodes) - 1
-    return _new(ColoredTree, (tuple(nodes), below, box_color))
-
-
 def size_word(n: int) -> tuple[int, ...]:
     """The color word of the single-color family of size n: n+1 zeros.
 
@@ -508,16 +479,20 @@ def iter_bpt_word(word: Sequence[int]) -> Iterator[ColoredTree]:
 
 def iter_branch_word(word: Sequence[int]) -> Iterator[ColoredTree]:
     """Colored branches with postorder colors ``word[:-1]`` and box
-    ``word[-1]``; empty for words of length 1 (branches are nonempty)."""
+    ``word[-1]``; empty for words of length 1 (branches are nonempty).
+    Vertex ``i``, from the bottom (0) up, has color ``word[i]`` and child
+    ``i-1``; the child sides, read root-down, vary left first, lowest fastest."""
     n = len(word)
     if n < 1:
         raise ValueError("color word must be nonempty")
     if n == 1:
         return
-    # postorder of a branch runs bottom-up, so root-down colors are reversed
-    colors_root_down = list(reversed(word[:-1]))
-    for directions in itertools.product("LR", repeat=n - 2):
-        yield branch_from_directions(directions, colors_root_down, word[-1])
+    *colors, box = word
+    leaf = (colors[0], None, None)
+    # each vertex above the leaf, from the root down, with its child on either side
+    choices = [((colors[i], i - 1, None), (colors[i], None, i - 1)) for i in range(n - 2, 0, -1)]
+    for spine in itertools.product(*choices):
+        yield _new(ColoredTree, ((leaf, *spine[::-1]), n - 2, box))
 
 
 def iter_dbpt_word(word: Sequence[int]) -> Iterator[LabeledTree]:

@@ -74,8 +74,8 @@ DEFAULT_VERIFY = (
 # The lines are as ``ast.unparse`` writes them (a compound statement is its
 # header), and a key covers every place in the function where they occur.
 _PEAK_TEST = "if 0 < i < last and word[i - 1] < value > word[i + 1]:"
-_RANDOM_TABLE = ("tau = from_table(random_branch_table(args.seed, max_size=max(args.n - 1, 1), "
-                 "num_colors=args.num_colors), name=f'random(seed={args.seed})')")
+_RANDOM_TABLE = "table = random_branch_table(args.seed, max(args.n - 1, 1), args.num_colors)"
+_SERIES_TABLE = "for key, weight in random_branch_table(args.seed, args.order - 1).items():"
 _PHI_CHILD_CHECK = ("if left is not None and (not (0 <= left < m and labels[left] < label)) or "
                     "(right is not None and (not (0 <= right < m and labels[right] < label))):")
 
@@ -93,7 +93,7 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
     ("bijections:_read_tree", _PHI_CHILD_CHECK,
      _PHI_CHILD_CHECK.replace("labels[right] < label", "labels[right] <= label")):
         "as for the left child",
-    ("bijections:PhiInput._read", "if not set(sigma).issuperset(range(1, n + 1)):",
+    ("bijections:PhiInput.validate", "if not set(sigma).issuperset(range(1, n + 1)):",
      "if not set(sigma).issuperset(range(1, n * 1)):"):
         "the first entry was checked to be n, so n entries that cover 1..n-1 "
         "cover 1..n",
@@ -103,10 +103,6 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
     ("bijections:_iter_inputs", "color = (0, *word).__getitem__",
      "color = (1, *word).__getitem__"):
         "the skeletons' elements are 1..n, so slot 0 is never read",
-    ("trees:alpha_inverse",
-     "return _decreasing_tree(word, None if colors is None else (0, *colors), box_color, ())",
-     "return _decreasing_tree(word, None if colors is None else (1, *colors), box_color, ())"):
-        "the entries were checked to lie in 1..len(colors), so slot 0 is never read",
     ("trees:iter_dbpt_word", "box, colors = (word[-1], (0, *word))",
      "box, colors = (word[-1], (1, *word))"):
         "the labels are 1..n-1, so slot 0 is never read",
@@ -118,12 +114,18 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
     ("cli:cmd_verify", _RANDOM_TABLE, _RANDOM_TABLE.replace("args.n - 1", "args.n + 1")):
         "the table draws its weights size by size from the smallest, so a larger "
         "max_size leaves every smaller size's weights as they were; the word lines "
-        "read branches of at most n - 1 vertices, and the series line prints only "
-        "its verdict, which holds for any weights",
+        "read branches of at most n - 1 vertices, and the series line, which then "
+        "reads some constant words' branches from this table, prints only its "
+        "verdict, which holds for any weights",
     ("cli:cmd_verify", _RANDOM_TABLE, _RANDOM_TABLE.replace("args.n - 1", "args.n * 1")):
         "as for args.n + 1",
     ("cli:cmd_verify", _RANDOM_TABLE, _RANDOM_TABLE.replace("args.n - 1, 1", "args.n - 1, 2")):
         "as for args.n + 1: only at --n 1 and 2 does the table grow, by one size",
+    ("cli:cmd_verify", _SERIES_TABLE, _SERIES_TABLE.replace("args.order - 1", "args.order + 1")):
+        "the series line reads constant words of at most --order letters, so "
+        "branches of at most order - 1 vertices; the larger ones are never read",
+    ("cli:cmd_verify", _SERIES_TABLE, _SERIES_TABLE.replace("args.order - 1", "args.order * 1")):
+        "as for args.order + 1",
     ("peaks:_regions", _PEAK_TEST,
      _PEAK_TEST.replace("word[i - 1] < value", "word[i - 1] <= value")):
         "the entries are distinct, so no neighbour is exactly as high as the value",

@@ -3,22 +3,23 @@
 The swing of a single child, and the two-step bijection phi built on it:
 phi as the intermediate tree followed by one swing per left step, and its
 inverse as one swing per left-only vertex followed by the inorder reading.
-Also the branch profile (root-down sides and colors) and the insertion
-factors built from the profiles of a factor walk that recurses on owners.
-Also the recursive max-split build of a decreasing tree, the permutations
-with first entry n and their descending runs, read by counting the ascents
-before each position, also normalised through
+Also the branch built from its root-down sides and colors, the branch
+profile that reads them back, and the insertion factors built from the
+profiles of a factor walk that recurses on owners.
+Also the recursive max-split build of a decreasing tree, memoized by its
+permutation for the swing route, and a labeled tree colored by its labels.
+Also the permutations with first entry n and their descending runs, read by
+counting the ascents before each position, also normalised through
 ``SetPartition.of`` and counted by run partition on block masks,
 ``SetPartition.of`` by sets, psi by iterated insertion, the Narayana
-polynomial and the tree series by enumeration, the
-plain trees of a color word built shape by shape, the decreasing-tree sum
-over every labeled tree and, by one ring addition per colored tree, over
-the grouped ones, one tree's value as ``Fraction(1)`` times its
-factors' branch weights, the branch of an inorder word from its sorted
-labels, the tree predicates only tests use, the single-word equivalence
-report, the tree walks as self-recursive closures, the standard traversal
-labelings, the descent set of a permutation, and the plot regions by a
-scan over every peak.
+polynomial and the tree series by enumeration, the plain trees of a color
+word built shape by shape, the decreasing-tree sum over the labeled trees
+with one evaluation per colored tree, told apart by its encoding, and by one
+ring addition per colored tree of ``iter_dbpt``, one tree's value as
+``Fraction(1)`` times its factors' branch weights, the tree predicates only
+tests use, the single-word equivalence report, the tree walks as
+self-recursive closures, the standard traversal labelings, the descent set
+of a permutation, and the plot regions by a scan over every peak.
 Also the polynomial ring with one ``Fraction`` per coefficient, truncated
 series as plain lists of ring elements, the irreducible noncrossing
 partitions without singletons by filtering, and a frozen-dataclass twin of
@@ -40,8 +41,7 @@ from troupes.trees import (
     ColoredTree,
     LabeledTree,
     alpha,
-    alpha_inverse,
-    branch_from_directions,
+    encode,
     inorder,
     insert,
     iter_bpt_word,
@@ -70,6 +70,29 @@ def swing(t: ColoredTree, *vs: int) -> ColoredTree:
 
 def swing_labeled(lt: LabeledTree, *vs: int) -> LabeledTree:
     return LabeledTree(swing(lt.tree, *vs), lt.labels)
+
+
+def branch_from_directions(directions, colors_root_down=None, box_color: int = 0) -> ColoredTree:
+    """Build a branch from root-down direction choices (``L`` or ``R``).
+
+    ``colors_root_down[i]`` colors the vertex at depth ``i``.  Node ids run
+    from the bottom vertex (0) up to the root.
+    """
+    n = len(directions) + 1
+    nodes: list[tuple] = []
+    below = None
+    for depth in range(n - 1, -1, -1):
+        color = colors_root_down[depth] if colors_root_down is not None else 0
+        if below is None:
+            nodes.append((color, None, None))
+        elif directions[depth] == "L":
+            nodes.append((color, below, None))
+        elif directions[depth] == "R":
+            nodes.append((color, None, below))
+        else:
+            raise ValueError(f"bad direction {directions[depth]!r}")
+        below = len(nodes) - 1
+    return ColoredTree(tuple(nodes), below, box_color)
 
 
 def branch_profile(b: ColoredTree) -> tuple[list[str], list[int], int]:
@@ -155,7 +178,8 @@ def phi_tilde(inp: PhiInput) -> LabeledTree:
     Because no run is a singleton, every vertex with a left child also has a
     right child (a reverse Motzkin tree).  The input is checked here, through
     :func:`druns` and :func:`branch_profile`, not by ``PhiInput.validate``,
-    whose run reader ``phi`` shares.
+    whose run reader ``phi`` shares, and the tree is built by the max-split
+    recursion, not by the stack pass ``phi`` runs.
     """
     n = len(inp.sigma)
     blocks = druns(inp.sigma).blocks
@@ -169,7 +193,7 @@ def phi_tilde(inp: PhiInput) -> LabeledTree:
         word[block[-1]] = box
         for label, color in zip(block[-2::-1], colors):
             word[label] = color
-    return alpha_inverse(inp.sigma[1:], colors=word[1:n], box_color=word[n])
+    return color_by_labels(_max_split_tree(inp.sigma), word[1:n], word[n])
 
 
 def phi_via_swings(inp: PhiInput) -> LabeledTree:
@@ -224,6 +248,22 @@ def alpha_inverse_by_max_split(word, colors=None, box_color: int = 0) -> Labeled
 
     root = build(0, len(word) - 1)
     return LabeledTree(ColoredTree(tuple(nodes), root, box_color), tuple(labels))
+
+
+@lru_cache(maxsize=None)
+def _max_split_tree(sigma: tuple[int, ...]) -> LabeledTree:
+    """:func:`alpha_inverse_by_max_split` of ``sigma`` after its first entry,
+    uncolored and memoized: each sigma recurs for every color word of its
+    length."""
+    return alpha_inverse_by_max_split(sigma[1:])
+
+
+def color_by_labels(lt: LabeledTree, colors, box_color: int = 0) -> LabeledTree:
+    """``lt`` with ``colors[k-1]`` on the vertex labeled ``k`` and box color
+    ``box_color``."""
+    nodes = tuple([(colors[label - 1], left, right)
+                   for (_, left, right), label in zip(lt.tree.nodes, lt.labels)])
+    return LabeledTree(ColoredTree(nodes, lt.tree.root, box_color), lt.labels)
 
 
 def iter_sigma_first_n(n: int):
@@ -383,23 +423,6 @@ def regions_by_peak_scan(word) -> list[list[tuple[int, int]]]:
     return regions
 
 
-def branch_from_inorder_by_directions(values) -> LabeledTree:
-    """The branch whose inorder reading is ``values``, built from its labels
-    in decreasing order: each child hangs left when it precedes its parent in
-    the word, right otherwise; the inorder reading must give the word back."""
-    if len(values) == 0:
-        raise ValueError("empty branch word")
-    pos = {v: i for i, v in enumerate(values)}
-    desc = sorted(values, reverse=True)
-    directions = ["L" if pos[child] < pos[parent] else "R"
-                  for parent, child in zip(desc, desc[1:])]
-    # node ids run from the bottom vertex up, so labels ascend with them
-    lt = LabeledTree(branch_from_directions(directions), tuple(reversed(desc)))
-    if alpha(lt) != tuple(values):
-        raise ValueError(f"{values!r} is not the inorder word of a branch")
-    return lt
-
-
 @lru_cache(maxsize=None)
 def _shapes(n: int) -> tuple:
     """Every tree shape of size n as nested ``(left, right)`` tuples: left
@@ -459,12 +482,17 @@ def branch_sums_by_trees(taus, word) -> list:
 
 
 def dbpt_sums_by_labeled_trees(taus, word) -> list:
-    """Each troupe summed over the decreasing trees of a word, evaluating
-    every one of the (n-1)! labeled trees."""
-    totals = [Fraction(0)] * len(taus)
+    """Each troupe summed over the decreasing trees of a word: the (n-1)!
+    labeled trees grouped by their colored tree's :func:`encode`, and one
+    tree of each group evaluated and multiplied by the group's size."""
+    groups: dict[str, list] = {}
     for lt in iter_dbpt_word(word):
+        group = groups.setdefault(encode(lt.tree), [lt.tree, 0])
+        group[1] += 1
+    totals = [Fraction(0)] * len(taus)
+    for t, count in groups.values():
         for i, tau in enumerate(taus):
-            totals[i] = totals[i] + tau.evaluate(lt.tree)
+            totals[i] = totals[i] + tau.evaluate(t) * count
     return totals
 
 

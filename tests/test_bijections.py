@@ -17,7 +17,6 @@ from troupes.partitions import SetPartition, is_irreducible, iter_D
 from troupes.trees import (
     ColoredTree,
     LabeledTree,
-    branch_from_directions,
     encode,
     encode_labeled,
     factor_paths,
@@ -32,6 +31,7 @@ from troupes.trees import (
 )
 
 from oracles import (
+    branch_from_directions,
     branch_profile,
     druns,
     phi_inverse_via_swings,

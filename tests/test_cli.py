@@ -156,6 +156,25 @@ def test_verify_random_troupe():
     assert "PASS" in out
 
 
+def test_verify_random_troupe_weighs_the_branches_past_n(monkeypatch):
+    # the series line reads each color's constant words up to --order, past
+    # --n, so the random table weighs their branches too: no sum of them is 0
+    branch_sums = {}
+
+    def keep_branch_sums(tau, kind, words):
+        table = troupe.tree_sums(tau, kind, words)
+        if kind == "branch":
+            branch_sums.update(table)
+        return table
+
+    monkeypatch.setattr("troupes.cumulants.tree_sums", keep_branch_sums)
+    code, out, _ = run("verify", "--troupe", "random", "--seed", "5", "--num-colors", "2",
+                       "--n", "3", "--order", "7")
+    assert code == 0 and out.endswith("PASS (14 words checked)\n")
+    past_n = [(c,) * length for c in (0, 1) for length in range(4, 8)]
+    assert all(branch_sums[word] != 0 for word in past_n)
+
+
 def test_verify_unknown_troupe():
     code, _, err = run("verify", "--troupe", "bogus", "--n", "3")
     assert code == 2

@@ -19,6 +19,7 @@ from troupes.partitions import (
 )
 
 from oracles import (
+    branch_from_directions,
     druns,
     druns_by_normalisation,
     iter_sigma_first_n,
@@ -170,7 +171,6 @@ def test_runs_match_the_ascent_count():
     ascents afresh: the same runs, as they stand in the permutation, in the
     same order, for every permutation of 1..n up to n = 7.  Those with first
     entry n and a singleton run are rejected, with one branch per run."""
-    from troupes.trees import branch_from_directions
     for n in range(1, 8):
         for sigma in itertools.permutations(range(1, n + 1)):
             runs = runs_by_ascent_count(sigma)

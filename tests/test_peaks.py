@@ -5,7 +5,6 @@ import pytest
 
 from troupes.peaks import (
     _regions,
-    branch_from_inorder,
     factors_from_plot,
     peaks,
     southeast_decomposition,
@@ -17,7 +16,6 @@ from troupes.trees import (
 )
 
 from oracles import (
-    branch_from_inorder_by_directions,
     is_branch,
     regions_by_peak_scan,
     two_child_count,
@@ -73,42 +71,6 @@ def test_decomposition_partitions_values():
             assert sum(len(p) for p in parts) == n
             for p in parts:
                 assert sorted(p) == list(range(1, len(p) + 1))
-
-
-def test_branch_from_inorder_shapes():
-    lt = branch_from_inorder((2, 1))
-    assert is_branch(lt.tree) and lt.labels == (1, 2)
-    lt = branch_from_inorder((1, 2))
-    assert lt.tree.nodes[lt.tree.root][1] is not None
-    with pytest.raises(ValueError):
-        branch_from_inorder((1, 3, 2))  # a peak: not a branch word
-
-
-@pytest.mark.parametrize("word", [(2, 2), (3, 1, 3), (5, 2, 2), (2, 2, 1), (4, 1, 2, 4),
-                                  (6, 3, 1, 3)])
-def test_branch_from_inorder_rejects_a_repeated_entry(word):
-    with pytest.raises(ValueError, match="word entries must be distinct"):
-        branch_from_inorder(word)
-
-
-def _branch_or_message(build, word):
-    try:
-        return build(word)
-    except ValueError as exc:
-        return str(exc)
-
-
-def test_branch_from_inorder_matches_oracle():
-    """Every word up to length 7, as a permutation and with shifted values:
-    the same branch, or the same rejection."""
-    branches = 0
-    words = [()] + [w for n in range(1, 8) for w in itertools.permutations(range(1, n + 1))]
-    for sigma in words:
-        for word in (sigma, tuple(v + 3 for v in sigma)):
-            got = _branch_or_message(branch_from_inorder, word)
-            assert got == _branch_or_message(branch_from_inorder_by_directions, word)
-            branches += not isinstance(got, str)
-    assert branches == 2 * sum(2 ** (n - 1) for n in range(1, 8))
 
 
 def test_factors_of_decreasing_word_is_single_chain():

@@ -33,7 +33,6 @@ from troupes.trees import (
     ColoredTree,
     LabeledTree,
     alpha_inverse,
-    branch_from_directions,
     insert,
     iter_bpt_word,
     iter_branch_word,
@@ -124,13 +123,11 @@ def test_every_builder_makes_node_records():
     for n in range(1, 7):
         word = rng.sample(range(1, n + 1), n)
         colors = [rng.randrange(3) for _ in range(n)]
-        _assert_labeled_records(alpha_inverse(word, colors, box_color=1))
+        _assert_labeled_records(alpha_inverse(word))
         for t in iter_bpt_word(colors + [2]):
             _assert_tree_records(t)
             for v in range(t.size):
                 _assert_tree_records(insert(t, v, t))
-        directions = [rng.choice("LR") for _ in range(n - 1)]
-        _assert_tree_records(branch_from_directions(directions, colors, 1))
     for word in ((0, 1, 0, 1), (1, 0, 0, 1, 1)):
         for x in iter_psi_inputs(word):
             _assert_tree_records(psi(x))

@@ -34,7 +34,6 @@ from troupes.trees import (
     alpha,
     alpha_inverse,
     beta,
-    branch_from_directions,
     encode,
     encode_labeled,
     enumerate_trees,
@@ -58,7 +57,9 @@ from troupes.trees import (
 from oracles import (
     alpha_inverse_by_max_split,
     bpt_by_shapes,
+    branch_from_directions,
     branch_profile,
+    color_by_labels,
     insertion_factors_by_profiles,
     labeled_insertion_factors_by_profiles,
     psi_via_insertions,
@@ -150,14 +151,6 @@ def test_alpha_left_comb():
     assert all(right is None for _, _, right in lt.tree.nodes)
 
 
-def test_alpha_inverse_colors_only_labels_it_has():
-    assert alpha_inverse((2, 1), colors=(5, 6)).tree.nodes == ((5, None, None), (6, None, 0))
-    assert alpha_inverse((1,), colors=(7,)).tree.nodes == ((7, None, None),)
-    for word in [(0, 1), (1, 3), (-1, 2)]:
-        with pytest.raises(ValueError, match="must lie in 1..2"):
-            alpha_inverse(word, colors=(5, 6))
-
-
 def test_alpha_inverse_231():
     lt = alpha_inverse((2, 3, 1))
     root = lt.tree.root
@@ -183,16 +176,25 @@ def test_alpha_inverse_is_decreasing():
 
 
 def test_alpha_inverse_matches_max_split_build():
-    """The stack pass gives the recursive build's node ids, labels, colors
-    and box, compared with ``==``."""
+    """The stack pass gives the recursive build's node ids and labels, with
+    every color 0, compared with ``==``; colored by labels in the test, it
+    gives the build's colors and box too."""
     rng = random.Random(8)
     for n in range(1, 9):
         colors = [rng.randrange(3) for _ in range(n)]
         box = rng.randrange(3)
         for sigma in itertools.permutations(range(1, n + 1)):
-            assert (alpha_inverse(sigma, colors=colors, box_color=box)
+            lt = alpha_inverse(sigma)
+            assert lt == alpha_inverse_by_max_split(sigma)
+            assert (color_by_labels(lt, colors, box)
                     == alpha_inverse_by_max_split(sigma, colors=colors, box_color=box))
-        assert alpha_inverse(sigma) == alpha_inverse_by_max_split(sigma)
+
+
+@pytest.mark.parametrize("word", [(2, 2), (3, 1, 3), (5, 2, 2), (2, 2, 1), (4, 1, 2, 4),
+                                  (6, 3, 1, 3)])
+def test_alpha_inverse_rejects_a_repeated_entry(word):
+    with pytest.raises(ValueError, match="word entries must be distinct"):
+        alpha_inverse(word)
 
 
 def _stack_sort_recursive(word):
@@ -502,6 +504,20 @@ def test_colored_word_counts():
             assert sum(1 for _ in iter_branch_word(word)) == 2 ** (n - 2)
 
 
+def test_branch_enumeration_matches_the_direction_builder():
+    """Same records in the same order, node ids included, as building each
+    branch from its root-down sides, ``L`` before ``R``: every 3-color word
+    up to length 6 and 2-color word up to length 9."""
+    words = [w for n in range(1, 7) for w in itertools.product((0, 1, 2), repeat=n)]
+    words += [w for n in range(1, 10) for w in itertools.product((0, 1), repeat=n)]
+    for word in words:
+        sides = itertools.product("LR", repeat=len(word) - 2) if len(word) > 1 else ()
+        expected = [branch_from_directions(s, word[-2::-1], word[-1]) for s in sides]
+        branches = list(iter_branch_word(word))
+        assert all(type(b) is ColoredTree for b in branches)
+        assert branches == expected
+
+
 def test_bpt_enumeration_matches_shape_oracle():
     """Same records in the same order, node ids included."""
     words = [w for n in range(1, 8) for w in itertools.product((0, 1), repeat=n)]
@@ -653,7 +669,8 @@ def test_walks_match_the_closure_oracles():
             k = r.randint(1, 60)
             word += sorted(values[:k], reverse=r.random() < 0.5)
             del values[:k]
-        labeled.append(alpha_inverse(word, [r.randrange(3) for _ in range(300)], box_color=1))
+        labeled.append(color_by_labels(alpha_inverse(word), [r.randrange(3) for _ in range(300)],
+                                       1))
     plain += [lt.tree for lt in labeled]
     for t in plain:
         assert encode(t) == encode_by_closure(t)
@@ -879,7 +896,7 @@ def test_walks_and_encode_at_1500_vertices():
         k = r.randint(100, 400)
         word += sorted(values[:k], reverse=r.random() < 0.5)
         del values[:k]
-    lt = alpha_inverse(word, [r.randrange(3) for _ in range(n)], box_color=1)
+    lt = color_by_labels(alpha_inverse(word), [r.randrange(3) for _ in range(n)], 1)
     assert alpha(lt) == tuple(word)
     assert postorder(lt.tree) == list(range(n))  # the stack pass numbers in postorder
     assert encode(lt.tree) == encode_by_closure(lt.tree)  # 612 deep, within the recursion limit
@@ -912,7 +929,8 @@ def test_encode_writes_trees_deeper_than_the_recursion_limit():
 def test_encoders_agree_below_the_recursive_size():
     r = random.Random(20)
     for n in (1, 2, 3, 40, 255):
-        t, labels = alpha_inverse(r.sample(range(1, n + 1), n), [r.randrange(3) for _ in range(n)])
+        t, labels = color_by_labels(alpha_inverse(r.sample(range(1, n + 1), n)),
+                                    [r.randrange(3) for _ in range(n)])
         for tags in (("",) * n, [f"|{x}" for x in labels]):
             assert (troupes.trees._encode_large(t.nodes, tags, t.root)
                     == troupes.trees._encode_small(t.nodes, tags, t.root))
@@ -946,7 +964,8 @@ def _seeded_trees(count, size, seed):
         if k % 2:
             # long monotone stretches make long branches and deep nesting
             values = sorted(values[:size // 2], reverse=True) + sorted(values[size // 2:])
-        out.append(alpha_inverse(values, [r.randrange(3) for _ in range(size)], r.randrange(3)))
+        out.append(color_by_labels(alpha_inverse(values), [r.randrange(3) for _ in range(size)],
+                                   r.randrange(3)))
     return out
 
 
