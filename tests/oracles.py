@@ -14,8 +14,8 @@ counting the ascents before each position, also normalised through
 ``SetPartition.of`` by sets, psi by iterated insertion, the Narayana
 polynomial and the tree series by enumeration, the plain trees of a color
 word built shape by shape, the decreasing-tree sum over the labeled trees
-with one evaluation per colored tree, told apart by its encoding, and by one
-ring addition per colored tree of ``iter_dbpt``, one tree's value as
+with one product of branch weights per multiset of insertion factors, and by
+one ring addition per colored tree of ``iter_dbpt``, one tree's value as
 ``Fraction(1)`` times its factors' branch weights, the tree predicates only
 tests use, the single-word equivalence report, the tree walks as
 self-recursive closures, the standard traversal labelings, the descent set
@@ -44,6 +44,7 @@ from troupes.trees import (
     encode,
     inorder,
     insert,
+    insertion_factors,
     iter_bpt_word,
     iter_branch_word,
     iter_dbpt,
@@ -229,10 +230,10 @@ def phi_inverse_via_swings(lt: LabeledTree) -> PhiInput:
     return PhiInput(sigma, tuple(branches))
 
 
-def alpha_inverse_by_max_split(word, colors=None, box_color: int = 0) -> LabeledTree:
+def alpha_inverse_by_max_split(word) -> LabeledTree:
     """The recursive build: the maximum is the root, and the prefix and the
     suffix around it build the left and right subtrees.  Node ids come out
-    in postorder."""
+    in postorder; every vertex and the box have color 0."""
     nodes: list[tuple] = []
     labels: list[int] = []
 
@@ -242,19 +243,18 @@ def alpha_inverse_by_max_split(word, colors=None, box_color: int = 0) -> Labeled
         m = max(range(lo, hi + 1), key=lambda i: word[i])
         left = build(lo, m - 1)
         right = build(m + 1, hi)
-        nodes.append((colors[word[m] - 1] if colors is not None else 0, left, right))
+        nodes.append((0, left, right))
         labels.append(word[m])
         return len(nodes) - 1
 
     root = build(0, len(word) - 1)
-    return LabeledTree(ColoredTree(tuple(nodes), root, box_color), tuple(labels))
+    return LabeledTree(ColoredTree(tuple(nodes), root, 0), tuple(labels))
 
 
 @lru_cache(maxsize=None)
 def _max_split_tree(sigma: tuple[int, ...]) -> LabeledTree:
     """:func:`alpha_inverse_by_max_split` of ``sigma`` after its first entry,
-    uncolored and memoized: each sigma recurs for every color word of its
-    length."""
+    memoized: each sigma recurs for every color word of its length."""
     return alpha_inverse_by_max_split(sigma[1:])
 
 
@@ -482,17 +482,31 @@ def branch_sums_by_trees(taus, word) -> list:
 
 
 def dbpt_sums_by_labeled_trees(taus, word) -> list:
-    """Each troupe summed over the decreasing trees of a word: the (n-1)!
-    labeled trees grouped by their colored tree's :func:`encode`, and one
-    tree of each group evaluated and multiplied by the group's size."""
-    groups: dict[str, list] = {}
+    """Each troupe summed over the decreasing trees of a word.  The (n-1)!
+    labeled trees are grouped by their colored tree's :func:`encode`.  A
+    tree's value is the product of its insertion factors' weights, so those
+    trees are grouped again by their multiset of factors, and each troupe
+    weighs one product per group, times the group's number of labeled trees."""
+    trees: dict[str, list] = {}
     for lt in iter_dbpt_word(word):
-        group = groups.setdefault(encode(lt.tree), [lt.tree, 0])
+        group = trees.setdefault(encode(lt.tree), [lt.tree, 0])
         group[1] += 1
-    totals = [Fraction(0)] * len(taus)
-    for t, count in groups.values():
-        for i, tau in enumerate(taus):
-            totals[i] = totals[i] + tau.evaluate(t) * count
+    bags: dict[tuple[int, ...], int] = {}
+    index: dict[ColoredTree, int] = {}  # each factor met, numbered in order
+    for t, count in trees.values():
+        if t.nodes:  # the empty tree has value 0
+            bag = tuple(sorted(index.setdefault(b, len(index)) for b in insertion_factors(t)))
+            bags[bag] = bags.get(bag, 0) + count
+    totals = []
+    for tau in taus:
+        weight = [as_ring_elem(tau.branch_weight(b)) for b in index]
+        total = Fraction(0)
+        for bag, count in bags.items():
+            value = weight[bag[0]]
+            for k in bag[1:]:
+                value = value * weight[k]
+            total = total + value * count
+        totals.append(total)
     return totals
 
 

@@ -177,17 +177,10 @@ def test_alpha_inverse_is_decreasing():
 
 def test_alpha_inverse_matches_max_split_build():
     """The stack pass gives the recursive build's node ids and labels, with
-    every color 0, compared with ``==``; colored by labels in the test, it
-    gives the build's colors and box too."""
-    rng = random.Random(8)
+    every color 0, compared with ``==``."""
     for n in range(1, 9):
-        colors = [rng.randrange(3) for _ in range(n)]
-        box = rng.randrange(3)
         for sigma in itertools.permutations(range(1, n + 1)):
-            lt = alpha_inverse(sigma)
-            assert lt == alpha_inverse_by_max_split(sigma)
-            assert (color_by_labels(lt, colors, box)
-                    == alpha_inverse_by_max_split(sigma, colors=colors, box_color=box))
+            assert alpha_inverse(sigma) == alpha_inverse_by_max_split(sigma)
 
 
 @pytest.mark.parametrize("word", [(2, 2), (3, 1, 3), (5, 2, 2), (2, 2, 1), (4, 1, 2, 4),
