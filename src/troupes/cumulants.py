@@ -152,7 +152,6 @@ def cumulants_to_moments(c: CumulantTable) -> MomentFunctional:
     return MomentFunctional(c.alphabet, c.max_len, _ungrade(table, d))
 
 
-Blocks = tuple[int, ...]
 State = tuple[Word, ...]  # the sorted run words shared by some of a tail's permutations
 
 
@@ -211,7 +210,7 @@ def _first_max_sums(negated: Mapping[Word, RingElem], alphabet: Sequence[int],
     return sums
 
 
-def _partition_sum(word: Word, partitions: Iterable[Blocks],
+def _partition_sum(word: Word, partitions: Iterable[tuple[int, ...]],
                    table: Mapping[Word, RingElem]) -> RingElem:
     """Sum over the partitions, as tuples of block masks, of the product of
     ``table[word|block]`` over the blocks, each mask looked up once."""

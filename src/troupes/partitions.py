@@ -31,40 +31,9 @@ class SetPartition(NamedTuple):
             raise ValueError(f"blocks do not partition 1..{n}")
         return cls(n, tuple(canon))
 
-    def block_of(self, i: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise KeyError(i)
-
     def __str__(self) -> str:
         inner = ",".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
         return "{" + inner + "}"
-
-
-def is_noncrossing(p: SetPartition) -> bool:
-    """No i<j<k<l with i~k and j~l in different blocks.
-
-    Checked via the arc diagram: connect consecutive elements of each block
-    and look for crossing chords.
-    """
-    arcs = []
-    for b in p.blocks:
-        arcs.extend(zip(b, b[1:]))
-    for (a1, b1), (a2, b2) in itertools.combinations(arcs, 2):
-        if a1 > a2:
-            (a1, b1), (a2, b2) = (a2, b2), (a1, b1)
-        if a1 < a2 < b1 < b2:
-            return False
-    return True
-
-
-def is_irreducible(p: SetPartition) -> bool:
-    """Noncrossing with 1 and n in the same block.
-
-    The singleton partition of [1] counts as irreducible (1 ~ 1 trivially).
-    """
-    return is_noncrossing(p) and p.block_of(1) == p.block_of(p.n)
 
 
 def _grow(k: int, n: int, klass: str) -> Iterator[list[list[int]]]:

@@ -22,14 +22,6 @@ class RingMismatchError(ValueError):
     """Raised when an operation would silently mix coefficient rings."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as a rational")
-
-
 class QPoly:
     """Dense polynomial in ``q`` with exact rational coefficients.
 
@@ -44,7 +36,10 @@ class QPoly:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"cannot interpret {c!r} as a rational")
         den = lcm(*(c.denominator for c in cs))
         p = _make([_scaled(c, den) for c in cs], den)
         _set_num(self, p._num)
@@ -135,8 +130,6 @@ class QPoly:
             if other == 0:
                 raise ZeroDivisionError("division by zero scalar")
             return self * (1 / Fraction(other))
-        if isinstance(other, QPoly):
-            return self * ring_inverse(other)
         return NotImplemented
 
     def __repr__(self):

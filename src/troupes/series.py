@@ -86,10 +86,6 @@ class Series:
     def one(cls, order: int, poly: bool = False) -> Series:
         return cls([QPoly((1,)) if poly else 1], order=order)
 
-    @classmethod
-    def t(cls, order: int, poly: bool = False) -> Series:
-        return cls([0, QPoly((1,)) if poly else 1], order=order)
-
     # -- basic structure
 
     @property
@@ -291,6 +287,5 @@ def boolean_free_series_check(boolean_cumulants: Series, free_cumulants: Series)
         raise ValueError("cumulant series must have zero constant term")
     n = min(bc.order, rc.order)
     one = Series.one(n, poly=rc.is_poly_ring)
-    t = Series.t(n, poly=rc.is_poly_ring)
     inv = one / (one + rc)
-    return one - bc.compose(t * inv) == inv
+    return one - bc.compose(inv.shift()) == inv

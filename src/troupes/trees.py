@@ -52,9 +52,6 @@ class ColoredTree(NamedTuple):
             raise ValueError("a vertex is unreachable from the root")
 
 
-EMPTY = ColoredTree((), None, 0)
-
-
 class LabeledTree(NamedTuple):
     """A colored tree plus a standard decreasing labeling (labels 1..size)."""
 

@@ -76,6 +76,12 @@ DEFAULT_VERIFY = (
 _PEAK_TEST = "if 0 < i < last and word[i - 1] < value > word[i + 1]:"
 _RANDOM_TABLE = "table = random_branch_table(args.seed, max(args.n - 1, 1), args.num_colors)"
 _SERIES_TABLE = "for key, weight in random_branch_table(args.seed, args.order - 1).items():"
+_GROW_CROSS = "if klass != 'all' and any((b[0] < last < b[-1] for b in blocks)):"
+_GROW_MIN2 = ("if min2 and any((len(b) == 1 and (b[0] > last or k == n) for b in blocks "
+              "if b is not target)):")
+_ROOT_PHI = "phi = Series.one(n - 1, poly=b.is_poly_ring) + b.shift()"
+_CONVOLVE_SIZE = "size = len(a) + len(b) - 1"
+_RING_TOP = "return QPoly((coeffs.get(k, Fraction(0)) for k in range(top + 1)))"
 _PHI_CHILD_CHECK = ("if left is not None and (not (0 <= left < m and labels[left] < label)) or "
                     "(right is not None and (not (0 <= right < m and labels[right] < label))):")
 
@@ -126,6 +132,54 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
         "branches of at most order - 1 vertices; the larger ones are never read",
     ("cli:cmd_verify", _SERIES_TABLE, _SERIES_TABLE.replace("args.order - 1", "args.order * 1")):
         "as for args.order + 1",
+    ("bijections:PsiInput.validate", "after = [-1] * (n + 1)", "after = [-2] * (n + 1)"):
+        "any negative value marks an element not yet met; the count and the "
+        "pass leave none in 1..n, which is all the scan reads",
+    ("bijections:PsiInput.validate", "after = [-1] * (n + 1)", "after = [-1] * (n + 2)"):
+        "no slot past n is read",
+    ("bijections:PsiInput.validate", "for x in range(1, n + 1):",
+     "for x in range(2, n + 1):"):
+        "x = 1 only puts the second element a of 1's block at the bottom of the "
+        "stack, so the scans differ only if a is not on top at its turn; then "
+        "the entry above it is never popped in either scan, since the pending "
+        "elements of 1's block sit above it until that block closes at n, "
+        "which the same condition requires",
+    ("series:_lagrange_root", "tops, dens = ([0], [1])", "tops, dens = ([0], [2])"):
+        "the constant term is 0 whatever its denominator, and _build reduces "
+        "the result's common denominator to normal form",
+    ("series:Series.compose", "num: list = [0] * n", "num: list = [1] * n"):
+        "Horner's steps multiply the start value by inner n times, and inner "
+        "has no constant term, so it only adds terms of degree n and up, which "
+        "truncation drops",
+    ("series:Series.compose", "den = 1", "den = 2"):
+        "the start value is 0 over either denominator, and each step reduces "
+        "its sum to normal form",
+    ("series:troupe_transform", _ROOT_PHI, _ROOT_PHI.replace("n - 1", "n + 1")):
+        "phi is truncated to b.shift()'s order n, one more than needed; the "
+        "root's coefficients up to t^(n-1) read phi's only up to t^(n-2), and "
+        "compose truncates to b's order n",
+    ("series:troupe_transform", _ROOT_PHI, _ROOT_PHI.replace("n - 1", "n * 1")):
+        "as for n + 1",
+    ("rings:_convolve", _CONVOLVE_SIZE, _CONVOLVE_SIZE.replace("- 1", "+ 1")):
+        "a longer output only adds trailing int 0 entries: every caller with "
+        "no n passes them to _make, which strips them, and every caller with "
+        "an n passes one no greater than len(a) + len(b) - 1, which caps the size",
+    ("rings:_convolve", _CONVOLVE_SIZE, "size = (len(a) + len(b)) * 1"):
+        "as for len(a) + len(b) + 1",
+    ("rings:_convolve", "if n is not None and n < size:",
+     "if n is not None and n <= size:"):
+        "at n == size the size is n either way",
+    ("rings:_add", "if len(a) < len(b):", "if len(a) <= len(b):"):
+        "swapping two sequences of one length changes neither the sum of "
+        "the pairs nor the empty tail",
+    ("partitions:_grow", _GROW_CROSS, _GROW_CROSS.replace("b[0] < last", "b[0] <= last")):
+        "the elements are distinct, so b[0] == last only for the target block "
+        "with one element, for which last < b[-1] fails",
+    ("partitions:_grow", _GROW_MIN2, _GROW_MIN2.replace("b[0] > last", "b[0] >= last")):
+        "last is in the target block, which the check skips, and the "
+        "elements are distinct, so no other block starts at last",
+    ("rings:parse_ring_elem", _RING_TOP, _RING_TOP.replace("top + 1", "top + 2")):
+        "the extra coefficient is 0, and QPoly strips trailing zeros",
     ("peaks:_regions", _PEAK_TEST,
      _PEAK_TEST.replace("word[i - 1] < value", "word[i - 1] <= value")):
         "the entries are distinct, so no neighbour is exactly as high as the value",

@@ -22,7 +22,8 @@ self-recursive closures, the standard traversal labelings, the descent set
 of a permutation, and the plot regions by a scan over every peak.
 Also the polynomial ring with one ``Fraction`` per coefficient, truncated
 series as plain lists of ring elements, the irreducible noncrossing
-partitions without singletons by filtering, and a frozen-dataclass twin of
+partitions without singletons by filtering, the noncrossing and
+irreducible predicates by their definitions, and a frozen-dataclass twin of
 each ``NamedTuple`` record.
 """
 
@@ -182,30 +183,35 @@ def phi_tilde(inp: PhiInput) -> LabeledTree:
     whose run reader ``phi`` shares, and the tree is built by the max-split
     recursion, not by the stack pass ``phi`` runs.
     """
+    return _phi_tilde(inp)[0]
+
+
+def _phi_tilde(inp: PhiInput) -> tuple[LabeledTree, list[int]]:
+    """:func:`phi_tilde`, and the labels of the branch vertices whose step
+    is L, from one read of each branch's profile."""
     n = len(inp.sigma)
     blocks = druns(inp.sigma).blocks
     if inp.sigma[0] != n or min(map(len, blocks)) < 2 or len(blocks) != len(inp.branches):
         raise ValueError("expected n first, no one-entry run and one branch per run")
     word = [0] * (n + 1)
+    left_steps = []
     for block, br in zip(blocks, inp.branches):
-        _, colors, box = branch_profile(br)
+        dirs, colors, box = branch_profile(br)
         if len(colors) != len(block) - 1:
             raise ValueError(f"expected a branch on {len(block) - 1} vertices")
         word[block[-1]] = box
-        for label, color in zip(block[-2::-1], colors):
+        labels = block[-2::-1]
+        for label, color in zip(labels, colors):
             word[label] = color
-    return color_by_labels(_max_split_tree(inp.sigma), word[1:n], word[n])
+        left_steps += [label for label, side in zip(labels, dirs) if side == "L"]
+    return color_by_labels(_max_split_tree(inp.sigma), word[1:n], word[n]), left_steps
 
 
 def phi_via_swings(inp: PhiInput) -> LabeledTree:
     """Swing the intermediate tree at every branch vertex whose step is L."""
-    lt = phi_tilde(inp)
+    lt, left_steps = _phi_tilde(inp)
     vertex = {label: v for v, label in enumerate(lt.labels)}
-    swung = []
-    for block, br in zip(druns(inp.sigma).blocks, inp.branches):
-        dirs, _, _ = branch_profile(br)
-        swung += [vertex[label] for label, side in zip(block[-2::-1], dirs) if side == "L"]
-    return swing_labeled(lt, *swung)
+    return swing_labeled(lt, *[vertex[label] for label in left_steps])
 
 
 def phi_inverse_via_swings(lt: LabeledTree) -> PhiInput:
@@ -610,6 +616,28 @@ def postorder_by_closure(t: ColoredTree) -> list[int]:
 
     walk(t.root)
     return out
+
+
+def block_of(p: SetPartition, i: int) -> tuple[int, ...]:
+    """The block of ``p`` that holds ``i``."""
+    for b in p.blocks:
+        if i in b:
+            return b
+    raise KeyError(i)
+
+
+def is_noncrossing(p: SetPartition) -> bool:
+    """No i < j < k < l with i ~ k and j ~ l in different blocks, by the
+    definition: every four elements are tried."""
+    block = {x: k for k, b in enumerate(p.blocks) for x in b}
+    return not any(block[i] == block[k] != block[j] == block[l]
+                   for i, j, k, l in itertools.combinations(range(1, p.n + 1), 4))
+
+
+def is_irreducible(p: SetPartition) -> bool:
+    """Noncrossing with 1 and n in the same block; the partition of 1..1
+    counts as irreducible."""
+    return is_noncrossing(p) and block_of(p, 1) == block_of(p, p.n)
 
 
 def nc_irreducible_min2_by_filter(n: int) -> list[SetPartition]:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from troupes.bijections import (
     psi,
     psi_inverse,
 )
-from troupes.partitions import SetPartition, is_irreducible, iter_D
+from troupes.partitions import SetPartition, iter_D, iter_partitions
 from troupes.trees import (
     ColoredTree,
     LabeledTree,
@@ -34,6 +35,7 @@ from oracles import (
     branch_from_directions,
     branch_profile,
     druns,
+    is_irreducible,
     phi_inverse_via_swings,
     phi_tilde,
     phi_via_swings,
@@ -152,6 +154,74 @@ def test_psi_input_validation():
         for check in (PsiInput.validate, psi):
             with pytest.raises(ValueError, match=message):
                 check(x)
+
+
+def _straight_branches(blocks):
+    """One branch per block, on one vertex fewer than the block, as psi
+    reads it for a block of size >= 2."""
+    return tuple(branch_from_directions("L" * max(len(b) - 2, 0)) for b in blocks)
+
+
+def _psi_accepts(p):
+    try:
+        PsiInput(p, _straight_branches(p.blocks)).validate()
+    except ValueError:
+        return False
+    return True
+
+
+def test_psi_rejects_blocks_that_do_not_partition():
+    # a repeated element, an element out of range, a missing one, also with
+    # as many elements as n: each refused before a branch is read or sigma_p
+    # is built, and before the noncrossing check
+    for n, blocks in [(3, ((1, 2),)), (3, ((1, 2, 3, 4),)), (3, ((0, 1, 2, 3),)),
+                      (4, ((1, 4), (1, 4))), (4, ((1, 2, 4), (2, 3, 4))),
+                      (4, ((1, 2, 4), (3, 4))), (3, ((0, 2, 3),)), (4, ((1, 4), (2, 4)))]:
+        x = PsiInput(SetPartition(n, blocks), _straight_branches(blocks))
+        for check in (PsiInput.validate, psi):
+            with pytest.raises(ValueError, match=f"^blocks must partition 1..{n}, "):
+                check(x)
+
+
+def test_psi_check_matches_the_irreducible_oracle():
+    for n in range(1, 10):
+        for p in iter_partitions(n):
+            want = is_irreducible(p) and all(len(b) >= 2 for b in p.blocks)
+            assert _psi_accepts(p) == want, p
+
+
+def test_psi_check_rejects_every_block_tuple_that_is_not_a_canonical_partition():
+    # partitions left as they are or edited by one random step: the first
+    # block moved last, a block reversed, an element added, dropped or
+    # replaced, or an empty block put in
+    rng = random.Random(3801)
+    every = {n: list(iter_partitions(n)) for n in range(2, 8)}
+    accepted = 0
+    for _ in range(4000):
+        n = rng.randint(2, 7)
+        blocks = [list(b) for b in rng.choice(every[n]).blocks]
+        edit, b = rng.randrange(7), rng.choice(blocks)
+        if edit == 1:
+            blocks.append(blocks.pop(0))
+        elif edit == 2:
+            b.reverse()
+        elif edit == 3:
+            b.insert(rng.randint(0, len(b)), rng.randint(0, n + 1))
+        elif edit == 4:
+            b.remove(rng.choice(b))
+        elif edit == 5:
+            b[rng.randrange(len(b))] = rng.randint(0, n + 1)
+        elif edit == 6:
+            blocks.insert(rng.randint(0, len(blocks)), [])
+        p = SetPartition(n, tuple(map(tuple, blocks)))
+        try:
+            canonical = SetPartition.of(n, p.blocks) == p
+        except ValueError:
+            canonical = False
+        want = canonical and is_irreducible(p) and all(len(b) >= 2 for b in p.blocks)
+        assert _psi_accepts(p) == want, p
+        accepted += want
+    assert accepted > 100
 
 
 def test_psi_worked_fourteen_element_example():

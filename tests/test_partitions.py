@@ -12,16 +12,17 @@ from troupes.partitions import (
     SetPartition,
     _grow,
     _runs,
-    is_irreducible,
-    is_noncrossing,
     iter_D,
     iter_partitions,
 )
 
 from oracles import (
+    block_of,
     branch_from_directions,
     druns,
     druns_by_normalisation,
+    is_irreducible,
+    is_noncrossing,
     iter_sigma_first_n,
     nc_irreducible_min2_by_filter,
     runs_by_ascent_count,
@@ -32,7 +33,8 @@ BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147]  # B_0..B_9
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]  # C_0..C_9
 
 
-# Brute-force definitional oracles, used to cross-check the fast predicates.
+# A brute-force definitional oracle for the interval class; the noncrossing
+# and irreducible ones are in oracles.py.
 
 
 def oracle_interval(p):
@@ -40,14 +42,6 @@ def oracle_interval(p):
     return not any(
         (i, k) in rel and (i, j) not in rel
         for i, j, k in itertools.combinations(range(1, p.n + 1), 3)
-    )
-
-
-def oracle_noncrossing(p):
-    rel = {(i, j) for b in p.blocks for i in b for j in b}
-    return not any(
-        (i, k) in rel and (j, l) in rel and (i, j) not in rel
-        for i, j, k, l in itertools.combinations(range(1, p.n + 1), 4)
     )
 
 
@@ -64,9 +58,10 @@ def test_classify_examples():
 def test_predicates_match_definitions():
     for n in range(1, 8):
         interval = set(iter_partitions(n, "interval"))
+        noncrossing = set(iter_partitions(n, "noncrossing"))
         for p in iter_partitions(n):
             assert (p in interval) == oracle_interval(p)
-            assert is_noncrossing(p) == oracle_noncrossing(p)
+            assert (p in noncrossing) == is_noncrossing(p)
 
 
 def test_unknown_class_raises():
@@ -124,8 +119,8 @@ def test_pruned_classes_equal_the_filtered_lattice_in_order():
     # the brute-force route: walk every set partition and keep the class,
     # judged by the definitional oracles
     def oracle_class(klass, p):
-        nc = oracle_noncrossing(p)
-        irreducible = nc and p.block_of(1) == p.block_of(p.n)
+        nc = is_noncrossing(p)
+        irreducible = nc and block_of(p, 1) == block_of(p, p.n)
         return {
             "interval": oracle_interval(p),
             "noncrossing": nc,
@@ -245,7 +240,7 @@ def test_iter_D_yields_at_once_at_length_1500():
 def test_D_first_block_contains_n():
     for n in range(2, 8):
         for sigma in iter_D(n):
-            first = druns(sigma).block_of(sigma[0])
+            first = block_of(druns(sigma), sigma[0])
             assert n in first and len(first) >= 2
 
 

@@ -23,7 +23,6 @@ from troupes.troupe import (
 )
 from troupes.trees import (
     ColoredTree,
-    EMPTY,
     encode,
     factor_paths,
     insert,
@@ -60,7 +59,7 @@ def motzkin_number(n: int) -> int:
 
 def test_empty_tree_evaluates_to_zero():
     for tau in (all_trees(), full_trees(), motzkin_trees()):
-        assert tau.evaluate(EMPTY) == 0
+        assert tau.evaluate(ColoredTree((), None, 0)) == 0
 
 
 def test_branch_evaluates_to_its_weight():
