@@ -52,43 +52,33 @@ class PsiInput(NamedTuple):
     def validate(self) -> tuple[list[int], set[int]]:
         """Check the input; read each block's branch from its maximum down (:func:`_read_runs`).
 
-        A count and one pass check that the blocks hold 1..n once each,
-        ascending and ordered by minimum, and link each element to the next
-        in its block.  A scan up 1..n then stacks the next element of each
-        open block: the blocks cross unless each element but a block's first
-        is on top."""
+        The blocks must be the canonical blocks of a partition of 1..n, as
+        :meth:`SetPartition.of` writes them.  A scan up 1..n then stacks the
+        next element of each open block (``after``, read off those blocks):
+        the blocks cross unless each element but a block's first is on top."""
         p = self.partition
         n = p.n
         if n < 2:
             raise ValueError("psi needs n >= 2")
         bad = f"blocks must partition 1..{n}, each ascending, ordered by minimum"
-        if sum(map(len, p.blocks)) != n:  # then n distinct elements in 1..n cover it
+        try:
+            blocks = SetPartition.of(n, p.blocks).blocks
+        except ValueError:
+            raise ValueError(bad) from None
+        if blocks != tuple(map(tuple, p.blocks)):
             raise ValueError(bad)
-        after = [-1] * (n + 1)  # after[x]: the next element of x's block, 0 past its last
-        low = 0  # the first element of the last block
-        for block in p.blocks:
-            prev = 0
-            for x in block:
-                # x passes the last element of its block, or the last block's first
-                if not (prev or low) < x <= n or after[x] >= 0:
-                    raise ValueError(bad)
-                after[prev] = x  # after[0], at a block's first element, is scratch
-                after[x] = 0
-                prev = x
-            if not prev:
-                raise ValueError(bad)
-            low = block[0]
+        after = {x: y for block in blocks for x, y in zip(block, block[1:])}
         nexts = []
         for x in range(1, n + 1):
             if nexts and nexts[-1] == x:
                 nexts.pop()
-            if after[x]:
+            if x in after:
                 nexts.append(after[x])
-        if nexts or p.blocks[0][-1] != n:
+        if nexts or blocks[0][-1] != n:
             raise ValueError("partition must be noncrossing and irreducible")
-        if any(len(b) < 2 for b in p.blocks):
+        if any(len(b) < 2 for b in blocks):
             raise ValueError("all blocks must have size >= 2")
-        return _read_runs(n, [block[::-1] for block in p.blocks], self.branches, "block")
+        return _read_runs(n, [block[::-1] for block in blocks], self.branches, "block")
 
 
 class PhiInput(NamedTuple):

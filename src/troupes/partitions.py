@@ -27,7 +27,7 @@ class SetPartition(NamedTuple):
             raise ValueError("blocks must be nonempty")
         elements = [x for b in canon for x in b]
         elements.sort()
-        if elements != list(range(1, n + 1)):
+        if n < 0 or elements != list(range(1, n + 1)):
             raise ValueError(f"blocks do not partition 1..{n}")
         return cls(n, tuple(canon))
 

@@ -132,11 +132,10 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
         "branches of at most order - 1 vertices; the larger ones are never read",
     ("cli:cmd_verify", _SERIES_TABLE, _SERIES_TABLE.replace("args.order - 1", "args.order * 1")):
         "as for args.order + 1",
-    ("bijections:PsiInput.validate", "after = [-1] * (n + 1)", "after = [-2] * (n + 1)"):
-        "any negative value marks an element not yet met; the count and the "
-        "pass leave none in 1..n, which is all the scan reads",
-    ("bijections:PsiInput.validate", "after = [-1] * (n + 1)", "after = [-1] * (n + 2)"):
-        "no slot past n is read",
+    ("bijections:PsiInput.validate", "for x in range(1, n + 1):",
+     "for x in range(1, n + 2):"):
+        "x = n + 1 is in no block, so it has no next element, and every "
+        "element on the stack is at most n, so none is popped",
     ("bijections:PsiInput.validate", "for x in range(1, n + 1):",
      "for x in range(2, n + 1):"):
         "x = 1 only puts the second element a of 1's block at the bottom of the "

@@ -216,24 +216,45 @@ def phi_via_swings(inp: PhiInput) -> LabeledTree:
 
 def phi_inverse_via_swings(lt: LabeledTree) -> PhiInput:
     """Swing every left-only vertex, read the result in inorder after n, and
-    rebuild each run's branch with child sides copied from ``lt``."""
-    n = lt.size + 1
-    tilde = swing_labeled(lt, *[v for v, (_, left, right) in enumerate(lt.tree.nodes)
-                                if left is not None and right is None])
-    sigma = (n,) + alpha(tilde)
-    node = {label: lt.tree.nodes[v] for v, label in enumerate(lt.labels)}
+    rebuild each run's branch with child sides copied from ``lt``.  The
+    reading and the sides depend only on the uncolored tree
+    (:func:`_swing_reading`); the colors are read off ``lt``."""
+    nodes = lt.tree.nodes
+    sigma, runs = _swing_reading(tuple([(left, right) for _, left, right in nodes]),
+                                 lt.tree.root, lt.labels)
+    vertex = {label: v for v, label in enumerate(lt.labels)}
     branches = []
-    for block in druns(sigma).blocks:
-        labels_desc = list(reversed(block[:-1]))
-        dirs = []
-        for lab in labels_desc[:-1]:
-            _, left, _ = node[lab]
-            dirs.append("L" if left is not None else "R")
-        colors = [node[lab][0] for lab in labels_desc]
-        mx = block[-1]
-        box = lt.tree.box_color if mx == n else node[mx][0]
-        branches.append(branch_from_directions(dirs, colors, box))
+    for labels_desc, dirs, mx in runs:
+        colors = tuple([nodes[vertex[lab]][0] for lab in labels_desc])
+        box = lt.tree.box_color if mx == len(sigma) else nodes[vertex[mx]][0]
+        branches.append(_branch_from_directions(dirs, colors, box))
     return PhiInput(sigma, tuple(branches))
+
+
+@lru_cache(maxsize=None)
+def _swing_reading(links: tuple, root: int, labels: tuple[int, ...]) -> tuple:
+    """σ of :func:`phi_inverse_via_swings` for the uncolored tree with child
+    ``links``, and for each run the labels of its branch from the root down,
+    their direction word and the run's maximum; memoized, since each tree
+    recurs for every color word of its length."""
+    lt = LabeledTree(ColoredTree(tuple([(0, *link) for link in links]), root, 0), labels)
+    tilde = swing_labeled(lt, *[v for v, (left, right) in enumerate(links)
+                                if left is not None and right is None])
+    sigma = (len(labels) + 1,) + alpha(tilde)
+    node = {label: link for label, link in zip(labels, links)}
+    runs = []
+    for block in druns(sigma).blocks:
+        labels_desc = tuple(reversed(block[:-1]))
+        dirs = "".join(["L" if node[lab][0] is not None else "R" for lab in labels_desc[:-1]])
+        runs.append((labels_desc, dirs, block[-1]))
+    return sigma, tuple(runs)
+
+
+@lru_cache(maxsize=None)
+def _branch_from_directions(dirs: str, colors: tuple[int, ...], box: int) -> ColoredTree:
+    """:func:`branch_from_directions`, memoized: each branch recurs across
+    the trees of the swing route."""
+    return branch_from_directions(dirs, colors, box)
 
 
 def alpha_inverse_by_max_split(word) -> LabeledTree:

@@ -40,6 +40,7 @@ from oracles import (
     phi_tilde,
     phi_via_swings,
     psi_via_insertions,
+    set_partition_of_by_sets,
 )
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
@@ -215,13 +216,32 @@ def test_psi_check_rejects_every_block_tuple_that_is_not_a_canonical_partition()
             blocks.insert(rng.randint(0, len(blocks)), [])
         p = SetPartition(n, tuple(map(tuple, blocks)))
         try:
-            canonical = SetPartition.of(n, p.blocks) == p
+            canonical = set_partition_of_by_sets(n, p.blocks) == p
         except ValueError:
             canonical = False
         want = canonical and is_irreducible(p) and all(len(b) >= 2 for b in p.blocks)
         assert _psi_accepts(p) == want, p
         accepted += want
     assert accepted > 100
+
+
+def test_psi_takes_blocks_given_as_lists():
+    # the blocks as a list of lists, or a tuple of lists, name the same
+    # partition: the same outcome and the same tree as from tuples
+    inputs = 0
+    for word in [(0, 1, 1, 0, 1), (0, 1, 2, 0, 2, 1)]:
+        for x in iter_psi_inputs(word):
+            p = x.partition
+            want = psi(x)
+            for blocks in ([list(b) for b in p.blocks], tuple(map(list, p.blocks))):
+                y = PsiInput(SetPartition(p.n, blocks), x.branches)
+                assert y.validate() == x.validate()
+                assert psi(y) == want
+            inputs += 1
+    crossing = [[1, 3, 5], [2, 4]]
+    with pytest.raises(ValueError, match="noncrossing and irreducible"):
+        psi(PsiInput(SetPartition(5, crossing), _straight_branches(crossing)))
+    assert inputs > 50
 
 
 def test_psi_worked_fourteen_element_example():

@@ -188,12 +188,13 @@ def test_bridges_agree_with_partition_recursion():
 
 
 def _oracle_sum(word, partitions, table):
-    """Sum over 1-based block lists of the product of ``table[word|block]``."""
+    """Sum over 1-based block lists of the product of ``table[word|block]``,
+    each product started from its first block's entry."""
     total = Fraction(0)
-    for blocks in partitions:
-        prod = Fraction(1)
-        for block in blocks:
-            prod = prod * table[tuple(word[i - 1] for i in block)]
+    for first, *rest in partitions:
+        prod = table[tuple([word[i - 1] for i in first])]
+        for block in rest:
+            prod = prod * table[tuple([word[i - 1] for i in block])]
         total = total + prod
     return total
 

@@ -307,6 +307,8 @@ def test_of_matches_the_set_oracle_on_every_grown_partition():
     (4, lambda: [[4, 2], [3], [1]]),              # unsorted blocks
     (0, lambda: []),
     (1, lambda: []),
+    (-1, lambda: []),                             # a negative n
+    (-3, lambda: []),
 ])
 def test_of_matches_the_set_oracle_on_rejected_and_raw_inputs(n, make):
     assert _outcome(SetPartition.of, n, make()) == _outcome(set_partition_of_by_sets, n, make())
