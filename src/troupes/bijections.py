@@ -6,8 +6,10 @@
   size n-1 whose insertion-factor multiset is exactly the given branches.
 * ``psi``: an irreducible noncrossing partition of 1..n with all blocks of
   size >= 2, plus a colored branch per block, maps to a colored tree of size
-  n-1 with the same property: ``phi`` on the tree labeled by postorder
-  position, whose descending runs are the blocks.
+  n-1 with the same property, written vertex by vertex from the blocks.  As
+  a property, it is ``phi`` on the tree labeled by postorder position,
+  whose descending runs are the blocks; ``psi_inverse`` reads it back that
+  way.
 
 Each branch is read straight off its run as σ holds it, or off its block
 from the maximum down: the maximum is the box, and the rest label the
@@ -153,43 +155,25 @@ def _read_runs(n: int, runs, branches, what: str) -> tuple[list[int], set[int]]:
 # psi: partitions with branches  <->  colored trees
 
 
-def _psi_sigma(p: SetPartition) -> list[int]:
-    """σ_p: n, then the vertices 1..n-1 as :func:`phi_inverse` reads
-    :func:`psi`'s tree, from n-1.  A block minimum is a leaf, read alone; an
-    interior element j is read, then j-1; a block maximum j < n waits on a
-    stack for the subtree at min-1, then is read, then the subtree at j-1."""
-    n = p.n
-    low = [0] * n  # low[j]: the block minimum, at a block maximum j < n
-    leaf = [False] * n
-    for block in p.blocks:
-        leaf[block[0]] = True
-        if block[-1] < n:
-            low[block[-1]] = block[0]
-    sigma = [n]
-    waiting: list[int] = []
-    j = n - 1
-    while True:
-        if low[j]:
-            waiting.append(j)
-            j = low[j] - 1
-            continue
-        sigma.append(j)
-        if leaf[j]:
-            if not waiting:
-                return sigma
-            j = waiting.pop()
-            sigma.append(j)
-        j -= 1
-
-
 def psi(inp: PsiInput) -> ColoredTree:
-    """The plain tree whose factors are the input branches: the tree of
-    :func:`phi` on σ_p (:func:`_psi_sigma`).  Block minima are leaves, an
-    interior element j has j-1 as its one child, on its branch's side, and a
-    block maximum j < n has left child min(U)-1 and right child j-1.  Node
-    ids are postorder positions, so vertex j is node id j-1."""
+    """The plain tree whose factors are the input branches, written from the
+    blocks; vertex j is node id j-1, its postorder position.  A block minimum
+    is a leaf, an interior element j has j-1 as its one child, on its
+    branch's side, and a block maximum j < n has left child min-1 and right
+    child j-1.  The root is n-1; the box takes the color of n.  As a
+    property, this is :func:`phi` on the tree labeled by postorder position,
+    whose descending runs, reversed, are the blocks (:func:`psi_inverse`)."""
     word, left_steps = inp.validate()
-    return _decreasing_tree(_psi_sigma(inp.partition)[1:], word, word[-1], left_steps).tree
+    n = inp.partition.n
+    nodes: list = [None] * (n - 1)
+    for block in inp.partition.blocks:
+        low, j = block[0], block[-1]
+        nodes[low - 1] = (word[low], None, None)
+        for k in block[1:-1]:
+            nodes[k - 1] = (word[k], k - 2, None) if k in left_steps else (word[k], None, k - 2)
+        if j < n:
+            nodes[j - 1] = (word[j], low - 2, j - 2)
+    return _new(ColoredTree, (tuple(nodes), n - 2, word[-1]))
 
 
 def psi_inverse(t: ColoredTree) -> PsiInput:

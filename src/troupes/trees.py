@@ -387,8 +387,11 @@ def _encode(t: ColoredTree, labels: Sequence[int] | None) -> str:
     ``labels`` is given.  The encoder is chosen once per tree: recursion
     below ``_RECURSIVE_SIZE`` vertices, whose depth the size bounds, and the
     loop from there on.  A loop runs the recursion out of stack, and the
-    loop then names the fault.  A bad id or root raises ``ValueError``."""
+    loop then names the fault.  A bad id or root, or a label count that is
+    not the vertex count, raises ``ValueError``."""
     nodes, root, box = t
+    if labels is not None and len(labels) != len(nodes):
+        raise ValueError(f"expected {len(nodes)} labels, one per vertex, got {len(labels)}")
     if root is None:
         if nodes:
             raise ValueError(_ROOTLESS)

@@ -42,14 +42,12 @@ from troupes.trees import (
     ColoredTree,
     LabeledTree,
     alpha,
-    encode,
     inorder,
     insert,
     insertion_factors,
     iter_bpt_word,
     iter_branch_word,
     iter_dbpt,
-    iter_dbpt_word,
     postorder,
     right_edges,
     size_word,
@@ -183,35 +181,63 @@ def phi_tilde(inp: PhiInput) -> LabeledTree:
     whose run reader ``phi`` shares, and the tree is built by the max-split
     recursion, not by the stack pass ``phi`` runs.
     """
-    return _phi_tilde(inp)[0]
-
-
-def _phi_tilde(inp: PhiInput) -> tuple[LabeledTree, list[int]]:
-    """:func:`phi_tilde`, and the labels of the branch vertices whose step
-    is L, from one read of each branch's profile."""
-    n = len(inp.sigma)
-    blocks = druns(inp.sigma).blocks
-    if inp.sigma[0] != n or min(map(len, blocks)) < 2 or len(blocks) != len(inp.branches):
-        raise ValueError("expected n first, no one-entry run and one branch per run")
-    word = [0] * (n + 1)
-    left_steps = []
-    for block, br in zip(blocks, inp.branches):
-        dirs, colors, box = branch_profile(br)
-        if len(colors) != len(block) - 1:
-            raise ValueError(f"expected a branch on {len(block) - 1} vertices")
-        word[block[-1]] = box
-        labels = block[-2::-1]
-        for label, color in zip(labels, colors):
-            word[label] = color
-        left_steps += [label for label, side in zip(labels, dirs) if side == "L"]
-    return color_by_labels(_max_split_tree(inp.sigma), word[1:n], word[n]), left_steps
+    return _colored(inp, swung=False)
 
 
 def phi_via_swings(inp: PhiInput) -> LabeledTree:
     """Swing the intermediate tree at every branch vertex whose step is L."""
-    lt, left_steps = _phi_tilde(inp)
-    vertex = {label: v for v, label in enumerate(lt.labels)}
-    return swing_labeled(lt, *[vertex[label] for label in left_steps])
+    return _colored(inp, swung=True)
+
+
+def _colored(inp: PhiInput, swung: bool) -> LabeledTree:
+    """:func:`phi_tilde`, or :func:`phi_via_swings` when ``swung``: the
+    uncolored tree of :func:`_phi_shapes`, each vertex taking the color its
+    label reads off the branches' profiles (:func:`_profiles`)."""
+    dirs, colors = _profiles(inp.branches)
+    tilde, swings, at = _phi_shapes(inp.sigma, dirs)
+    t = swings if swung else tilde
+    nodes = tuple([(colors[k], left, right) for k, (_, left, right) in zip(at, t.tree.nodes)])
+    return LabeledTree(ColoredTree(nodes, t.tree.root, colors[at[-1]]), t.labels)
+
+
+@lru_cache(maxsize=None)
+def _profiles(branches: tuple[ColoredTree, ...]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Each branch's direction word (:func:`branch_profile`), and every
+    branch's box color and root-down colors laid end to end; memoized, since
+    each choice of branches recurs across the inputs of the swing route."""
+    profiles = [branch_profile(br) for br in branches]
+    return (tuple(["".join(dirs) for dirs, _, _ in profiles]),
+            tuple([c for _, colors, box in profiles for c in (box, *colors)]))
+
+
+@lru_cache(maxsize=None)
+def _phi_shapes(sigma: tuple[int, ...], dirs: tuple[str, ...]) -> tuple:
+    """For σ and a direction word per run of :func:`druns`: the uncolored
+    intermediate tree (:func:`_max_split_tree`), that tree swung at every
+    branch vertex whose step is L, and, for each vertex and then the box,
+    the place of its color among the runs' box and root-down colors laid
+    end to end.  Memoized, since each recurs for every color word of its
+    length."""
+    n = len(sigma)
+    blocks = druns(sigma).blocks
+    if sigma[0] != n or min(map(len, blocks)) < 2 or len(blocks) != len(dirs):
+        raise ValueError("expected n first, no one-entry run and one branch per run")
+    at = [0] * (n + 1)  # at[label]: where the label's color sits
+    left_steps = []
+    k = 0
+    for block, steps in zip(blocks, dirs):
+        if len(steps) != len(block) - 2:
+            raise ValueError(f"expected a branch on {len(block) - 1} vertices")
+        labels = block[-2::-1]
+        at[block[-1]] = k
+        for i, label in enumerate(labels, start=k + 1):
+            at[label] = i
+        left_steps += [label for label, side in zip(labels, steps) if side == "L"]
+        k += len(block)
+    tilde = _max_split_tree(sigma)
+    vertex = {label: v for v, label in enumerate(tilde.labels)}
+    swings = swing_labeled(tilde, *[vertex[label] for label in left_steps])
+    return tilde, swings, (*[at[label] for label in tilde.labels], at[n])
 
 
 def phi_inverse_via_swings(lt: LabeledTree) -> PhiInput:
@@ -219,42 +245,45 @@ def phi_inverse_via_swings(lt: LabeledTree) -> PhiInput:
     rebuild each run's branch with child sides copied from ``lt``.  The
     reading and the sides depend only on the uncolored tree
     (:func:`_swing_reading`); the colors are read off ``lt``."""
-    nodes = lt.tree.nodes
-    sigma, runs = _swing_reading(tuple([(left, right) for _, left, right in nodes]),
-                                 lt.tree.root, lt.labels)
-    vertex = {label: v for v, label in enumerate(lt.labels)}
-    branches = []
-    for labels_desc, dirs, mx in runs:
-        colors = tuple([nodes[vertex[lab]][0] for lab in labels_desc])
-        box = lt.tree.box_color if mx == len(sigma) else nodes[vertex[mx]][0]
-        branches.append(_branch_from_directions(dirs, colors, box))
-    return PhiInput(sigma, tuple(branches))
+    nodes, root, box = lt.tree
+    sigma, dirs, order = _swing_reading(tuple([(left, right) for _, left, right in nodes]),
+                                        root, lt.labels)
+    colors = tuple([box if v is None else nodes[v][0] for v in order])
+    return PhiInput(sigma, _branches(dirs, colors))
 
 
 @lru_cache(maxsize=None)
 def _swing_reading(links: tuple, root: int, labels: tuple[int, ...]) -> tuple:
     """σ of :func:`phi_inverse_via_swings` for the uncolored tree with child
-    ``links``, and for each run the labels of its branch from the root down,
-    their direction word and the run's maximum; memoized, since each tree
-    recurs for every color word of its length."""
+    ``links``, each run's direction word, and for each run the vertex of its
+    maximum (``None`` for n, the box) and then its branch's vertices from
+    the root down, laid end to end; memoized, since each tree recurs for
+    every color word of its length."""
     lt = LabeledTree(ColoredTree(tuple([(0, *link) for link in links]), root, 0), labels)
     tilde = swing_labeled(lt, *[v for v, (left, right) in enumerate(links)
                                 if left is not None and right is None])
     sigma = (len(labels) + 1,) + alpha(tilde)
-    node = {label: link for label, link in zip(labels, links)}
-    runs = []
+    vertex = {label: v for v, label in enumerate(labels)}
+    dirs, order = [], []
     for block in druns(sigma).blocks:
-        labels_desc = tuple(reversed(block[:-1]))
-        dirs = "".join(["L" if node[lab][0] is not None else "R" for lab in labels_desc[:-1]])
-        runs.append((labels_desc, dirs, block[-1]))
-    return sigma, tuple(runs)
+        vertices = [vertex[lab] for lab in reversed(block[:-1])]
+        dirs.append("".join(["L" if links[v][0] is not None else "R" for v in vertices[:-1]]))
+        order += [vertex.get(block[-1]), *vertices]
+    return sigma, tuple(dirs), tuple(order)
 
 
 @lru_cache(maxsize=None)
-def _branch_from_directions(dirs: str, colors: tuple[int, ...], box: int) -> ColoredTree:
-    """:func:`branch_from_directions`, memoized: each branch recurs across
-    the trees of the swing route."""
-    return branch_from_directions(dirs, colors, box)
+def _branches(dirs: tuple[str, ...], colors: tuple[int, ...]) -> tuple[ColoredTree, ...]:
+    """The branches of :func:`branch_from_directions`, one per direction
+    word, each taking its box color and then its root-down colors from
+    ``colors`` in turn, as :func:`_profiles` lays them; memoized, since each
+    recurs across the trees of the swing route."""
+    branches = []
+    k = 0
+    for steps in dirs:
+        branches.append(branch_from_directions(steps, colors[k + 1:k + 2 + len(steps)], colors[k]))
+        k += 2 + len(steps)
+    return tuple(branches)
 
 
 def alpha_inverse_by_max_split(word) -> LabeledTree:
@@ -508,33 +537,62 @@ def branch_sums_by_trees(taus, word) -> list:
     return totals
 
 
-def dbpt_sums_by_labeled_trees(taus, word) -> list:
-    """Each troupe summed over the decreasing trees of a word.  The (n-1)!
-    labeled trees are grouped by their colored tree's :func:`encode`.  A
-    tree's value is the product of its insertion factors' weights, so those
-    trees are grouped again by their multiset of factors, and each troupe
-    weighs one product per group, times the group's number of labeled trees."""
-    trees: dict[str, list] = {}
-    for lt in iter_dbpt_word(word):
-        group = trees.setdefault(encode(lt.tree), [lt.tree, 0])
-        group[1] += 1
-    bags: dict[tuple[int, ...], int] = {}
+def dbpt_sums_by_labeled_trees(taus, words) -> list[dict]:
+    """Each troupe's ``{word: sum}`` over the decreasing trees of each word.
+    A word's (n-1)! labeled trees, built by the max-split recursion
+    (:func:`_labelings_by_shape`), are grouped by their colored tree: their
+    shape and the colors of their labels, the label k taking ``word[k-1]``.
+    A tree's value is the product of its insertion factors' weights, so
+    those trees are grouped again by their multiset of factors.  Each troupe
+    weighs each factor once and each multiset once, over all the words, and
+    adds one product per group, times the group's number of labeled trees."""
     index: dict[ColoredTree, int] = {}  # each factor met, numbered in order
-    for t, count in trees.values():
-        if t.nodes:  # the empty tree has value 0
-            bag = tuple(sorted(index.setdefault(b, len(index)) for b in insertion_factors(t)))
-            bags[bag] = bags.get(bag, 0) + count
-    totals = []
+    groups = {}  # by word: {multiset of factor numbers: labeled trees}
+    for word in map(tuple, words):
+        color = (0, *word).__getitem__  # color(k): the color of label k
+        bags = groups[word] = {}
+        for (links, root), labelings in _labelings_by_shape(len(word) - 1).items():
+            if not links:  # the empty tree has value 0
+                continue
+            trees: dict[tuple[int, ...], int] = {}
+            for labels in labelings:
+                colors = tuple(map(color, labels))
+                trees[colors] = trees.get(colors, 0) + 1
+            for colors, count in trees.items():
+                t = ColoredTree(tuple([(c, *link) for c, link in zip(colors, links)]), root, word[-1])
+                bag = tuple(sorted(index.setdefault(b, len(index)) for b in insertion_factors(t)))
+                bags[bag] = bags.get(bag, 0) + count
+    tables = []
     for tau in taus:
         weight = [as_ring_elem(tau.branch_weight(b)) for b in index]
-        total = Fraction(0)
-        for bag, count in bags.items():
-            value = weight[bag[0]]
-            for k in bag[1:]:
-                value = value * weight[k]
-            total = total + value * count
-        totals.append(total)
-    return totals
+        products: dict[tuple[int, ...], object] = {}
+        table = {}
+        for word, bags in groups.items():
+            total = Fraction(0)
+            for bag, count in bags.items():
+                value = products.get(bag)
+                if value is None:
+                    value = weight[bag[0]]
+                    for k in bag[1:]:
+                        value = value * weight[k]
+                    products[bag] = value
+                total = total + value * count
+            table[word] = total
+        tables.append(table)
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _labelings_by_shape(size: int) -> dict:
+    """``{(child links, root): [labels, ...]}``: the decreasing labeled trees
+    of every permutation of 1..size (:func:`alpha_inverse_by_max_split`),
+    grouped by their uncolored shape, each labeling listed in node order."""
+    shapes: dict = {}
+    for perm in itertools.permutations(range(1, size + 1)):
+        lt = alpha_inverse_by_max_split(perm)
+        key = (tuple([(left, right) for _, left, right in lt.tree.nodes]), lt.tree.root)
+        shapes.setdefault(key, []).append(lt.labels)
+    return shapes
 
 
 def dbpt_sum_by_ring_additions(tau: WeightedTroupe, word):

@@ -847,6 +847,17 @@ def test_encoders_reject_a_child_id_out_of_range():
             encode_labeled(LabeledTree(chain, tuple(range(300, 0, -1))))
 
 
+def test_encode_labeled_rejects_a_label_count_that_is_not_the_vertex_count():
+    t = ColoredTree(((0, None, None), (0, 0, None)), 1)
+    assert encode_labeled(LabeledTree(t, (1, 2))) == "0:(0|2 (0|1 . .) .)"
+    for labels in ((2,), (1, 2, 3), ()):
+        with pytest.raises(ValueError, match=f"expected 2 labels, one per vertex, got {len(labels)}"):
+            encode_labeled(LabeledTree(t, labels))
+    chain = ColoredTree(tuple((0, v + 1, None) for v in range(299)) + ((0, None, None),), 0)
+    with pytest.raises(ValueError, match="expected 300 labels"):
+        encode_labeled(LabeledTree(chain, tuple(range(301, 0, -1))))
+
+
 def test_factor_paths_stops_on_looping_links():
     # in a fresh interpreter with a time limit, so a walk that never ends
     # fails the test instead of hanging the suite

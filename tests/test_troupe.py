@@ -295,11 +295,10 @@ def test_dbpt_sum_by_colored_tree_matches_labeled_trees():
     ]
     taus = [make() for make in makers]
     tables = [tree_sums(tau, "dbpt", words) for tau in taus]
-    oracle_taus = [make() for make in makers]
-    for word in words:
-        expected = dbpt_sums_by_labeled_trees(oracle_taus, word)
-        for tau, table, want in zip(taus, tables, expected):
-            got = table[word]
+    expected = dbpt_sums_by_labeled_trees([make() for make in makers], words)
+    for tau, table, oracle_table in zip(taus, tables, expected):
+        for word in words:
+            got, want = table[word], oracle_table[word]
             assert got == want and type(got) is type(want), (tau, word)
 
 
