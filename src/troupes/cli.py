@@ -10,13 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import Sequence
 
-# Only the ring and series layers load with this module, since they are all
-# that ``transform`` uses; every other handler imports its own layers.
 from .rings import format_ring_elem, parse_int, parse_ring_elem, parse_word
-from .series import Series, inverse_troupe_transform, troupe_transform
 
 DEFAULT_ORDER = 12
 
@@ -109,9 +105,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .series import Series, inverse_troupe_transform, troupe_transform
+
     _check_min("--order", args.order, 2)
     try:
-        coeffs = [Fraction(0), *map(parse_ring_elem, args.coeffs.split(","))]
+        coeffs = [0, *map(parse_ring_elem, args.coeffs.split(","))]
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if args.order is not None and len(coeffs) > args.order:

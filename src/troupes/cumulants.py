@@ -22,24 +22,18 @@ Conversions and bridges alike sum on integers over a graded table (:func:`_grade
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .rings import (RingElem, _over, _scaled, as_ring_elem, denominator,
                     format_ring_elem, parse_ring_elem, parse_word)
 from .partitions import partitions_as_index_blocks
 from .series import Series, boolean_free_series_check, troupe_transform
+from .trees import iter_words
 from .troupe import WeightedTroupe, tree_sums
 
 Word = tuple[int, ...]
-
-
-def iter_words(alphabet: Sequence[int], max_len: int) -> Iterator[Word]:
-    """All words over the alphabet of lengths 1..max_len, shortest first."""
-    for n in range(1, max_len + 1):
-        yield from itertools.product(alphabet, repeat=n)
 
 
 class MomentFunctional(NamedTuple):

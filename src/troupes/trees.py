@@ -443,6 +443,12 @@ def size_word(n: int) -> tuple[int, ...]:
     return (0,) * (n + 1)
 
 
+def iter_words(alphabet: Sequence[int], max_len: int) -> Iterator[tuple[int, ...]]:
+    """All words over the alphabet of lengths 1..max_len, shortest first."""
+    for n in range(1, max_len + 1):
+        yield from itertools.product(alphabet, repeat=n)
+
+
 def _grow_bpt(s: Sequence[int], nodes: list[Vertex]) -> Iterator[int | None]:
     """The trees with postorder colors ``s``, grown one at a time on the end
     of ``nodes``: each yields its root id while its vertices are on the list,

@@ -10,7 +10,6 @@ multiplies the rule over the tree's insertion factors.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -19,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .rings import (RingElem, _over, _scaled, as_ring_elem, denominator,
                     parse_ring_elem, parse_word, q)
 from .trees import (TREE_KINDS, ColoredTree, Vertex, _new, encode, factor_paths,
-                    iter_branch_word, iter_dbpt, right_edges)
+                    iter_branch_word, iter_dbpt, iter_words, right_edges)
 
 
 class WeightedTroupe:
@@ -141,10 +140,9 @@ def random_branch_table(seed: int, max_size: int, num_colors: int = 1) -> dict[s
     :func:`from_table`."""
     rng = random.Random(seed)
     table: dict[str, RingElem] = {}
-    for size in range(1, max_size + 1):
-        for word in itertools.product(range(num_colors), repeat=size + 1):
-            for b in iter_branch_word(word):
-                table[encode(b)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    for word in iter_words(range(num_colors), max_size + 1):
+        for b in iter_branch_word(word):
+            table[encode(b)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
     return table
 
 

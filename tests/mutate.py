@@ -31,7 +31,10 @@ verify case does not pass or a test fails.  Every child process runs with
 and an address-space limit.
 
 Before any mutant, the copy with each named module written back unmutated
-must pass every verify case and every test; otherwise the run stops.
+must pass every verify case and every test; otherwise the run stops.  That
+test run is timed, and each mutant's test run may take
+:data:`TEST_TIMEOUT_FACTOR` times as long, but never less than
+:data:`TEST_TIMEOUT_FLOOR` seconds, before it counts as a timeout.
 
 Mutants in :data:`EQUIVALENT` behave like the original on every input, each
 for the reason given there; they are reported as ``equivalent`` and left out
@@ -40,7 +43,8 @@ function that matches none of its mutants (its line has changed) stops the
 script with exit status 1, before any mutant runs.
 
 ``--list`` prints the mutants, each one in :data:`EQUIVALENT` tagged
-``[equivalent]``, and runs nothing; it needs no ``--work``.  The script is
+``[equivalent]`` and each whose line pair recurs in its function with its
+occurrence number, and runs nothing; it needs no ``--work``.  The script is
 not a test module: pytest does not collect it.  CI runs ``--list`` on every
 function :data:`EQUIVALENT` names, so a change that orphans an entry fails.
 """
@@ -56,13 +60,16 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# per child: seconds for one verify case, seconds for the test run, and
-# bytes of address space, so a mutant that loops or grows without end stops
-VERIFY_TIMEOUT, TEST_TIMEOUT, MEMORY_LIMIT = 60, 900, 2 << 30
+# per child: seconds for one verify case, seconds for the unmutated test run,
+# and bytes of address space, so a mutant that loops or grows without end stops
+VERIFY_TIMEOUT, BASELINE_TIMEOUT, MEMORY_LIMIT = 60, 900, 2 << 30
+# a mutant's test run: this many times the unmutated run's seconds, at least the floor
+TEST_TIMEOUT_FACTOR, TEST_TIMEOUT_FLOOR = 10, 60
 
 DEFAULT_VERIFY = (
     "--troupe all --n 6 --order 8",
@@ -73,6 +80,8 @@ DEFAULT_VERIFY = (
 # (function, original line, mutated line) -> why the mutant is equivalent.
 # The lines are as ``ast.unparse`` writes them (a compound statement is its
 # header), and a key covers every place in the function where they occur.
+# A fourth item k narrows the key to the k-th of those places, counted in the
+# order ``--list`` prints the mutants.
 _PEAK_TEST = "if 0 < i < last and word[i - 1] < value > word[i + 1]:"
 _RANDOM_TABLE = "table = random_branch_table(args.seed, max(args.n - 1, 1), args.num_colors)"
 _SERIES_TABLE = "for key, weight in random_branch_table(args.seed, args.order - 1).items():"
@@ -86,7 +95,7 @@ _RING_TOP = "return QPoly((coeffs.get(k, Fraction(0)) for k in range(top + 1)))"
 _PHI_CHILD_CHECK = ("if left is not None and (not (0 <= left < m and labels[left] < label)) or "
                     "(right is not None and (not (0 <= right < m and labels[right] < label))):")
 
-EQUIVALENT: dict[tuple[str, str, str], str] = {
+EQUIVALENT: dict[tuple, str] = {
     ("bijections:psi_inverse", "labels = [0] * m", "labels = [1] * m"):
         "only a vertex the postorder walk misses keeps its first label; the "
         "walk of phi_inverse from the root misses the same vertices, reads "
@@ -184,6 +193,11 @@ EQUIVALENT: dict[tuple[str, str, str], str] = {
     ("partitions:iter_D", "while x < n and (not free[x]):", "while x <= n and (not free[x]):"):
         "n is never placed after position 0 (x = n passes neither x < prev nor "
         "x < n), so free[n] stays True and the loop stops at x = n either way",
+    ("partitions:iter_D", "x += 1", "x += 2", 2):
+        "after the last position yields, x is the one value not yet placed, so "
+        "from x + 1 or x + 2 the scan finds no free value below n and the walk "
+        "backs up; x + 2 passes n only when x is n - 1, and then every "
+        "comparison with x fails as it does at n",
     ("partitions:iter_D", "free[x], rose[i] = (False, x > prev)",
      "free[x], rose[i] = (False, x >= prev)"):
         "x is free and prev is placed, so x == prev never holds",
@@ -323,13 +337,21 @@ def _first_failure(code: int | None, out: str) -> str | None:
     return f"pytest exit {code}"
 
 
-def _check(work: Path, args) -> tuple[list[str], str | None]:
+def _check(work: Path, args, test_timeout: float) -> tuple[list[str], str | None, float]:
+    """The verify outcomes, the first failed test, and the test run's seconds."""
     verify = [_verify_outcome(*_run([sys.executable, "-m", "troupes", "verify", *case.split()],
                                     work, VERIFY_TIMEOUT))
               for case in args.verify]
+    start = time.monotonic()
     code, out, _ = _run([sys.executable, "-m", "pytest", "-x", "-q", "-rfE",
-                         "-p", "no:cacheprovider", *args.tests], work, TEST_TIMEOUT)
-    return verify, _first_failure(code, out)
+                         "-p", "no:cacheprovider", *args.tests], work, test_timeout)
+    return verify, _first_failure(code, out), time.monotonic() - start
+
+
+def _reason(spec: str, before: str, after: str, k: int) -> str | None:
+    """Why the k-th mutant of ``spec`` with this line pair is equivalent, if
+    :data:`EQUIVALENT` lists it, for every occurrence or for the k-th."""
+    return EQUIVALENT.get((spec, before, after), EQUIVALENT.get((spec, before, after, k)))
 
 
 def _killed(verify: list[str], failed: str | None) -> bool:
@@ -361,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     args.tests = args.tests or ["tests"]
     args.verify = args.verify or list(DEFAULT_VERIFY)
 
-    sources, baseline, mutants = {}, {}, []
+    sources, baseline, mutants, occurrences = {}, {}, [], {}
     for spec in args.functions:
         module, _, qualname = spec.partition(":")
         path = ROOT / "src" / "troupes" / f"{module}.py"
@@ -374,19 +396,29 @@ def main(argv: list[str] | None = None) -> int:
             text, line = _mutant(source, qualname, target)
             before, after = next((a.strip(), b.strip()) for a, b
                                  in zip(base.splitlines(), text.splitlines()) if a != b)
-            mutants.append((spec, module, qualname, target, (line, before, after)))
-    found = {(spec, before, after) for spec, _, _, _, (_, before, after) in mutants}
+            occurrences[spec, before, after] = k = occurrences.get((spec, before, after), 0) + 1
+            mutants.append((spec, module, qualname, target, (line, before, after, k)))
+    found = {key for spec, _, _, _, (_, before, after, k) in mutants
+             for key in ((spec, before, after), (spec, before, after, k))}
     orphans = [key for key in EQUIVALENT if key[0] in args.functions and key not in found]
-    for spec, before, after in orphans:
-        print(f"error: EQUIVALENT entry matches no mutant: {spec}: {before}  ->  {after}",
-              file=sys.stderr)
+    for spec, before, after, *k in orphans:
+        print(f"error: EQUIVALENT entry matches no mutant: {spec}: {before}  ->  {after}"
+              + (f" (occurrence {k[0]})" if k else ""), file=sys.stderr)
     if orphans:
         return 1
+
+    def where(spec, line, before, after, k):
+        """The mutant's place and change, with its occurrence where its line
+        pair recurs."""
+        total = occurrences[spec, before, after]
+        return (f"{spec} line {line}" + (f" (occurrence {k} of {total})" if total > 1 else "")
+                + f": {before}  ->  {after}")
+
     if args.list:
         try:
-            for spec, _, _, _, (line, before, after) in mutants:
-                tag = "  [equivalent]" if (spec, before, after) in EQUIVALENT else ""
-                print(f"{spec} line {line}: {before}  ->  {after}{tag}")
+            for spec, _, _, _, (line, before, after, k) in mutants:
+                tag = "  [equivalent]" if _reason(spec, before, after, k) else ""
+                print(where(spec, line, before, after, k) + tag)
             sys.stdout.flush()
         except BrokenPipeError:  # the reader closed the pipe, as ``| head`` does
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -396,36 +428,39 @@ def main(argv: list[str] | None = None) -> int:
     _copy_tree(work)
     for module, text in baseline.items():
         (work / "src" / "troupes" / f"{module}.py").write_text(text)
-    verify, failed = _check(work, args)
+    verify, failed, seconds = _check(work, args, BASELINE_TIMEOUT)
     if _killed(verify, failed):
         print(f"error: the unmutated copy does not pass: verify {verify}, first failed test "
               f"{failed}", file=sys.stderr)
         return 2
+    test_timeout = max(TEST_TIMEOUT_FLOOR, TEST_TIMEOUT_FACTOR * seconds)
+    print(f"the unmutated test run took {seconds:.1f} s; each mutant's test run may take "
+          f"{test_timeout:.0f} s", flush=True)
 
     results = []
-    for spec, module, qualname, target, (line, before, after) in mutants:
+    for spec, module, qualname, target, (line, before, after, k) in mutants:
         file = work / "src" / "troupes" / f"{module}.py"
         file.write_text(_mutant(sources[module], qualname, target)[0])
         try:
-            verify, failed = _check(work, args)
+            verify, failed, _ = _check(work, args, test_timeout)
         finally:
             file.write_text(baseline[module])
         results.append((verify, failed))
         killed = _killed(verify, failed)
-        reason = EQUIVALENT.get((spec, before, after))
+        reason = _reason(spec, before, after, k)
         if reason is not None:
             status = ("KILLED, but listed as equivalent" if killed else "equivalent") \
                 + f" ({reason})"
         else:
             status = "killed" if killed else "survived"
-        print(f"{status}: {spec} line {line}: {before}  ->  {after}\n"
+        print(f"{status}: {where(spec, line, before, after, k)}\n"
               f"    verify: {', '.join(verify)}; first failed test: {failed or 'none'}",
               flush=True)
 
     print("\nscore (killed / mutants not listed as equivalent):")
     for spec in args.functions:
         mine = [(m, results[i]) for i, m in enumerate(mutants) if m[0] == spec]
-        counted = [(m, r) for m, r in mine if (spec, m[4][1], m[4][2]) not in EQUIVALENT]
+        counted = [(m, r) for m, r in mine if _reason(spec, *m[4][1:]) is None]
         killed = sum(1 for _, result in counted if _killed(*result))
         by_verify = sum(1 for _, (verify, _) in counted if _killed(verify, None))
         print(f"  {spec}: {killed}/{len(counted)} killed ({by_verify} by verify), "

@@ -25,10 +25,14 @@ series as plain lists of ring elements, the irreducible noncrossing
 partitions without singletons by filtering, the noncrossing and
 irreducible predicates by their definitions, and a frozen-dataclass twin of
 each ``NamedTuple`` record.
+Also the generic troupe, which weighs each branch by its own variable of a
+sparse integer polynomial ring, and each family's sum on it over the trees
+the enumerators give.
 """
 
 import dataclasses
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -42,6 +46,8 @@ from troupes.trees import (
     ColoredTree,
     LabeledTree,
     alpha,
+    encode,
+    enumerate_trees,
     inorder,
     insert,
     insertion_factors,
@@ -786,6 +792,113 @@ class FractionQPoly:
             return "0"
         return " + ".join(frac(c) if k == 0 else f"{frac(c)}*q" if k == 1
                           else f"{frac(c)}*q^{k}" for k, c in enumerate(self.coeffs))
+
+
+class BranchPoly:
+    """Sparse polynomial with integer coefficients in one variable per
+    branch, named by the branch's encoding: ``terms`` maps each monomial, the
+    sorted tuple of its variables each repeated by its exponent, to its
+    nonzero coefficient.  ``int`` operands are constants, and so are
+    integral ``Fraction``s, since the kernels start sums from ``Fraction(0)``."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    @staticmethod
+    def _terms(x) -> dict | None:
+        if isinstance(x, BranchPoly):
+            return x.terms
+        if isinstance(x, Fraction) and x.denominator == 1:
+            x = x.numerator
+        if type(x) is int:
+            return {(): x} if x else {}
+        return None
+
+    def __eq__(self, other):
+        terms = self._terms(other)
+        return NotImplemented if terms is None else self.terms == terms
+
+    __hash__ = None
+
+    def __add__(self, other):
+        terms = self._terms(other)
+        if terms is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for m, c in terms.items():
+            c += out.get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return BranchPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return BranchPoly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        terms = self._terms(other)
+        if terms is None:
+            return NotImplemented
+        out: dict = {}
+        for ma, ca in self.terms.items():
+            for mb, cb in terms.items():
+                m = tuple(sorted(ma + mb))
+                c = out.get(m, 0) + ca * cb
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+        return BranchPoly(out)
+
+    __rmul__ = __mul__
+
+
+def branch_variable(b: ColoredTree) -> BranchPoly:
+    """The variable of the branch ``b``, named by its encoding."""
+    return BranchPoly({(encode(b),): 1})
+
+
+class GenericTroupe(WeightedTroupe):
+    """The troupe weighing each branch by its own variable: every troupe's
+    sum over a family is this troupe's polynomial with its branch weights put
+    in for the variables.  ``_weight`` returns the variable itself, which the
+    ring check of :func:`~troupes.rings.as_ring_elem` would refuse."""
+
+    def __init__(self):
+        super().__init__("generic", branch_variable)
+
+    def _weight(self, box, nodes):
+        return branch_variable(ColoredTree(nodes, len(nodes) - 1, box))
+
+
+@lru_cache(maxsize=None)
+def factor_monomial(t: ColoredTree) -> tuple[str, ...]:
+    """The generic troupe's value of the nonempty tree ``t`` as a monomial:
+    the variables of its insertion factors; cached."""
+    return tuple(sorted(encode(b) for b in insertion_factors(t)))
+
+
+@lru_cache(maxsize=None)
+def generic_tree_sum(kind: str, word: tuple[int, ...]) -> BranchPoly:
+    """The generic troupe's sum over the family ``kind`` of ``word`` as the
+    enumerator gives it, one :func:`factor_monomial` per tree, the empty
+    tree weighing 0; cached.  Equal trees, as the decreasing labelings of
+    one colored tree give, are factored once."""
+    trees = Counter(t.tree if kind == "dbpt" else t for t in enumerate_trees(kind, word))
+    terms: dict = {}
+    for t, count in trees.items():
+        if t.nodes:
+            m = factor_monomial(t)
+            terms[m] = terms.get(m, 0) + count
+    return BranchPoly(terms)
 
 
 def frozen_dataclass_twin(cls):

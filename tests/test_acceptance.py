@@ -15,7 +15,6 @@ from troupes.cumulants import (
     MomentFunctional,
     classical_via_egf,
     cumulants_to_moments,
-    iter_words,
     moments_to_cumulants,
     equivalence_reports,
 )
@@ -58,6 +57,7 @@ from troupes.trees import (
     iter_branch_word,
     iter_bpt_word,
     iter_dbpt_word,
+    iter_words,
     labeled_multiset_key,
     multiset_key,
     postorder,

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from troupes import cli, cumulants, troupe
-from troupes.cumulants import ConditionCheck, EquivalenceReport, Verification, iter_words
+from troupes.cumulants import ConditionCheck, EquivalenceReport, Verification
 from troupes.series import Series, troupe_transform
-from troupes.trees import encode, iter_bpt_word, size_word
+from troupes.trees import encode, iter_bpt_word, iter_words, size_word
 
 
 def run(*argv):
@@ -327,6 +327,19 @@ def test_transform_loads_only_the_ring_and_series_layers():
     assert proc.stdout.splitlines()[-1] == "0 []"
     assert proc.stdout.splitlines()[0] == (
         "0 + 1*q,1/2,0 + 0*q + 1*q^2,0 + 3/2*q,1/2 + 0*q + 0*q^2 + 2*q^3")
+
+
+def test_importing_the_cli_loads_only_the_ring_layer():
+    # every handler imports its own layers, so the module itself needs rings only
+    code = (
+        "import sys\n"
+        "import troupes.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('troupes.')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.splitlines() == ["['troupes.cli', 'troupes.rings']"]
 
 
 def test_plot_and_verify_layers_load_no_dataclasses():

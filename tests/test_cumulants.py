@@ -14,7 +14,6 @@ from troupes.cumulants import (
     classical_via_egf,
     cumulants_to_moments,
     format_table,
-    iter_words,
     moment_functional_from_text,
     moments_to_cumulants,
     parse_table,
@@ -26,6 +25,7 @@ from troupes.partitions import (
     partitions_as_index_blocks,
 )
 from troupes.rings import QPoly, q
+from troupes.trees import iter_words
 from troupes.troupe import (
     all_trees,
     from_table,

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -14,7 +15,7 @@ from troupes.families import (
 from troupes.rings import QPoly, RingMismatchError, q
 from troupes.series import Series, boolean_free_series_check
 from troupes.trees import size_word
-from troupes.troupe import full_trees, right_two_monomial, tree_sums
+from troupes.troupe import builtin, full_trees, right_two_monomial, tree_sums
 
 from oracles import descents, narayana_polynomial
 
@@ -167,6 +168,49 @@ def test_rational_families_free_and_boolean_at_order_30():
         one = Series.one(order + 1)
         assert Series(moments) == one / (one - ogf["boolean"]), name
         assert boolean_free_series_check(ogf["boolean"], ogf["free"]), name
+
+
+def test_each_family_is_a_troupes_negated_tree_sums():
+    """The paper's explicit distributions are troupes' cumulants: on the
+    constant words of length 1..10, gamma_minus_one's classical, free and
+    Boolean cumulants are the negated decreasing-tree, plain-tree and branch
+    sums of ``all``, and two_atom's those of ``rightmono:q,1``; their
+    convolution inverses, shifted_exponential and geometric_like, have the
+    negated classical cumulants, so the sums themselves; and secant's
+    classical cumulants are ``full``'s decreasing-tree sums, with no sign.
+    Values and types agree, but for the word of length 1, an empty tree,
+    whose value is ``Fraction(0)`` in every troupe, while the family's first
+    cumulant is the zero of its own ring."""
+    order = 10
+    words = [size_word(n) for n in range(order)]
+
+    @lru_cache(maxsize=None)
+    def tree_side(spec, kind):
+        table = tree_sums(builtin(spec, 1), kind, words)
+        return [table[word] for word in words]
+
+    def family_side(name, kind):
+        seq = named_sequence(name)
+        if kind == "dbpt":
+            return seq.classical_cumulants(order)
+        moments = seq.moments(order)
+        phi = MomentFunctional.of((0,), order,
+                                  {(0,) * n: moments[n] for n in range(1, order + 1)})
+        table = moments_to_cumulants(phi, {"bpt": "free", "branch": "boolean"}[kind]).table
+        return [table[word] for word in words]
+
+    pairs = [(name, spec, kind, -1) for name, spec in (("gamma_minus_one", "all"),
+                                                       ("two_atom", "rightmono:q,1"))
+             for kind in ("dbpt", "bpt", "branch")]
+    pairs += [("shifted_exponential", "all", "dbpt", 1),
+              ("geometric_like", "rightmono:q,1", "dbpt", 1),
+              ("secant", "full", "dbpt", 1)]
+    for name, spec, kind, sign in pairs:
+        first, *got = family_side(name, kind)
+        empty, *want = [sign * x for x in tree_side(spec, kind)]
+        assert [(x, type(x)) for x in got] == [(x, type(x)) for x in want], (name, kind)
+        assert first == empty == 0 and type(empty) is Fraction, (name, kind)
+        assert type(first) is type(got[0]), (name, kind)
 
 
 def test_unknown_sequence():

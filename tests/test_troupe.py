@@ -5,6 +5,7 @@ from functools import lru_cache
 import pytest
 
 from troupes.bijections import PhiInput, PsiInput
+from troupes.cumulants import _first_block_sum, _first_max_sums
 from troupes.partitions import SetPartition
 from troupes.rings import QPoly, as_ring_elem, q
 from troupes.series import Series, troupe_transform
@@ -30,16 +31,21 @@ from troupes.trees import (
     iter_dbpt_word,
     iter_bpt_word,
     iter_branch_word,
+    iter_words,
     right_edges,
     size_word,
 )
 
 from oracles import (
+    BranchPoly,
+    GenericTroupe,
     bpt_sums_by_trees,
     branch_sums_by_trees,
     dbpt_sum_by_ring_additions,
     dbpt_sums_by_labeled_trees,
     evaluate_from_one,
+    factor_monomial,
+    generic_tree_sum,
     is_full,
     is_motzkin,
     tree_series,
@@ -268,10 +274,9 @@ def test_random_table_is_deterministic():
 
 def test_random_table_covers_all_small_branches():
     table = random_branch_table(5, max_size=3, num_colors=2)
-    for n in range(1, 4):
-        for word in itertools.product((0, 1), repeat=n + 1):
-            for br in iter_branch_word(word):
-                assert encode(br) in table
+    small = {encode(br) for n in range(1, 4) for word in itertools.product((0, 1), repeat=n + 1)
+             for br in iter_branch_word(word)}
+    assert set(table) == small  # every small branch, and no larger one
 
 
 def test_cache_holds_branches_only():
@@ -421,7 +426,12 @@ def _box_dropped(weight):
     return lambda self, box, nodes: weight(self, 0, nodes)
 
 
-@pytest.mark.parametrize("fault", [_mirrored, _box_dropped], ids=["mirrored", "box-dropped"])
+# every fault of the branch weight lookup that no verify route sees
+FAULTS = pytest.mark.parametrize("fault", [_mirrored, _box_dropped],
+                                 ids=["mirrored", "box-dropped"])
+
+
+@FAULTS
 def test_another_troupe_fault_passes_verify_and_fails_the_evaluate_oracle(
         fault, monkeypatch, three_color_table):
     """A fault in the branch weight lookup that every route shares weighs
@@ -448,6 +458,59 @@ def test_another_troupe_fault_passes_verify_and_fails_the_evaluate_oracle(
         assert all(report.all_equal for report in found.reports), tau
         assert found.series_failure is None, tau
     assert evaluate_mismatches(three_color_table)
+
+
+def generic_theorem_mismatches(alphabet, max_len) -> list:
+    """``(word, sum)`` for each word up to ``max_len`` over ``alphabet`` and
+    each sum of it that is wrong on the generic troupe, so for some troupe,
+    and ``(word, "evaluate")`` where the troupe weighs a plain tree of the
+    word otherwise than by its insertion factors.
+
+    The sums cannot see every fault: weighing each branch by its mirror
+    image's variable permutes the trees of each word with their values, so
+    every sum stays as it was, but the value of a tree changes.
+
+    The kernels run on the generic troupe's branch variables: the plain-tree
+    and branch sums by :func:`tree_sums`, the moments from the Boolean
+    cumulants, the negated branch sums, by the first-block recursion, the
+    free and classical cumulants solved from those moments as
+    ``moments_to_cumulants`` solves them, and the classical bridge on the
+    branch sums.  Each must equal the polynomial summed over the trees the
+    enumerators give: the branch sum and the plain-tree sum, which is the
+    negated free cumulant, and the decreasing-tree sum, which is the negated
+    classical cumulant and the bridge."""
+    tau = GenericTroupe()
+    words = list(iter_words(alphabet, max_len))
+    found = {"branch": tree_sums(tau, "branch", words), "bpt": tree_sums(tau, "bpt", words)}
+    boolean = {word: -value for word, value in found["branch"].items()}
+    moments, free, classical = {}, {}, {}
+    for word in words:  # shortest first: each sum reads only shorter words
+        moments[word] = _first_block_sum(word, "boolean", boolean, moments)
+        for kind, table in (("free", free), ("classical", classical)):
+            table[word] = 0  # held at 0 in its own sum, so the one-block term drops out
+            table[word] = moments[word] - _first_block_sum(word, kind, table, moments)
+    found["-free"] = {word: -value for word, value in free.items()}
+    found["-classical"] = {word: -value for word, value in classical.items()}
+    found["bridge"] = _first_max_sums(found["branch"], alphabet, max_len)
+    family = {"branch": "branch", "bpt": "bpt", "-free": "bpt",
+              "-classical": "dbpt", "bridge": "dbpt"}
+    return [(word, name) for word in words for name, table in found.items()
+            if table[word] != generic_tree_sum(family[name], word)] + [
+        (word, "evaluate") for word in words
+        if any(tau.evaluate(t) != BranchPoly({factor_monomial(t): 1})
+               for t in iter_bpt_word(word) if t.nodes)]
+
+
+@pytest.mark.parametrize("alphabet, max_len", [((0,), 9), ((0, 1), 6), ((0, 1, 2), 5)],
+                         ids=["one-color", "two-colors", "three-colors"])
+def test_the_theorem_holds_for_the_generic_troupe(alphabet, max_len):
+    assert generic_theorem_mismatches(alphabet, max_len) == []
+
+
+@FAULTS
+def test_every_troupe_fault_breaks_the_generic_theorem(fault, monkeypatch):
+    monkeypatch.setattr(GenericTroupe, "_weight", fault(GenericTroupe._weight))
+    assert generic_theorem_mismatches((0, 1), 6)
 
 
 def test_root_sums_build_no_tree(monkeypatch):
