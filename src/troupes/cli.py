@@ -26,11 +26,11 @@ class CliError(argparse.ArgumentTypeError):
 
 
 def _argument(parse):
-    """``parse``, a reader of :mod:`~troupes.rings`, for argparse: its
-    ``ValueError`` becomes a CliError, whose own message argparse prints."""
-    def read(text: str):
+    """``parse``, a reader of input text, with its ``ValueError`` as a
+    CliError: argparse prints its message, and so does :func:`main`."""
+    def read(*args):
         try:
-            return parse(text)
+            return parse(*args)
         except ValueError as exc:
             raise CliError(str(exc)) from None
     return read
@@ -108,10 +108,7 @@ def cmd_transform(args) -> int:
     from .series import Series, inverse_troupe_transform, troupe_transform
 
     _check_min("--order", args.order, 2)
-    try:
-        coeffs = [0, *map(parse_ring_elem, args.coeffs.split(","))]
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    coeffs = [0, *map(_argument(parse_ring_elem), args.coeffs.split(","))]
     if args.order is not None and len(coeffs) > args.order:
         raise CliError(f"{len(coeffs) - 1} coefficients given, but --order {args.order} "
                        f"keeps only {args.order - 1}")
@@ -126,7 +123,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_cumulants(args) -> int:
-    from .cumulants import format_table, moment_functional_from_text, moments_to_cumulants
+    from .cumulants import KINDS, format_table, moment_functional_from_text, moments_to_cumulants
 
     try:
         with open(args.moments, "rb") as fh:
@@ -139,10 +136,9 @@ def cmd_cumulants(args) -> int:
                        f"0x{exc.object[exc.start]:02x} at offset {exc.start}") from exc
     except (KeyError, ValueError) as exc:
         raise CliError(f"{args.moments}: {exc.args[0]}") from exc
-    for kind in ("classical", "free", "boolean"):
-        table = moments_to_cumulants(phi, kind)
+    for kind in KINDS:
         print(f"# {kind}")
-        sys.stdout.write(format_table(table.table))
+        sys.stdout.write(format_table(moments_to_cumulants(phi, kind).table))
     return 0
 
 
@@ -165,10 +161,7 @@ def cmd_verify(args) -> int:
                 table.setdefault(key.replace("0", str(color)), weight)
         tau = from_table(table, name=f"random(seed={args.seed})")
     else:
-        try:
-            tau = builtin(args.troupe, args.num_colors)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        tau = _argument(builtin)(args.troupe, args.num_colors)
     reports, series_fail = equivalence_reports(tau, alphabet, args.n, args.order)
     failures = 0
     for report in reports:
@@ -213,25 +206,18 @@ def cmd_sort(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    from .cumulants import MomentFunctional, moments_to_cumulants
+    from .cumulants import KINDS, MomentFunctional, moments_to_cumulants
     from .families import named_sequence
 
-    try:
-        seq = named_sequence(args.name)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    seq = _argument(named_sequence)(args.name)
     _check_min("--order", args.order, 1)
     moments = seq.moments(args.order)
     print("# moments")
     for n, m in enumerate(moments):
         print(f"{n}: {format_ring_elem(m)}")
-    classical = seq.classical_cumulants(args.order)
-    print("# classical cumulants")
-    for n, k in enumerate(classical, start=1):
-        print(f"{n}: {format_ring_elem(k)}")
     phi = MomentFunctional.of((0,), args.order,
                               {(0,) * n: moments[n] for n in range(1, args.order + 1)})
-    for kind in ("free", "boolean"):
+    for kind in KINDS:
         cum = moments_to_cumulants(phi, kind)
         print(f"# {kind} cumulants")
         for length in range(1, args.order + 1):

@@ -220,12 +220,10 @@ def _series(num, den: int) -> Series:
 
 def _build(num, den: int, poly: bool) -> Series:
     """The series ``num/den`` in normal form, in the polynomial ring if
-    ``poly``, for a nonzero ``int`` ``den`` and ``int`` or integer-coefficient
+    ``poly``, for a positive ``int`` ``den`` and ``int`` or integer-coefficient
     ``QPoly`` numerators."""
     if poly:
         num = [to_poly(c) for c in num]
-    if den < 0:
-        num, den = [-c for c in num], -den
     return _series(*_reduce(num, den))
 
 

@@ -188,7 +188,8 @@ def builtin(spec: str, num_colors: int) -> WeightedTroupe:
 def tree_sums(tau: WeightedTroupe, kind: str,
               words: Iterable[Sequence[int]]) -> dict[tuple[int, ...], RingElem]:
     """``{word: sum}`` over the family ``kind`` of each of the nonempty
-    ``words``, in the order given.
+    ``words``, in the order given.  A length-1 word sums to ``Fraction(0)``
+    in every troupe: ``QPoly`` arithmetic promotes it, so it is both rings' zero.
 
     - ``bpt`` and ``branch`` go by recursion on the root (:func:`_root_sum`),
       which builds no tree, with one pair of memos for the whole call, so

@@ -81,7 +81,9 @@ DEFAULT_VERIFY = (
 # The lines are as ``ast.unparse`` writes them (a compound statement is its
 # header), and a key covers every place in the function where they occur.
 # A fourth item k narrows the key to the k-th of those places, counted in the
-# order ``--list`` prints the mutants.
+# order ``--list`` prints the mutants.  Each line is written once, as 3.11
+# unparses it, and passed through :func:`_unparsed`, since ``ast.unparse``
+# differs between versions (3.10 puts a tuple target in parentheses).
 _PEAK_TEST = "if 0 < i < last and word[i - 1] < value > word[i + 1]:"
 _RANDOM_TABLE = "table = random_branch_table(args.seed, max(args.n - 1, 1), args.num_colors)"
 _SERIES_TABLE = "for key, weight in random_branch_table(args.seed, args.order - 1).items():"
@@ -95,7 +97,16 @@ _RING_TOP = "return QPoly((coeffs.get(k, Fraction(0)) for k in range(top + 1)))"
 _PHI_CHILD_CHECK = ("if left is not None and (not (0 <= left < m and labels[left] < label)) or "
                     "(right is not None and (not (0 <= right < m and labels[right] < label))):")
 
-EQUIVALENT: dict[tuple, str] = {
+
+def _unparsed(line: str) -> str:
+    """``line`` as this interpreter's ``ast.unparse`` writes it; a header
+    such as ``for …:`` is parsed with a stub body."""
+    stub = "\n    pass" if line.endswith(":") else ""
+    return ast.unparse(ast.parse(line + stub)).split("\n", 1)[0]
+
+
+EQUIVALENT: dict[tuple, str] = {(spec, _unparsed(before), _unparsed(after), *k): why
+                                for (spec, before, after, *k), why in {
     ("bijections:psi_inverse", "labels = [0] * m", "labels = [1] * m"):
         "only a vertex the postorder walk misses keeps its first label; the "
         "walk of phi_inverse from the root misses the same vertices, reads "
@@ -215,7 +226,7 @@ EQUIVALENT: dict[tuple, str] = {
     ("peaks:_regions", _PEAK_TEST,
      _PEAK_TEST.replace("value > word[i + 1]", "value >= word[i + 1]")):
         "as for the left neighbour",
-}
+}.items()}
 
 
 _SWAPS = {ast.Add: (ast.Sub, ast.Mult), ast.Sub: (ast.Add, ast.Mult),

@@ -485,6 +485,14 @@ def test_branches_are_read_by_their_links_not_their_ids():
             assert psi(y) == psi(x)
 
 
+def test_inverses_reject_the_empty_tree():
+    empty = ColoredTree((), None)
+    with pytest.raises(ValueError, match="psi_inverse needs a nonempty tree"):
+        psi_inverse(empty)
+    with pytest.raises(ValueError, match="phi_inverse needs a nonempty tree"):
+        phi_inverse(LabeledTree(empty, ()))
+
+
 @pytest.mark.parametrize("nodes, root", [
     (((0, None, None), (0, None, None), (0, 0, 1)), 2),  # a two-child vertex
     (((0, None, None), (0, 0, None), (0, None, None)), 1),  # a vertex left out

@@ -123,6 +123,11 @@ def test_cumulants_from_file(tmp_path):
     assert "word 0,0,0,0 = 0" in out  # classical K4 of the normal-like moments
     assert "word 0,0,0,0 = 1" in out  # free R4
     assert "word 0,0,0,0 = 2" in out  # boolean B4
+    # a comment line, indented or not, and a blank line are skipped
+    commented = tmp_path / "commented.txt"
+    commented.write_text("# moments of the normal law\n\n" + table.read_text()
+                         + "  # past the table\n\n")
+    assert run("cumulants", "--moments", str(commented)) == (0, out, "")
 
 
 def test_cumulants_bad_file(tmp_path):
@@ -447,6 +452,14 @@ def test_examples_poly_family():
     assert "0 + -1*q" in out
 
 
+def test_smallest_orders_run():
+    """``transform --order 2`` keeps one coefficient and ``examples --order 1``
+    one cumulant of each kind: the least orders the handlers accept."""
+    assert run("transform", "--order", "2", "--coeffs", "1") == (0, "1\n", "")
+    kinds = "".join(f"# {kind} cumulants\n1: 0\n" for kind in ("classical", "free", "boolean"))
+    assert run("examples", "two_atom", "--order", "1") == (0, "# moments\n0: 1\n1: 0\n" + kinds, "")
+
+
 def test_examples_unknown():
     code, _, err = run("examples", "weird")
     assert code == 2
@@ -482,6 +495,19 @@ MALFORMED_NUMBERS = {
     ("transform", "--coeffs=2*q^"): "",
     ("cumulants", "--moments", "{arabic_color_table}"): "\u0660",
     ("cumulants", "--moments", "{exponent_moment_table}"): "1e0",
+}
+
+
+# inputs whose whole stderr is pinned, each an error no other case reaches
+EXACT_ERRORS = {
+    ("cumulants", "--moments", "{empty_table}"): "{empty_table}: empty moment table",
+    ("cumulants", "--moments", "{unequal_table}"): "{unequal_table}: line 1: missing '='",
+    ("transform", "--coeffs", "1 +  + q"): "empty term in polynomial '1 +  + q'",
+    ("transform", "--coeffs", "q + q"): "repeated degree 1 in polynomial 'q + q'",
+    ("count", "--kind", "partition"): "--n is required for kind 'partition'",
+    ("count", "--kind", "bogus", "--n", "2"):
+        "unknown kind 'bogus'; expected one of ('bpt', 'branch', 'dbpt', 'partition', "
+        "'interval', 'noncrossing', 'nc-irreducible', 'nc-irreducible-min2', 'd-permutations')",
 }
 
 
@@ -521,17 +547,22 @@ MALFORMED_NUMBERS = {
     ["count", "--kind", "partition", "--n", "3", "--colors", "0,1"],
     ["count", "--kind", "d-permutations", "--n", "3", "--colors", "0,1"],
     *map(list, MALFORMED_NUMBERS),
+    *map(list, EXACT_ERRORS),
 ], ids=" ".join)
 def test_bad_input_exits_2_without_traceback(argv, tmp_path):
     bad_item = MALFORMED_NUMBERS.get(tuple(argv))
+    exact = EXACT_ERRORS.get(tuple(argv))
     tables = {"missing_word_table": "word 0 = 1\nword 0,0,0 = 2\n",  # no moment for 0,0
               "repeated_word_table": "word 0 = 1\nword 0 = 5\n",  # two moments for 0
               "negative_color_table": "word -1 = 1\n",  # colors are nonnegative
               "arabic_color_table": "word \u0660 = 1\n",
-              "exponent_moment_table": "word 0 = 1e0\n"}
+              "exponent_moment_table": "word 0 = 1e0\n",
+              "empty_table": "",
+              "unequal_table": "word 0 1\n"}
     for name, text in tables.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
-    argv = [a.format(**{name: tmp_path / name for name in tables}) for a in argv]
+    paths = {name: tmp_path / name for name in tables}
+    argv = [a.format(**paths) for a in argv]
     code, out, err = run(*argv)
     assert code == 2 and out == ""
     errors = [line for line in err.splitlines() if "error:" in line]
@@ -547,6 +578,8 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path):
         "colorcount:x": "troupe 'colorcount:x': bad integer 'x' in list 'x'"}
     if spec in messages:
         assert err == f"error: {messages[spec]}\n"
+    if exact is not None:
+        assert err == f"error: {exact.format(**paths)}\n"
 
 
 def test_huge_order_exits_2_out_of_memory():

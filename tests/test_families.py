@@ -63,6 +63,12 @@ def test_narayana_matches_closed_form():
         assert narayana_polynomial(n) == narayana_closed_form(n)
 
 
+def test_counts_below_size_1_raise():
+    for count in (eulerian_polynomial, alternating_count):
+        with pytest.raises(ValueError, match="n must be positive"):
+            count(0)
+
+
 def test_alternating_counts():
     assert [alternating_count(n) for n in range(1, 8)] == [1, 1, 2, 5, 16, 61, 272]
 
@@ -147,10 +153,18 @@ def test_secant_moments_and_cumulants():
 
 
 def test_every_sequence_matches_its_closed_form():
+    """Both classical routes, the log of the moment EGF and the conversion
+    that ``examples`` prints, give the closed form."""
+    order = 10
     for name in ("gamma_minus_one", "shifted_exponential", "two_atom",
                  "geometric_like", "secant"):
         seq = named_sequence(name)
-        assert seq.classical_cumulants(10) == seq.expected_classical(10)
+        assert seq.classical_cumulants(order) == seq.expected_classical(order)
+        moments = seq.moments(order)
+        phi = MomentFunctional.of((0,), order,
+                                  {(0,) * n: moments[n] for n in range(1, order + 1)})
+        table = moments_to_cumulants(phi, "classical").table
+        assert [table[(0,) * n] for n in range(1, order + 1)] == seq.expected_classical(order)
 
 
 def test_rational_families_free_and_boolean_at_order_30():

@@ -69,6 +69,12 @@ def test_unknown_class_raises():
         next(iter_partitions(3, "crossing"))
 
 
+def test_sizes_below_1_raise():
+    for family in (iter_partitions, iter_D):
+        with pytest.raises(ValueError, match="n must be positive"):
+            next(family(0))
+
+
 def test_singleton_partition_of_one_is_irreducible():
     assert is_irreducible(SetPartition.of(1, [[1]]))
 

@@ -48,6 +48,11 @@ def test_peaks_rejects_repeats():
         peaks((1, 1, 2))
 
 
+def test_peaks_rejects_an_empty_word():
+    with pytest.raises(ValueError, match="empty word"):
+        peaks(())
+
+
 def test_decomposition_no_peaks():
     assert southeast_decomposition((1, 2, 3)) == [(1, 2, 3)]
 

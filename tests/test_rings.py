@@ -150,6 +150,13 @@ def test_denominator_is_the_lcm_of_the_coefficients(p):
     assert denominator(p) == math.lcm(*(c.denominator for c in p.coeffs))
 
 
+def test_negative_power_and_nonconstant_value_raise():
+    with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+        q ** -1
+    with pytest.raises(ValueError, match=re.escape("0 + 1*q is not constant")):
+        q.constant_value()
+
+
 def test_ring_mismatch_is_value_error():
     assert issubclass(RingMismatchError, ValueError)
 

@@ -230,6 +230,15 @@ def test_series_check_false():
     assert not boolean_free_series_check(t_series(5), Series([0], order=5))
 
 
+def test_series_needs_an_order_and_series_operands():
+    with pytest.raises(ValueError, match="a series needs an order"):
+        Series([])
+    with pytest.raises(ValueError, match="order must be a positive integer"):
+        Series([1], order=0)
+    with pytest.raises(TypeError, match="expected a Series"):
+        Series([1, 2]) + 1
+
+
 def test_series_check_precondition():
     with pytest.raises(ValueError):
         boolean_free_series_check(Series.one(4), Series([0], order=4))

@@ -117,6 +117,14 @@ def test_traversal_empty_tree_rejected():
         traversal_labeling(ColoredTree((), None), "inorder")
 
 
+def test_empty_words_rejected():
+    with pytest.raises(ValueError, match="alpha_inverse needs a nonempty word"):
+        alpha_inverse(())
+    for family in (iter_branch_word, iter_dbpt_word):
+        with pytest.raises(ValueError, match="color word must be nonempty"):
+            next(family(()))
+
+
 def test_postorder_labeling_always_decreasing():
     for n in range(1, 7):
         for t in iter_bpt_word(size_word(n)):

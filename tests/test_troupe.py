@@ -23,6 +23,7 @@ from troupes.troupe import (
     tree_sums,
 )
 from troupes.trees import (
+    TREE_KINDS,
     ColoredTree,
     encode,
     factor_paths,
@@ -328,6 +329,16 @@ def test_dbpt_sum_on_integer_numerators_matches_ring_additions():
     for make, _ in cases:
         got = tree_sums(make(), "dbpt", [(1,)])[(1,)]
         assert got == 0 and type(got) is Fraction
+
+
+def test_a_length_1_word_sums_to_the_rational_zero_in_a_q_troupe():
+    """The empty family's zero is ``Fraction(0)`` in every troupe: a rational
+    promotes to a constant polynomial on demand, so it is the zero of both
+    rings."""
+    tau = color_count({0})
+    for kind in TREE_KINDS:
+        got = tree_sums(tau, kind, [(0,)])[(0,)]
+        assert type(got) is Fraction and got == Fraction(0) and got == QPoly(), kind
 
 
 @pytest.fixture(scope="module")
