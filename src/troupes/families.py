@@ -9,8 +9,7 @@ cumulants, against which the generating-function route is checked.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .cumulants import classical_via_egf, from_egf, to_egf
@@ -70,16 +69,6 @@ def _gamma_minus_one_cumulants(order: int) -> list[RingElem]:
     return out[:order]
 
 
-def _shifted_exponential_moments(order: int) -> list[RingElem]:
-    """Moments of the sequence whose cumulants are (n-1)! for n >= 2."""
-    return from_egf(to_egf([factorial(n - 1) if n > 1 else 0
-                            for n in range(order + 1)]).exp())
-
-
-def _shifted_exponential_cumulants(order: int) -> list[RingElem]:
-    return [-k for k in _gamma_minus_one_cumulants(order)]
-
-
 def _two_atom_moments(order: int) -> list[RingElem]:
     # m_n = (q^n - q)/(1 - q) written as the polynomial -q(1 + q + ... + q^(n-2))
     out: list[RingElem] = [QPoly((1,)), QPoly()]
@@ -93,15 +82,6 @@ def _two_atom_cumulants(order: int) -> list[RingElem]:
     for n in range(2, order + 1):
         out.append(-(q * eulerian_polynomial(n - 1)))
     return out[:order]
-
-
-def _geometric_like_moments(order: int) -> list[RingElem]:
-    return from_egf(to_egf([q * eulerian_polynomial(n - 1) if n > 1 else QPoly()
-                            for n in range(order + 1)]).exp())
-
-
-def _geometric_like_cumulants(order: int) -> list[RingElem]:
-    return [-k for k in _two_atom_cumulants(order)]
 
 
 def _secant_moments(order: int) -> list[RingElem]:
@@ -119,19 +99,27 @@ def _secant_cumulants(order: int) -> list[RingElem]:
     ]
 
 
+def _negated(cumulants: Callable[[int], list[RingElem]], order: int) -> list[RingElem]:
+    return [-k for k in cumulants(order)]
+
+
+def _inverse_moments(cumulants: Callable[[int], list[RingElem]], order: int) -> list[RingElem]:
+    return from_egf(to_egf([0, *_negated(cumulants, order)]).exp())
+
+
+def _inverse(name: str, partner: NamedSequence) -> NamedSequence:
+    """The convolution inverse of ``partner``: its cumulants negated, its moments by their EGF."""
+    cumulants = partner.expected_classical
+    return NamedSequence(name, partial(_inverse_moments, cumulants), partial(_negated, cumulants))
+
+
+_GAMMA = NamedSequence("gamma_minus_one", _gamma_minus_one_moments, _gamma_minus_one_cumulants)
+_TWO_ATOM = NamedSequence("two_atom", _two_atom_moments, _two_atom_cumulants)
 NAMED_SEQUENCES = {
-    "gamma_minus_one": NamedSequence(
-        "gamma_minus_one", _gamma_minus_one_moments, _gamma_minus_one_cumulants
-    ),
-    "shifted_exponential": NamedSequence(
-        "shifted_exponential",
-        _shifted_exponential_moments,
-        _shifted_exponential_cumulants,
-    ),
-    "two_atom": NamedSequence("two_atom", _two_atom_moments, _two_atom_cumulants),
-    "geometric_like": NamedSequence(
-        "geometric_like", _geometric_like_moments, _geometric_like_cumulants
-    ),
+    "gamma_minus_one": _GAMMA,
+    "shifted_exponential": _inverse("shifted_exponential", _GAMMA),
+    "two_atom": _TWO_ATOM,
+    "geometric_like": _inverse("geometric_like", _TWO_ATOM),
     "secant": NamedSequence("secant", _secant_moments, _secant_cumulants),
 }
 

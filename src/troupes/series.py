@@ -138,7 +138,7 @@ class Series:
         return self + -other
 
     def __neg__(self) -> Series:
-        return _series([-c for c in self._num], self._den)
+        return _build([-c for c in self._num], self._den, self.is_poly_ring)
 
     def __mul__(self, other: Series) -> Series:
         n = self._common(other)
@@ -210,21 +210,17 @@ _set_num = Series._num.__set__
 _set_den = Series._den.__set__
 
 
-def _series(num, den: int) -> Series:
-    """The series with numerators ``num`` over ``den``, already in normal form."""
-    s = _new(Series)
-    _set_num(s, tuple(num))
-    _set_den(s, den)
-    return s
-
-
 def _build(num, den: int, poly: bool) -> Series:
     """The series ``num/den`` in normal form, in the polynomial ring if
     ``poly``, for a positive ``int`` ``den`` and ``int`` or integer-coefficient
     ``QPoly`` numerators."""
     if poly:
         num = [to_poly(c) for c in num]
-    return _series(*_reduce(num, den))
+    num, den = _reduce(num, den)
+    s = _new(Series)
+    _set_num(s, tuple(num))
+    _set_den(s, den)
+    return s
 
 
 def _lagrange_root(phi: Series) -> Series:

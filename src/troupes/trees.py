@@ -340,9 +340,10 @@ def right_edges(t: ColoredTree) -> int:
 
 def _encode_small(nodes: Sequence[Vertex], labels: Sequence[int] | None, v: int) -> str:
     """The encoding of the subtree at vertex ``v``, by recursion: one call
-    per vertex, none per empty child slot.  It keeps no marks, so it does not
-    detect a vertex under two parents; a negative id, which indexing would
-    wrap, raises ``IndexError``."""
+    per vertex, none per empty child slot.  It keeps no marks, so it writes
+    a shared vertex once per path, until a join longer than 64 characters
+    per vertex holds more ``(`` than the tree has vertices, which raises
+    ``ValueError``; a negative id, which indexing would wrap, raises ``IndexError``."""
     if v < 0:
         raise IndexError(v)
     color, left, right = nodes[v]
@@ -354,7 +355,10 @@ def _encode_small(nodes: Sequence[Vertex], labels: Sequence[int] | None, v: int)
         return f"({color} . {_encode_small(nodes, labels, right)})"
     if right is None:
         return f"({color} {_encode_small(nodes, labels, left)} .)"
-    return f"({color} {_encode_small(nodes, labels, left)} {_encode_small(nodes, labels, right)})"
+    text = f"({color} {_encode_small(nodes, labels, left)} {_encode_small(nodes, labels, right)})"
+    if len(text) > 64 * len(nodes) and text.count("(") > len(nodes):
+        raise ValueError(_REACHED_TWICE)
+    return text
 
 
 def _encode_large(nodes: Sequence[Vertex], labels: Sequence[int] | None, v: int) -> str:

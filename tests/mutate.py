@@ -16,7 +16,10 @@ mutations, parsed and written back with the ``ast`` module:
 - a comparison flips: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``,
   ``is`` and ``is not``, ``in`` and ``not in`` trade places;
 - an integer constant grows by 1;
-- a ``not`` or a unary ``-`` is dropped.
+- a ``not`` or a unary ``-`` is dropped;
+- a slice bound that is written grows by 1 and shrinks by 1;
+- ``and`` and ``or`` trade places;
+- a call of ``min`` becomes one of ``max``, and the other way round.
 
 The source tree is copied once into ``DIR`` (``src/``, ``tests/`` and
 ``pyproject.toml``), and the mutants run one at a time, each module written
@@ -234,6 +237,7 @@ _SWAPS = {ast.Add: (ast.Sub, ast.Mult), ast.Sub: (ast.Add, ast.Mult),
 _FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
           ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
           ast.In: ast.NotIn, ast.NotIn: ast.In}
+_MIN_MAX = {"min": "max", "max": "min"}
 
 
 def _variants(node: ast.AST):
@@ -250,6 +254,17 @@ def _variants(node: ast.AST):
         yield _with(node, value=node.value + 1)
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.Not, ast.USub)):
         yield node.operand
+    elif isinstance(node, ast.Slice):
+        for bound in ("lower", "upper"):
+            if getattr(node, bound) is not None:
+                for op in (ast.Add, ast.Sub):
+                    yield _with(node, **{bound: ast.BinOp(getattr(node, bound), op(),
+                                                          ast.Constant(1))})
+    elif isinstance(node, ast.BoolOp):
+        yield _with(node, op=ast.Or() if isinstance(node.op, ast.And) else ast.And())
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and node.func.id in _MIN_MAX):
+        yield _with(node, func=_with(node.func, id=_MIN_MAX[node.func.id]))
 
 
 def _with(node: ast.AST, **fields) -> ast.AST:

@@ -819,6 +819,59 @@ def test_encoder_reports_a_vertex_reached_twice():
             encode(t)
 
 
+def test_encoder_refuses_sharing_that_doubles_the_text():
+    # below the recursive size, vertex i under both slots of vertex i - 1:
+    # the unfolded text would hold 2^n - 1 vertices.  In a fresh interpreter
+    # with a time limit, so an encoder that unfolds it fails the test rather
+    # than hanging the run.
+    code = (
+        "import time\n"
+        "from troupes.trees import ColoredTree, LabeledTree, encode, encode_labeled\n"
+        "for n in (24, 60, 255):\n"
+        "    t = ColoredTree(tuple((0, v + 1, v + 1) for v in range(n - 1))\n"
+        "                    + ((0, None, None),), 0)\n"
+        "    for call in (lambda: encode(t),\n"
+        "                 lambda: encode_labeled(LabeledTree(t, tuple(range(n, 0, -1))))):\n"
+        "        start = time.perf_counter()\n"
+        "        try:\n"
+        "            call()\n"
+        "        except ValueError as e:\n"
+        "            print(n, e, time.perf_counter() - start < 1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(troupes.trees.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=30, check=True)
+    assert proc.stdout.splitlines() == [
+        f"{n} a vertex is reached twice: the child links loop or share a vertex True"
+        for n in (24, 24, 60, 60, 255, 255)]
+
+
+def test_encoder_leaves_sharing_within_64_characters_per_vertex_to_validate():
+    # a leaf under both slots of a root: 18 characters besides the root's
+    # colour, so a 110-digit colour makes 128 = 64 * 2 and a 111-digit one 129
+    for digits, refused in ((110, False), (111, True)):
+        color = 10 ** (digits - 1)
+        t = ColoredTree(((0, None, None), (color, 0, 0)), 1)
+        if refused:
+            with pytest.raises(ValueError, match="a vertex is reached twice"):
+                encode(t)
+        else:
+            assert encode(t) == f"0:({color} (0 . .) (0 . .))"
+        with pytest.raises(ValueError, match="a vertex is reached twice"):
+            t.validate()
+
+
+def test_encoder_writes_colours_longer_than_64_characters():
+    # every join of a tree with 61-digit colours is longer than 64 characters
+    # per vertex, and holds one "(" per vertex
+    color = 10 ** 60
+    for n in range(1, 10):
+        for t in iter_bpt_word([color] * n):
+            assert encode(t) == encode_by_closure(t)
+    for lt in iter_dbpt_word([color] * 6):
+        assert encode_labeled(lt) == encode_labeled_by_closure(lt)
+
+
 # a negative child id, which indexing would wrap onto the last vertex, and
 # a child id past the last vertex
 OUT_OF_RANGE = [
