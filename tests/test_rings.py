@@ -29,6 +29,8 @@ def test_qpoly_normalization():
     assert QPoly((0, 0)).coeffs == ()
     assert QPoly().degree == -1
     assert QPoly((5,)).degree == 0
+    with pytest.raises(AttributeError, match="QPoly is immutable"):
+        q._num = (1,)
 
 
 def test_indeterminate():
@@ -53,6 +55,14 @@ def test_constant_comparisons():
     assert QPoly((3,)) == Fraction(3)
     assert QPoly((0, 1)) != 3
     assert QPoly() == 0
+    assert (q == "x") is False and q != "x"
+
+
+def test_foreign_operands_raise_type_error():
+    for apply in (lambda: q + "x", lambda: "x" - q, lambda: object() - q,
+                  lambda: q - None, lambda: q * object()):
+        with pytest.raises(TypeError):
+            apply()
 
 
 @given(polys_st, polys_st, polys_st)

@@ -477,6 +477,9 @@ def test_equal_series_have_equal_storage_and_the_old_hash():
     assert Series([QPoly((1,)), QPoly((2,))]) == a
     assert hash(Series([QPoly((1,)), QPoly((2,))])) == hash(a)
     assert Series([QPoly((1,)), q]) != Series([1, 1])
+    assert (Series([1]) == 1) is False
+    with pytest.raises(AttributeError, match="Series is immutable"):
+        a._num = (0, 0)
 
 
 def test_a_rational_polynomial_series_is_stored_over_one_denominator():

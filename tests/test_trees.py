@@ -772,11 +772,13 @@ def test_branch_reader_matches_the_profile():
             sides, colors, _ = branch_profile(b)
             assert read_branch(b) == (colors, {d for d, side in enumerate(sides) if side == "L"})
     # not branches: two children, a vertex left out, a child index out of
-    # range or missing, no root, the empty tree
+    # range (below the bottom vertex or an interior one) or missing, no
+    # root, the empty tree
     for nodes, root in [(((0, None, None), (0, None, None), (0, 0, 1)), 2),
                         (((0, None, None), (0, None, None), (0, 0, None)), 2),
                         (((0, None, None), (0, 5, None)), 1),
                         (((0, -1, None), (0, None, None)), 0),
+                        (((0, None, None), (0, 0, None), (0, -1, None)), 2),
                         (((0, None, None), (0, "0", None)), 1),
                         (((0, None, None), (0, 0, None)), None),
                         ((), None)]:
