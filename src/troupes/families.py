@@ -9,7 +9,7 @@ cumulants, against which the generating-function route is checked.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .cumulants import classical_via_egf, from_egf, to_egf
@@ -17,7 +17,6 @@ from .rings import QPoly, RingElem, q
 from .series import Series
 
 
-@lru_cache(maxsize=None)
 def eulerian_polynomial(n: int) -> QPoly:
     """Descent-generating polynomial of all permutations of 1..n, by the
     recurrence A(n, k) = (k + 1) A(n-1, k) + (n - k) A(n-1, k-1)."""
@@ -30,7 +29,6 @@ def eulerian_polynomial(n: int) -> QPoly:
     return QPoly(row)
 
 
-@lru_cache(maxsize=None)
 def alternating_count(n: int) -> int:
     """Number of alternating permutations of size n (up-down convention), by
     the Seidel-Entringer boustrophedon.  Odd entries are the tangent numbers."""

@@ -153,11 +153,9 @@ def iter_D(n: int) -> Iterator[tuple[int, ...]]:
             x = sigma[i] + 1
 
 
-@lru_cache(maxsize=None)
 def first_n_druns_index_blocks(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The descending runs of each permutation with first entry maximal, as
-    canonical 0-based blocks, lexicographic in the entries after the first;
-    cached.  Runs are split on 0-based values directly, with no permutation
-    check."""
+    canonical 0-based blocks, lexicographic in the entries after the first.
+    Runs are split on 0-based values directly, with no permutation check."""
     return tuple(tuple([run[::-1] for run in _runs((n - 1,) + rest)])
                  for rest in itertools.permutations(range(n - 1)))

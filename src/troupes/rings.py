@@ -94,16 +94,10 @@ class QPoly:
         return _make([-c for c in self._num], self._den)
 
     def __sub__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return _make(*_add(self._num, self._den, [-c for c in o[0]], o[1]))
+        return NotImplemented if _parts(other) is None else self + -other
 
     def __rsub__(self, other):
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return _make(*_add([-c for c in self._num], self._den, o[0], o[1]))
+        return NotImplemented if _parts(other) is None else -self + other
 
     def __mul__(self, other):
         o = _parts(other)
@@ -116,14 +110,10 @@ class QPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result, base, den = [1], self._num, self._den ** n
-        while n:
-            if n & 1:
-                result = _convolve(result, base)
-            n >>= 1
-            if n:
-                base = _convolve(base, base)
-        return _make(result, den)
+        result = QPoly((1,))
+        for _ in range(n):
+            result = result * self
+        return result
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
