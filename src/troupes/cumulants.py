@@ -263,15 +263,18 @@ def from_egf(egf: Series) -> list[RingElem]:
 
 
 def classical_via_egf(moments: Sequence[RingElem]) -> list[RingElem]:
-    """Univariate classical cumulants from the log of the moment EGF.
+    """Univariate classical cumulants from the moment EGF ``M``.
 
-    ``moments`` is ``m_0..m_N`` with ``m_0 = 1``; returns ``K_1..K_N``.
-    Works over either coefficient ring since only integer divisions occur.
+    ``moments`` is ``m_0..m_N`` with ``m_0 = 1``; returns ``K_1..K_N``.  The
+    cumulant EGF is ``log M``, so the EGF of ``K_1, K_2, ...`` is its
+    derivative ``M'/M``, and ``M'`` is the EGF of ``m_1, m_2, ...``.  Works
+    over either coefficient ring, as the one division is by ``m_0 = 1``.
     """
     moments = [as_ring_elem(m) for m in moments]
     if not moments or moments[0] != 1:
         raise ValueError("moment sequence must start with m_0 = 1")
-    return from_egf(to_egf(moments).log())[1:]
+    m = Series(moments).coeffs  # one ring: a QPoly moment promotes the rest
+    return from_egf(to_egf(m[1:]) / to_egf(m[:-1])) if len(m) > 1 else []
 
 
 # ---------------------------------------------------------------------------

@@ -82,10 +82,15 @@ def _two_atom_cumulants(order: int) -> list[RingElem]:
     return out[:order]
 
 
+def _reciprocal(moments: list[RingElem]) -> list[RingElem]:
+    """The moments whose EGF is the reciprocal of ``moments``' EGF, in their ring."""
+    egf = to_egf(moments)
+    return from_egf(Series.one(egf.order, poly=egf.is_poly_ring) / egf)
+
+
 def _secant_moments(order: int) -> list[RingElem]:
-    # reciprocal of the cosine series: sec t as an EGF
-    cos = to_egf([0 if n % 2 else (-1) ** (n // 2) for n in range(order + 1)])
-    return from_egf(Series.one(order + 1) / cos)
+    # sec t = 1/cos t as an EGF
+    return _reciprocal([0 if n % 2 else (-1) ** (n // 2) for n in range(order + 1)])
 
 
 def _secant_cumulants(order: int) -> list[RingElem]:
@@ -101,14 +106,11 @@ def _negated(cumulants: Callable[[int], list[RingElem]], order: int) -> list[Rin
     return [-k for k in cumulants(order)]
 
 
-def _inverse_moments(cumulants: Callable[[int], list[RingElem]], order: int) -> list[RingElem]:
-    return from_egf(to_egf([0, *_negated(cumulants, order)]).exp())
-
-
 def _inverse(name: str, partner: NamedSequence) -> NamedSequence:
-    """The convolution inverse of ``partner``: its cumulants negated, its moments by their EGF."""
-    cumulants = partner.expected_classical
-    return NamedSequence(name, partial(_inverse_moments, cumulants), partial(_negated, cumulants))
+    """The convolution inverse of ``partner``: its moment EGF the reciprocal of
+    the partner's, its cumulants the partner's closed form negated."""
+    return NamedSequence(name, lambda order: _reciprocal(partner.moments(order)),
+                         partial(_negated, partner.expected_classical))
 
 
 _GAMMA = NamedSequence("gamma_minus_one", _gamma_minus_one_moments, _gamma_minus_one_cumulants)

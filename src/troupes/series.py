@@ -11,16 +11,15 @@ numerators for a polynomial one.  Addition, multiplication, composition and
 the Lagrange root run on the numerators, through the truncated convolution of
 :mod:`troupes.rings`, and reduce a result once, by one gcd over its
 denominator and every integer coefficient of its numerators: the transform
-spends its time in them.  Division, ``log`` and ``exp`` run only at small
-orders (the Boolean-free series check and the moment EGFs), so they are plain
-coefficient recurrences over ring elements that return through the
-constructor.
+spends its time in them.  Division runs only at small orders (the
+Boolean-free series check and the moment EGFs, whose reciprocal and
+log-derivative are quotients), so it is the one plain coefficient recurrence
+over ring elements, and it returns through the constructor.
 
 The branch-to-tree generating function transform (:func:`troupe_transform`)
 solves ``T(t) = B(t / (1 - t*T(t)))`` by Lagrange inversion (see
 :func:`_lagrange_root`); its inverse is the same transform conjugated by
-negation, ``-troupe_transform(-T)``.  ``log`` and ``exp`` solve
-``f*(log f)' = f'`` and ``(exp f)' = f'*exp f``.
+negation, ``-troupe_transform(-T)``.
 """
 
 from __future__ import annotations
@@ -179,30 +178,6 @@ class Series:
         for ck in reversed(self._num[:n]):
             num, den = _reduce(*_add(_convolve(num, b, n), den * db, (ck,), da))
         return _build(num, den, self.is_poly_ring)
-
-    # -- transcendental operations (ring contains the rationals)
-
-    def log(self) -> Series:
-        """Formal logarithm; the constant term must be 1."""
-        f = self.coeffs
-        if f[0] != 1:
-            raise ValueError("log needs constant term 1")
-        # g = log f solves f*g' = f': m*g_m = m*f_m - sum_{0<k<m} k*g_k*f_(m-k)
-        g = [f[0] * 0]  # zero in f's ring, so an order-1 polynomial series stays one
-        for m in range(1, len(f)):
-            g.append((m * f[m] - sum(k * g[k] * f[m - k] for k in range(1, m))) / m)
-        return Series(g)
-
-    def exp(self) -> Series:
-        """Formal exponential; the constant term must be 0."""
-        f = self.coeffs
-        if f[0]:
-            raise ValueError("exp needs constant term 0")
-        # g = exp f solves g' = f'*g: m*g_m = sum_{0<k<=m} k*f_k*g_(m-k)
-        g = [f[0] * 0 + 1]  # one in f's ring
-        for m in range(1, len(f)):
-            g.append(sum(k * f[k] * g[m - k] for k in range(1, m + 1)) / m)
-        return Series(g)
 
 
 _new = object.__new__

@@ -95,7 +95,6 @@ _GROW_MIN2 = ("if min2 and any((len(b) == 1 and (b[0] > last or k == n) for b in
               "if b is not target)):")
 _ROOT_PHI = "phi = Series.one(n - 1, poly=b.is_poly_ring) + b.shift()"
 _CONVOLVE_SIZE = "size = len(a) + len(b) - 1"
-_EXP_ONE = "g = [f[0] * 0 + 1]"
 _RING_TOP = "return QPoly((coeffs.get(k, Fraction(0)) for k in range(top + 1)))"
 _PHI_CHILD_CHECK = ("if left is not None and (not (0 <= left < m and labels[left] < label)) or "
                     "(right is not None and (not (0 <= right < m and labels[right] < label))):")
@@ -183,13 +182,6 @@ EQUIVALENT: dict[tuple, str] = {(spec, _unparsed(before), _unparsed(after), *k):
         "compose truncates to b's order n",
     ("series:troupe_transform", _ROOT_PHI, _ROOT_PHI.replace("n - 1", "n * 1")):
         "as for n + 1",
-    ("series:Series.exp", _EXP_ONE, _EXP_ONE.replace("* 0", "* 1")):
-        "exp has just refused a nonzero f[0], so f[0] * 1 is the zero of f's "
-        "ring that f[0] * 0 is, and adding 1 gives the same one",
-    ("series:Series.exp", _EXP_ONE, _EXP_ONE.replace("* 0", "+ 0")):
-        "as for f[0] * 1: f[0] + 0 is that same zero",
-    ("series:Series.exp", _EXP_ONE, _EXP_ONE.replace("* 0", "- 0")):
-        "as for f[0] * 1: f[0] - 0 is that same zero",
     ("rings:_convolve", _CONVOLVE_SIZE, _CONVOLVE_SIZE.replace("- 1", "+ 1")):
         "a longer output only adds trailing int 0 entries: every caller with "
         "no n passes them to _make, which strips them, and every caller with "

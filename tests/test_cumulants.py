@@ -406,6 +406,11 @@ def test_egf_route_matches_partition_recursion():
         egf = classical_via_egf([Fraction(1)] + moments)
         for n in range(1, 9):
             assert table.table[(0,) * n] == egf[n - 1]
+    # the shortest inputs, in each ring and mixed: no cumulant, or K_1 = m_1
+    for moments, expected in (([1], []), ([QPoly((1,))], []), ([1, 3], [Fraction(3)]),
+                              ([1, q], [q])):
+        got = classical_via_egf(moments)
+        assert got == expected and [type(k) for k in got] == [type(k) for k in expected]
 
 
 def test_egf_requires_unit_constant():

@@ -121,10 +121,22 @@ def test_gamma_minus_one():
     assert ks == [0, -1, -2, -6]
 
 
+def derangements(n):
+    """D_0..D_n by D_k = (k - 1)(D_(k-1) + D_(k-2))."""
+    d = [1, 0]
+    for k in range(2, n + 1):
+        d.append((k - 1) * (d[-1] + d[-2]))
+    return d[: n + 1]
+
+
 def test_shifted_exponential_moments_are_derangement_numbers():
     seq = named_sequence("shifted_exponential")
     assert seq.moments(6) == [1, 0, 1, 2, 9, 44, 265]
     assert seq.classical_cumulants(5) == [0, 1, 2, 6, 24]
+    for order in range(1, 31):
+        moments = seq.moments(order)
+        assert moments == derangements(order)
+        assert {type(m) for m in moments} == {Fraction}
 
 
 def test_two_atom():
@@ -138,11 +150,29 @@ def test_two_atom():
 
 
 def test_geometric_like():
+    """K_n = q A_(n-1)(q), and m_n = sum_k C(n, k) (-1)^(n-k) A_k(q), with
+    A_0 = 1 and A_k the descent polynomial of the permutations of 1..k,
+    walked one by one."""
     seq = named_sequence("geometric_like")
     ks = seq.classical_cumulants(5)
     assert ks[0] == QPoly()
     for n in range(2, 6):
         assert ks[n - 1] == q * eulerian_polynomial(n - 1)
+    a = [QPoly((1,))] + [eulerian_brute_force(k) for k in range(1, 9)]
+    for order in range(1, 9):
+        moments = seq.moments(order)
+        assert moments == [sum((a[k] * (math.comb(n, k) * (-1) ** (n - k)) for k in range(n + 1)),
+                               QPoly()) for n in range(order + 1)]
+        assert {type(m) for m in moments} == {QPoly}
+
+
+def test_each_family_has_one_type_of_m0():
+    """``m_0`` is a ``Fraction`` at every order, order 0 included, or a
+    ``QPoly`` at every order: a convolution inverse's is its partner's."""
+    for name in ("gamma_minus_one", "shifted_exponential", "two_atom",
+                 "geometric_like", "secant"):
+        seq = named_sequence(name)
+        assert len({type(seq.moments(order)[0]) for order in range(4)}) == 1, name
 
 
 def test_secant_moments_and_cumulants():
@@ -233,6 +263,8 @@ def test_unknown_sequence():
 
 
 def test_convolution_inverse_pair_has_unit_egf():
+    # true by construction, the inverse's moments being the reciprocal of the
+    # partner's EGF; the closed-form moment tests above pin them independently
     f = named_sequence("gamma_minus_one")
     g = named_sequence("shifted_exponential")
     order = 8
